@@ -1,8 +1,8 @@
 """Command-line entry: run or validate a scenario config.
 
 Usage:
-    spinlens run --config cfg.yaml --out outdir [--seed N] [--threads N]
-    spinlens validate --config cfg.yaml
+    spinlens run --config cfg.yaml --out outdir [--seed N] [--validate-only]
+    spinlens validate --config cfg.yaml [--seed N]
 
 A run writes a manifest before touching any physics (status "running")
 and finalizes it afterwards with derived parameters, wall time, and a
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -61,19 +60,6 @@ def _resolve(args) -> dict:
     return prepare_config(raw)
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return max(1, args.threads)
-    env = os.environ.get("SPINLENS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            print(f"warning: ignoring non-integer SPINLENS_THREADS={env!r}",
-                  file=sys.stderr)
-    return 1
-
-
 def cmd_validate(args) -> int:
     try:
         cfg = _resolve(args)
@@ -101,7 +87,6 @@ def cmd_run(args) -> int:
         print("ok: config valid (validate-only, nothing run)")
         return 0
 
-    threads = _threads(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
@@ -112,7 +97,6 @@ def cmd_run(args) -> int:
         "config_hash": io_utils.canonical_hash(cfg),
         "code_version": __version__,
         "master_seed": cfg["master_seed"],
-        "threads": threads,
         "warnings": warnings,
         "outputs": [],
     }
@@ -120,7 +104,7 @@ def cmd_run(args) -> int:
 
     t0 = time.perf_counter()
     try:
-        derived, outputs = run_scenario(cfg, out, threads=threads)
+        derived, outputs = run_scenario(cfg, out)
     except Exception as exc:
         manifest["status"] = "failed"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
@@ -165,8 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--out", required=True, help="output directory")
     runp.add_argument("--seed", type=int, default=None,
                       help="override master_seed from the config")
-    runp.add_argument("--threads", type=int, default=None,
-                      help="worker threads (default: SPINLENS_THREADS or 1)")
     runp.add_argument("--validate-only", action="store_true",
                       help="check the config and exit without running")
     runp.set_defaults(func=cmd_run)

@@ -4,12 +4,12 @@ Each realization perturbs the clean lattice, rebuilds couplings through
 the lattice module, runs the full focusing protocol for a fixed duration
 (the clean focal time, supplied by the caller), and records the focal
 probability and the final width. Streams are counter-based per
-realization so results do not depend on scheduling.
+realization, so a realization's record does not depend on how many others
+are run.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -136,18 +136,10 @@ def _realization_table(job: EnsembleJob, r: int) -> SiteTable:
     return displace_sites(table, shifts)
 
 
-def run_ensemble(job: EnsembleJob, threads: int = 1) -> EnsembleStats:
-    """Focusing statistics over disorder realizations, order-deterministic."""
-
-    def one(r: int):
-        return run_protocol(_realization_table(job, r), job)
-
-    indices = range(job.realizations)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one, indices))
-    else:
-        records = [one(r) for r in indices]
+def run_ensemble(job: EnsembleJob) -> EnsembleStats:
+    """Focusing statistics over disorder realizations, in index order."""
+    records = [run_protocol(_realization_table(job, r), job)
+               for r in range(job.realizations)]
     p_foc = np.array([rec[0] for rec in records])
     sigma_f = np.array([rec[1] for rec in records])
     return EnsembleStats(p_foc=p_foc, sigma_f=sigma_f)

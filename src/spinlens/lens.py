@@ -22,6 +22,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
 
 from .lattice import CouplingModel, NearestNeighbor, SiteTable, build_couplings
+from .propagator import trajectory
 from .wavepacket import SpinWaveState, evolve, gaussian_packet, gaussian_width, phase_imprint
 
 
@@ -420,7 +421,6 @@ class OptimizeResult:
     focal_width: float
     scan: list
     boundary: bool = False
-    window_extended: bool = False
 
 
 # Inside optimizer evolutions only: on-site energies are clipped to +- this
@@ -451,34 +451,42 @@ def _isochrone_coefficients(g: float, hopping: float) -> tuple[float, ...]:
                  for q, f in enumerate(_ISOCHRONE_FRACTIONS, start=1))
 
 
+def _parabola_vertex(y, i):
+    """Vertex of the parabola through the equally spaced samples y[i-1],
+    y[i], y[i+1]: (offset from sample i in steps, value), or None unless the
+    parabola opens upward."""
+    y0, y1, y2 = y[i - 1], y[i], y[i + 1]
+    denom = y0 - 2.0 * y1 + y2
+    if not denom > 0:
+        return None
+    shift = 0.5 * (y0 - y2) / denom
+    return shift, y1 - 0.25 * (y0 - y2) * shift
+
+
 def _width_minimum(terms, psi0, table, t_window, n_time, tol):
     """Minimum packet width over a time window, by scan plus parabolic refine.
 
-    Returns (t_min, w_min, widths_table, at_edge).
+    Returns (t_min, w_min, at_edge).
     """
     t0, t1 = t_window
     times = np.linspace(t0, t1, n_time)
-    widths = np.empty(n_time)
-    state = evolve(terms, psi0, times[0], tol=tol) if times[0] > 0 else SpinWaveState(psi0.amplitudes.copy(), psi0.time)
-    widths[0] = gaussian_width(state, table)
+    state = evolve(terms, psi0, times[0], tol=tol) if times[0] > 0 else psi0
     dt = times[1] - times[0]
-    for i in range(1, n_time):
-        state = evolve(terms, state, dt, tol=tol)
-        widths[i] = gaussian_width(state, table)
+    widths = [gaussian_width(state, table)]
+    for _, amp in trajectory(terms.matrix(), state.amplitudes, dt, n_time - 1,
+                             tol=tol, bounds=terms.bounds()):
+        widths.append(gaussian_width(SpinWaveState(amp), table))
+    widths = np.array(widths)
     i = int(np.argmin(widths))
     at_edge = i == 0 or i == n_time - 1
     t_best, w_best = times[i], widths[i]
-    if not at_edge:
-        # parabola through the bracketing triple
-        y0, y1, y2 = widths[i - 1], widths[i], widths[i + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if denom > 0:
-            shift = 0.5 * (y0 - y2) / denom
-            t_ref = times[i] + shift * dt
-            w_ref = gaussian_width(evolve(terms, psi0, t_ref, tol=tol), table)
-            if w_ref < w_best:
-                t_best, w_best = t_ref, w_ref
-    return t_best, w_best, np.column_stack([times, widths]), at_edge
+    vertex = None if at_edge else _parabola_vertex(widths, i)
+    if vertex is not None:
+        t_ref = times[i] + vertex[0] * dt
+        w_ref = gaussian_width(evolve(terms, psi0, t_ref, tol=tol), table)
+        if w_ref < w_best:
+            t_best, w_best = t_ref, w_ref
+    return t_best, w_best, at_edge
 
 
 def _thick_terms(table, base_terms, design, clip):
@@ -505,15 +513,13 @@ def _eval_design(design, table, base_terms, psi0, hopping, n_time, tol, clip):
         terms = base_terms
         state = phase_imprint(psi0, thin_phase_profile(design, table))
     window = (0.5 * t_est, 1.5 * t_est)
-    extended = False
     for _ in range(3):
-        t_f, w_f, tab, at_edge = _width_minimum(terms, state, table, window, n_time, tol)
+        t_f, w_f, at_edge = _width_minimum(terms, state, table, window, n_time, tol)
         if not at_edge:
             break
-        extended = True
         lo, hi = window
         window = (0.25 * lo, hi) if t_f <= lo * 1.01 else (lo, 2.0 * hi)
-    return t_f, w_f, at_edge, extended
+    return t_f, w_f, at_edge
 
 
 def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
@@ -565,22 +571,20 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
         return ThinPulse(phi0=main, focus=tuple(focus), profile=profile)
 
     def run(design):
-        t_f, w_f, at_edge, ext = _eval_design(design, table, base_terms, psi0,
-                                              hopping, n_time, tol, clip_abs)
+        t_f, w_f, at_edge = _eval_design(design, table, base_terms, psi0,
+                                         hopping, n_time, tol, clip_abs)
         strength = design.coefficients[0] if kind == "thick" else design.phi0
         scan.append({"design": design, "strength": strength,
                      "focal_time": t_f, "focal_width": w_f})
-        return t_f, w_f, at_edge, ext
+        return t_f, w_f, at_edge
 
     # stage 1: log grid in the leading strength
     lo, hi = _GRID_SPAN[0] * scale, _GRID_SPAN[1] * scale
     n_pts = int(round(_POINTS_PER_DECADE * math.log10(hi / lo))) + 1
     grid = np.geomspace(lo, hi, n_pts)
-    window_extended = False
     results = []
     for g in grid:
-        t_f, w_f, at_edge, ext = run(make_design(g))
-        window_extended |= ext
+        t_f, w_f, at_edge = run(make_design(g))
         results.append((w_f, g, t_f, at_edge))
     results.sort(key=lambda r: r[0])
     best_w, best_g, best_t, best_edge = results[0]
@@ -591,8 +595,7 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
         extra = np.geomspace(lo / 10.0, lo, _POINTS_PER_DECADE, endpoint=False) \
             if i_best == 0 else np.geomspace(hi, hi * 10.0, _POINTS_PER_DECADE + 1)[1:]
         for g in extra:
-            t_f, w_f, at_edge, ext = run(make_design(g))
-            window_extended |= ext
+            t_f, w_f, at_edge = run(make_design(g))
             if w_f < best_w:
                 best_w, best_g, best_t, best_edge = w_f, g, t_f, at_edge
         all_g = sorted(s["strength"] for s in scan)
@@ -615,7 +618,7 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
         res = minimize_scalar(objective, bounds=(math.log10(g_lo), math.log10(g_hi)),
                               method="bounded", options={"xatol": 5e-3, "maxiter": 20})
         g_ref = 10.0**res.x
-        t_f, w_f, at_edge, _ = cache[g_ref]
+        t_f, w_f, at_edge = cache[g_ref]
         if w_f < best_w:
             best_w, best_g, best_t, best_edge = w_f, g_ref, t_f, at_edge
 
@@ -636,22 +639,20 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
                     trial[qi] = rel * cscale
                     if trial[qi] == extra_coeffs[qi]:
                         continue  # the current design, already at best_w
-                    t_f, w_f, at_edge, ext = run(make_design(best_g, trial))
-                    window_extended |= ext
+                    t_f, w_f, at_edge = run(make_design(best_g, trial))
                     if w_f < best_w:
                         best_w, best_t, best_edge = w_f, t_f, at_edge
                         best_c = trial[qi]
                 extra_coeffs[qi] = best_c
             # re-refine the leading coefficient with the new correction terms
             for g in (best_g * 0.8, best_g * 1.25):
-                t_f, w_f, at_edge, _ = run(make_design(g, extra_coeffs))
+                t_f, w_f, at_edge = run(make_design(g, extra_coeffs))
                 if w_f < best_w:
                     best_w, best_g, best_t, best_edge = w_f, g, t_f, at_edge
 
     design = make_design(best_g, extra_coeffs)
     return OptimizeResult(design=design, focal_time=best_t, focal_width=best_w,
-                          scan=scan, boundary=best_edge or strength_edge,
-                          window_extended=window_extended)
+                          scan=scan, boundary=best_edge or strength_edge)
 
 
 # --- semiclassical single-wing model ----------------------------------------

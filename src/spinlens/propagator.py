@@ -9,6 +9,8 @@ applications.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import jv
@@ -112,3 +114,22 @@ def expimv(h: sp.csr_matrix, psi: np.ndarray, t: float,
                 acc += c * t_cur
         out = phase * acc
     return out
+
+
+def trajectory(h: sp.csr_matrix, psi: np.ndarray, dt: float, n_steps: int,
+               tol: float = 1e-10, bounds: tuple[float, float] | None = None,
+               t0: float = 0.0) -> Iterator[tuple[float, np.ndarray]]:
+    """Step psi by exp(-i h dt) ``n_steps`` times, yielding (t, amplitudes)
+    after each step.
+
+    The clock starts at ``t0`` and advances by ``t = t + dt``, so the times
+    agree bit for bit with those of repeated single-step calls. The spectral
+    enclosure is computed once when ``bounds`` is not given.
+    """
+    if bounds is None:
+        bounds = spectral_bounds(h)
+    t = t0
+    for _ in range(n_steps):
+        psi = expimv(h, psi, dt, tol=tol, bounds=bounds)
+        t = t + dt
+        yield t, psi

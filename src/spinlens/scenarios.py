@@ -22,16 +22,17 @@ from .disorder import (Displacement, EnsembleJob, Holes, _realization_table,
 from .lattice import (NearestNeighbor, PowerLaw, RydbergDressed,
                       build_couplings, build_lattice)
 from .lens import (OPTIMIZER_CLIP, Multifocal, ThickPolynomial, ThinPulse,
-                   continuum_thick, continuum_thin, corrected_focal_time,
-                   optimize_lens, potential_profile, thin_phase_profile,
-                   thresholds)
+                   _parabola_vertex, continuum_thick, continuum_thin,
+                   corrected_focal_time, optimize_lens, potential_profile,
+                   thin_phase_profile, thresholds)
 from .manybody import (blockade_radius, build_mb_hamiltonian, density_profile,
-                       enumerate_basis, evolve_mb, pair_distance_distribution,
+                       enumerate_basis, pair_distance_distribution,
                        symmetric_initial_state)
+from .propagator import trajectory
 from .rydberg import (ChannelC6, DressingParams, dressed_couplings,
                       effective_potentials, exchange_peak, vdw_iso_aniso)
-from .wavepacket import (evolve, focus_probability, gaussian_packet,
-                         gaussian_width, phase_imprint)
+from .wavepacket import (SpinWaveState, evolve, focus_probability,
+                         gaussian_packet, gaussian_width, phase_imprint)
 
 
 class ConfigError(ValueError):
@@ -236,30 +237,14 @@ def _focus_of(cfg, table):
     return np.atleast_1d(np.asarray(focus, dtype=float))
 
 
-def _sampled_evolution(terms, state, table, t_max, n_samples, tol):
-    """Evolve in n_samples equal steps, recording (t, width) at each."""
-    dt = t_max / n_samples
-    times = [state.time]
-    widths = [gaussian_width(state, table)]
-    for _ in range(n_samples):
-        state = evolve(terms, state, dt, tol=tol)
-        times.append(state.time)
-        widths.append(gaussian_width(state, table))
-    return np.array(times), np.array(widths), state
-
-
 def _local_minima(times, widths):
     """Interior minima of the sampled width, parabolically refined in t."""
     out = []
     for i in range(1, len(widths) - 1):
         if not (widths[i] <= widths[i - 1] and widths[i] <= widths[i + 1]):
             continue
-        y0, y1, y2 = widths[i - 1], widths[i], widths[i + 1]
-        denom = y0 - 2.0 * y1 + y2
-        shift = 0.5 * (y0 - y2) / denom if denom > 0 else 0.0
-        dt = times[i + 1] - times[i]
-        out.append((float(times[i] + shift * dt),
-                    float(y1 - 0.25 * (y0 - y2) * shift)))
+        shift, w = _parabola_vertex(widths, i) or (0.0, widths[i])
+        out.append((float(times[i] + shift * (times[i + 1] - times[i])), float(w)))
     return out
 
 
@@ -268,68 +253,75 @@ def _snapshot(path, state, table):
                               io_utils.state_rows(state, table))
 
 
-def run_thick1d(cfg, out: Path, threads: int):
+def _lens_packet(cfg, table, focus):
+    center = cfg["packet"]["center"]
+    return gaussian_packet(table, float(cfg["packet"]["sigma0"]),
+                           center=focus if center is None else center,
+                           k0=cfg["packet"]["k0"])
+
+
+def _write_breathing(out, terms, psi0, table, pred, t_max, ev):
+    """Sample the width of psi0 in n_samples equal steps up to t_max.
+
+    Writes widths.csv (against the continuum curve of ``pred``) and the state
+    at the predicted focal time; returns (outputs, width minima).
+    """
+    n_samples, tol = int(ev["n_samples"]), float(ev["tol"])
+    times, widths = [psi0.time], [gaussian_width(psi0, table)]
+    for t, amp in trajectory(terms.matrix(), psi0.amplitudes, t_max / n_samples,
+                             n_samples, tol=tol, bounds=terms.bounds(),
+                             t0=psi0.time):
+        times.append(t)
+        widths.append(gaussian_width(SpinWaveState(amp, t), table))
+    times, widths = np.array(times), np.array(widths)
+    outputs = [io_utils.write_csv(out / "widths.csv",
+                                  ["t [1/J]", "sigma [a]", "sigma_continuum [a]"],
+                                  zip(times, widths, pred.width(times))),
+               _snapshot(out / "state_focus.csv",
+                         evolve(terms, psi0, pred.focal_time, tol=tol), table)]
+    return outputs, _local_minima(times, widths)
+
+
+def run_thick1d(cfg, out: Path):
     table, model = _build_setup(cfg)
-    sigma0 = float(cfg["packet"]["sigma0"])
     v0 = float(cfg["lens"]["v0"])
-    hopping = model.reference_hopping()
     focus = _focus_of(cfg, table)
-    pred = continuum_thick(v0, sigma0, hopping)
+    pred = continuum_thick(v0, float(cfg["packet"]["sigma0"]),
+                           model.reference_hopping())
     ev = cfg["evolution"]
     t_max = ev["t_max"] if ev["t_max"] is not None else 4.0 * pred.focal_time
     terms = build_couplings(table, model).with_diagonal(
         potential_profile(ThickPolynomial((v0,), tuple(focus)), table))
-    center = cfg["packet"]["center"]
-    psi0 = gaussian_packet(table, sigma0,
-                           center=focus if center is None else center,
-                           k0=cfg["packet"]["k0"])
-    times, widths, _ = _sampled_evolution(terms, psi0, table, t_max,
-                                          int(ev["n_samples"]), float(ev["tol"]))
-    rows = zip(times, widths, pred.width(times))
-    outputs = [io_utils.write_csv(out / "widths.csv",
-                                  ["t [1/J]", "sigma [a]", "sigma_continuum [a]"],
-                                  rows)]
-    at_focus = evolve(terms, psi0, pred.focal_time, tol=float(ev["tol"]))
-    outputs.append(_snapshot(out / "state_focus.csv", at_focus, table))
+    outputs, minima = _write_breathing(out, terms, _lens_packet(cfg, table, focus),
+                                       table, pred, t_max, ev)
     derived = {
         "omega [J]": pred.omega,
         "ell [a]": pred.ell,
         "focal_time [1/J]": pred.focal_time,
         "focal_width_continuum [a]": pred.focal_width,
-        "width_minima [(t, sigma)]": _local_minima(times, widths),
+        "width_minima [(t, sigma)]": minima,
     }
     return derived, outputs
 
 
-def run_thin1d(cfg, out: Path, threads: int):
+def run_thin1d(cfg, out: Path):
     table, model = _build_setup(cfg)
-    sigma0 = float(cfg["packet"]["sigma0"])
     phi0 = float(cfg["lens"]["phi0"])
-    hopping = model.reference_hopping()
     focus = _focus_of(cfg, table)
     design = ThinPulse(phi0=phi0, focus=tuple(focus),
                        profile=cfg["lens"]["profile"])
-    pred = continuum_thin(phi0, sigma0, hopping)
+    pred = continuum_thin(phi0, float(cfg["packet"]["sigma0"]),
+                          model.reference_hopping())
     ev = cfg["evolution"]
     t_max = ev["t_max"] if ev["t_max"] is not None else 2.0 * pred.focal_time
-    terms = build_couplings(table, model)
-    center = cfg["packet"]["center"]
-    psi0 = gaussian_packet(table, sigma0,
-                           center=focus if center is None else center,
-                           k0=cfg["packet"]["k0"])
-    psi0 = phase_imprint(psi0, thin_phase_profile(design, table))
-    times, widths, _ = _sampled_evolution(terms, psi0, table, t_max,
-                                          int(ev["n_samples"]), float(ev["tol"]))
-    rows = zip(times, widths, pred.width(times))
-    outputs = [io_utils.write_csv(out / "widths.csv",
-                                  ["t [1/J]", "sigma [a]", "sigma_continuum [a]"],
-                                  rows)]
-    at_focus = evolve(terms, psi0, pred.focal_time, tol=float(ev["tol"]))
-    outputs.append(_snapshot(out / "state_focus.csv", at_focus, table))
+    psi0 = phase_imprint(_lens_packet(cfg, table, focus),
+                         thin_phase_profile(design, table))
+    outputs, minima = _write_breathing(out, build_couplings(table, model), psi0,
+                                       table, pred, t_max, ev)
     derived = {
         "focal_time [1/J]": pred.focal_time,
         "focal_width_continuum [a]": pred.focal_width,
-        "width_minima [(t, sigma)]": _local_minima(times, widths),
+        "width_minima [(t, sigma)]": minima,
     }
     return derived, outputs
 
@@ -340,7 +332,7 @@ def _coeff_columns(design, order=8):
     return coeffs
 
 
-def run_cascade(cfg, out: Path, threads: int):
+def run_cascade(cfg, out: Path):
     table, model = _build_setup(cfg)
     sigma0 = float(cfg["packet"]["sigma0"])
     order = int(cfg["lens"]["order"])
@@ -381,7 +373,7 @@ def run_cascade(cfg, out: Path, threads: int):
     return derived, outputs
 
 
-def run_scaling_fit(cfg, out: Path, threads: int):
+def run_scaling_fit(cfg, out: Path):
     table, model = _build_setup(cfg)
     scan = cfg["scan"]
     tol = float(cfg["evolution"]["tol"])
@@ -417,7 +409,7 @@ def run_scaling_fit(cfg, out: Path, threads: int):
     return {"fits": fits}, outputs
 
 
-def run_multifocal2d(cfg, out: Path, threads: int):
+def run_multifocal2d(cfg, out: Path):
     table, model = _build_setup(cfg)
     sigma0 = float(cfg["packet"]["sigma0"])
     v0 = float(cfg["lens"]["v0"])
@@ -444,7 +436,7 @@ def run_multifocal2d(cfg, out: Path, threads: int):
     return derived, outputs
 
 
-def run_longrange_alpha(cfg, out: Path, threads: int):
+def run_longrange_alpha(cfg, out: Path):
     extents = tuple(int(n) for n in cfg["lattice"]["extents"])
     table = build_lattice(extents, float(cfg["lattice"]["spacing"]))
     hopping = float(cfg["coupling"]["hopping"])
@@ -473,7 +465,7 @@ def run_longrange_alpha(cfg, out: Path, threads: int):
     return derived, outputs
 
 
-def run_nonlinear(cfg, out: Path, threads: int):
+def run_nonlinear(cfg, out: Path):
     table, model = _build_setup(cfg)
     sigma0 = float(cfg["packet"]["sigma0"])
     hopping = model.reference_hopping()
@@ -503,17 +495,17 @@ def run_nonlinear(cfg, out: Path, threads: int):
     state = symmetric_initial_state(psi_single, nu, basis)
 
     n_samples = int(cfg["evolution"]["n_samples"])
-    dt = t_f / n_samples
+    amps = state.amplitudes
     density_rows = []
-    for _ in range(n_samples):
-        state = evolve_mb(sector, state, dt, tol=tol)
-        p = density_profile(state, basis)
-        density_rows.extend(
-            (state.time_stamp, n, p[n], nu) for n in range(table.n_sites))
+    for t, amps in trajectory(sector.matrix, amps, t_f / n_samples, n_samples,
+                              tol=tol, bounds=sector.bounds(),
+                              t0=state.time_stamp):
+        p = density_profile(amps, basis)
+        density_rows.extend((t, n, p[n], nu) for n in range(table.n_sites))
     outputs = [io_utils.write_csv(out / "density.csv",
                                   ["t [1/J]", "site", "p [1]", "nu"],
                                   density_rows)]
-    dists, weights = pair_distance_distribution(state, basis, table)
+    dists, weights = pair_distance_distribution(amps, basis, table)
     outputs.append(io_utils.write_csv(out / "pair_distances.csv",
                                       ["distance [a]", "weight [1]"],
                                       zip(dists, weights)))
@@ -559,10 +551,10 @@ def _write_ensemble(out, job, stats, extra_summary):
     return outputs
 
 
-def run_holes(cfg, out: Path, threads: int):
+def run_holes(cfg, out: Path):
     job, pred = _ensemble_job(cfg, Holes(int(cfg["disorder"]["count"])))
     clean_p, clean_sigma = run_protocol(job.table, job)
-    stats = run_ensemble(job, threads=threads)
+    stats = run_ensemble(job)
     outputs = _write_ensemble(out, job, stats, {
         "clean": {"p_foc": clean_p, "sigma_f": clean_sigma},
         "holes": int(cfg["disorder"]["count"]),
@@ -576,11 +568,11 @@ def run_holes(cfg, out: Path, threads: int):
     return derived, outputs
 
 
-def run_displacement(cfg, out: Path, threads: int):
+def run_displacement(cfg, out: Path):
     delta = float(cfg["disorder"]["delta"])
     job, pred = _ensemble_job(cfg, Displacement(delta))
     clean_p, clean_sigma = run_protocol(job.table, job)
-    stats = run_ensemble(job, threads=threads)
+    stats = run_ensemble(job)
     outputs = _write_ensemble(out, job, stats, {
         "clean": {"p_foc": clean_p, "sigma_f": clean_sigma},
         "delta [a]": delta,
@@ -611,7 +603,7 @@ def run_displacement(cfg, out: Path, threads: int):
     return derived, outputs
 
 
-def run_breakdown(cfg, out: Path, threads: int):
+def run_breakdown(cfg, out: Path):
     table, model = _build_setup(cfg)
     hopping = model.reference_hopping()
     scan = cfg["scan"]
@@ -645,7 +637,7 @@ def run_breakdown(cfg, out: Path, threads: int):
     return {"crossovers": crossovers}, outputs
 
 
-def run_rydberg_tables(cfg, out: Path, threads: int):
+def run_rydberg_tables(cfg, out: Path):
     d = cfg["dressing"]
     c12 = d["c12"] if d["c12"] is not None else abs(float(d["delta"]))
     params = DressingParams(omega=float(d["omega"]), delta=float(d["delta"]),
@@ -713,8 +705,8 @@ SCENARIOS = {
 }
 
 
-def run_scenario(cfg: dict, out: Path, threads: int = 1):
+def run_scenario(cfg: dict, out: Path):
     """Dispatch a prepared config; returns (derived parameters, output files)."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    return SCENARIOS[cfg["scenario"]](cfg, out, threads)
+    return SCENARIOS[cfg["scenario"]](cfg, out)

@@ -9,7 +9,7 @@ import yaml
 
 from spinlens import io_utils
 from spinlens.cli import main
-from spinlens.lens import continuum_thick
+from spinlens.lens import continuum_thick, continuum_thin
 from spinlens.scenarios import (ConfigError, SCENARIO_NAMES, lint_config,
                                 prepare_config, run_scenario)
 
@@ -21,6 +21,8 @@ THICK_SMALL = {
     "lens": {"v0": 12.0 ** (-8.0 / 3.0)},
     "evolution": {"n_samples": 32},
 }
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(path: Path, payload: dict) -> str:
@@ -174,6 +176,11 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(tmp_path / "absent.yaml")]) == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")),
+                             ids=lambda p: p.name)
+    def test_shipped_configs_validate(self, path):
+        assert main(["validate", "--config", str(path)]) == 0
+
 
 class TestRunCommand:
     def test_run_completes(self, thick_run):
@@ -182,7 +189,6 @@ class TestRunCommand:
         assert manifest["status"] == "complete"
         assert manifest["scenario"] == "thick1d"
         assert manifest["master_seed"] == 7
-        assert manifest["threads"] == 1
         assert manifest["wall_time_s"] > 0
         assert manifest["warnings"] == []
 
@@ -279,31 +285,6 @@ HOLES_SMALL = {
 
 
 class TestThreadSelection:
-    def test_environment_variable_sets_workers(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPINLENS_THREADS", "2")
-        cfg = write_config(tmp_path / "c.yaml", HOLES_SMALL)
-        out = tmp_path / "out"
-        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["threads"] == 2
-
-    def test_flag_beats_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPINLENS_THREADS", "2")
-        cfg = write_config(tmp_path / "c.yaml", HOLES_SMALL)
-        out = tmp_path / "out"
-        assert main(["run", "--config", cfg, "--out", str(out),
-                     "--threads", "3"]) == 0
-        assert json.loads((out / "manifest.json").read_text())["threads"] == 3
-
-    def test_garbage_environment_falls_back_to_serial(self, tmp_path,
-                                                      monkeypatch, capsys):
-        monkeypatch.setenv("SPINLENS_THREADS", "many")
-        cfg = write_config(tmp_path / "c.yaml", HOLES_SMALL)
-        out = tmp_path / "out"
-        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-        assert json.loads((out / "manifest.json").read_text())["threads"] == 1
-        assert "SPINLENS_THREADS" in capsys.readouterr().err
-
     def test_ensemble_summary_records_run_parameters(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", HOLES_SMALL)
         out = tmp_path / "out"
@@ -314,6 +295,49 @@ class TestThreadSelection:
         assert {"mean", "std", "stderr"} <= set(summary["stats"]["p_foc"])
         header = (out / "ensemble.csv").read_text().splitlines()[0]
         assert header == "realization,p_foc [1],sigma_f [a]"
+
+
+@pytest.mark.parametrize("profile", ["parabolic", "corrected"])
+def test_thin1d_run_samples_widths(tmp_path, profile):
+    sigma0, phi0, n_samples = 12.0, 0.01, 16
+    cfg = write_config(tmp_path / "c.yaml", {
+        "scenario": "thin1d",
+        "lattice": {"extents": [257]},
+        "packet": {"sigma0": sigma0},
+        "lens": {"phi0": phi0, "profile": profile},
+        "evolution": {"n_samples": n_samples},
+    })
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    rows = (out / "widths.csv").read_text().splitlines()[1:]
+    assert len(rows) == n_samples + 1
+    derived = json.loads((out / "manifest.json").read_text())["derived"]
+    pred = continuum_thin(phi0, sigma0)
+    assert derived["focal_time [1/J]"] == pytest.approx(pred.focal_time)
+    assert derived["focal_width_continuum [a]"] == pytest.approx(pred.focal_width)
+    assert "width_minima [(t, sigma)]" in derived
+
+
+def test_nonlinear_density_sums_to_nu(tmp_path):
+    n_samples = 4
+    cfg = write_config(tmp_path / "c.yaml", {
+        "scenario": "nonlinear",
+        "lattice": {"extents": [31]},
+        "packet": {"sigma0": 3.0},
+        "lens": {"v0": 3.0 ** (-8.0 / 3.0)},
+        "interaction": {"nu": 2, "jz": 50.0},
+        "evolution": {"n_samples": n_samples},
+    })
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    totals: dict = {}
+    for line in (out / "density.csv").read_text().splitlines()[1:]:
+        t, _, p, nu = line.split(",")
+        assert int(nu) == 2
+        totals[t] = totals.get(t, 0.0) + float(p)
+    assert len(totals) == n_samples
+    for total in totals.values():
+        assert total == pytest.approx(2.0, abs=1e-6)
 
 
 @pytest.fixture(scope="module")

@@ -187,13 +187,13 @@ class TestRunEnsemble:
         assert summary["p_foc"]["std"] == 0.0
         assert summary["sigma_f"]["stderr"] == 0.0
 
-    def test_thread_count_does_not_change_results(self, chain, thick_job):
+    def test_records_do_not_depend_on_realization_count(self, chain, thick_job):
         from dataclasses import replace
         job = replace(thick_job, kind=Displacement(0.02), realizations=4)
-        serial = run_ensemble(job, threads=1)
-        pooled = run_ensemble(job, threads=3)
-        assert np.array_equal(serial.p_foc, pooled.p_foc)
-        assert np.array_equal(serial.sigma_f, pooled.sigma_f)
+        short = run_ensemble(job)
+        long = run_ensemble(replace(job, realizations=6))
+        assert np.array_equal(short.p_foc, long.p_foc[:4])
+        assert np.array_equal(short.sigma_f, long.sigma_f[:4])
 
     def test_summary_matches_numpy_statistics(self):
         rec = np.array([0.2, 0.5, 0.35, 0.4])

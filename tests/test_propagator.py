@@ -4,7 +4,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlens.propagator import TOL_RANGE, expimv, spectral_bounds
+from spinlens.lattice import NearestNeighbor, build_couplings, build_lattice
+from spinlens.lens import ThickPolynomial, potential_profile
+from spinlens.manybody import (build_mb_hamiltonian, enumerate_basis, evolve_mb,
+                               symmetric_initial_state)
+from spinlens.propagator import TOL_RANGE, expimv, spectral_bounds, trajectory
+from spinlens.wavepacket import evolve, gaussian_packet
 
 from conftest import dense_evolution, random_hermitian
 
@@ -82,6 +87,51 @@ class TestExpimv:
         h = sp.csr_matrix((1, 1))
         psi = np.array([1.0 + 0.0j])
         assert np.allclose(expimv(h, psi, 5.0), psi)
+
+
+class TestTrajectory:
+    @pytest.fixture
+    def lens_terms(self):
+        table = build_lattice((41,))
+        design = ThickPolynomial((4.0 ** (-8.0 / 3.0),), (20.0,))
+        terms = build_couplings(table, NearestNeighbor(1.0))
+        return table, terms.with_diagonal(potential_profile(design, table))
+
+    def test_matches_repeated_evolve(self, lens_terms):
+        table, terms = lens_terms
+        state = gaussian_packet(table, 4.0)
+        state.time = 0.3
+        dt, tol = 0.7, 1e-10
+        steps = list(trajectory(terms.matrix(), state.amplitudes, dt, 5, tol=tol,
+                                bounds=terms.bounds(), t0=state.time))
+        assert len(steps) == 5
+        for t, amp in steps:
+            state = evolve(terms, state, dt, tol=tol)
+            assert t == state.time
+            assert np.array_equal(amp, state.amplitudes)
+
+    def test_matches_repeated_evolve_mb(self, lens_terms):
+        table, terms = lens_terms
+        basis = enumerate_basis(table, 2)
+        sector = build_mb_hamiltonian(terms, basis, jz=20.0, table=table)
+        state = symmetric_initial_state(gaussian_packet(table, 4.0), 2, basis)
+        state.time_stamp = 0.1
+        dt, tol = 0.45, 1e-9
+        steps = list(trajectory(sector.matrix, state.amplitudes, dt, 4, tol=tol,
+                                bounds=sector.bounds(), t0=state.time_stamp))
+        assert len(steps) == 4
+        for t, amp in steps:
+            state = evolve_mb(sector, state, dt, tol=tol)
+            assert t == state.time_stamp
+            assert np.array_equal(amp, state.amplitudes)
+
+    def test_default_bounds_match_given_bounds(self, rng):
+        h = random_hermitian(12, rng)
+        psi = normalized(rng, 12)
+        auto = [amp for _, amp in trajectory(h, psi, 0.4, 3)]
+        manual = [amp for _, amp in trajectory(h, psi, 0.4, 3,
+                                               bounds=spectral_bounds(h))]
+        assert all(np.array_equal(a, b) for a, b in zip(auto, manual))
 
 
 def test_spectral_bounds_enclose_eigenvalues(rng):
