@@ -25,9 +25,9 @@ from .lens import (OPTIMIZER_CLIP, Multifocal, ThickPolynomial, ThinPulse,
                    _parabola_vertex, continuum_thick, continuum_thin,
                    corrected_focal_time, optimize_lens, potential_profile,
                    thin_phase_profile, thresholds)
-from .manybody import (blockade_radius, build_mb_hamiltonian, density_profile,
-                       enumerate_basis, pair_distance_distribution,
-                       symmetric_initial_state)
+from .manybody import (MAX_EXCITATIONS, blockade_radius, build_mb_hamiltonian,
+                       density_profile, enumerate_basis,
+                       pair_distance_distribution, symmetric_initial_state)
 from .propagator import trajectory
 from .rydberg import (ChannelC6, DressingParams, dressed_couplings,
                       effective_potentials, exchange_peak, vdw_iso_aniso)
@@ -36,7 +36,8 @@ from .wavepacket import (SpinWaveState, evolve, focus_probability,
 
 
 class ConfigError(ValueError):
-    """Config rejected: unknown key, bad section type, or unknown scenario."""
+    """Config rejected: unknown key, bad section type, unknown scenario, or a
+    value no run of the scenario can use."""
 
 
 _EVOLUTION = {"t_max": None, "n_samples": 160, "tol": 1.0e-8}
@@ -153,7 +154,8 @@ def _merge(defaults: dict, override: dict, path: str) -> dict:
 
 
 def prepare_config(raw: dict) -> dict:
-    """Merge a raw config over the scenario defaults; reject unknown keys."""
+    """Merge a raw config over the scenario defaults; reject unknown keys and
+    an excitation number the nonlinear scenario cannot run."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
     name = raw.get("scenario")
@@ -166,6 +168,10 @@ def prepare_config(raw: dict) -> dict:
     cfg["master_seed"] = int(raw.get("master_seed", 12345))
     if not 0 <= cfg["master_seed"] < 2**64:
         raise ConfigError("master_seed must fit in 64 bits")
+    # the pair-distance output of a nonlinear run needs at least two excitations
+    if name == "nonlinear" and cfg["interaction"]["nu"] not in range(2, MAX_EXCITATIONS + 1):
+        raise ConfigError(
+            f"'nonlinear.interaction.nu' must be an integer 2..{MAX_EXCITATIONS}")
     return cfg
 
 

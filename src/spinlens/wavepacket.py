@@ -102,7 +102,12 @@ def apply_h(terms: HamiltonianTerms, state: SpinWaveState) -> np.ndarray:
 
 def evolve(terms: HamiltonianTerms, state: SpinWaveState, dt: float,
            tol: float = 1e-10) -> SpinWaveState:
-    """Propagate by exp(-i H dt); matrix and bounds are cached on ``terms``."""
+    """Propagate by exp(-i H dt); matrix and bounds are cached on ``terms``.
+
+    Each call builds the scaled operator and coefficients of its step anew;
+    to take many equal steps under one H, step with
+    :func:`spinlens.propagator.trajectory`, which builds them once.
+    """
     amp = expimv(terms.matrix(), state.amplitudes, dt, tol=tol, bounds=terms.bounds())
     return SpinWaveState(amplitudes=amp, time=state.time + dt)
 

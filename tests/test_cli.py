@@ -340,6 +340,22 @@ def test_nonlinear_density_sums_to_nu(tmp_path):
         assert total == pytest.approx(2.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("nu", [1, 4, 2.5, "two"])
+def test_nonlinear_rejects_unusable_nu_before_running(tmp_path, capsys, nu):
+    cfg = write_config(tmp_path / "c.yaml", {
+        "scenario": "nonlinear",
+        "lattice": {"extents": [31]},
+        "packet": {"sigma0": 3.0},
+        "interaction": {"nu": nu},
+    })
+    assert main(["validate", "--config", cfg]) == 2
+    assert "interaction.nu" in capsys.readouterr().err
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "interaction.nu" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def rydberg_tables_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("ryd")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,8 @@ from spinlens.lattice import NearestNeighbor, build_couplings, build_lattice
 from spinlens.lens import ThickPolynomial, potential_profile
 from spinlens.manybody import (build_mb_hamiltonian, enumerate_basis, evolve_mb,
                                symmetric_initial_state)
-from spinlens.propagator import TOL_RANGE, expimv, spectral_bounds, trajectory
+from spinlens.propagator import (_MAX_PHASE_PER_STEP, TOL_RANGE, expimv,
+                                 spectral_bounds, trajectory)
 from spinlens.wavepacket import evolve, gaussian_packet
 
 from conftest import dense_evolution, random_hermitian
@@ -132,6 +134,45 @@ class TestTrajectory:
         manual = [amp for _, amp in trajectory(h, psi, 0.4, 3,
                                                bounds=spectral_bounds(h))]
         assert all(np.array_equal(a, b) for a, b in zip(auto, manual))
+
+    def test_split_steps_match_expimv_and_dense_oracle(self):
+        # nearest-neighbour Ising energy 4*J_z = 6000 J makes half*dt exceed
+        # the per-step phase cap, so one step holds several sub-steps
+        table = build_lattice((12,))
+        terms = build_couplings(table, NearestNeighbor(1.0))
+        basis = enumerate_basis(table, 2)
+        sector = build_mb_hamiltonian(terms, basis, jz=1500.0, table=table)
+        h, bounds = sector.matrix, sector.bounds()
+        psi = symmetric_initial_state(gaussian_packet(table, 2.0), 2, basis).amplitudes
+        dt, tol, n_steps = 25.0, 1e-10, 4
+        assert 0.5 * (bounds[1] - bounds[0]) * dt > 2 * _MAX_PHASE_PER_STEP
+
+        u = scipy.linalg.expm(-1j * dt * h.toarray())
+        single, dense = psi, psi
+        steps = list(trajectory(h, psi, dt, n_steps, tol=tol, bounds=bounds))
+        assert len(steps) == n_steps
+        for _, amp in steps:
+            norm_before = np.linalg.norm(single)
+            single = expimv(h, single, dt, tol=tol, bounds=bounds)
+            dense = u @ dense
+            assert np.array_equal(amp, single)
+            assert abs(np.linalg.norm(amp) - norm_before) < 10 * tol
+            assert np.linalg.norm(amp - dense) < 1e-8
+
+    def test_caller_arrays_are_not_modified(self, lens_terms):
+        table, terms = lens_terms
+        h = terms.matrix()
+        data, indices, indptr = h.data.copy(), h.indices.copy(), h.indptr.copy()
+        psi = gaussian_packet(table, 4.0).amplitudes
+        psi_before = psi.copy()
+        expimv(h, psi, 0.8, tol=1e-10)
+        for _ in trajectory(h, psi, 0.8, 3, tol=1e-10):
+            pass
+        assert h.dtype == np.float64
+        assert np.array_equal(h.data, data)
+        assert np.array_equal(h.indices, indices)
+        assert np.array_equal(h.indptr, indptr)
+        assert np.array_equal(psi, psi_before)
 
 
 def test_spectral_bounds_enclose_eigenvalues(rng):
