@@ -3,6 +3,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spinlens.lattice import (NearestNeighbor, PowerLaw, build_couplings,
                               build_lattice, punch_holes)
@@ -23,7 +24,7 @@ class TestBasis:
         basis = enumerate_basis(3, 2)
         assert [tuple(s) for s in basis.states] == [(0, 1), (0, 2), (1, 2)]
         assert basis.dim == 3
-        assert basis.index[(0, 2)] == 1
+        assert basis.rank((0, 2)) == 1
 
     def test_dimension_is_binomial(self):
         from math import comb
@@ -40,6 +41,21 @@ class TestBasis:
         assert basis.dim == 10
         assert not any(2 in s for s in basis.states)
         assert basis.n_sites == 6
+
+    def test_rank_inverts_row_order(self):
+        for basis in (enumerate_basis(9, 1), enumerate_basis(9, 3),
+                      enumerate_basis(punch_holes(build_lattice((7,)), [(3,)]), 2)):
+            assert np.array_equal(basis.rank(basis.states), np.arange(basis.dim))
+
+    @pytest.mark.parametrize("config", [(0, 8), (1, -4), (2, 3), (4, 2), (1, 1)])
+    def test_rank_rejects_configurations_outside_the_basis(self, config):
+        # out of range above and below (their keys alias the rows (1, 2) and
+        # (0, 2)), a hole, unsorted, repeated
+        basis = enumerate_basis(punch_holes(build_lattice((6,)), [(3,)]), 2)
+        with pytest.raises(ValueError):
+            basis.rank(config)
+        with pytest.raises(ValueError):
+            basis.rank(np.array([(0, 1), config]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -110,8 +126,8 @@ class TestHamiltonian:
         basis = enumerate_basis(5, 2)
         sector = build_mb_hamiltonian(terms, basis, jz=2.0)
         diag = sector.matrix.diagonal()
-        assert np.isclose(diag[basis.index[(1, 2)]], 8.0)
-        assert np.isclose(diag[basis.index[(0, 3)]], 8.0 / 3.0**6)
+        assert np.isclose(diag[basis.rank((1, 2))], 8.0)
+        assert np.isclose(diag[basis.rank((0, 3))], 8.0 / 3.0**6)
 
     def test_interaction_cutoff(self):
         table = build_lattice((23,))
@@ -119,17 +135,17 @@ class TestHamiltonian:
         basis = enumerate_basis(23, 2)
         sector = build_mb_hamiltonian(terms, basis, jz=1.0, cutoff_range=20.0)
         diag = sector.matrix.diagonal()
-        assert diag[basis.index[(0, 22)]] == 0.0
-        assert diag[basis.index[(0, 20)]] > 0.0
+        assert diag[basis.rank((0, 22))] == 0.0
+        assert diag[basis.rank((0, 20))] > 0.0
 
     def test_hopping_respects_hard_core(self):
         table = build_lattice((4,))
         terms = build_couplings(table, NearestNeighbor(1.0))
         basis = enumerate_basis(4, 2)
         h = build_mb_hamiltonian(terms, basis).matrix.toarray()
-        i12 = basis.index[(1, 2)]
-        assert h[basis.index[(0, 2)], i12] == -1.0
-        assert h[basis.index[(1, 3)], i12] == -1.0
+        i12 = basis.rank((1, 2))
+        assert h[basis.rank((0, 2)), i12] == -1.0
+        assert h[basis.rank((1, 3)), i12] == -1.0
         # the only other coupling is blocked by occupancy
         assert np.count_nonzero(h[:, i12]) == 2
 
@@ -169,6 +185,166 @@ class TestHamiltonian:
         terms = build_couplings(table, NearestNeighbor(1.0))
         with pytest.raises(ValueError):
             build_mb_hamiltonian(terms, enumerate_basis(4, 2), jz=-1.0)
+
+
+def reference_assembly(terms, basis, jz=0.0, interaction_power=6.0,
+                       table=None, literal_sigma_z=False, cutoff_range=20.0):
+    """Per-state loop assembly with a dict of tuples: the former
+    ``build_mb_hamiltonian``, kept as the bit-identity oracle."""
+    index = {tuple(s): i for i, s in enumerate(basis.states)}
+    hop = terms.hopping.tocsr()
+    eps = terms.diagonal
+    if table is not None:
+        pos = table.positions
+    else:
+        pos = np.arange(basis.n_sites, dtype=float)[:, None]
+    states = basis.states
+    dim, nu = states.shape
+    power = float(interaction_power)
+
+    def pair_weight(d):
+        return np.where(d <= cutoff_range, 1.0 / np.maximum(d, 1e-300) ** power, 0.0)
+
+    occ_eps = eps[states].sum(axis=1)
+    diag = occ_eps.astype(float)
+    pair_int = np.zeros(dim)
+    if nu >= 2:
+        for i, j in itertools.combinations(range(nu), 2):
+            d = np.linalg.norm(pos[states[:, i]] - pos[states[:, j]], axis=1)
+            pair_int += pair_weight(d)
+        diag = diag + 4.0 * jz * pair_int
+    if literal_sigma_z:
+        if table is not None:
+            act = np.nonzero(table.active)[0]
+        else:
+            act = np.arange(basis.n_sites)
+        inv_dp = np.zeros((basis.n_sites, basis.n_sites))
+        for a, b in itertools.combinations(act.tolist(), 2):
+            inv_dp[a, b] = inv_dp[b, a] = pair_weight(
+                np.linalg.norm(pos[a] - pos[b]))
+        col_sums = inv_dp.sum(axis=1)
+        const = jz * inv_dp[np.triu_indices(basis.n_sites, 1)].sum() - eps[act].sum()
+        diag = (2.0 * occ_eps
+                + 4.0 * jz * pair_int
+                - 2.0 * jz * col_sums[states].sum(axis=1)
+                + const)
+
+    rows, cols, vals = [], [], []
+    indptr, indices, data = hop.indptr, hop.indices, hop.data
+    occupied = [set(map(int, s)) for s in states]
+    for s_idx in range(dim):
+        state = states[s_idx]
+        occ = occupied[s_idx]
+        for slot in range(nu):
+            i = int(state[slot])
+            for p in range(indptr[i], indptr[i + 1]):
+                j = int(indices[p])
+                if j in occ:
+                    continue
+                new = state.copy()
+                new[slot] = j
+                new.sort()
+                rows.append(index[tuple(new)])
+                cols.append(s_idx)
+                vals.append(-data[p])
+    h = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    h = h + sp.diags(diag)
+    return h.tocsr()
+
+
+def _chain(n, model=None):
+    table = build_lattice((n,))
+    lens = potential_profile(ThickPolynomial((0.03,), ((n - 1) / 2.0,)), table)
+    return table, build_couplings(table, model or NearestNeighbor(1.0),
+                                  lens_diagonal=lens)
+
+
+def _holes(n):
+    table = punch_holes(build_lattice((n,)), [(3,), (7,)])
+    return table, build_couplings(table, NearestNeighbor(1.0),
+                                  lens_diagonal=np.linspace(0.0, 1.0, n))
+
+
+def _square(n):
+    table = build_lattice((n, n))
+    return table, build_couplings(table, NearestNeighbor(1.0),
+                                  lens_diagonal=0.1 * np.arange(float(n * n)))
+
+
+ASSEMBLY_CASES = {
+    "chain-nu1": (lambda: _chain(12), 1, {}),
+    "chain-nu2": (lambda: _chain(12), 2, {}),
+    "chain-nu3": (lambda: _chain(12), 3, {}),
+    "powerlaw-nu2": (lambda: _chain(11, PowerLaw(1.0, 3.0)), 2, {}),
+    "powerlaw-nu3": (lambda: _chain(11, PowerLaw(1.0, 3.0)), 3, {}),
+    "holes-nu2": (lambda: _holes(12), 2, {}),
+    "holes-nu3": (lambda: _holes(12), 3, {}),
+    "square-nu2": (lambda: _square(4), 2, {}),
+    "square-nu3": (lambda: _square(4), 3, {}),
+    "literal-chain-nu2": (lambda: _chain(12), 2, {"literal_sigma_z": True}),
+    "literal-chain-nu3": (lambda: _chain(12), 3, {"literal_sigma_z": True}),
+    "literal-holes-nu2": (lambda: _holes(12), 2, {"literal_sigma_z": True}),
+    "literal-square-nu2": (lambda: _square(4), 2, {"literal_sigma_z": True}),
+}
+
+
+class TestAssemblyMatchesPerStateLoop:
+    @pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
+    def test_csr_arrays_bit_identical(self, case):
+        make, nu, extra = ASSEMBLY_CASES[case]
+        table, terms = make()
+        basis = enumerate_basis(table, nu)
+        kwargs = dict(jz=3.0, interaction_power=6.0, table=table, **extra)
+        got = build_mb_hamiltonian(terms, basis, **kwargs).matrix
+        ref = reference_assembly(terms, basis, **kwargs)
+        assert got.nnz > basis.dim
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).dtype == getattr(ref, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+    def test_hop_onto_a_site_outside_the_basis_raises(self):
+        # a basis without site 3 but couplings that still reach it
+        holed = punch_holes(build_lattice((8,)), [(3,)])
+        terms = build_couplings(build_lattice((8,)), NearestNeighbor(1.0))
+        with pytest.raises(ValueError):
+            build_mb_hamiltonian(terms, enumerate_basis(holed, 2), table=holed)
+
+
+def antisymmetric_tensor(amps, states, n):
+    """Fermionic amplitude tensor F with F[n_1, ..., n_nu] = A for ascending
+    sites and the sign of the permutation otherwise."""
+    nu = states.shape[1]
+    f = np.zeros((n,) * nu, dtype=complex)
+    for perm in itertools.permutations(range(nu)):
+        inversions = sum(perm[i] > perm[j]
+                         for i, j in itertools.combinations(range(nu), 2))
+        f[tuple(states[:, perm].T)] = (-1) ** inversions * amps
+    return f
+
+
+class TestFreeFermionOracle:
+    """At J_z = 0 a nearest-neighbour hop never passes another excitation,
+    so hard-core excitations on ordered tuples are free fermions
+    (Jordan-Wigner): F(t) = U^(x nu) F(0) with U = exp(-i H_1 t)."""
+
+    @pytest.mark.parametrize("nu", [2, 3])
+    def test_sector_evolves_as_single_excitation_product(self, rng, nu):
+        n, t = 61, 6.0
+        table, terms = _chain(n)
+        basis = enumerate_basis(table, nu)
+        sector = build_mb_hamiltonian(terms, basis, jz=0.0, table=table)
+        amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        amps /= np.linalg.norm(amps)
+        out = evolve_mb(sector, ManyBodyState(amps), t, tol=1e-12).amplitudes
+
+        w, v = np.linalg.eigh(terms.matrix().toarray())
+        u = (v * np.exp(-1j * t * w)) @ v.conj().T
+        f = antisymmetric_tensor(amps, basis.states, n)
+        if nu == 2:
+            f_t = u @ f @ u.T
+        else:
+            f_t = np.einsum("ia,jb,kc,abc->ijk", u, u, u, f, optimize=True)
+        assert np.abs(out - f_t[tuple(basis.states.T)]).max() < 1e-9
 
 
 class TestSymmetricState:
@@ -247,7 +423,7 @@ class TestEvolution:
         basis = enumerate_basis(n, 2)
         sector = build_mb_hamiltonian(terms, basis, jz=0.0)
         amps = np.zeros(basis.dim, dtype=complex)
-        amps[basis.index[(15, 55)]] = 1.0
+        amps[basis.rank((15, 55))] = 1.0
         out = evolve_mb(sector, ManyBodyState(amps), 3.0, tol=1e-12)
         dens = density_profile(out, basis)
         single = terms.matrix()
@@ -292,7 +468,7 @@ class TestObservables:
     def test_pair_distances_of_pure_configuration(self):
         basis = enumerate_basis(8, 2)
         amps = np.zeros(basis.dim, dtype=complex)
-        amps[basis.index[(2, 5)]] = 1.0
+        amps[basis.rank((2, 5))] = 1.0
         d, w = pair_distance_distribution(ManyBodyState(amps), basis)
         assert w.sum() == pytest.approx(1.0)
         assert d[w.argmax()] == 3.0
@@ -312,7 +488,7 @@ class TestObservables:
         table = displace_sites(table, d)
         basis = enumerate_basis(6, 2)
         amps = np.zeros(basis.dim, dtype=complex)
-        amps[basis.index[(0, 5)]] = 1.0
+        amps[basis.rank((0, 5))] = 1.0
         dist, w = pair_distance_distribution(ManyBodyState(amps), basis,
                                              table=table)
         assert dist[w.argmax()] == 5.5
