@@ -16,7 +16,7 @@ import numpy as np
 
 from .lattice import (HamiltonianTerms, SiteTable, build_couplings,
                       displace_sites, punch_holes)
-from .lens import Multifocal, ThickPolynomial, ThinPulse, potential_profile, thin_phase_profile
+from .lens import potential_profile, thin_phase_profile
 from .wavepacket import (evolve, focus_probability, gaussian_packet,
                          gaussian_width, phase_imprint)
 
@@ -39,15 +39,12 @@ class Displacement:
 class EnsembleJob:
     table: SiteTable                   # clean lattice
     model: object                      # coupling model for build_couplings
-    design: object                     # ThickPolynomial | ThinPulse | Multifocal
+    design: object                     # a spinlens.lens design
     sigma0: float
     duration: float                    # protocol time, fixed across realizations
     kind: object                       # Holes | Displacement
     realizations: int
     master_seed: int
-    center: tuple | None = None
-    k0: tuple | None = None
-    focus_radius: float = 3.0
     tol: float = 1e-8
 
     def __post_init__(self):
@@ -82,41 +79,22 @@ class EnsembleStats:
         return out
 
 
-def _primary_focus(design) -> np.ndarray:
-    if isinstance(design, Multifocal):
-        return np.asarray(design.designs[0].focus, dtype=float)
-    return np.asarray(design.focus, dtype=float)
-
-
-def _all_foci(design):
-    if isinstance(design, Multifocal):
-        return [np.asarray(d.focus, dtype=float) for d in design.designs]
-    return [np.asarray(design.focus, dtype=float)]
-
-
-def _is_thin(design) -> bool:
-    if isinstance(design, Multifocal):
-        return isinstance(design.designs[0], ThinPulse)
-    return isinstance(design, ThinPulse)
-
-
 def run_protocol(table: SiteTable, job: EnsembleJob):
     """One full focusing run on the given (possibly perturbed) lattice.
 
-    Returns (P_foc, sigma_f) at t = job.duration. The lens profile is
-    evaluated at the site labels: fabrication disorder moves the atoms,
-    not the imposed light pattern.
+    The packet starts at rest at the lattice center. Returns (P_foc, sigma_f)
+    at t = job.duration, P_foc within ``wavepacket.FOCUS_RADIUS`` of the
+    design's first focus. The lens profile is evaluated at the site labels:
+    fabrication disorder moves the atoms, not the imposed light pattern.
     """
     terms = build_couplings(table, job.model)
-    center = job.center if job.center is not None else table.center()
-    psi = gaussian_packet(table, job.sigma0, center=center, k0=job.k0)
-    if _is_thin(job.design):
+    psi = gaussian_packet(table, job.sigma0)
+    if job.design.thin:
         psi = phase_imprint(psi, thin_phase_profile(job.design, table))
     else:
         terms = terms.with_diagonal(potential_profile(job.design, table))
     psi = evolve(terms, psi, job.duration, tol=job.tol)
-    focus = _primary_focus(job.design)
-    return (focus_probability(psi, table, focus, radius=job.focus_radius),
+    return (focus_probability(psi, table, job.design.foci[0]),
             gaussian_width(psi, table))
 
 
@@ -126,7 +104,7 @@ def _realization_table(job: EnsembleJob, r: int) -> SiteTable:
     if isinstance(job.kind, Holes):
         if job.kind.count == 0:
             return table
-        foci = {table.index_of(np.rint(f).astype(int)) for f in _all_foci(job.design)}
+        foci = {table.index_of(np.rint(f).astype(int)) for f in job.design.foci}
         candidates = np.array(sorted(set(np.nonzero(table.active)[0]) - foci))
         picked = rng.choice(candidates, size=job.kind.count, replace=False)
         return punch_holes(table, table.labels[picked])

@@ -36,10 +36,12 @@ class ThickPolynomial:
     ``coefficients`` lists (v2, v4, ...) in units J/a^{2q}; ``focus`` is the
     focal point in label coordinates (scalar for 1D, tuple otherwise). The
     quadratic coefficient must be positive for a confining single well.
+    Like every design type it reports its ``foci`` and whether it is ``thin``.
     """
 
     coefficients: tuple[float, ...]
     focus: tuple[float, ...]
+    thin = False                       # class constant, not a field
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(float(c) for c in np.atleast_1d(self.coefficients)))
@@ -52,6 +54,10 @@ class ThickPolynomial:
     @property
     def order(self) -> int:
         return 2 * len(self.coefficients)
+
+    @property
+    def foci(self) -> tuple:
+        return (self.focus,)
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,7 @@ class ThinPulse:
     phi0: float
     focus: tuple[float, ...]
     profile: str = "parabolic"
+    thin = True                        # class constant, not a field
 
     def __post_init__(self):
         object.__setattr__(self, "focus", tuple(float(f) for f in np.atleast_1d(self.focus)))
@@ -76,6 +83,10 @@ class ThinPulse:
             raise ValueError("phi0 must be positive")
         if self.profile not in ("parabolic", "corrected"):
             raise ValueError(f"unknown thin profile {self.profile!r}")
+
+    @property
+    def foci(self) -> tuple:
+        return (self.focus,)
 
 
 @dataclass(frozen=True)
@@ -96,9 +107,17 @@ class Multifocal:
         kinds = {type(d) for d in self.designs}
         if len(kinds) != 1 or not kinds <= {ThickPolynomial, ThinPulse}:
             raise ValueError("multifocal members must all be thick or all thin")
-        foci = [d.focus for d in self.designs]
-        if len(set(foci)) != len(foci):
+        if len(set(self.foci)) != len(self.foci):
             raise ValueError("duplicate foci make the region partition ambiguous")
+
+    @property
+    def foci(self) -> tuple:
+        """Member foci in region order; the first is the primary focus."""
+        return tuple(d.focus for d in self.designs)
+
+    @property
+    def thin(self) -> bool:
+        return self.designs[0].thin
 
 
 LensDesign = ThickPolynomial | ThinPulse | Multifocal
@@ -111,6 +130,16 @@ def region_index(table: SiteTable, foci) -> np.ndarray:
         raise ValueError("focus dimension mismatch")
     d2 = ((table.labels[:, None, :] - foci[None, :, :]) ** 2).sum(axis=2)
     return np.argmin(d2, axis=1)  # argmin takes the first of equals
+
+
+def _by_region(profile, design: Multifocal, table: SiteTable) -> np.ndarray:
+    """Each site takes the ``profile`` value of its region's member design."""
+    reg = region_index(table, design.foci)
+    out = np.zeros(table.n_sites)
+    for r, sub in enumerate(design.designs):
+        m = reg == r
+        out[m] = profile(sub, table)[m]
+    return out
 
 
 def _label_distance(table: SiteTable, focus) -> np.ndarray:
@@ -128,12 +157,7 @@ def potential_profile(design: LensDesign, table: SiteTable) -> np.ndarray:
     atoms actually sit, so displacement disorder does not enter here.
     """
     if isinstance(design, Multifocal):
-        reg = region_index(table, [d.focus for d in design.designs])
-        out = np.zeros(table.n_sites)
-        for r, sub in enumerate(design.designs):
-            m = reg == r
-            out[m] = potential_profile(sub, table)[m]
-        return out
+        return _by_region(potential_profile, design, table)
     if not isinstance(design, ThickPolynomial):
         raise TypeError("potential_profile needs a thick design")
     d = _label_distance(table, design.focus)
@@ -159,29 +183,10 @@ def corrected_phase(offset, phi0: float) -> np.ndarray:
     return np.where(np.abs(d) * phi0 <= 1.0, core, wings) - 1.0 / phi0
 
 
-def corrected_phase_variant(offset, phi0: float) -> np.ndarray:
-    """Alternative closed form of the corrected profile, kept for comparison.
-
-    This variant circulates as -d*arcsin(phi0 d) - sqrt(phi0^2 - d^2); its
-    radical is dimensionally inconsistent with the |d| <= 1/phi0 design domain
-    (it is real only for |d| <= phi0) and its overall sign belongs to the
-    opposite imprint convention. Evaluated verbatim, NaN outside its own
-    domain. Not used by any design; see :func:`corrected_phase`.
-    """
-    d = np.asarray(offset, dtype=float)
-    with np.errstate(invalid="ignore"):
-        return -d * np.arcsin(phi0 * d) - np.sqrt(phi0**2 - d * d)
-
-
 def thin_phase_profile(design: LensDesign, table: SiteTable) -> np.ndarray:
     """Per-site imprint phases of a thin design at integer labels."""
     if isinstance(design, Multifocal):
-        reg = region_index(table, [d.focus for d in design.designs])
-        out = np.zeros(table.n_sites)
-        for r, sub in enumerate(design.designs):
-            m = reg == r
-            out[m] = thin_phase_profile(sub, table)[m]
-        return out
+        return _by_region(thin_phase_profile, design, table)
     if not isinstance(design, ThinPulse):
         raise TypeError("thin_phase_profile needs a thin design")
     d = _label_distance(table, design.focus)
@@ -223,15 +228,6 @@ class ContinuumPrediction:
         return self.sigma0 * np.sqrt((1.0 - 2.0 * self.strength * u) ** 2
                                      + (u / self.sigma0**2) ** 2)
 
-    @property
-    def focal_time_alternative(self) -> float | None:
-        """Thin lens only: a doubled focal-time form that appears in some
-        derivations. It is inconsistent with the minimum of ``width(t)`` (and
-        with simulation) by exactly a factor 2; retained for comparison."""
-        if self.kind != "thin":
-            return None
-        return 2.0 * self.focal_time
-
 
 def continuum_thick(v0: float, sigma0: float, hopping: float = 1.0) -> ContinuumPrediction:
     """Harmonic-approximation predictions for a quadratic thick lens."""
@@ -252,12 +248,11 @@ def continuum_thin(phi0: float, sigma0: float, hopping: float = 1.0) -> Continuu
     """Quadratic-dispersion predictions for a parabolic thin lens.
 
     The focal width is sigma0/sqrt(4 phi0^2 sigma0^4 + 1). The focal time is
-    the minimum of the chirped-Gaussian width curve,
+    the minimum of the chirped-Gaussian width curve ``width(t)``,
 
         J t_f = phi0 sigma0^4 / (4 phi0^2 sigma0^4 + 1),
 
-    half of the doubled form kept as ``focal_time_alternative`` (the minimum
-    of ``width(t)`` and direct simulation both single out this one).
+    which direct lattice simulation also singles out.
     """
     if min(phi0, sigma0, hopping) <= 0:
         raise ValueError("phi0, sigma0, hopping must be positive")
@@ -423,10 +418,11 @@ class OptimizeResult:
     boundary: bool = False
 
 
-# Inside optimizer evolutions only: on-site energies are clipped to +- this
-# value (units of the reference hopping). Sites that deep in the potential
-# hold no packet weight, and the clip keeps the propagator's spectral span,
-# hence its cost, bounded during strength scans.
+# In optimizer evolutions, and replays of their designs, on-site energies are
+# clipped to +- this value (units of the reference hopping; see
+# clipped_thick_terms). Sites that deep in the potential hold no packet
+# weight, and the clip keeps the propagator's spectral span, hence its cost,
+# bounded during strength scans.
 OPTIMIZER_CLIP = 200.0
 
 _GRID_SPAN = (0.1, 10.0)
@@ -489,22 +485,28 @@ def _width_minimum(terms, psi0, table, t_window, n_time, tol):
     return t_best, w_best, at_edge
 
 
-def _thick_terms(table, base_terms, design, clip):
-    v = potential_profile(design, table)
-    if clip is not None:
-        # Two-sided: negative correction coefficients (normal for corrected
-        # profiles) send far-edge sites to huge negative energies, which cost
-        # propagator order without carrying packet weight.
-        v = np.clip(v, -clip, clip)
-    return base_terms.with_diagonal(v)
+def clipped_thick_terms(base_terms, design: ThickPolynomial, table: SiteTable,
+                        hopping: float):
+    """``base_terms`` plus the thick-lens potential as the optimizer evolves
+    it: on-site energies clipped to +-``OPTIMIZER_CLIP`` * ``hopping``.
+
+    Replaying an optimized design through this reproduces the focal time and
+    width the optimizer reported. The clip is two-sided: negative correction
+    coefficients (normal for corrected profiles) send far-edge sites to huge
+    negative energies, which cost propagator order without carrying packet
+    weight.
+    """
+    clip = OPTIMIZER_CLIP * hopping
+    return base_terms.with_diagonal(
+        np.clip(potential_profile(design, table), -clip, clip))
 
 
-def _eval_design(design, table, base_terms, psi0, hopping, n_time, tol, clip):
+def _eval_design(design, table, base_terms, psi0, hopping, n_time, tol):
     """Focal time and width of one candidate design; extends the time window
     once if the minimum lands on its edge."""
     if isinstance(design, ThickPolynomial):
         t_est = math.pi / (4.0 * math.sqrt(design.coefficients[0] * hopping))
-        terms = _thick_terms(table, base_terms, design, clip)
+        terms = clipped_thick_terms(base_terms, design, table, hopping)
         state = psi0
     else:
         pred = continuum_thin(design.phi0, max(gaussian_width(psi0, table), 1.0), hopping)
@@ -525,16 +527,15 @@ def _eval_design(design, table, base_terms, psi0, hopping, n_time, tol, clip):
 def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
                   kind: str = "thick", order: int = 2, focus=None,
                   profile: str = "parabolic", initial_state: SpinWaveState | None = None,
-                  k0=None, n_time: int = 200, tol: float = 1e-8,
-                  clip: float | None = OPTIMIZER_CLIP, sweeps: int = 2) -> OptimizeResult:
+                  n_time: int = 200, tol: float = 1e-8, sweeps: int = 2) -> OptimizeResult:
     """Minimize the focal width over lens strength and time.
 
     Strengths are scanned on a log grid of 8 points per decade spanning
     [0.1, 10] x (the scaling estimate from :func:`thresholds`), refined by
     bounded scalar minimization; the time minimum within each evolution is
-    found by a 200-point scan plus parabolic refinement. For thick lenses of
-    order > 2 the higher coefficients are optimized by coordinate descent
-    (``sweeps`` passes): each one in turn is scanned over multiples
+    found by an ``n_time``-point scan plus parabolic refinement. For thick
+    lenses of order > 2 the higher coefficients are optimized by coordinate
+    descent (``sweeps`` passes): each one in turn is scanned over multiples
     ``_CORRECTION_GRID`` = (0, 0.5, 1, 1.5, 2) of its value on the classical
     isochrone of the band (see ``_isochrone_coefficients``), then the leading
     strength is retried at x0.8 and x1.25. The grid includes 0 (the term left
@@ -544,8 +545,8 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
     strength-grid or time-window edge after automatic extension, never
     silently.
 
-    ``initial_state`` (default: a fresh Gaussian of width ``sigma0``) lets a
-    second lens stage start from the output of a first.
+    ``initial_state`` (default: a Gaussian of width ``sigma0`` at rest at
+    ``focus``) lets a second lens stage start from the output of a first.
     """
     if kind not in ("thick", "thin"):
         raise ValueError("kind must be 'thick' or 'thin'")
@@ -555,14 +556,13 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
     focus = table.center() if focus is None else np.atleast_1d(np.asarray(focus, float))
     base_terms = build_couplings(table, model)
     if initial_state is None:
-        psi0 = gaussian_packet(table, sigma0, center=focus, k0=k0)
+        psi0 = gaussian_packet(table, sigma0, center=focus)
     else:
         psi0 = initial_state
     scale = thresholds(sigma0=sigma0, hopping=hopping)[
         "v_opt_scale" if kind == "thick" else "phi_opt_scale"]
 
     scan: list = []
-    clip_abs = None if clip is None else clip * hopping
 
     def make_design(main, extra=()):
         if kind == "thick":
@@ -572,7 +572,7 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
 
     def run(design):
         t_f, w_f, at_edge = _eval_design(design, table, base_terms, psi0,
-                                         hopping, n_time, tol, clip_abs)
+                                         hopping, n_time, tol)
         strength = design.coefficients[0] if kind == "thick" else design.phi0
         scan.append({"design": design, "strength": strength,
                      "focal_time": t_f, "focal_width": w_f})

@@ -10,9 +10,9 @@ with p = ``interaction_power`` (default 6) and d the Euclidean distance
 between the two sites. The diagonal follows the same single-excitation
 energy convention as the rest of the package (an excited site contributes
 its potential value once), which makes nu = 1 coincide with the
-single-excitation module exactly. Interaction pairs beyond
-``cutoff_range`` are dropped; at the default power and cutoff the relative
-error is below 2e-8 of J_z.
+single-excitation module exactly. Interaction pairs farther apart than
+``INTERACTION_CUTOFF`` (20 a) are dropped; at the default power the
+relative error is below 2e-8 of J_z.
 
 ``literal_sigma_z=True`` switches the diagonal to the verbatim +-1 Pauli
 form J_z sum_{n<m} s_n s_m / d^p + sum_n eps_n s_n (all pairs, constants
@@ -39,6 +39,7 @@ from .propagator import expimv, spectral_bounds
 from .wavepacket import SpinWaveState
 
 MAX_EXCITATIONS = 3
+INTERACTION_CUTOFF = 20.0  # Ising pair range, units of a
 
 
 @dataclass
@@ -116,8 +117,7 @@ class ManyBodySector:
 def build_mb_hamiltonian(terms: HamiltonianTerms, basis: FockBasis,
                          jz: float = 0.0, interaction_power: float = 6.0,
                          table: SiteTable | None = None,
-                         literal_sigma_z: bool = False,
-                         cutoff_range: float = 20.0) -> ManyBodySector:
+                         literal_sigma_z: bool = False) -> ManyBodySector:
     """Sector Hamiltonian from single-excitation terms plus Ising tails.
 
     Pair distances come from ``table.positions`` when a table is given,
@@ -135,7 +135,8 @@ def build_mb_hamiltonian(terms: HamiltonianTerms, basis: FockBasis,
     power = float(interaction_power)
 
     def pair_weight(d):
-        return np.where(d <= cutoff_range, 1.0 / np.maximum(d, 1e-300) ** power, 0.0)
+        return np.where(d <= INTERACTION_CUTOFF,
+                        1.0 / np.maximum(d, 1e-300) ** power, 0.0)
 
     occ_eps = eps[states].sum(axis=1)
     diag = occ_eps.astype(float)

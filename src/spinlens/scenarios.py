@@ -19,10 +19,9 @@ from . import io_utils
 from .disorder import (Displacement, EnsembleJob, Holes, _realization_table,
                        breakdown_scan, plane_wave_broadening, run_ensemble,
                        run_protocol)
-from .lattice import (NearestNeighbor, PowerLaw, RydbergDressed,
-                      build_couplings, build_lattice)
-from .lens import (OPTIMIZER_CLIP, Multifocal, ThickPolynomial, ThinPulse,
-                   _parabola_vertex, continuum_thick, continuum_thin,
+from .lattice import NearestNeighbor, PowerLaw, build_couplings, build_lattice
+from .lens import (Multifocal, ThickPolynomial, ThinPulse, _parabola_vertex,
+                   clipped_thick_terms, continuum_thick, continuum_thin,
                    corrected_focal_time, optimize_lens, potential_profile,
                    thin_phase_profile, thresholds)
 from .manybody import (MAX_EXCITATIONS, blockade_radius, build_mb_hamiltonian,
@@ -153,9 +152,16 @@ def _merge(defaults: dict, override: dict, path: str) -> dict:
     return out
 
 
+def _is_count(value, low: int) -> bool:
+    """True for an integer (or integral float) >= low."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and float(value).is_integer() and value >= low)
+
+
 def prepare_config(raw: dict) -> dict:
-    """Merge a raw config over the scenario defaults; reject unknown keys and
-    an excitation number the nonlinear scenario cannot run."""
+    """Merge a raw config over the scenario defaults; reject unknown keys, an
+    excitation number the nonlinear scenario cannot run and time grids too
+    short to step through."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
     name = raw.get("scenario")
@@ -172,6 +178,10 @@ def prepare_config(raw: dict) -> dict:
     if name == "nonlinear" and cfg["interaction"]["nu"] not in range(2, MAX_EXCITATIONS + 1):
         raise ConfigError(
             f"'nonlinear.interaction.nu' must be an integer 2..{MAX_EXCITATIONS}")
+    # n_samples equal steps to t_max; n_time points span each optimizer window
+    for key, low in (("n_samples", 1), ("n_time", 2)):
+        if key in cfg.get("evolution", {}) and not _is_count(cfg["evolution"][key], low):
+            raise ConfigError(f"'{name}.evolution.{key}' must be an integer >= {low}")
     return cfg
 
 
@@ -351,7 +361,6 @@ def run_cascade(cfg, out: Path):
     state = gaussian_packet(table, sigma0, center=focus)
     sigma_in = sigma0
     derived = {}
-    clip = OPTIMIZER_CLIP * model.reference_hopping()
     for stage in (1, 2):
         res = optimize_lens(table, model, sigma_in, kind="thick", order=order,
                             focus=focus, initial_state=state, n_time=n_time,
@@ -359,8 +368,8 @@ def run_cascade(cfg, out: Path):
         # Replay under the optimizer's energy clip: the reported focal time
         # and width come from clipped evolutions, and high-order corrections
         # reach +-10^13 J at the lattice edge, where the packet never goes.
-        v = np.clip(potential_profile(res.design, table), -clip, clip)
-        terms = base.with_diagonal(v)
+        terms = clipped_thick_terms(base, res.design, table,
+                                    model.reference_hopping())
         state = evolve(terms, state, res.focal_time, tol=tol)
         sigma_out = gaussian_width(state, table)
         rows.append((stage, sigma_in, *_coeff_columns(res.design),
@@ -531,7 +540,7 @@ def _ensemble_job(cfg, kind):
     focus = _focus_of(cfg, table)
     v0 = cfg["lens"]["v0"]
     if v0 is None:
-        v0 = hopping * sigma0 ** (-8.0 / 3.0)
+        v0 = thresholds(sigma0=sigma0, hopping=hopping)["v_opt_scale"]
     pred = continuum_thick(float(v0), sigma0, hopping)
     design = ThickPolynomial((float(v0),), tuple(focus))
     job = EnsembleJob(table=table, model=model, design=design, sigma0=sigma0,
@@ -618,7 +627,7 @@ def run_breakdown(cfg, out: Path):
     crossovers = []
     for sigma0 in scan["sigma0"]:
         sigma0 = float(sigma0)
-        v0 = hopping * sigma0 ** (-8.0 / 3.0)
+        v0 = thresholds(sigma0=sigma0, hopping=hopping)["v_opt_scale"]
         pred = continuum_thick(v0, sigma0, hopping)
         design = ThickPolynomial((v0,), tuple(table.center()))
         job = EnsembleJob(table=table, model=model, design=design,

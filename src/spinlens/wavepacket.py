@@ -59,14 +59,14 @@ class SpinWaveState:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def gaussian_packet(table: SiteTable, sigma0: float, center=None, k0=None,
-                    normalize: bool = True) -> SpinWaveState:
-    """Gaussian excitation packet of width parameter ``sigma0``.
+def gaussian_packet(table: SiteTable, sigma0: float, center=None,
+                    k0=None) -> SpinWaveState:
+    """Normalized Gaussian excitation packet of width parameter ``sigma0``.
 
-    Amplitudes are exp(-|x - c|^2 / (2 sigma0^2) + i k0 . x) on active sites,
-    zero at holes. ``center`` defaults to the geometric center of the lattice
-    and may be fractional; it must lie inside the lattice. ``k0`` is a scalar
-    (1D) or a dim-vector in units of 1/a.
+    Amplitudes are proportional to exp(-|x - c|^2 / (2 sigma0^2) + i k0 . x)
+    on active sites, zero at holes. ``center`` defaults to the geometric
+    center of the lattice and may be fractional; it must lie inside the
+    lattice. ``k0`` is a scalar (1D) or a dim-vector in units of 1/a.
     """
     if sigma0 <= 0:
         raise ValueError("sigma0 must be positive")
@@ -87,11 +87,10 @@ def gaussian_packet(table: SiteTable, sigma0: float, center=None, k0=None,
             raise ValueError("k0 has wrong dimension")
         amp *= np.exp(1j * (table.positions @ k0))
     amp[~table.active] = 0.0
-    if normalize:
-        n = np.linalg.norm(amp)
-        if n == 0:
-            raise ValueError("packet has zero weight on active sites")
-        amp /= n
+    n = np.linalg.norm(amp)
+    if n == 0:
+        raise ValueError("packet has zero weight on active sites")
+    amp /= n
     return SpinWaveState(amplitudes=amp, time=0.0)
 
 
@@ -147,13 +146,14 @@ def rms_width(state: SpinWaveState, table: SiteTable, center=None) -> float:
     return float(np.sqrt((p * (dx * dx).sum(axis=1)).sum() / w))
 
 
-def gaussian_width(state: SpinWaveState, table: SiteTable, center=None) -> float:
-    """Gaussian width parameter: sqrt(2/dim) times the radial density rms.
+def gaussian_width(state: SpinWaveState, table: SiteTable) -> float:
+    """Gaussian width parameter: sqrt(2/dim) times the radial density rms
+    about the centroid.
 
     For an isotropic Gaussian density exp(-r^2/sigma^2) this returns sigma in
     any dimension; it is the measure every closed-form prediction refers to.
     """
-    return float(np.sqrt(2.0 / table.dim) * rms_width(state, table, center=center))
+    return float(np.sqrt(2.0 / table.dim) * rms_width(state, table))
 
 
 def focus_probability(state: SpinWaveState, table: SiteTable, focus,

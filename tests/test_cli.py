@@ -356,6 +356,30 @@ def test_nonlinear_rejects_unusable_nu_before_running(tmp_path, capsys, nu):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario, key, value", [
+    ("thick1d", "n_samples", 0), ("thin1d", "n_samples", 2.5),
+    ("nonlinear", "n_samples", "8"), ("scaling_fit", "n_time", 1),
+    ("cascade", "n_time", 0), ("longrange_alpha", "n_time", 40.5),
+])
+def test_unusable_time_grid_rejected_before_running(tmp_path, capsys, scenario,
+                                                    key, value):
+    cfg = write_config(tmp_path / "c.yaml", {
+        "scenario": scenario, "evolution": {key: value}})
+    assert main(["validate", "--config", cfg]) == 2
+    assert f"evolution.{key}" in capsys.readouterr().err
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert f"evolution.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shortest_time_grids_accepted():
+    for scenario, key, low in (("thick1d", "n_samples", 1), ("scaling_fit", "n_time", 2)):
+        for value in (low, float(low)):
+            cfg = prepare_config({"scenario": scenario, "evolution": {key: value}})
+            assert cfg["evolution"][key] == low
+
+
 @pytest.fixture(scope="module")
 def rydberg_tables_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("ryd")

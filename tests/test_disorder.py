@@ -166,15 +166,24 @@ class TestRunProtocol:
         assert p_foc == pytest.approx(
             focus_probability(psi, chain, (30.0,), radius=3.0), abs=1e-12)
 
-    def test_explicit_center_and_boost_are_honored(self, chain, thick_job):
-        from dataclasses import replace
-        job = replace(thick_job, center=(38.0,), k0=(0.3,))
-        _, sigma_f = run_protocol(chain, job)
+    def test_thick_multifocal_applies_the_potential(self, chain):
+        design = Multifocal((ThickPolynomial((V0,), (30.0,)),
+                             ThickPolynomial((4.0 * V0,), (70.0,))))
+        job = EnsembleJob(table=chain, model=NearestNeighbor(1.0), design=design,
+                          sigma0=8.0, duration=continuum_thick(V0, 8.0).focal_time,
+                          kind=Holes(0), realizations=1, master_seed=3)
+        p_foc, sigma_f = run_protocol(chain, job)
         terms = build_couplings(chain, job.model)
-        terms = terms.with_diagonal(potential_profile(job.design, chain))
-        psi = gaussian_packet(chain, job.sigma0, center=(38.0,), k0=(0.3,))
+        terms = terms.with_diagonal(potential_profile(design, chain))
+        psi = gaussian_packet(chain, job.sigma0, center=chain.center())
         psi = evolve(terms, psi, job.duration, tol=job.tol)
+        assert p_foc == pytest.approx(
+            focus_probability(psi, chain, (30.0,), radius=3.0), abs=1e-12)
         assert sigma_f == pytest.approx(gaussian_width(psi, chain), abs=1e-12)
+        # the potential acted: a free packet spreads instead
+        bare = evolve(build_couplings(chain, job.model),
+                      gaussian_packet(chain, job.sigma0), job.duration, tol=job.tol)
+        assert sigma_f != pytest.approx(gaussian_width(bare, chain), rel=1e-3)
 
 
 class TestRunEnsemble:

@@ -10,8 +10,7 @@ from spinlens.lattice import (NearestNeighbor, PowerLaw, build_lattice,
 from spinlens.lens import (ContinuumPrediction, Multifocal, ThickPolynomial,
                            ThinPulse, band_potential, continuum_thick,
                            continuum_thin, corrected_focal_time,
-                           corrected_phase, corrected_phase_variant,
-                           dispersion, dispersion_curvature,
+                           corrected_phase, dispersion, dispersion_curvature,
                            double_well_threshold, group_velocity,
                            optimize_lens, potential_profile, region_index,
                            semiclassical_model, thin_phase_profile,
@@ -87,6 +86,18 @@ class TestProfiles:
         assert np.allclose(v[:6], 0.1 * (d[:6] - 2.0) ** 2)
         assert np.allclose(v[6:], 0.4 * (d[6:] - 9.0) ** 2)
 
+    def test_multifocal_imprint_is_piecewise(self):
+        table = build_lattice((40,))
+        left = ThinPulse(0.1, (8.0,))
+        right = ThinPulse(0.05, (30.0,), profile="corrected")
+        phases = thin_phase_profile(Multifocal((left, right)), table)
+        d = np.arange(40.0)
+        # region boundary at the bisector 19: sites 0..19 left, 20..39 right
+        assert np.array_equal(phases[:20], thin_phase_profile(left, table)[:20])
+        assert np.array_equal(phases[20:], thin_phase_profile(right, table)[20:])
+        assert np.allclose(phases[:20], 0.1 * (d[:20] - 8.0) ** 2)
+        assert np.allclose(phases[20:], corrected_phase(d[20:] - 30.0, 0.05))
+
     def test_profile_kind_mismatch(self):
         table = build_lattice((5,))
         with pytest.raises(TypeError):
@@ -125,14 +136,6 @@ class TestCorrectedProfile:
         d = np.linspace(0.0, 80.0, 17)
         assert np.allclose(corrected_phase(d, 0.02), corrected_phase(-d, 0.02))
 
-    def test_variant_is_narrow_domain_and_opposite_sign(self):
-        phi0 = 0.5
-        inside = corrected_phase_variant(np.array([0.2]), phi0)
-        assert np.isfinite(inside)[0]
-        assert inside[0] < 0.0
-        outside = corrected_phase_variant(np.array([0.9]), phi0)
-        assert np.isnan(outside)[0]
-
     def test_corrected_profile_through_design(self):
         table = build_lattice((101,))
         phases = thin_phase_profile(
@@ -154,7 +157,6 @@ class TestContinuum:
         assert np.isclose(p.width(p.focal_time), p.focal_width)
         # breathing is pi/omega periodic
         assert np.isclose(p.width(2.0 * p.focal_time), 30.0)
-        assert p.focal_time_alternative is None
 
     def test_thin_closed_forms(self):
         phi0, s0 = 2e-3, 50.0
@@ -162,7 +164,6 @@ class TestContinuum:
         denom = 4.0 * phi0**2 * s0**4 + 1.0
         assert np.isclose(p.focal_width, s0 / math.sqrt(denom))
         assert np.isclose(p.focal_time, phi0 * s0**4 / denom)
-        assert np.isclose(p.focal_time_alternative, 2.0 * p.focal_time)
 
     def test_thin_focal_time_is_width_curve_minimum(self):
         # independent oracle: dense scan of the analytic width curve
@@ -172,8 +173,8 @@ class TestContinuum:
         i = curve.argmin()
         assert abs(t[i] - p.focal_time) < 2.0 * (t[1] - t[0])
         assert np.isclose(curve[i], p.focal_width, rtol=1e-6)
-        # the doubled variant is not the minimum
-        assert p.width(p.focal_time_alternative) > 1.2 * p.focal_width
+        # the doubled time is not the minimum
+        assert p.width(2.0 * p.focal_time) > 1.2 * p.focal_width
 
     def test_strong_lens_limits(self):
         phi0, s0 = 0.05, 40.0
@@ -435,7 +436,7 @@ class TestOptimizer:
         packet only ever samples a few J; clipping those sites to +-200 J
         must not move the evolved amplitudes."""
         from spinlens.lattice import build_couplings
-        from spinlens.lens import OPTIMIZER_CLIP
+        from spinlens.lens import OPTIMIZER_CLIP, clipped_thick_terms
         from spinlens.wavepacket import evolve, gaussian_packet
 
         table = build_lattice((241,))
@@ -446,7 +447,8 @@ class TestOptimizer:
         psi = gaussian_packet(table, 8.0)
         t_f = continuum_thick(1.0e-2, 8.0).focal_time
         full = evolve(base.with_diagonal(v), psi, t_f, tol=1e-12)
-        clipped = evolve(
-            base.with_diagonal(np.clip(v, -OPTIMIZER_CLIP, OPTIMIZER_CLIP)),
-            psi, t_f, tol=1e-12)
+        terms = clipped_thick_terms(base, design, table, hopping=1.0)
+        assert np.array_equal(terms.diagonal,
+                              np.clip(v, -OPTIMIZER_CLIP, OPTIMIZER_CLIP))
+        clipped = evolve(terms, psi, t_f, tol=1e-12)
         assert np.abs(full.amplitudes - clipped.amplitudes).max() < 1e-9

@@ -133,7 +133,7 @@ class TestHamiltonian:
         table = build_lattice((23,))
         terms = build_couplings(table, NearestNeighbor(1.0))
         basis = enumerate_basis(23, 2)
-        sector = build_mb_hamiltonian(terms, basis, jz=1.0, cutoff_range=20.0)
+        sector = build_mb_hamiltonian(terms, basis, jz=1.0)
         diag = sector.matrix.diagonal()
         assert diag[basis.rank((0, 22))] == 0.0
         assert diag[basis.rank((0, 20))] > 0.0
