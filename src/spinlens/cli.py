@@ -1,7 +1,7 @@
 """Command-line entry: run or validate a scenario config.
 
 Usage:
-    spinlens run --config cfg.yaml --out outdir [--seed N] [--validate-only]
+    spinlens run --config cfg.yaml --out outdir [--seed N]
     spinlens validate --config cfg.yaml [--seed N]
 
 A run writes a manifest before touching any physics (status "running")
@@ -83,10 +83,6 @@ def cmd_run(args) -> int:
     warnings = lint_config(cfg)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    if args.validate_only:
-        print("ok: config valid (validate-only, nothing run)")
-        return 0
-
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
@@ -149,8 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--out", required=True, help="output directory")
     runp.add_argument("--seed", type=int, default=None,
                       help="override master_seed from the config")
-    runp.add_argument("--validate-only", action="store_true",
-                      help="check the config and exit without running")
     runp.set_defaults(func=cmd_run)
 
     valp = sub.add_parser("validate", help="check a config, report physics lint")
@@ -161,9 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0].startswith("-"):
-        argv.insert(0, "run")
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -1,9 +1,8 @@
 """Site tables and coupling construction for 1D/2D/3D spin lattices.
 
-All lengths are measured in units of the lattice spacing ``a`` (the ``spacing``
-attribute is metadata for exports). Undisplaced site positions therefore equal
-their integer label coordinates. Energies are in units of the hopping scale of
-whatever coupling model is used.
+All lengths are measured in units of the lattice spacing ``a``, so undisplaced
+site positions equal their integer label coordinates. Energies are in units of
+the hopping scale of whatever coupling model is used.
 
 The single-excitation Hamiltonian assembled from a :class:`HamiltonianTerms`
 acts as ``(H psi)_n = eps_n psi_n - sum_m J_nm psi_m``: ``hopping`` stores the
@@ -31,12 +30,10 @@ class SiteTable:
     ----------
     extents : tuple of int
         Sites per axis, e.g. ``(800,)`` or ``(50, 50)``.
-    spacing : float
-        Lattice constant in physical units; positions below are in units of it.
     labels : (N, dim) int array
         Integer coordinates, row-major enumeration.
     positions : (N, dim) float array
-        Actual site coordinates in units of the spacing (labels plus any
+        Actual site coordinates in lattice spacings (labels plus any
         displacement).
     active : (N,) bool array
         False at punched holes. Inactive sites keep their row in every array
@@ -44,7 +41,6 @@ class SiteTable:
     """
 
     extents: tuple[int, ...]
-    spacing: float
     labels: np.ndarray
     positions: np.ndarray
     active: np.ndarray
@@ -76,7 +72,7 @@ class SiteTable:
         return (np.asarray(self.extents, dtype=float) - 1.0) / 2.0
 
 
-def build_lattice(extents, spacing: float = 1.0) -> SiteTable:
+def build_lattice(extents) -> SiteTable:
     """Fresh fully-active lattice with integer positions.
 
     ``extents`` is an int (1D) or a tuple of 1-3 ints.
@@ -88,16 +84,13 @@ def build_lattice(extents, spacing: float = 1.0) -> SiteTable:
         raise ValueError("only 1D, 2D and 3D lattices are supported")
     if any(e < 1 for e in extents):
         raise ValueError(f"extents must be positive, got {extents}")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
     axes = [np.arange(e) for e in extents]
     grids = np.meshgrid(*axes, indexing="ij")
     labels = np.stack([g.ravel() for g in grids], axis=1).astype(int)
     return SiteTable(
         extents=extents,
-        spacing=float(spacing),
         labels=labels,
-        positions=labels * float(spacing),
+        positions=labels.astype(float),
         active=np.ones(labels.shape[0], dtype=bool),
     )
 
@@ -111,7 +104,7 @@ def punch_holes(table: SiteTable, holes) -> SiteTable:
     """
     holes = np.asarray(list(holes), dtype=int)
     if holes.size == 0:
-        return SiteTable(table.extents, table.spacing, table.labels,
+        return SiteTable(table.extents, table.labels,
                          table.positions.copy(), table.active.copy())
     idx = [table.index_of(h) for h in np.atleast_2d(holes)]
     if len(set(idx)) != len(idx):
@@ -121,7 +114,7 @@ def punch_holes(table: SiteTable, holes) -> SiteTable:
         if not active[i]:
             raise ValueError(f"site {tuple(table.labels[i])} is already inactive")
         active[i] = False
-    return SiteTable(table.extents, table.spacing, table.labels,
+    return SiteTable(table.extents, table.labels,
                      table.positions.copy(), active)
 
 
@@ -134,7 +127,7 @@ def displace_sites(table: SiteTable, displacements) -> SiteTable:
     d = np.asarray(displacements, dtype=float)
     if d.shape != table.positions.shape:
         raise ValueError(f"displacements shape {d.shape} != {table.positions.shape}")
-    return SiteTable(table.extents, table.spacing, table.labels,
+    return SiteTable(table.extents, table.labels,
                      table.positions + d, table.active)
 
 

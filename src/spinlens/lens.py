@@ -503,15 +503,14 @@ def clipped_thick_terms(base_terms, design: ThickPolynomial, table: SiteTable,
 
 def _eval_design(design, table, base_terms, psi0, hopping, n_time, tol):
     """Focal time and width of one candidate design; extends the time window
-    once if the minimum lands on its edge."""
+    up to twice while the minimum lands on its edge."""
     if isinstance(design, ThickPolynomial):
         t_est = math.pi / (4.0 * math.sqrt(design.coefficients[0] * hopping))
         terms = clipped_thick_terms(base_terms, design, table, hopping)
         state = psi0
     else:
-        pred = continuum_thin(design.phi0, max(gaussian_width(psi0, table), 1.0), hopping)
-        t_est = corrected_focal_time(design.phi0, hopping) if design.profile == "corrected" \
-            else pred.focal_time
+        t_est = continuum_thin(design.phi0, max(gaussian_width(psi0, table), 1.0),
+                               hopping).focal_time
         terms = base_terms
         state = phase_imprint(psi0, thin_phase_profile(design, table))
     window = (0.5 * t_est, 1.5 * t_est)
@@ -526,24 +525,29 @@ def _eval_design(design, table, base_terms, psi0, hopping, n_time, tol):
 
 def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
                   kind: str = "thick", order: int = 2, focus=None,
-                  profile: str = "parabolic", initial_state: SpinWaveState | None = None,
-                  n_time: int = 200, tol: float = 1e-8, sweeps: int = 2) -> OptimizeResult:
+                  initial_state: SpinWaveState | None = None,
+                  n_time: int = 200, tol: float = 1e-8) -> OptimizeResult:
     """Minimize the focal width over lens strength and time.
 
     Strengths are scanned on a log grid of 8 points per decade spanning
-    [0.1, 10] x (the scaling estimate from :func:`thresholds`), refined by
-    bounded scalar minimization; the time minimum within each evolution is
-    found by an ``n_time``-point scan plus parabolic refinement. For thick
-    lenses of order > 2 the higher coefficients are optimized by coordinate
-    descent (``sweeps`` passes): each one in turn is scanned over multiples
+    [0.1, 10] x (the scaling estimate from :func:`thresholds`), extended one
+    decade if the narrowest point sits on a grid end, then refined by bounded
+    scalar minimization; the time minimum within each evolution is found by
+    an ``n_time``-point scan plus parabolic refinement. For thick lenses of
+    order > 2 the higher coefficients are optimized by coordinate descent in
+    two sweeps: each one in turn is scanned over multiples
     ``_CORRECTION_GRID`` = (0, 0.5, 1, 1.5, 2) of its value on the classical
     isochrone of the band (see ``_isochrone_coefficients``), then the leading
-    strength is retried at x0.8 and x1.25. The grid includes 0 (the term left
-    out) and a trial replaces the current design only if it focuses narrower,
-    so the result is never wider than the order-2 optimum it starts from.
-    ``boundary`` reports a winning design whose minimum still sat on a
-    strength-grid or time-window edge after automatic extension, never
-    silently.
+    strength is retried at x0.8 and x1.25. Thin pulses are parabolic.
+
+    Every evaluated design is recorded once in ``scan`` (design, strength,
+    focal time and width, and whether the time minimum stayed on a window
+    edge); a design asked for again is not re-evaluated. The result is always
+    the narrowest ``scan`` entry, the first of equals. The correction grid
+    includes 0 (the term left out), so the result is never wider than the
+    order-2 optimum it starts from. ``boundary`` reports a winning design
+    whose minimum still sat on a strength-grid or time-window edge after
+    automatic extension, never silently.
 
     ``initial_state`` (default: a Gaussian of width ``sigma0`` at rest at
     ``focus``) lets a second lens stage start from the output of a first.
@@ -568,91 +572,71 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
         if kind == "thick":
             coeffs = (main,) + tuple(extra) + (0.0,) * (order // 2 - 1 - len(extra))
             return ThickPolynomial(coefficients=coeffs[: order // 2], focus=tuple(focus))
-        return ThinPulse(phi0=main, focus=tuple(focus), profile=profile)
+        return ThinPulse(phi0=main, focus=tuple(focus))
 
     def run(design):
+        """Focal width of ``design``, evaluated and recorded on first request."""
+        for s in scan:
+            if s["design"] == design:
+                return s["focal_width"]
         t_f, w_f, at_edge = _eval_design(design, table, base_terms, psi0,
                                          hopping, n_time, tol)
         strength = design.coefficients[0] if kind == "thick" else design.phi0
-        scan.append({"design": design, "strength": strength,
-                     "focal_time": t_f, "focal_width": w_f})
-        return t_f, w_f, at_edge
+        scan.append({"design": design, "strength": strength, "focal_time": t_f,
+                     "focal_width": w_f, "at_edge": at_edge})
+        return w_f
+
+    def best():
+        return min(scan, key=lambda s: s["focal_width"])  # first of equals
 
     # stage 1: log grid in the leading strength
     lo, hi = _GRID_SPAN[0] * scale, _GRID_SPAN[1] * scale
     n_pts = int(round(_POINTS_PER_DECADE * math.log10(hi / lo))) + 1
     grid = np.geomspace(lo, hi, n_pts)
-    results = []
     for g in grid:
-        t_f, w_f, at_edge = run(make_design(g))
-        results.append((w_f, g, t_f, at_edge))
-    results.sort(key=lambda r: r[0])
-    best_w, best_g, best_t, best_edge = results[0]
-    strength_edge = False
-    i_best = int(np.argmin([abs(best_g - g) for g in grid]))
-    if i_best in (0, n_pts - 1):
+        run(make_design(g))
+    g_best = best()["strength"]
+    if g_best in (grid[0], grid[-1]):
         # extend the strength grid one decade on the open side
-        extra = np.geomspace(lo / 10.0, lo, _POINTS_PER_DECADE, endpoint=False) \
-            if i_best == 0 else np.geomspace(hi, hi * 10.0, _POINTS_PER_DECADE + 1)[1:]
-        for g in extra:
-            t_f, w_f, at_edge = run(make_design(g))
-            if w_f < best_w:
-                best_w, best_g, best_t, best_edge = w_f, g, t_f, at_edge
-        all_g = sorted(s["strength"] for s in scan)
-        strength_edge = best_g in (all_g[0], all_g[-1])
+        wider = np.geomspace(lo / 10.0, lo, _POINTS_PER_DECADE, endpoint=False) \
+            if g_best == grid[0] else np.geomspace(hi, hi * 10.0, _POINTS_PER_DECADE + 1)[1:]
+        for g in wider:
+            run(make_design(g))
+    gs = sorted({s["strength"] for s in scan})
+    j = gs.index(best()["strength"])
+    strength_edge = j in (0, len(gs) - 1)
 
-    # stage 2: bounded refinement of the leading strength
-    gs = np.array(sorted({s["strength"] for s in scan}))
-    j = int(np.searchsorted(gs, best_g))
-    g_lo = gs[max(j - 1, 0)]
-    g_hi = gs[min(j + 1, len(gs) - 1)]
+    # stage 2: bounded refinement of the leading strength between the
+    # scanned neighbours of the narrowest point
+    g_lo, g_hi = gs[max(j - 1, 0)], gs[min(j + 1, len(gs) - 1)]
     if g_hi > g_lo:
-        cache: dict = {}
-
-        def objective(lg):
-            g = 10.0**lg
-            if g not in cache:
-                cache[g] = run(make_design(g))
-            return cache[g][1]
-
-        res = minimize_scalar(objective, bounds=(math.log10(g_lo), math.log10(g_hi)),
-                              method="bounded", options={"xatol": 5e-3, "maxiter": 20})
-        g_ref = 10.0**res.x
-        t_f, w_f, at_edge = cache[g_ref]
-        if w_f < best_w:
-            best_w, best_g, best_t, best_edge = w_f, g_ref, t_f, at_edge
-
-    extra_coeffs = [0.0] * (order // 2 - 1) if kind == "thick" else []
+        minimize_scalar(lambda lg: run(make_design(10.0**lg)),
+                        bounds=(math.log10(g_lo), math.log10(g_hi)),
+                        method="bounded", options={"xatol": 5e-3, "maxiter": 20})
 
     # stage 3: coordinate descent on the higher polynomial coefficients
     if kind == "thick" and order > 2:
-        for _ in range(sweeps):
-            for qi in range(len(extra_coeffs)):
+        for _ in range(2):
+            for qi in range(order // 2 - 1):
+                g, *extra = best()["design"].coefficients
                 # scale from the classical isochrone of the cosine band,
                 # V = g d^2 + g^2/(12J) d^4 + 7 g^3/(360 J^2) d^6 + ...:
                 # useful corrections live near these values, far below the
                 # packet-size scale g / sigma0^(2 qi).
-                cscale = _isochrone_coefficients(best_g, hopping)[qi]
-                best_c = extra_coeffs[qi]
+                cscale = _isochrone_coefficients(g, hopping)[qi]
                 for rel in _CORRECTION_GRID:
-                    trial = list(extra_coeffs)
+                    trial = list(extra)
                     trial[qi] = rel * cscale
-                    if trial[qi] == extra_coeffs[qi]:
-                        continue  # the current design, already at best_w
-                    t_f, w_f, at_edge = run(make_design(best_g, trial))
-                    if w_f < best_w:
-                        best_w, best_t, best_edge = w_f, t_f, at_edge
-                        best_c = trial[qi]
-                extra_coeffs[qi] = best_c
+                    run(make_design(g, trial))
             # re-refine the leading coefficient with the new correction terms
-            for g in (best_g * 0.8, best_g * 1.25):
-                t_f, w_f, at_edge = run(make_design(g, extra_coeffs))
-                if w_f < best_w:
-                    best_w, best_g, best_t, best_edge = w_f, g, t_f, at_edge
+            g, *extra = best()["design"].coefficients
+            for trial_g in (g * 0.8, g * 1.25):
+                run(make_design(trial_g, extra))
 
-    design = make_design(best_g, extra_coeffs)
-    return OptimizeResult(design=design, focal_time=best_t, focal_width=best_w,
-                          scan=scan, boundary=best_edge or strength_edge)
+    win = best()
+    return OptimizeResult(design=win["design"], focal_time=win["focal_time"],
+                          focal_width=win["focal_width"], scan=scan,
+                          boundary=win["at_edge"] or strength_edge)
 
 
 # --- semiclassical single-wing model ----------------------------------------

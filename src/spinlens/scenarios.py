@@ -152,16 +152,21 @@ def _merge(defaults: dict, override: dict, path: str) -> dict:
     return out
 
 
+def _is_number(value) -> bool:
+    """True for an int or float, bools excluded."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _is_count(value, low: int) -> bool:
     """True for an integer (or integral float) >= low."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and float(value).is_integer() and value >= low)
+    return _is_number(value) and float(value).is_integer() and value >= low
 
 
 def prepare_config(raw: dict) -> dict:
-    """Merge a raw config over the scenario defaults; reject unknown keys, an
-    excitation number the nonlinear scenario cannot run and time grids too
-    short to step through."""
+    """Merge a raw config over the scenario defaults; reject unknown keys, a
+    lattice spacing other than 1, an excitation number the nonlinear scenario
+    cannot run, a scaling fit over fewer than two packet widths and time
+    grids too short to step through."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
     name = raw.get("scenario")
@@ -174,6 +179,18 @@ def prepare_config(raw: dict) -> dict:
     cfg["master_seed"] = int(raw.get("master_seed", 12345))
     if not 0 <= cfg["master_seed"] < 2**64:
         raise ConfigError("master_seed must fit in 64 bits")
+    # lengths are in lattice spacings: lens profiles, foci and packet centres
+    # use integer labels, so the recorded spacing can only be 1
+    spacing = cfg.get("lattice", {}).get("spacing", 1.0)
+    if not (_is_number(spacing) and spacing == 1):
+        raise ConfigError(f"'{name}.lattice.spacing' is fixed at 1")
+    # the log-log fit of a scaling run needs at least two packet widths
+    if name == "scaling_fit":
+        widths = cfg["scan"]["sigma0"]
+        if not (isinstance(widths, list) and len(widths) >= 2
+                and all(map(_is_number, widths))):
+            raise ConfigError(
+                f"'{name}.scan.sigma0' must list at least two widths")
     # the pair-distance output of a nonlinear run needs at least two excitations
     if name == "nonlinear" and cfg["interaction"]["nu"] not in range(2, MAX_EXCITATIONS + 1):
         raise ConfigError(
@@ -232,8 +249,7 @@ def lint_config(cfg: dict) -> list:
 
 
 def _build_setup(cfg):
-    table = build_lattice(tuple(int(n) for n in cfg["lattice"]["extents"]),
-                          float(cfg["lattice"]["spacing"]))
+    table = build_lattice(tuple(int(n) for n in cfg["lattice"]["extents"]))
     c = cfg["coupling"]
     model_name = c.get("model", "nn")
     if model_name == "nn":
@@ -453,7 +469,7 @@ def run_multifocal2d(cfg, out: Path):
 
 def run_longrange_alpha(cfg, out: Path):
     extents = tuple(int(n) for n in cfg["lattice"]["extents"])
-    table = build_lattice(extents, float(cfg["lattice"]["spacing"]))
+    table = build_lattice(extents)
     hopping = float(cfg["coupling"]["hopping"])
     cutoff = float(cfg["coupling"]["cutoff_range"])
     sigma0 = float(cfg["packet"]["sigma0"])
@@ -596,7 +612,7 @@ def run_displacement(cfg, out: Path):
     table = job.table
     clean_terms = build_couplings(table, job.model)
     n_b = int(cfg["broadening"]["realizations"])
-    length = table.extents[0] * table.spacing
+    length = table.extents[0]
     rows = []
     for k_req in cfg["broadening"]["ks"]:
         k = 2.0 * math.pi * round(float(k_req) * length / (2.0 * math.pi)) / length

@@ -244,14 +244,6 @@ class TestRunCommand:
         assert manifest["master_seed"] == 99
         assert manifest["config"]["master_seed"] == 99
 
-    def test_validate_only_writes_nothing(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.yaml", THICK_SMALL)
-        out = tmp_path / "never"
-        assert main(["run", "--config", cfg, "--out", str(out),
-                     "--validate-only"]) == 0
-        assert "nothing run" in capsys.readouterr().out
-        assert not out.exists()
-
     def test_bad_config_exits_two_without_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml",
                            {"scenario": "thick1d", "lens": {"bogus": 1}})
@@ -269,11 +261,6 @@ class TestRunCommand:
         assert "ValueError" in manifest["error"]
         assert manifest["partial_outputs"] is False
         assert "scenario failed" in capsys.readouterr().err
-
-    def test_leading_dash_implies_run(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.yaml", THICK_SMALL)
-        assert main(["--config", cfg, "--out", str(tmp_path / "o"),
-                     "--validate-only"]) == 0
 
 
 HOLES_SMALL = {
@@ -371,6 +358,27 @@ def test_unusable_time_grid_rejected_before_running(tmp_path, capsys, scenario,
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert f"evolution.{key}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("raw, key", [
+    ({"scenario": "thick1d", "lattice": {"spacing": 2}}, "lattice.spacing"),
+    ({"scenario": "scaling_fit", "scan": {"sigma0": [20.0]}}, "scan.sigma0"),
+    ({"scenario": "scaling_fit", "scan": {"sigma0": []}}, "scan.sigma0"),
+], ids=["spacing-2", "one-width", "no-width"])
+def test_unusable_setup_rejected_before_running(tmp_path, capsys, raw, key):
+    cfg = write_config(tmp_path / "c.yaml", raw)
+    assert main(["validate", "--config", cfg]) == 2
+    assert key in capsys.readouterr().err
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unit_lattice_spacing_still_runs(tmp_path):
+    cfg = write_config(tmp_path / "c.yaml",
+                       dict(THICK_SMALL, lattice={"extents": [257], "spacing": 1.0}))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_shortest_time_grids_accepted():

@@ -29,10 +29,6 @@ class TestBuildLattice:
         assert [tuple(l) for l in t.labels] == [
             (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
 
-    def test_spacing_scales_positions(self):
-        t = build_lattice((4,), spacing=0.5)
-        assert np.allclose(t.positions[:, 0], [0.0, 0.5, 1.0, 1.5])
-
     def test_index_of_roundtrip(self):
         t = build_lattice((4, 5, 3))
         for n in [0, 17, t.n_sites - 1]:
