@@ -25,8 +25,9 @@ from .lens import (Multifocal, ThickPolynomial, ThinPulse, _parabola_vertex,
                    corrected_focal_time, optimize_lens, potential_profile,
                    thin_phase_profile, thresholds)
 from .manybody import (MAX_EXCITATIONS, blockade_radius, build_mb_hamiltonian,
-                       density_profile, enumerate_basis,
-                       pair_distance_distribution, symmetric_initial_state)
+                       density_profile, enumerate_basis, even_path,
+                       mb_trajectory, pair_distance_distribution,
+                       symmetric_initial_state)
 from .propagator import trajectory
 from .rydberg import (ChannelC6, DressingParams, dressed_couplings,
                       effective_potentials, exchange_peak, vdw_iso_aniso)
@@ -76,7 +77,7 @@ DEFAULTS = {
         "coupling": dict(_COUPLING),
         "packet": {"sigma0": 10.0, "center": None},
         "lens": {"v0": 4.5e-3, "foci": [[15, 30], [45, 30]]},
-        "evolution": dict(_EVOLUTION),
+        "evolution": {"t_max": None, "tol": 1.0e-8},
     },
     "longrange_alpha": {
         "lattice": {"extents": [400], "spacing": 1.0},
@@ -526,11 +527,12 @@ def run_nonlinear(cfg, out: Path):
     state = symmetric_initial_state(psi_single, nu, basis)
 
     n_samples = int(cfg["evolution"]["n_samples"])
+    dt = t_f / n_samples
     amps = state.amplitudes
+    mirror = even_path(sector, amps, n_samples * dt, tol)
     density_rows = []
-    for t, amps in trajectory(sector.matrix, amps, t_f / n_samples, n_samples,
-                              tol=tol, bounds=sector.bounds(),
-                              t0=state.time_stamp):
+    for t, amps in mb_trajectory(sector, amps, dt, n_samples, tol=tol,
+                                 t0=state.time_stamp):
         p = density_profile(amps, basis)
         density_rows.extend((t, n, p[n], nu) for n in range(table.n_sites))
     outputs = [io_utils.write_csv(out / "density.csv",
@@ -545,6 +547,7 @@ def run_nonlinear(cfg, out: Path):
         "coefficients": list(design.coefficients),
         "blockade_radius [a]": blockade_radius(jz, hopping),
         "basis_dim": basis.dim,
+        "evolved_dim": basis.dim if mirror is None else mirror.dim,
     }
     return derived, outputs
 

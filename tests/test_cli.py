@@ -364,7 +364,9 @@ def test_unusable_time_grid_rejected_before_running(tmp_path, capsys, scenario,
     ({"scenario": "thick1d", "lattice": {"spacing": 2}}, "lattice.spacing"),
     ({"scenario": "scaling_fit", "scan": {"sigma0": [20.0]}}, "scan.sigma0"),
     ({"scenario": "scaling_fit", "scan": {"sigma0": []}}, "scan.sigma0"),
-], ids=["spacing-2", "one-width", "no-width"])
+    ({"scenario": "multifocal2d", "evolution": {"n_samples": 8}},
+     "evolution.n_samples"),
+], ids=["spacing-2", "one-width", "no-width", "multifocal-n-samples"])
 def test_unusable_setup_rejected_before_running(tmp_path, capsys, raw, key):
     cfg = write_config(tmp_path / "c.yaml", raw)
     assert main(["validate", "--config", cfg]) == 2

@@ -1,22 +1,28 @@
 import itertools
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+import yaml
 
 from spinlens.lattice import (NearestNeighbor, PowerLaw, build_couplings,
                               build_lattice, punch_holes)
 from spinlens.lens import ThickPolynomial, potential_profile
-from spinlens.manybody import (ManyBodyState, blockade_radius,
+from spinlens.manybody import (ManyBodySector, ManyBodyState, blockade_radius,
                                build_mb_hamiltonian, density_profile,
-                               enumerate_basis, evolve_mb,
-                               pair_distance_distribution,
+                               enumerate_basis, even_path, evolve_mb,
+                               mb_trajectory, pair_distance_distribution,
                                symmetric_initial_state)
-from spinlens.propagator import expimv
+from spinlens.propagator import expimv, trajectory
+from spinlens.scenarios import prepare_config, run_scenario
 from spinlens.wavepacket import SpinWaveState, gaussian_packet
 
 from conftest import dense_evolution
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestBasis:
@@ -327,24 +333,38 @@ class TestFreeFermionOracle:
     so hard-core excitations on ordered tuples are free fermions
     (Jordan-Wigner): F(t) = U^(x nu) F(0) with U = exp(-i H_1 t)."""
 
-    @pytest.mark.parametrize("nu", [2, 3])
-    def test_sector_evolves_as_single_excitation_product(self, rng, nu):
-        n, t = 61, 6.0
-        table, terms = _chain(n)
+    N, T = 61, 6.0
+
+    def check_against_product(self, nu, amps_of_basis, even):
+        table, terms = _chain(self.N)
         basis = enumerate_basis(table, nu)
         sector = build_mb_hamiltonian(terms, basis, jz=0.0, table=table)
-        amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
-        amps /= np.linalg.norm(amps)
-        out = evolve_mb(sector, ManyBodyState(amps), t, tol=1e-12).amplitudes
+        amps = amps_of_basis(table, basis)
+        assert (even_path(sector, amps, self.T, 1e-12) is not None) == even
+        out = evolve_mb(sector, ManyBodyState(amps), self.T, tol=1e-12).amplitudes
 
         w, v = np.linalg.eigh(terms.matrix().toarray())
-        u = (v * np.exp(-1j * t * w)) @ v.conj().T
-        f = antisymmetric_tensor(amps, basis.states, n)
+        u = (v * np.exp(-1j * self.T * w)) @ v.conj().T
+        f = antisymmetric_tensor(amps, basis.states, self.N)
         if nu == 2:
             f_t = u @ f @ u.T
         else:
             f_t = np.einsum("ia,jb,kc,abc->ijk", u, u, u, f, optimize=True)
         assert np.abs(out - f_t[tuple(basis.states.T)]).max() < 1e-9
+
+    @pytest.mark.parametrize("nu", [2, 3])
+    def test_sector_evolves_as_single_excitation_product(self, rng, nu):
+        def random_amps(table, basis):
+            amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+            return amps / np.linalg.norm(amps)
+        self.check_against_product(nu, random_amps, even=False)
+
+    @pytest.mark.parametrize("nu", [2, 3])
+    def test_symmetric_state_on_the_even_path(self, nu):
+        def product_amps(table, basis):
+            psi = gaussian_packet(table, 6.0)
+            return symmetric_initial_state(psi, nu, basis).amplitudes
+        self.check_against_product(nu, product_amps, even=True)
 
 
 class TestSymmetricState:
@@ -503,3 +523,127 @@ class TestObservables:
         assert np.isclose(blockade_radius(5e3), 5e3 ** (1.0 / 6.0))
         assert np.isclose(blockade_radius(5e3, hopping=2.0),
                           2.5e3 ** (1.0 / 6.0))
+
+
+def _centred(extents, nu, jz=30.0, focus_shift=0.0, holes=(), literal=False):
+    """Sector and symmetric product state of a lens and packet centred on
+    the lattice, optionally shifted by ``focus_shift`` sites or holed."""
+    table = build_lattice(extents)
+    if holes:
+        table = punch_holes(table, holes)
+    focus = table.center() + focus_shift
+    lens = potential_profile(ThickPolynomial((0.01,), tuple(focus)), table)
+    terms = build_couplings(table, NearestNeighbor(1.0), lens_diagonal=lens)
+    basis = enumerate_basis(table, nu)
+    sector = build_mb_hamiltonian(terms, basis, jz=jz, table=table,
+                                  literal_sigma_z=literal)
+    psi = gaussian_packet(table, 2.5, center=focus)
+    return sector, symmetric_initial_state(psi, nu, basis)
+
+
+def _full_sector_steps(sector, amps, dt, n_steps, tol):
+    return list(trajectory(sector.matrix, amps, dt, n_steps, tol=tol,
+                           bounds=sector.bounds()))
+
+
+class TestMirrorReduction:
+    EVEN_CASES = {
+        "chain-nu2": ((21,), 2, {}),
+        "chain-nu3": ((17,), 3, {}),
+        "literal-chain-nu2": ((21,), 2, {"literal": True}),
+        "literal-chain-nu3": ((17,), 3, {"literal": True}),
+        "square-nu2": ((7, 7), 2, {}),
+        "square-nu3": ((5, 5), 3, {}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EVEN_CASES))
+    def test_even_path_matches_full_sector(self, case):
+        extents, nu, kw = self.EVEN_CASES[case]
+        sector, state = _centred(extents, nu, **kw)
+        dt, n_steps, tol = 0.9, 4, 1e-12
+        mirror = even_path(sector, state.amplitudes, n_steps * dt, tol)
+        assert mirror is not None
+        assert sector.basis.dim / 2 <= mirror.dim < sector.basis.dim
+        got = list(mb_trajectory(sector, state.amplitudes, dt, n_steps, tol=tol))
+        ref = _full_sector_steps(sector, state.amplitudes, dt, n_steps, tol)
+        for (t, amp), (t_ref, amp_ref) in zip(got, ref, strict=True):
+            assert t == t_ref
+            assert np.abs(amp - amp_ref).max() <= 1e-9
+
+    def test_even_path_matches_dense_expm(self):
+        sector, state = _centred((12,), 2, jz=8.0)
+        t = 7.3
+        assert even_path(sector, state.amplitudes, t, 1e-12) is not None
+        out = evolve_mb(sector, state, t, tol=1e-12).amplitudes
+        ref = scipy.linalg.expm(-1j * t * sector.matrix.toarray()) @ state.amplitudes
+        assert np.abs(out - ref).max() <= 1e-9
+
+    def test_mirror_maps_rows_and_orbits(self):
+        sector, _ = _centred((9,), 3)
+        m, states = sector.mirror, sector.basis.states
+        assert np.array_equal(np.sort(8 - states[m.refl], axis=1), states)
+        assert np.array_equal(m.refl[m.refl], np.arange(sector.basis.dim))
+        assert np.array_equal(m.orbit[m.reps], np.arange(m.dim))
+        assert np.array_equal(m.orbit, m.orbit[m.refl])
+        assert m.asymmetry == 0.0
+
+    @pytest.mark.parametrize("kind", ["off-centre", "hole", "random"])
+    def test_asymmetric_input_takes_the_full_path_bit_for_bit(self, rng, kind):
+        if kind == "off-centre":
+            sector, state = _centred((21,), 2, focus_shift=1.0)
+            amps = state.amplitudes
+            assert sector.mirror is not None
+        elif kind == "hole":
+            sector, state = _centred((21,), 2, holes=[(4,)])
+            amps = state.amplitudes
+            assert sector.mirror is None
+        else:
+            sector, _ = _centred((21,), 2)
+            amps = rng.normal(size=sector.basis.dim) + 0j
+            amps /= np.linalg.norm(amps)
+        dt, n_steps, tol = 0.9, 3, 1e-10
+        assert even_path(sector, amps, n_steps * dt, tol) is None
+        got = list(mb_trajectory(sector, amps, dt, n_steps, tol=tol))
+        ref = _full_sector_steps(sector, amps, dt, n_steps, tol)
+        for (t, amp), (t_ref, amp_ref) in zip(got, ref, strict=True):
+            assert t == t_ref
+            assert np.array_equal(amp, amp_ref)
+        one = evolve_mb(sector, ManyBodyState(amps), dt, tol=tol).amplitudes
+        assert np.array_equal(one, ref[0][1])
+
+    def test_gate_adds_state_and_operator_asymmetry(self):
+        sector, state = _centred((17,), 3)
+        amps = state.amplitudes.copy()
+        amps[0] += 1e-9
+        assert even_path(sector, amps, 1.0, 1e-8) is not None
+        assert even_path(sector, amps, 1.0, 1e-10) is None
+        # a 1e-9 diagonal skew on one row counts |t| times
+        kick = sp.diags(np.eye(1, sector.basis.dim).ravel() * 1e-9)
+        skewed = ManyBodySector(sector.basis, (sector.matrix + kick).tocsr())
+        assert skewed.mirror.asymmetry == pytest.approx(1e-9)
+        assert even_path(skewed, state.amplitudes, 1.0, 1e-8) is skewed.mirror
+        assert even_path(skewed, state.amplitudes, 100.0, 1e-8) is None
+
+    def test_state_length_checked(self):
+        sector, state = _centred((11,), 2)
+        with pytest.raises(ValueError):
+            even_path(sector, state.amplitudes[:-1], 1.0, 1e-10)
+
+
+class TestEvenPathAtUlpAsymmetry:
+    """Assembly and symmetric_initial_state are mirror-symmetric only to an
+    ulp, so an exact-equality gate would skip these sectors; the tolerance
+    gate must still take the even path."""
+
+    def test_centred_nu3_sector(self):
+        sector, state = _centred((61,), 3, jz=5.0e3)
+        amps = state.amplitudes
+        m = sector.mirror
+        assert not (m.asymmetry == 0.0 and np.array_equal(amps, amps[m.refl]))
+        assert even_path(sector, amps, 10.7, 1e-8) is m
+
+    def test_shipped_blockade_config(self, tmp_path):
+        path = CONFIGS / "nonlinear_blockade.yaml"
+        cfg = prepare_config(yaml.safe_load(path.read_text(encoding="utf-8")))
+        derived, _ = run_scenario(cfg, tmp_path)
+        assert derived["evolved_dim"] < derived["basis_dim"]

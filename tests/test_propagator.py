@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from spinlens.lattice import NearestNeighbor, build_couplings, build_lattice
 from spinlens.lens import ThickPolynomial, potential_profile
-from spinlens.manybody import (build_mb_hamiltonian, enumerate_basis, evolve_mb,
-                               symmetric_initial_state)
+from spinlens.manybody import (build_mb_hamiltonian, enumerate_basis, even_path,
+                               evolve_mb, mb_trajectory, symmetric_initial_state)
 from spinlens.propagator import (_MAX_PHASE_PER_STEP, TOL_RANGE, expimv,
                                  spectral_bounds, trajectory)
 from spinlens.wavepacket import evolve, gaussian_packet
@@ -112,20 +112,40 @@ class TestTrajectory:
             assert t == state.time
             assert np.array_equal(amp, state.amplitudes)
 
+    @staticmethod
+    def repeated_evolve_mb(sector, state, dt, tol, steps):
+        for t, amp in steps:
+            state = evolve_mb(sector, state, dt, tol=tol)
+            assert t == state.time_stamp
+            assert np.array_equal(amp, state.amplitudes)
+
     def test_matches_repeated_evolve_mb(self, lens_terms):
+        # centred lens and packet: both run in the even subspace
         table, terms = lens_terms
         basis = enumerate_basis(table, 2)
         sector = build_mb_hamiltonian(terms, basis, jz=20.0, table=table)
         state = symmetric_initial_state(gaussian_packet(table, 4.0), 2, basis)
         state.time_stamp = 0.1
         dt, tol = 0.45, 1e-9
+        assert even_path(sector, state.amplitudes, 4 * dt, tol) is not None
+        steps = list(mb_trajectory(sector, state.amplitudes, dt, 4, tol=tol,
+                                   t0=state.time_stamp))
+        assert len(steps) == 4
+        self.repeated_evolve_mb(sector, state, dt, tol, steps)
+
+    def test_off_centre_evolve_mb_matches_raw_trajectory(self, lens_terms):
+        table, terms = lens_terms
+        basis = enumerate_basis(table, 2)
+        sector = build_mb_hamiltonian(terms, basis, jz=20.0, table=table)
+        state = symmetric_initial_state(
+            gaussian_packet(table, 4.0, center=(17.0,)), 2, basis)
+        state.time_stamp = 0.1
+        dt, tol = 0.45, 1e-9
+        assert even_path(sector, state.amplitudes, dt, tol) is None
         steps = list(trajectory(sector.matrix, state.amplitudes, dt, 4, tol=tol,
                                 bounds=sector.bounds(), t0=state.time_stamp))
         assert len(steps) == 4
-        for t, amp in steps:
-            state = evolve_mb(sector, state, dt, tol=tol)
-            assert t == state.time_stamp
-            assert np.array_equal(amp, state.amplitudes)
+        self.repeated_evolve_mb(sector, state, dt, tol, steps)
 
     def test_default_bounds_match_given_bounds(self, rng):
         h = random_hermitian(12, rng)
