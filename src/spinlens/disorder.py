@@ -3,13 +3,16 @@
 Each realization perturbs the clean lattice, rebuilds couplings through
 the lattice module, runs the full focusing protocol for a fixed duration
 (the clean focal time, supplied by the caller), and records the focal
-probability and the final width. Streams are counter-based per
-realization, so a realization's record does not depend on how many others
-are run.
+probability and the final width. Realizations are assembled one by one and
+propagated together, as one batch of independent evolutions
+(:func:`spinlens.propagator.expimv_batch`), each bit for bit what it gives
+alone. Streams are counter-based per realization, so a realization's record
+does not depend on how many others are run.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -17,8 +20,9 @@ import numpy as np
 from .lattice import (HamiltonianTerms, SiteTable, build_couplings,
                       displace_sites, punch_holes)
 from .lens import potential_profile, thin_phase_profile
-from .wavepacket import (evolve, focus_probability, gaussian_packet,
-                         gaussian_width, phase_imprint)
+from .propagator import expimv_batch
+from .wavepacket import (SpinWaveState, evolve, focus_probability,
+                         gaussian_packet, gaussian_width, phase_imprint)
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,22 @@ class EnsembleStats:
         return out
 
 
+def _protocol_start(table: SiteTable, job: EnsembleJob):
+    """Hamiltonian terms and initial state of the protocol on ``table``."""
+    terms = build_couplings(table, job.model)
+    psi = gaussian_packet(table, job.sigma0)
+    if job.design.thin:
+        psi = phase_imprint(psi, thin_phase_profile(job.design, table))
+    else:
+        terms = terms.with_diagonal(potential_profile(job.design, table))
+    return terms, psi
+
+
+def _protocol_record(psi: SpinWaveState, table: SiteTable, job: EnsembleJob):
+    return (focus_probability(psi, table, job.design.foci[0]),
+            gaussian_width(psi, table))
+
+
 def run_protocol(table: SiteTable, job: EnsembleJob):
     """One full focusing run on the given (possibly perturbed) lattice.
 
@@ -87,15 +107,9 @@ def run_protocol(table: SiteTable, job: EnsembleJob):
     design's first focus. The lens profile is evaluated at the site labels:
     fabrication disorder moves the atoms, not the imposed light pattern.
     """
-    terms = build_couplings(table, job.model)
-    psi = gaussian_packet(table, job.sigma0)
-    if job.design.thin:
-        psi = phase_imprint(psi, thin_phase_profile(job.design, table))
-    else:
-        terms = terms.with_diagonal(potential_profile(job.design, table))
-    psi = evolve(terms, psi, job.duration, tol=job.tol)
-    return (focus_probability(psi, table, job.design.foci[0]),
-            gaussian_width(psi, table))
+    terms, psi = _protocol_start(table, job)
+    return _protocol_record(evolve(terms, psi, job.duration, tol=job.tol),
+                            table, job)
 
 
 def _realization_table(job: EnsembleJob, r: int) -> SiteTable:
@@ -115,9 +129,24 @@ def _realization_table(job: EnsembleJob, r: int) -> SiteTable:
 
 
 def run_ensemble(job: EnsembleJob) -> EnsembleStats:
-    """Focusing statistics over disorder realizations, in index order."""
-    records = [run_protocol(_realization_table(job, r), job)
-               for r in range(job.realizations)]
+    """Focusing statistics over disorder realizations, in index order.
+
+    Each record equals ``run_protocol(_realization_table(job, r), job)``
+    bit for bit. The realizations are assembled one by one as the batch
+    propagation draws them, so only about one stacked operator's worth of
+    them is held at a time.
+    """
+    tables = deque()
+
+    def blocks():
+        for r in range(job.realizations):
+            table = _realization_table(job, r)
+            terms, psi = _protocol_start(table, job)
+            tables.append(table)
+            yield terms.matrix(), psi.amplitudes, job.duration, terms.bounds()
+
+    records = [_protocol_record(SpinWaveState(amp), tables.popleft(), job)
+               for amp in expimv_batch(blocks(), tol=job.tol)]
     p_foc = np.array([rec[0] for rec in records])
     sigma_f = np.array([rec[1] for rec in records])
     return EnsembleStats(p_foc=p_foc, sigma_f=sigma_f)

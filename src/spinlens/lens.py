@@ -22,8 +22,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
 
 from .lattice import CouplingModel, NearestNeighbor, SiteTable, build_couplings
-from .propagator import trajectory
-from .wavepacket import SpinWaveState, evolve, gaussian_packet, gaussian_width, phase_imprint
+from .propagator import expimv_batch, split_stacks, trajectory_batch
+from .wavepacket import SpinWaveState, gaussian_packet, gaussian_width, phase_imprint
 
 
 # --- designs ----------------------------------------------------------------
@@ -459,30 +459,44 @@ def _parabola_vertex(y, i):
     return shift, y1 - 0.25 * (y0 - y2) * shift
 
 
-def _width_minimum(terms, psi0, table, t_window, n_time, tol):
-    """Minimum packet width over a time window, by scan plus parabolic refine.
+def _width_minima(cases, table, n_time, tol):
+    """Minimum packet width over a time window, by scan plus parabolic
+    refine, for each case (terms, initial state, window).
 
-    Returns (t_min, w_min, at_edge).
+    The cases are propagated together: the step to each window's start,
+    the ``n_time - 1`` scan steps and the refine steps are one batch each,
+    and every state equals bit for bit what the case gives alone.
+    Returns one (t_min, w_min, at_edge) per case.
     """
-    t0, t1 = t_window
-    times = np.linspace(t0, t1, n_time)
-    state = evolve(terms, psi0, times[0], tol=tol) if times[0] > 0 else psi0
-    dt = times[1] - times[0]
-    widths = [gaussian_width(state, table)]
-    for _, amp in trajectory(terms.matrix(), state.amplitudes, dt, n_time - 1,
-                             tol=tol, bounds=terms.bounds()):
-        widths.append(gaussian_width(SpinWaveState(amp), table))
-    widths = np.array(widths)
-    i = int(np.argmin(widths))
-    at_edge = i == 0 or i == n_time - 1
-    t_best, w_best = times[i], widths[i]
-    vertex = None if at_edge else _parabola_vertex(widths, i)
-    if vertex is not None:
-        t_ref = times[i] + vertex[0] * dt
-        w_ref = gaussian_width(evolve(terms, psi0, t_ref, tol=tol), table)
-        if w_ref < w_best:
-            t_best, w_best = t_ref, w_ref
-    return t_best, w_best, at_edge
+    times = [np.linspace(t0, t1, n_time) for _, _, (t0, t1) in cases]
+    # a window starting at 0 starts from the initial state itself
+    starts = expimv_batch(
+        ((terms.matrix(), psi0.amplitudes, ts[0] if ts[0] > 0 else 0.0, terms.bounds())
+         for (terms, psi0, _), ts in zip(cases, times)), tol=tol)
+    widths, steps = [], []
+    for (terms, _, _), ts, amp in zip(cases, times, starts):
+        widths.append([gaussian_width(SpinWaveState(amp), table)])
+        steps.append((terms.matrix(), amp, ts[1] - ts[0], terms.bounds()))
+    for _, amps in trajectory_batch(steps, n_time - 1, tol=tol):
+        for w, amp in zip(widths, amps):
+            w.append(gaussian_width(SpinWaveState(amp), table))
+    found, refine = [], []
+    for (terms, psi0, _), ts, w in zip(cases, times, widths):
+        w = np.array(w)
+        i = int(np.argmin(w))
+        at_edge = i == 0 or i == n_time - 1
+        found.append([ts[i], w[i], at_edge])
+        vertex = None if at_edge else _parabola_vertex(w, i)
+        if vertex is not None:
+            t_ref = ts[i] + vertex[0] * (ts[1] - ts[0])
+            refine.append((len(found) - 1, t_ref,
+                           (terms.matrix(), psi0.amplitudes, t_ref, terms.bounds())))
+    refined = expimv_batch((r[2] for r in refine), tol=tol)
+    for (j, t_ref, _), amp in zip(refine, refined):
+        w_ref = gaussian_width(SpinWaveState(amp), table)
+        if w_ref < found[j][1]:
+            found[j][:2] = t_ref, w_ref
+    return [tuple(f) for f in found]
 
 
 def clipped_thick_terms(base_terms, design: ThickPolynomial, table: SiteTable,
@@ -501,26 +515,47 @@ def clipped_thick_terms(base_terms, design: ThickPolynomial, table: SiteTable,
         np.clip(potential_profile(design, table), -clip, clip))
 
 
-def _eval_design(design, table, base_terms, psi0, hopping, n_time, tol):
-    """Focal time and width of one candidate design; extends the time window
-    up to twice while the minimum lands on its edge."""
-    if isinstance(design, ThickPolynomial):
-        t_est = math.pi / (4.0 * math.sqrt(design.coefficients[0] * hopping))
-        terms = clipped_thick_terms(base_terms, design, table, hopping)
-        state = psi0
-    else:
-        t_est = continuum_thin(design.phi0, max(gaussian_width(psi0, table), 1.0),
-                               hopping).focal_time
-        terms = base_terms
-        state = phase_imprint(psi0, thin_phase_profile(design, table))
-    window = (0.5 * t_est, 1.5 * t_est)
+def _eval_designs(designs, table, base_terms, psi0, hopping, n_time, tol):
+    """Focal time and width of each candidate design, evaluated together,
+    as many at a time as fit one stacked operator; a design whose minimum
+    lands on its time-window edge has the window extended, up to twice, in
+    a batch with the others that need it.
+
+    Returns one (t_f, w_f, at_edge) per design.
+    """
+    def terms(design):
+        if isinstance(design, ThickPolynomial):
+            return clipped_thick_terms(base_terms, design, table, hopping)
+        return base_terms
+
+    states, windows = [], []
+    for design in designs:
+        if isinstance(design, ThickPolynomial):
+            t_est = math.pi / (4.0 * math.sqrt(design.coefficients[0] * hopping))
+            states.append(psi0)
+        else:
+            t_est = continuum_thin(design.phi0, max(gaussian_width(psi0, table), 1.0),
+                                   hopping).focal_time
+            states.append(phase_imprint(psi0, thin_phase_profile(design, table)))
+        windows.append((0.5 * t_est, 1.5 * t_est))
+    results = [None] * len(designs)
+    todo = list(range(len(designs)))
     for _ in range(3):
-        t_f, w_f, at_edge = _width_minimum(terms, state, table, window, n_time, tol)
-        if not at_edge:
-            break
-        lo, hi = window
-        window = (0.25 * lo, hi) if t_f <= lo * 1.01 else (lo, 2.0 * hi)
-    return t_f, w_f, at_edge
+        # One stacked operator's worth of designs at a time, each with terms
+        # built for it and dropped after, bounds the memory. Every design's
+        # operator holds the nonzeros of base_terms plus at most a diagonal.
+        found = [f for cut in split_stacks(todo, lambda i: base_terms.matrix())
+                 for f in _width_minima([(terms(designs[i]), states[i], windows[i])
+                                         for i in cut], table, n_time, tol)]
+        retry = []
+        for i, (t_f, w_f, at_edge) in zip(todo, found):
+            results[i] = (t_f, w_f, at_edge)
+            if at_edge:
+                lo, hi = windows[i]
+                windows[i] = (0.25 * lo, hi) if t_f <= lo * 1.01 else (lo, 2.0 * hi)
+                retry.append(i)
+        todo = retry
+    return results
 
 
 def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
@@ -540,10 +575,19 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
     isochrone of the band (see ``_isochrone_coefficients``), then the leading
     strength is retried at x0.8 and x1.25. Thin pulses are parabolic.
 
+    The designs of a stage are evaluated together, as one batch of
+    independent evolutions per propagation step (as many designs at a time
+    as fit one stacked operator, see :func:`spinlens.propagator.split_stacks`):
+    the stage-1 grid, its extension, each stage-3 correction grid and the
+    x0.8/x1.25 retries; window-extension retries are batched among the
+    designs that need them, and stage 2 asks for one design at a time. Each
+    design's result is bit for bit what it gives alone.
+
     Every evaluated design is recorded once in ``scan`` (design, strength,
     focal time and width, and whether the time minimum stayed on a window
-    edge); a design asked for again is not re-evaluated. The result is always
-    the narrowest ``scan`` entry, the first of equals. The correction grid
+    edge), in the order asked for; a design asked for again is not
+    re-evaluated. The result is always the narrowest ``scan`` entry, the
+    first of equals. The correction grid
     includes 0 (the term left out), so the result is never wider than the
     order-2 optimum it starts from. ``boundary`` reports a winning design
     whose minimum still sat on a strength-grid or time-window edge after
@@ -574,17 +618,21 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
             return ThickPolynomial(coefficients=coeffs[: order // 2], focus=tuple(focus))
         return ThinPulse(phi0=main, focus=tuple(focus))
 
-    def run(design):
-        """Focal width of ``design``, evaluated and recorded on first request."""
-        for s in scan:
-            if s["design"] == design:
-                return s["focal_width"]
-        t_f, w_f, at_edge = _eval_design(design, table, base_terms, psi0,
-                                         hopping, n_time, tol)
-        strength = design.coefficients[0] if kind == "thick" else design.phi0
-        scan.append({"design": design, "strength": strength, "focal_time": t_f,
-                     "focal_width": w_f, "at_edge": at_edge})
-        return w_f
+    def run(designs):
+        """Focal widths of ``designs``; those not yet in ``scan`` are
+        evaluated together and recorded in the order asked."""
+        known = [s["design"] for s in scan]
+        fresh = []
+        for d in designs:
+            if d not in known and d not in fresh:
+                fresh.append(d)
+        for d, (t_f, w_f, at_edge) in zip(fresh, _eval_designs(
+                fresh, table, base_terms, psi0, hopping, n_time, tol)):
+            strength = d.coefficients[0] if kind == "thick" else d.phi0
+            scan.append({"design": d, "strength": strength, "focal_time": t_f,
+                         "focal_width": w_f, "at_edge": at_edge})
+        return [next(s["focal_width"] for s in scan if s["design"] == d)
+                for d in designs]
 
     def best():
         return min(scan, key=lambda s: s["focal_width"])  # first of equals
@@ -593,15 +641,13 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
     lo, hi = _GRID_SPAN[0] * scale, _GRID_SPAN[1] * scale
     n_pts = int(round(_POINTS_PER_DECADE * math.log10(hi / lo))) + 1
     grid = np.geomspace(lo, hi, n_pts)
-    for g in grid:
-        run(make_design(g))
+    run([make_design(g) for g in grid])
     g_best = best()["strength"]
     if g_best in (grid[0], grid[-1]):
         # extend the strength grid one decade on the open side
         wider = np.geomspace(lo / 10.0, lo, _POINTS_PER_DECADE, endpoint=False) \
             if g_best == grid[0] else np.geomspace(hi, hi * 10.0, _POINTS_PER_DECADE + 1)[1:]
-        for g in wider:
-            run(make_design(g))
+        run([make_design(g) for g in wider])
     gs = sorted({s["strength"] for s in scan})
     j = gs.index(best()["strength"])
     strength_edge = j in (0, len(gs) - 1)
@@ -610,7 +656,7 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
     # scanned neighbours of the narrowest point
     g_lo, g_hi = gs[max(j - 1, 0)], gs[min(j + 1, len(gs) - 1)]
     if g_hi > g_lo:
-        minimize_scalar(lambda lg: run(make_design(10.0**lg)),
+        minimize_scalar(lambda lg: run([make_design(10.0**lg)])[0],
                         bounds=(math.log10(g_lo), math.log10(g_hi)),
                         method="bounded", options={"xatol": 5e-3, "maxiter": 20})
 
@@ -624,14 +670,11 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
                 # useful corrections live near these values, far below the
                 # packet-size scale g / sigma0^(2 qi).
                 cscale = _isochrone_coefficients(g, hopping)[qi]
-                for rel in _CORRECTION_GRID:
-                    trial = list(extra)
-                    trial[qi] = rel * cscale
-                    run(make_design(g, trial))
+                run([make_design(g, extra[:qi] + [rel * cscale] + extra[qi + 1:])
+                     for rel in _CORRECTION_GRID])
             # re-refine the leading coefficient with the new correction terms
             g, *extra = best()["design"].coefficients
-            for trial_g in (g * 0.8, g * 1.25):
-                run(make_design(trial_g, extra))
+            run([make_design(trial_g, extra) for trial_g in (g * 0.8, g * 1.25)])
 
     win = best()
     return OptimizeResult(design=win["design"], focal_time=win["focal_time"],

@@ -616,15 +616,15 @@ def run_displacement(cfg, out: Path):
     clean_terms = build_couplings(table, job.model)
     n_b = int(cfg["broadening"]["realizations"])
     length = table.extents[0]
-    rows = []
-    for k_req in cfg["broadening"]["ks"]:
-        k = 2.0 * math.pi * round(float(k_req) * length / (2.0 * math.pi)) / length
-        vals = [plane_wave_broadening(
-                    build_couplings(_realization_table(job, r), job.model),
-                    clean_terms, k, table)
-                for r in range(n_b)]
-        rows.append((k, float(np.mean(vals)),
-                     float(np.std(vals, ddof=1)) if n_b > 1 else 0.0))
+    ks = [2.0 * math.pi * round(float(k) * length / (2.0 * math.pi)) / length
+          for k in cfg["broadening"]["ks"]]
+    vals = [[] for _ in ks]
+    for r in range(n_b):   # each realization built once, for every k
+        terms = build_couplings(_realization_table(job, r), job.model)
+        for k, v in zip(ks, vals):
+            v.append(plane_wave_broadening(terms, clean_terms, k, table))
+    rows = [(k, float(np.mean(v)), float(np.std(v, ddof=1)) if n_b > 1 else 0.0)
+            for k, v in zip(ks, vals)]
     outputs.append(io_utils.write_csv(out / "broadening.csv",
                                       ["k [1/a]", "mean_delta_eps [J]",
                                        "std_delta_eps [J]"],

@@ -227,6 +227,43 @@ class TestRunEnsemble:
         assert stats.sigma_f.shape == (4,)
 
 
+def _ensemble_case(name):
+    """EnsembleJob with different bounds per realization; the thick cases
+    fill more than one stacked operator (``propagator._STACK_NNZ``)."""
+    if name == "plane":
+        table = build_lattice((21, 21))
+        design = ThickPolynomial((4.0 ** (-8.0 / 3.0),), (10.0, 10.0))
+        return EnsembleJob(table=table, model=NearestNeighbor(1.0), design=design,
+                           sigma0=4.0, duration=continuum_thick(design.coefficients[0],
+                                                                4.0).focal_time,
+                           kind=Holes(6), realizations=24, master_seed=5)
+    table = build_lattice((101,))
+    if name == "thin":
+        design = ThinPulse(0.05, (50.0,))
+        return EnsembleJob(table=table, model=NearestNeighbor(1.0), design=design,
+                           sigma0=8.0, duration=5.0, kind=Holes(3),
+                           realizations=12, master_seed=9)
+    design = ThickPolynomial((V0,), (50.0,))
+    duration = continuum_thick(V0, 8.0).focal_time
+    if name == "chain":
+        return EnsembleJob(table=table, model=NearestNeighbor(1.0), design=design,
+                           sigma0=8.0, duration=duration, kind=Holes(4),
+                           realizations=90, master_seed=7)
+    return EnsembleJob(table=table, model=PowerLaw(1.0, 6.0), design=design,
+                       sigma0=8.0, duration=duration, kind=Displacement(0.01),
+                       realizations=12, master_seed=11)
+
+
+class TestBatchedEnsemble:
+    @pytest.mark.parametrize("name", ["chain", "plane", "displacement", "thin"])
+    def test_equals_one_protocol_per_realization(self, name):
+        job = _ensemble_case(name)
+        stats = run_ensemble(job)
+        alone = [run_protocol(_realization_table(job, r), job)
+                 for r in range(job.realizations)]
+        assert [tuple(rec) for rec in zip(stats.p_foc, stats.sigma_f)] == alone
+
+
 class TestPlaneWaveBroadening:
     def test_unperturbed_hamiltonian_gives_zero(self, chain):
         terms = build_couplings(chain, NearestNeighbor(1.0))
@@ -248,6 +285,42 @@ class TestPlaneWaveBroadening:
         k = 2 * np.pi * 10 / 101
         assert plane_wave_broadening(moved, clean, k) == pytest.approx(
             plane_wave_broadening(moved, clean, k, table=chain), abs=1e-13)
+
+
+class TestBroadeningScenario:
+    def test_each_realization_is_built_once(self, tmp_path, monkeypatch):
+        from spinlens import disorder, scenarios
+        from spinlens.scenarios import _ensemble_job, prepare_config, run_scenario
+
+        cfg = prepare_config({
+            "scenario": "displacement", "master_seed": 4,
+            "lattice": {"extents": [40]}, "packet": {"sigma0": 4.0},
+            "coupling": {"model": "powerlaw", "alpha": 6.0},
+            "disorder": {"delta": 0.01, "realizations": 3},
+            "broadening": {"ks": [0.5, 1.0, 1.5], "realizations": 4}})
+        job, _ = _ensemble_job(cfg, Displacement(0.01))
+        clean = build_couplings(job.table, job.model)
+        want = []
+        for k in cfg["broadening"]["ks"]:
+            k = 2.0 * math.pi * round(k * 40 / (2.0 * math.pi)) / 40
+            vals = [plane_wave_broadening(
+                build_couplings(_realization_table(job, r), job.model), clean, k,
+                job.table) for r in range(4)]
+            want.append([k, float(np.mean(vals)), float(np.std(vals, ddof=1))])
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return build_couplings(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "build_couplings", counted)
+        monkeypatch.setattr(disorder, "build_couplings", counted)
+        derived, _ = run_scenario(cfg, tmp_path)
+        # clean protocol, 3 ensemble realizations, clean broadening
+        # reference, and each of the 4 broadening realizations once
+        assert len(calls) == 1 + 3 + 1 + 4
+        assert derived["broadening"] == want
 
 
 class TestDisplacementScaling:

@@ -40,3 +40,11 @@ def test_every_traced_name_resolves():
 
 def test_every_exported_name_resolves():
     assert [n for n in spinlens.__all__ if not hasattr(spinlens, n)] == []
+
+
+def test_batched_propagation_is_exported():
+    from spinlens import propagator
+
+    for name in ("expimv_batch", "split_stacks", "trajectory_batch"):
+        assert name in spinlens.__all__
+        assert getattr(spinlens, name) is getattr(propagator, name)

@@ -8,6 +8,9 @@ from scipy.integrate import solve_ivp
 from spinlens import lens
 from spinlens.lattice import (NearestNeighbor, PowerLaw, build_lattice,
                               displace_sites)
+from spinlens.propagator import trajectory
+from spinlens.wavepacket import (SpinWaveState, evolve, gaussian_width,
+                                 phase_imprint)
 from spinlens.lens import (ContinuumPrediction, Multifocal, ThickPolynomial,
                            ThinPulse, band_potential, continuum_thick,
                            continuum_thin, corrected_focal_time,
@@ -471,11 +474,11 @@ def _fake_evaluations(monkeypatch, width, at_edge=False):
     designs evaluated, in order."""
     calls = []
 
-    def fake(design, *_):
-        calls.append(design)
-        return 1.0, width(design), at_edge
+    def fake(designs, *_):
+        calls.extend(designs)
+        return [(1.0, width(d), at_edge) for d in designs]
 
-    monkeypatch.setattr(lens, "_eval_design", fake)
+    monkeypatch.setattr(lens, "_eval_designs", fake)
     return calls
 
 
@@ -533,3 +536,69 @@ class TestOptimizerContract:
         assert res.design.coefficients[0] == max(strengths)
         assert not _narrowest(res)["at_edge"]
         assert res.boundary
+
+
+def _reference_eval_design(design, table, base_terms, psi0, hopping, n_time, tol,
+                           retried=None):
+    """One design evaluated alone, step by step with ``evolve`` and
+    ``trajectory``: the reference for the batched ``lens._eval_designs``.
+    Appends the design to ``retried`` when its first window is extended."""
+    if isinstance(design, ThickPolynomial):
+        t_est = math.pi / (4.0 * math.sqrt(design.coefficients[0] * hopping))
+        terms = lens.clipped_thick_terms(base_terms, design, table, hopping)
+        state = psi0
+    else:
+        t_est = continuum_thin(design.phi0, max(gaussian_width(psi0, table), 1.0),
+                               hopping).focal_time
+        terms = base_terms
+        state = phase_imprint(psi0, thin_phase_profile(design, table))
+    window = (0.5 * t_est, 1.5 * t_est)
+    for attempt in range(3):
+        times = np.linspace(*window, n_time)
+        start = evolve(terms, state, times[0], tol=tol) if times[0] > 0 else state
+        dt = times[1] - times[0]
+        widths = [gaussian_width(start, table)]
+        for _, amp in trajectory(terms.matrix(), start.amplitudes, dt, n_time - 1,
+                                 tol=tol, bounds=terms.bounds()):
+            widths.append(gaussian_width(SpinWaveState(amp), table))
+        widths = np.array(widths)
+        i = int(np.argmin(widths))
+        at_edge = i == 0 or i == n_time - 1
+        t_f, w_f = times[i], widths[i]
+        vertex = None if at_edge else lens._parabola_vertex(widths, i)
+        if vertex is not None:
+            t_ref = times[i] + vertex[0] * dt
+            w_ref = gaussian_width(evolve(terms, state, t_ref, tol=tol), table)
+            if w_ref < w_f:
+                t_f, w_f = t_ref, w_ref
+        if not at_edge:
+            break
+        if attempt == 0 and retried is not None:
+            retried.append(design)
+        lo, hi = window
+        window = (0.25 * lo, hi) if t_f <= lo * 1.01 else (lo, 2.0 * hi)
+    return t_f, w_f, at_edge
+
+
+class TestBatchedEvaluation:
+    @pytest.mark.parametrize("n, sigma0, kw, retries", [
+        (80, 6.0, dict(kind="thick", n_time=40), False),
+        (80, 6.0, dict(kind="thin", n_time=40), False),
+        (60, 5.0, dict(kind="thick", order=4, n_time=30), False),
+        (40, 4.0, dict(kind="thin", n_time=20), True)],
+        ids=["thick2", "thin", "thick4", "thin-window-retries"])
+    def test_equals_per_design_evaluation(self, monkeypatch, n, sigma0, kw, retries):
+        table = build_lattice((n,))
+        batched = optimize_lens(table, NearestNeighbor(1.0), sigma0, **kw)
+        retried = []
+        monkeypatch.setattr(lens, "_eval_designs", lambda designs, *args: [
+            _reference_eval_design(d, *args, retried=retried) for d in designs])
+        alone = optimize_lens(table, NearestNeighbor(1.0), sigma0, **kw)
+        assert batched.scan == alone.scan
+        assert (batched.design, batched.focal_time, batched.focal_width,
+                batched.boundary) == (alone.design, alone.focal_time,
+                                      alone.focal_width, alone.boundary)
+        if kw.get("order", 2) > 2:
+            assert any(s["design"].coefficients[1] != 0.0 for s in alone.scan)
+        if retries:   # several designs extend their window in one batch
+            assert len(retried) > 1

@@ -9,8 +9,10 @@ from spinlens.lattice import NearestNeighbor, build_couplings, build_lattice
 from spinlens.lens import ThickPolynomial, potential_profile
 from spinlens.manybody import (build_mb_hamiltonian, enumerate_basis, even_path,
                                evolve_mb, mb_trajectory, symmetric_initial_state)
-from spinlens.propagator import (_MAX_PHASE_PER_STEP, TOL_RANGE, expimv,
-                                 spectral_bounds, trajectory)
+from spinlens import propagator
+from spinlens.propagator import (_MAX_PHASE_PER_STEP, _STACK_NNZ, TOL_RANGE,
+                                 _StepPlan, expimv, expimv_batch, spectral_bounds,
+                                 trajectory, trajectory_batch)
 from spinlens.wavepacket import evolve, gaussian_packet
 
 from conftest import dense_evolution, random_hermitian
@@ -193,6 +195,139 @@ class TestTrajectory:
         assert np.array_equal(h.indices, indices)
         assert np.array_equal(h.indptr, indptr)
         assert np.array_equal(psi, psi_before)
+
+
+def chain(n, diagonal):
+    """Nearest-neighbour chain Hamiltonian diag(eps) - J as canonical CSR."""
+    off = np.ones(n - 1)
+    return (sp.diags(diagonal) - sp.diags([off, off], [-1, 1])).tocsr()
+
+
+class TestBatchedPlan:
+    """Stacked blocks (module docstring of ``propagator``) give each block
+    exactly what it gives alone, i.e. a batch of one, i.e. ``expimv``."""
+
+    @pytest.fixture
+    def blocks(self, rng):
+        """(h, psi, t, bounds): different diagonals, so different bounds and
+        coefficient counts; a block whose half*t exceeds the per-step phase
+        cap next to one-sub-step blocks; a t = 0 block; three equal blocks,
+        which share one coefficient set; and one block of another dimension."""
+        n, x = 24, np.arange(24) - 11.5
+        out = []
+        for scale in (0.01, 0.3, 2.0, 40.0):
+            h = chain(n, scale * x**2 + rng.normal(size=n))
+            out.append((h, normalized(rng, n), 1.7, None))
+        big = chain(n, np.linspace(-1000.0, 1000.0, n))   # half * t ~ 4e4
+        out.append((big, normalized(rng, n), 40.0, spectral_bounds(big)))
+        out.append((chain(n, x**2), normalized(rng, n), 0.0, None))
+        shared = chain(n, 0.1 * x**2)
+        for _ in range(3):
+            out.append((shared, normalized(rng, n), -0.9, spectral_bounds(shared)))
+        out.append((chain(9, rng.normal(size=9)), normalized(rng, 9), 2.2, None))
+        return out
+
+    def test_each_block_equals_expimv(self, blocks):
+        tol = 1e-10
+        hs, _, ts, bounds = zip(*blocks)
+        plan = _StepPlan(hs, ts, tol, bounds)
+        # the cases really share stacks, with different coefficient counts
+        # and sub-step counts
+        assert any(len(s.order) > 1 for s in plan.stacks)
+        assert len({len(s.coef) for s in plan.stacks}) > 1
+        assert any(s.n_sub > 1 for s in plan.stacks)
+        for s in plan.stacks:   # longest coefficient set first
+            counts = (s.coef[:, :, 0] != 0).sum(axis=0)
+            assert list(counts) == sorted(counts, reverse=True)
+        stacked = list(expimv_batch(blocks, tol=tol))
+        assert len(stacked) == len(blocks)
+        for (h, psi, t, bounds), got in zip(blocks, stacked):
+            alone = next(expimv_batch([(h, psi, t, bounds)], tol=tol))
+            assert np.array_equal(got, alone)
+            assert np.array_equal(got, expimv(h, psi, t, tol=tol, bounds=bounds))
+
+    def test_t0_block_is_a_copy(self, blocks):
+        i = [t for _, _, t, _ in blocks].index(0.0)
+        out, psi = list(expimv_batch(blocks))[i], blocks[i][1]
+        assert np.array_equal(out, psi) and out is not psi
+
+    def test_equal_blocks_share_one_coefficient_set(self, blocks, monkeypatch):
+        calls = []
+        real = propagator._chebyshev_coeffs
+
+        def counted(z, tol):
+            calls.append((z, tol))
+            return real(z, tol)
+
+        monkeypatch.setattr(propagator, "_chebyshev_coeffs", counted)
+        list(expimv_batch(blocks))
+        assert len(calls) == len(set(calls)) == len(blocks) - 1 - 2
+
+    def test_each_block_matches_dense_expm(self, blocks):
+        for (h, psi, t, _), got in zip(blocks, expimv_batch(blocks, tol=1e-12)):
+            want = scipy.linalg.expm(-1j * t * h.toarray()) @ psi
+            assert np.linalg.norm(got - want) < 1e-8
+
+    def test_trajectory_matches_per_block_trajectories(self, blocks):
+        blocks = [b for b in blocks if b[2] != 0.0]
+        t0s = [0.1 * i for i in range(len(blocks))]
+        stacked = list(trajectory_batch(blocks, 4, tol=1e-9, t0s=t0s))
+        assert len(stacked) == 4
+        for i, (h, psi, dt, bounds) in enumerate(blocks):
+            alone = list(trajectory(h, psi, dt, 4, tol=1e-9, bounds=bounds, t0=t0s[i]))
+            for (ts, psis), (t, amp) in zip(stacked, alone):
+                assert ts[i] == t
+                assert np.array_equal(psis[i], amp)
+
+    def test_caller_arrays_are_not_modified(self, blocks):
+        before = [(h.data.copy(), h.indices.copy(), h.indptr.copy(), psi.copy())
+                  for h, psi, _, _ in blocks]
+        list(expimv_batch(blocks))
+        for _ in trajectory_batch([b for b in blocks if b[2] != 0.0], 2):
+            pass
+        for (h, psi, _, _), (data, indices, indptr, psi0) in zip(blocks, before):
+            assert h.dtype == np.float64
+            assert np.array_equal(h.data, data)
+            assert np.array_equal(h.indices, indices)
+            assert np.array_equal(h.indptr, indptr)
+            assert np.array_equal(psi, psi0)
+
+    def test_order_of_stored_entries_does_not_matter(self, rng):
+        """Each row sums in canonical (sorted) order, so a matrix with
+        unsorted indices, such as a sparse product gives, propagates bit for
+        bit like its sorted copy."""
+        blocks, shuffled = [], []
+        for _ in range(3):
+            h = random_hermitian(30, rng, density=0.5).real.tocsr()
+            data, indices = h.data.copy(), h.indices.copy()
+            for r in range(h.shape[0]):
+                row = np.arange(h.indptr[r], h.indptr[r + 1])
+                mixed = rng.permutation(row)
+                data[row], indices[row] = data[mixed], indices[mixed]
+            h_rev = sp.csr_matrix((data, indices, h.indptr.copy()), shape=h.shape)
+            assert not h_rev.has_sorted_indices
+            # given bounds: spectral_bounds(h_rev) would sort h_rev in place
+            psi, bounds = normalized(rng, 30), spectral_bounds(h)
+            blocks.append((h, psi, 2.5, bounds))
+            shuffled.append((h_rev, psi, 2.5, bounds))
+        for got, want in zip(expimv_batch(shuffled), expimv_batch(blocks)):
+            assert np.array_equal(got, want)
+        assert not any(h.has_sorted_indices for h, *_ in shuffled)
+
+    def test_stacks_stay_under_the_nonzero_budget(self, rng):
+        n = 300
+        hs = [chain(n, rng.normal(size=n)) for _ in range(120)]
+        hs.append(chain(_STACK_NNZ // 2, np.zeros(_STACK_NNZ // 2)))  # over alone
+        plan = _StepPlan(hs, [0.5] * len(hs), 1e-10, [None] * len(hs))
+        assert len(plan.stacks) > 2
+        for stack in plan.stacks:
+            assert stack.h_scaled.nnz <= _STACK_NNZ or len(stack.order) == 1
+        assert sorted(i for s in plan.stacks for i in s.order) == list(range(len(hs)))
+
+    def test_state_length_checked(self, blocks):
+        h, psi, t, bounds = blocks[0]
+        with pytest.raises(ValueError):
+            list(expimv_batch([blocks[1], (h, psi[:-1], t, bounds)]))
 
 
 def test_spectral_bounds_enclose_eigenvalues(rng):
