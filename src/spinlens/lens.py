@@ -22,8 +22,9 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
 
 from .lattice import CouplingModel, NearestNeighbor, SiteTable, build_couplings
-from .propagator import expimv_batch, split_stacks, trajectory_batch
-from .wavepacket import SpinWaveState, gaussian_packet, gaussian_width, phase_imprint
+from .propagator import expimv_batch, split_stacks, window_batch
+from .wavepacket import (SpinWaveState, gaussian_packet, gaussian_width, gaussian_widths,
+                         phase_imprint)
 
 
 # --- designs ----------------------------------------------------------------
@@ -463,9 +464,12 @@ def _width_minima(cases, table, n_time, tol):
     """Minimum packet width over a time window, by scan plus parabolic
     refine, for each case (terms, initial state, window).
 
-    The cases are propagated together: the step to each window's start,
-    the ``n_time - 1`` scan steps and the refine steps are one batch each,
-    and every state equals bit for bit what the case gives alone.
+    The cases are propagated together: one batch steps each to its
+    window's start, :func:`spinlens.propagator.window_batch` samples the
+    remaining ``n_time - 1`` times segment by segment, whose widths are
+    taken at once, and one batch refines each from its narrowest sample by
+    the parabola's sub-step offset. Only the narrowest state of each case
+    is kept, and every result equals bit for bit what the case gives alone.
     Returns one (t_min, w_min, at_edge) per case.
     """
     times = [np.linspace(t0, t1, n_time) for _, _, (t0, t1) in cases]
@@ -473,24 +477,29 @@ def _width_minima(cases, table, n_time, tol):
     starts = expimv_batch(
         ((terms.matrix(), psi0.amplitudes, ts[0] if ts[0] > 0 else 0.0, terms.bounds())
          for (terms, psi0, _), ts in zip(cases, times)), tol=tol)
-    widths, steps = [], []
+    widths, best, samples = [], [], []
     for (terms, _, _), ts, amp in zip(cases, times, starts):
-        widths.append([gaussian_width(SpinWaveState(amp), table)])
-        steps.append((terms.matrix(), amp, ts[1] - ts[0], terms.bounds()))
-    for _, amps in trajectory_batch(steps, n_time - 1, tol=tol):
-        for w, amp in zip(widths, amps):
-            w.append(gaussian_width(SpinWaveState(amp), table))
+        w = np.empty(n_time)
+        w[0] = gaussian_width(SpinWaveState(amp), table)
+        widths.append(w)
+        best.append((0, amp))
+        samples.append((terms.matrix(), amp, ts[1] - ts[0], terms.bounds()))
+    for c, j, states in window_batch(samples, n_time - 1, tol=tol):
+        w = widths[c]
+        w[j:j + len(states)] = gaussian_widths(states, table)
+        i = j + int(np.argmin(w[j:j + len(states)]))
+        if w[i] < w[best[c][0]]:   # the first of equal widths stays
+            best[c] = (i, states[i - j].copy())
+        del states   # a view on the window's buffer, which the next segment reuses
     found, refine = [], []
-    for (terms, psi0, _), ts, w in zip(cases, times, widths):
-        w = np.array(w)
-        i = int(np.argmin(w))
+    for (terms, _, _), ts, w, (i, amp) in zip(cases, times, widths, best):
         at_edge = i == 0 or i == n_time - 1
         found.append([ts[i], w[i], at_edge])
         vertex = None if at_edge else _parabola_vertex(w, i)
         if vertex is not None:
-            t_ref = ts[i] + vertex[0] * (ts[1] - ts[0])
-            refine.append((len(found) - 1, t_ref,
-                           (terms.matrix(), psi0.amplitudes, t_ref, terms.bounds())))
+            shift = vertex[0] * (ts[1] - ts[0])
+            refine.append((len(found) - 1, ts[i] + shift,
+                           (terms.matrix(), amp, shift, terms.bounds())))
     refined = expimv_batch((r[2] for r in refine), tol=tol)
     for (j, t_ref, _), amp in zip(refine, refined):
         w_ref = gaussian_width(SpinWaveState(amp), table)
@@ -568,16 +577,22 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
     [0.1, 10] x (the scaling estimate from :func:`thresholds`), extended one
     decade if the narrowest point sits on a grid end, then refined by bounded
     scalar minimization; the time minimum within each evolution is found by
-    an ``n_time``-point scan plus parabolic refinement. For thick lenses of
-    order > 2 the higher coefficients are optimized by coordinate descent in
-    two sweeps: each one in turn is scanned over multiples
+    an ``n_time``-point scan plus parabolic refinement: one step to the
+    window's start, the other ``n_time - 1`` samples from one Chebyshev
+    recurrence per window segment
+    (:func:`spinlens.propagator.window_batch`), and one step from the
+    narrowest sample by the parabola vertex's offset, a fraction of a
+    sample. For thick lenses of order > 2 the higher coefficients are
+    optimized by coordinate descent in two sweeps: each one in turn is
+    scanned over multiples
     ``_CORRECTION_GRID`` = (0, 0.5, 1, 1.5, 2) of its value on the classical
     isochrone of the band (see ``_isochrone_coefficients``), then the leading
     strength is retried at x0.8 and x1.25. Thin pulses are parabolic.
 
     The designs of a stage are evaluated together, as one batch of
-    independent evolutions per propagation step (as many designs at a time
-    as fit one stacked operator, see :func:`spinlens.propagator.split_stacks`):
+    independent evolutions for the start step, the window scan and the
+    refine step (as many designs at a time as fit one stacked operator, see
+    :func:`spinlens.propagator.split_stacks`):
     the stage-1 grid, its extension, each stage-3 correction grid and the
     x0.8/x1.25 retries; window-extension retries are batched among the
     designs that need them, and stage 2 asks for one design at a time. Each

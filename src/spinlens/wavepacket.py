@@ -156,6 +156,18 @@ def gaussian_width(state: SpinWaveState, table: SiteTable) -> float:
     return float(np.sqrt(2.0 / table.dim) * rms_width(state, table))
 
 
+def gaussian_widths(amps: np.ndarray, table: SiteTable) -> np.ndarray:
+    """:func:`gaussian_width` of every state in ``amps`` (..., n_sites),
+    one numpy pass over the same two-pass formula (centroid, then the rms
+    about it)."""
+    p = np.abs(amps) ** 2
+    w = p.sum(axis=-1)
+    c = (p[..., None] * table.positions).sum(axis=-2) / w[..., None]
+    dx = table.positions - c[..., None, :]
+    rms = np.sqrt((p * (dx * dx).sum(axis=-1)).sum(axis=-1) / w)
+    return np.sqrt(2.0 / table.dim) * rms
+
+
 def focus_probability(state: SpinWaveState, table: SiteTable, focus,
                       radius: float = FOCUS_RADIUS) -> float:
     """Total excitation probability within ``radius`` of ``focus``.

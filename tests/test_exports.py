@@ -45,6 +45,13 @@ def test_every_exported_name_resolves():
 def test_batched_propagation_is_exported():
     from spinlens import propagator
 
-    for name in ("expimv_batch", "split_stacks", "trajectory_batch"):
+    for name in ("expimv_batch", "split_stacks", "trajectory_batch", "window_batch"):
         assert name in spinlens.__all__
         assert getattr(spinlens, name) is getattr(propagator, name)
+
+
+def test_batched_widths_are_exported():
+    from spinlens import wavepacket
+
+    assert "gaussian_widths" in spinlens.__all__
+    assert spinlens.gaussian_widths is wavepacket.gaussian_widths

@@ -6,11 +6,11 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from spinlens import lens
-from spinlens.lattice import (NearestNeighbor, PowerLaw, build_lattice,
-                              displace_sites)
+from spinlens.lattice import (NearestNeighbor, PowerLaw, build_couplings,
+                              build_lattice, displace_sites)
 from spinlens.propagator import trajectory
-from spinlens.wavepacket import (SpinWaveState, evolve, gaussian_width,
-                                 phase_imprint)
+from spinlens.wavepacket import (SpinWaveState, evolve, gaussian_packet,
+                                 gaussian_width, phase_imprint)
 from spinlens.lens import (ContinuumPrediction, Multifocal, ThickPolynomial,
                            ThinPulse, band_potential, continuum_thick,
                            continuum_thin, corrected_focal_time,
@@ -538,11 +538,41 @@ class TestOptimizerContract:
         assert res.boundary
 
 
+def _stepwise_minimum(terms, state, window, table, n_time, tol):
+    """A window scanned step by step with ``evolve`` and ``trajectory`` and
+    refined from the initial state: the evaluation the window recurrence
+    replaced, kept as an independent check."""
+    times = np.linspace(*window, n_time)
+    start = evolve(terms, state, times[0], tol=tol) if times[0] > 0 else state
+    dt = times[1] - times[0]
+    widths = [gaussian_width(start, table)]
+    for _, amp in trajectory(terms.matrix(), start.amplitudes, dt, n_time - 1,
+                             tol=tol, bounds=terms.bounds()):
+        widths.append(gaussian_width(SpinWaveState(amp), table))
+    widths = np.array(widths)
+    i = int(np.argmin(widths))
+    at_edge = i == 0 or i == n_time - 1
+    t_f, w_f = times[i], widths[i]
+    vertex = None if at_edge else lens._parabola_vertex(widths, i)
+    if vertex is not None:
+        t_ref = times[i] + vertex[0] * dt
+        w_ref = gaussian_width(evolve(terms, state, t_ref, tol=tol), table)
+        if w_ref < w_f:
+            t_f, w_f = t_ref, w_ref
+    return t_f, w_f, at_edge
+
+
+def _alone_minimum(terms, state, window, table, n_time, tol):
+    """A window scanned for one design alone, through the optimizer's path."""
+    return lens._width_minima([(terms, state, window)], table, n_time, tol)[0]
+
+
 def _reference_eval_design(design, table, base_terms, psi0, hopping, n_time, tol,
-                           retried=None):
-    """One design evaluated alone, step by step with ``evolve`` and
-    ``trajectory``: the reference for the batched ``lens._eval_designs``.
-    Appends the design to ``retried`` when its first window is extended."""
+                           retried=None, minimum=_alone_minimum):
+    """One design evaluated alone, its window estimated and extended here:
+    the reference for the batched ``lens._eval_designs``. ``minimum`` scans
+    one window. Appends the design to ``retried`` when its first window is
+    extended."""
     if isinstance(design, ThickPolynomial):
         t_est = math.pi / (4.0 * math.sqrt(design.coefficients[0] * hopping))
         terms = lens.clipped_thick_terms(base_terms, design, table, hopping)
@@ -554,23 +584,7 @@ def _reference_eval_design(design, table, base_terms, psi0, hopping, n_time, tol
         state = phase_imprint(psi0, thin_phase_profile(design, table))
     window = (0.5 * t_est, 1.5 * t_est)
     for attempt in range(3):
-        times = np.linspace(*window, n_time)
-        start = evolve(terms, state, times[0], tol=tol) if times[0] > 0 else state
-        dt = times[1] - times[0]
-        widths = [gaussian_width(start, table)]
-        for _, amp in trajectory(terms.matrix(), start.amplitudes, dt, n_time - 1,
-                                 tol=tol, bounds=terms.bounds()):
-            widths.append(gaussian_width(SpinWaveState(amp), table))
-        widths = np.array(widths)
-        i = int(np.argmin(widths))
-        at_edge = i == 0 or i == n_time - 1
-        t_f, w_f = times[i], widths[i]
-        vertex = None if at_edge else lens._parabola_vertex(widths, i)
-        if vertex is not None:
-            t_ref = times[i] + vertex[0] * dt
-            w_ref = gaussian_width(evolve(terms, state, t_ref, tol=tol), table)
-            if w_ref < w_f:
-                t_f, w_f = t_ref, w_ref
+        t_f, w_f, at_edge = minimum(terms, state, window, table, n_time, tol)
         if not at_edge:
             break
         if attempt == 0 and retried is not None:
@@ -580,13 +594,16 @@ def _reference_eval_design(design, table, base_terms, psi0, hopping, n_time, tol
     return t_f, w_f, at_edge
 
 
+_CASES = [
+    (80, 6.0, dict(kind="thick", n_time=40), False),
+    (80, 6.0, dict(kind="thin", n_time=40), False),
+    (60, 5.0, dict(kind="thick", order=4, n_time=30), False),
+    (40, 4.0, dict(kind="thin", n_time=20), True)]
+_CASE_IDS = ["thick2", "thin", "thick4", "thin-window-retries"]
+
+
 class TestBatchedEvaluation:
-    @pytest.mark.parametrize("n, sigma0, kw, retries", [
-        (80, 6.0, dict(kind="thick", n_time=40), False),
-        (80, 6.0, dict(kind="thin", n_time=40), False),
-        (60, 5.0, dict(kind="thick", order=4, n_time=30), False),
-        (40, 4.0, dict(kind="thin", n_time=20), True)],
-        ids=["thick2", "thin", "thick4", "thin-window-retries"])
+    @pytest.mark.parametrize("n, sigma0, kw, retries", _CASES, ids=_CASE_IDS)
     def test_equals_per_design_evaluation(self, monkeypatch, n, sigma0, kw, retries):
         table = build_lattice((n,))
         batched = optimize_lens(table, NearestNeighbor(1.0), sigma0, **kw)
@@ -602,3 +619,20 @@ class TestBatchedEvaluation:
             assert any(s["design"].coefficients[1] != 0.0 for s in alone.scan)
         if retries:   # several designs extend their window in one batch
             assert len(retried) > 1
+
+    @pytest.mark.parametrize("n, sigma0, kw, retries", _CASES, ids=_CASE_IDS)
+    def test_agrees_with_stepwise_evaluation(self, n, sigma0, kw, retries):
+        """Every scanned design, evaluated step by step instead, lands on
+        the same window sample; its focal width agrees to 1e-7 and its
+        focal time to 1e-6, relative (the documented tolerance)."""
+        table, model = build_lattice((n,)), NearestNeighbor(1.0)
+        res = optimize_lens(table, model, sigma0, **kw)
+        base = build_couplings(table, model)
+        psi0 = gaussian_packet(table, sigma0, center=table.center())
+        for entry in res.scan:
+            t_f, w_f, at_edge = _reference_eval_design(
+                entry["design"], table, base, psi0, 1.0, kw["n_time"], 1e-8,
+                minimum=_stepwise_minimum)
+            assert at_edge == entry["at_edge"]
+            assert abs(entry["focal_width"] - w_f) <= 1e-7 * w_f
+            assert abs(entry["focal_time"] - t_f) <= 1e-6 * t_f

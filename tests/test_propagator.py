@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,9 +11,10 @@ from spinlens.lens import ThickPolynomial, potential_profile
 from spinlens.manybody import (build_mb_hamiltonian, enumerate_basis, even_path,
                                evolve_mb, mb_trajectory, symmetric_initial_state)
 from spinlens import propagator
-from spinlens.propagator import (_MAX_PHASE_PER_STEP, _STACK_NNZ, TOL_RANGE,
-                                 _StepPlan, expimv, expimv_batch, spectral_bounds,
-                                 trajectory, trajectory_batch)
+from spinlens.propagator import (_MAX_PHASE_PER_STEP, _STACK_NNZ, _WINDOW_BYTES,
+                                 _WINDOW_PHASE, _WINDOW_TERMS, TOL_RANGE, _StepPlan,
+                                 _bessel_table, expimv, expimv_batch, spectral_bounds,
+                                 trajectory, trajectory_batch, window_batch)
 from spinlens.wavepacket import evolve, gaussian_packet
 
 from conftest import dense_evolution, random_hermitian
@@ -255,9 +257,9 @@ class TestBatchedPlan:
         calls = []
         real = propagator._chebyshev_coeffs
 
-        def counted(z, tol):
-            calls.append((z, tol))
-            return real(z, tol)
+        def counted(zs, tol):
+            calls.extend((z, tol) for z in zs)
+            return real(zs, tol)
 
         monkeypatch.setattr(propagator, "_chebyshev_coeffs", counted)
         list(expimv_batch(blocks))
@@ -328,6 +330,153 @@ class TestBatchedPlan:
         h, psi, t, bounds = blocks[0]
         with pytest.raises(ValueError):
             list(expimv_batch([blocks[1], (h, psi[:-1], t, bounds)]))
+
+
+def windowed(blocks, n_samples, tol=1e-10):
+    """{block index: (n_samples, dim) states} and {block index: segment
+    lengths} from one ``window_batch`` call."""
+    states, segments = {}, {}
+    for i, j, rows in window_batch(blocks, n_samples, tol):
+        assert j == 1 + sum(segments.get(i, []))   # in order, no gap
+        segments.setdefault(i, []).append(len(rows))
+        states.setdefault(i, []).extend(rows.copy())   # the next segment overwrites rows
+    return {i: np.array(v) for i, v in states.items()}, segments
+
+
+class TestWindow:
+    """Samples at dt, ..., n dt of each block from one recurrence per
+    segment (module docstring of ``propagator``)."""
+
+    @pytest.fixture
+    def blocks(self, rng):
+        """(h, psi, dt, bounds): chains with different diagonals, so
+        different phases per sample and segment lengths; a negative dt; a
+        block whose phase per sample passes ``_WINDOW_PHASE``; a dense block
+        (a larger share of the byte budget); one of another dimension."""
+        n, x = 40, np.arange(40) - 19.5
+        out = []
+        for scale in (0.01, 0.3, 2.0):
+            h = chain(n, scale * x**2 + rng.normal(size=n))
+            out.append((h, normalized(rng, n), 0.37, None))
+        h = chain(n, 0.1 * x**2)
+        out.append((h, normalized(rng, n), -0.21, spectral_bounds(h)))
+        big = chain(n, np.linspace(-2000.0, 2000.0, n))
+        out.append((big, normalized(rng, n), 0.015, None))
+        out.append((random_hermitian(n, rng, density=0.6), normalized(rng, n), 0.8, None))
+        out.append((chain(9, rng.normal(size=9)), normalized(rng, 9), 0.5, None))
+        return out
+
+    def test_matches_dense_expm(self, blocks):
+        tol, n_samples = 1e-10, 30
+        states, _ = windowed(blocks, n_samples, tol)
+        for i, (h, psi, dt, _) in enumerate(blocks):
+            for j, got in enumerate(states[i], start=1):
+                want = scipy.linalg.expm(-1j * dt * j * h.toarray()) @ psi
+                assert np.linalg.norm(got - want) <= 10 * tol
+
+    def test_matches_trajectory(self, blocks):
+        """Within 10 tol per step the trajectory takes to the sample."""
+        tol, n_samples = 1e-10, 30
+        states, _ = windowed(blocks, n_samples, tol)
+        for i, (h, psi, dt, bounds) in enumerate(blocks):
+            steps = [amp for _, amp in trajectory(h, psi, dt, n_samples, tol, bounds)]
+            gaps = np.linalg.norm(states[i] - steps, axis=1)
+            assert np.all(gaps <= 10 * tol * np.arange(1, n_samples + 1))
+
+    def test_block_in_a_mixed_batch_equals_block_alone(self, blocks):
+        states, segments = windowed(blocks, 25)
+        # the batch really mixes segment lengths and dimensions
+        assert len({tuple(v) for v in segments.values()}) > 2
+        for i, block in enumerate(blocks):
+            alone, alone_segments = windowed([block], 25)
+            assert alone_segments[0] == segments[i]
+            assert np.array_equal(alone[0], states[i])
+
+    def test_segments_are_cut_by_the_phase_cap(self, blocks):
+        h, psi, dt, _ = blocks[4]
+        lo, hi = spectral_bounds(h)
+        step = 0.5 * (hi - lo) * dt
+        _, segments = windowed([blocks[4]], 12)
+        per_segment = int(_WINDOW_PHASE / (step * (1.0 + 1e-12)))
+        assert 1 < per_segment < 12
+        assert segments[0] == [per_segment] * (12 // per_segment) + (
+            [12 % per_segment] if 12 % per_segment else [])
+
+    def test_segments_are_cut_by_the_byte_budget(self, blocks, monkeypatch):
+        """A block's samples and buffered terms fit its share of the budget,
+        its share of the stack's nonzeros; a smaller budget gives shorter
+        segments and the same states within tol."""
+        tol, chains = 1e-10, blocks[:2]     # two chains of equal nonzeros
+        full, segments = windowed(chains, 30, tol)
+        h = chains[0][0]
+        share = (h.nnz + 40) / _STACK_NNZ
+        assert segments[0][0] == int(_WINDOW_BYTES * share / (16 * 40)) - _WINDOW_TERMS
+        budget = int(16 * 40 * (_WINDOW_TERMS + 3.5) / share)
+        monkeypatch.setattr(propagator, "_WINDOW_BYTES", budget)
+        small, segments = windowed(chains, 30, tol)
+        for i in range(2):
+            assert segments[i] == [3] * 10
+            assert np.linalg.norm(small[i] - full[i], axis=1).max() <= 10 * tol
+
+    def test_validation(self, blocks):
+        h, psi, dt, bounds = blocks[0]
+        with pytest.raises(ValueError):
+            list(window_batch([(h, psi[:-1], dt, bounds)], 3))
+        with pytest.raises(ValueError):
+            list(window_batch([(h, psi, 0.0, bounds)], 3))
+        with pytest.raises(ValueError):
+            list(window_batch([(h, psi, 2 * _MAX_PHASE_PER_STEP, (-1.0, 1.0))], 3))
+        with pytest.raises(ValueError):
+            list(window_batch([blocks[0]], 3, tol=1e-3))
+
+
+@pytest.mark.parametrize("z", [0.02, 6.0, 150.0, 600.0, 3000.0])
+def test_bessel_table_matches_mpmath(z):
+    """Miller's recurrence against arbitrary precision, on a sample of the
+    kept orders and the four past the truncation, at two tolerances; each
+    phase alone equals its column in a table shared with other phases."""
+    mpmath.mp.dps = 20
+    shared, shared_counts = _bessel_table(np.array([3.0, z, 0.0, 2.0 * z]), 2.5e-9)
+    for tol in (2.5e-9, 2.5e-15):
+        table, counts = _bessel_table(np.array([z]), tol)
+        n = int(counts[0])
+        ks = np.unique(np.r_[0:4, np.linspace(0, n - 1, 24).astype(int), n - 1:n + 4])
+        want = np.array([float(mpmath.besselj(int(k), z)) for k in ks])
+        assert np.abs(table[ks, 0] - want).max() <= 3e-15
+        # truncation: four orders past the count below tol, the last kept not
+        assert np.all(np.abs(want[-4:]) < tol)
+        assert n - 1 <= z or abs(want[-5]) >= tol
+        if tol == 2.5e-9:
+            assert shared_counts[1] == n
+            assert np.array_equal(shared[:len(table), 1], table[:, 0])
+            assert np.all(shared[len(table):, 1] == 0.0)
+
+
+def test_spectral_bounds_leave_the_matrix_alone(rng):
+    """Unsorted indices and duplicate entries stay as the caller stored
+    them; the bounds equal those of the canonical matrix."""
+    h = random_hermitian(30, rng, density=0.5)
+    data, indices = h.data.copy(), h.indices.copy()
+    for r in range(h.shape[0]):
+        row = np.arange(h.indptr[r], h.indptr[r + 1])
+        mixed = rng.permutation(row)
+        data[row], indices[row] = data[mixed], indices[mixed]
+    unsorted = sp.csr_matrix((data, indices, h.indptr.copy()), shape=h.shape)
+    # the same matrix with each entry of row 0 split in two halves
+    n0 = h.indptr[1]
+    dup = sp.csr_matrix((
+        np.r_[h.data[:n0] / 2, h.data[:n0] / 2, h.data[n0:]],
+        np.r_[h.indices[:n0], h.indices[:n0], h.indices[n0:]],
+        np.r_[0, h.indptr[1:] + n0]), shape=h.shape)
+    canonical = dup.copy()
+    canonical.sum_duplicates()
+    dup_data, dup_indices = dup.data.copy(), dup.indices.copy()
+    assert spectral_bounds(unsorted) == spectral_bounds(h)
+    assert spectral_bounds(dup) == spectral_bounds(canonical)
+    assert np.array_equal(unsorted.data, data)
+    assert np.array_equal(unsorted.indices, indices)
+    assert np.array_equal(dup.data, dup_data)
+    assert np.array_equal(dup.indices, dup_indices)
 
 
 def test_spectral_bounds_enclose_eigenvalues(rng):

@@ -8,7 +8,7 @@ from spinlens.lattice import (NearestNeighbor, build_couplings, build_lattice,
 from spinlens.lens import ThinPulse, continuum_thin, thin_phase_profile
 from spinlens.wavepacket import (SpinWaveState, apply_h, centroid, evolve,
                                  excitation_probability, focus_probability,
-                                 gaussian_packet, gaussian_width,
+                                 gaussian_packet, gaussian_width, gaussian_widths,
                                  phase_imprint, rms_width, wigner_lattice)
 
 from conftest import dense_evolution
@@ -266,3 +266,15 @@ def test_rms_width_minimal_about_centroid(seed, n, off):
     c = centroid(state, table)
     assert rms_width(state, table, center=c + off) >= \
         rms_width(state, table) - 1e-12
+
+
+@pytest.mark.parametrize("extents", [(200,), (13, 11), (5, 4, 3)])
+def test_batched_widths_equal_state_by_state(rng, extents):
+    """``gaussian_widths`` over a (2, 5, n_sites) batch equals
+    ``gaussian_width`` state by state, bit for bit, on displaced sites."""
+    table = displace_sites(build_lattice(extents),
+                           rng.normal(0.0, 0.1, (int(np.prod(extents)), len(extents))))
+    amps = rng.normal(size=(2, 5, table.n_sites)) + 1j * rng.normal(size=(2, 5, table.n_sites))
+    want = [[gaussian_width(SpinWaveState(a), table) for a in row] for row in amps]
+    assert np.array_equal(gaussian_widths(amps, table), want)
+    assert gaussian_widths(amps[1, 3], table) == want[1][3]
