@@ -10,7 +10,6 @@ from .lattice import (
     HamiltonianTerms,
     NearestNeighbor,
     PowerLaw,
-    RydbergDressed,
     SiteTable,
     build_couplings,
     build_lattice,
@@ -26,11 +25,8 @@ from .lens import (
     continuum_thick,
     continuum_thin,
     corrected_focal_time,
-    dispersion,
-    group_velocity,
     optimize_lens,
     potential_profile,
-    semiclassical_model,
     thin_phase_profile,
     thresholds,
 )
@@ -46,19 +42,17 @@ from .manybody import (
     pair_distance_distribution,
     symmetric_initial_state,
 )
-from .propagator import expimv_batch, split_stacks, trajectory_batch, window_batch
+from .propagator import expimv_batch, split_stacks, window_batch
 from .rydberg import (
     ChannelC6,
     DressingParams,
     dressed_couplings,
     effective_potentials,
     exchange_peak,
-    load_channel_table,
     vdw_iso_aniso,
 )
 from .wavepacket import (
     SpinWaveState,
-    apply_h,
     evolve,
     excitation_probability,
     focus_probability,
@@ -84,12 +78,10 @@ __all__ = [
     "NearestNeighbor",
     "OptimizeResult",
     "PowerLaw",
-    "RydbergDressed",
     "SiteTable",
     "SpinWaveState",
     "ThickPolynomial",
     "ThinPulse",
-    "apply_h",
     "blockade_radius",
     "build_couplings",
     "build_lattice",
@@ -98,7 +90,6 @@ __all__ = [
     "continuum_thin",
     "corrected_focal_time",
     "density_profile",
-    "dispersion",
     "displace_sites",
     "dressed_couplings",
     "effective_potentials",
@@ -112,20 +103,16 @@ __all__ = [
     "gaussian_packet",
     "gaussian_width",
     "gaussian_widths",
-    "group_velocity",
-    "load_channel_table",
     "optimize_lens",
     "pair_distance_distribution",
     "phase_imprint",
     "potential_profile",
     "punch_holes",
     "rms_width",
-    "semiclassical_model",
     "split_stacks",
     "symmetric_initial_state",
     "thin_phase_profile",
     "thresholds",
-    "trajectory_batch",
     "vdw_iso_aniso",
     "wigner_lattice",
     "window_batch",

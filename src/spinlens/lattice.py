@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .rydberg import DressingParams
-
 
 @dataclass
 class SiteTable:
@@ -169,43 +167,7 @@ class PowerLaw:
         return self.strength
 
 
-@dataclass(frozen=True)
-class RydbergDressed(DressingParams):
-    """Lattice coupling model built from dressed pair interactions.
-
-    Extends :class:`spinlens.rydberg.DressingParams` (c12 here is in units of
-    energy times a^6, so distances are in lattice spacings) with the pair
-    cutoff used for Hamiltonian assembly.
-
-    Hopping between excited/ground pairs is -W_sg/2 (positive for red
-    detuning); each active neighbor j adds V_sg(r_ij) - V_sg(inf) to the
-    diagonal of site i. The extensive constant N*V_sg(inf) is a global phase
-    in the fixed-excitation sector and is dropped; what remains is exactly the
-    hole- and edge-sensitive part of the background potential.
-    """
-
-    cutoff_range: float = 20.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.omega <= 0 or self.xi < 0:
-            raise ValueError("need omega > 0 and 0 <= xi < 1")
-        if self.cutoff_range <= 0:
-            raise ValueError("cutoff_range must be positive")
-
-    def pair_couplings(self, r):
-        """(V_sg, W_sg) at distances r (units of a)."""
-        from .rydberg import dressed_couplings
-
-        return dressed_couplings(self, np.asarray(r, dtype=float))
-
-    def reference_hopping(self) -> float:
-        """|W_sg(a)|/2, the hopping between unit-spaced neighbors."""
-        _, w = self.pair_couplings(np.array([1.0]))
-        return float(abs(w[0]) / 2.0)
-
-
-CouplingModel = NearestNeighbor | PowerLaw | RydbergDressed
+CouplingModel = NearestNeighbor | PowerLaw
 
 
 @dataclass
@@ -268,19 +230,18 @@ def _neighbor_offsets(dim: int, cutoff: float) -> np.ndarray:
 
 def build_couplings(table: SiteTable, model: CouplingModel,
                     lens_diagonal=None) -> HamiltonianTerms:
-    """Assemble hopping and background diagonal for a coupling model.
+    """Assemble the hopping matrix and on-site energies for a coupling model.
 
-    ``lens_diagonal`` (length N, energy units) is added on top of any
-    model-generated background; omitting it means zero on-site energy.
+    ``lens_diagonal`` (length N, energy units) sets the on-site energies, which
+    are zeroed at holes; omitting it means zero on-site energy.
     """
     n = table.n_sites
     extents = np.asarray(table.extents)
     strides = np.cumprod(np.concatenate(([1], extents[:0:-1])))[::-1]
-    diagonal = np.zeros(n)
 
     if isinstance(model, NearestNeighbor):
         offsets = _neighbor_offsets(table.dim, 1.0)
-    elif isinstance(model, (PowerLaw, RydbergDressed)):
+    elif isinstance(model, PowerLaw):
         offsets = _neighbor_offsets(table.dim, model.cutoff_range)
     else:
         raise TypeError(f"unknown coupling model {model!r}")
@@ -299,14 +260,7 @@ def build_couplings(table: SiteTable, model: CouplingModel,
             amp = np.full(i.size, model.strength)
         else:
             r = np.linalg.norm(table.positions[j] - table.positions[i], axis=1)
-            if isinstance(model, PowerLaw):
-                amp = model.strength / r**model.alpha
-            else:
-                v_sg, w_sg = model.pair_couplings(r)
-                amp = -w_sg / 2.0
-                v_inf = model.pair_couplings(np.array([np.inf]))[0][0]
-                np.add.at(diagonal, i, v_sg - v_inf)
-                np.add.at(diagonal, j, v_sg - v_inf)
+            amp = model.strength / r**model.alpha
         rows.extend([i, j])
         cols.extend([j, i])
         vals.extend([amp, amp])
@@ -319,6 +273,7 @@ def build_couplings(table: SiteTable, model: CouplingModel,
         hop.sum_duplicates()
     else:
         hop = sp.csr_matrix((n, n))
+    diagonal = np.zeros(n)
     if lens_diagonal is not None:
         extra = np.asarray(lens_diagonal, dtype=float)
         if extra.shape != (n,):

@@ -2,9 +2,8 @@
 
 Contains the potential/phase constructors (polynomial thick lenses, parabolic
 and aberration-corrected thin pulses, multifocal composites), the continuum
-closed forms for focal time and width, the lattice-correction thresholds, the
-Bloch-band dispersion for nearest-neighbor and power-law couplings, the
-strength/time optimizer, and the semiclassical single-trajectory model.
+closed forms for focal time and width, the lattice-correction thresholds and
+the strength/time optimizer.
 
 Unit conventions: lengths in units of the lattice spacing a, energies in units
 of the reference hopping J, times in 1/J. ``sigma0`` always means the Gaussian
@@ -14,14 +13,12 @@ width parameter of the excitation density (see :mod:`spinlens.wavepacket`).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import minimize_scalar
 
-from .lattice import CouplingModel, NearestNeighbor, SiteTable, build_couplings
+from .lattice import CouplingModel, SiteTable, build_couplings
 from .propagator import expimv_batch, split_stacks, window_batch
 from .wavepacket import (SpinWaveState, gaussian_packet, gaussian_width, gaussian_widths,
                          phase_imprint)
@@ -295,114 +292,6 @@ def thresholds(sigma0: float | None = None, v0: float | None = None,
     if phi0 is not None:
         out["k_c_thin"] = (24.0 * phi0) ** 0.25
     return out
-
-
-# --- dispersion -------------------------------------------------------------
-
-_SERIES_TOL = 1e-12
-_SERIES_CAP = 2_000_000
-
-
-def _zeta(s: float) -> float:
-    import mpmath
-
-    return float(mpmath.zeta(s))
-
-
-def _oscillatory_series(theta: float, s: float, kind: str) -> float:
-    """sum_{n>=1} trig(n theta)/n^s by compensated direct summation.
-
-    A summation-by-parts boundary term approximates the tail, so the
-    truncation error is about N^{-s}/(2 sin|theta|/2); N is chosen from that
-    bound (capped, with a warning when the cap is binding).
-    """
-    half = abs(math.sin(theta / 2.0))
-    if half == 0.0:
-        return 0.0 if kind == "sin" else _zeta(s)
-    est = (1.0 / (2.0 * half * _SERIES_TOL)) ** (1.0 / s)
-    n_terms = int(min(max(est, 64.0), _SERIES_CAP)) + 1
-    if est > _SERIES_CAP:
-        err = 1.0 / (2.0 * half * _SERIES_CAP**s)
-        warnings.warn(f"dispersion series truncated at {_SERIES_CAP} terms; "
-                      f"estimated error {err:.2e}", stacklevel=3)
-    n = np.arange(1, n_terms + 1, dtype=float)
-    f = np.sin if kind == "sin" else np.cos
-    terms = f(n * theta) / n**s
-    total = math.fsum(terms)
-    # summation-by-parts boundary estimate of the dropped tail
-    r_next = (n_terms + 1.0) ** (-s)
-    arg = (n_terms + 0.5) * theta
-    if kind == "cos":
-        total += -r_next * math.sin(arg) / (2.0 * math.sin(theta / 2.0))
-    else:
-        total += r_next * math.cos(arg) / (2.0 * math.sin(theta / 2.0))
-    return total
-
-
-def dispersion(k, model: CouplingModel) -> np.ndarray:
-    """Single-excitation band energy at wavenumbers ``k`` (units 1/a).
-
-    Nearest neighbor: 2J(1 - cos ka). Power law: the lattice sum
-    eps_alpha(k) = 2 J0 sum_n [1 - cos(n k a)]/n^alpha, evaluated by
-    compensated direct summation (alpha = 2 uses the exact Fourier closed
-    form J0 [pi th - th^2/2] on th in [0, 2pi]). Note some conventions halve
-    this definition by counting each coupled pair once; all values here follow
-    the per-site sum as written.
-    """
-    from .lattice import PowerLaw
-
-    k = np.asarray(k, dtype=float)
-    if isinstance(model, NearestNeighbor):
-        return 2.0 * model.strength * (1.0 - np.cos(k))
-    if not isinstance(model, PowerLaw):
-        raise TypeError("dispersion supports NearestNeighbor and PowerLaw")
-    if model.alpha <= 1.0:
-        raise ValueError("power-law dispersion diverges for alpha <= 1")
-    theta = np.mod(k, 2.0 * np.pi)
-    if model.alpha == 2.0:
-        # Fourier identity: sum cos(n th)/n^2 = pi^2/6 - pi th/2 + th^2/4
-        return model.strength * (np.pi * theta - theta * theta / 2.0)
-    z = _zeta(model.alpha)
-    flat = theta.ravel()
-    out = np.array([2.0 * model.strength * (z - _oscillatory_series(t, model.alpha, "cos"))
-                    for t in flat])
-    return out.reshape(theta.shape)
-
-
-def group_velocity(k, model: CouplingModel) -> np.ndarray:
-    """d(eps)/dk in units J*a: 2Ja sin(ka) for NN, the term-wise derivative
-    2 J0 a sum_n sin(n k a)/n^{alpha-1} for power law."""
-    from .lattice import PowerLaw
-
-    k = np.asarray(k, dtype=float)
-    if isinstance(model, NearestNeighbor):
-        return 2.0 * model.strength * np.sin(k)
-    if not isinstance(model, PowerLaw):
-        raise TypeError("group_velocity supports NearestNeighbor and PowerLaw")
-    if model.alpha <= 1.0:
-        raise ValueError("power-law dispersion diverges for alpha <= 1")
-    theta = np.mod(k, 2.0 * np.pi)
-    s = model.alpha - 1.0
-    if s == 1.0:
-        out = np.where(theta == 0.0, 0.0, (np.pi - theta) / 2.0)
-        return 2.0 * model.strength * out
-    flat = theta.ravel()
-    out = np.array([2.0 * model.strength * _oscillatory_series(t, s, "sin") for t in flat])
-    return out.reshape(theta.shape)
-
-
-def dispersion_curvature(model: CouplingModel) -> float:
-    """eps''(k=0) in units J*a^2: 2J for NN, 2 J0 zeta(alpha-2) for power law
-    with alpha > 3 (divergent otherwise)."""
-    from .lattice import PowerLaw
-
-    if isinstance(model, NearestNeighbor):
-        return 2.0 * model.strength
-    if not isinstance(model, PowerLaw):
-        raise TypeError("unsupported model")
-    if model.alpha <= 3.0:
-        raise ValueError("curvature at k=0 diverges for alpha <= 3")
-    return 2.0 * model.strength * _zeta(model.alpha - 2.0)
 
 
 # --- optimization -----------------------------------------------------------
@@ -695,89 +584,3 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
     return OptimizeResult(design=win["design"], focal_time=win["focal_time"],
                           focal_width=win["focal_width"], scan=scan,
                           boundary=win["at_edge"] or strength_edge)
-
-
-# --- semiclassical single-wing model ----------------------------------------
-
-
-def band_potential(x, v0: float, x0: float, hopping: float = 1.0) -> np.ndarray:
-    """Effective potential governing the slow center motion of a narrow
-    sub-packet launched at rest from x0 in a quadratic lens.
-
-    Eliminating the momentum through energy conservation on the band gives
-    V_eff(x) = [(4 v0 J - 2 v0^2 x0^2) x^2 + v0^2 x^4] / 2, bounded below and
-    confining. Its quadratic coefficient changes sign at
-    x0 = sqrt(2 J / v0) (see ``double_well_threshold``): beyond that the
-    origin turns into a local maximum and the wing oscillates about a
-    displaced minimum instead of crossing the focus.
-    """
-    x = np.asarray(x, dtype=float)
-    quad = 4.0 * v0 * hopping - 2.0 * v0**2 * x0**2
-    return 0.5 * (quad * x * x + v0**2 * x**4)
-
-
-def double_well_threshold(v0: float, hopping: float = 1.0) -> float:
-    """Launch radius sqrt(2 J / v0) where ``band_potential`` turns double-well."""
-    return math.sqrt(2.0 * hopping / v0)
-
-
-@dataclass
-class SemiclassicalResult:
-    times: np.ndarray
-    x: np.ndarray
-    k: np.ndarray
-    energy_drift: float
-    period: float | None
-    classification: str
-    displacement_amplitude: float
-    bloch_frequency: float
-    double_well_threshold: float
-
-
-def semiclassical_model(v0: float, x0: float, hopping: float = 1.0, k0: float = 0.0,
-                        n_periods: float = 3.0, n_eval: int = 2000) -> SemiclassicalResult:
-    """Integrate the single-trajectory equations of motion on the band.
-
-        dx/dt = 2 J sin(k),   dk/dt = -2 v0 x
-
-    (lengths in a, k in 1/a). Energy E = 2J(1 - cos k) + v0 x^2 is conserved
-    to 1e-8 by the adaptive integrator. The initial condition is classified
-    against sigma_bo = 2 sqrt(J/v0): wings launched beyond it Bloch-oscillate
-    (bounded motion that never crosses the origin) instead of focusing.
-    Also reported: the local oscillation amplitude 2J/V'(x0) (in sites) and
-    frequency V'(x0)/2 of the Bloch oscillation a wing at x0 performs.
-    """
-    if v0 <= 0 or hopping <= 0:
-        raise ValueError("v0 and hopping must be positive")
-    omega = 2.0 * math.sqrt(v0 * hopping)
-    t_end = n_periods * 2.0 * math.pi / omega
-
-    def rhs(_, y):
-        return [2.0 * hopping * math.sin(y[1]), -2.0 * v0 * y[0]]
-
-    sol = solve_ivp(rhs, (0.0, t_end), [float(x0), float(k0)], method="DOP853",
-                    rtol=1e-11, atol=1e-12, dense_output=False,
-                    t_eval=np.linspace(0.0, t_end, n_eval))
-    x, k = sol.y
-    energy = 2.0 * hopping * (1.0 - np.cos(k)) + v0 * x * x
-    drift = float(np.abs(energy - energy[0]).max() / max(abs(energy[0]), 1e-300))
-
-    period = None
-    if abs(x0) > 0:
-        # full period from successive same-direction zero crossings of x
-        sign = np.sign(x)
-        down = np.nonzero((sign[:-1] > 0) & (sign[1:] <= 0))[0]
-        if len(down) >= 2:
-            def cross(i):
-                return sol.t[i] + (sol.t[i + 1] - sol.t[i]) * x[i] / (x[i] - x[i + 1])
-            period = cross(down[1]) - cross(down[0])
-
-    sigma_bo = 2.0 * math.sqrt(hopping / v0)
-    vprime = 2.0 * v0 * abs(x0)
-    return SemiclassicalResult(
-        times=sol.t, x=x, k=k, energy_drift=drift, period=period,
-        classification="single_well" if abs(x0) < sigma_bo else "double_well",
-        displacement_amplitude=(2.0 * hopping / vprime) if vprime > 0 else math.inf,
-        bloch_frequency=vprime / 2.0,
-        double_well_threshold=double_well_threshold(v0, hopping),
-    )

@@ -23,8 +23,8 @@ one L2 with its state vectors); a block larger than that is a stack of its
 own.
 
 :func:`expimv` is a batch of one built and applied once, :func:`expimv_batch`
-the same for many blocks; :func:`trajectory` and :func:`trajectory_batch`
-build one plan and apply it at every step. All run the one recurrence, and
+the same for many blocks; :func:`trajectory` builds one single-block plan
+and applies it at every step. All run the one recurrence, and
 a block's result is bit for bit what it gives alone: CSR computes each row
 by itself (over its entries in sorted order), a per-block scale multiplies
 each entry by the same float as a lone block's scale, and a coefficient or
@@ -487,23 +487,25 @@ def expimv(h: sp.csr_matrix, psi: np.ndarray, t: float,
     return _StepPlan([h], [t], tol, [bounds]).apply([psi])[0]
 
 
-def trajectory_batch(blocks: Sequence[tuple], n_steps: int, tol: float = 1e-10,
-                     t0s: Sequence[float] | None = None
-                     ) -> Iterator[tuple[list[float], list[np.ndarray]]]:
-    """Step each block (h, psi, dt, bounds) by exp(-i h dt) ``n_steps``
-    times, yielding (times, states) lists after each step.
+def trajectory(h: sp.csr_matrix, psi: np.ndarray, dt: float, n_steps: int,
+               tol: float = 1e-10, bounds: tuple[float, float] | None = None,
+               t0: float = 0.0) -> Iterator[tuple[float, np.ndarray]]:
+    """Step psi by exp(-i h dt) ``n_steps`` times, yielding (t, amplitudes)
+    after each step.
 
-    One plan serves every step, and each block equals bit for bit, states
-    and times, what ``trajectory(h, psi, dt, n_steps, tol, bounds, t0)``
-    yields. Clocks start at ``t0s`` (default 0.0).
+    The spectral enclosure (when ``bounds`` is not given) and the step plan
+    (sub-step count, coefficients, scaled complex operator) are built once
+    and applied at every step, so each state equals bit for bit what repeated
+    ``expimv(h, psi, dt, tol, bounds)`` calls give. The clock starts at
+    ``t0`` and advances by ``t = t + dt``, so the times agree bit for bit
+    with those of repeated single-step calls.
     """
-    hs, psis, dts, bounds = zip(*blocks)
-    step = _StepPlan(hs, dts, tol, bounds)
-    ts = [0.0] * len(hs) if t0s is None else list(t0s)
+    step = _StepPlan([h], [dt], tol, [bounds])
+    t = t0
     for _ in range(n_steps):
-        psis = step.apply(psis)
-        ts = [t + dt for t, dt in zip(ts, dts)]
-        yield ts, psis
+        (psi,) = step.apply([psi])
+        t = t + dt
+        yield t, psi
 
 
 def window_batch(blocks: Iterable[tuple], n_samples: int, tol: float = 1e-10
@@ -522,7 +524,7 @@ def window_batch(blocks: Iterable[tuple], n_samples: int, tol: float = 1e-10
     a time, so memory holds about one stacked operator and its segment.
 
     A sample's phase half * |dt| must not exceed ``_MAX_PHASE_PER_STEP``;
-    to step further, use :func:`trajectory_batch`.
+    to step further, use :func:`trajectory`.
     """
     _check_tol(tol)
     if n_samples < 1:
@@ -562,20 +564,3 @@ def window_batch(blocks: Iterable[tuple], n_samples: int, tol: float = 1e-10
                     state = states[:, -1].copy()
                     j += states.shape[1]
                 del window, states   # before the next stack's window is built
-
-
-def trajectory(h: sp.csr_matrix, psi: np.ndarray, dt: float, n_steps: int,
-               tol: float = 1e-10, bounds: tuple[float, float] | None = None,
-               t0: float = 0.0) -> Iterator[tuple[float, np.ndarray]]:
-    """Step psi by exp(-i h dt) ``n_steps`` times, yielding (t, amplitudes)
-    after each step.
-
-    The spectral enclosure (when ``bounds`` is not given) and the step plan
-    (sub-step count, coefficients, scaled complex operator) are built once
-    and applied at every step, so each state equals bit for bit what repeated
-    ``expimv(h, psi, dt, tol, bounds)`` calls give. The clock starts at
-    ``t0`` and advances by ``t = t + dt``, so the times agree bit for bit
-    with those of repeated single-step calls.
-    """
-    for ts, psis in trajectory_batch([(h, psi, dt, bounds)], n_steps, tol, [t0]):
-        yield ts[0], psis[0]

@@ -12,14 +12,13 @@ with V_sg = Omega^2/(4 Delta) Vt and W_sg = Omega^2/(2 Delta) Wt. The sign of
 the detuning is physical and carried through: red detuning (Delta < 0) makes
 both attractive, and the lattice hopping J = -W_sg/2 positive.
 
-Channel C6 coefficients and the exchange asymmetry xi(n) are experimental or
-externally computed inputs, ingested from CSV; the radial matrix elements
+Channel C6 coefficients and the exchange asymmetry xi are experimental or
+externally computed inputs, given as parameters; the radial matrix elements
 behind them are out of scope here.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -123,46 +122,3 @@ def vdw_iso_aniso(channels: ChannelC6):
          + 11.0 * (channels.c3 + channels.c4)) / 81.0
     b = (channels.c3 + channels.c4 - channels.c1 - channels.c2) / 27.0
     return a, b
-
-
-def d0_matrix(theta: float, phi: float) -> np.ndarray:
-    """Anisotropic Zeeman-mixing matrix in the basis
-    {|-1/2,-1/2>, |-1/2,1/2>, |1/2,-1/2>, |1/2,1/2>}.
-
-    Hermitian for all angles; trace identically 4/3.
-    """
-    c2, s2 = math.cos(2.0 * theta), math.sin(2.0 * theta)
-    ss = math.sin(theta) ** 2
-    ep = np.exp(1j * phi)
-    em = ep.conjugate()
-    return np.array([
-        [c2,            em * s2,        em * s2,        2.0 * em * em * ss],
-        [ep * s2,       2.0 / 3.0 - c2, -c2 - 5.0 / 3.0, -em * s2],
-        [ep * s2,       -c2 - 5.0 / 3.0, 2.0 / 3.0 - c2, -em * s2],
-        [2.0 * ep * ep * ss, -ep * s2,  -ep * s2,       c2],
-    ], dtype=complex)
-
-
-def load_channel_table(path) -> dict:
-    """Read a channel-coefficient table from CSV with columns n, c11, c12, w12.
-
-    Returns arrays keyed by column name plus the derived asymmetry
-    xi = w12/c12. Rows are sorted by n.
-    """
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        need = {"n", "c11", "c12", "w12"}
-        if reader.fieldnames is None or not need <= {f.strip() for f in reader.fieldnames}:
-            raise ValueError(f"channel table needs columns {sorted(need)}, "
-                             f"got {reader.fieldnames}")
-        for row in reader:
-            rows.append((int(row["n"]), float(row["c11"]),
-                         float(row["c12"]), float(row["w12"])))
-    if not rows:
-        raise ValueError("channel table is empty")
-    rows.sort()
-    n, c11, c12, w12 = (np.array(col) for col in zip(*rows))
-    if np.any(c12 == 0):
-        raise ValueError("c12 = 0 row makes xi undefined")
-    return {"n": n, "c11": c11, "c12": c12, "w12": w12, "xi": w12 / c12}

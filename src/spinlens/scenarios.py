@@ -699,7 +699,7 @@ def run_rydberg_tables(cfg, out: Path):
 
     derived = {
         "xi": params.xi,
-        "validity_ratio": abs(params.omega / params.delta),
+        "validity_ratio": params.validity_ratio(),
         "r_tilde_peak": r_peak,
         "spacing_r_tilde": spacing,
         "hopping_j [E]": float(j_m[0]),

@@ -94,11 +94,6 @@ def gaussian_packet(table: SiteTable, sigma0: float, center=None,
     return SpinWaveState(amplitudes=amp, time=0.0)
 
 
-def apply_h(terms: HamiltonianTerms, state: SpinWaveState) -> np.ndarray:
-    """H psi as a plain array: (H psi)_n = eps_n psi_n - sum_m J_nm psi_m."""
-    return terms.diagonal * state.amplitudes - terms.hopping @ state.amplitudes
-
-
 def evolve(terms: HamiltonianTerms, state: SpinWaveState, dt: float,
            tol: float = 1e-10) -> SpinWaveState:
     """Propagate by exp(-i H dt); matrix and bounds are cached on ``terms``.

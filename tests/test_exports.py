@@ -1,4 +1,5 @@
-"""Every public name that callers outside the package rely on resolves.
+"""Every public name that callers outside the package rely on resolves,
+and every exported name is used by the package itself.
 
 Traced benchmark runs (``perfbench/tracing.py``) patch the functions listed
 in its ``TRACED`` table by name, so removing or renaming one breaks those
@@ -13,6 +14,12 @@ from pathlib import Path
 import spinlens
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PACKAGE = Path(spinlens.__file__).resolve().parent
+
+# Exported names that no code in the package uses, each with its reason.
+UNUSED_EXPORTS = {
+    "wigner_lattice": "acceptance criterion 11 checks it against dense oracles",
+}
 
 
 def traced_names() -> list:
@@ -45,7 +52,7 @@ def test_every_exported_name_resolves():
 def test_batched_propagation_is_exported():
     from spinlens import propagator
 
-    for name in ("expimv_batch", "split_stacks", "trajectory_batch", "window_batch"):
+    for name in ("expimv_batch", "split_stacks", "window_batch"):
         assert name in spinlens.__all__
         assert getattr(spinlens, name) is getattr(propagator, name)
 
@@ -55,3 +62,42 @@ def test_batched_widths_are_exported():
 
     assert "gaussian_widths" in spinlens.__all__
     assert spinlens.gaussian_widths is wavepacket.gaussian_widths
+
+
+class _Uses(ast.NodeVisitor):
+    """Identifiers loaded and attributes read, except inside the definition
+    of the same name (a recursive call is not a use)."""
+
+    def __init__(self):
+        self.names, self.defining = set(), []
+
+    def _definition(self, node):
+        self.defining.append(node.name)
+        self.generic_visit(node)
+        self.defining.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _definition
+
+    def _use(self, name):
+        if name not in self.defining:
+            self.names.add(name)
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self._use(node.id)
+
+    def visit_Attribute(self, node):
+        self._use(node.attr)
+        self.generic_visit(node)
+
+
+def test_every_exported_name_is_used_in_the_package():
+    """An export that only ``__init__``, docstrings and its own tests reach is
+    dead code; uses are found in the syntax tree, so prose does not count."""
+    uses = _Uses()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            uses.visit(ast.parse(path.read_text(encoding="utf-8")))
+    exempt = {attr for _, attr in traced_names()} | set(UNUSED_EXPORTS)
+    assert set(UNUSED_EXPORTS) <= set(spinlens.__all__)
+    assert [n for n in spinlens.__all__ if n not in uses.names | exempt] == []

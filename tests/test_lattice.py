@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlens.lattice import (NearestNeighbor, PowerLaw, RydbergDressed,
-                              build_couplings, build_lattice, displace_sites,
-                              punch_holes)
-from spinlens.rydberg import effective_potentials
+from spinlens.lattice import (NearestNeighbor, PowerLaw, build_couplings,
+                              build_lattice, displace_sites, punch_holes)
 
 
 class TestBuildLattice:
@@ -152,26 +150,6 @@ class TestBuildCouplings:
             vals = [h[n, n + m] for n in range(21, 35)]
             assert np.ptp(vals) == 0.0
 
-    def test_rydberg_hopping_tracks_exchange(self):
-        model = RydbergDressed(omega=0.3, delta=-1.0, xi=0.5, c12=1.0)
-        t = build_lattice((4,))
-        terms = build_couplings(t, model)
-        _, w_tilde = effective_potentials(1.0, 0.5)
-        assert np.isclose(w_tilde, 0.5 / 3.75)
-        # J = -W_sg/2 with W_sg = Omega^2/(2 Delta) Wt; red detuning -> J > 0
-        j01 = -model.omega**2 / (4.0 * model.delta) * w_tilde
-        assert j01 > 0
-        assert np.isclose(terms.hopping[0, 1], j01)
-
-    def test_rydberg_diagonal_from_soft_core(self):
-        model = RydbergDressed(omega=0.3, delta=-1.0, xi=0.5, c12=1.0)
-        t = build_lattice((3,))
-        terms = build_couplings(t, model)
-        pref = model.omega**2 / (4.0 * model.delta)
-        v = lambda r: pref * (effective_potentials(r, 0.5)[0] - 1.0)
-        assert np.isclose(terms.diagonal[0], v(1.0) + v(2.0))
-        assert np.isclose(terms.diagonal[1], 2.0 * v(1.0))
-
     def test_hole_rows_empty_and_diagonal_zeroed(self):
         t = punch_holes(build_lattice((8,)), [(3,)])
         terms = build_couplings(t, PowerLaw(1.0, 6.0),
@@ -187,14 +165,6 @@ class TestBuildCouplings:
             NearestNeighbor(0.0)
         with pytest.raises(ValueError):
             PowerLaw(1.0, -1.0)
-        with pytest.raises(ValueError):
-            RydbergDressed(omega=0.0, delta=-1.0, xi=0.5, c12=1.0)
-        with pytest.raises(ValueError):
-            RydbergDressed(omega=0.3, delta=0.0, xi=0.5, c12=1.0)
-        with pytest.raises(ValueError):
-            RydbergDressed(omega=0.3, delta=-1.0, xi=1.0, c12=1.0)
-        with pytest.raises(ValueError):
-            RydbergDressed(omega=0.3, delta=-1.0, xi=-0.2, c12=1.0)
 
     def test_lens_diagonal_length_checked(self):
         t = build_lattice((6,))

@@ -1,24 +1,21 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from spinlens import lens
-from spinlens.lattice import (NearestNeighbor, PowerLaw, build_couplings,
-                              build_lattice, displace_sites)
+from spinlens.lattice import (NearestNeighbor, build_couplings, build_lattice,
+                              displace_sites)
 from spinlens.propagator import trajectory
 from spinlens.wavepacket import (SpinWaveState, evolve, gaussian_packet,
                                  gaussian_width, phase_imprint)
-from spinlens.lens import (ContinuumPrediction, Multifocal, ThickPolynomial,
-                           ThinPulse, band_potential, continuum_thick,
-                           continuum_thin, corrected_focal_time,
-                           corrected_phase, dispersion, dispersion_curvature,
-                           double_well_threshold, group_velocity,
+from spinlens.lens import (Multifocal, ThickPolynomial, ThinPulse,
+                           continuum_thick, continuum_thin,
+                           corrected_focal_time, corrected_phase,
                            optimize_lens, potential_profile, region_index,
-                           semiclassical_model, thin_phase_profile,
-                           thresholds, _isochrone_coefficients)
+                           thin_phase_profile, thresholds,
+                           _isochrone_coefficients)
 
 
 class TestDesignTypes:
@@ -217,97 +214,6 @@ class TestThresholds:
     def test_partial_inputs(self):
         out = thresholds(v0=1e-3)
         assert "sigma_bo" in out and "v_bo" not in out
-
-
-def polylog_dispersion(theta, alpha):
-    z = complex(mpmath.zeta(alpha))
-    li = complex(mpmath.polylog(alpha, complex(np.cos(theta), np.sin(theta))))
-    return 2.0 * (z - li.real)
-
-
-class TestDispersion:
-    def test_nearest_neighbor_band(self):
-        m = NearestNeighbor(1.5)
-        k = np.array([0.0, np.pi / 2, np.pi])
-        assert np.allclose(dispersion(k, m), 2.0 * 1.5 * (1.0 - np.cos(k)))
-        assert np.allclose(group_velocity(k, m), 2.0 * 1.5 * np.sin(k))
-
-    @pytest.mark.parametrize("alpha", [2.0, 3.5, 6.0])
-    def test_power_law_matches_polylog(self, alpha):
-        m = PowerLaw(1.0, alpha)
-        for th in (0.3, 1.1, 2.7, np.pi):
-            assert np.isclose(float(dispersion(th, m)),
-                              polylog_dispersion(th, alpha), atol=1e-11)
-
-    def test_large_alpha_limits_to_nn(self):
-        k = np.linspace(0.0, np.pi, 13)
-        diff = dispersion(k, PowerLaw(1.0, 40.0)) - dispersion(k, NearestNeighbor(1.0))
-        assert np.abs(diff).max() < 1e-10
-
-    def test_band_is_periodic(self):
-        m = PowerLaw(1.0, 4.0)
-        k = np.array([0.3, 1.7])
-        assert np.allclose(dispersion(k, m), dispersion(k + 2.0 * np.pi, m))
-
-    def test_group_velocity_is_band_derivative(self):
-        m = PowerLaw(1.0, 3.5)
-        h = 1e-6
-        for k in (0.4, 1.3, 2.8):
-            num = (float(dispersion(k + h, m)) - float(dispersion(k - h, m))) / (2 * h)
-            assert np.isclose(float(group_velocity(k, m)), num, atol=1e-8)
-
-    def test_alpha2_velocity_closed_form(self):
-        m = PowerLaw(1.0, 2.0)
-        for th in (0.2, 1.0, 3.0):
-            assert np.isclose(float(group_velocity(th, m)),
-                              2.0 * (np.pi - th) / 2.0, atol=1e-12)
-
-    def test_curvature(self):
-        assert np.isclose(dispersion_curvature(NearestNeighbor(1.0)), 2.0)
-        assert np.isclose(dispersion_curvature(PowerLaw(1.0, 6.0)),
-                          np.pi**4 / 45.0, atol=1e-12)
-
-    def test_divergent_regimes_rejected(self):
-        with pytest.raises(ValueError):
-            dispersion(0.5, PowerLaw(1.0, 1.0))
-        with pytest.raises(ValueError):
-            dispersion_curvature(PowerLaw(1.0, 3.0))
-
-
-class TestSemiclassical:
-    def test_small_launch_is_harmonic(self):
-        r = semiclassical_model(0.01, 0.5)
-        assert r.classification == "single_well"
-        assert np.isclose(r.period, 2.0 * np.pi / (2.0 * math.sqrt(0.01)),
-                          rtol=1e-3)
-        assert r.energy_drift < 1e-8
-
-    def test_wing_beyond_sigma_bo_never_crosses(self):
-        v0 = 0.01
-        sigma_bo = 2.0 * math.sqrt(1.0 / v0)
-        r = semiclassical_model(v0, 1.05 * sigma_bo)
-        assert r.classification == "double_well"
-        assert np.all(r.x > 0.0)
-        r_in = semiclassical_model(v0, 0.9 * sigma_bo)
-        assert r_in.classification == "single_well"
-        assert r_in.x.min() < 0.0
-
-    def test_bloch_oscillation_scales(self):
-        v0, x0 = 0.01, 16.0
-        r = semiclassical_model(v0, x0)
-        assert np.isclose(r.displacement_amplitude, 1.0 / (v0 * x0))
-        assert np.isclose(r.bloch_frequency, v0 * x0)
-        assert np.isclose(r.double_well_threshold, math.sqrt(2.0 / v0))
-
-    def test_effective_potential_turns_double_well(self):
-        v0 = 0.01
-        thr = double_well_threshold(v0)
-        assert band_potential(0.1, v0, 1.01 * thr) < 0.0
-        assert band_potential(0.1, v0, 0.99 * thr) > 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            semiclassical_model(-0.01, 1.0)
 
 
 def _arrival_time(coefficients, x0, hopping=1.0):

@@ -14,7 +14,7 @@ from spinlens import propagator
 from spinlens.propagator import (_MAX_PHASE_PER_STEP, _STACK_NNZ, _WINDOW_BYTES,
                                  _WINDOW_PHASE, _WINDOW_TERMS, TOL_RANGE, _StepPlan,
                                  _bessel_table, expimv, expimv_batch, spectral_bounds,
-                                 trajectory, trajectory_batch, window_batch)
+                                 trajectory, window_batch)
 from spinlens.wavepacket import evolve, gaussian_packet
 
 from conftest import dense_evolution, random_hermitian
@@ -270,23 +270,12 @@ class TestBatchedPlan:
             want = scipy.linalg.expm(-1j * t * h.toarray()) @ psi
             assert np.linalg.norm(got - want) < 1e-8
 
-    def test_trajectory_matches_per_block_trajectories(self, blocks):
-        blocks = [b for b in blocks if b[2] != 0.0]
-        t0s = [0.1 * i for i in range(len(blocks))]
-        stacked = list(trajectory_batch(blocks, 4, tol=1e-9, t0s=t0s))
-        assert len(stacked) == 4
-        for i, (h, psi, dt, bounds) in enumerate(blocks):
-            alone = list(trajectory(h, psi, dt, 4, tol=1e-9, bounds=bounds, t0=t0s[i]))
-            for (ts, psis), (t, amp) in zip(stacked, alone):
-                assert ts[i] == t
-                assert np.array_equal(psis[i], amp)
-
     def test_caller_arrays_are_not_modified(self, blocks):
         before = [(h.data.copy(), h.indices.copy(), h.indptr.copy(), psi.copy())
                   for h, psi, _, _ in blocks]
         list(expimv_batch(blocks))
-        for _ in trajectory_batch([b for b in blocks if b[2] != 0.0], 2):
-            pass
+        for h, psi, dt, bounds in blocks:
+            list(trajectory(h, psi, dt, 2, bounds=bounds))
         for (h, psi, _, _), (data, indices, indptr, psi0) in zip(blocks, before):
             assert h.dtype == np.float64
             assert np.array_equal(h.data, data)

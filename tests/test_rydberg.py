@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from spinlens.rydberg import (ChannelC6, DressingParams, d0_matrix,
-                              dressed_couplings, effective_potentials,
-                              exchange_peak, load_channel_table, vdw_iso_aniso)
+from spinlens.rydberg import (ChannelC6, DressingParams, dressed_couplings,
+                              effective_potentials, exchange_peak,
+                              vdw_iso_aniso)
 
 
 class TestSoftCoreShapes:
@@ -118,40 +118,3 @@ class TestVanDerWaals:
         a, b = vdw_iso_aniso(ChannelC6(0.0, 0.0, 1.0, 1.0))
         assert np.isclose(a, 22.0 / 81.0)
         assert np.isclose(b, 2.0 / 27.0)
-
-    @pytest.mark.parametrize("theta,phi", [(0.0, 0.0), (0.7, 1.3), (np.pi / 2, 2.0)])
-    def test_d0_matrix_hermitian_fixed_trace(self, theta, phi):
-        m = d0_matrix(theta, phi)
-        assert np.allclose(m, m.conj().T)
-        assert np.isclose(m.trace().real, 4.0 / 3.0)
-        assert np.isclose(m.trace().imag, 0.0)
-
-
-class TestChannelTable:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "channels.csv"
-        path.write_text(
-            "n,c11,c12,w12\n"
-            "62,10.0,8.0,4.0\n"
-            "60,7.0,5.0,1.0\n")
-        table = load_channel_table(path)
-        assert list(table["n"]) == [60, 62]
-        assert np.allclose(table["xi"], [0.2, 0.5])
-
-    def test_missing_column_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("n,c11\n60,7.0\n")
-        with pytest.raises(ValueError, match="columns"):
-            load_channel_table(path)
-
-    def test_empty_rejected(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("n,c11,c12,w12\n")
-        with pytest.raises(ValueError, match="empty"):
-            load_channel_table(path)
-
-    def test_zero_c12_rejected(self, tmp_path):
-        path = tmp_path / "zero.csv"
-        path.write_text("n,c11,c12,w12\n60,1.0,0.0,0.5\n")
-        with pytest.raises(ValueError, match="xi undefined"):
-            load_channel_table(path)

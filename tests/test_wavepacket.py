@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from spinlens.lattice import (NearestNeighbor, build_couplings, build_lattice,
                               displace_sites, punch_holes)
 from spinlens.lens import ThinPulse, continuum_thin, thin_phase_profile
-from spinlens.wavepacket import (SpinWaveState, apply_h, centroid, evolve,
+from spinlens.wavepacket import (SpinWaveState, centroid, evolve,
                                  excitation_probability, focus_probability,
                                  gaussian_packet, gaussian_width, gaussian_widths,
                                  phase_imprint, rms_width, wigner_lattice)
@@ -104,7 +104,7 @@ class TestEvolution:
         terms = build_couplings(table, NearestNeighbor(1.0),
                                 lens_diagonal=np.arange(5.0))
         psi = SpinWaveState(np.ones(5, dtype=complex))
-        hpsi = apply_h(terms, psi)
+        hpsi = terms.matrix() @ psi.amplitudes
         # interior site: eps_n - 2J
         assert np.isclose(hpsi[2].real, 2.0 - 2.0)
         assert np.isclose(hpsi[0].real, 0.0 - 1.0)
