@@ -1,10 +1,17 @@
 """Disorder ensembles: random holes, random positional displacements.
 
-Each realization perturbs the clean lattice, rebuilds couplings through
-the lattice module, runs the full focusing protocol for a fixed duration
-(the clean focal time, supplied by the caller), and records the focal
-probability and the final width. Realizations are assembled one by one and
-propagated together, as one batch of independent evolutions
+Each realization perturbs the clean lattice, runs the full focusing protocol
+for a fixed duration (the clean focal time, supplied by the caller), and
+records the focal probability and the final width. Couplings are built
+through the lattice module once per job, on the clean lattice: its H pattern
+(:class:`_CleanPattern`) holds the hopping entries plus one diagonal slot per
+row, in canonical CSR order. Each realization's H and Gershgorin bounds are
+cut from it with array operations. Holes drop the entries whose row or
+column is inactive, and their values do not change. Displacement recomputes
+only the power-law values at the pattern's pairs. Zero values are dropped,
+as scipy's assembly drops them, so the H of a realization is bit for bit the
+one :func:`run_protocol` assembles. The realizations are propagated
+together, as one batch of independent evolutions
 (:func:`spinlens.propagator.expimv_batch`), each bit for bit what it gives
 alone. Streams are counter-based per realization, so a realization's record
 does not depend on how many others are run.
@@ -16,9 +23,10 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
-from .lattice import (HamiltonianTerms, SiteTable, build_couplings,
-                      displace_sites, punch_holes)
+from .lattice import (PowerLaw, SiteTable, build_couplings, displace_sites,
+                      punch_holes)
 from .lens import potential_profile, thin_phase_profile
 from .propagator import expimv_batch
 from .wavepacket import (SpinWaveState, evolve, focus_probability,
@@ -50,6 +58,9 @@ class EnsembleJob:
     realizations: int
     master_seed: int
     tol: float = 1e-8
+    # hole sites are drawn from these: the active sites that are not a focus
+    candidates: np.ndarray | None = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         if self.realizations < 1:
@@ -63,6 +74,14 @@ class EnsembleJob:
                 raise ValueError("hole count must be non-negative")
             if self.kind.count >= self.table.n_active:
                 raise ValueError("hole count must be below the active-site count")
+            free = self.table.active.copy()
+            free[[self.table.index_of(np.rint(f).astype(int))
+                  for f in self.design.foci]] = False
+            self.candidates = np.flatnonzero(free)
+            if self.kind.count > len(self.candidates):
+                raise ValueError(
+                    f"hole count {self.kind.count} exceeds the "
+                    f"{len(self.candidates)} active sites that are not a focus")
 
 
 @dataclass
@@ -83,15 +102,19 @@ class EnsembleStats:
         return out
 
 
-def _protocol_start(table: SiteTable, job: EnsembleJob):
-    """Hamiltonian terms and initial state of the protocol on ``table``."""
-    terms = build_couplings(table, job.model)
+def _initial_state(table: SiteTable, job: EnsembleJob) -> SpinWaveState:
     psi = gaussian_packet(table, job.sigma0)
     if job.design.thin:
         psi = phase_imprint(psi, thin_phase_profile(job.design, table))
-    else:
+    return psi
+
+
+def _protocol_start(table: SiteTable, job: EnsembleJob):
+    """Hamiltonian terms and initial state of the protocol on ``table``."""
+    terms = build_couplings(table, job.model)
+    if not job.design.thin:
         terms = terms.with_diagonal(potential_profile(job.design, table))
-    return terms, psi
+    return terms, _initial_state(table, job)
 
 
 def _protocol_record(psi: SpinWaveState, table: SiteTable, job: EnsembleJob):
@@ -118,9 +141,7 @@ def _realization_table(job: EnsembleJob, r: int) -> SiteTable:
     if isinstance(job.kind, Holes):
         if job.kind.count == 0:
             return table
-        foci = {table.index_of(np.rint(f).astype(int)) for f in job.design.foci}
-        candidates = np.array(sorted(set(np.nonzero(table.active)[0]) - foci))
-        picked = rng.choice(candidates, size=job.kind.count, replace=False)
+        picked = rng.choice(job.candidates, size=job.kind.count, replace=False)
         return punch_holes(table, table.labels[picked])
     if job.kind.delta == 0.0:
         return table
@@ -128,22 +149,85 @@ def _realization_table(job: EnsembleJob, r: int) -> SiteTable:
     return displace_sites(table, shifts)
 
 
+class _CleanPattern:
+    """The clean lattice's H = diag(V) - J of a job as canonical CSR arrays,
+    with a slot for every diagonal entry, from which each realization's H
+    and Gershgorin bounds are cut (module docstring).
+    """
+
+    def __init__(self, job: EnsembleJob):
+        n = job.table.n_sites
+        hop = build_couplings(job.table, job.model).hopping
+        rows = np.concatenate([np.repeat(np.arange(n), np.diff(hop.indptr)),
+                               np.arange(n)])
+        cols = np.concatenate([hop.indices, np.arange(n)])
+        order = np.lexsort((cols, rows))
+        self.rows, self.cols = rows[order], cols[order].astype(np.int32)
+        self.indptr = np.searchsorted(self.rows, np.arange(n + 1))
+        # the on-site energies as HamiltonianTerms.with_diagonal adds them
+        self.diagonal = np.zeros(n)
+        if not job.design.thin:
+            self.diagonal = self.diagonal + potential_profile(job.design, job.table)
+        self.data = np.concatenate([-hop.data, self.diagonal])[order]
+        self.offdiag = self.rows != self.cols
+        self.holes = isinstance(job.kind, Holes)
+        self.model = job.model
+        self.pairs = None
+        if not self.holes and isinstance(job.model, PowerLaw):
+            # each off-diagonal entry takes the value of its pair (i, j), i < j
+            upper = self.rows < self.cols
+            self.pairs = self.rows[upper], self.cols[upper]
+            lo = np.minimum(self.rows, self.cols)[self.offdiag]
+            hi = np.maximum(self.rows, self.cols)[self.offdiag]
+            self.pair_of = np.searchsorted(self.pairs[0] * n + self.pairs[1],
+                                           lo * n + hi)
+
+    def cut(self, table: SiteTable):
+        """H of the realization ``table`` as CSR, and its Gershgorin bounds,
+        each equal bit for bit to ``_protocol_start(table, job)``'s
+        ``matrix()`` and ``bounds()``."""
+        data = self.data
+        if self.holes:
+            active = table.active
+            keep = ~self.offdiag | (active[self.rows] & active[self.cols])
+            keep &= data != 0.0
+        else:
+            if self.pairs is not None:
+                data = data.copy()
+                amp = self.model.amplitude(table.positions, *self.pairs)
+                data[self.offdiag] = -amp[self.pair_of]
+            keep = data != 0.0
+        data = data[keep]
+        kept = np.concatenate([np.zeros(1, np.int32), np.cumsum(keep, dtype=np.int32)])
+        indptr = kept[self.indptr]
+        n = len(self.diagonal)
+        h = sp.csr_matrix((data, self.cols[keep], indptr), shape=(n, n))
+        # propagator.spectral_bounds on these arrays, in its order of sums
+        radii = np.zeros(n)
+        filled = np.flatnonzero(np.diff(indptr))
+        radii[filled] = np.add.reduceat(np.abs(data), indptr[filled])
+        radii -= np.abs(self.diagonal)
+        return h, (float((self.diagonal - radii).min()),
+                   float((self.diagonal + radii).max()))
+
+
 def run_ensemble(job: EnsembleJob) -> EnsembleStats:
     """Focusing statistics over disorder realizations, in index order.
 
     Each record equals ``run_protocol(_realization_table(job, r), job)``
-    bit for bit. The realizations are assembled one by one as the batch
-    propagation draws them, so only about one stacked operator's worth of
-    them is held at a time.
+    bit for bit. The realizations are cut from the job's clean pattern one
+    by one as the batch propagation draws them, so only about one stacked
+    operator's worth of them is held at a time.
     """
+    pattern = _CleanPattern(job)
     tables = deque()
 
     def blocks():
         for r in range(job.realizations):
             table = _realization_table(job, r)
-            terms, psi = _protocol_start(table, job)
+            h, bounds = pattern.cut(table)
             tables.append(table)
-            yield terms.matrix(), psi.amplitudes, job.duration, terms.bounds()
+            yield h, _initial_state(table, job).amplitudes, job.duration, bounds
 
     records = [_protocol_record(SpinWaveState(amp), tables.popleft(), job)
                for amp in expimv_batch(blocks(), tol=job.tol)]
@@ -152,16 +236,15 @@ def run_ensemble(job: EnsembleJob) -> EnsembleStats:
     return EnsembleStats(p_foc=p_foc, sigma_f=sigma_f)
 
 
-def plane_wave_broadening(h_disordered: HamiltonianTerms,
-                          h_clean: HamiltonianTerms, k,
-                          table: SiteTable | None = None) -> float:
+def plane_wave_broadening(h_disordered: sp.csr_matrix, h_clean: sp.csr_matrix,
+                          k, table: SiteTable | None = None) -> float:
     """Energy uncertainty of a lattice plane wave under the perturbation.
 
     Returns sqrt(<k|dH^2|k> - <k|dH|k>^2) with dH the full difference
     between the two operators and |k> the normalized plane wave over the
     active sites (positions default to a unit-spaced chain).
     """
-    dh = h_disordered.matrix() - h_clean.matrix()
+    dh = h_disordered - h_clean
     n = dh.shape[0]
     if table is not None:
         pos = table.positions

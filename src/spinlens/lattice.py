@@ -166,6 +166,13 @@ class PowerLaw:
     def reference_hopping(self) -> float:
         return self.strength
 
+    def amplitude(self, positions: np.ndarray, i: np.ndarray,
+                  j: np.ndarray) -> np.ndarray:
+        """Hopping strength / r^alpha of the pairs (i, j), i < j, with r the
+        distance of their ``positions``: the one statement of the rule."""
+        r = np.linalg.norm(positions[j] - positions[i], axis=1)
+        return self.strength / r**self.alpha
+
 
 CouplingModel = NearestNeighbor | PowerLaw
 
@@ -259,8 +266,7 @@ def build_couplings(table: SiteTable, model: CouplingModel,
         if isinstance(model, NearestNeighbor):
             amp = np.full(i.size, model.strength)
         else:
-            r = np.linalg.norm(table.positions[j] - table.positions[i], axis=1)
-            amp = model.strength / r**model.alpha
+            amp = model.amplitude(table.positions, i, j)
         rows.extend([i, j])
         cols.extend([j, i])
         vals.extend([amp, amp])

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io_utils
-from .disorder import (Displacement, EnsembleJob, Holes, _realization_table,
-                       breakdown_scan, plane_wave_broadening, run_ensemble,
-                       run_protocol)
+from .disorder import (Displacement, EnsembleJob, Holes, _CleanPattern,
+                       _realization_table, breakdown_scan,
+                       plane_wave_broadening, run_ensemble, run_protocol)
 from .lattice import NearestNeighbor, PowerLaw, build_couplings, build_lattice
 from .lens import (Multifocal, ThickPolynomial, ThinPulse, _parabola_vertex,
                    clipped_thick_terms, continuum_thick, continuum_thin,
@@ -613,16 +613,17 @@ def run_displacement(cfg, out: Path):
     })
 
     table = job.table
-    clean_terms = build_couplings(table, job.model)
+    pattern = _CleanPattern(job)
+    clean, _ = pattern.cut(table)
     n_b = int(cfg["broadening"]["realizations"])
     length = table.extents[0]
     ks = [2.0 * math.pi * round(float(k) * length / (2.0 * math.pi)) / length
           for k in cfg["broadening"]["ks"]]
     vals = [[] for _ in ks]
     for r in range(n_b):   # each realization built once, for every k
-        terms = build_couplings(_realization_table(job, r), job.model)
+        h, _ = pattern.cut(_realization_table(job, r))
         for k, v in zip(ks, vals):
-            v.append(plane_wave_broadening(terms, clean_terms, k, table))
+            v.append(plane_wave_broadening(h, clean, k, table))
     rows = [(k, float(np.mean(v)), float(np.std(v, ddof=1)) if n_b > 1 else 0.0)
             for k, v in zip(ks, vals)]
     outputs.append(io_utils.write_csv(out / "broadening.csv",

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spinlens.disorder import (BreakdownResult, BreakdownRow, Displacement,
-                               EnsembleJob, Holes, _realization_table,
+                               EnsembleJob, Holes, _CleanPattern,
+                               _protocol_start, _realization_table,
                                breakdown_scan, plane_wave_broadening,
                                run_ensemble, run_protocol)
 from spinlens.lattice import (NearestNeighbor, PowerLaw, build_couplings,
@@ -34,7 +36,7 @@ def thick_job(chain):
 @pytest.fixture(scope="module")
 def unit_chain():
     table = build_lattice((100,))
-    return table, PowerLaw(1.0, 3.0), build_couplings(table, PowerLaw(1.0, 3.0))
+    return table, PowerLaw(1.0, 3.0), build_couplings(table, PowerLaw(1.0, 3.0)).matrix()
 
 
 @pytest.fixture(scope="module")
@@ -84,10 +86,24 @@ class TestKindValidation:
                         sigma0=1.0, duration=1.0, kind=Holes(-1),
                         realizations=1, master_seed=1)
 
+    def test_hole_count_bounded_by_sites_off_the_foci(self):
+        table = build_lattice((20,))
+        design = Multifocal((ThickPolynomial((V0,), (5.0,)),
+                             ThickPolynomial((V0,), (14.0,))))
+
+        def job(count):
+            return EnsembleJob(table=table, model=NearestNeighbor(1.0),
+                               design=design, sigma0=3.0, duration=1.0,
+                               kind=Holes(count), realizations=1, master_seed=1)
+
+        with pytest.raises(ValueError, match="18 active sites that are not a focus"):
+            job(19)
+        full = _realization_table(job(18), 0)
+        assert np.flatnonzero(full.active).tolist() == [5, 14]
+
 
 class TestRealizationTable:
     def test_displacement_draw_is_deterministic(self, chain, thick_job):
-        from dataclasses import replace
         job = replace(thick_job, kind=Displacement(0.03))
         a = _realization_table(job, 4)
         b = _realization_table(job, 4)
@@ -95,7 +111,6 @@ class TestRealizationTable:
         assert not np.array_equal(_realization_table(job, 5).positions, a.positions)
 
     def test_zero_displacement_is_identity(self, chain, thick_job):
-        from dataclasses import replace
         job = replace(thick_job, kind=Displacement(0.0))
         table = _realization_table(job, 0)
         assert np.array_equal(table.positions, chain.positions)
@@ -106,7 +121,6 @@ class TestRealizationTable:
         assert np.array_equal(table.active, chain.active)
 
     def test_holes_reduce_active_count_only(self, chain, thick_job):
-        from dataclasses import replace
         job = replace(thick_job, kind=Holes(12))
         table = _realization_table(job, 0)
         assert table.n_active == chain.n_active - 12
@@ -197,7 +211,6 @@ class TestRunEnsemble:
         assert summary["sigma_f"]["stderr"] == 0.0
 
     def test_records_do_not_depend_on_realization_count(self, chain, thick_job):
-        from dataclasses import replace
         job = replace(thick_job, kind=Displacement(0.02), realizations=4)
         short = run_ensemble(job)
         long = run_ensemble(replace(job, realizations=6))
@@ -221,22 +234,29 @@ class TestRunEnsemble:
         assert summary["sigma_f"]["stderr"] == 0.0
 
     def test_record_arrays_have_one_entry_per_realization(self, chain, thick_job):
-        from dataclasses import replace
         stats = run_ensemble(replace(thick_job, kind=Holes(5), realizations=4))
         assert stats.p_foc.shape == (4,)
         assert stats.sigma_f.shape == (4,)
 
 
+ENSEMBLE_CASES = ["chain", "plane", "displacement", "thin", "powerlaw_holes",
+                  "displacement_plane", "multifocal_holes"]
+
+
 def _ensemble_case(name):
     """EnsembleJob with different bounds per realization; the thick cases
     fill more than one stacked operator (``propagator._STACK_NNZ``)."""
-    if name == "plane":
+    if name in ("plane", "displacement_plane"):
         table = build_lattice((21, 21))
         design = ThickPolynomial((4.0 ** (-8.0 / 3.0),), (10.0, 10.0))
-        return EnsembleJob(table=table, model=NearestNeighbor(1.0), design=design,
-                           sigma0=4.0, duration=continuum_thick(design.coefficients[0],
-                                                                4.0).focal_time,
-                           kind=Holes(6), realizations=24, master_seed=5)
+        duration = continuum_thick(design.coefficients[0], 4.0).focal_time
+        if name == "plane":
+            return EnsembleJob(table=table, model=NearestNeighbor(1.0),
+                               design=design, sigma0=4.0, duration=duration,
+                               kind=Holes(6), realizations=24, master_seed=5)
+        return EnsembleJob(table=table, model=PowerLaw(1.0, 6.0, cutoff_range=3.0),
+                           design=design, sigma0=4.0, duration=duration,
+                           kind=Displacement(0.02), realizations=6, master_seed=13)
     table = build_lattice((101,))
     if name == "thin":
         design = ThinPulse(0.05, (50.0,))
@@ -249,13 +269,23 @@ def _ensemble_case(name):
         return EnsembleJob(table=table, model=NearestNeighbor(1.0), design=design,
                            sigma0=8.0, duration=duration, kind=Holes(4),
                            realizations=90, master_seed=7)
+    if name == "powerlaw_holes":
+        return EnsembleJob(table=table, model=PowerLaw(1.0, 6.0), design=design,
+                           sigma0=8.0, duration=duration, kind=Holes(5),
+                           realizations=12, master_seed=3)
+    if name == "multifocal_holes":
+        design = Multifocal((ThickPolynomial((V0,), (30.0,)),
+                             ThickPolynomial((4.0 * V0,), (70.0,))))
+        return EnsembleJob(table=table, model=NearestNeighbor(1.0), design=design,
+                           sigma0=8.0, duration=duration, kind=Holes(6),
+                           realizations=12, master_seed=21)
     return EnsembleJob(table=table, model=PowerLaw(1.0, 6.0), design=design,
                        sigma0=8.0, duration=duration, kind=Displacement(0.01),
                        realizations=12, master_seed=11)
 
 
 class TestBatchedEnsemble:
-    @pytest.mark.parametrize("name", ["chain", "plane", "displacement", "thin"])
+    @pytest.mark.parametrize("name", ENSEMBLE_CASES)
     def test_equals_one_protocol_per_realization(self, name):
         job = _ensemble_case(name)
         stats = run_ensemble(job)
@@ -263,25 +293,54 @@ class TestBatchedEnsemble:
                  for r in range(job.realizations)]
         assert [tuple(rec) for rec in zip(stats.p_foc, stats.sigma_f)] == alone
 
+    @pytest.mark.parametrize("name", ENSEMBLE_CASES)
+    def test_pattern_cut_equals_assembled_terms(self, name):
+        job = _ensemble_case(name)
+        pattern = _CleanPattern(job)
+        for r in range(job.realizations):
+            table = _realization_table(job, r)
+            h, bounds = pattern.cut(table)
+            terms, _ = _protocol_start(table, job)
+            want = terms.matrix()
+            for attr in ("indptr", "indices", "data"):
+                assert getattr(h, attr).tobytes() == getattr(want, attr).tobytes()
+            assert bounds == terms.bounds()
+
+    @pytest.mark.parametrize("name", ["thin", "displacement"])
+    def test_couplings_are_built_once_per_job(self, monkeypatch, name):
+        from spinlens import disorder
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return build_couplings(*args, **kwargs)
+
+        monkeypatch.setattr(disorder, "build_couplings", counted)
+        for realizations in (1, 2, 7):
+            calls.clear()
+            run_ensemble(replace(_ensemble_case(name), realizations=realizations))
+            assert len(calls) == 1
+
 
 class TestPlaneWaveBroadening:
     def test_unperturbed_hamiltonian_gives_zero(self, chain):
-        terms = build_couplings(chain, NearestNeighbor(1.0))
-        assert plane_wave_broadening(terms, terms, 0.7, table=chain) == 0.0
+        h = build_couplings(chain, NearestNeighbor(1.0)).matrix()
+        assert plane_wave_broadening(h, h, 0.7, table=chain) == 0.0
 
     def test_diagonal_disorder_reduces_to_population_std(self):
         table = punch_holes(build_lattice((40,)), [(7,), (23,)])
         terms = build_couplings(table, NearestNeighbor(1.0))
         eta = np.random.default_rng(2).normal(0.0, 0.3, 40)
-        value = plane_wave_broadening(terms.with_diagonal(eta), terms, 0.9,
-                                      table=table)
+        value = plane_wave_broadening(terms.with_diagonal(eta).matrix(),
+                                      terms.matrix(), 0.9, table=table)
         assert value == pytest.approx(eta[table.active].std(), abs=1e-12)
 
     def test_default_positions_are_the_unit_chain(self, chain):
-        clean = build_couplings(chain, PowerLaw(1.0, 3.0))
+        clean = build_couplings(chain, PowerLaw(1.0, 3.0)).matrix()
         moved = build_couplings(
             displace_sites(chain, np.random.default_rng(1).normal(0, 0.02, (101, 1))),
-            PowerLaw(1.0, 3.0))
+            PowerLaw(1.0, 3.0)).matrix()
         k = 2 * np.pi * 10 / 101
         assert plane_wave_broadening(moved, clean, k) == pytest.approx(
             plane_wave_broadening(moved, clean, k, table=chain), abs=1e-13)
@@ -299,13 +358,13 @@ class TestBroadeningScenario:
             "disorder": {"delta": 0.01, "realizations": 3},
             "broadening": {"ks": [0.5, 1.0, 1.5], "realizations": 4}})
         job, _ = _ensemble_job(cfg, Displacement(0.01))
-        clean = build_couplings(job.table, job.model)
+        clean = build_couplings(job.table, job.model).matrix()
         want = []
         for k in cfg["broadening"]["ks"]:
             k = 2.0 * math.pi * round(k * 40 / (2.0 * math.pi)) / 40
             vals = [plane_wave_broadening(
-                build_couplings(_realization_table(job, r), job.model), clean, k,
-                job.table) for r in range(4)]
+                build_couplings(_realization_table(job, r), job.model).matrix(),
+                clean, k, job.table) for r in range(4)]
             want.append([k, float(np.mean(vals)), float(np.std(vals, ddof=1))])
 
         calls = []
@@ -317,9 +376,9 @@ class TestBroadeningScenario:
         monkeypatch.setattr(scenarios, "build_couplings", counted)
         monkeypatch.setattr(disorder, "build_couplings", counted)
         derived, _ = run_scenario(cfg, tmp_path)
-        # clean protocol, 3 ensemble realizations, clean broadening
-        # reference, and each of the 4 broadening realizations once
-        assert len(calls) == 1 + 3 + 1 + 4
+        # the clean protocol, then one clean pattern each for the 3 ensemble
+        # realizations and for the 4 broadening realizations
+        assert len(calls) == 1 + 1 + 1
         assert derived["broadening"] == want
 
 
@@ -330,7 +389,7 @@ class TestDisplacementScaling:
         k = 2 * np.pi * 10 / 100
         ratio = {}
         for s in (1.0, 0.5, 0.25):
-            moved = build_couplings(displace_sites(table, s * draw), model)
+            moved = build_couplings(displace_sites(table, s * draw), model).matrix()
             ratio[s] = plane_wave_broadening(moved, clean, k, table=table) / s
         gaps = abs(ratio[0.5] - ratio[1.0]), abs(ratio[0.25] - ratio[0.5])
         assert gaps[1] < 0.6 * gaps[0]
@@ -345,7 +404,8 @@ class TestDisplacementScaling:
         for delta in deltas:
             vals = [plane_wave_broadening(
                 build_couplings(displace_sites(
-                    table, rng.normal(0.0, delta, table.positions.shape)), model),
+                    table, rng.normal(0.0, delta, table.positions.shape)),
+                    model).matrix(),
                 clean, k, table=table) for _ in range(12)]
             means.append(np.mean(vals))
         means = np.array(means)
@@ -356,7 +416,7 @@ class TestDisplacementScaling:
 
     def test_perturbation_matches_first_order_coupling_expansion(self, unit_chain):
         table, model, clean = unit_chain
-        m0 = clean.matrix().toarray()
+        m0 = clean.toarray()
         x0 = table.positions[:, 0]
         r0 = np.abs(x0[:, None] - x0[None, :])
         bonded = (r0 > 0) & (r0 <= model.cutoff_range)
