@@ -7,7 +7,8 @@ through the lattice module once per job, on the clean lattice: its H pattern
 (:class:`_CleanPattern`) holds the hopping entries plus one diagonal slot per
 row, in canonical CSR order. Each realization's H and Gershgorin bounds are
 cut from it with array operations. Holes drop the entries whose row or
-column is inactive, and their values do not change. Displacement recomputes
+column is inactive, the diagonal slot included, and the other values do not
+change. Displacement recomputes
 only the power-law values at the pattern's pairs. Zero values are dropped,
 as scipy's assembly drops them, so the H of a realization is bit for bit the
 one :func:`run_protocol` assembles. The realizations are propagated
@@ -164,10 +165,12 @@ class _CleanPattern:
         order = np.lexsort((cols, rows))
         self.rows, self.cols = rows[order], cols[order].astype(np.int32)
         self.indptr = np.searchsorted(self.rows, np.arange(n + 1))
-        # the on-site energies as HamiltonianTerms.with_diagonal adds them
+        # the on-site energies of the clean lattice, as
+        # HamiltonianTerms.with_diagonal adds them
         self.diagonal = np.zeros(n)
         if not job.design.thin:
             self.diagonal = self.diagonal + potential_profile(job.design, job.table)
+            self.diagonal[~job.table.active] = 0.0
         self.data = np.concatenate([-hop.data, self.diagonal])[order]
         self.offdiag = self.rows != self.cols
         self.holes = isinstance(job.kind, Holes)
@@ -186,11 +189,12 @@ class _CleanPattern:
         """H of the realization ``table`` as CSR, and its Gershgorin bounds,
         each equal bit for bit to ``_protocol_start(table, job)``'s
         ``matrix()`` and ``bounds()``."""
-        data = self.data
+        data, diagonal = self.data, self.diagonal
         if self.holes:
+            # a hole's row and column go, its diagonal slot included
             active = table.active
-            keep = ~self.offdiag | (active[self.rows] & active[self.cols])
-            keep &= data != 0.0
+            keep = active[self.rows] & active[self.cols] & (data != 0.0)
+            diagonal = np.where(active, diagonal, 0.0)
         else:
             if self.pairs is not None:
                 data = data.copy()
@@ -206,9 +210,9 @@ class _CleanPattern:
         radii = np.zeros(n)
         filled = np.flatnonzero(np.diff(indptr))
         radii[filled] = np.add.reduceat(np.abs(data), indptr[filled])
-        radii -= np.abs(self.diagonal)
-        return h, (float((self.diagonal - radii).min()),
-                   float((self.diagonal + radii).max()))
+        radii -= np.abs(diagonal)
+        return h, (float((diagonal - radii).min()),
+                   float((diagonal + radii).max()))
 
 
 def run_ensemble(job: EnsembleJob) -> EnsembleStats:

@@ -15,9 +15,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    from .propagator import EigenPropagator
 
 
 @dataclass
@@ -182,14 +186,17 @@ class HamiltonianTerms:
     """Single-excitation Hamiltonian pieces H = diag(eps) - J.
 
     ``hopping`` is symmetric CSR with zero rows/columns at inactive sites;
-    ``diagonal`` holds eps_n (zero at inactive sites). Spectral bounds for the
+    ``diagonal`` holds eps_n (zero at inactive sites); ``active`` is the site
+    table's mask. Spectral bounds and the dense eigendecomposition for the
     propagator are cached after first use.
     """
 
     hopping: sp.csr_matrix
     diagonal: np.ndarray
+    active: np.ndarray
     _bounds: tuple[float, float] | None = field(default=None, repr=False)
     _matrix: sp.csr_matrix | None = field(default=None, repr=False)
+    _eigen: EigenPropagator | None = field(default=None, repr=False)
 
     @property
     def n_sites(self) -> int:
@@ -204,11 +211,14 @@ class HamiltonianTerms:
         return self._matrix
 
     def with_diagonal(self, extra) -> "HamiltonianTerms":
-        """New terms with ``extra`` added to the on-site energies."""
+        """New terms with ``extra`` added to the on-site energies of the
+        active sites; the diagonal stays zero at inactive ones."""
         extra = np.asarray(extra, dtype=float)
         if extra.shape != self.diagonal.shape:
             raise ValueError("diagonal length mismatch")
-        return HamiltonianTerms(self.hopping, self.diagonal + extra)
+        diagonal = self.diagonal + extra
+        diagonal[~self.active] = 0.0
+        return HamiltonianTerms(self.hopping, diagonal, self.active)
 
     def bounds(self) -> tuple[float, float]:
         """Gershgorin enclosure of the spectrum (cached)."""
@@ -217,6 +227,16 @@ class HamiltonianTerms:
 
             self._bounds = spectral_bounds(self.matrix())
         return self._bounds
+
+    def eigen(self) -> EigenPropagator:
+        """Dense eigendecomposition of the assembled H as a
+        :class:`spinlens.propagator.EigenPropagator` (cached): n^2 floats,
+        so for small lattices only."""
+        if self._eigen is None:
+            from .propagator import EigenPropagator
+
+            self._eigen = EigenPropagator(self.matrix())
+        return self._eigen
 
 
 def _neighbor_offsets(dim: int, cutoff: float) -> np.ndarray:
@@ -286,4 +306,4 @@ def build_couplings(table: SiteTable, model: CouplingModel,
             raise ValueError(f"lens_diagonal must have length {n}")
         diagonal = diagonal + extra
     diagonal[~table.active] = 0.0
-    return HamiltonianTerms(hop, diagonal)
+    return HamiltonianTerms(hop, diagonal, table.active)

@@ -308,6 +308,24 @@ class OptimizeResult:
     boundary: bool = False
 
 
+# Lattices of at most this many sites scan each design's focal window from a
+# dense eigendecomposition instead of the Chebyshev window (_width_minima).
+# One whole thick order-2 optimize_lens call, sigma0 = N/20, window path /
+# dense path in seconds (best of 2, one CPU, one BLAS thread):
+#
+#   N     NN, n_time 40   NN, n_time 200  alpha 6, 40    alpha 6, 200
+#   200   0.145 / 0.135   0.250 / 0.207   0.572 / 0.162  0.627 / 0.221
+#   400   0.290 / 0.547   0.356 / 0.714   1.429 / 0.606  1.200 / 0.581
+#   600   0.684 / 1.463   0.647 / 2.097   2.552 / 1.784  1.905 / 1.863
+#   800   1.035 / 3.247   1.021 / 3.658   3.053 / 4.813  3.804 / 5.428
+#
+# The O(N^3) decomposition (5 ms at N = 200, 23 ms at 400) is paid by every
+# thick design; thin designs share one. Nearest-neighbour operators are
+# cheap to expand, so they cross over near N = 250, power-law ones near 600;
+# summed over the two families the dense path still wins at 400 and no
+# longer at 600.
+_DENSE_DIM = 400
+
 # In optimizer evolutions, and replays of their designs, on-site energies are
 # clipped to +- this value (units of the reference hopping; see
 # clipped_thick_terms). Sites that deep in the potential hold no packet
@@ -349,18 +367,43 @@ def _parabola_vertex(y, i):
     return shift, y1 - 0.25 * (y0 - y2) * shift
 
 
+def _dense_minimum(terms, psi0, window, table, n_time):
+    """:func:`_width_minima` of one case from the dense eigendecomposition
+    of its H: every sample, and the parabola's vertex, is the exact state
+    at its time."""
+    ts = np.linspace(*window, n_time)
+    eigen = terms.eigen()
+    w = gaussian_widths(eigen.states(psi0.amplitudes, ts), table)
+    i = int(np.argmin(w))   # the first of equal widths
+    at_edge = i == 0 or i == n_time - 1
+    t_min, w_min = ts[i], w[i]
+    vertex = None if at_edge else _parabola_vertex(w, i)
+    if vertex is not None:
+        t_ref = ts[i] + vertex[0] * (ts[1] - ts[0])
+        w_ref = gaussian_widths(eigen.states(psi0.amplitudes, [t_ref]), table)[0]
+        if w_ref < w_min:
+            t_min, w_min = t_ref, w_ref
+    return t_min, w_min, at_edge
+
+
 def _width_minima(cases, table, n_time, tol):
     """Minimum packet width over a time window, by scan plus parabolic
     refine, for each case (terms, initial state, window).
 
-    The cases are propagated together: one batch steps each to its
-    window's start, :func:`spinlens.propagator.window_batch` samples the
-    remaining ``n_time - 1`` times segment by segment, whose widths are
+    On a lattice of at most ``_DENSE_DIM`` sites each case is sampled from
+    the dense eigendecomposition of its H, ``terms.eigen()``, exact to
+    rounding whatever ``tol``; the decomposition stays cached on ``terms``.
+    On a larger one the cases are propagated together: one batch steps each
+    to its window's start, :func:`spinlens.propagator.window_batch` samples
+    the remaining ``n_time - 1`` times segment by segment, whose widths are
     taken at once, and one batch refines each from its narrowest sample by
     the parabola's sub-step offset. Only the narrowest state of each case
-    is kept, and every result equals bit for bit what the case gives alone.
-    Returns one (t_min, w_min, at_edge) per case.
+    is kept. On either path every result equals bit for bit what the case
+    gives alone. Returns one (t_min, w_min, at_edge) per case.
     """
+    if table.n_sites <= _DENSE_DIM:
+        return [_dense_minimum(terms, psi0, window, table, n_time)
+                for terms, psi0, window in cases]
     times = [np.linspace(t0, t1, n_time) for _, _, (t0, t1) in cases]
     # a window starting at 0 starts from the initial state itself
     starts = expimv_batch(
@@ -438,11 +481,17 @@ def _eval_designs(designs, table, base_terms, psi0, hopping, n_time, tol):
         windows.append((0.5 * t_est, 1.5 * t_est))
     results = [None] * len(designs)
     todo = list(range(len(designs)))
+    dense = table.n_sites <= _DENSE_DIM
     for _ in range(3):
         # One stacked operator's worth of designs at a time, each with terms
         # built for it and dropped after, bounds the memory. Every design's
         # operator holds the nonzeros of base_terms plus at most a diagonal.
-        found = [f for cut in split_stacks(todo, lambda i: base_terms.matrix())
+        # A dense decomposition is n^2 floats, so there a thick design's
+        # terms, with the decomposition cached on them, go before the next
+        # design's are built; thin designs share that of base_terms.
+        cuts = ([i] for i in todo) if dense else split_stacks(
+            todo, lambda i: base_terms.matrix())
+        found = [f for cut in cuts
                  for f in _width_minima([(terms(designs[i]), states[i], windows[i])
                                          for i in cut], table, n_time, tol)]
         retry = []
@@ -466,9 +515,14 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
     [0.1, 10] x (the scaling estimate from :func:`thresholds`), extended one
     decade if the narrowest point sits on a grid end, then refined by bounded
     scalar minimization; the time minimum within each evolution is found by
-    an ``n_time``-point scan plus parabolic refinement: one step to the
-    window's start, the other ``n_time - 1`` samples from one Chebyshev
-    recurrence per window segment
+    an ``n_time``-point scan plus parabolic refinement at the vertex time.
+    On a lattice of at most ``_DENSE_DIM`` (400) sites every sample and the
+    vertex are exact states from one dense eigendecomposition of the
+    design's H (:class:`spinlens.propagator.EigenPropagator`); thin designs
+    all evolve under the bare couplings and share one decomposition per
+    call, and each thick design's is dropped before the next is built. On
+    a larger lattice: one step to the window's start, the other
+    ``n_time - 1`` samples from one Chebyshev recurrence per window segment
     (:func:`spinlens.propagator.window_batch`), and one step from the
     narrowest sample by the parabola vertex's offset, a fraction of a
     sample. For thick lenses of order > 2 the higher coefficients are
@@ -478,14 +532,14 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
     isochrone of the band (see ``_isochrone_coefficients``), then the leading
     strength is retried at x0.8 and x1.25. Thin pulses are parabolic.
 
-    The designs of a stage are evaluated together, as one batch of
-    independent evolutions for the start step, the window scan and the
-    refine step (as many designs at a time as fit one stacked operator, see
-    :func:`spinlens.propagator.split_stacks`):
+    On the larger lattices the designs of a stage are evaluated together,
+    as one batch of independent evolutions for the start step, the window
+    scan and the refine step (as many designs at a time as fit one stacked
+    operator, see :func:`spinlens.propagator.split_stacks`):
     the stage-1 grid, its extension, each stage-3 correction grid and the
     x0.8/x1.25 retries; window-extension retries are batched among the
-    designs that need them, and stage 2 asks for one design at a time. Each
-    design's result is bit for bit what it gives alone.
+    designs that need them, and stage 2 asks for one design at a time. On
+    either path each design's result is bit for bit what it gives alone.
 
     Every evaluated design is recorded once in ``scan`` (design, strength,
     focal time and width, and whether the time minimum stayed on a window

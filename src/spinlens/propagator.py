@@ -53,6 +53,14 @@ All Bessel values come from one routine, Miller's downward recurrence
 (:func:`_bessel_table`), vectorised over every phase of a plan or of a
 window's blocks and samples; each phase starts at its own order, so its
 values do not depend on the others it is computed with.
+
+An operator of a few hundred rows is cheaper to diagonalise once than to
+expand term by term, where each term's fixed cost outweighs its arithmetic.
+:class:`EigenPropagator` holds one dense eigendecomposition H = V diag(E) V^T
+of a real symmetric h and gives V (e^{-iEt} * V^T psi) at any list of times,
+exact to rounding at any t, as two real matrix products (the eigenvector
+method of Moler & Van Loan, SIAM Rev. 45, 3 (2003)). Its cost is the
+O(n^3) decomposition, so it pays only on small operators.
 """
 
 from __future__ import annotations
@@ -506,6 +514,37 @@ def trajectory(h: sp.csr_matrix, psi: np.ndarray, dt: float, n_steps: int,
         (psi,) = step.apply([psi])
         t = t + dt
         yield t, psi
+
+
+class EigenPropagator:
+    """exp(-i h t) psi at any times from one dense eigendecomposition of a
+    real symmetric ``h`` (module docstring).
+
+    ``numpy.linalg.eigh`` of ``h.toarray()`` runs once, on construction; the
+    propagator holds the n eigenvalues and the n x n real eigenvectors.
+    """
+
+    def __init__(self, h: sp.csr_matrix):
+        a = h.toarray()
+        if np.iscomplexobj(a):
+            raise ValueError("EigenPropagator needs a real symmetric matrix")
+        self.energies, self.vectors = np.linalg.eigh(a)
+
+    def states(self, psi: np.ndarray, times) -> np.ndarray:
+        """exp(-i h t) psi for every t of ``times``, one state per row,
+        (len(times), n).
+
+        psi's eigenbasis coefficients V^T psi and the states V (phase x
+        coefficients) are each one real product: a complex (n, m) array
+        viewed as a real (n, 2m) one. The rows are a transposed view.
+        """
+        psi = np.ascontiguousarray(psi, dtype=complex)
+        n = self.energies.size
+        if psi.shape != (n,):
+            raise ValueError("state length does not match Hamiltonian")
+        coef = (self.vectors.T @ psi.view(float).reshape(n, 2)).view(complex)
+        coef = np.exp(-1j * np.outer(self.energies, np.asarray(times, dtype=float))) * coef
+        return (self.vectors @ coef.view(float)).view(complex).T
 
 
 def window_batch(blocks: Iterable[tuple], n_samples: int, tol: float = 1e-10

@@ -2,8 +2,9 @@
 
 Each test computes its figures of merit, records a ``criterion NN PASS/FAIL``
 line (printed as a section after the run, see conftest), and then asserts the
-gates. Tests marked ``slow`` carry optimizer scans or large few-excitation
-sectors and dominate the runtime; ``-m "not slow"`` keeps the quick ones.
+gates. Tests marked ``slow`` take more than 10 s each with their fixtures
+(optimizer scans at N = 800, the large few-excitation sectors, the disorder
+ensembles) and dominate the runtime; ``-m "not slow"`` keeps the quick ones.
 
 The strong-kick thin-lens check (criterion 4) fails by design: its kick
 strength sits far above the aberration optimum, where no simulation of the
@@ -120,7 +121,6 @@ def cascade_run(tmp_path_factory):
     return derived
 
 
-@pytest.mark.slow
 def test_criterion_02_cascade_stage_widths(cascade_run):
     """Sixth-order optimized lens at sigma0=100a focuses to 2.7a; feeding the
     focused packet through a second optimized stage reaches 1.2a."""
@@ -389,6 +389,7 @@ def holes_plane_run(tmp_path_factory):
     return derived
 
 
+@pytest.mark.slow
 def test_criterion_09_hole_robustness(holes_chain_run, holes_plane_run):
     """One hole out of 70 sites costs >= 15% of the focal capture in 1D;
     ten holes in a 70x70 plane cost at most 20% of it."""
@@ -414,6 +415,7 @@ def breakdown_run(tmp_path_factory):
     return derived, rows
 
 
+@pytest.mark.slow
 def test_criterion_10_displacement_breakdown(breakdown_run):
     """Width degradation under position scatter: exactly 1 at delta = 0,
     monotone in delta, and the crossover obeys delta_c ~ 1/t_foc (the product

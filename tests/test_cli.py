@@ -180,6 +180,8 @@ class TestValidateCommand:
                              ids=lambda p: p.name)
     def test_shipped_configs_validate(self, path):
         assert main(["validate", "--config", str(path)]) == 0
+        cfg = prepare_config(yaml.safe_load(path.read_text(encoding="utf-8")))
+        assert lint_config(cfg) == []
 
 
 class TestRunCommand:

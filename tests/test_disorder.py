@@ -11,6 +11,7 @@ from spinlens.disorder import (BreakdownResult, BreakdownRow, Displacement,
                                run_ensemble, run_protocol)
 from spinlens.lattice import (NearestNeighbor, PowerLaw, build_couplings,
                               build_lattice, displace_sites, punch_holes)
+from spinlens.propagator import spectral_bounds
 from spinlens.lens import (Multifocal, ThickPolynomial, ThinPulse,
                            continuum_thick, potential_profile,
                            thin_phase_profile)
@@ -305,6 +306,22 @@ class TestBatchedEnsemble:
             for attr in ("indptr", "indices", "data"):
                 assert getattr(h, attr).tobytes() == getattr(want, attr).tobytes()
             assert bounds == terms.bounds()
+
+    def test_a_hole_leaves_the_bounds(self):
+        """A hole's on-site energy is no part of its realization's H: with
+        the hole where the lens potential peaks, the chain's far end, the
+        Gershgorin enclosure is the active sites' alone."""
+        design = ThickPolynomial((0.05,), (15.0,))
+        job = EnsembleJob(table=build_lattice((41,)), model=NearestNeighbor(1.0),
+                          design=design, sigma0=4.0, duration=1.0, kind=Holes(1),
+                          realizations=1, master_seed=1)
+        table = punch_holes(job.table, [(40,)])
+        h, bounds = _CleanPattern(job).cut(table)
+        terms, _ = _protocol_start(table, job)
+        assert bounds == terms.bounds() == spectral_bounds(h)
+        peak = potential_profile(design, table)[40]
+        assert bounds[1] == pytest.approx(potential_profile(design, table)[39] + 1.0)
+        assert bounds[1] < peak
 
     @pytest.mark.parametrize("name", ["thin", "displacement"])
     def test_couplings_are_built_once_per_job(self, monkeypatch, name):

@@ -179,6 +179,15 @@ class TestBuildCouplings:
         eig = np.linalg.eigvalsh(terms.matrix().toarray())
         assert lo <= eig.min() and eig.max() <= hi
 
+    def test_holed_diagonal_is_zero_at_every_hole(self):
+        t = punch_holes(build_lattice((12,)), [(0,), (5,), (11,)])
+        v = 0.1 * np.arange(12.0) ** 2 + 1.0
+        for terms in (build_couplings(t, NearestNeighbor(1.0)).with_diagonal(v),
+                      build_couplings(t, NearestNeighbor(1.0), lens_diagonal=v)):
+            assert np.array_equal(terms.diagonal[~t.active], np.zeros(3))
+            assert np.array_equal(terms.diagonal[t.active], v[t.active])
+            assert np.array_equal(terms.matrix().diagonal()[~t.active], np.zeros(3))
+
     def test_with_diagonal_adds(self):
         t = build_lattice((6,))
         base = build_couplings(t, NearestNeighbor(1.0))

@@ -5,9 +5,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from spinlens import lens
-from spinlens.lattice import (NearestNeighbor, build_couplings, build_lattice,
-                              displace_sites)
-from spinlens.propagator import trajectory
+from spinlens.lattice import (NearestNeighbor, PowerLaw, build_couplings,
+                              build_lattice, displace_sites)
+from spinlens.propagator import trajectory, window_batch
 from spinlens.wavepacket import (SpinWaveState, evolve, gaussian_packet,
                                  gaussian_width, phase_imprint)
 from spinlens.lens import (Multifocal, ThickPolynomial, ThinPulse,
@@ -508,23 +508,29 @@ _CASES = [
 _CASE_IDS = ["thick2", "thin", "thick4", "thin-window-retries"]
 
 
+def _assert_batched_equals_alone(monkeypatch, n, sigma0, kw, retries):
+    """optimize_lens gives the same scan and result when each design is
+    evaluated alone, its window estimated and extended by the reference."""
+    table = build_lattice((n,))
+    batched = optimize_lens(table, NearestNeighbor(1.0), sigma0, **kw)
+    retried = []
+    monkeypatch.setattr(lens, "_eval_designs", lambda designs, *args: [
+        _reference_eval_design(d, *args, retried=retried) for d in designs])
+    alone = optimize_lens(table, NearestNeighbor(1.0), sigma0, **kw)
+    assert batched.scan == alone.scan
+    assert (batched.design, batched.focal_time, batched.focal_width,
+            batched.boundary) == (alone.design, alone.focal_time,
+                                  alone.focal_width, alone.boundary)
+    if kw.get("order", 2) > 2:
+        assert any(s["design"].coefficients[1] != 0.0 for s in alone.scan)
+    if retries:   # several designs extend their window in one batch
+        assert len(retried) > 1
+
+
 class TestBatchedEvaluation:
     @pytest.mark.parametrize("n, sigma0, kw, retries", _CASES, ids=_CASE_IDS)
     def test_equals_per_design_evaluation(self, monkeypatch, n, sigma0, kw, retries):
-        table = build_lattice((n,))
-        batched = optimize_lens(table, NearestNeighbor(1.0), sigma0, **kw)
-        retried = []
-        monkeypatch.setattr(lens, "_eval_designs", lambda designs, *args: [
-            _reference_eval_design(d, *args, retried=retried) for d in designs])
-        alone = optimize_lens(table, NearestNeighbor(1.0), sigma0, **kw)
-        assert batched.scan == alone.scan
-        assert (batched.design, batched.focal_time, batched.focal_width,
-                batched.boundary) == (alone.design, alone.focal_time,
-                                      alone.focal_width, alone.boundary)
-        if kw.get("order", 2) > 2:
-            assert any(s["design"].coefficients[1] != 0.0 for s in alone.scan)
-        if retries:   # several designs extend their window in one batch
-            assert len(retried) > 1
+        _assert_batched_equals_alone(monkeypatch, n, sigma0, kw, retries)
 
     @pytest.mark.parametrize("n, sigma0, kw, retries", _CASES, ids=_CASE_IDS)
     def test_agrees_with_stepwise_evaluation(self, n, sigma0, kw, retries):
@@ -542,3 +548,82 @@ class TestBatchedEvaluation:
             assert at_edge == entry["at_edge"]
             assert abs(entry["focal_width"] - w_f) <= 1e-7 * w_f
             assert abs(entry["focal_time"] - t_f) <= 1e-6 * t_f
+
+    @pytest.mark.parametrize("n, sigma0, kw, retries", _CASES, ids=_CASE_IDS)
+    def test_window_path_equals_per_design_evaluation(self, monkeypatch, n, sigma0,
+                                                      kw, retries):
+        """The same contract on the Chebyshev window path, which lattices
+        above ``_DENSE_DIM`` sites take: designs batched into stacks give
+        what each gives alone."""
+        monkeypatch.setattr(lens, "_DENSE_DIM", 0)
+        _assert_batched_equals_alone(monkeypatch, n, sigma0, kw, retries)
+
+
+def _scan_cases(name, n=80, sigma0=6.0):
+    """(terms, state, window) of designs at 0.5, 1 and 2 times the scaling
+    optimum on an n-site chain, each in its focal window, plus one window
+    that ends before the focus: nearest-neighbour thick and thin lenses and
+    an alpha = 6 thick lens."""
+    table = build_lattice((n,))
+    focus = (table.center()[0],)
+    model = PowerLaw(1.0, 6.0) if name == "alpha6-thick" else NearestNeighbor(1.0)
+    base = build_couplings(table, model)
+    psi0 = gaussian_packet(table, sigma0)
+    scales = thresholds(sigma0=sigma0)
+    cases = []
+    for rel in (0.5, 1.0, 2.0):
+        if name == "nn-thin":
+            phi0 = rel * scales["phi_opt_scale"]
+            t_est = continuum_thin(phi0, sigma0).focal_time
+            cases.append((base, phase_imprint(psi0, thin_phase_profile(
+                ThinPulse(phi0, focus), table)), (0.5 * t_est, 1.5 * t_est)))
+        else:
+            g = rel * scales["v_opt_scale"]
+            t_est = continuum_thick(g, sigma0).focal_time
+            cases.append((lens.clipped_thick_terms(base, ThickPolynomial((g,), focus),
+                                                   table, 1.0),
+                          psi0, (0.5 * t_est, 1.5 * t_est)))
+    terms, state, (t0, _) = cases[1]
+    cases.append((terms, state, (0.2 * t0, 0.6 * t0)))
+    return table, cases
+
+
+class TestDenseScan:
+    """Lattices of at most ``lens._DENSE_DIM`` sites scan each window from a
+    dense eigendecomposition; larger ones through ``window_batch``."""
+
+    @pytest.mark.parametrize("name", ["nn-thick", "nn-thin", "alpha6-thick"])
+    def test_agrees_with_window_path(self, monkeypatch, name):
+        """Both paths land on the same window sample and report the same
+        edge flag; the focal width agrees to 1e-7 and the focal time to
+        1e-6, relative (the documented tolerance, as for stepwise scans)."""
+        table, cases = _scan_cases(name)
+        assert table.n_sites <= lens._DENSE_DIM
+        dense = lens._width_minima(cases, table, 40, 1e-8)
+        monkeypatch.setattr(lens, "_DENSE_DIM", 0)
+        window = lens._width_minima(cases, table, 40, 1e-8)
+        assert [f[2] for f in dense] == [f[2] for f in window]
+        assert dense[-1][2]          # the early window ends on its edge
+        for (t_d, w_d, _), (t_w, w_w, _) in zip(dense, window):
+            assert abs(w_d - w_w) <= 1e-7 * w_w
+            assert abs(t_d - t_w) <= 1e-6 * t_w
+
+    def test_each_case_gives_what_it_gives_alone(self):
+        table, cases = _scan_cases("nn-thin")
+        together = lens._width_minima(cases, table, 40, 1e-8)
+        assert together == [lens._width_minima([c], table, 40, 1e-8)[0] for c in cases]
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_window_batch_runs_only_above_dense_dim(self, monkeypatch, above):
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(args)
+            yield from window_batch(*args, **kw)
+
+        monkeypatch.setattr(lens, "window_batch", counted)
+        n = lens._DENSE_DIM + above
+        table, cases = _scan_cases("nn-thick", n=n, sigma0=n / 16.0)
+        found = lens._width_minima(cases[:1], table, 10, 1e-8)
+        assert len(found) == 1
+        assert len(calls) == (1 if above else 0)

@@ -6,16 +6,16 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlens.lattice import NearestNeighbor, build_couplings, build_lattice
-from spinlens.lens import ThickPolynomial, potential_profile
+from spinlens.lattice import NearestNeighbor, PowerLaw, build_couplings, build_lattice
+from spinlens.lens import ThickPolynomial, ThinPulse, potential_profile, thin_phase_profile
 from spinlens.manybody import (build_mb_hamiltonian, enumerate_basis, even_path,
                                evolve_mb, mb_trajectory, symmetric_initial_state)
 from spinlens import propagator
 from spinlens.propagator import (_MAX_PHASE_PER_STEP, _STACK_NNZ, _WINDOW_BYTES,
-                                 _WINDOW_PHASE, _WINDOW_TERMS, TOL_RANGE, _StepPlan,
-                                 _bessel_table, expimv, expimv_batch, spectral_bounds,
-                                 trajectory, window_batch)
-from spinlens.wavepacket import evolve, gaussian_packet
+                                 _WINDOW_PHASE, _WINDOW_TERMS, TOL_RANGE, EigenPropagator,
+                                 _StepPlan, _bessel_table, expimv, expimv_batch,
+                                 spectral_bounds, trajectory, window_batch)
+from spinlens.wavepacket import evolve, gaussian_packet, phase_imprint
 
 from conftest import dense_evolution, random_hermitian
 
@@ -417,6 +417,51 @@ class TestWindow:
             list(window_batch([(h, psi, 2 * _MAX_PHASE_PER_STEP, (-1.0, 1.0))], 3))
         with pytest.raises(ValueError):
             list(window_batch([blocks[0]], 3, tol=1e-3))
+
+
+def lens_case(name, n=32):
+    """(H, initial state) of an optimizer evaluation on an n-site chain:
+    nearest-neighbour thick and thin lenses and an alpha = 6 thick lens."""
+    table = build_lattice((n,))
+    focus = (table.center()[0],)
+    model = PowerLaw(1.0, 6.0) if name == "alpha6-thick" else NearestNeighbor(1.0)
+    terms = build_couplings(table, model)
+    psi = gaussian_packet(table, 4.0)
+    if name == "nn-thin":
+        psi = phase_imprint(psi, thin_phase_profile(ThinPulse(0.05, focus), table))
+    else:
+        terms = terms.with_diagonal(potential_profile(ThickPolynomial((0.02,), focus),
+                                                      table))
+    return terms.matrix(), psi.amplitudes
+
+
+class TestEigenPropagator:
+    @pytest.mark.parametrize("name", ["nn-thick", "nn-thin", "alpha6-thick"])
+    def test_states_match_expm(self, name):
+        h, psi = lens_case(name)
+        times = [0.0, 0.7, 3.1, 12.5, 40.0]
+        states = EigenPropagator(h).states(psi, times)
+        assert states.shape == (len(times), len(psi))
+        dense = h.toarray()
+        for t, state in zip(times, states):
+            want = scipy.linalg.expm(-1j * t * dense) @ psi
+            assert np.abs(state - want).max() < 1e-12
+
+    def test_each_time_is_what_it_gives_alone(self):
+        h, psi = lens_case("nn-thick")
+        prop = EigenPropagator(h)
+        times = np.linspace(1.0, 9.0, 7)
+        states = prop.states(psi, times)
+        for t, state in zip(times, states):
+            assert np.abs(prop.states(psi, [t])[0] - state).max() < 1e-14
+        assert np.array_equal(prop.states(psi, times), states)
+
+    def test_rejects_complex_matrices_and_wrong_states(self, rng):
+        with pytest.raises(ValueError, match="real symmetric"):
+            EigenPropagator(random_hermitian(6, rng))
+        h, psi = lens_case("nn-thick")
+        with pytest.raises(ValueError, match="length"):
+            EigenPropagator(h).states(psi[:-1], [1.0])
 
 
 @pytest.mark.parametrize("z", [0.02, 6.0, 150.0, 600.0, 3000.0])
