@@ -26,8 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import (PowerLaw, SiteTable, build_couplings, displace_sites,
-                      punch_holes)
+from .lattice import PowerLaw, SiteTable, build_couplings, displace_sites
 from .lens import potential_profile, thin_phase_profile
 from .propagator import expimv_batch
 from .wavepacket import (SpinWaveState, evolve, focus_probability,
@@ -142,8 +141,10 @@ def _realization_table(job: EnsembleJob, r: int) -> SiteTable:
     if isinstance(job.kind, Holes):
         if job.kind.count == 0:
             return table
-        picked = rng.choice(job.candidates, size=job.kind.count, replace=False)
-        return punch_holes(table, table.labels[picked])
+        # distinct active sites, so punch_holes' label checks have nothing to catch
+        active = table.active.copy()
+        active[rng.choice(job.candidates, size=job.kind.count, replace=False)] = False
+        return SiteTable(table.extents, table.labels, table.positions, active)
     if job.kind.delta == 0.0:
         return table
     shifts = rng.normal(0.0, job.kind.delta, size=table.positions.shape)

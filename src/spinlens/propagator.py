@@ -12,15 +12,23 @@ sub-step count, the Chebyshev coefficients and the phase of the spectral
 centre; blocks with an equal (half-width x sub-step, per-sub-step tolerance)
 share one coefficient set, within the one plan. Blocks of equal dimension
 and sub-step count are stacked into one block-diagonal operator, each block
-shifted by its own centre and scaled by its own 1/half-width, stored as a
-complex CSR so no matvec upcasts it. Within a stack the blocks
-are ordered by coefficient count, longest first, the coefficients are padded
-with zeros to the longest, and term k of the three-term recurrence runs the
-matvec only on the row prefix of the blocks still active, through a CSR
-view on the same arrays. Stacks are cut so their nonzeros stay under
-``_STACK_NNZ`` (about 3.3e4, a complex CSR of about 0.66 MB, well inside
-one L2 with its state vectors); a block larger than that is a stack of its
-own.
+shifted by its own centre and scaled by its own 1/half-width. The stacked
+operator is a float64 CSR when every block is real (a real dtype, or a
+complex one whose imaginary parts are all zero), else a complex CSR, so no
+matvec upcasts it. While the operator and the stacked states are real, as
+in a real packet's first step, the terms T_k(h~) psi are float64 vectors;
+at the first complex state the stack replaces its operator by a complex
+copy. A complex coefficient times a real term rounds as it does times the
+term + 0j, and a real row sum is the real part of the complex one, so
+either path gives the same bits; the real one costs about half per matvec.
+A window's operator is always complex: its start states are evolved
+states. Within a stack the blocks are ordered by coefficient count,
+longest first, the coefficients are padded with zeros to the longest, and
+term k of the three-term recurrence runs the matvec only on the row prefix
+of the blocks still active, through a CSR view on the same arrays. Stacks
+are cut so their nonzeros stay under ``_STACK_NNZ`` (about 3.3e4, a CSR of
+about 0.39 MB real or 0.66 MB complex, well inside one L2 with its state
+vectors); a block larger than that is a stack of its own.
 
 :func:`expimv` is a batch of one built and applied once, :func:`expimv_batch`
 the same for many blocks; :func:`trajectory` builds one single-block plan
@@ -75,11 +83,12 @@ import scipy.sparse as sp
 # this bounds round-off growth in the three-term recurrence.
 _MAX_PHASE_PER_STEP = 3.0e4
 
-# Nonzeros of one stacked operator. 2**15 complex CSR entries with their
-# column indices are about 0.66 MB, so the operator and the recurrence's
-# state vectors stay inside one 2 MiB L2. In one benchmark disorder run
-# each, 2**15, 2**16 and 2**17 took the same time within noise and raised
-# the peak memory over one block at a time by 1.4, 3.2 and 7.0 MiB.
+# Nonzeros of one stacked operator. A CSR entry with its column index takes
+# 12 B real or 20 B complex, so 2**15 of them are about 0.39 or 0.66 MB, and
+# the operator and the recurrence's state vectors stay inside one 2 MiB L2.
+# In one benchmark disorder run each, 2**15, 2**16 and 2**17 took the same
+# time within noise and raised the peak memory over one block at a time by
+# 1.4, 3.2 and 7.0 MiB.
 _STACK_NNZ = 2**15
 
 # Window segments (module docstring): bytes of sampled states plus buffered
@@ -218,21 +227,28 @@ def _enclosure(h: sp.csr_matrix, bounds) -> tuple[float, float]:
     return 0.5 * (hi + lo), half * (1.0 + 1e-12)
 
 
-def _row_prefix(h: sp.csr_matrix, n: int) -> sp.csr_matrix:
-    """The leading n x n block of block-diagonal CSR ``h`` as a view on its
-    arrays (the constructor would copy a short prefix)."""
-    if n == h.shape[0]:
-        return h
-    view = sp.csr_matrix((n, n), dtype=h.dtype)
-    view.data, view.indices, view.indptr = h.data, h.indices, h.indptr[:n + 1]
+def _csr_view(data, indices, indptr) -> sp.csr_matrix:
+    """The square CSR on these arrays, without the constructor's checks or
+    copies (it would copy a short prefix of indptr)."""
+    n = len(indptr) - 1
+    view = sp.csr_matrix((n, n), dtype=data.dtype)
+    view.data, view.indices, view.indptr = data, indices, indptr
     return view
 
 
-def _stacked_operator(hs, dim, centers, halves) -> sp.csr_matrix:
+def _row_prefix(h: sp.csr_matrix, n: int) -> sp.csr_matrix:
+    """The leading n x n block of block-diagonal CSR ``h`` as a view on its
+    arrays."""
+    return h if n == h.shape[0] else _csr_view(h.data, h.indices, h.indptr[:n + 1])
+
+
+def _stacked_operator(hs, dim, centers, halves, dtype) -> sp.csr_matrix:
     """Each block shifted by its centre and scaled by 1/half, as one alone
-    would build it, stacked block-diagonally as one complex CSR; canonical
-    form (sorted, summed) fixes the order of each row's sum whatever the
-    order of h's indices."""
+    would build it, stacked block-diagonally as one CSR of ``dtype`` (float
+    only for real blocks); canonical form (sorted, summed) fixes the order
+    of each row's sum whatever the order of h's indices."""
+    if dtype is float:
+        hs = [h.real if np.iscomplexobj(h.data) else h for h in hs]
     blocks = [(h - sp.diags(np.full(dim, c))).tocsr() for h, c in zip(hs, centers)]
     for b, half in zip(blocks, halves):
         b.data *= 1.0 / half
@@ -240,7 +256,7 @@ def _stacked_operator(hs, dim, centers, halves) -> sp.csr_matrix:
     offsets = np.cumsum([0] + [b.nnz for b in blocks])
     m = len(blocks)
     return sp.csr_matrix((
-        np.concatenate([b.data[:b.nnz] for b in blocks], dtype=complex),
+        np.concatenate([b.data[:b.nnz] for b in blocks], dtype=dtype),
         np.concatenate([b.indices[:b.nnz] + j * dim for j, b in enumerate(blocks)]),
         np.concatenate([[0]] + [b.indptr[1:] + off for b, off in zip(blocks, offsets)])),
         shape=(m * dim, m * dim))
@@ -250,7 +266,9 @@ class _Stack:
     """Blocks of one dimension and sub-step count, stacked (module docstring).
 
     ``order`` lists the plan's block indices in stack order, longest
-    coefficient set first.
+    coefficient set first. The scaled operator is float64 when every block
+    is real, until the first complex state, and complex otherwise; the
+    stack holds one at a time.
     """
 
     def __init__(self, hs, order, dim, n_sub, centers, halves, coefs, phases):
@@ -261,27 +279,42 @@ class _Stack:
         for j, c in enumerate(coefs):
             self.coef[:len(c), j, 0] = c
         self.phase = np.array(phases)[:, None]
-        self.h_scaled = _stacked_operator(hs, dim, centers, halves)
-        # term 1, then runs of terms k >= 2 during which the first a blocks
-        # are active: (a, their prefix operator, the coefficients of the run)
-        a = sum(c > 1 for c in counts)
-        self.first = (a, _row_prefix(self.h_scaled, a * dim))
+        # term 1 runs on the first a blocks, then runs of terms k >= 2 during
+        # which the first a blocks are active: (a, the coefficients of the
+        # run), each with its prefix operator once one is set
         # (one active block: scalar coefficients, which multiply a 1-D state
         # without the cost of broadcasting)
-        self.runs = []
+        self.first_active = sum(c > 1 for c in counts)
+        self.run_coefs = []
         k = 2
         for a in range(m, 0, -1):
             end = counts[a - 1]
             if end > k:
                 cs = self.coef[k:end, 0, 0] if a == 1 else self.coef[k:end, :a]
-                self.runs.append((a, _row_prefix(self.h_scaled, a * dim), cs))
+                self.run_coefs.append((a, cs))
                 k = end
+        imaginary = any(np.iscomplexobj(h.data) and h.data.imag.any() for h in hs)
+        self._set_operator(_stacked_operator(hs, dim, centers, halves,
+                                             complex if imaginary else float))
+
+    def _set_operator(self, h: sp.csr_matrix):
+        """Make ``h`` the scaled operator, with the prefix views of the runs."""
+        d = self.dim
+        self.h_scaled = h
+        self.first = (self.first_active, _row_prefix(h, self.first_active * d))
+        self.runs = [(a, _row_prefix(h, a * d), cs) for a, cs in self.run_coefs]
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        """exp(-i h t) of every block; ``psi`` is (m, dim) in stack order."""
+        """exp(-i h t) of every block; ``psi`` is (m, dim) in stack order,
+        real or complex. The terms are float64 while the operator and the
+        state are real (module docstring)."""
         coef, d = self.coef, self.dim
         out = psi
         for _ in range(self.n_sub):
+            if np.iscomplexobj(out) and not np.iscomplexobj(self.h_scaled.data):
+                h = self.h_scaled
+                self._set_operator(_csr_view(h.data.astype(complex), h.indices, h.indptr))
+            out = out.astype(self.h_scaled.dtype, copy=False)
             acc = coef[0] * out
             if len(coef) > 1:
                 a, h = self.first
@@ -339,7 +372,7 @@ class _StepPlan:
 
     def apply(self, psis: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Return [exp(-i h_i t_i) psi_i]."""
-        psis = [np.asarray(psi, dtype=complex) for psi in psis]
+        psis = [_state(psi) for psi in psis]
         if any(psi.shape != (d,) for psi, d in zip(psis, self.dims)):
             raise ValueError("state length does not match Hamiltonian")
         out = [None] * len(psis)
@@ -347,7 +380,15 @@ class _StepPlan:
             rows = stack.apply(np.stack([psis[i] for i in stack.order]))
             for i, row in zip(stack.order, rows):
                 out[i] = row
-        return [psi.copy() if o is None else o for psi, o in zip(psis, out)]
+        return [psi.astype(complex) if o is None else o for psi, o in zip(psis, out)]
+
+
+def _state(psi) -> np.ndarray:
+    """``psi`` as float64 when it has no imaginary part, else complex128."""
+    psi = np.asarray(psi)
+    if np.iscomplexobj(psi) and psi.imag.any():
+        return psi.astype(complex, copy=False)
+    return psi.real.astype(float, copy=False)
 
 
 class _Window:
@@ -381,7 +422,7 @@ class _Window:
             self.counts.append(cnt)
         del table
         self.phase = np.array([np.exp(-1j * c * (dt * j)) for c, dt in zip(centers, dts)])
-        self.h_scaled = _stacked_operator(hs, dim, centers, halves)
+        self.h_scaled = _stacked_operator(hs, dim, centers, halves, complex)
         # one segment's samples and buffered terms, reused by every segment
         self.acc = np.empty((len(order), n_seg, dim), dtype=complex)
         self.buf = np.empty((len(order), _WINDOW_TERMS, dim), dtype=complex)
@@ -478,13 +519,13 @@ def expimv(h: sp.csr_matrix, psi: np.ndarray, t: float,
     """Return exp(-i h t) psi.
 
     Builds the step plan for ``t`` (sub-step count, coefficients, scaled
-    complex operator) and applies it once; :func:`trajectory` repeats one
+    operator) and applies it once; :func:`trajectory` repeats one
     step with a single plan.
 
     Parameters
     ----------
     h : Hermitian CSR matrix (real symmetric in all uses here).
-    psi : complex state vector.
+    psi : state vector, real or complex; the result is complex.
     t : evolution time, either sign.
     tol : target truncation accuracy per call, must lie in [1e-14, 1e-6].
         The 2-norm drift of the result stays below about 10*tol.
@@ -502,7 +543,7 @@ def trajectory(h: sp.csr_matrix, psi: np.ndarray, dt: float, n_steps: int,
     after each step.
 
     The spectral enclosure (when ``bounds`` is not given) and the step plan
-    (sub-step count, coefficients, scaled complex operator) are built once
+    (sub-step count, coefficients, scaled operator) are built once
     and applied at every step, so each state equals bit for bit what repeated
     ``expimv(h, psi, dt, tol, bounds)`` calls give. The clock starts at
     ``t0`` and advances by ``t = t + dt``, so the times agree bit for bit

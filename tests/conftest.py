@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, set before numpy loads BLAS: the suite's small dense eigh
+# calls slow down several times over when a second process shares the cores.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 import scipy.sparse as sp

@@ -321,6 +321,115 @@ class TestBatchedPlan:
             list(expimv_batch([blocks[1], (h, psi[:-1], t, bounds)]))
 
 
+class TestRealPath:
+    """A stack whose operator and states are real runs its terms in float64
+    (module docstring of ``propagator``), bit for bit the complex path."""
+
+    @pytest.fixture
+    def lens(self):
+        """A thick lens chain, its real Gaussian packet (complex dtype, zero
+        imaginary part) and a moving packet, whose state is complex."""
+        table = build_lattice((41,))
+        design = ThickPolynomial((4.0 ** (-8.0 / 3.0),), (20.0,))
+        terms = build_couplings(table, NearestNeighbor(1.0))
+        h = terms.with_diagonal(potential_profile(design, table)).matrix()
+        rest = gaussian_packet(table, 4.0).amplitudes
+        moving = gaussian_packet(table, 4.0, k0=0.3).amplitudes
+        assert not rest.imag.any() and moving.imag.any()
+        return h, rest, moving
+
+    # one sub-step, and three: a real first sub-step, then complex ones
+    @pytest.mark.parametrize("n_sub", [1, 3])
+    def test_real_block_equals_it_next_to_a_complex_one(self, lens, n_sub,
+                                                        monkeypatch):
+        h, rest, moving = lens
+        tol, t = 1e-10, 2.5
+        if n_sub > 1:
+            lo, hi = spectral_bounds(h)
+            monkeypatch.setattr(propagator, "_MAX_PHASE_PER_STEP", 0.5 * (hi - lo))
+        alone = _StepPlan([h], [t], tol, [None])
+        assert alone.stacks[0].h_scaled.dtype == np.float64
+        assert alone.stacks[0].n_sub == n_sub
+        (got,) = alone.apply([rest])
+        want_dtype = np.float64 if n_sub == 1 else np.complex128
+        assert alone.stacks[0].h_scaled.dtype == want_dtype
+        mixed = _StepPlan([h, h], [t, t], tol, [None, None])
+        assert len(mixed.stacks) == 1            # one stack for both
+        want = mixed.apply([rest, moving])[0]
+        assert mixed.stacks[0].h_scaled.dtype == np.complex128
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, want)
+        # the same through the public calls, with a float64 state too
+        batched = list(expimv_batch([(h, rest, t, None), (h, moving, t, None)], tol))
+        assert np.array_equal(batched[0], want)
+        assert np.array_equal(expimv(h, rest.real, t, tol), want)
+
+    def test_terms_are_float64_until_the_first_complex_state(self, lens, monkeypatch):
+        h, rest, _ = lens
+        lo, hi = spectral_bounds(h)
+        monkeypatch.setattr(propagator, "_MAX_PHASE_PER_STEP", 0.5 * (hi - lo))
+        seen = []
+        prefix = propagator._row_prefix
+
+        class Spy:
+            def __init__(self, h):
+                self.h = h
+
+            def __matmul__(self, x):
+                seen.append((self.h.dtype, x.dtype))
+                return self.h @ x
+
+        monkeypatch.setattr(propagator, "_row_prefix", lambda h, n: Spy(prefix(h, n)))
+        plan = _StepPlan([h], [2.5], 1e-10, [None])
+        assert plan.stacks[0].n_sub == 3
+        plan.apply([rest])
+        # (operator, term) dtypes: one real sub-step, then two complex ones
+        real, cplx = (np.float64,) * 2, (np.complex128,) * 2
+        n_real = seen.index(cplx)
+        assert n_real > 0 and 3 * n_real == len(seen)
+        assert seen[:n_real] == [real] * n_real
+        assert seen[n_real:] == [cplx] * (2 * n_real)
+
+    def test_a_reused_plan_switches_its_operator_once(self, lens):
+        """As :func:`trajectory` reuses its plan: a real first step, then
+        complex ones, each what ``expimv`` gives."""
+        h, rest, _ = lens
+        step = _StepPlan([h], [0.7], 1e-10, [None])
+        (psi,) = step.apply([rest])
+        assert step.stacks[0].h_scaled.dtype == np.float64
+        for _ in range(2):
+            (psi,) = step.apply([psi])
+            assert step.stacks[0].h_scaled.dtype == np.complex128
+        want = rest
+        for _ in range(3):
+            want = expimv(h, want, 0.7, 1e-10)
+        assert np.array_equal(psi, want)
+
+    def test_complex_hamiltonian_keeps_its_imaginary_part(self, rng):
+        h = random_hermitian(30, rng)
+        assert h.data.imag.any()
+        psi = rng.normal(size=30)
+        psi /= np.linalg.norm(psi)
+        tol = 1e-10
+        for t in (0.8, -3.1):
+            plan = _StepPlan([h], [t], tol, [None])
+            assert plan.stacks[0].h_scaled.dtype == np.complex128
+            got = plan.apply([psi])[0]
+            assert np.linalg.norm(got - dense_evolution(h, psi, t)) < 10 * tol
+
+    def test_complex_dtype_with_zero_imaginary_part_is_real(self, lens):
+        h, rest, _ = lens
+        hc = h.astype(complex)
+        plan = _StepPlan([hc], [2.5], 1e-10, [None])
+        assert plan.stacks[0].h_scaled.dtype == np.float64
+        assert np.array_equal(plan.apply([rest])[0], expimv(h, rest, 2.5))
+
+    def test_zero_time_gives_a_complex_copy(self, lens):
+        h, rest, _ = lens
+        out = expimv(h, rest.real, 0.0)
+        assert out.dtype == np.complex128 and np.array_equal(out, rest)
+
+
 def windowed(blocks, n_samples, tol=1e-10):
     """{block index: (n_samples, dim) states} and {block index: segment
     lengths} from one ``window_batch`` call."""
