@@ -323,7 +323,9 @@ class OptimizeResult:
 # thick design; thin designs share one. Nearest-neighbour operators are
 # cheap to expand, so they cross over near N = 250, power-law ones near 600;
 # summed over the two families the dense path still wins at 400 and no
-# longer at 600.
+# longer at 600. These decompositions, and so these timings and the bits of
+# every lens output, are numpy.linalg.eigh's only while _DENSE_DIM stays at
+# or below propagator._EVR_ROWS (TestDenseScan pins it).
 _DENSE_DIM = 400
 
 # In optimizer evolutions, and replays of their designs, on-site energies are

@@ -33,7 +33,8 @@ partner, has none). One row per orbit, fixed points included, carries the
 amplitude of its orbit, and the even operator is H[reps] @ L with
 L[s, orbit(s)] = 1. Projecting is ``psi[reps]`` and lifting ``phi[orbit]``,
 both exact copies, so stepping one trajectory or calling ``evolve_mb`` step
-by step gives the same bits. The even operator is similar to the
+by step gives the same bits when both take the same path (dense or
+Chebyshev, below). The even operator is similar to the
 orthonormal projection P H P^T, so its spectrum lies inside the sector's,
 and it is evolved with the full sector's bounds: the same coefficients and
 matvec count on about D/2 rows.
@@ -47,6 +48,29 @@ at J_z = 5e3 differs from its mirror image by 7.3e-12.
 An off-centre lens or packet, a hole or a generic state fails it and runs the
 full sector, equal bit for bit to ``propagator.trajectory`` on
 ``sector.matrix``.
+
+A small even subspace evolved over a long span is cheaper to diagonalise
+once than to expand: its Chebyshev terms cost mostly scipy's per-call
+dispatch, and a span needs about as many terms as its phase
+half * |t|. :func:`evolution_path` takes this dense path when the even
+subspace has at most ``_DENSE_ROWS`` rows and the phase exceeds
+``_DENSE_COST`` rows^2 (the table beside the constants). The even operator
+M = H[reps] @ L is not symmetric: a pair orbit's entry sums two of H's.
+With W = diag(sqrt(orbit size)), S = W M W^-1 is the projection P H P^T in
+the orthonormal basis of normalised orbits, symmetric within the mirror
+gate's ``asymmetry``, and ``sector.eigen()`` caches one
+:class:`propagator.EigenPropagator` of it. Each step maps the orbit
+amplitudes phi to W^-1 V (e^{-i E dt} * V^T W phi), from the last step's
+phi, so ``mb_trajectory`` and repeated ``evolve_mb`` give the same bits
+when both take the dense path. The rule reads the phase of the span asked
+for, not whether ``sector.eigen()`` is cached, so a call's path and bits do
+not depend on earlier calls; but a trajectory can go dense where its steps
+alone stay on Chebyshev. Eight unit steps of a centred nu = 2, N = 61
+sector at J_z = 1500 have a phase of about 24 000 > 930^2 / 80 = 10 800
+and go dense, each step alone (about 3 000) does not, and the two agree to
+the propagator's accuracy (8e-11 at tol = 1e-10), not bit for bit.
+Everything else, the full sector and cheap evolutions such as a J_z = 0
+packet, stays on Chebyshev steps.
 """
 
 from __future__ import annotations
@@ -60,11 +84,34 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lattice import HamiltonianTerms, SiteTable
-from .propagator import spectral_bounds, trajectory
+from .propagator import EigenPropagator, spectral_bounds, trajectory
 from .wavepacket import SpinWaveState
 
 MAX_EXCITATIONS = 3
 INTERACTION_CUTOFF = 20.0  # Ising pair range, units of a
+
+# The dense even path (module docstring) takes even subspaces of at most
+# _DENSE_ROWS rows, whose decomposition holds about 2 rows^2 doubles (16 MB
+# at 1000), when the span's phase half * |t| (about its Chebyshev terms)
+# exceeds _DENSE_COST * rows^2 (the decomposition's cost in terms). Eight
+# mb_trajectory steps of a centred nu = 2 chain sector, Chebyshev / dense,
+# decomposition included, in seconds (best of 1-3, one CPU, one BLAS thread):
+#
+#   rows  phase 1e2      1e3            1e4            1e5
+#    210  0.0064/0.0091  0.025/0.0093   0.18/0.0092    1.7/0.0089
+#    420  0.0073/0.042   0.028/0.040    0.22/0.041     2.1/0.042
+#    650  0.0085/0.12    0.035/0.12     0.27/0.11      2.5/0.12
+#    812  0.0089/0.21    0.039/0.21     0.30/0.21      2.8/0.21
+#    992  0.0096/0.37    0.044/0.38     0.34/0.38      3.2/0.38
+#
+# A term costs 17-32 us here, mostly scipy's per-call dispatch, and the
+# decomposition grows as rows^3 from a faster start, so the crossovers
+# (phase about 250, 2 000, 4 500, 7 500 and 11 500) go about as rows^2 / 80.
+# Sectors with more hops per row (nu = 3, 2D, long-range hopping) pay more
+# per term, so the rule keeps them on Chebyshev where dense would already
+# win.
+_DENSE_ROWS = 1000
+_DENSE_COST = 1.0 / 80.0
 
 
 @dataclass
@@ -134,10 +181,19 @@ class SectorMirror:
     orbit: np.ndarray           # position in ``reps`` of each row's orbit
     matrix: sp.csr_matrix       # H[reps] @ L, acting on orbit amplitudes
     asymmetry: float            # max row sum of |H - H[refl][:, refl]|
+    weights: np.ndarray         # sqrt of each orbit's size, 1 or sqrt(2)
 
     @property
     def dim(self) -> int:
         return self.reps.size
+
+    def symmetric(self) -> sp.csr_matrix:
+        """W M W^-1 with M = ``matrix`` and W = diag(``weights``): the even
+        operator in the orthonormal basis of normalised orbits, symmetric to
+        within ``asymmetry`` (M itself is not: a pair orbit's entry sums two
+        of H's, a fixed point's one)."""
+        w = self.weights
+        return (sp.diags(w) @ self.matrix @ sp.diags(1.0 / w)).tocsr()
 
 
 @dataclass
@@ -147,11 +203,22 @@ class ManyBodySector:
     basis: FockBasis
     matrix: sp.csr_matrix
     _bounds: tuple[float, float] | None = field(default=None, repr=False)
+    _eigen: EigenPropagator | None = field(default=None, repr=False)
 
     def bounds(self):
         if self._bounds is None:
             self._bounds = spectral_bounds(self.matrix)
         return self._bounds
+
+    def eigen(self) -> EigenPropagator:
+        """Dense eigendecomposition of the even operator
+        ``mirror.symmetric()`` (cached): about 2 dim^2 floats, so for small
+        even subspaces only."""
+        if self._eigen is None:
+            if self.mirror is None:
+                raise ValueError("the sector has no mirror reduction")
+            self._eigen = EigenPropagator(self.mirror.symmetric())
+        return self._eigen
 
     @cached_property
     def mirror(self) -> SectorMirror | None:
@@ -169,7 +236,8 @@ class ManyBodySector:
         asymmetry = abs(h - h[refl][:, refl]).sum(axis=1).max()
         return SectorMirror(refl=refl, reps=reps, orbit=orbit,
                             matrix=(h[reps] @ lift).tocsr(),
-                            asymmetry=float(asymmetry))
+                            asymmetry=float(asymmetry),
+                            weights=np.where(refl[reps] == reps, 1.0, np.sqrt(2.0)))
 
 
 def build_mb_hamiltonian(terms: HamiltonianTerms, basis: FockBasis,
@@ -270,24 +338,77 @@ def even_path(sector: ManyBodySector, amplitudes, t: float,
     return mirror if drift <= tol else None
 
 
+@dataclass(frozen=True)
+class EvolutionPath:
+    """How :func:`evolution_path` evolves a sector state over a span: on the
+    full sector (``mirror`` None) or in the even subspace, by Chebyshev
+    steps or, when ``dense``, from ``sector.eigen()``."""
+
+    sector: ManyBodySector
+    mirror: SectorMirror | None
+    dense: bool
+    tol: float
+
+    @property
+    def dim(self) -> int:
+        """Rows of the operator the state is evolved with."""
+        return self.sector.basis.dim if self.mirror is None else self.mirror.dim
+
+    @property
+    def method(self) -> str:
+        return "dense" if self.dense else "chebyshev"
+
+    def trajectory(self, amplitudes, dt: float, n_steps: int,
+                   t0: float = 0.0) -> Iterator[tuple[float, np.ndarray]]:
+        """Step ``amplitudes`` by exp(-i H dt) ``n_steps`` times along this
+        path, yielding (t, amplitudes) after each step; the clock advances
+        by ``t = t + dt`` from ``t0``."""
+        mirror, bounds = self.mirror, self.sector.bounds()
+        if mirror is None:
+            yield from trajectory(self.sector.matrix, amplitudes, dt, n_steps,
+                                  tol=self.tol, bounds=bounds, t0=t0)
+            return
+        phi = np.asarray(amplitudes)[mirror.reps]
+        if not self.dense:
+            for t, phi in trajectory(mirror.matrix, phi, dt, n_steps,
+                                     tol=self.tol, bounds=bounds, t0=t0):
+                yield t, phi[mirror.orbit]
+            return
+        # each step from the orbit amplitudes, as a one-step call starts
+        eigen, w, t = self.sector.eigen(), mirror.weights, t0
+        for _ in range(n_steps):
+            phi = eigen.states(w * phi, [dt])[0] / w
+            t = t + dt
+            yield t, phi[mirror.orbit]
+
+
+def evolution_path(sector: ManyBodySector, amplitudes, t: float,
+                   tol: float) -> EvolutionPath:
+    """The path that evolves ``amplitudes`` for a span |t| (module
+    docstring): the even subspace when :func:`even_path` allows it, taken
+    from the dense eigendecomposition when the subspace has at most
+    ``_DENSE_ROWS`` rows and the span's phase exceeds ``_DENSE_COST`` dim^2,
+    else by Chebyshev steps."""
+    mirror = even_path(sector, amplitudes, t, tol)
+    dense = False
+    if mirror is not None and mirror.dim <= _DENSE_ROWS:
+        lo, hi = sector.bounds()
+        dense = 0.5 * (hi - lo) * abs(t) > _DENSE_COST * mirror.dim ** 2
+    return EvolutionPath(sector, mirror, dense, tol)
+
+
 def mb_trajectory(sector: ManyBodySector, amplitudes, dt: float, n_steps: int,
                   tol: float = 1e-10,
                   t0: float = 0.0) -> Iterator[tuple[float, np.ndarray]]:
     """Step the sector state by exp(-i H dt) ``n_steps`` times, yielding
     (t, amplitudes) after each step, as :func:`propagator.trajectory` does.
 
-    Runs in the even subspace when :func:`even_path` allows it for the whole
-    span ``n_steps * dt``, else on the full sector; both use the full
-    sector's spectral bounds.
+    Runs along the :func:`evolution_path` of the whole span ``n_steps * dt``,
+    which can be the dense path where each step alone, as ``evolve_mb``
+    takes it, is not (module docstring).
     """
-    mirror = even_path(sector, amplitudes, n_steps * dt, tol)
-    if mirror is None:
-        yield from trajectory(sector.matrix, amplitudes, dt, n_steps, tol=tol,
-                              bounds=sector.bounds(), t0=t0)
-        return
-    for t, phi in trajectory(mirror.matrix, np.asarray(amplitudes)[mirror.reps],
-                             dt, n_steps, tol=tol, bounds=sector.bounds(), t0=t0):
-        yield t, phi[mirror.orbit]
+    path = evolution_path(sector, amplitudes, n_steps * dt, tol)
+    yield from path.trajectory(amplitudes, dt, n_steps, t0=t0)
 
 
 def evolve_mb(sector: ManyBodySector, state: ManyBodyState, dt: float,
@@ -297,9 +418,10 @@ def evolve_mb(sector: ManyBodySector, state: ManyBodyState, dt: float,
 
     A state that is mirror-symmetric within the gate
     ||psi - psi[refl]|| + |dt| max_row_sum|H - H[refl][:, refl]| <= tol
-    (a centred lens and packet) runs in the even subspace on about D/2 rows
-    and is lifted back; the gate bounds, to first order, its distance from
-    the full-sector result. Any other state runs on the full sector, bit for
+    (a centred lens and packet) runs in the even subspace on about D/2 rows,
+    by Chebyshev or along the dense path (module docstring), and is lifted
+    back; the gate bounds, to first order, its distance from the
+    full-sector result. Any other state runs on the full sector, bit for
     bit as ``propagator.expimv(sector.matrix, ..., bounds=sector.bounds())``.
     """
     (_, amps), = mb_trajectory(sector, state.amplitudes, dt, 1, tol=tol)

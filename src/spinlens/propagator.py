@@ -68,7 +68,15 @@ expand term by term, where each term's fixed cost outweighs its arithmetic.
 of a real symmetric h and gives V (e^{-iEt} * V^T psi) at any list of times,
 exact to rounding at any t, as two real matrix products (the eigenvector
 method of Moler & Van Loan, SIAM Rev. 45, 3 (2003)). Its cost is the
-O(n^3) decomposition, so it pays only on small operators.
+O(n^3) decomposition, so it pays only on small operators. Up to
+``_EVR_ROWS`` (400) rows, every lens operator, it runs
+``numpy.linalg.eigh`` (LAPACK's divide and conquer), the faster solver on
+tridiagonal chains. Above, it runs LAPACK's MRRR driver
+(``scipy.linalg.eigh(driver="evr")``) on one Fortran-ordered copy of h that
+the driver overwrites: about 2 n^2 doubles in all, where divide and conquer
+needs 3-4 n^2 (Dhillon, Parlett & Voemel, ACM TOMS 32, 533 (2006)), which
+keeps a many-body run's peak memory within about 2 MiB of Chebyshev
+stepping. Neither product casts V to complex, which would cost 2 n^2 more.
 """
 
 from __future__ import annotations
@@ -77,6 +85,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 # Long evolutions are split so each segment keeps the Bessel order moderate;
@@ -103,6 +112,29 @@ _WINDOW_TERMS = 8
 _WINDOW_PHASE = 100.0
 
 TOL_RANGE = (1e-14, 1e-6)
+
+# EigenPropagator (module docstring) decomposes up to this many rows with
+# numpy.linalg.eigh, so every lens design (lens._DENSE_DIM = 400 sites) keeps
+# its bits and its speed: on nearest-neighbour lens operators the MRRR
+# driver took 8.5 against 4.7 ms at N = 200 and 54 against 22 ms at 400.
+# Above it, one Fortran-ordered copy of h is overwritten by scipy's
+# driver="evr", about 2 n^2 doubles in all, where divide and conquer needs
+# 3-4 n^2. On the 930-row nu = 2 blockade operator, numpy's eigh, "evr" and
+# "evd" took 229, 256 and 204 ms (best of 5, one CPU, one BLAS thread), and
+# the peak memory of one round of blockade tasks in one process (99.6 MiB
+# stepping by Chebyshev) was 120.7, 101.8 and 108.9 MiB.
+_EVR_ROWS = 400
+
+# EigenPropagator's test of symmetry, |h_ij - h_ji| <= this x max |h|: far
+# above rounding (the nu = 2 blockade operator differs from its transpose by
+# 2e-16 at a largest entry of 6e3) and far below a wrong operator (the
+# mirror's unsymmetrized H[reps] @ L has entries off by a factor of 2).
+# An exactly symmetric h, as every lens operator is, passes first on the
+# dense copy it decomposes (np.array_equal(a, a.T), about 40 us at N = 200,
+# 1-2% of the eigh); measuring every h on the sparse form instead (160-270
+# us, 4-6% of the eigh) made lens_design, where decompositions take 60% of
+# the time, slower in 8 of 10 benchmark pairs, by 8.8% in the median.
+_SYMMETRY_RTOL = 1e-12
 
 # exact (-i)^k via k mod 4, avoiding argument-reduction error at large k
 _MINUS_I_POW = np.array([1.0, -1.0j, -1.0, 1.0j])
@@ -561,15 +593,31 @@ class EigenPropagator:
     """exp(-i h t) psi at any times from one dense eigendecomposition of a
     real symmetric ``h`` (module docstring).
 
-    ``numpy.linalg.eigh`` of ``h.toarray()`` runs once, on construction; the
+    The decomposition runs once, on construction, by ``numpy.linalg.eigh``
+    up to ``_EVR_ROWS`` rows and by LAPACK's MRRR driver above; the
     propagator holds the n eigenvalues and the n x n real eigenvectors.
+    Raises ValueError for a complex ``h`` or one that is not symmetric to
+    rounding: LAPACK reads one triangle, so it would silently decompose
+    another matrix.
     """
 
     def __init__(self, h: sp.csr_matrix):
-        a = h.toarray()
-        if np.iscomplexobj(a):
+        if np.iscomplexobj(h.data):
             raise ValueError("EigenPropagator needs a real symmetric matrix")
-        self.energies, self.vectors = np.linalg.eigh(a)
+        evr = h.shape[0] > _EVR_ROWS
+        a = h.toarray(order="F" if evr else "C")
+        if not np.array_equal(a, a.T):
+            # measured on the sparse form: a dense a - a.T would add n^2
+            # doubles to the peak
+            skew = abs(h - h.T).max()
+            if skew > _SYMMETRY_RTOL * np.abs(h.data).max(initial=0.0):
+                raise ValueError("EigenPropagator needs a real symmetric matrix; "
+                                 f"h differs from h.T by up to {skew:.3g}")
+        if evr:
+            self.energies, self.vectors = scipy.linalg.eigh(
+                a, driver="evr", overwrite_a=True, check_finite=False)
+        else:
+            self.energies, self.vectors = np.linalg.eigh(a)
 
     def states(self, psi: np.ndarray, times) -> np.ndarray:
         """exp(-i h t) psi for every t of ``times``, one state per row,
@@ -577,7 +625,8 @@ class EigenPropagator:
 
         psi's eigenbasis coefficients V^T psi and the states V (phase x
         coefficients) are each one real product: a complex (n, m) array
-        viewed as a real (n, 2m) one. The rows are a transposed view.
+        viewed as a real (n, 2m) one, so V is never cast to complex. The
+        rows are a transposed view.
         """
         psi = np.ascontiguousarray(psi, dtype=complex)
         n = self.energies.size

@@ -25,9 +25,8 @@ from .lens import (Multifocal, ThickPolynomial, ThinPulse, _parabola_vertex,
                    corrected_focal_time, optimize_lens, potential_profile,
                    thin_phase_profile, thresholds)
 from .manybody import (MAX_EXCITATIONS, blockade_radius, build_mb_hamiltonian,
-                       density_profile, enumerate_basis, even_path,
-                       mb_trajectory, pair_distance_distribution,
-                       symmetric_initial_state)
+                       density_profile, enumerate_basis, evolution_path,
+                       pair_distance_distribution, symmetric_initial_state)
 from .propagator import trajectory
 from .rydberg import (ChannelC6, DressingParams, dressed_couplings,
                       effective_potentials, exchange_peak, vdw_iso_aniso)
@@ -531,10 +530,9 @@ def run_nonlinear(cfg, out: Path):
     n_samples = int(cfg["evolution"]["n_samples"])
     dt = t_f / n_samples
     amps = state.amplitudes
-    mirror = even_path(sector, amps, n_samples * dt, tol)
+    path = evolution_path(sector, amps, n_samples * dt, tol)
     density_rows = []
-    for t, amps in mb_trajectory(sector, amps, dt, n_samples, tol=tol,
-                                 t0=state.time_stamp):
+    for t, amps in path.trajectory(amps, dt, n_samples, t0=state.time_stamp):
         p = density_profile(amps, basis)
         density_rows.extend((t, n, p[n], nu) for n in range(table.n_sites))
     outputs = [io_utils.write_csv(out / "density.csv",
@@ -549,7 +547,8 @@ def run_nonlinear(cfg, out: Path):
         "coefficients": list(design.coefficients),
         "blockade_radius [a]": blockade_radius(jz, hopping),
         "basis_dim": basis.dim,
-        "evolved_dim": basis.dim if mirror is None else mirror.dim,
+        "evolved_dim": path.dim,
+        "evolution": path.method,
     }
     return derived, outputs
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from spinlens import lens
+from spinlens import lens, propagator
 from spinlens.lattice import (NearestNeighbor, PowerLaw, build_couplings,
                               build_lattice, displace_sites)
 from spinlens.propagator import trajectory, window_batch
@@ -607,6 +607,11 @@ class TestDenseScan:
         for (t_d, w_d, _), (t_w, w_w, _) in zip(dense, window):
             assert abs(w_d - w_w) <= 1e-7 * w_w
             assert abs(t_d - t_w) <= 1e-6 * t_w
+
+    def test_dense_designs_decompose_with_numpy_eigh(self):
+        """EigenPropagator switches solver above _EVR_ROWS rows; a dense
+        lens operator must stay at or below it to keep its bits and speed."""
+        assert lens._DENSE_DIM <= propagator._EVR_ROWS
 
     def test_each_case_gives_what_it_gives_alone(self):
         table, cases = _scan_cases("nn-thin")

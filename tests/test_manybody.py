@@ -13,10 +13,11 @@ from spinlens.lattice import (NearestNeighbor, PowerLaw, build_couplings,
 from spinlens.lens import ThickPolynomial, potential_profile
 from spinlens.manybody import (ManyBodySector, ManyBodyState, blockade_radius,
                                build_mb_hamiltonian, density_profile,
-                               enumerate_basis, even_path, evolve_mb,
-                               mb_trajectory, pair_distance_distribution,
+                               enumerate_basis, even_path, evolution_path,
+                               evolve_mb, mb_trajectory,
+                               pair_distance_distribution,
                                symmetric_initial_state)
-from spinlens.propagator import expimv, trajectory
+from spinlens.propagator import EigenPropagator, expimv, trajectory
 from spinlens.scenarios import prepare_config, run_scenario
 from spinlens.wavepacket import SpinWaveState, gaussian_packet
 
@@ -335,16 +336,18 @@ class TestFreeFermionOracle:
 
     N, T = 61, 6.0
 
-    def check_against_product(self, nu, amps_of_basis, even):
+    def check_against_product(self, nu, amps_of_basis, even, t=T, dense=False):
         table, terms = _chain(self.N)
         basis = enumerate_basis(table, nu)
         sector = build_mb_hamiltonian(terms, basis, jz=0.0, table=table)
         amps = amps_of_basis(table, basis)
-        assert (even_path(sector, amps, self.T, 1e-12) is not None) == even
-        out = evolve_mb(sector, ManyBodyState(amps), self.T, tol=1e-12).amplitudes
+        path = evolution_path(sector, amps, t, 1e-12)
+        assert (path.mirror is not None) == even
+        assert path.dense == dense
+        out = evolve_mb(sector, ManyBodyState(amps), t, tol=1e-12).amplitudes
 
         w, v = np.linalg.eigh(terms.matrix().toarray())
-        u = (v * np.exp(-1j * self.T * w)) @ v.conj().T
+        u = (v * np.exp(-1j * t * w)) @ v.conj().T
         f = antisymmetric_tensor(amps, basis.states, self.N)
         if nu == 2:
             f_t = u @ f @ u.T
@@ -365,6 +368,36 @@ class TestFreeFermionOracle:
             psi = gaussian_packet(table, 6.0)
             return symmetric_initial_state(psi, nu, basis).amplitudes
         self.check_against_product(nu, product_amps, even=True)
+
+    def test_symmetric_state_on_the_dense_path(self):
+        # a span of phase ~3e4 on the 930 even rows of nu = 2
+        def product_amps(table, basis):
+            psi = gaussian_packet(table, 6.0)
+            return symmetric_initial_state(psi, 2, basis).amplitudes
+        self.check_against_product(2, product_amps, even=True, t=1000.0,
+                                   dense=True)
+
+    def test_short_span_stays_on_chebyshev_bit_for_bit(self):
+        """At J_z = 0 and T = 6 (phase ~200) the decomposition would cost
+        more than the expansion: the even path steps by Chebyshev, as raw
+        ``trajectory`` on the even operator lifted back."""
+        table, terms = _chain(self.N)
+        basis = enumerate_basis(table, 2)
+        sector = build_mb_hamiltonian(terms, basis, jz=0.0, table=table)
+        amps = symmetric_initial_state(gaussian_packet(table, 6.0), 2,
+                                       basis).amplitudes
+        dt, n_steps, tol = self.T / 4, 4, 1e-10
+        path = evolution_path(sector, amps, self.T, tol)
+        m = sector.mirror
+        assert path.mirror is m and not path.dense
+        assert path.method == "chebyshev"
+        got = list(mb_trajectory(sector, amps, dt, n_steps, tol=tol))
+        ref = list(trajectory(m.matrix, amps[m.reps], dt, n_steps, tol=tol,
+                              bounds=sector.bounds()))
+        for (t, amp), (t_ref, phi) in zip(got, ref, strict=True):
+            assert t == t_ref
+            assert np.array_equal(amp, phi[m.orbit])
+        assert sector._eigen is None
 
 
 class TestSymmetricState:
@@ -630,6 +663,77 @@ class TestMirrorReduction:
             even_path(sector, state.amplitudes[:-1], 1.0, 1e-10)
 
 
+class TestDenseEvenPath:
+    """Small even subspaces over long spans evolve from one dense
+    eigendecomposition of W M W^-1."""
+
+    def test_matches_dense_full_sector_at_every_step(self):
+        sector, state = _centred((41,), 2, jz=1500.0)
+        amps, dt, n_steps, tol = state.amplitudes, 0.5, 6, 1e-10
+        path = evolution_path(sector, amps, n_steps * dt, tol)
+        assert path.dense and path.method == "dense"
+        assert path.dim == sector.mirror.dim < sector.basis.dim
+        got = list(mb_trajectory(sector, amps, dt, n_steps, tol=tol))
+        assert len(got) == n_steps
+        t_ref = 0.0
+        for t, amp in got:
+            t_ref = t_ref + dt
+            assert t == t_ref
+            ref = dense_evolution(sector.matrix, amps, t)
+            assert np.abs(amp - ref).max() <= 1e-10
+
+    def test_span_goes_dense_where_its_steps_alone_do_not(self):
+        """The rule reads each call's own span: at J_z = 1500 six steps go
+        dense while one step alone stays on Chebyshev, even with the
+        decomposition cached, so repeated evolve_mb agrees with the
+        trajectory to the propagator's accuracy, not bit for bit."""
+        sector, state = _centred((41,), 2, jz=1500.0)
+        amps, dt, n_steps, tol = state.amplitudes, 0.5, 6, 1e-10
+        assert evolution_path(sector, amps, n_steps * dt, tol).dense
+        got = list(mb_trajectory(sector, amps, dt, n_steps, tol=tol))
+        assert sector._eigen is not None
+        m, step = sector.mirror, ManyBodyState(amps)
+        for t, amp in got:
+            path = evolution_path(sector, step.amplitudes, dt, tol)
+            assert path.mirror is m and not path.dense
+            (_, phi), = trajectory(m.matrix, step.amplitudes[m.reps], dt, 1,
+                                   tol=tol, bounds=sector.bounds())
+            step = evolve_mb(sector, step, dt, tol=tol)
+            assert step.time_stamp == t
+            assert np.array_equal(step.amplitudes, phi[m.orbit])
+            assert np.abs(step.amplitudes - amp).max() <= 10 * tol
+
+    @pytest.mark.parametrize("extents, nu", [((21,), 2), ((13,), 3), ((6, 6), 2)])
+    def test_symmetric_operator_holds_the_even_spectrum(self, extents, nu):
+        """S = W M W^-1 is symmetric to rounding, and its eigenvalues are
+        the sector's even ones: a subset of H's, one per orbit."""
+        sector, _ = _centred(extents, nu, jz=40.0)
+        m = sector.mirror
+        s = m.symmetric()
+        assert abs(s - s.T).max() <= 1e-14 * abs(s).max()
+        sizes = np.bincount(m.orbit)
+        assert np.array_equal(m.weights, np.sqrt(sizes))
+        even = np.linalg.eigvalsh(s.toarray())
+        full = np.linalg.eigvalsh(sector.matrix.toarray())
+        gap = np.abs(even[:, None] - full[None, :]).min(axis=1)
+        assert gap.max() <= 1e-10 * np.abs(full).max()
+        assert sector.eigen() is sector.eigen()
+        assert np.array_equal(sector.eigen().energies,
+                              EigenPropagator(s).energies)
+
+    def test_mirror_matrix_is_rejected_as_not_symmetric(self):
+        """M's pair-orbit entries are sqrt(2) off symmetric: decomposing M
+        itself would give wrong states, so it fails loudly."""
+        sector, _ = _centred((21,), 2)
+        with pytest.raises(ValueError, match="symmetric"):
+            EigenPropagator(sector.mirror.matrix)
+
+    def test_sector_without_mirror_has_no_decomposition(self):
+        sector, _ = _centred((21,), 2, holes=[(4,)])
+        with pytest.raises(ValueError, match="mirror"):
+            sector.eigen()
+
+
 class TestEvenPathAtUlpAsymmetry:
     """Assembly and symmetric_initial_state are mirror-symmetric only to an
     ulp, so an exact-equality gate would skip these sectors; the tolerance
@@ -647,3 +751,4 @@ class TestEvenPathAtUlpAsymmetry:
         cfg = prepare_config(yaml.safe_load(path.read_text(encoding="utf-8")))
         derived, _ = run_scenario(cfg, tmp_path)
         assert derived["evolved_dim"] < derived["basis_dim"]
+        assert derived["evolution"] == "dense"

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from spinlens.lattice import NearestNeighbor, PowerLaw, build_couplings, build_lattice
 from spinlens.lens import ThickPolynomial, ThinPulse, potential_profile, thin_phase_profile
 from spinlens.manybody import (build_mb_hamiltonian, enumerate_basis, even_path,
-                               evolve_mb, mb_trajectory, symmetric_initial_state)
+                               evolution_path, evolve_mb, mb_trajectory,
+                               symmetric_initial_state)
 from spinlens import propagator
 from spinlens.propagator import (_MAX_PHASE_PER_STEP, _STACK_NNZ, _WINDOW_BYTES,
                                  _WINDOW_PHASE, _WINDOW_TERMS, TOL_RANGE, EigenPropagator,
@@ -132,6 +133,21 @@ class TestTrajectory:
         state.time_stamp = 0.1
         dt, tol = 0.45, 1e-9
         assert even_path(sector, state.amplitudes, 4 * dt, tol) is not None
+        steps = list(mb_trajectory(sector, state.amplitudes, dt, 4, tol=tol,
+                                   t0=state.time_stamp))
+        assert len(steps) == 4
+        self.repeated_evolve_mb(sector, state, dt, tol, steps)
+
+    def test_matches_repeated_evolve_mb_on_the_dense_path(self, lens_terms):
+        # at J_z = 5e3 every step alone and the whole span go dense
+        table, terms = lens_terms
+        basis = enumerate_basis(table, 2)
+        sector = build_mb_hamiltonian(terms, basis, jz=5.0e3, table=table)
+        state = symmetric_initial_state(gaussian_packet(table, 4.0), 2, basis)
+        state.time_stamp = 0.1
+        dt, tol = 0.45, 1e-9
+        assert evolution_path(sector, state.amplitudes, dt, tol).dense
+        assert evolution_path(sector, state.amplitudes, 4 * dt, tol).dense
         steps = list(mb_trajectory(sector, state.amplitudes, dt, 4, tol=tol,
                                    t0=state.time_stamp))
         assert len(steps) == 4
@@ -565,12 +581,59 @@ class TestEigenPropagator:
             assert np.abs(prop.states(psi, [t])[0] - state).max() < 1e-14
         assert np.array_equal(prop.states(psi, times), states)
 
+    @pytest.mark.parametrize("n", [200, propagator._EVR_ROWS])
+    def test_numpy_eigh_up_to_evr_rows(self, n):
+        """Up to _EVR_ROWS rows, every lens operator, the decomposition and
+        the states are numpy.linalg.eigh's, bit for bit."""
+        table = build_lattice((n,))
+        terms = build_couplings(table, PowerLaw(1.0, 6.0)).with_diagonal(
+            potential_profile(ThickPolynomial((1e-4,), ((n - 1) / 2.0,)), table))
+        h = terms.matrix()
+        psi = gaussian_packet(table, n / 20.0).amplitudes
+        times = [0.5, 7.0]
+        w, v = np.linalg.eigh(h.toarray())
+        prop = EigenPropagator(h)
+        assert np.array_equal(prop.energies, w)
+        assert np.array_equal(prop.vectors, v)
+        coef = (v.T @ psi.view(float).reshape(n, 2)).view(complex)
+        coef = np.exp(-1j * np.outer(w, times)) * coef
+        want = (v @ coef.view(float)).view(complex).T
+        assert np.array_equal(prop.states(psi, times), want)
+
+    def test_mrrr_above_evr_rows_matches_dense_oracle(self, rng):
+        n = propagator._EVR_ROWS + 50
+        h = sp.random(n, n, density=0.01, random_state=np.random.RandomState(7),
+                      format="csr")
+        h = (h + h.T).tocsr() + sp.diags(rng.normal(size=n))
+        psi = normalized(rng, n)
+        prop = EigenPropagator(h)
+        assert prop.vectors.flags.f_contiguous and prop.vectors.dtype == float
+        assert np.abs(prop.energies - np.linalg.eigvalsh(h.toarray())).max() < 1e-12
+        for t, state in zip([0.3, 40.0], prop.states(psi, [0.3, 40.0])):
+            assert np.abs(state - dense_evolution(h, psi, t)).max() < 1e-11
+
     def test_rejects_complex_matrices_and_wrong_states(self, rng):
         with pytest.raises(ValueError, match="real symmetric"):
             EigenPropagator(random_hermitian(6, rng))
+        a = sp.csr_matrix(np.triu(rng.normal(size=(6, 6))))
+        with pytest.raises(ValueError, match="real symmetric"):
+            EigenPropagator(a)
         h, psi = lens_case("nn-thick")
         with pytest.raises(ValueError, match="length"):
             EigenPropagator(h).states(psi[:-1], [1.0])
+
+    def test_asymmetry_at_rounding_passes_and_above_it_raises(self):
+        """A matrix symmetric only to rounding, as a many-body even operator
+        is, is decomposed; a relative skew of 1e-9 is refused."""
+        h, psi = lens_case("nn-thick")
+        ulp, skewed = h.copy(), h.copy()
+        ulp[0, 1] = np.nextafter(h[0, 1], np.inf)
+        skewed[0, 1] = h[0, 1] * (1.0 + 1e-9)
+        assert ulp[0, 1] != ulp[1, 0]
+        got = EigenPropagator(ulp).states(psi, [3.0])[0]
+        assert np.abs(got - EigenPropagator(h).states(psi, [3.0])[0]).max() < 1e-12
+        with pytest.raises(ValueError, match="differs from h.T"):
+            EigenPropagator(skewed)
 
 
 @pytest.mark.parametrize("z", [0.02, 6.0, 150.0, 600.0, 3000.0])
