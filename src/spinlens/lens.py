@@ -399,9 +399,9 @@ def _width_minima(cases, table, n_time, tol):
     to its window's start, :func:`spinlens.propagator.window_batch` samples
     the remaining ``n_time - 1`` times segment by segment, whose widths are
     taken at once, and one batch refines each from its narrowest sample by
-    the parabola's sub-step offset. Only the narrowest state of each case
-    is kept. On either path every result equals bit for bit what the case
-    gives alone. Returns one (t_min, w_min, at_edge) per case.
+    the parabola's offset within a grid step. Only the narrowest state of
+    each case is kept. On either path every result equals bit for bit what
+    the case gives alone. Returns one (t_min, w_min, at_edge) per case.
     """
     if table.n_sites <= _DENSE_DIM:
         return [_dense_minimum(terms, psi0, window, table, n_time)

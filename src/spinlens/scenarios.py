@@ -27,7 +27,7 @@ from .lens import (Multifocal, ThickPolynomial, ThinPulse, _parabola_vertex,
 from .manybody import (MAX_EXCITATIONS, blockade_radius, build_mb_hamiltonian,
                        density_profile, enumerate_basis, evolution_path,
                        pair_distance_distribution, symmetric_initial_state)
-from .propagator import trajectory
+from .propagator import TOL_RANGE, trajectory
 from .rydberg import (ChannelC6, DressingParams, dressed_couplings,
                       effective_potentials, exchange_peak, vdw_iso_aniso)
 from .wavepacket import (SpinWaveState, evolve, focus_probability,
@@ -165,8 +165,9 @@ def _is_count(value, low: int) -> bool:
 def prepare_config(raw: dict) -> dict:
     """Merge a raw config over the scenario defaults; reject unknown keys, a
     lattice spacing other than 1, an excitation number the nonlinear scenario
-    cannot run, a scaling fit over fewer than two packet widths and time
-    grids too short to step through."""
+    cannot run, a scaling fit over fewer than two packet widths, time
+    grids too short to step through and a propagator tolerance outside
+    ``propagator.TOL_RANGE``."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
     name = raw.get("scenario")
@@ -199,6 +200,12 @@ def prepare_config(raw: dict) -> dict:
     for key, low in (("n_samples", 1), ("n_time", 2)):
         if key in cfg.get("evolution", {}) and not _is_count(cfg["evolution"][key], low):
             raise ConfigError(f"'{name}.evolution.{key}' must be an integer >= {low}")
+    # the propagator's accuracy per call, checked here rather than mid-run
+    if "tol" in cfg.get("evolution", {}):
+        tol, (lo, hi) = cfg["evolution"]["tol"], TOL_RANGE
+        if not (_is_number(tol) and lo <= tol <= hi):
+            raise ConfigError(f"'{name}.evolution.tol' must be a number in [{lo:g}, {hi:g}] "
+                              "(YAML reads a bare 1e-8 as a string: write 1.0e-8)")
     return cfg
 
 

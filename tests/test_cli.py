@@ -10,6 +10,7 @@ import yaml
 from spinlens import io_utils
 from spinlens.cli import main
 from spinlens.lens import continuum_thick, continuum_thin
+from spinlens.propagator import TOL_RANGE
 from spinlens.scenarios import (ConfigError, SCENARIO_NAMES, lint_config,
                                 prepare_config, run_scenario)
 
@@ -383,6 +384,24 @@ def test_unit_lattice_spacing_still_runs(tmp_path):
     cfg = write_config(tmp_path / "c.yaml",
                        dict(THICK_SMALL, lattice={"extents": [257], "spacing": 1.0}))
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-15, 0.0, "1e-8", True, None])
+def test_unusable_tol_rejected_before_running(tmp_path, capsys, tol):
+    cfg = write_config(tmp_path / "c.yaml", {
+        "scenario": "thick1d", "evolution": {"tol": tol}})
+    assert main(["validate", "--config", cfg]) == 2
+    assert "evolution.tol" in capsys.readouterr().err
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "evolution.tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tol_range_ends_accepted():
+    for tol in TOL_RANGE:
+        cfg = prepare_config({"scenario": "thick1d", "evolution": {"tol": tol}})
+        assert cfg["evolution"]["tol"] == tol
 
 
 def test_shortest_time_grids_accepted():

@@ -12,10 +12,10 @@ from spinlens.manybody import (build_mb_hamiltonian, enumerate_basis, even_path,
                                evolution_path, evolve_mb, mb_trajectory,
                                symmetric_initial_state)
 from spinlens import propagator
-from spinlens.propagator import (_MAX_PHASE_PER_STEP, _STACK_NNZ, _WINDOW_BYTES,
-                                 _WINDOW_PHASE, _WINDOW_TERMS, TOL_RANGE, EigenPropagator,
-                                 _StepPlan, _bessel_table, expimv, expimv_batch,
-                                 spectral_bounds, trajectory, window_batch)
+from spinlens.propagator import (_STACK_NNZ, _WINDOW_BYTES, _WINDOW_PHASE, _WINDOW_TERMS,
+                                 TOL_RANGE, EigenPropagator, _StepPlan, _bessel_table,
+                                 expimv, expimv_batch, spectral_bounds, trajectory,
+                                 window_batch)
 from spinlens.wavepacket import evolve, gaussian_packet, phase_imprint
 
 from conftest import dense_evolution, random_hermitian
@@ -61,8 +61,8 @@ class TestExpimv:
         manual = expimv(h, psi, 1.7, tol=1e-12, bounds=spectral_bounds(h))
         assert np.array_equal(auto, manual)
 
-    def test_long_evolution_splits_steps(self, rng):
-        # spectral half-width ~2 forces phase 8e4 > the per-step cap
+    def test_long_evolution_is_one_expansion(self, rng):
+        # spectral half-width ~2: a phase of 8e4 in one Chebyshev expansion
         h = sp.diags([np.ones(39), np.ones(39)], [-1, 1]).tocsr()
         psi = normalized(rng, 40)
         t = 4.0e4
@@ -94,6 +94,31 @@ class TestExpimv:
         h = sp.csr_matrix((1, 1))
         psi = np.array([1.0 + 0.0j])
         assert np.allclose(expimv(h, psi, 5.0), psi)
+
+
+class TestLongPhase:
+    """One expansion at phases past 3e4, against the dense eigendecomposition
+    of a centred nu = 2 even sector (``sector.eigen()``)."""
+
+    @pytest.mark.parametrize("chirp", [0.0, 0.05], ids=["real", "complex"])
+    def test_even_sector_matches_its_eigendecomposition(self, chirp):
+        table = build_lattice((21,))
+        x = np.arange(21) - 10.0
+        terms = build_couplings(table, NearestNeighbor(1.0)).with_diagonal(
+            potential_profile(ThickPolynomial((0.02,), (10.0,)), table))
+        basis = enumerate_basis(table, 2)
+        sector = build_mb_hamiltonian(terms, basis, jz=5.0e3, table=table)
+        single = gaussian_packet(table, 3.0).amplitudes * np.exp(1j * chirp * x**2)
+        psi = symmetric_initial_state(single, 2, basis).amplitudes
+        assert bool(psi.imag.any()) == (chirp != 0.0)
+        mirror, bounds = sector.mirror, sector.bounds()
+        assert np.linalg.norm(psi - psi[mirror.refl]) < 1e-14
+        phi, w = psi[mirror.reps], mirror.weights
+        half, tol = 0.5 * (bounds[1] - bounds[0]), 1e-9
+        for z in (3.5e4, 7.0e4):
+            got = expimv(mirror.matrix, phi, z / half, tol=tol, bounds=bounds)
+            want = sector.eigen().states(w * phi, [z / half])[0] / w
+            assert np.linalg.norm((got - want)[mirror.orbit]) < 10 * tol
 
 
 class TestTrajectory:
@@ -176,8 +201,8 @@ class TestTrajectory:
         assert all(np.array_equal(a, b) for a, b in zip(auto, manual))
 
     def test_split_steps_match_expimv_and_dense_oracle(self):
-        # nearest-neighbour Ising energy 4*J_z = 6000 J makes half*dt exceed
-        # the per-step phase cap, so one step holds several sub-steps
+        # nearest-neighbour Ising energy 4*J_z = 6000 J gives each step a
+        # phase half*dt of about 7.5e4, one expansion
         table = build_lattice((12,))
         terms = build_couplings(table, NearestNeighbor(1.0))
         basis = enumerate_basis(table, 2)
@@ -185,19 +210,16 @@ class TestTrajectory:
         h, bounds = sector.matrix, sector.bounds()
         psi = symmetric_initial_state(gaussian_packet(table, 2.0), 2, basis).amplitudes
         dt, tol, n_steps = 25.0, 1e-10, 4
-        assert 0.5 * (bounds[1] - bounds[0]) * dt > 2 * _MAX_PHASE_PER_STEP
 
-        u = scipy.linalg.expm(-1j * dt * h.toarray())
-        single, dense = psi, psi
+        single = psi
         steps = list(trajectory(h, psi, dt, n_steps, tol=tol, bounds=bounds))
         assert len(steps) == n_steps
-        for _, amp in steps:
+        for k, (_, amp) in enumerate(steps, start=1):
             norm_before = np.linalg.norm(single)
             single = expimv(h, single, dt, tol=tol, bounds=bounds)
-            dense = u @ dense
             assert np.array_equal(amp, single)
             assert abs(np.linalg.norm(amp) - norm_before) < 10 * tol
-            assert np.linalg.norm(amp - dense) < 1e-8
+            assert np.linalg.norm(amp - dense_evolution(h, psi, k * dt)) < 10 * tol * k
 
     def test_caller_arrays_are_not_modified(self, lens_terms):
         table, terms = lens_terms
@@ -228,9 +250,9 @@ class TestBatchedPlan:
     @pytest.fixture
     def blocks(self, rng):
         """(h, psi, t, bounds): different diagonals, so different bounds and
-        coefficient counts; a block whose half*t exceeds the per-step phase
-        cap next to one-sub-step blocks; a t = 0 block; three equal blocks,
-        which share one coefficient set; and one block of another dimension."""
+        coefficient counts; a block of phase half*t about 4e4 next to short
+        ones; a t = 0 block; three equal blocks, which share one coefficient
+        set; and one block of another dimension."""
         n, x = 24, np.arange(24) - 11.5
         out = []
         for scale in (0.01, 0.3, 2.0, 40.0):
@@ -250,10 +272,8 @@ class TestBatchedPlan:
         hs, _, ts, bounds = zip(*blocks)
         plan = _StepPlan(hs, ts, tol, bounds)
         # the cases really share stacks, with different coefficient counts
-        # and sub-step counts
         assert any(len(s.order) > 1 for s in plan.stacks)
         assert len({len(s.coef) for s in plan.stacks}) > 1
-        assert any(s.n_sub > 1 for s in plan.stacks)
         for s in plan.stacks:   # longest coefficient set first
             counts = (s.coef[:, :, 0] != 0).sum(axis=0)
             assert list(counts) == sorted(counts, reverse=True)
@@ -354,36 +374,38 @@ class TestRealPath:
         assert not rest.imag.any() and moving.imag.any()
         return h, rest, moving
 
-    # one sub-step, and three: a real first sub-step, then complex ones
-    @pytest.mark.parametrize("n_sub", [1, 3])
-    def test_real_block_equals_it_next_to_a_complex_one(self, lens, n_sub,
-                                                        monkeypatch):
+    # one step, and three: a real first step, then complex ones
+    @pytest.mark.parametrize("n_steps", [1, 3])
+    def test_real_block_equals_it_next_to_a_complex_one(self, lens, n_steps):
         h, rest, moving = lens
         tol, t = 1e-10, 2.5
-        if n_sub > 1:
-            lo, hi = spectral_bounds(h)
-            monkeypatch.setattr(propagator, "_MAX_PHASE_PER_STEP", 0.5 * (hi - lo))
         alone = _StepPlan([h], [t], tol, [None])
         assert alone.stacks[0].h_scaled.dtype == np.float64
-        assert alone.stacks[0].n_sub == n_sub
-        (got,) = alone.apply([rest])
-        want_dtype = np.float64 if n_sub == 1 else np.complex128
-        assert alone.stacks[0].h_scaled.dtype == want_dtype
         mixed = _StepPlan([h, h], [t, t], tol, [None, None])
         assert len(mixed.stacks) == 1            # one stack for both
-        want = mixed.apply([rest, moving])[0]
+        got, want = rest, [rest, moving]
+        for _ in range(n_steps):
+            (got,) = alone.apply([got])
+            want = mixed.apply(want)
+        want = want[0]
+        assert alone.stacks[0].h_scaled.dtype == (
+            np.float64 if n_steps == 1 else np.complex128)
         assert mixed.stacks[0].h_scaled.dtype == np.complex128
         assert got.dtype == np.complex128
         assert np.array_equal(got, want)
-        # the same through the public calls, with a float64 state too
-        batched = list(expimv_batch([(h, rest, t, None), (h, moving, t, None)], tol))
-        assert np.array_equal(batched[0], want)
-        assert np.array_equal(expimv(h, rest.real, t, tol), want)
+        if n_steps == 1:
+            # the same through the public calls, with a float64 state too
+            batched = list(expimv_batch([(h, rest, t, None), (h, moving, t, None)], tol))
+            assert np.array_equal(batched[0], want)
+            assert np.array_equal(expimv(h, rest.real, t, tol), want)
 
     def test_terms_are_float64_until_the_first_complex_state(self, lens, monkeypatch):
-        h, rest, _ = lens
+        """A step of phase past 3e4 is one expansion: from a real state every
+        matvec is float64, and the result is the mixed complex stack's. The
+        next step, from that complex state, runs in complex128."""
+        h, rest, moving = lens
         lo, hi = spectral_bounds(h)
-        monkeypatch.setattr(propagator, "_MAX_PHASE_PER_STEP", 0.5 * (hi - lo))
+        tol, t = 1e-10, 3.2e4 / (0.5 * (hi - lo))
         seen = []
         prefix = propagator._row_prefix
 
@@ -396,15 +418,17 @@ class TestRealPath:
                 return self.h @ x
 
         monkeypatch.setattr(propagator, "_row_prefix", lambda h, n: Spy(prefix(h, n)))
-        plan = _StepPlan([h], [2.5], 1e-10, [None])
-        assert plan.stacks[0].n_sub == 3
-        plan.apply([rest])
-        # (operator, term) dtypes: one real sub-step, then two complex ones
-        real, cplx = (np.float64,) * 2, (np.complex128,) * 2
-        n_real = seen.index(cplx)
-        assert n_real > 0 and 3 * n_real == len(seen)
-        assert seen[:n_real] == [real] * n_real
-        assert seen[n_real:] == [cplx] * (2 * n_real)
+        plan = _StepPlan([h], [t], tol, [None])
+        (got,) = plan.apply([rest])
+        # (operator, term) dtypes: one matvec per term past T_0
+        n_terms = len(plan.stacks[0].coef) - 1
+        assert len(seen) == n_terms > 3.2e4
+        assert seen == [(np.float64, np.float64)] * n_terms
+        want = _StepPlan([h, h], [t, t], tol, [None, None]).apply([rest, moving])[0]
+        assert np.array_equal(got, want)
+        seen.clear()
+        plan.apply([got])
+        assert seen == [(np.complex128, np.complex128)] * n_terms
 
     def test_a_reused_plan_switches_its_operator_once(self, lens):
         """As :func:`trajectory` reuses its plan: a real first step, then
@@ -532,14 +556,25 @@ class TestWindow:
             assert segments[i] == [3] * 10
             assert np.linalg.norm(small[i] - full[i], axis=1).max() <= 10 * tol
 
+    def test_sample_steps_past_3e4_match_dense(self, rng):
+        """A sample step has no upper bound: each long one is a segment of
+        its own, one expansion from the sample before."""
+        n = 24
+        h = chain(n, np.linspace(-1000.0, 1000.0, n))
+        psi = normalized(rng, n)
+        lo, hi = spectral_bounds(h)
+        dt, tol = 3.2e4 / (0.5 * (hi - lo)), 1e-10
+        states, segments = windowed([(h, psi, dt, None)], 2, tol)
+        assert segments[0] == [1, 1]
+        for j, got in enumerate(states[0], start=1):
+            assert np.linalg.norm(got - dense_evolution(h, psi, j * dt)) <= 10 * tol
+
     def test_validation(self, blocks):
         h, psi, dt, bounds = blocks[0]
         with pytest.raises(ValueError):
             list(window_batch([(h, psi[:-1], dt, bounds)], 3))
         with pytest.raises(ValueError):
             list(window_batch([(h, psi, 0.0, bounds)], 3))
-        with pytest.raises(ValueError):
-            list(window_batch([(h, psi, 2 * _MAX_PHASE_PER_STEP, (-1.0, 1.0))], 3))
         with pytest.raises(ValueError):
             list(window_batch([blocks[0]], 3, tol=1e-3))
 
