@@ -32,12 +32,24 @@ sector whose mirror leaves the basis, e.g. one with a hole that has no mirror
 partner, has none). One row per orbit, fixed points included, carries the
 amplitude of its orbit, and the even operator is H[reps] @ L with
 L[s, orbit(s)] = 1. Projecting is ``psi[reps]`` and lifting ``phi[orbit]``,
-both exact copies, so stepping one trajectory or calling ``evolve_mb`` step
-by step gives the same bits when both take the same path (dense or
-Chebyshev, below). The even operator is similar to the
-orthonormal projection P H P^T, so its spectrum lies inside the sector's,
-and it is evolved with the full sector's bounds: the same coefficients and
-matvec count on about D/2 rows.
+both exact copies. The even operator is similar to the orthonormal
+projection P H P^T, so its spectrum lies inside the sector's, and it is
+evolved with the full sector's bounds: the same coefficients and matvec
+count on about D/2 rows.
+
+On Chebyshev, a real start state (every product state of a real packet)
+has all its samples taken from one float64 recurrence, a real window of
+:func:`propagator.window_batch`: exp(-i H t) phi = cos(H t) phi - i sin(H t)
+phi, whose terms serve every sample time. The window holds every sample and
+its tables at once, so it is taken only while they fit
+``propagator._REAL_WINDOW_BYTES`` (16 MiB: about 40-55 samples of the
+18 010-row nu = 3 sector); a longer span, like a complex start, is stepped
+by :func:`propagator.trajectory`. So stepping one trajectory and calling
+``evolve_mb`` step by step give the same bits from a complex start, or
+when both take the dense path (below). From a real start only the first
+step of each is the same window; every later ``evolve_mb`` starts from a
+complex state and steps, and the two agree within the propagator's 10 tol
+per step, not bit for bit.
 
 The gate is ||psi - psi[refl]||_2 + |t| max_row_sum|H - H[refl][:, refl]|
 <= tol: to first order it bounds how far the even result can lie from the
@@ -70,7 +82,7 @@ sector at J_z = 1500 have a phase of about 24 000 > 930^2 / 80 = 10 800
 and go dense, each step alone (about 3 000) does not, and the two agree to
 the propagator's accuracy (8e-11 at tol = 1e-10), not bit for bit.
 Everything else, the full sector and cheap evolutions such as a J_z = 0
-packet, stays on Chebyshev steps.
+packet, stays on Chebyshev.
 """
 
 from __future__ import annotations
@@ -84,7 +96,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lattice import HamiltonianTerms, SiteTable
-from .propagator import EigenPropagator, spectral_bounds, trajectory
+from .propagator import (EigenPropagator, _real_window_fits, spectral_bounds, trajectory,
+                         window_batch)
 from .wavepacket import SpinWaveState
 
 MAX_EXCITATIONS = 3
@@ -94,22 +107,27 @@ INTERACTION_CUTOFF = 20.0  # Ising pair range, units of a
 # _DENSE_ROWS rows, whose decomposition holds about 2 rows^2 doubles (16 MB
 # at 1000), when the span's phase half * |t| (about its Chebyshev terms)
 # exceeds _DENSE_COST * rows^2 (the decomposition's cost in terms). Eight
-# mb_trajectory steps of a centred nu = 2 chain sector, Chebyshev / dense,
-# decomposition included, in seconds (best of 1-3, one CPU, one BLAS thread):
+# mb_trajectory samples of a centred nu = 2 chain sector (J_z = 1500, real
+# start), Chebyshev / dense, decomposition included, in seconds (best of
+# 1-3, one CPU, one BLAS thread). Chebyshev is the one float64 window of a
+# real start; stepping complex states, as the rule was first set against,
+# read 0.0034, 0.013, 0.099 and 1.3 s on 210 rows and 0.0052, 0.027, 0.19
+# and 1.9 s on 992, measured alongside:
 #
 #   rows  phase 1e2      1e3            1e4            1e5
-#    210  0.0064/0.0091  0.025/0.0093   0.18/0.0092    1.7/0.0089
-#    420  0.0073/0.042   0.028/0.040    0.22/0.041     2.1/0.042
-#    650  0.0085/0.12    0.035/0.12     0.27/0.11      2.5/0.12
-#    812  0.0089/0.21    0.039/0.21     0.30/0.21      2.8/0.21
-#    992  0.0096/0.37    0.044/0.38     0.34/0.38      3.2/0.38
+#    210  0.0023/0.0065  0.012/0.0066   0.11/0.0063    1.4/0.0083
+#    420  0.0043/0.039   0.022/0.038    0.18/0.038     1.5/0.038
+#    650  0.0050/0.11    0.023/0.11     0.20/0.11      1.5/0.095
+#    812  0.0028/0.18    0.016/0.19     0.22/0.21      2.2/0.21
+#    992  0.0047/0.37    0.027/0.37     0.23/0.36      2.3/0.36
 #
-# A term costs 17-32 us here, mostly scipy's per-call dispatch, and the
-# decomposition grows as rows^3 from a faster start, so the crossovers
-# (phase about 250, 2 000, 4 500, 7 500 and 11 500) go about as rows^2 / 80.
-# Sectors with more hops per row (nu = 3, 2D, long-range hopping) pay more
-# per term, so the rule keeps them on Chebyshev where dense would already
-# win.
+# A term costs 14-23 us here, mostly scipy's per-call dispatch, so running
+# it on real vectors gains little at these sizes, and the decomposition
+# grows as rows^3 from a faster start. The crossovers (phase about 500,
+# 1 900, 5 400, 8 700 and 16 000) still go about as rows^2 / 80, within
+# 1.3x at every size. Sectors with more hops per row (nu = 3, 2D,
+# long-range hopping) pay more per term, so the rule keeps them on
+# Chebyshev where dense would already win.
 _DENSE_ROWS = 1000
 _DENSE_COST = 1.0 / 80.0
 
@@ -342,7 +360,8 @@ def even_path(sector: ManyBodySector, amplitudes, t: float,
 class EvolutionPath:
     """How :func:`evolution_path` evolves a sector state over a span: on the
     full sector (``mirror`` None) or in the even subspace, by Chebyshev
-    steps or, when ``dense``, from ``sector.eigen()``."""
+    (one real window from a real start that fits its budget, else steps)
+    or, when ``dense``, from ``sector.eigen()``."""
 
     sector: ManyBodySector
     mirror: SectorMirror | None
@@ -360,26 +379,38 @@ class EvolutionPath:
 
     def trajectory(self, amplitudes, dt: float, n_steps: int,
                    t0: float = 0.0) -> Iterator[tuple[float, np.ndarray]]:
-        """Step ``amplitudes`` by exp(-i H dt) ``n_steps`` times along this
-        path, yielding (t, amplitudes) after each step; the clock advances
-        by ``t = t + dt`` from ``t0``."""
+        """Evolve ``amplitudes`` by exp(-i H dt) ``n_steps`` times along
+        this path, yielding (t, amplitudes) after each step; the clock
+        advances by ``t = t + dt`` from ``t0``."""
         mirror, bounds = self.mirror, self.sector.bounds()
         if mirror is None:
             yield from trajectory(self.sector.matrix, amplitudes, dt, n_steps,
                                   tol=self.tol, bounds=bounds, t0=t0)
             return
         phi = np.asarray(amplitudes)[mirror.reps]
-        if not self.dense:
+        if self.dense:
+            # each step from the orbit amplitudes, as a one-step call starts
+            eigen, w, t = self.sector.eigen(), mirror.weights, t0
+            for _ in range(n_steps):
+                phi = eigen.states(w * phi, [dt])[0] / w
+                t = t + dt
+                yield t, phi[mirror.orbit]
+            return
+        # a complex start steps, as do a zero step and none, which a window
+        # refuses, and a span whose real window would not fit its budget
+        if ((np.iscomplexobj(phi) and phi.imag.any()) or dt == 0.0 or n_steps < 1
+                or not _real_window_fits(mirror.matrix, bounds, dt, n_steps)):
             for t, phi in trajectory(mirror.matrix, phi, dt, n_steps,
                                      tol=self.tol, bounds=bounds, t0=t0):
                 yield t, phi[mirror.orbit]
             return
-        # each step from the orbit amplitudes, as a one-step call starts
-        eigen, w, t = self.sector.eigen(), mirror.weights, t0
-        for _ in range(n_steps):
-            phi = eigen.states(w * phi, [dt])[0] / w
-            t = t + dt
-            yield t, phi[mirror.orbit]
+        # a real start: every sample from one float64 recurrence
+        t = t0
+        for _, _, states in window_batch([(mirror.matrix, phi, dt, bounds)],
+                                         n_steps, tol=self.tol):
+            for row in states:
+                t = t + dt
+                yield t, row[mirror.orbit]
 
 
 def evolution_path(sector: ManyBodySector, amplitudes, t: float,
@@ -400,12 +431,17 @@ def evolution_path(sector: ManyBodySector, amplitudes, t: float,
 def mb_trajectory(sector: ManyBodySector, amplitudes, dt: float, n_steps: int,
                   tol: float = 1e-10,
                   t0: float = 0.0) -> Iterator[tuple[float, np.ndarray]]:
-    """Step the sector state by exp(-i H dt) ``n_steps`` times, yielding
+    """Evolve the sector state by exp(-i H dt) ``n_steps`` times, yielding
     (t, amplitudes) after each step, as :func:`propagator.trajectory` does.
 
     Runs along the :func:`evolution_path` of the whole span ``n_steps * dt``,
     which can be the dense path where each step alone, as ``evolve_mb``
-    takes it, is not (module docstring).
+    takes it, is not. On the even Chebyshev path a real start samples all
+    ``n_steps`` states from one float64 recurrence, which holds them at
+    once, while they fit its memory budget, and agrees with repeated
+    ``evolve_mb`` within 10 tol per step; a complex start, or a span over
+    the budget, steps, bit for bit as repeated ``evolve_mb`` (module
+    docstring).
     """
     path = evolution_path(sector, amplitudes, n_steps * dt, tol)
     yield from path.trajectory(amplitudes, dt, n_steps, t0=t0)
@@ -419,7 +455,8 @@ def evolve_mb(sector: ManyBodySector, state: ManyBodyState, dt: float,
     A state that is mirror-symmetric within the gate
     ||psi - psi[refl]|| + |dt| max_row_sum|H - H[refl][:, refl]| <= tol
     (a centred lens and packet) runs in the even subspace on about D/2 rows,
-    by Chebyshev or along the dense path (module docstring), and is lifted
+    along the dense path or by Chebyshev: one float64 expansion from a real
+    state, one complex step otherwise (module docstring), and is lifted
     back; the gate bounds, to first order, its distance from the
     full-sector result. Any other state runs on the full sector, bit for
     bit as ``propagator.expimv(sector.matrix, ..., bounds=sector.bounds())``.

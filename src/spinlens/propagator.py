@@ -25,8 +25,8 @@ whole step; at the first complex state the stack replaces its operator by
 a complex copy. A complex coefficient times a real term rounds as it does
 times the term + 0j, and a real row sum is the real part of the complex
 one, so either path gives the same bits; the real one costs about half per
-matvec. A window's operator is always complex: its start states are evolved
-states. Within a stack the blocks are ordered by coefficient count,
+matvec. A window has its own real mode (below). Within a stack the blocks
+are ordered by coefficient count,
 longest first, the coefficients are padded with zeros to the longest, and
 term k of the three-term recurrence runs the matvec only on the row prefix
 of the blocks still active, through a CSR view on the same arrays. Stacks
@@ -38,7 +38,12 @@ phase x blocks) complex values, and a plan's Bessel table (largest phase x
 distinct phases) floats, so one huge phase batched with many short blocks
 would allocate far more than its own expansion. No batch here does: an
 ensemble's blocks share one duration, and a window's start steps stay
-below about 1e3.
+below about 1e3. A real window (below) is one segment however long: its n
+samples hold n x dim complex values (16 B each; 2.3 MB for 8 samples of
+the 18 010-row nu = 3 even sector) and its coefficient and Bessel tables
+about 3 n x (n x phase per sample) floats, so it is taken only while both
+fit ``_REAL_WINDOW_BYTES``: a few samples of a large operator, as a
+blockade trajectory takes, not hundreds.
 
 :func:`expimv` is a batch of one built and applied once, :func:`expimv_batch`
 the same for many blocks; :func:`trajectory` builds one single-block plan
@@ -54,10 +59,12 @@ on the time, only the coefficients 2 (-i)^k J_k(z_j) do, z_j = half * j dt
 (Tal-Ezer & Kosloff; Weisse et al., Rev. Mod. Phys. 78, 275 (2006)). A
 step of phase z needs about z + 14 terms at z ~ 6, so sampling through one
 expansion saves the fixed part of every step. The blocks are stacked by
-the same code as a step plan's, largest phase per sample first. Terms are
-buffered ``_WINDOW_TERMS`` at a time with (-i)^k folded in, so each
-block's samples take them in one real
-matrix product (Bessel table x buffered terms), skipping the samples whose
+the same code as a step plan's, largest phase per sample first, with the
+operator stored as 2 h~ (exactly twice h~, so each term rounds as
+2 (h~ T_k) does). The recurrence runs in a ring of ``_WINDOW_TERMS``
+buffered terms, one matvec and one subtraction a term, and each full ring
+is added into the samples still expanding by one real matrix product
+(coefficient table x buffered terms), skipping the samples whose
 expansion has already ended; the centre phase is applied at the end. A
 window is cut into segments, each restarting the recurrence from the last
 state of the one before. A block's segment holds as many samples as fit,
@@ -66,6 +73,25 @@ with the buffered terms, its share of ``_WINDOW_BYTES`` (its share of the
 bytes whatever the batch), and its last phase stays under
 ``_WINDOW_PHASE``, which bounds the Bessel table. Each sample keeps every
 term with |J_k(z_j)| >= tol/4, as a step plan does.
+
+A complex window's table holds c_k / (-i)^k, and the buffered terms are
+turned by (-i)^k as they are added, so a real table multiplies complex
+terms. A window whose blocks' h and start states are all real (the test of
+a step plan's stack) runs the same recurrence in float64. For a real
+symmetric h~ and a real psi, exp(-i z h~) psi = cos(z h~) psi - i sin(z
+h~) psi: the even terms T_k(h~) psi give the real part and the odd ones
+the imaginary part (Tal-Ezer & Kosloff). (-i)^k is folded into its table
+instead, with two rows per sample, c_k Re (-i)^k (zero at odd k) and c_k
+Im (-i)^k (zero at even k), so one product, accumulated in place by BLAS,
+adds the even terms into the sample's real part and the odd ones into its
+imaginary part; the parts become the complex state at the end. Folding
+(-i)^k into a complex table for complex windows too would double their
+product's arithmetic (complex x complex) and change their bits. A real
+block's window is one segment over all its samples, since a second
+segment would restart from a complex state, and is taken only while its
+samples and tables fit its share of ``_REAL_WINDOW_BYTES``; a real block
+over it is sampled as a complex one. Real and complex blocks never share
+a window, so each keeps the bits it gives alone.
 
 All Bessel values come from one routine, Miller's downward recurrence
 (:func:`_bessel_table`), vectorised over every phase of a plan or of a
@@ -97,6 +123,7 @@ from collections.abc import Iterable, Iterator, Sequence
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.blas import dgemm
 
 # Nonzeros of one stacked operator. A CSR entry with its column index takes
 # 12 B real or 20 B complex, so 2**15 of them are about 0.39 or 0.66 MB, and
@@ -116,6 +143,15 @@ _STACK_NNZ = 2**15
 _WINDOW_BYTES = 2**21
 _WINDOW_TERMS = 8
 _WINDOW_PHASE = 100.0
+
+# Bytes of a real window's one segment (module docstring) per full stack:
+# its samples, 2 n dim floats, and its Bessel and coefficient tables, about
+# 3 n^2 floats per unit of phase per sample. 16 MiB is what manybody's dense
+# path may hold (2 x 1000^2 doubles at _DENSE_ROWS). The 18 010-row nu = 3
+# even sector of the nonlinear scenario at J_z = 20 takes 2.5 MB for its 8
+# samples of 122 rad; it fits up to 41 samples at that phase per sample and
+# 54 at 15 rad.
+_REAL_WINDOW_BYTES = 8 * _WINDOW_BYTES
 
 TOL_RANGE = (1e-14, 1e-6)
 
@@ -331,9 +367,8 @@ class _Stack:
                 cs = self.coef[k:end, 0, 0] if a == 1 else self.coef[k:end, :a]
                 self.run_coefs.append((a, cs))
                 k = end
-        imaginary = any(np.iscomplexobj(h.data) and h.data.imag.any() for h in hs)
         self._set_operator(_stacked_operator(hs, dim, centers, halves,
-                                             complex if imaginary else float))
+                                             complex if any(map(_imaginary, hs)) else float))
 
     def _set_operator(self, h: sp.csr_matrix):
         """Make ``h`` the scaled operator, with the prefix views of the runs."""
@@ -412,6 +447,11 @@ class _StepPlan:
         return [psi.astype(complex) if o is None else o for psi, o in zip(psis, out)]
 
 
+def _imaginary(h: sp.csr_matrix) -> bool:
+    """Whether ``h`` has an entry with a nonzero imaginary part."""
+    return bool(np.iscomplexobj(h.data) and h.data.imag.any())
+
+
 def _state(psi) -> np.ndarray:
     """``psi`` as float64 when it has no imaginary part, else complex128."""
     psi = np.asarray(psi)
@@ -427,17 +467,21 @@ class _Window:
     ``order`` lists the block indices in stack order, largest phase per
     sample first, so the blocks that need term k of a segment are about a
     prefix of the stack; term k runs on the prefix up to the last of them.
+    The recurrence runs on 2 h~ in a ring of buffered terms, float64 in a
+    ``real`` window (every h and start state real) and complex otherwise;
+    only how the buffered terms are added into the samples differs.
     """
 
-    def __init__(self, hs, order, dim, n_seg, centers, halves, dts, tol):
-        self.order, self.dim = order, dim
+    def __init__(self, hs, order, dim, n_seg, centers, halves, dts, tol, real):
+        self.order, self.dim, self.real = order, dim, real
         self.prefixes: dict = {}
         j = np.arange(1, n_seg + 1)
         steps = [half * dt for half, dt in zip(halves, dts)]
         table, counts = _bessel_table(np.concatenate([abs(s) * j for s in steps]),
                                       tol / 4.0)
         # per block: (n_seg, terms) table of c_k / (-i)^k, zero past each
-        # sample's count, and each sample's count
+        # sample's count, and each sample's count; a real window's table is
+        # (2 n_seg, terms), c_k Re (-i)^k and c_k Im (-i)^k per sample
         self.coef, self.counts = [], []
         for p, step in enumerate(steps):
             cols = slice(p * n_seg, (p + 1) * n_seg)
@@ -447,14 +491,26 @@ class _Window:
             c[:, 1:] *= 2.0
             if step < 0:
                 c[:, 1::2] *= -1.0       # J_k(-z) = (-1)^k J_k(z)
+            if real:
+                minus_i_pow = _MINUS_I_POW[np.arange(c.shape[1]) & 3]
+                c = np.stack([c * minus_i_pow.real, c * minus_i_pow.imag], axis=1)
+                c = c.reshape(2 * n_seg, -1)
             self.coef.append(c)
             self.counts.append(cnt)
         del table
         self.phase = np.array([np.exp(-1j * c * (dt * j)) for c, dt in zip(centers, dts)])
-        self.h_scaled = _stacked_operator(hs, dim, centers, halves, complex)
-        # one segment's samples and buffered terms, reused by every segment
-        self.acc = np.empty((len(order), n_seg, dim), dtype=complex)
-        self.buf = np.empty((len(order), _WINDOW_TERMS, dim), dtype=complex)
+        m = len(order)
+        dtype = float if real else complex
+        # 2 h~, exactly twice h~, so a term is one matvec and one subtraction
+        # and rounds as 2 (h~ T_k) does
+        self.h_scaled = _stacked_operator(hs, dim, centers, halves, dtype)
+        self.h_scaled.data *= 2.0
+        # the recurrence runs in this ring of terms, term k in row k mod
+        # width, each row the stacked state of the blocks still active
+        self.buf = np.empty((_WINDOW_TERMS, m, dim), dtype)
+        # one segment's samples, reused by every segment; a real window's
+        # as two rows each, its real and imaginary parts
+        self.acc = np.empty((m, n_seg, 2, dim)) if real else np.empty((m, n_seg, dim), dtype)
 
     def _prefix(self, a: int) -> sp.csr_matrix:
         if a not in self.prefixes:
@@ -463,8 +519,9 @@ class _Window:
 
     def apply(self, psi: np.ndarray, n: int) -> np.ndarray:
         """States at dt, ..., n dt of every block, (m, n, dim), from ``psi``,
-        (m, dim) in stack order; n is at most the segment length. The states
-        are a view on the window's buffer, overwritten by the next call."""
+        (m, dim) in stack order, float64 in a real window; n is at most the
+        segment length. The states are a view on the window's buffer,
+        overwritten by the next call."""
         d, m, width = self.dim, len(self.order), _WINDOW_TERMS
         counts = np.array([c[:n] for c in self.counts])
         ends = counts.max(axis=1)                 # terms per block
@@ -476,30 +533,59 @@ class _Window:
         firsts = (counts[:, None, :] > np.arange(0, n_terms, width)[:, None]).argmax(axis=2)
         acc, buf = self.acc[:, :n], self.buf
         acc.fill(0.0)
-        accr = self.acc.view(float)
-        bufr = buf.view(float)
+        accr = acc.view(float)
         t_cur = psi.reshape(-1)
         for k, a in enumerate(active):
-            rows = a * d
-            if k == 1:
-                t_prev, t_cur = t_cur, self._prefix(a) @ t_cur[:rows]
-            elif k > 1:
-                t_next = self._prefix(a) @ t_cur[:rows]
-                t_next *= 2.0
-                t_next -= t_prev[:rows]
-                t_prev, t_cur = t_cur[:rows], t_next
-            r = k % width
-            np.multiply(t_cur[:rows].reshape(a, d), _MINUS_I_POW[k & 3], out=buf[:a, r])
+            rows, r = a * d, k % width
+            row = buf[r, :a].reshape(-1)
+            if k == 0:
+                row[:] = t_cur
+            elif k == 1:
+                np.multiply(self._prefix(a) @ t_cur[:rows], 0.5, out=row)
+            else:
+                np.subtract(self._prefix(a) @ t_cur[:rows], t_prev[:rows], out=row)
+            t_prev, t_cur = t_cur, row
             if r == width - 1 or k == n_terms - 1:
                 # fold the buffered terms into the samples still expanding
                 k0 = k - r
                 for p in range(active[k0]):
                     used = min(int(ends[p]), k + 1) - k0
-                    if used > 0:
-                        lo = firsts[p, k0 // width]
-                        accr[p, lo:n] += self.coef[p][lo:n, k0:k0 + used] @ bufr[p, :used]
-        acc *= self.phase[:, :n, None]
-        return acc
+                    if used <= 0:
+                        continue
+                    lo = firsts[p, k0 // width]
+                    terms = buf[:used, p]
+                    if self.real:
+                        # the rows of samples lo..n += table x terms, in place:
+                        # BLAS on the transposes, which are Fortran-ordered
+                        parts = acc[p, lo:n].reshape(-1, d)
+                        assert parts.flags.c_contiguous   # else dgemm writes a copy
+                        dgemm(1.0, terms.T, self.coef[p][2 * lo:2 * n, k0:k0 + used].T,
+                              1.0, parts.T, overwrite_c=True)
+                    else:
+                        # (-i)^k T_k, as real rows: the real table x complex
+                        # terms is one real product
+                        turned = terms * _MINUS_I_POW[np.arange(k0, k0 + used) & 3, None]
+                        accr[p, lo:n] += self.coef[p][lo:n, k0:k0 + used] @ turned.view(float)
+        if not self.real:
+            acc *= self.phase[:, :n, None]
+            return acc
+        # sample by sample into the same memory, so a temporary holds one
+        states = self.acc.reshape(m, -1, 2 * d).view(complex)[:, :n]
+        for j in range(n):
+            states[:, j] = (acc[:, j, 0] + 1j * acc[:, j, 1]) * self.phase[:, j, None]
+        return states
+
+
+def _real_window_fits(h: sp.csr_matrix, bounds, dt: float, n_samples: int) -> bool:
+    """Whether a real block (h, psi, dt, bounds) fits one real window of
+    ``n_samples`` (module docstring): its samples and its Bessel and
+    coefficient tables, n (2 dim + 3 n step) floats at the phase
+    step = half |dt| of a sample, within its share of ``_STACK_NNZ`` times
+    ``_REAL_WINDOW_BYTES``."""
+    dim = h.shape[0]
+    step = abs(_enclosure(h, bounds)[1] * dt)
+    share = min(h.nnz + dim, _STACK_NNZ) / _STACK_NNZ
+    return 8 * n_samples * (2 * dim + 3 * n_samples * step) <= _REAL_WINDOW_BYTES * share
 
 
 def _check_tol(tol: float):
@@ -642,16 +728,19 @@ def window_batch(blocks: Iterable[tuple], n_samples: int, tol: float = 1e-10
     ``blocks``) at dt * j, ..., dt * (j + len(states) - 1), one state per
     row; every block's segments come in order of j. ``states`` is a view
     that the next segment overwrites: copy what is kept. Each segment is
-    one Chebyshev recurrence from
-    the last state of the one before (module docstring), and every sample
-    keeps the terms above tol/4, so it stays within about 10 tol of exact
-    per segment it depends on. Each block's states are bit for bit what it
-    gives alone. The blocks are drawn lazily and sampled about one stack at
-    a time, so memory holds about one stacked operator and its segment.
+    one Chebyshev recurrence from the last state of the one before (module
+    docstring), and every sample keeps the terms above tol/4, so it stays
+    within about 10 tol of exact per segment it depends on. A block whose
+    h and psi are both real is one segment of all n_samples, from one
+    float64 recurrence, while its states and tables fit its share of
+    ``_REAL_WINDOW_BYTES``; over it, the block is sampled as a complex one.
+    Each block's states are bit for bit what it gives alone. The blocks are
+    drawn lazily and sampled about one stack at a time, so memory holds
+    about one stacked operator and its segment.
 
     A sample's phase half * |dt| must be positive; it has no upper bound,
-    and a sample step past ``_WINDOW_PHASE`` is a segment of its own, one
-    expansion as a step plan's.
+    and a complex block's sample step past ``_WINDOW_PHASE`` is a segment
+    of its own, one expansion as a step plan's.
     """
     _check_tol(tol)
     if n_samples < 1:
@@ -660,26 +749,34 @@ def window_batch(blocks: Iterable[tuple], n_samples: int, tol: float = 1e-10
         groups: dict = {}
         for i, (h, psi, dt, bnd) in cut:
             dim = h.shape[0]
-            psi = np.asarray(psi, dtype=complex)
-            if psi.shape != (dim,):
+            phi = _state(psi)
+            if phi.shape != (dim,):
                 raise ValueError("state length does not match Hamiltonian")
+            bnd = spectral_bounds(h) if bnd is None else bnd
             center, half = _enclosure(h, bnd)
             step = abs(half * dt)
             if not step > 0.0:
                 raise ValueError(f"a sample step of phase {step:.3g} is not positive")
-            # samples and buffered terms within the block's share of the
-            # byte budget, the segment's last phase within the phase cap
-            share = min(h.nnz + dim, _STACK_NNZ) / _STACK_NNZ
-            n_seg = min(n_samples,
-                        max(1, int(_WINDOW_BYTES * share / (16 * dim)) - _WINDOW_TERMS),
-                        max(1, int(_WINDOW_PHASE / step)))
-            groups.setdefault((dim, n_seg), []).append((i, h, psi, dt, center, half))
+            # a real block over its budget is sampled as a complex one
+            real = (phi.dtype == float and not _imaginary(h)
+                    and _real_window_fits(h, bnd, dt, n_samples))
+            if real:
+                psi, n_seg = phi, n_samples
+            else:
+                # samples and buffered terms within the block's share of the
+                # byte budget, the segment's last phase within the phase cap
+                psi = np.asarray(psi, dtype=complex)
+                share = min(h.nnz + dim, _STACK_NNZ) / _STACK_NNZ
+                n_seg = min(n_samples,
+                            max(1, int(_WINDOW_BYTES * share / (16 * dim)) - _WINDOW_TERMS),
+                            max(1, int(_WINDOW_PHASE / step)))
+            groups.setdefault((dim, n_seg, real), []).append((i, h, psi, dt, center, half))
         del cut
-        for (dim, n_seg), members in groups.items():
+        for (dim, n_seg, real), members in groups.items():
             members.sort(key=lambda b: -abs(b[5] * b[3]))
             for stack in split_stacks(members, lambda b: b[1]):
                 order, hs, psis, dts, centers, halves = zip(*stack)
-                window = _Window(hs, order, dim, n_seg, centers, halves, dts, tol)
+                window = _Window(hs, order, dim, n_seg, centers, halves, dts, tol, real)
                 del stack, hs
                 state = np.stack(psis)
                 j = 1

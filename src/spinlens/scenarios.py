@@ -166,8 +166,8 @@ def prepare_config(raw: dict) -> dict:
     """Merge a raw config over the scenario defaults; reject unknown keys, a
     lattice spacing other than 1, an excitation number the nonlinear scenario
     cannot run, a scaling fit over fewer than two packet widths, time
-    grids too short to step through and a propagator tolerance outside
-    ``propagator.TOL_RANGE``."""
+    grids too short to step through, a propagator tolerance outside
+    ``propagator.TOL_RANGE`` and an end time that is not positive."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
     name = raw.get("scenario")
@@ -206,6 +206,11 @@ def prepare_config(raw: dict) -> dict:
         if not (_is_number(tol) and lo <= tol <= hi):
             raise ConfigError(f"'{name}.evolution.tol' must be a number in [{lo:g}, {hi:g}] "
                               "(YAML reads a bare 1e-8 as a string: write 1.0e-8)")
+    # the end of the sampled span; null takes the scenario's own time
+    t_max = cfg.get("evolution", {}).get("t_max")
+    if t_max is not None and not (_is_number(t_max) and 0 < t_max < math.inf):
+        raise ConfigError(f"'{name}.evolution.t_max' must be null or a positive number "
+                          "(YAML reads 1.0e3 as a string: write 1000.0 or 1.0e+3)")
     return cfg
 
 

@@ -404,6 +404,31 @@ def test_tol_range_ends_accepted():
         assert cfg["evolution"]["tol"] == tol
 
 
+@pytest.mark.parametrize("t_max", ["abc", -5.0, 0, True, "1.0e3"])
+def test_unusable_t_max_rejected_before_running(tmp_path, capsys, t_max):
+    """A string (YAML reads a bare 1.0e3 as one), a bool or a time that is
+    not positive fails validation, before any evolution."""
+    cfg = write_config(tmp_path / "c.yaml", {
+        "scenario": "thick1d", "evolution": {"t_max": t_max}})
+    assert main(["validate", "--config", cfg]) == 2
+    assert "evolution.t_max" in capsys.readouterr().err
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "evolution.t_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_positive_t_max_accepted_and_run(tmp_path):
+    cfg = write_config(tmp_path / "c.yaml",
+                       dict(THICK_SMALL, evolution={"n_samples": 4, "t_max": 1.0e3}))
+    assert main(["validate", "--config", cfg]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    times = np.loadtxt(out / "widths.csv", delimiter=",", skiprows=1, usecols=0)
+    assert times[-1] == pytest.approx(1.0e3)
+    assert np.all(np.diff(times) > 0)
+
+
 def test_shortest_time_grids_accepted():
     for scenario, key, low in (("thick1d", "n_samples", 1), ("scaling_fit", "n_time", 2)):
         for value in (low, float(low)):

@@ -17,7 +17,8 @@ from spinlens.manybody import (ManyBodySector, ManyBodyState, blockade_radius,
                                evolve_mb, mb_trajectory,
                                pair_distance_distribution,
                                symmetric_initial_state)
-from spinlens.propagator import EigenPropagator, expimv, trajectory
+from spinlens.propagator import (EigenPropagator, _real_window_fits, expimv, trajectory,
+                                 window_batch)
 from spinlens.scenarios import prepare_config, run_scenario
 from spinlens.wavepacket import SpinWaveState, gaussian_packet
 
@@ -379,22 +380,27 @@ class TestFreeFermionOracle:
 
     def test_short_span_stays_on_chebyshev_bit_for_bit(self):
         """At J_z = 0 and T = 6 (phase ~200) the decomposition would cost
-        more than the expansion: the even path steps by Chebyshev, as raw
-        ``trajectory`` on the even operator lifted back."""
+        more than the expansion: the even path stays on Chebyshev. Its start
+        is real, so it samples the span from one float64 recurrence, as raw
+        ``window_batch`` on the even operator lifted back."""
         table, terms = _chain(self.N)
         basis = enumerate_basis(table, 2)
         sector = build_mb_hamiltonian(terms, basis, jz=0.0, table=table)
         amps = symmetric_initial_state(gaussian_packet(table, 6.0), 2,
                                        basis).amplitudes
+        assert not amps.imag.any()
         dt, n_steps, tol = self.T / 4, 4, 1e-10
         path = evolution_path(sector, amps, self.T, tol)
         m = sector.mirror
         assert path.mirror is m and not path.dense
         assert path.method == "chebyshev"
         got = list(mb_trajectory(sector, amps, dt, n_steps, tol=tol))
-        ref = list(trajectory(m.matrix, amps[m.reps], dt, n_steps, tol=tol,
-                              bounds=sector.bounds()))
-        for (t, amp), (t_ref, phi) in zip(got, ref, strict=True):
+        (_, j, phis), = window_batch([(m.matrix, amps[m.reps], dt, sector.bounds())],
+                                     n_steps, tol=tol)
+        assert j == 1
+        t_ref = 0.0
+        for (t, amp), phi in zip(got, phis, strict=True):
+            t_ref = t_ref + dt
             assert t == t_ref
             assert np.array_equal(amp, phi[m.orbit])
         assert sector._eigen is None
@@ -663,6 +669,66 @@ class TestMirrorReduction:
             even_path(sector, state.amplitudes[:-1], 1.0, 1e-10)
 
 
+class TestRealStartWindow:
+    """A real start on the even Chebyshev path samples its whole span from
+    one float64 recurrence (``propagator.window_batch``); a complex start
+    steps by ``trajectory`` as before."""
+
+    @pytest.mark.parametrize("extents, nu", [((41,), 2), ((17,), 3)], ids=["nu2", "nu3"])
+    def test_every_sample_matches_the_dense_full_sector(self, extents, nu):
+        sector, state = _centred(extents, nu, jz=30.0)
+        amps, dt, n_steps, tol = state.amplitudes, 0.5, 8, 1e-10
+        assert not amps.imag.any()
+        path = evolution_path(sector, amps, n_steps * dt, tol)
+        assert path.mirror is not None and not path.dense
+        got = list(mb_trajectory(sector, amps, dt, n_steps, tol=tol))
+        assert len(got) == n_steps
+        for t, amp in got:
+            ref = dense_evolution(sector.matrix, amps, t)
+            assert np.linalg.norm(amp - ref) <= 10 * tol
+
+    def test_zero_step_and_no_step(self):
+        sector, state = _centred((41,), 2, jz=30.0)
+        assert even_path(sector, state.amplitudes, 0.0, 1e-10) is not None
+        out = evolve_mb(sector, state, 0.0, tol=1e-10)
+        assert out.amplitudes.dtype == np.complex128
+        assert np.array_equal(out.amplitudes, state.amplitudes)
+        assert list(mb_trajectory(sector, state.amplitudes, 0.5, 0)) == []
+
+    def test_span_over_the_window_budget_steps_bit_for_bit(self):
+        """A real window holds every sample and its tables at once, so a
+        span that does not fit ``propagator._REAL_WINDOW_BYTES`` steps by
+        ``trajectory`` from the real start, as a complex start does."""
+        sector, state = _centred((41,), 2, jz=30.0)
+        amps, dt, n_steps, tol = state.amplitudes, 0.5, 40, 1e-10
+        path = evolution_path(sector, amps, n_steps * dt, tol)
+        m, bounds = path.mirror, sector.bounds()
+        assert m is not None and not path.dense
+        assert _real_window_fits(m.matrix, bounds, dt, 8)
+        assert not _real_window_fits(m.matrix, bounds, dt, n_steps)
+        got = list(mb_trajectory(sector, amps, dt, n_steps, tol=tol))
+        ref = list(trajectory(m.matrix, amps[m.reps], dt, n_steps, tol=tol, bounds=bounds))
+        for (t, amp), (t_ref, phi) in zip(got, ref, strict=True):
+            assert t == t_ref
+            assert np.array_equal(amp, phi[m.orbit])
+
+    def test_complex_start_steps_bit_for_bit(self):
+        sector, state = _centred((41,), 2, jz=30.0)
+        x = np.arange(41) - 20.0
+        chirp = np.exp(0.05j * x**2)[sector.basis.states].prod(axis=1)
+        amps = state.amplitudes * chirp
+        dt, n_steps, tol = 0.5, 4, 1e-10
+        path = evolution_path(sector, amps, n_steps * dt, tol)
+        m = path.mirror
+        assert m is not None and not path.dense and amps[m.reps].imag.any()
+        got = list(mb_trajectory(sector, amps, dt, n_steps, tol=tol))
+        ref = list(trajectory(m.matrix, amps[m.reps], dt, n_steps, tol=tol,
+                              bounds=sector.bounds()))
+        for (t, amp), (t_ref, phi) in zip(got, ref, strict=True):
+            assert t == t_ref
+            assert np.array_equal(amp, phi[m.orbit])
+
+
 class TestDenseEvenPath:
     """Small even subspaces over long spans evolve from one dense
     eigendecomposition of W M W^-1."""
@@ -686,18 +752,26 @@ class TestDenseEvenPath:
         """The rule reads each call's own span: at J_z = 1500 six steps go
         dense while one step alone stays on Chebyshev, even with the
         decomposition cached, so repeated evolve_mb agrees with the
-        trajectory to the propagator's accuracy, not bit for bit."""
+        trajectory to the propagator's accuracy, not bit for bit. Each step
+        is bit for bit its raw Chebyshev call on the even operator: a
+        one-sample float64 window from the real start, then steps."""
         sector, state = _centred((41,), 2, jz=1500.0)
         amps, dt, n_steps, tol = state.amplitudes, 0.5, 6, 1e-10
         assert evolution_path(sector, amps, n_steps * dt, tol).dense
         got = list(mb_trajectory(sector, amps, dt, n_steps, tol=tol))
         assert sector._eigen is not None
         m, step = sector.mirror, ManyBodyState(amps)
-        for t, amp in got:
+        for k, (t, amp) in enumerate(got):
             path = evolution_path(sector, step.amplitudes, dt, tol)
             assert path.mirror is m and not path.dense
-            (_, phi), = trajectory(m.matrix, step.amplitudes[m.reps], dt, 1,
-                                   tol=tol, bounds=sector.bounds())
+            phi = step.amplitudes[m.reps]
+            assert phi.imag.any() == (k > 0)
+            if k == 0:
+                (_, _, (phi,)), = window_batch([(m.matrix, phi, dt, sector.bounds())],
+                                               1, tol=tol)
+            else:
+                (_, phi), = trajectory(m.matrix, phi, dt, 1, tol=tol,
+                                       bounds=sector.bounds())
             step = evolve_mb(sector, step, dt, tol=tol)
             assert step.time_stamp == t
             assert np.array_equal(step.amplitudes, phi[m.orbit])

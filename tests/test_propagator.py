@@ -13,7 +13,8 @@ from spinlens.manybody import (build_mb_hamiltonian, enumerate_basis, even_path,
                                symmetric_initial_state)
 from spinlens import propagator
 from spinlens.propagator import (_STACK_NNZ, _WINDOW_BYTES, _WINDOW_PHASE, _WINDOW_TERMS,
-                                 TOL_RANGE, EigenPropagator, _StepPlan, _bessel_table,
+                                 TOL_RANGE, EigenPropagator, _real_window_fits, _StepPlan,
+                                 _bessel_table,
                                  expimv, expimv_batch, spectral_bounds, trajectory,
                                  window_batch)
 from spinlens.wavepacket import evolve, gaussian_packet, phase_imprint
@@ -120,6 +121,23 @@ class TestLongPhase:
             want = sector.eigen().states(w * phi, [z / half])[0] / w
             assert np.linalg.norm((got - want)[mirror.orbit]) < 10 * tol
 
+    def test_real_window_sample_matches_its_eigendecomposition(self):
+        """A real start's window samples one step of phase 3.5e4 from one
+        float64 recurrence, within 10 tol of the decomposition."""
+        table = build_lattice((21,))
+        terms = build_couplings(table, NearestNeighbor(1.0)).with_diagonal(
+            potential_profile(ThickPolynomial((0.02,), (10.0,)), table))
+        basis = enumerate_basis(table, 2)
+        sector = build_mb_hamiltonian(terms, basis, jz=5.0e3, table=table)
+        psi = symmetric_initial_state(gaussian_packet(table, 3.0), 2, basis).amplitudes
+        mirror, bounds = sector.mirror, sector.bounds()
+        phi, w = psi[mirror.reps].real, mirror.weights
+        half, tol = 0.5 * (bounds[1] - bounds[0]), 1e-9
+        dt = 3.5e4 / half
+        (_, _, (got,)), = window_batch([(mirror.matrix, phi, dt, bounds)], 1, tol)
+        want = sector.eigen().states(w * phi, [dt])[0] / w
+        assert np.linalg.norm((got - want)[mirror.orbit]) < 10 * tol
+
 
 class TestTrajectory:
     @pytest.fixture
@@ -149,19 +167,35 @@ class TestTrajectory:
             assert t == state.time_stamp
             assert np.array_equal(amp, state.amplitudes)
 
-    def test_matches_repeated_evolve_mb(self, lens_terms):
-        # centred lens and packet: both run in the even subspace
+    @pytest.mark.parametrize("chirp", [0.0, 0.05], ids=["real", "complex"])
+    def test_matches_repeated_evolve_mb(self, lens_terms, chirp):
+        """Centred lens and packet: both run in the even subspace by
+        Chebyshev. From a complex (chirped, mirror-symmetric) start both
+        step, bit for bit. A real start's trajectory samples its span from
+        one float64 recurrence, while every evolve_mb after the first starts
+        from a complex state and steps, so the two agree within 10 tol per
+        step, not bit for bit."""
         table, terms = lens_terms
         basis = enumerate_basis(table, 2)
         sector = build_mb_hamiltonian(terms, basis, jz=20.0, table=table)
-        state = symmetric_initial_state(gaussian_packet(table, 4.0), 2, basis)
+        x = np.arange(41) - 20.0
+        single = gaussian_packet(table, 4.0).amplitudes * np.exp(1j * chirp * x**2)
+        state = symmetric_initial_state(single, 2, basis)
+        assert bool(state.amplitudes.imag.any()) == (chirp != 0.0)
         state.time_stamp = 0.1
         dt, tol = 0.45, 1e-9
-        assert even_path(sector, state.amplitudes, 4 * dt, tol) is not None
+        path = evolution_path(sector, state.amplitudes, 4 * dt, tol)
+        assert path.mirror is not None and not path.dense
         steps = list(mb_trajectory(sector, state.amplitudes, dt, 4, tol=tol,
                                    t0=state.time_stamp))
         assert len(steps) == 4
-        self.repeated_evolve_mb(sector, state, dt, tol, steps)
+        if chirp:
+            self.repeated_evolve_mb(sector, state, dt, tol, steps)
+            return
+        for k, (t, amp) in enumerate(steps, start=1):
+            state = evolve_mb(sector, state, dt, tol=tol)
+            assert t == state.time_stamp
+            assert np.linalg.norm(amp - state.amplitudes) <= 10 * tol * k
 
     def test_matches_repeated_evolve_mb_on_the_dense_path(self, lens_terms):
         # at J_z = 5e3 every step alone and the whole span go dense
@@ -235,6 +269,25 @@ class TestTrajectory:
         assert np.array_equal(h.indices, indices)
         assert np.array_equal(h.indptr, indptr)
         assert np.array_equal(psi, psi_before)
+
+
+@pytest.fixture
+def matvec_dtypes(monkeypatch):
+    """(operator dtype, vector dtype) of every stacked or windowed matvec,
+    in order, recorded through a spy on ``propagator._row_prefix``."""
+    seen = []
+    prefix = propagator._row_prefix
+
+    class Spy:
+        def __init__(self, h):
+            self.h = h
+
+        def __matmul__(self, x):
+            seen.append((self.h.dtype, x.dtype))
+            return self.h @ x
+
+    monkeypatch.setattr(propagator, "_row_prefix", lambda h, n: Spy(prefix(h, n)))
+    return seen
 
 
 def chain(n, diagonal):
@@ -399,25 +452,14 @@ class TestRealPath:
             assert np.array_equal(batched[0], want)
             assert np.array_equal(expimv(h, rest.real, t, tol), want)
 
-    def test_terms_are_float64_until_the_first_complex_state(self, lens, monkeypatch):
+    def test_terms_are_float64_until_the_first_complex_state(self, lens, matvec_dtypes):
         """A step of phase past 3e4 is one expansion: from a real state every
         matvec is float64, and the result is the mixed complex stack's. The
         next step, from that complex state, runs in complex128."""
         h, rest, moving = lens
         lo, hi = spectral_bounds(h)
         tol, t = 1e-10, 3.2e4 / (0.5 * (hi - lo))
-        seen = []
-        prefix = propagator._row_prefix
-
-        class Spy:
-            def __init__(self, h):
-                self.h = h
-
-            def __matmul__(self, x):
-                seen.append((self.h.dtype, x.dtype))
-                return self.h @ x
-
-        monkeypatch.setattr(propagator, "_row_prefix", lambda h, n: Spy(prefix(h, n)))
+        seen = matvec_dtypes
         plan = _StepPlan([h], [t], tol, [None])
         (got,) = plan.apply([rest])
         # (operator, term) dtypes: one matvec per term past T_0
@@ -504,6 +546,17 @@ class TestWindow:
         out.append((chain(9, rng.normal(size=9)), normalized(rng, 9), 0.5, None))
         return out
 
+    @pytest.fixture
+    def real_blocks(self, blocks):
+        """The real chains of ``blocks`` with real start states, each at
+        the same h, dt and bounds: a float64 window of one segment over all
+        its samples while they fit its budget (a few samples here)."""
+        out = []
+        for h, psi, dt, bounds in blocks[:5] + blocks[6:]:
+            phi = np.abs(psi)
+            out.append((h, phi / np.linalg.norm(phi), dt, bounds))
+        return out
+
     def test_matches_dense_expm(self, blocks):
         tol, n_samples = 1e-10, 30
         states, _ = windowed(blocks, n_samples, tol)
@@ -521,14 +574,19 @@ class TestWindow:
             gaps = np.linalg.norm(states[i] - steps, axis=1)
             assert np.all(gaps <= 10 * tol * np.arange(1, n_samples + 1))
 
-    def test_block_in_a_mixed_batch_equals_block_alone(self, blocks):
-        states, segments = windowed(blocks, 25)
-        # the batch really mixes segment lengths and dimensions
-        assert len({tuple(v) for v in segments.values()}) > 2
-        for i, block in enumerate(blocks):
-            alone, alone_segments = windowed([block], 25)
-            assert alone_segments[0] == segments[i]
-            assert np.array_equal(alone[0], states[i])
+    def test_block_in_a_mixed_batch_equals_block_alone(self, blocks, real_blocks):
+        # real and complex blocks of one dimension go to separate windows;
+        # at 4 samples every real block is one real window, at 25 most are
+        # over their budget and sampled as complex ones
+        blocks = blocks + real_blocks
+        for n_samples in (4, 25):
+            states, segments = windowed(blocks, n_samples)
+            # the batch really mixes segment lengths and dimensions
+            assert len({tuple(v) for v in segments.values()}) > 2
+            for i, block in enumerate(blocks):
+                alone, alone_segments = windowed([block], n_samples)
+                assert alone_segments[0] == segments[i]
+                assert np.array_equal(alone[0], states[i])
 
     def test_segments_are_cut_by_the_phase_cap(self, blocks):
         h, psi, dt, _ = blocks[4]
@@ -568,6 +626,46 @@ class TestWindow:
         assert segments[0] == [1, 1]
         for j, got in enumerate(states[0], start=1):
             assert np.linalg.norm(got - dense_evolution(h, psi, j * dt)) <= 10 * tol
+
+    def test_real_start_is_one_segment_within_tol_of_dense(self, real_blocks):
+        tol, n_samples = 1e-10, 4
+        states, segments = windowed(real_blocks, n_samples, tol)
+        for i, (h, phi, dt, bounds) in enumerate(real_blocks):
+            assert _real_window_fits(h, bounds or spectral_bounds(h), dt, n_samples)
+            assert segments[i] == [n_samples]
+            for j, got in enumerate(states[i], start=1):
+                assert np.linalg.norm(got - dense_evolution(h, phi, j * dt)) <= 10 * tol
+
+    def test_real_start_over_its_budget_is_sampled_as_complex(self, real_blocks, blocks,
+                                                              matvec_dtypes):
+        """A real window holds all its samples and tables at once, so a
+        real block whose span does not fit its share of
+        ``_REAL_WINDOW_BYTES`` is cut into segments as a complex start is,
+        with complex matvecs, and keeps its accuracy."""
+        tol, n_samples = 1e-10, 200
+        seen = matvec_dtypes
+        complex_blocks = blocks[:5] + blocks[6:]
+        for (h, phi, dt, bounds), twin in zip(real_blocks, complex_blocks):
+            assert twin[0] is h and twin[2] == dt
+            assert not _real_window_fits(h, bounds or spectral_bounds(h), dt, n_samples)
+            seen.clear()
+            states, segments = windowed([(h, phi, dt, bounds)], n_samples, tol)
+            assert seen == [(np.complex128, np.complex128)] * len(seen) != []
+            _, twin_segments = windowed([twin], n_samples, tol)
+            assert segments[0] == twin_segments[0] and len(segments[0]) > 1
+            for j in (1, n_samples // 2, n_samples):
+                want = dense_evolution(h, phi, j * dt)
+                assert np.linalg.norm(states[0][j - 1] - want) <= 10 * tol * len(segments[0])
+
+    def test_real_start_runs_every_matvec_in_float64(self, real_blocks, blocks,
+                                                     matvec_dtypes):
+        seen = matvec_dtypes
+        windowed(real_blocks[:1], 12)
+        assert len(seen) > 12
+        assert seen == [(np.float64, np.float64)] * len(seen)
+        seen.clear()
+        windowed(blocks[:1], 12)      # a complex start stays complex
+        assert seen == [(np.complex128, np.complex128)] * len(seen) != []
 
     def test_validation(self, blocks):
         h, psi, dt, bounds = blocks[0]
