@@ -182,13 +182,69 @@ CouplingModel = NearestNeighbor | PowerLaw
 
 
 @dataclass
+class _Mirror:
+    """The mirror of an operator's rows, ``refl`` (the row of each row's
+    image), in the form its even subspace takes: one place for the blockade
+    sectors (``manybody.SectorMirror``) and the single-excitation lens
+    operators (``HamiltonianTerms``), whose rows are a nu = 1 sector.
+
+    One row per orbit, fixed points included, carries the amplitude of its
+    orbit: ``reps`` are the rows with row <= refl, ``orbit`` is the position
+    in ``reps`` of each row's orbit, and ``weights`` the square root of each
+    orbit's size (1 or sqrt 2). Projecting is ``psi[reps]`` and lifting
+    ``phi[orbit]``. ``asymmetry`` is the max row sum of |H - H[refl][:, refl]|.
+    """
+
+    refl: np.ndarray
+    reps: np.ndarray
+    orbit: np.ndarray
+    weights: np.ndarray
+    asymmetry: float
+
+    @classmethod
+    def of(cls, h, refl: np.ndarray) -> "_Mirror":
+        """The mirror ``refl`` of ``h``, a sparse or a dense array."""
+        rows = np.arange(refl.size)
+        reps = np.nonzero(rows <= refl)[0]
+        return cls(refl=refl, reps=reps,
+                   orbit=np.searchsorted(reps, np.minimum(rows, refl)),
+                   weights=np.where(refl[reps] == reps, 1.0, np.sqrt(2.0)),
+                   asymmetry=float(abs(h - h[refl][:, refl]).sum(axis=1).max()))
+
+    @property
+    def dim(self) -> int:
+        return self.reps.size
+
+    def drift(self, psi: np.ndarray, t: float) -> float:
+        """The gate ||psi - psi[refl]||_2 + |t| ``asymmetry``: to first
+        order, how far evolving ``psi`` for |t| in the even subspace can
+        land from evolving it with H."""
+        return float(np.linalg.norm(psi - psi[self.refl])) + abs(t) * self.asymmetry
+
+    def fold(self, a: np.ndarray) -> np.ndarray:
+        """W M W^-1 of the dense H ``a`` as a dense array, with M = H[reps]
+        @ L the even operator on orbit amplitudes (L[s, orbit(s)] = 1) and
+        W = diag(``weights``): the even operator in the orthonormal basis of
+        normalised orbits, symmetric within ``asymmetry``. A pair orbit's
+        entry of M sums the rep's and its image's columns; a fixed point's
+        column, summed with itself, is halved back exactly, so every entry
+        rounds as the sparse product does."""
+        reps, w = self.reps, self.weights
+        rows = a.take(reps, axis=0)
+        m = rows.take(reps, axis=1) + rows.take(self.refl[reps], axis=1)
+        m[:, self.refl[reps] == reps] *= 0.5
+        return (w[:, None] * m) * (1.0 / w)
+
+
+@dataclass
 class HamiltonianTerms:
     """Single-excitation Hamiltonian pieces H = diag(eps) - J.
 
     ``hopping`` is symmetric CSR with zero rows/columns at inactive sites;
     ``diagonal`` holds eps_n (zero at inactive sites); ``active`` is the site
-    table's mask. Spectral bounds and the dense eigendecomposition for the
-    propagator are cached after first use.
+    table's mask. Spectral bounds, the dense eigendecomposition for the
+    propagator, the mirror n -> N-1-n of the sites and the decomposition of
+    its even operator are cached after first use.
     """
 
     hopping: sp.csr_matrix
@@ -197,6 +253,8 @@ class HamiltonianTerms:
     _bounds: tuple[float, float] | None = field(default=None, repr=False)
     _matrix: sp.csr_matrix | None = field(default=None, repr=False)
     _eigen: EigenPropagator | None = field(default=None, repr=False)
+    _mirror: _Mirror | None = field(default=None, repr=False)
+    _even: EigenPropagator | None = field(default=None, repr=False)
 
     @property
     def n_sites(self) -> int:
@@ -231,12 +289,38 @@ class HamiltonianTerms:
     def eigen(self) -> EigenPropagator:
         """Dense eigendecomposition of the assembled H as a
         :class:`spinlens.propagator.EigenPropagator` (cached): n^2 floats,
-        so for small lattices only."""
+        so for small lattices only. A state that is mirror-symmetric under
+        a mirror-symmetric H evolves in the even subspace, from the
+        decomposition of ceil(n/2) rows that ``_even_eigen`` caches beside
+        this one; the lens optimizer takes that path when ``_even_mirror``
+        admits it."""
         if self._eigen is None:
             from .propagator import EigenPropagator
 
             self._eigen = EigenPropagator(self.matrix())
         return self._eigen
+
+    def _even_mirror(self) -> _Mirror:
+        """The mirror n -> N-1-n of the flat site index (chain reversal,
+        point inversion of a 2D or 3D table) with its ``asymmetry``
+        measured on the dense H (cached). A centred design on an undamaged
+        or symmetrically damaged table has asymmetry 0; an off-centre one,
+        a hole without a mirror partner or displaced sites do not."""
+        if self._mirror is None:
+            self._mirror = _Mirror.of(self.matrix().toarray(),
+                                      np.arange(self.n_sites - 1, -1, -1))
+        return self._mirror
+
+    def _even_eigen(self) -> EigenPropagator:
+        """Dense eigendecomposition of the even operator W M W^-1 of
+        ``_even_mirror()`` (cached): ceil(n/2) rows, the states' orbit
+        amplitudes times the mirror's weights."""
+        if self._even is None:
+            from .propagator import EigenPropagator
+
+            self._even = EigenPropagator(
+                self._even_mirror().fold(self.matrix().toarray()))
+        return self._even
 
 
 def _neighbor_offsets(dim: int, cutoff: float) -> np.ndarray:

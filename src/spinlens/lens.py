@@ -8,12 +8,30 @@ the strength/time optimizer.
 Unit conventions: lengths in units of the lattice spacing a, energies in units
 of the reference hopping J, times in 1/J. ``sigma0`` always means the Gaussian
 width parameter of the excitation density (see :mod:`spinlens.wavepacket`).
+
+The optimizer samples each design's focal window on one of three paths
+(:func:`_width_minima`). On a lattice of at most ``_DENSE_DIM`` sites the
+samples are exact states of a dense eigendecomposition. A centred lens
+acting on a packet at rest at the focus, as the paper's lenses are, keeps
+the excitation in the even subspace of the mirror n -> N-1-n of the flat
+site index (chain reversal; point inversion of a 2D or 3D table). Such a
+design is decomposed on that subspace ("even"): the ceil(N/2)-row operator
+W M W^-1 that ``manybody.SectorMirror.symmetric`` forms for blockade
+sectors, a single-excitation H being the nu = 1 sector, folded from the
+dense H (``lattice._Mirror``), about a quarter of the full decomposition's
+time at N = 200. Each sample is lifted back to the sites by ``phi[orbit]``
+and agrees with the full decomposition's to rounding (1e-14 on the test
+cases). A design or state the mirror gate (``_EVEN_GATE``) refuses, such
+as an off-centre focus, a hole without a mirror partner, displaced sites
+or a start state with an odd part, decomposes the full H ("dense"), bit for
+bit as before the even path. Larger lattices scan by Chebyshev windows
+("window"). ``OptimizeResult.paths`` counts the designs on each path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -299,19 +317,24 @@ def thresholds(sigma0: float | None = None, v0: float | None = None,
 
 @dataclass
 class OptimizeResult:
-    """Outcome of a strength/time scan for one lens family."""
+    """Outcome of a strength/time scan for one lens family. ``paths``
+    counts the designs of ``scan`` sampled on each path of
+    :func:`_width_minima` ("even", "dense", "window"), by the evaluation
+    that gave each its result."""
 
     design: LensDesign
     focal_time: float
     focal_width: float
     scan: list
     boundary: bool = False
+    paths: dict = field(default_factory=dict)
 
 
 # Lattices of at most this many sites scan each design's focal window from a
 # dense eigendecomposition instead of the Chebyshev window (_width_minima).
 # One whole thick order-2 optimize_lens call, sigma0 = N/20, window path /
-# dense path in seconds (best of 2, one CPU, one BLAS thread):
+# full dense path in seconds (best of 2, one CPU, one BLAS thread), the
+# table that set this limit before the even path:
 #
 #   N     NN, n_time 40   NN, n_time 200  alpha 6, 40    alpha 6, 200
 #   200   0.145 / 0.135   0.250 / 0.207   0.572 / 0.162  0.627 / 0.221
@@ -326,7 +349,35 @@ class OptimizeResult:
 # longer at 600. These decompositions, and so these timings and the bits of
 # every lens output, are numpy.linalg.eigh's only while _DENSE_DIM stays at
 # or below propagator._EVR_ROWS (TestDenseScan pins it).
+#
+# The same calls with the even path (centred designs: ceil(N/2)-row
+# decompositions), window path / even path, measured together with the
+# other CPU busy:
+#
+#   N     NN, n_time 40   NN, n_time 200  alpha 6, 40    alpha 6, 200
+#   200   0.103 / 0.058   0.149 / 0.082   0.248 / 0.053  0.302 / 0.088
+#   400   0.175 / 0.140   0.235 / 0.216   0.593 / 0.160  0.709 / 0.245
+#   600   0.296 / 0.333   0.387 / 0.472   1.095 / 0.375  1.248 / 0.511
+#   800   0.432 / 0.640   0.556 / 0.751   1.684 / 0.698  1.937 / 0.801
+#
+# The even path wins in every column up to 400; nearest-neighbour chains
+# cross over near 500, power-law ones beyond 800, and summed over the four
+# columns it still wins at 800 (2.9 against 4.6 s). The limit stays at 400:
+# it also bounds the full decompositions of the designs the mirror gate
+# refuses, which lose from 400 on, and moving it would move the N >= 800
+# outputs. A limit on the rows each path decomposes would let centred
+# designs go further.
 _DENSE_DIM = 400
+
+# A dense-path case is sampled in the even subspace of the mirror n -> N-1-n
+# when its state's odd part and its H's mirror skew over the window, the
+# gate ||psi - psi[refl]|| + t_end max_row_sum|H - H[refl][:, refl]|
+# (lattice._Mirror.drift), stay within this: to first order that bounds
+# the even samples' distance from the full decomposition's. Centred
+# designs and packets are mirror-symmetric exactly, and a packet evolved
+# by Chebyshev from one, as a cascade's second stage starts, only to
+# rounding, so the gate admits rounding and nothing above it.
+_EVEN_GATE = 1e-12
 
 # In optimizer evolutions, and replays of their designs, on-site energies are
 # clipped to +- this value (units of the reference hopping; see
@@ -370,22 +421,36 @@ def _parabola_vertex(y, i):
 
 
 def _dense_minimum(terms, psi0, window, table, n_time):
-    """:func:`_width_minima` of one case from the dense eigendecomposition
-    of its H: every sample, and the parabola's vertex, is the exact state
-    at its time."""
+    """:func:`_width_minima` of one case from a dense eigendecomposition:
+    every sample, and the parabola's vertex, is the exact state at its time.
+    A case whose H and state pass the mirror gate (``_EVEN_GATE``) over the
+    window is sampled in the even subspace, from ``terms._even_eigen()``,
+    and lifted; any other from ``terms.eigen()``."""
     ts = np.linspace(*window, n_time)
-    eigen = terms.eigen()
-    w = gaussian_widths(eigen.states(psi0.amplitudes, ts), table)
+    psi = psi0.amplitudes
+    mirror = terms._even_mirror()
+    if mirror.drift(psi, window[1]) <= _EVEN_GATE:
+        path, eigen, weights = "even", terms._even_eigen(), mirror.weights
+        phi = weights * psi[mirror.reps]
+
+        def states(times):
+            return (eigen.states(phi, times) / weights)[:, mirror.orbit]
+    else:
+        path, eigen = "dense", terms.eigen()
+
+        def states(times):
+            return eigen.states(psi, times)
+    w = gaussian_widths(states(ts), table)
     i = int(np.argmin(w))   # the first of equal widths
     at_edge = i == 0 or i == n_time - 1
     t_min, w_min = ts[i], w[i]
     vertex = None if at_edge else _parabola_vertex(w, i)
     if vertex is not None:
         t_ref = ts[i] + vertex[0] * (ts[1] - ts[0])
-        w_ref = gaussian_widths(eigen.states(psi0.amplitudes, [t_ref]), table)[0]
+        w_ref = gaussian_widths(states([t_ref]), table)[0]
         if w_ref < w_min:
             t_min, w_min = t_ref, w_ref
-    return t_min, w_min, at_edge
+    return t_min, w_min, at_edge, path
 
 
 def _width_minima(cases, table, n_time, tol):
@@ -393,15 +458,18 @@ def _width_minima(cases, table, n_time, tol):
     refine, for each case (terms, initial state, window).
 
     On a lattice of at most ``_DENSE_DIM`` sites each case is sampled from
-    the dense eigendecomposition of its H, ``terms.eigen()``, exact to
-    rounding whatever ``tol``; the decomposition stays cached on ``terms``.
+    a dense eigendecomposition, exact to rounding whatever ``tol``: of its
+    even operator, ``terms._even_eigen()``, when its H and state pass the
+    mirror gate over the window (module docstring), else of its full H,
+    ``terms.eigen()``; the decomposition stays cached on ``terms``.
     On a larger one the cases are propagated together: one batch steps each
     to its window's start, :func:`spinlens.propagator.window_batch` samples
     the remaining ``n_time - 1`` times segment by segment, whose widths are
     taken at once, and one batch refines each from its narrowest sample by
     the parabola's offset within a grid step. Only the narrowest state of
-    each case is kept. On either path every result equals bit for bit what
-    the case gives alone. Returns one (t_min, w_min, at_edge) per case.
+    each case is kept. On every path each result equals bit for bit what
+    the case gives alone. Returns one (t_min, w_min, at_edge, path) per
+    case, path "even", "dense" or "window".
     """
     if table.n_sites <= _DENSE_DIM:
         return [_dense_minimum(terms, psi0, window, table, n_time)
@@ -428,7 +496,7 @@ def _width_minima(cases, table, n_time, tol):
     found, refine = [], []
     for (terms, _, _), ts, w, (i, amp) in zip(cases, times, widths, best):
         at_edge = i == 0 or i == n_time - 1
-        found.append([ts[i], w[i], at_edge])
+        found.append([ts[i], w[i], at_edge, "window"])
         vertex = None if at_edge else _parabola_vertex(w, i)
         if vertex is not None:
             shift = vertex[0] * (ts[1] - ts[0])
@@ -464,7 +532,8 @@ def _eval_designs(designs, table, base_terms, psi0, hopping, n_time, tol):
     lands on its time-window edge has the window extended, up to twice, in
     a batch with the others that need it.
 
-    Returns one (t_f, w_f, at_edge) per design.
+    Returns one (t_f, w_f, at_edge, path) per design, the path of its last
+    evaluation.
     """
     def terms(design):
         if isinstance(design, ThickPolynomial):
@@ -497,8 +566,8 @@ def _eval_designs(designs, table, base_terms, psi0, hopping, n_time, tol):
                  for f in _width_minima([(terms(designs[i]), states[i], windows[i])
                                          for i in cut], table, n_time, tol)]
         retry = []
-        for i, (t_f, w_f, at_edge) in zip(todo, found):
-            results[i] = (t_f, w_f, at_edge)
+        for i, (t_f, w_f, at_edge, path) in zip(todo, found):
+            results[i] = (t_f, w_f, at_edge, path)
             if at_edge:
                 lo, hi = windows[i]
                 windows[i] = (0.25 * lo, hi) if t_f <= lo * 1.01 else (lo, 2.0 * hi)
@@ -519,11 +588,14 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
     scalar minimization; the time minimum within each evolution is found by
     an ``n_time``-point scan plus parabolic refinement at the vertex time.
     On a lattice of at most ``_DENSE_DIM`` (400) sites every sample and the
-    vertex are exact states from one dense eigendecomposition of the
-    design's H (:class:`spinlens.propagator.EigenPropagator`); thin designs
-    all evolve under the bare couplings and share one decomposition per
-    call, and each thick design's is dropped before the next is built. On
-    a larger lattice: one step to the window's start, the other
+    vertex are exact states from one dense eigendecomposition
+    (:class:`spinlens.propagator.EigenPropagator`): of the design's
+    ceil(N/2)-row even operator when the lens, the table and the state are
+    mirror-symmetric about the table's centre (the default focus and
+    packet), else of its full H (module docstring); thin designs all evolve
+    under the bare couplings and share one decomposition per call, and each
+    thick design's is dropped before the next is built. On a larger
+    lattice: one step to the window's start, the other
     ``n_time - 1`` samples from one Chebyshev recurrence per window segment
     (:func:`spinlens.propagator.window_batch`), and one step from the
     narrowest sample by the parabola vertex's offset, a fraction of a
@@ -551,7 +623,8 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
     includes 0 (the term left out), so the result is never wider than the
     order-2 optimum it starts from. ``boundary`` reports a winning design
     whose minimum still sat on a strength-grid or time-window edge after
-    automatic extension, never silently.
+    automatic extension, never silently. ``paths`` counts the ``scan``
+    entries sampled on each path: "even", "dense" or "window".
 
     ``initial_state`` (default: a Gaussian of width ``sigma0`` at rest at
     ``focus``) lets a second lens stage start from the output of a first.
@@ -571,6 +644,7 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
         "v_opt_scale" if kind == "thick" else "phi_opt_scale"]
 
     scan: list = []
+    paths = {"even": 0, "dense": 0, "window": 0}
 
     def make_design(main, extra=()):
         if kind == "thick":
@@ -586,11 +660,12 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
         for d in designs:
             if d not in known and d not in fresh:
                 fresh.append(d)
-        for d, (t_f, w_f, at_edge) in zip(fresh, _eval_designs(
+        for d, (t_f, w_f, at_edge, path) in zip(fresh, _eval_designs(
                 fresh, table, base_terms, psi0, hopping, n_time, tol)):
             strength = d.coefficients[0] if kind == "thick" else d.phi0
             scan.append({"design": d, "strength": strength, "focal_time": t_f,
                          "focal_width": w_f, "at_edge": at_edge})
+            paths[path] += 1
         return [next(s["focal_width"] for s in scan if s["design"] == d)
                 for d in designs]
 
@@ -639,4 +714,5 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
     win = best()
     return OptimizeResult(design=win["design"], focal_time=win["focal_time"],
                           focal_width=win["focal_width"], scan=scan,
-                          boundary=win["at_edge"] or strength_edge)
+                          boundary=win["at_edge"] or strength_edge,
+                          paths=paths)

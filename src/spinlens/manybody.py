@@ -32,10 +32,12 @@ sector whose mirror leaves the basis, e.g. one with a hole that has no mirror
 partner, has none). One row per orbit, fixed points included, carries the
 amplitude of its orbit, and the even operator is H[reps] @ L with
 L[s, orbit(s)] = 1. Projecting is ``psi[reps]`` and lifting ``phi[orbit]``,
-both exact copies. The even operator is similar to the orthonormal
-projection P H P^T, so its spectrum lies inside the sector's, and it is
-evolved with the full sector's bounds: the same coefficients and matvec
-count on about D/2 rows.
+both exact copies. The orbits, weights and gate come from one helper,
+``lattice._Mirror``, which the lens optimizer's even path uses too: a
+single-excitation H is the nu = 1 sector. The even operator is similar to
+the orthonormal projection P H P^T, so its spectrum lies inside the
+sector's, and it is evolved with the full sector's bounds: the same
+coefficients and matvec count on about D/2 rows.
 
 On Chebyshev, a real start state (every product state of a real packet)
 has all its samples taken from one float64 recurrence, a real window of
@@ -95,7 +97,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import HamiltonianTerms, SiteTable
+from .lattice import HamiltonianTerms, SiteTable, _Mirror
 from .propagator import (EigenPropagator, _real_window_fits, spectral_bounds, trajectory,
                          window_batch)
 from .wavepacket import SpinWaveState
@@ -191,19 +193,13 @@ def enumerate_basis(sites: int | SiteTable, nu: int) -> FockBasis:
 
 
 @dataclass
-class SectorMirror:
-    """Even-subspace form of a sector under the mirror n -> N-1-n."""
+class SectorMirror(_Mirror):
+    """Even-subspace form of a sector under the mirror n -> N-1-n: the
+    rows' ``refl``, ``reps``, ``orbit``, ``weights`` and ``asymmetry``, as
+    ``lattice._Mirror`` computes them for every operator, and the even
+    operator itself."""
 
-    refl: np.ndarray            # row of each row's mirror image
-    reps: np.ndarray            # one row per orbit: the rows with row <= refl
-    orbit: np.ndarray           # position in ``reps`` of each row's orbit
     matrix: sp.csr_matrix       # H[reps] @ L, acting on orbit amplitudes
-    asymmetry: float            # max row sum of |H - H[refl][:, refl]|
-    weights: np.ndarray         # sqrt of each orbit's size, 1 or sqrt(2)
-
-    @property
-    def dim(self) -> int:
-        return self.reps.size
 
     def symmetric(self) -> sp.csr_matrix:
         """W M W^-1 with M = ``matrix`` and W = diag(``weights``): the even
@@ -246,16 +242,10 @@ class ManyBodySector:
             refl = basis.rank(np.sort(basis.n_sites - 1 - basis.states, axis=1))
         except ValueError:
             return None
-        rows = np.arange(basis.dim)
-        reps = np.nonzero(rows <= refl)[0]
-        orbit = np.searchsorted(reps, np.minimum(rows, refl))
-        lift = sp.csr_matrix((np.ones(basis.dim), (rows, orbit)),
-                             shape=(basis.dim, reps.size))
-        asymmetry = abs(h - h[refl][:, refl]).sum(axis=1).max()
-        return SectorMirror(refl=refl, reps=reps, orbit=orbit,
-                            matrix=(h[reps] @ lift).tocsr(),
-                            asymmetry=float(asymmetry),
-                            weights=np.where(refl[reps] == reps, 1.0, np.sqrt(2.0)))
+        m = _Mirror.of(h, refl)
+        lift = sp.csr_matrix((np.ones(basis.dim), (np.arange(basis.dim), m.orbit)),
+                             shape=(basis.dim, m.dim))
+        return SectorMirror(**vars(m), matrix=(h[m.reps] @ lift).tocsr())
 
 
 def build_mb_hamiltonian(terms: HamiltonianTerms, basis: FockBasis,
@@ -352,8 +342,7 @@ def even_path(sector: ManyBodySector, amplitudes, t: float,
     psi = np.asarray(amplitudes)
     if psi.shape != (sector.basis.dim,):
         raise ValueError("state length does not match the sector")
-    drift = np.linalg.norm(psi - psi[mirror.refl]) + abs(t) * mirror.asymmetry
-    return mirror if drift <= tol else None
+    return mirror if mirror.drift(psi, t) <= tol else None
 
 
 @dataclass(frozen=True)

@@ -104,8 +104,11 @@ expand term by term, where each term's fixed cost outweighs its arithmetic.
 of a real symmetric h and gives V (e^{-iEt} * V^T psi) at any list of times,
 exact to rounding at any t, as two real matrix products (the eigenvector
 method of Moler & Van Loan, SIAM Rev. 45, 3 (2003)). Its cost is the
-O(n^3) decomposition, so it pays only on small operators. Up to
-``_EVR_ROWS`` (400) rows, every lens operator, it runs
+O(n^3) decomposition, so it pays only on small operators. It takes a
+CSR matrix or a dense array: the lens optimizer folds a centred design's
+even operator densely. Up to ``_EVR_ROWS`` (400) rows, every lens
+operator it decomposes (the full H of at most ``lens._DENSE_DIM`` = 400
+sites, or the ceil(N/2)-row even operator of a centred design), it runs
 ``numpy.linalg.eigh`` (LAPACK's divide and conquer), the faster solver on
 tridiagonal chains. Above, it runs LAPACK's MRRR driver
 (``scipy.linalg.eigh(driver="evr")``) on one Fortran-ordered copy of h that
@@ -156,8 +159,10 @@ _REAL_WINDOW_BYTES = 8 * _WINDOW_BYTES
 TOL_RANGE = (1e-14, 1e-6)
 
 # EigenPropagator (module docstring) decomposes up to this many rows with
-# numpy.linalg.eigh, so every lens design (lens._DENSE_DIM = 400 sites) keeps
-# its bits and its speed: on nearest-neighbour lens operators the MRRR
+# numpy.linalg.eigh, so every lens operator the optimizer decomposes keeps
+# its bits and its speed: the full H of a design the mirror gate refuses,
+# at most lens._DENSE_DIM = 400 rows, and the even operator of a centred
+# one, ceil(N/2) <= 200 rows. On nearest-neighbour lens operators the MRRR
 # driver took 8.5 against 4.7 ms at N = 200 and 54 against 22 ms at 400.
 # Above it, one Fortran-ordered copy of h is overwritten by scipy's
 # driver="evr", about 2 n^2 doubles in all, where divide and conquer needs
@@ -171,7 +176,7 @@ _EVR_ROWS = 400
 # above rounding (the nu = 2 blockade operator differs from its transpose by
 # 2e-16 at a largest entry of 6e3) and far below a wrong operator (the
 # mirror's unsymmetrized H[reps] @ L has entries off by a factor of 2).
-# An exactly symmetric h, as every lens operator is, passes first on the
+# An exactly symmetric h, as every full lens operator is, passes first on the
 # dense copy it decomposes (np.array_equal(a, a.T), about 40 us at N = 200,
 # 1-2% of the eigh); measuring every h on the sparse form instead (160-270
 # us, 4-6% of the eigh) made lens_design, where decompositions take 60% of
@@ -674,26 +679,28 @@ def trajectory(h: sp.csr_matrix, psi: np.ndarray, dt: float, n_steps: int,
 
 class EigenPropagator:
     """exp(-i h t) psi at any times from one dense eigendecomposition of a
-    real symmetric ``h`` (module docstring).
+    real symmetric ``h``, a CSR matrix or a dense array (module docstring).
 
     The decomposition runs once, on construction, by ``numpy.linalg.eigh``
-    up to ``_EVR_ROWS`` rows and by LAPACK's MRRR driver above; the
-    propagator holds the n eigenvalues and the n x n real eigenvectors.
-    Raises ValueError for a complex ``h`` or one that is not symmetric to
-    rounding: LAPACK reads one triangle, so it would silently decompose
-    another matrix.
+    up to ``_EVR_ROWS`` rows and by LAPACK's MRRR driver above, on a copy
+    of a dense ``h``; the propagator holds the n eigenvalues and the n x n
+    real eigenvectors. Raises ValueError for a complex ``h`` or one that is
+    not symmetric to rounding: LAPACK reads one triangle, so it would
+    silently decompose another matrix.
     """
 
-    def __init__(self, h: sp.csr_matrix):
-        if np.iscomplexobj(h.data):
+    def __init__(self, h: sp.csr_matrix | np.ndarray):
+        if np.iscomplexobj(h):
             raise ValueError("EigenPropagator needs a real symmetric matrix")
         evr = h.shape[0] > _EVR_ROWS
-        a = h.toarray(order="F" if evr else "C")
+        order = "F" if evr else "C"
+        sparse = sp.issparse(h)
+        a = h.toarray(order=order) if sparse else np.array(h, dtype=float, order=order)
         if not np.array_equal(a, a.T):
-            # measured on the sparse form: a dense a - a.T would add n^2
+            # measured on h: for a sparse h, a dense a - a.T would add n^2
             # doubles to the peak
             skew = abs(h - h.T).max()
-            if skew > _SYMMETRY_RTOL * np.abs(h.data).max(initial=0.0):
+            if skew > _SYMMETRY_RTOL * np.abs(h.data if sparse else a).max(initial=0.0):
                 raise ValueError("EigenPropagator needs a real symmetric matrix; "
                                  f"h differs from h.T by up to {skew:.3g}")
         if evr:

@@ -410,6 +410,7 @@ def run_cascade(cfg, out: Path):
             "focal_time [1/J]": res.focal_time,
             "sigma_f [a]": sigma_out,
             "grid_boundary": res.boundary,
+            "optimizer_paths": res.paths,
         }
         sigma_in = sigma_out
     header = ["stage", "sigma_in [a]", "v2 [J/a^2]", "v4 [J/a^4]",
@@ -425,12 +426,14 @@ def run_scaling_fit(cfg, out: Path):
     n_time = int(cfg["evolution"]["n_time"])
     rows = []
     fits = []
+    paths = {}
     for kind in scan["kinds"]:
         for order in (scan["orders"] if kind == "thick" else [2]):
             sig_list, wid_list = [], []
             for sigma0 in scan["sigma0"]:
                 res = optimize_lens(table, model, float(sigma0), kind=kind,
                                     order=int(order), n_time=n_time, tol=tol)
+                paths[f"{kind} order {int(order)} sigma0 {float(sigma0):g}"] = res.paths
                 strength = (res.design.coefficients[0]
                             if kind == "thick" else res.design.phi0)
                 rows.append((kind, int(order), sigma0, strength,
@@ -451,7 +454,7 @@ def run_scaling_fit(cfg, out: Path):
               "t_f [1/J]", "sigma_f [a]", "kappa [a^(2/3)]", "grid_boundary"]
     outputs = [io_utils.write_csv(out / "scaling.csv", header, rows),
                io_utils.write_json(out / "scaling_fit.json", fits)]
-    return {"fits": fits}, outputs
+    return {"fits": fits, "optimizer_paths": paths}, outputs
 
 
 def run_multifocal2d(cfg, out: Path):
@@ -495,10 +498,11 @@ def run_longrange_alpha(cfg, out: Path):
     for alpha in cfg["scan"]["alphas"]:
         models.append((f"alpha={alpha:g}", float(alpha),
                        PowerLaw(hopping, float(alpha), cutoff_range=cutoff)))
-    rows = []
+    rows, paths = [], {}
     for label, alpha, model in models:
         res = optimize_lens(table, model, sigma0, kind="thick", order=2,
                             n_time=n_time, tol=tol)
+        paths[label] = res.paths
         rows.append((label, alpha, res.design.coefficients[0], res.focal_time,
                      res.focal_width, res.focal_width / sigma0**(1.0 / 3.0),
                      res.boundary))
@@ -506,7 +510,8 @@ def run_longrange_alpha(cfg, out: Path):
               "kappa [a^(2/3)]", "grid_boundary"]
     outputs = [io_utils.write_csv(out / "alpha_scaling.csv", header, rows)]
     derived = {"sigma_f": {row[0]: float(row[4]) for row in rows},
-               "kappa": {row[0]: float(row[5]) for row in rows}}
+               "kappa": {row[0]: float(row[5]) for row in rows},
+               "optimizer_paths": paths}
     return derived, outputs
 
 

@@ -475,3 +475,31 @@ class TestRydbergTablesScenario:
         j = [abs(float(r.split(",")[2])) for r in rows]
         assert j == sorted(j, reverse=True)
         assert j[0] / j[1] > 10.0
+
+
+_OPTIMIZER_RUNS = {
+    "longrange_alpha": ({"packet": {"sigma0": 4.0}, "scan": {"alphas": [6.0]}},
+                        lambda d: d["optimizer_paths"].values()),
+    "scaling_fit": ({"scan": {"sigma0": [4.0, 5.0], "kinds": ["thick", "thin"]}},
+                    lambda d: d["optimizer_paths"].values()),
+    "cascade": ({"packet": {"sigma0": 5.0}, "lens": {"order": 2}},
+                lambda d: [d[f"stage{s}"]["optimizer_paths"] for s in (1, 2)]),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(_OPTIMIZER_RUNS))
+def test_manifest_counts_optimizer_paths(tmp_path, scenario):
+    """Each optimize_lens call's designs per sampling path are in the
+    manifest; a centred run on a small chain takes only the even path, a
+    cascade's second stage too, though it starts from an evolved state."""
+    raw, read = _OPTIMIZER_RUNS[scenario]
+    raw = {"scenario": scenario, "lattice": {"extents": [60]},
+           "evolution": {"n_time": 20}, **raw}
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path / "c.yaml", raw),
+                 "--out", str(out)]) == 0
+    counts = list(read(json.loads((out / "manifest.json").read_text())["derived"]))
+    assert counts
+    for c in counts:
+        assert set(c) == {"even", "dense", "window"}
+        assert c["even"] > 0 and c["dense"] == c["window"] == 0

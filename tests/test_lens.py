@@ -6,10 +6,10 @@ from scipy.integrate import solve_ivp
 
 from spinlens import lens, propagator
 from spinlens.lattice import (NearestNeighbor, PowerLaw, build_couplings,
-                              build_lattice, displace_sites)
+                              build_lattice, displace_sites, punch_holes)
 from spinlens.propagator import trajectory, window_batch
 from spinlens.wavepacket import (SpinWaveState, evolve, gaussian_packet,
-                                 gaussian_width, phase_imprint)
+                                 gaussian_width, gaussian_widths, phase_imprint)
 from spinlens.lens import (Multifocal, ThickPolynomial, ThinPulse,
                            continuum_thick, continuum_thin,
                            corrected_focal_time, corrected_phase,
@@ -382,7 +382,7 @@ def _fake_evaluations(monkeypatch, width, at_edge=False):
 
     def fake(designs, *_):
         calls.extend(designs)
-        return [(1.0, width(d), at_edge) for d in designs]
+        return [(1.0, width(d), at_edge, "even") for d in designs]
 
     monkeypatch.setattr(lens, "_eval_designs", fake)
     return calls
@@ -447,7 +447,8 @@ class TestOptimizerContract:
 def _stepwise_minimum(terms, state, window, table, n_time, tol):
     """A window scanned step by step with ``evolve`` and ``trajectory`` and
     refined from the initial state: the evaluation the window recurrence
-    replaced, kept as an independent check."""
+    replaced, kept as an independent check. Returns (t_f, w_f, at_edge,
+    "stepwise"), shaped as ``lens._width_minima``'s results."""
     times = np.linspace(*window, n_time)
     start = evolve(terms, state, times[0], tol=tol) if times[0] > 0 else state
     dt = times[1] - times[0]
@@ -465,7 +466,7 @@ def _stepwise_minimum(terms, state, window, table, n_time, tol):
         w_ref = gaussian_width(evolve(terms, state, t_ref, tol=tol), table)
         if w_ref < w_f:
             t_f, w_f = t_ref, w_ref
-    return t_f, w_f, at_edge
+    return t_f, w_f, at_edge, "stepwise"
 
 
 def _alone_minimum(terms, state, window, table, n_time, tol):
@@ -490,14 +491,14 @@ def _reference_eval_design(design, table, base_terms, psi0, hopping, n_time, tol
         state = phase_imprint(psi0, thin_phase_profile(design, table))
     window = (0.5 * t_est, 1.5 * t_est)
     for attempt in range(3):
-        t_f, w_f, at_edge = minimum(terms, state, window, table, n_time, tol)
+        t_f, w_f, at_edge, path = minimum(terms, state, window, table, n_time, tol)
         if not at_edge:
             break
         if attempt == 0 and retried is not None:
             retried.append(design)
         lo, hi = window
         window = (0.25 * lo, hi) if t_f <= lo * 1.01 else (lo, 2.0 * hi)
-    return t_f, w_f, at_edge
+    return t_f, w_f, at_edge, path
 
 
 _CASES = [
@@ -542,7 +543,7 @@ class TestBatchedEvaluation:
         base = build_couplings(table, model)
         psi0 = gaussian_packet(table, sigma0, center=table.center())
         for entry in res.scan:
-            t_f, w_f, at_edge = _reference_eval_design(
+            t_f, w_f, at_edge, _ = _reference_eval_design(
                 entry["design"], table, base, psi0, 1.0, kw["n_time"], 1e-8,
                 minimum=_stepwise_minimum)
             assert at_edge == entry["at_edge"]
@@ -559,13 +560,14 @@ class TestBatchedEvaluation:
         _assert_batched_equals_alone(monkeypatch, n, sigma0, kw, retries)
 
 
-def _scan_cases(name, n=80, sigma0=6.0):
+def _scan_cases(name, n=80, sigma0=6.0, table=None, focus=None):
     """(terms, state, window) of designs at 0.5, 1 and 2 times the scaling
-    optimum on an n-site chain, each in its focal window, plus one window
-    that ends before the focus: nearest-neighbour thick and thin lenses and
-    an alpha = 6 thick lens."""
-    table = build_lattice((n,))
-    focus = (table.center()[0],)
+    optimum on an n-site chain (or ``table``), each in its focal window,
+    plus one window that ends before the focus: nearest-neighbour thick and
+    thin lenses and an alpha = 6 thick lens, focused at ``focus`` (default:
+    the centre) on a packet at the centre."""
+    table = build_lattice((n,)) if table is None else table
+    focus = tuple(table.center()) if focus is None else focus
     model = PowerLaw(1.0, 6.0) if name == "alpha6-thick" else NearestNeighbor(1.0)
     base = build_couplings(table, model)
     psi0 = gaussian_packet(table, sigma0)
@@ -604,14 +606,23 @@ class TestDenseScan:
         window = lens._width_minima(cases, table, 40, 1e-8)
         assert [f[2] for f in dense] == [f[2] for f in window]
         assert dense[-1][2]          # the early window ends on its edge
-        for (t_d, w_d, _), (t_w, w_w, _) in zip(dense, window):
+        assert {f[3] for f in dense} == {"even"}
+        for (t_d, w_d, *_), (t_w, w_w, *_) in zip(dense, window):
             assert abs(w_d - w_w) <= 1e-7 * w_w
             assert abs(t_d - t_w) <= 1e-6 * t_w
 
-    def test_dense_designs_decompose_with_numpy_eigh(self):
-        """EigenPropagator switches solver above _EVR_ROWS rows; a dense
-        lens operator must stay at or below it to keep its bits and speed."""
-        assert lens._DENSE_DIM <= propagator._EVR_ROWS
+    def test_dense_designs_decompose_with_numpy_eigh(self, decomposed):
+        """EigenPropagator switches solver above _EVR_ROWS rows. The most
+        rows a lens design decomposes are the full H of ``_DENSE_DIM`` sites,
+        for a design the mirror gate refuses; a centred one decomposes its
+        even operator, ceil(N/2) rows. Both must stay at or below
+        _EVR_ROWS to keep their bits and speed."""
+        n = lens._DENSE_DIM
+        for focus in (None, (n / 2.0,)):
+            table, cases = _scan_cases("nn-thick", n=n, sigma0=n / 16.0, focus=focus)
+            lens._width_minima(cases[:1], table, 10, 1e-8)
+        assert decomposed == [(n + 1) // 2, n]
+        assert max(decomposed) <= propagator._EVR_ROWS
 
     def test_each_case_gives_what_it_gives_alone(self):
         table, cases = _scan_cases("nn-thin")
@@ -632,3 +643,119 @@ class TestDenseScan:
         found = lens._width_minima(cases[:1], table, 10, 1e-8)
         assert len(found) == 1
         assert len(calls) == (1 if above else 0)
+
+
+@pytest.fixture
+def decomposed(monkeypatch):
+    """Rows of every EigenPropagator built, in order."""
+    rows = []
+    init = propagator.EigenPropagator.__init__
+
+    def spy(self, h):
+        rows.append(h.shape[0])
+        init(self, h)
+
+    monkeypatch.setattr(propagator.EigenPropagator, "__init__", spy)
+    return rows
+
+
+def _full_minimum(terms, psi0, window, table, n_time):
+    """One window scanned from the dense decomposition of the full H, as
+    every dense-path case was before the even path: the bits a case the
+    mirror gate refuses must keep."""
+    eigen = propagator.EigenPropagator(terms.matrix())
+    ts = np.linspace(*window, n_time)
+    w = gaussian_widths(eigen.states(psi0.amplitudes, ts), table)
+    i = int(np.argmin(w))
+    at_edge = i == 0 or i == n_time - 1
+    t_min, w_min = ts[i], w[i]
+    vertex = None if at_edge else lens._parabola_vertex(w, i)
+    if vertex is not None:
+        t_ref = ts[i] + vertex[0] * (ts[1] - ts[0])
+        w_ref = gaussian_widths(eigen.states(psi0.amplitudes, [t_ref]), table)[0]
+        if w_ref < w_min:
+            t_min, w_min = t_ref, w_ref
+    return t_min, w_min, at_edge
+
+
+# (n or extents, sigma0, holes) of the tables the even path is checked on:
+# even and odd chains (the odd one's centre site is a fixed point of weight
+# 1), a chain with a mirror-symmetric pair of holes, and a 2D table, whose
+# flat-index mirror is the point inversion about its centre
+_EVEN_TABLES = {"even-n": (80, 6.0, ()), "odd-n": (81, 6.0, ()),
+                "mirrored-holes": (80, 6.0, [(5,), (74,)]),
+                "2d": ((9, 8), 2.0, ())}
+
+
+class TestEvenScan:
+    """A dense-path case whose H and state are mirror-symmetric is sampled
+    in the even subspace of the mirror n -> N-1-n, from a decomposition of
+    ceil(N/2) rows; any other case decomposes the full H, as before."""
+
+    @pytest.mark.parametrize("shape", sorted(_EVEN_TABLES))
+    @pytest.mark.parametrize("name", ["nn-thick", "nn-thin", "alpha6-thick"])
+    def test_samples_match_the_full_decomposition(self, monkeypatch, decomposed,
+                                                  name, shape):
+        extents, sigma0, holes = _EVEN_TABLES[shape]
+        table = build_lattice(extents)
+        table, cases = _scan_cases(name, sigma0=sigma0, table=punch_holes(table, holes))
+        times, lifted = [], []
+        states, widths = propagator.EigenPropagator.states, lens.gaussian_widths
+
+        def states_spy(self, psi, ts):
+            times.append(np.array(ts))
+            return states(self, psi, ts)
+
+        def widths_spy(amps, tab):
+            lifted.append(amps.copy())
+            return widths(amps, tab)
+
+        monkeypatch.setattr(propagator.EigenPropagator, "states", states_spy)
+        monkeypatch.setattr(lens, "gaussian_widths", widths_spy)
+        rows = []   # of the decompositions the lens path makes
+        for terms, psi0, window in cases:
+            del times[:], lifted[:], decomposed[:]
+            found = lens._width_minima([(terms, psi0, window)], table, 40, 1e-8)
+            assert found[0][3] == "even" and lifted
+            rows += decomposed
+            full = propagator.EigenPropagator(terms.matrix())
+            for ts, got in zip(times, lifted, strict=True):
+                want = states(full, psi0.amplitudes, ts)
+                assert np.abs(got - want).max() <= 1e-12
+        assert set(rows) == {(table.n_sites + 1) // 2}
+
+    @pytest.mark.parametrize("kind", ["off-centre", "hole", "displaced", "odd-state"])
+    def test_asymmetric_case_decomposes_the_full_h_bit_for_bit(self, rng, decomposed,
+                                                               kind):
+        n = 80
+        table = build_lattice((n,))
+        if kind == "off-centre":
+            table, cases = _scan_cases("nn-thick", n=n, focus=(40.5,))
+        elif kind == "hole":
+            table, cases = _scan_cases("nn-thin", table=punch_holes(table, [(5,)]))
+        elif kind == "displaced":
+            table, cases = _scan_cases("alpha6-thick", table=displace_sites(
+                table, rng.normal(scale=0.01, size=(n, 1))))
+        else:
+            table, cases = _scan_cases("nn-thin", n=n)
+            odd = np.zeros(n)
+            odd[[30, n - 31]] = 1e-9, -1e-9
+            cases = [(terms, SpinWaveState(psi0.amplitudes + odd), window)
+                     for terms, psi0, window in cases]
+        found = lens._width_minima(cases, table, 40, 1e-8)
+        assert {f[3] for f in found} == {"dense"}
+        assert set(decomposed) == {n}
+        assert [f[:3] for f in found] == [_full_minimum(*c, table, 40) for c in cases]
+
+
+class TestPathCounts:
+    @pytest.mark.parametrize("n, focus, path", [(200, None, "even"),
+                                                (200, (100.5,), "dense"),
+                                                (60, None, "window")])
+    def test_result_counts_the_designs_on_each_path(self, monkeypatch, n, focus, path):
+        if path == "window":
+            monkeypatch.setattr(lens, "_DENSE_DIM", 0)
+        res = optimize_lens(build_lattice((n,)), NearestNeighbor(1.0), n / 16.0,
+                            focus=focus, n_time=40)
+        assert res.paths == {p: len(res.scan) if p == path else 0
+                             for p in ("even", "dense", "window")}

@@ -626,6 +626,24 @@ class TestMirrorReduction:
         assert np.array_equal(m.orbit, m.orbit[m.refl])
         assert m.asymmetry == 0.0
 
+    @pytest.mark.parametrize("extents", [(20,), (21,), (6, 5)])
+    def test_nu1_sector_mirror_is_the_lens_operators(self, extents):
+        """A single-excitation lens H is the nu = 1 sector: the one mirror
+        reduction gives both the same orbits and weights, and the lens
+        path's dense fold is the sector's symmetric even operator, bit for
+        bit."""
+        table = build_lattice(extents)
+        design = ThickPolynomial((0.01,), tuple(table.center()))
+        terms = build_couplings(table, PowerLaw(1.0, 6.0),
+                                lens_diagonal=potential_profile(design, table))
+        sector = build_mb_hamiltonian(terms, enumerate_basis(table, 1), table=table)
+        lens_mirror, sector_mirror = terms._even_mirror(), sector.mirror
+        for name in ("refl", "reps", "orbit", "weights"):
+            assert np.array_equal(getattr(lens_mirror, name), getattr(sector_mirror, name))
+        assert lens_mirror.asymmetry == sector_mirror.asymmetry == 0.0
+        assert np.array_equal(lens_mirror.fold(terms.matrix().toarray()),
+                              sector_mirror.symmetric().toarray())
+
     @pytest.mark.parametrize("kind", ["off-centre", "hole", "random"])
     def test_asymmetric_input_takes_the_full_path_bit_for_bit(self, rng, kind):
         if kind == "off-centre":

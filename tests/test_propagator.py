@@ -768,6 +768,24 @@ class TestEigenPropagator:
         with pytest.raises(ValueError, match="differs from h.T"):
             EigenPropagator(skewed)
 
+    @pytest.mark.parametrize("n", [200, propagator._EVR_ROWS + 50])
+    def test_dense_array_decomposes_as_its_csr(self, n):
+        """A dense h, as the lens optimizer folds its even operators, gives
+        the CSR form's decomposition bit for bit on either driver and is
+        left as it was; a skewed one is refused."""
+        table = build_lattice((n,))
+        h = build_couplings(table, PowerLaw(1.0, 6.0)).with_diagonal(
+            potential_profile(ThickPolynomial((1e-4,), ((n - 1) / 2.0,)), table)).matrix()
+        a = h.toarray()
+        kept = a.copy()
+        dense, csr = EigenPropagator(a), EigenPropagator(h)
+        assert np.array_equal(a, kept)
+        assert np.array_equal(dense.energies, csr.energies)
+        assert np.array_equal(dense.vectors, csr.vectors)
+        a[0, 1] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="differs from h.T"):
+            EigenPropagator(a)
+
 
 @pytest.mark.parametrize("z", [0.02, 6.0, 150.0, 600.0, 3000.0])
 def test_bessel_table_matches_mpmath(z):
