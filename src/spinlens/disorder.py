@@ -14,8 +14,12 @@ as scipy's assembly drops them, so the H of a realization is bit for bit the
 one :func:`run_protocol` assembles. The realizations are propagated
 together, as one batch of independent evolutions
 (:func:`spinlens.propagator.expimv_batch`), each bit for bit what it gives
-alone. Streams are counter-based per realization, so a realization's record
-does not depend on how many others are run.
+alone: their operators are stacked by array operations on the whole stack,
+and since every H and start packet is real, the stack runs its Chebyshev
+terms in float64 and adds them into a real and an imaginary float64
+accumulator (the even and the odd terms). Streams are counter-based per
+realization, so a realization's record does not depend on how many others
+are run.
 """
 
 from __future__ import annotations

@@ -16,17 +16,27 @@ with the order (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), and
 one expansion stayed within 3e-9 of a dense eigendecomposition at phases
 up to 3e5 and tol 1e-8, from real and complex states alike. Blocks of equal
 dimension are stacked into one block-diagonal operator, each block shifted
-by its own centre and scaled by its own 1/half-width. The stacked
+by its own centre and scaled by its own 1/half-width, and built by array
+operations on the whole stack (:func:`_stacked_operator`). The operator is
+stored as 2 h~, exactly twice h~, so a term T_k+1 = 2 h~ T_k - T_k-1 is
+one matvec and one subtraction in place, and rounds as 2 (h~ T_k) does;
+T_1 is 0.5 (2 h~ psi). The stacked
 operator is a float64 CSR when every block is real (a real dtype, or a
 complex one whose imaginary parts are all zero), else a complex CSR, so no
 matvec upcasts it. While the operator and the stacked states are real, as
 in a real packet's step, the terms T_k(h~) psi are float64 vectors for the
-whole step; at the first complex state the stack replaces its operator by
-a complex copy. A complex coefficient times a real term rounds as it does
-times the term + 0j, and a real row sum is the real part of the complex
-one, so either path gives the same bits; the real one costs about half per
-matvec. A window has its own real mode (below). Within a stack the blocks
-are ordered by coefficient count,
+whole step, and the sum is kept in the cos/sin form of exp(-i z h~) psi
+(Tal-Ezer & Kosloff): c_k = 2 (-i)^k J_k is real at even k and imaginary
+at odd k, so the even terms times Re c_k go into a float64 real part and
+the odd ones times Im c_k into a float64 imaginary part, which become the
+complex state at the end. A complex c times a real t rounds to exactly
+(Re c t, Im c t), and the zero half of each c_k only adds a signed zero,
+so this gives the bits of a complex accumulator. At the first complex
+state the stack replaces its operator by a complex copy and sums c_k T_k
+in one complex accumulator; a real row sum is the real part of the complex
+one, so either path gives the same bits, and the real one costs about
+half per matvec and per term. A window has its own real mode (below).
+Within a stack the blocks are ordered by coefficient count,
 longest first, the coefficients are padded with zeros to the longest, and
 term k of the three-term recurrence runs the matvec only on the row prefix
 of the blocks still active, through a CSR view on the same arrays. Stacks
@@ -60,8 +70,7 @@ on the time, only the coefficients 2 (-i)^k J_k(z_j) do, z_j = half * j dt
 step of phase z needs about z + 14 terms at z ~ 6, so sampling through one
 expansion saves the fixed part of every step. The blocks are stacked by
 the same code as a step plan's, largest phase per sample first, with the
-operator stored as 2 h~ (exactly twice h~, so each term rounds as
-2 (h~ T_k) does). The recurrence runs in a ring of ``_WINDOW_TERMS``
+operator stored as 2 h~ as a step plan's is. The recurrence runs in a ring of ``_WINDOW_TERMS``
 buffered terms, one matvec and one subtraction a term, and each full ring
 is added into the samples still expanding by one real matrix product
 (coefficient table x buffered terms), skipping the samples whose
@@ -108,9 +117,13 @@ O(n^3) decomposition, so it pays only on small operators. It takes a
 CSR matrix or a dense array: the lens optimizer folds a centred design's
 even operator densely. Up to ``_EVR_ROWS`` (400) rows, every lens
 operator it decomposes (the full H of at most ``lens._DENSE_DIM`` = 400
-sites, or the ceil(N/2)-row even operator of a centred design), it runs
-``numpy.linalg.eigh`` (LAPACK's divide and conquer), the faster solver on
-tridiagonal chains. Above, it runs LAPACK's MRRR driver
+sites, or the ceil(N/2)-row even operator of a centred design), it runs LAPACK's divide and
+conquer: ``scipy.linalg.lapack.dstevd`` on the diagonal and the lower
+subdiagonal when h is tridiagonal, as every nearest-neighbour lens operator
+and its even fold are, else ``numpy.linalg.eigh``. On a tridiagonal h
+numpy's ``dsyevd`` reduces nothing and runs the same ``dstedc``, so both
+give the same energies and vectors, and dstevd takes about half the time.
+Above, it runs LAPACK's MRRR driver
 (``scipy.linalg.eigh(driver="evr")``) on one Fortran-ordered copy of h that
 the driver overwrites: about 2 n^2 doubles in all, where divide and conquer
 needs 3-4 n^2 (Dhillon, Parlett & Voemel, ACM TOMS 32, 533 (2006)), which
@@ -127,6 +140,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dstevd
 
 # Nonzeros of one stacked operator. A CSR entry with its column index takes
 # 12 B real or 20 B complex, so 2**15 of them are about 0.39 or 0.66 MB, and
@@ -158,12 +172,15 @@ _REAL_WINDOW_BYTES = 8 * _WINDOW_BYTES
 
 TOL_RANGE = (1e-14, 1e-6)
 
-# EigenPropagator (module docstring) decomposes up to this many rows with
-# numpy.linalg.eigh, so every lens operator the optimizer decomposes keeps
+# EigenPropagator (module docstring) decomposes up to this many rows by
+# divide and conquer (dstevd on a tridiagonal h, numpy.linalg.eigh on any
+# other), so every lens operator the optimizer decomposes keeps
 # its bits and its speed: the full H of a design the mirror gate refuses,
 # at most lens._DENSE_DIM = 400 rows, and the even operator of a centred
 # one, ceil(N/2) <= 200 rows. On nearest-neighbour lens operators the MRRR
-# driver took 8.5 against 4.7 ms at N = 200 and 54 against 22 ms at 400.
+# driver took 8.5 against 4.7 ms at N = 200 and 54 against 22 ms at 400,
+# and dstevd 1.7 and 5.2 ms against 3.4 and 15.8 ms for numpy's eigh
+# (mean of 5, one BLAS thread).
 # Above it, one Fortran-ordered copy of h is overwritten by scipy's
 # driver="evr", about 2 n^2 doubles in all, where divide and conquer needs
 # 3-4 n^2. On the 930-row nu = 2 blockade operator, numpy's eigh, "evr" and
@@ -322,32 +339,54 @@ def _row_prefix(h: sp.csr_matrix, n: int) -> sp.csr_matrix:
 
 
 def _stacked_operator(hs, dim, centers, halves, dtype) -> sp.csr_matrix:
-    """Each block shifted by its centre and scaled by 1/half, as one alone
-    would build it, stacked block-diagonally as one CSR of ``dtype`` (float
-    only for real blocks); canonical form (sorted, summed) fixes the order
-    of each row's sum whatever the order of h's indices."""
-    if dtype is float:
-        hs = [h.real if np.iscomplexobj(h.data) else h for h in hs]
-    blocks = [(h - sp.diags(np.full(dim, c))).tocsr() for h, c in zip(hs, centers)]
-    for b, half in zip(blocks, halves):
-        b.data *= 1.0 / half
-        b.sum_duplicates()
+    """2 h~ of every block, h~ = (h - centre) / half, stacked
+    block-diagonally as one CSR of ``dtype`` (float only for real blocks).
+
+    Built on the whole stack at once: the blocks' canonical CSR arrays are
+    concatenated, shifted by one ``diags`` of every block's centre, each
+    entry scaled by its row's 1/half and then doubled. An entry takes the
+    same float operations as in a lone block's ``(h - diags(c)) / half``,
+    and the shift drops the entries it leaves zero as that one does, so
+    each block of the stack is bit for bit the lone block's. Canonical
+    form (sorted, summed) fixes the order of each row's sum whatever the
+    order of h's indices; a block with unsorted or duplicate entries is put
+    in it by a sparse sum with an empty matrix, which adds duplicates in
+    storage order and drops zero sums, as the lone block's shift does, and
+    then sorted."""
+    blocks = []
+    for h in hs:
+        if dtype is float and np.iscomplexobj(h.data):
+            h = h.real
+        if not h.has_canonical_format:
+            h = h + sp.csr_matrix(h.shape)
+            h.sort_indices()
+        blocks.append(h)
     offsets = np.cumsum([0] + [b.nnz for b in blocks])
     m = len(blocks)
-    return sp.csr_matrix((
+    stack = sp.csr_matrix((
         np.concatenate([b.data[:b.nnz] for b in blocks], dtype=dtype),
         np.concatenate([b.indices[:b.nnz] + j * dim for j, b in enumerate(blocks)]),
         np.concatenate([[0]] + [b.indptr[1:] + off for b, off in zip(blocks, offsets)])),
         shape=(m * dim, m * dim))
+    stack = stack - sp.diags(np.repeat(centers, dim))
+    stack.data *= np.repeat(1.0 / np.asarray(halves), np.diff(stack.indptr[::dim]))
+    stack.data *= 2.0
+    return stack
 
 
 class _Stack:
     """Blocks of one dimension, stacked (module docstring).
 
     ``order`` lists the plan's block indices in stack order, longest
-    coefficient set first. The scaled operator is float64 when every block
-    is real, until the first complex state, and complex otherwise; the
-    stack holds one at a time.
+    coefficient set first. The operator is stored as 2 h~, float64 when
+    every block is real, until the first complex state, and complex
+    otherwise; the stack holds one at a time. Each term is one matvec and
+    one subtraction in place, T_k+1 = 2 h~ T_k - T_k-1 over T_k-1. While
+    the operator and the state are real, the terms are added into two
+    float64 accumulators, the even ones times Re c_k into the real part
+    and the odd ones times Im c_k into the imaginary part, which become
+    the complex state at the end; otherwise c_k T_k goes into one complex
+    accumulator.
     """
 
     def __init__(self, hs, order, dim, centers, halves, coefs, phases):
@@ -376,7 +415,7 @@ class _Stack:
                                              complex if any(map(_imaginary, hs)) else float))
 
     def _set_operator(self, h: sp.csr_matrix):
-        """Make ``h`` the scaled operator, with the prefix views of the runs."""
+        """Make ``h`` the operator 2 h~, with the prefix views of the runs."""
         d = self.dim
         self.h_scaled = h
         self.first = (self.first_active, _row_prefix(h, self.first_active * d))
@@ -385,27 +424,43 @@ class _Stack:
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """exp(-i h t) of every block; ``psi`` is (m, dim) in stack order,
         real or complex. The terms are float64 while the operator and the
-        state are real (module docstring)."""
+        state are real (class and module docstrings)."""
         coef, d = self.coef, self.dim
         if np.iscomplexobj(psi) and not np.iscomplexobj(self.h_scaled.data):
             h = self.h_scaled
             self._set_operator(_csr_view(h.data.astype(complex), h.indices, h.indptr))
-        psi = psi.astype(self.h_scaled.dtype, copy=False)
-        acc = coef[0] * psi
+        real = not np.iscomplexobj(self.h_scaled.data)
+        if real:
+            # the even terms' sum of Re c_k T_k, the odd terms' of Im c_k T_k
+            acc = np.zeros((2,) + psi.shape)
+            sums, tables = acc, (coef.real, coef.imag)
+        else:
+            acc = np.empty(psi.shape, dtype=complex)
+            sums, tables = (acc, acc), (coef, coef)
+        np.multiply(tables[0][0], psi, out=sums[0])
         if len(coef) > 1:
+            # T_0, as a copy that T_2 overwrites
+            t_prev = psi.astype(self.h_scaled.dtype).reshape(-1)
             a, h = self.first
-            t_prev = psi.reshape(-1)
             t_cur = h @ t_prev[:a * d]
-            acc_a = acc[:a]
-            acc_a += coef[1, :a] * t_cur.reshape(a, d)
+            t_cur *= 0.5
+            sums[1][:a] += tables[1][1, :a] * t_cur.reshape(a, d)
+            p = 0                            # the parity of term k, from k = 2
             for a, h, cs in self.runs:
                 n, one = a * d, a == 1
                 t_prev, t_cur = t_prev[:n], t_cur[:n]
-                acc_a = acc[0] if one else acc[:a]
-                for c in cs:
-                    t_prev, t_cur = t_cur, 2.0 * (h @ t_cur) - t_prev
-                    acc_a += c * (t_cur if one else t_cur.reshape(a, d))
-        return self.phase * acc
+                accs = [sm[0] if one else sm[:a] for sm in sums]
+                run = (cs.real, cs.imag) if real else (cs, cs)
+                for j in range(len(cs)):
+                    y = h @ t_cur
+                    t_prev, t_cur = t_cur, np.subtract(y, t_prev, out=t_prev)
+                    accs[p] += np.multiply(run[p][j], t_cur if one else t_cur.reshape(a, d),
+                                           out=y if one else y.reshape(a, d))
+                    p ^= 1
+        if real:
+            acc = np.empty(psi.shape, dtype=complex)
+            acc.real, acc.imag = sums
+        return np.multiply(self.phase, acc, out=acc)
 
 
 class _StepPlan:
@@ -509,7 +564,6 @@ class _Window:
         # 2 h~, exactly twice h~, so a term is one matvec and one subtraction
         # and rounds as 2 (h~ T_k) does
         self.h_scaled = _stacked_operator(hs, dim, centers, halves, dtype)
-        self.h_scaled.data *= 2.0
         # the recurrence runs in this ring of terms, term k in row k mod
         # width, each row the stacked state of the blocks still active
         self.buf = np.empty((_WINDOW_TERMS, m, dim), dtype)
@@ -677,13 +731,20 @@ def trajectory(h: sp.csr_matrix, psi: np.ndarray, dt: float, n_steps: int,
         yield t, psi
 
 
+def _tridiagonal(a: np.ndarray) -> bool:
+    """Whether every nonzero of the square array ``a`` lies on its main
+    diagonal or the two beside it."""
+    return np.count_nonzero(a) == sum(np.count_nonzero(np.diagonal(a, k)) for k in (-1, 0, 1))
+
+
 class EigenPropagator:
     """exp(-i h t) psi at any times from one dense eigendecomposition of a
     real symmetric ``h``, a CSR matrix or a dense array (module docstring).
 
-    The decomposition runs once, on construction, by ``numpy.linalg.eigh``
-    up to ``_EVR_ROWS`` rows and by LAPACK's MRRR driver above, on a copy
-    of a dense ``h``; the propagator holds the n eigenvalues and the n x n
+    The decomposition runs once, on construction, by LAPACK's divide and
+    conquer up to ``_EVR_ROWS`` rows (``dstevd`` on a tridiagonal h,
+    ``numpy.linalg.eigh`` on any other) and by LAPACK's MRRR driver above,
+    on a copy of a dense ``h``; the propagator holds the n eigenvalues and the n x n
     real eigenvectors. Raises ValueError for a complex ``h`` or one that is
     not symmetric to rounding: LAPACK reads one triangle, so it would
     silently decompose another matrix.
@@ -706,6 +767,13 @@ class EigenPropagator:
         if evr:
             self.energies, self.vectors = scipy.linalg.eigh(
                 a, driver="evr", overwrite_a=True, check_finite=False)
+        elif a.shape[0] > 1 and _tridiagonal(a):
+            # numpy's eigh reads the lower triangle
+            self.energies, vectors, info = dstevd(np.diagonal(a), np.diagonal(a, -1))
+            if info:
+                raise np.linalg.LinAlgError(f"dstevd failed to converge (info={info})")
+            # in numpy's layout, so the state products run as on eigh's vectors
+            self.vectors = np.ascontiguousarray(vectors)
         else:
             self.energies, self.vectors = np.linalg.eigh(a)
 

@@ -567,6 +567,8 @@ def run_nonlinear(cfg, out: Path):
         "evolved_dim": path.dim,
         "evolution": path.method,
     }
+    if v0 is None:
+        derived["optimizer_paths"] = res.paths
     return derived, outputs
 
 

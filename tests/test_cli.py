@@ -328,6 +328,9 @@ def test_nonlinear_density_sums_to_nu(tmp_path):
     assert len(totals) == n_samples
     for total in totals.values():
         assert total == pytest.approx(2.0, abs=1e-6)
+    # a given v0 runs no optimizer, so there are no paths to count
+    derived = json.loads((out / "manifest.json").read_text())["derived"]
+    assert "optimizer_paths" not in derived
 
 
 @pytest.mark.parametrize("nu", [1, 4, 2.5, "two"])
@@ -484,14 +487,18 @@ _OPTIMIZER_RUNS = {
                     lambda d: d["optimizer_paths"].values()),
     "cascade": ({"packet": {"sigma0": 5.0}, "lens": {"order": 2}},
                 lambda d: [d[f"stage{s}"]["optimizer_paths"] for s in (1, 2)]),
+    "nonlinear": ({"packet": {"sigma0": 4.0}, "interaction": {"nu": 2},
+                   "evolution": {"n_samples": 2}},
+                  lambda d: [d["optimizer_paths"]]),
 }
 
 
 @pytest.mark.parametrize("scenario", sorted(_OPTIMIZER_RUNS))
 def test_manifest_counts_optimizer_paths(tmp_path, scenario):
     """Each optimize_lens call's designs per sampling path are in the
-    manifest; a centred run on a small chain takes only the even path, a
-    cascade's second stage too, though it starts from an evolved state."""
+    manifest, a nonlinear run's when its v0 is null; a centred run on a
+    small chain takes only the even path, a cascade's second stage too,
+    though it starts from an evolved state."""
     raw, read = _OPTIMIZER_RUNS[scenario]
     raw = {"scenario": scenario, "lattice": {"extents": [60]},
            "evolution": {"n_time": 20}, **raw}

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinlens.disorder import EnsembleJob, Holes, _CleanPattern, _initial_state, _realization_table
 from spinlens.lattice import NearestNeighbor, PowerLaw, build_couplings, build_lattice
 from spinlens.lens import ThickPolynomial, ThinPulse, potential_profile, thin_phase_profile
 from spinlens.manybody import (build_mb_hamiltonian, enumerate_basis, even_path,
@@ -14,7 +15,7 @@ from spinlens.manybody import (build_mb_hamiltonian, enumerate_basis, even_path,
 from spinlens import propagator
 from spinlens.propagator import (_STACK_NNZ, _WINDOW_BYTES, _WINDOW_PHASE, _WINDOW_TERMS,
                                  TOL_RANGE, EigenPropagator, _real_window_fits, _StepPlan,
-                                 _bessel_table,
+                                 _bessel_table, _enclosure, _stacked_operator,
                                  expimv, expimv_batch, spectral_bounds, trajectory,
                                  window_batch)
 from spinlens.wavepacket import evolve, gaussian_packet, phase_imprint
@@ -410,6 +411,100 @@ class TestBatchedPlan:
             list(expimv_batch([blocks[1], (h, psi[:-1], t, bounds)]))
 
 
+def hole_ensemble(n_real=4):
+    """Hole realizations of a thick lens chain, cut from the clean pattern
+    as the disorder module cuts them: [(h, real packet, bounds)]. A hole's
+    row has lost its diagonal slot."""
+    table = build_lattice((61,))
+    design = ThickPolynomial((6.0 ** (-8.0 / 3.0),), (30.0,))
+    job = EnsembleJob(table=table, model=NearestNeighbor(1.0), design=design,
+                      sigma0=6.0, duration=1.0, kind=Holes(3),
+                      realizations=n_real, master_seed=5)
+    pattern = _CleanPattern(job)
+    out = []
+    for r in range(n_real):
+        realization = _realization_table(job, r)
+        h, bounds = pattern.cut(realization)
+        holes = np.flatnonzero(~realization.active)
+        assert len(holes) == 3 and not np.diff(h.indptr)[holes].any()
+        psi = _initial_state(realization, job).amplitudes
+        assert not psi.imag.any()
+        out.append((h, psi.real.copy(), bounds))
+    return out
+
+
+def lone_scaled(h, center, half, dtype):
+    """2 h~ of one block as the stack was once built, block by block:
+    (h - centre) as a sparse difference, scaled by 1/half, put in
+    canonical form and doubled; (data as ``dtype``, indices, indptr)."""
+    if dtype is float and np.iscomplexobj(h.data):
+        h = h.real
+    b = (h - sp.diags(np.full(h.shape[0], center))).tocsr()
+    b.data *= 1.0 / half
+    b.sum_duplicates()
+    b.data *= 2.0
+    return b.data.astype(dtype), b.indices, b.indptr
+
+
+def stacked_block(stack, j, dim):
+    """(data, indices, indptr) of the j-th diagonal block of a stack."""
+    lo, hi = stack.indptr[j * dim], stack.indptr[(j + 1) * dim]
+    return (stack.data[lo:hi], stack.indices[lo:hi] - j * dim,
+            stack.indptr[j * dim:(j + 1) * dim + 1] - lo)
+
+
+class TestStackedOperator:
+    """The stack is built by array operations on all its blocks at once,
+    and each block is bit for bit the one built alone."""
+
+    @staticmethod
+    def assert_blocks_built_alone(hs, bounds, dtype):
+        dim = hs[0].shape[0]
+        centers, halves = zip(*(_enclosure(h, b) for h, b in zip(hs, bounds)))
+        stack = _stacked_operator(hs, dim, centers, halves, dtype)
+        assert stack.dtype == np.dtype(dtype) and stack.has_canonical_format
+        for j, (h, c, half) in enumerate(zip(hs, centers, halves)):
+            got, want = stacked_block(stack, j, dim), lone_scaled(h, c, half, dtype)
+            assert got[0].dtype == want[0].dtype
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    def test_hole_realizations_with_dropped_diagonal_slots(self):
+        hs, _, bounds = zip(*hole_ensemble())
+        self.assert_blocks_built_alone(hs, bounds, float)
+
+    def test_unsorted_and_duplicate_entries(self, rng):
+        """Rows stored out of order, an entry stored three times, a pair
+        that sums to zero and an explicit zero: the lone block summed the
+        duplicates in storage order and dropped the zeros."""
+        h = chain(40, rng.normal(size=40))
+        rows = np.repeat(np.arange(40), np.diff(h.indptr))
+        cols, vals = h.indices.copy(), h.data.copy()
+        third = [1.0, 2.0 ** -60, -1.0]     # its sum depends on the order
+        rows = np.r_[rows, 5, 5, 5, 7, 7, 9, 11]
+        cols = np.r_[cols, 6, 6, 6, 20, 20, 9, 30]
+        vals = np.r_[vals, third, 0.25, -0.25, 0.1, 0.0]
+        order = rng.permutation(len(rows))
+        order = order[np.argsort(rows[order], kind="stable")]   # rows in order, entries not
+        indptr = np.searchsorted(rows[order], np.arange(41))
+        h_dup = sp.csr_matrix((vals[order], cols[order], indptr), shape=(40, 40))
+        assert not h_dup.has_canonical_format
+        blocks = [h_dup, h, h_dup]
+        self.assert_blocks_built_alone(blocks, [spectral_bounds(b) for b in blocks], float)
+
+    def test_complex_dtype_with_zero_imaginary_part_becomes_float64(self):
+        hs, _, bounds = zip(*hole_ensemble(2))
+        hs = [hs[0].astype(complex), hs[1]]
+        assert not any(map(propagator._imaginary, hs))
+        self.assert_blocks_built_alone(hs, bounds, float)
+
+    def test_truly_complex_block_beside_real_ones(self, rng):
+        h = random_hermitian(30, rng)
+        assert propagator._imaginary(h)
+        blocks = [chain(30, rng.normal(size=30)), h, chain(30, np.zeros(30))]
+        self.assert_blocks_built_alone(blocks, [None] * 3, complex)
+
+
 class TestRealPath:
     """A stack whose operator and states are real runs its terms in float64
     (module docstring of ``propagator``), bit for bit the complex path."""
@@ -451,6 +546,37 @@ class TestRealPath:
             batched = list(expimv_batch([(h, rest, t, None), (h, moving, t, None)], tol))
             assert np.array_equal(batched[0], want)
             assert np.array_equal(expimv(h, rest.real, t, tol), want)
+
+    @pytest.mark.parametrize("n_steps", [1, 3])
+    def test_real_ensemble_stack_equals_it_next_to_a_complex_block(self, n_steps):
+        """Hole realizations of distinct phases and coefficient counts, one
+        float64 stack with two accumulators, equal bit for bit to the same
+        blocks stepped in one complex accumulator beside a complex block."""
+        hs, psis, bounds = map(list, zip(*hole_ensemble()))
+        ts = [2.5, 4.0, 6.5, 9.0]
+        tol = 1e-10
+        phases = [_enclosure(h, b)[1] * t for h, b, t in zip(hs, bounds, ts)]
+        assert len(set(phases)) == len(hs)
+        alone = _StepPlan(hs, ts, tol, bounds)
+        (stack,) = alone.stacks
+        assert stack.h_scaled.dtype == np.float64
+        counts = [int(np.flatnonzero(stack.coef[:, j, 0])[-1]) + 1 for j in range(len(hs))]
+        assert len(set(counts)) == len(hs)
+        # a moving packet on the first realization: a complex state
+        moving = hs[0] @ psis[0] * 1j + psis[0]
+        mixed = _StepPlan(hs + [hs[0]], ts + [3.0], tol, bounds + [bounds[0]])
+        assert len(mixed.stacks) == 1
+        got, want = psis, psis + [moving]
+        for _ in range(n_steps):
+            got = alone.apply(got)
+            want = mixed.apply(want)
+        assert mixed.stacks[0].h_scaled.dtype == np.complex128
+        for g, w in zip(got, want):
+            assert g.dtype == np.complex128
+            assert np.array_equal(g, w)
+        if n_steps == 1:
+            for h, psi, t, b, g in zip(hs, psis, ts, bounds, got):
+                assert np.array_equal(expimv(h, psi, t, tol, b), g)
 
     def test_terms_are_float64_until_the_first_complex_state(self, lens, matvec_dtypes):
         """A step of phase past 3e4 is one expansion: from a real state every
@@ -732,6 +858,31 @@ class TestEigenPropagator:
         coef = np.exp(-1j * np.outer(w, times)) * coef
         want = (v @ coef.view(float)).view(complex).T
         assert np.array_equal(prop.states(psi, times), want)
+
+    @pytest.mark.parametrize("n", [80, 81, 200])
+    def test_tridiagonal_chains_decompose_as_numpy_eigh(self, n, monkeypatch):
+        """A nearest-neighbour lens operator and its even fold are
+        tridiagonal; LAPACK's dstevd gives numpy.linalg.eigh's energies and
+        vectors bit for bit, in numpy's layout."""
+        calls = []
+        dstevd = propagator.dstevd
+        monkeypatch.setattr(propagator, "dstevd",
+                            lambda d, e: calls.append(len(d)) or dstevd(d, e))
+        table = build_lattice((n,))
+        terms = build_couplings(table, NearestNeighbor(1.0)).with_diagonal(
+            potential_profile(ThickPolynomial((1e-4,), ((n - 1) / 2.0,)), table))
+        full = terms.matrix().toarray()
+        even = terms._even_mirror().fold(full)
+        assert even.shape == ((n + 1) // 2,) * 2
+        for prop, a in ((terms.eigen(), full), (terms._even_eigen(), even)):
+            w, v = np.linalg.eigh(a)
+            assert np.array_equal(prop.energies, w)
+            assert np.array_equal(prop.vectors, v)
+            assert prop.vectors.flags.c_contiguous
+        assert calls == [n, (n + 1) // 2]
+        # a power-law chain is not tridiagonal: numpy's eigh
+        build_couplings(table, PowerLaw(1.0, 6.0)).eigen()
+        assert calls == [n, (n + 1) // 2]
 
     def test_mrrr_above_evr_rows_matches_dense_oracle(self, rng):
         n = propagator._EVR_ROWS + 50
