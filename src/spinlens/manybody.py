@@ -106,28 +106,36 @@ MAX_EXCITATIONS = 3
 INTERACTION_CUTOFF = 20.0  # Ising pair range, units of a
 
 # The dense even path (module docstring) takes even subspaces of at most
-# _DENSE_ROWS rows, whose decomposition holds about 2 rows^2 doubles (16 MB
-# at 1000), when the span's phase half * |t| (about its Chebyshev terms)
+# _DENSE_ROWS rows, whose decomposition holds 2 rows^2 doubles (16 MB at
+# 1000: Householder reflectors and the tridiagonal's eigenvectors, see
+# propagator.EigenPropagator) and 3 rows^2 (24 MB) while dstevd runs, when
+# the span's phase half * |t| (about its Chebyshev terms)
 # exceeds _DENSE_COST * rows^2 (the decomposition's cost in terms). Eight
 # mb_trajectory samples of a centred nu = 2 chain sector (J_z = 1500, real
 # start), Chebyshev / dense, decomposition included, in seconds (best of
 # 1-3, one CPU, one BLAS thread). Chebyshev is the one float64 window of a
 # real start; stepping complex states, as the rule was first set against,
 # read 0.0034, 0.013, 0.099 and 1.3 s on 210 rows and 0.0052, 0.027, 0.19
-# and 1.9 s on 992, measured alongside:
+# and 1.9 s on 992, measured alongside. The dense column from 420 rows up,
+# above propagator._EVR_ROWS, is re-measured on the Householder path (best
+# of 3); it took 0.041, 0.10, 0.17 and 0.31 s on LAPACK's MRRR driver,
+# which the path ran before, measured alongside:
 #
 #   rows  phase 1e2      1e3            1e4            1e5
 #    210  0.0023/0.0065  0.012/0.0066   0.11/0.0063    1.4/0.0083
-#    420  0.0043/0.039   0.022/0.038    0.18/0.038     1.5/0.038
-#    650  0.0050/0.11    0.023/0.11     0.20/0.11      1.5/0.095
-#    812  0.0028/0.18    0.016/0.19     0.22/0.21      2.2/0.21
-#    992  0.0047/0.37    0.027/0.37     0.23/0.36      2.3/0.36
+#    420  0.0043/0.021   0.022/0.021    0.18/0.021     1.5/0.021
+#    650  0.0050/0.054   0.023/0.054    0.20/0.057     1.5/0.056
+#    812  0.0028/0.098   0.016/0.10     0.22/0.10      2.2/0.097
+#    992  0.0047/0.18    0.027/0.18     0.23/0.17      2.3/0.21
 #
 # A term costs 14-23 us here, mostly scipy's per-call dispatch, so running
 # it on real vectors gains little at these sizes, and the decomposition
-# grows as rows^3 from a faster start. The crossovers (phase about 500,
-# 1 900, 5 400, 8 700 and 16 000) still go about as rows^2 / 80, within
-# 1.3x at every size. Sectors with more hops per row (nu = 3, 2D,
+# grows as rows^3 from a faster start. On MRRR the crossovers (phase about
+# 500, 1 900, 5 400, 8 700 and 16 000) went about as rows^2 / 80, within
+# 1.3x at every size; on the Householder path those above 210 rows fall to
+# about 950, 2 600, 4 700 and 7 800, rows^2 / 125 to rows^2 / 185, so the
+# rule now keeps some spans on Chebyshev where dense would win (a retune
+# is open in ROADMAP.md). Sectors with more hops per row (nu = 3, 2D,
 # long-range hopping) pay more per term, so the rule keeps them on
 # Chebyshev where dense would already win.
 _DENSE_ROWS = 1000

@@ -123,12 +123,16 @@ subdiagonal when h is tridiagonal, as every nearest-neighbour lens operator
 and its even fold are, else ``numpy.linalg.eigh``. On a tridiagonal h
 numpy's ``dsyevd`` reduces nothing and runs the same ``dstedc``, so both
 give the same energies and vectors, and dstevd takes about half the time.
-Above, it runs LAPACK's MRRR driver
-(``scipy.linalg.eigh(driver="evr")``) on one Fortran-ordered copy of h that
-the driver overwrites: about 2 n^2 doubles in all, where divide and conquer
-needs 3-4 n^2 (Dhillon, Parlett & Voemel, ACM TOMS 32, 533 (2006)), which
-keeps a many-body run's peak memory within about 2 MiB of Chebyshev
-stepping. Neither product casts V to complex, which would cost 2 n^2 more.
+Above, it keeps h in tridiagonal form: LAPACK's Householder reduction
+``dsytrd`` overwrites one Fortran-ordered copy of h with T's diagonals and
+the reflectors of Q, h = Q T Q^T (Golub & Van Loan, Matrix Computations,
+section 8.3), and ``dstevd`` decomposes T = Z diag(E) Z^T by divide and
+conquer (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)).
+V = Q Z is never formed: the states apply Q^T and Q by their reflectors
+(``dormqr``, O(n^2) per state) around the products with Z. It holds 2 n^2
+doubles (the reflectors and Z, 16 MB at the many-body dense path's 1000
+rows) and 3 n^2 while dstevd runs (24 MB). No product casts Z or V to
+complex, which would cost 2 n^2 more.
 """
 
 from __future__ import annotations
@@ -137,10 +141,9 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dstevd
+from scipy.linalg.lapack import dormqr, dstevd, dsytrd, dsytrd_lwork
 
 # Nonzeros of one stacked operator. A CSR entry with its column index takes
 # 12 B real or 20 B complex, so 2**15 of them are about 0.39 or 0.66 MB, and
@@ -164,7 +167,8 @@ _WINDOW_PHASE = 100.0
 # Bytes of a real window's one segment (module docstring) per full stack:
 # its samples, 2 n dim floats, and its Bessel and coefficient tables, about
 # 3 n^2 floats per unit of phase per sample. 16 MiB is what manybody's dense
-# path may hold (2 x 1000^2 doubles at _DENSE_ROWS). The 18 010-row nu = 3
+# path holds (the reflectors and T's eigenvectors, 2 x 1000^2 doubles at
+# _DENSE_ROWS, 3 x 1000^2 while dstevd runs). The 18 010-row nu = 3
 # even sector of the nonlinear scenario at J_z = 20 takes 2.5 MB for its 8
 # samples of 122 rad; it fits up to 41 samples at that phase per sample and
 # 54 at 15 rad.
@@ -181,12 +185,14 @@ TOL_RANGE = (1e-14, 1e-6)
 # driver took 8.5 against 4.7 ms at N = 200 and 54 against 22 ms at 400,
 # and dstevd 1.7 and 5.2 ms against 3.4 and 15.8 ms for numpy's eigh
 # (mean of 5, one BLAS thread).
-# Above it, one Fortran-ordered copy of h is overwritten by scipy's
-# driver="evr", about 2 n^2 doubles in all, where divide and conquer needs
-# 3-4 n^2. On the 930-row nu = 2 blockade operator, numpy's eigh, "evr" and
-# "evd" took 229, 256 and 204 ms (best of 5, one CPU, one BLAS thread), and
-# the peak memory of one round of blockade tasks in one process (99.6 MiB
-# stepping by Chebyshev) was 120.7, 101.8 and 108.9 MiB.
+# Above it, h is reduced to tridiagonal form in place by dsytrd and T is
+# decomposed by dstevd; the states apply Q's reflectors (module docstring).
+# On the 930-row nu = 2 blockade operator, numpy's eigh, scipy's
+# driver="evr" and "evd" and this path took 219, 236, 158 and 112 ms (best
+# of 5, one CPU, one BLAS thread); the decomposition and eight stepped
+# states took 155 against 270 ms for "evr" (median of 11 interleaved
+# runs). The peak memory of one round of blockade tasks in one process was
+# 106.8 MiB, against 99.2-101.4 MiB with "evr": one n^2 dstevd workspace.
 _EVR_ROWS = 400
 
 # EigenPropagator's test of symmetry, |h_ij - h_ji| <= this x max |h|: far
@@ -742,19 +748,21 @@ class EigenPropagator:
     real symmetric ``h``, a CSR matrix or a dense array (module docstring).
 
     The decomposition runs once, on construction, by LAPACK's divide and
-    conquer up to ``_EVR_ROWS`` rows (``dstevd`` on a tridiagonal h,
-    ``numpy.linalg.eigh`` on any other) and by LAPACK's MRRR driver above,
-    on a copy of a dense ``h``; the propagator holds the n eigenvalues and the n x n
-    real eigenvectors. Raises ValueError for a complex ``h`` or one that is
-    not symmetric to rounding: LAPACK reads one triangle, so it would
-    silently decompose another matrix.
+    conquer, on a copy of a dense ``h``: up to ``_EVR_ROWS`` rows
+    ``dstevd`` on a tridiagonal h and ``numpy.linalg.eigh`` on any other,
+    and the propagator holds the n eigenvalues ``energies`` and h's n x n
+    real eigenvectors ``vectors``. Above, ``dsytrd`` reduces h = Q T Q^T
+    and ``dstevd`` decomposes T: ``vectors`` holds T's eigenvectors Z, not
+    h's, and Q is kept as its Householder reflectors. Raises ValueError for
+    a complex ``h`` or one that is not symmetric to rounding: LAPACK reads
+    one triangle, so it would silently decompose another matrix.
     """
 
     def __init__(self, h: sp.csr_matrix | np.ndarray):
         if np.iscomplexobj(h):
             raise ValueError("EigenPropagator needs a real symmetric matrix")
-        evr = h.shape[0] > _EVR_ROWS
-        order = "F" if evr else "C"
+        n = h.shape[0]
+        order = "F" if n > _EVR_ROWS else "C"
         sparse = sp.issparse(h)
         a = h.toarray(order=order) if sparse else np.array(h, dtype=float, order=order)
         if not np.array_equal(a, a.T):
@@ -764,18 +772,45 @@ class EigenPropagator:
             if skew > _SYMMETRY_RTOL * np.abs(h.data if sparse else a).max(initial=0.0):
                 raise ValueError("EigenPropagator needs a real symmetric matrix; "
                                  f"h differs from h.T by up to {skew:.3g}")
-        if evr:
-            self.energies, self.vectors = scipy.linalg.eigh(
-                a, driver="evr", overwrite_a=True, check_finite=False)
-        elif a.shape[0] > 1 and _tridiagonal(a):
-            # numpy's eigh reads the lower triangle
-            self.energies, vectors, info = dstevd(np.diagonal(a), np.diagonal(a, -1))
+        self._reflectors = self._tau = None
+        if n > _EVR_ROWS:
+            # h = Q T Q^T, a overwritten in place by T's diagonals and Q's
+            # reflectors. With LAPACK's queried workspace the reduction is
+            # blocked: 89 against 148 ms unblocked at 930 rows (best of 7).
+            lwork = int(dsytrd_lwork(n, lower=1)[0])
+            a, d, e, self._tau, info = dsytrd(a, lower=1, lwork=lwork, overwrite_a=1)
             if info:
-                raise np.linalg.LinAlgError(f"dstevd failed to converge (info={info})")
-            # in numpy's layout, so the state products run as on eigh's vectors
-            self.vectors = np.ascontiguousarray(vectors)
+                raise np.linalg.LinAlgError(f"dsytrd failed (info={info})")
+            # reflector i is 1 at row i + 1 and a[i + 2:, i] below it: the
+            # columns of a[1:, :n - 1], viewed without a copy with a's
+            # leading dimension
+            self._reflectors = a.reshape(-1, order="F")[1:1 + n * (n - 1)].reshape(
+                n, n - 1, order="F")
+        elif n > 1 and _tridiagonal(a):
+            # numpy's eigh reads the lower triangle
+            d, e = np.diagonal(a), np.diagonal(a, -1)
         else:
             self.energies, self.vectors = np.linalg.eigh(a)
+            return
+        self.energies, vectors, info = dstevd(d, e)
+        if info:
+            raise np.linalg.LinAlgError(f"dstevd failed to converge (info={info})")
+        # a tridiagonal h's vectors in numpy's layout, so the state products
+        # run as on eigh's vectors
+        self.vectors = vectors if self._tau is not None else np.ascontiguousarray(vectors)
+
+    def _reflect(self, trans: str, x: np.ndarray) -> np.ndarray:
+        """Q x (``trans`` "N") or Q^T x ("T") of a real (n, k) array x, as a
+        new C-ordered array. Q = diag(1, Q') leaves row 0 as it is; dormqr
+        applies Q' to rows 1..n-1 unblocked, which at k = 2 took 0.5 against
+        1.1 ms for its blocked form at 930 rows."""
+        rows, _, info = dormqr("L", trans, self._reflectors, self._tau, x[1:],
+                               max(1, x.shape[1]))
+        if info:
+            raise np.linalg.LinAlgError(f"dormqr failed (info={info})")
+        out = np.empty(x.shape)
+        out[0], out[1:] = x[0], rows
+        return out
 
     def states(self, psi: np.ndarray, times) -> np.ndarray:
         """exp(-i h t) psi for every t of ``times``, one state per row,
@@ -783,16 +818,24 @@ class EigenPropagator:
 
         psi's eigenbasis coefficients V^T psi and the states V (phase x
         coefficients) are each one real product: a complex (n, m) array
-        viewed as a real (n, 2m) one, so V is never cast to complex. The
-        rows are a transposed view.
+        viewed as a real (n, 2m) one, so V is never cast to complex. Above
+        ``_EVR_ROWS`` rows V = Q Z: Q^T and Q are applied by their
+        reflectors around the products with Z. The rows are a transposed
+        view.
         """
         psi = np.ascontiguousarray(psi, dtype=complex)
         n = self.energies.size
         if psi.shape != (n,):
             raise ValueError("state length does not match Hamiltonian")
-        coef = (self.vectors.T @ psi.view(float).reshape(n, 2)).view(complex)
+        x = psi.view(float).reshape(n, 2)
+        if self._tau is not None:
+            x = self._reflect("T", x)
+        coef = (self.vectors.T @ x).view(complex)
         coef = np.exp(-1j * np.outer(self.energies, np.asarray(times, dtype=float))) * coef
-        return (self.vectors @ coef.view(float)).view(complex).T
+        y = self.vectors @ coef.view(float)
+        if self._tau is not None:
+            y = self._reflect("N", y)
+        return y.view(complex).T
 
 
 def window_batch(blocks: Iterable[tuple], n_samples: int, tol: float = 1e-10

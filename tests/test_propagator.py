@@ -102,14 +102,18 @@ class TestLongPhase:
     """One expansion at phases past 3e4, against the dense eigendecomposition
     of a centred nu = 2 even sector (``sector.eigen()``)."""
 
-    @pytest.mark.parametrize("chirp", [0.0, 0.05], ids=["real", "complex"])
-    def test_even_sector_matches_its_eigendecomposition(self, chirp):
-        table = build_lattice((21,))
-        x = np.arange(21) - 10.0
+    @pytest.mark.parametrize("n, chirp", [(21, 0.0), (21, 0.05), (41, 0.0), (41, 0.05)],
+                             ids=["real", "complex", "real-420rows", "complex-420rows"])
+    def test_even_sector_matches_its_eigendecomposition(self, n, chirp):
+        """At 21 sites the even sector has 110 rows; at 41, 420, above
+        _EVR_ROWS, where the decomposition keeps Householder reflectors."""
+        table = build_lattice((n,))
+        x = np.arange(n) - (n - 1) / 2.0
         terms = build_couplings(table, NearestNeighbor(1.0)).with_diagonal(
-            potential_profile(ThickPolynomial((0.02,), (10.0,)), table))
+            potential_profile(ThickPolynomial((0.02,), ((n - 1) / 2.0,)), table))
         basis = enumerate_basis(table, 2)
         sector = build_mb_hamiltonian(terms, basis, jz=5.0e3, table=table)
+        assert (sector.mirror.dim > propagator._EVR_ROWS) == (n == 41)
         single = gaussian_packet(table, 3.0).amplitudes * np.exp(1j * chirp * x**2)
         psi = symmetric_initial_state(single, 2, basis).amplitudes
         assert bool(psi.imag.any()) == (chirp != 0.0)
@@ -895,6 +899,40 @@ class TestEigenPropagator:
         assert np.abs(prop.energies - np.linalg.eigvalsh(h.toarray())).max() < 1e-12
         for t, state in zip([0.3, 40.0], prop.states(psi, [0.3, 40.0])):
             assert np.abs(state - dense_evolution(h, psi, t)).max() < 1e-11
+
+    @pytest.mark.parametrize("n", [propagator._EVR_ROWS + 1, propagator._EVR_ROWS + 50])
+    def test_householder_reflectors_above_evr_rows(self, n, rng, monkeypatch):
+        """Above _EVR_ROWS, one dsytrd gives h = Q T Q^T and one dstevd
+        decomposes T, at an odd and an even n; no eigh runs. The kept
+        reflectors give Q (Q^T x) = x and carry T back to h."""
+        calls = []
+        dsytrd, dstevd = propagator.dsytrd, propagator.dstevd
+
+        def spy_dsytrd(*args, **kwargs):
+            out = dsytrd(*args, **kwargs)
+            calls.append(("dsytrd", out[1].copy(), out[2].copy()))
+            return out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh ran above _EVR_ROWS")
+
+        monkeypatch.setattr(propagator, "dsytrd", spy_dsytrd)
+        monkeypatch.setattr(propagator, "dstevd",
+                            lambda d, e: calls.append(("dstevd",)) or dstevd(d, e))
+        monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        h = sp.random(n, n, density=0.01, random_state=np.random.RandomState(7),
+                      format="csr")
+        h = ((h + h.T).tocsr() + sp.diags(rng.normal(size=n))).toarray()
+        prop = EigenPropagator(h)
+        assert [c[0] for c in calls] == ["dsytrd", "dstevd"]
+        _, d, e = calls[0]
+        t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        x = rng.normal(size=(n, 3))
+        back = prop._reflect("N", prop._reflect("T", x))
+        assert np.abs(back - x).max() < 1e-12 * np.abs(x).max()
+        qtq = prop._reflect("N", prop._reflect("N", t).T)
+        assert np.abs(qtq - h).max() < 1e-12 * np.abs(h).max()
 
     def test_rejects_complex_matrices_and_wrong_states(self, rng):
         with pytest.raises(ValueError, match="real symmetric"):
