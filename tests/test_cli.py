@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,7 @@ THICK_SMALL = {
 }
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_config(path: Path, payload: dict) -> str:
@@ -285,6 +289,41 @@ class TestThreadSelection:
         assert {"mean", "std", "stderr"} <= set(summary["stats"]["p_foc"])
         header = (out / "ensemble.csv").read_text().splitlines()[0]
         assert header == "realization,p_foc [1],sigma_f [a]"
+
+
+class TestStartUp:
+    """scipy.optimize and yaml load on first use, not with the CLI.
+
+    This process has imported both already, so each check runs in a fresh
+    interpreter.
+    """
+
+    LAZY = ("scipy.optimize", "yaml")
+    MAIN = "import sys\nfrom spinlens.cli import main\nassert main(sys.argv[1:]) == 0"
+
+    def loaded_after(self, code: str, *args: str) -> list:
+        """Which of LAZY a fresh interpreter holds after running code."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        probe = (f"{code}\nimport sys\n"
+                 f"print('loaded:', *(m for m in {self.LAZY!r} if m in sys.modules))")
+        done = subprocess.run([sys.executable, "-c", probe, *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()[-1].split()[1:]
+
+    def test_import_loads_neither(self):
+        assert self.loaded_after("import spinlens.cli") == []
+
+    def test_json_ensemble_run_needs_no_optimizer(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(HOLES_SMALL), encoding="utf-8")
+        assert "scipy.optimize" not in self.loaded_after(
+            self.MAIN, "run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+
+    def test_yaml_config_loads_yaml(self, tmp_path):
+        cfg = write_config(tmp_path / "c.yaml", THICK_SMALL)
+        assert "yaml" in self.loaded_after(self.MAIN, "validate", "--config", cfg)
 
 
 @pytest.mark.parametrize("profile", ["parabolic", "corrected"])
