@@ -14,7 +14,8 @@ which keeps every continuum closed form of the lens module prefactor-free.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -192,7 +193,10 @@ class _Mirror:
     orbit: ``reps`` are the rows with row <= refl, ``orbit`` is the position
     in ``reps`` of each row's orbit, and ``weights`` the square root of each
     orbit's size (1 or sqrt 2). Projecting is ``psi[reps]`` and lifting
-    ``phi[orbit]``. ``asymmetry`` is the max row sum of |H - H[refl][:, refl]|.
+    ``phi[orbit]``. ``asymmetry`` is the max row sum of |H - H[refl][:, refl]|:
+    measured on H by :meth:`of`, or given to :meth:`orbits` by a caller that
+    knows it, as ``HamiltonianTerms`` does from its diagonal alone when its
+    hopping is exactly mirror-symmetric.
     """
 
     refl: np.ndarray
@@ -204,12 +208,17 @@ class _Mirror:
     @classmethod
     def of(cls, h, refl: np.ndarray) -> "_Mirror":
         """The mirror ``refl`` of ``h``, a sparse or a dense array."""
+        return cls.orbits(refl, float(abs(h - h[refl][:, refl]).sum(axis=1).max()))
+
+    @classmethod
+    def orbits(cls, refl: np.ndarray, asymmetry: float) -> "_Mirror":
+        """The mirror ``refl`` of an operator whose ``asymmetry`` is known."""
         rows = np.arange(refl.size)
         reps = np.nonzero(rows <= refl)[0]
         return cls(refl=refl, reps=reps,
                    orbit=np.searchsorted(reps, np.minimum(rows, refl)),
                    weights=np.where(refl[reps] == reps, 1.0, np.sqrt(2.0)),
-                   asymmetry=float(abs(h - h[refl][:, refl]).sum(axis=1).max()))
+                   asymmetry=asymmetry)
 
     @property
     def dim(self) -> int:
@@ -221,19 +230,53 @@ class _Mirror:
         land from evolving it with H."""
         return float(np.linalg.norm(psi - psi[self.refl])) + abs(t) * self.asymmetry
 
-    def fold(self, a: np.ndarray) -> np.ndarray:
-        """W M W^-1 of the dense H ``a`` as a dense array, with M = H[reps]
-        @ L the even operator on orbit amplitudes (L[s, orbit(s)] = 1) and
-        W = diag(``weights``): the even operator in the orthonormal basis of
-        normalised orbits, symmetric within ``asymmetry``. A pair orbit's
-        entry of M sums the rep's and its image's columns; a fixed point's
-        column, summed with itself, is halved back exactly, so every entry
-        rounds as the sparse product does."""
-        reps, w = self.reps, self.weights
+    def orbit_sums(self, a: np.ndarray) -> np.ndarray:
+        """M = H[reps] @ L of the dense H ``a`` (L[s, orbit(s)] = 1), the
+        even operator on orbit amplitudes: a pair orbit's entry sums the
+        rep's and its image's columns; a fixed point's column, summed with
+        itself, is halved back exactly, so every entry rounds as the sparse
+        product does."""
+        reps = self.reps
         rows = a.take(reps, axis=0)
         m = rows.take(reps, axis=1) + rows.take(self.refl[reps], axis=1)
         m[:, self.refl[reps] == reps] *= 0.5
-        return (w[:, None] * m) * (1.0 / w)
+        return m
+
+    def fold(self, a: np.ndarray) -> np.ndarray:
+        """W M W^-1 of the dense H ``a`` as a dense array, with M its
+        :meth:`orbit_sums` and W = diag(``weights``): the even operator in
+        the orthonormal basis of normalised orbits, symmetric within
+        ``asymmetry``."""
+        w = self.weights
+        return (w[:, None] * self.orbit_sums(a)) * (1.0 / w)
+
+
+class _HoppingFold:
+    """The part of the lens operators' even fold that every design on one
+    hopping matrix J shares, computed on first use: the mirror n -> N-1-n
+    of the sites and, when -J is exactly mirror-symmetric with an empty
+    diagonal, W M W^-1 of the dense -J + 0.0 (``_Mirror.fold``) and the
+    diagonal of its M before the weights scale it. The ``+ 0.0`` makes
+    every empty entry +0.0, as in H's ``toarray``.
+
+    A ``HamiltonianTerms`` makes one and hands it to each ``with_diagonal``
+    child, so it lives as long as the last of them and no longer.
+    """
+
+    def __init__(self, hopping: sp.csr_matrix):
+        self.hopping = hopping
+
+    @cached_property
+    def even(self) -> tuple[_Mirror, np.ndarray, np.ndarray] | None:
+        """(mirror with asymmetry 0, W M W^-1, diagonal of M) of -J, or
+        None when -J has a diagonal or is not exactly mirror-symmetric (a
+        hole without a mirror partner, displaced sites)."""
+        refl = np.arange(self.hopping.shape[0] - 1, -1, -1)
+        a = -self.hopping.toarray() + 0.0
+        if a.diagonal().any() or not np.array_equal(a, a[refl][:, refl]):
+            return None
+        mirror = _Mirror.orbits(refl, 0.0)
+        return mirror, mirror.fold(a), mirror.orbit_sums(a).diagonal().copy()
 
 
 @dataclass
@@ -244,17 +287,24 @@ class HamiltonianTerms:
     ``diagonal`` holds eps_n (zero at inactive sites); ``active`` is the site
     table's mask. Spectral bounds, the dense eigendecomposition for the
     propagator, the mirror n -> N-1-n of the sites and the decomposition of
-    its even operator are cached after first use.
+    its even operator are cached after first use; the even fold of the
+    hopping (``_HoppingFold``) is made once and shared with every
+    ``with_diagonal`` child.
     """
 
     hopping: sp.csr_matrix
     diagonal: np.ndarray
     active: np.ndarray
+    _hopping_fold: _HoppingFold | None = field(default=None, repr=False)
     _bounds: tuple[float, float] | None = field(default=None, repr=False)
     _matrix: sp.csr_matrix | None = field(default=None, repr=False)
     _eigen: EigenPropagator | None = field(default=None, repr=False)
     _mirror: _Mirror | None = field(default=None, repr=False)
     _even: EigenPropagator | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self._hopping_fold is None:
+            self._hopping_fold = _HoppingFold(self.hopping)
 
     @property
     def n_sites(self) -> int:
@@ -270,13 +320,15 @@ class HamiltonianTerms:
 
     def with_diagonal(self, extra) -> "HamiltonianTerms":
         """New terms with ``extra`` added to the on-site energies of the
-        active sites; the diagonal stays zero at inactive ones."""
+        active sites; the diagonal stays zero at inactive ones. They share
+        this one's hopping and its even fold."""
         extra = np.asarray(extra, dtype=float)
         if extra.shape != self.diagonal.shape:
             raise ValueError("diagonal length mismatch")
         diagonal = self.diagonal + extra
         diagonal[~self.active] = 0.0
-        return HamiltonianTerms(self.hopping, diagonal, self.active)
+        return HamiltonianTerms(self.hopping, diagonal, self.active,
+                                _hopping_fold=self._hopping_fold)
 
     def bounds(self) -> tuple[float, float]:
         """Gershgorin enclosure of the spectrum (cached)."""
@@ -303,23 +355,51 @@ class HamiltonianTerms:
     def _even_mirror(self) -> _Mirror:
         """The mirror n -> N-1-n of the flat site index (chain reversal,
         point inversion of a 2D or 3D table) with its ``asymmetry``
-        measured on the dense H (cached). A centred design on an undamaged
-        or symmetrically damaged table has asymmetry 0; an off-centre one,
-        a hole without a mirror partner or displaced sites do not."""
+        (cached). A centred design on an undamaged or symmetrically damaged
+        table has asymmetry 0; an off-centre one, a hole without a mirror
+        partner or displaced sites do not.
+
+        When -J is exactly mirror-symmetric (``_HoppingFold``), the
+        asymmetry is max |eps - eps[refl]|, from the diagonal alone: every
+        off-diagonal entry of H - H[refl][:, refl] is then an exact zero,
+        so this is the float the row sums of the dense H give. Otherwise it
+        is measured on the dense H."""
         if self._mirror is None:
-            self._mirror = _Mirror.of(self.matrix().toarray(),
-                                      np.arange(self.n_sites - 1, -1, -1))
+            even = self._hopping_fold.even
+            if even is None:
+                self._mirror = _Mirror.of(self.matrix().toarray(),
+                                          np.arange(self.n_sites - 1, -1, -1))
+            else:
+                mirror, eps = even[0], self.diagonal
+                self._mirror = replace(mirror, asymmetry=float(
+                    np.abs(eps - eps[mirror.refl]).max()))
         return self._mirror
 
+    def _even_operator(self) -> np.ndarray:
+        """The even operator W M W^-1 of ``_even_mirror()`` as a dense
+        array of ceil(n/2) rows, the states' orbit amplitudes times the
+        mirror's weights.
+
+        When -J is exactly mirror-symmetric, it is a copy of the shared
+        fold of -J with its diagonal set to (w (eps[reps] + f)) (1/w), f
+        the diagonal of -J's M: the operands and the rounding of
+        ``_Mirror.fold`` of the dense H, fixed points included. Otherwise
+        the dense H is folded."""
+        even = self._hopping_fold.even
+        if even is None:
+            return self._even_mirror().fold(self.matrix().toarray())
+        mirror, fold, f = even
+        w = mirror.weights
+        a = fold.copy()
+        np.fill_diagonal(a, (w * (self.diagonal[mirror.reps] + f)) * (1.0 / w))
+        return a
+
     def _even_eigen(self) -> EigenPropagator:
-        """Dense eigendecomposition of the even operator W M W^-1 of
-        ``_even_mirror()`` (cached): ceil(n/2) rows, the states' orbit
-        amplitudes times the mirror's weights."""
+        """Dense eigendecomposition of ``_even_operator()`` (cached)."""
         if self._even is None:
             from .propagator import EigenPropagator
 
-            self._even = EigenPropagator(
-                self._even_mirror().fold(self.matrix().toarray()))
+            self._even = EigenPropagator(self._even_operator())
         return self._even
 
 

@@ -17,15 +17,19 @@ the excitation in the even subspace of the mirror n -> N-1-n of the flat
 site index (chain reversal; point inversion of a 2D or 3D table). Such a
 design is decomposed on that subspace ("even"): the ceil(N/2)-row operator
 W M W^-1 that ``manybody.SectorMirror.symmetric`` forms for blockade
-sectors, a single-excitation H being the nu = 1 sector, folded from the
-dense H (``lattice._Mirror``), about a quarter of the full decomposition's
-time at N = 200. Each sample is lifted back to the sites by ``phi[orbit]``
-and agrees with the full decomposition's to rounding (1e-14 on the test
-cases). A design or state the mirror gate (``_EVEN_GATE``) refuses, such
-as an off-centre focus, a hole without a mirror partner, displaced sites
-or a start state with an odd part, decomposes the full H ("dense"), bit for
-bit as before the even path. Larger lattices scan by Chebyshev windows
-("window"). ``OptimizeResult.paths`` counts the designs on each path.
+sectors, a single-excitation H being the nu = 1 sector, about a quarter of
+the full decomposition's time at N = 200. When the hopping is exactly
+mirror-symmetric, its part of that operator is folded once per optimizer
+call, on the bare couplings, and each design only sets the diagonal and
+takes its mirror gate from its on-site energies (``lattice._HoppingFold``),
+bit for bit the fold and gate of its dense H (``lattice._Mirror``). Each sample is lifted back to the sites by
+``phi[orbit]`` and agrees with the full decomposition's to rounding (1e-14
+on the test cases). A design or state the mirror gate (``_EVEN_GATE``)
+refuses, such as an off-centre focus, a hole without a mirror partner,
+displaced sites or a start state with an odd part, decomposes the full H
+("dense"), bit for bit as before the even path. Larger lattices scan by
+Chebyshev windows ("window"). ``OptimizeResult.paths`` counts the designs
+on each path.
 """
 
 from __future__ import annotations
@@ -350,12 +354,16 @@ class OptimizeResult:
 # or below propagator._EVR_ROWS (TestDenseScan pins it).
 #
 # The same calls with the even path (centred designs: ceil(N/2)-row
-# decompositions), window path / even path, measured together with the
-# other CPU busy:
+# decompositions), window path / even path. The N = 600 and 800 rows were
+# measured with the other CPU busy, each design folding its dense H. The
+# N = 200 and 400 rows are re-measured with the hopping folded once per
+# call (lattice._HoppingFold), the other CPU idle, the best of 3 in each of
+# two runs; the per-design dense fold read 0.064, 0.101, 0.073, 0.147 and
+# 0.185, 0.279, 0.238, 0.331 s on the even path in the same runs:
 #
 #   N     NN, n_time 40   NN, n_time 200  alpha 6, 40    alpha 6, 200
-#   200   0.103 / 0.058   0.149 / 0.082   0.248 / 0.053  0.302 / 0.088
-#   400   0.175 / 0.140   0.235 / 0.216   0.593 / 0.160  0.709 / 0.245
+#   200   0.107 / 0.025   0.169 / 0.070   0.310 / 0.059  0.329 / 0.082
+#   400   0.183 / 0.062   0.291 / 0.214   0.763 / 0.171  0.742 / 0.223
 #   600   0.296 / 0.333   0.387 / 0.472   1.095 / 0.375  1.248 / 0.511
 #   800   0.432 / 0.640   0.556 / 0.751   1.684 / 0.698  1.937 / 0.801
 #

@@ -114,11 +114,13 @@ of a real symmetric h and gives V (e^{-iEt} * V^T psi) at any list of times,
 exact to rounding at any t, as two real matrix products (the eigenvector
 method of Moler & Van Loan, SIAM Rev. 45, 3 (2003)). Its cost is the
 O(n^3) decomposition, so it pays only on small operators. It takes a
-CSR matrix or a dense array: the lens optimizer folds a centred design's
-even operator densely. Up to ``_EVR_ROWS`` (400) rows, every lens
-operator it decomposes (the full H of at most ``lens._DENSE_DIM`` = 400
-sites, or the ceil(N/2)-row even operator of a centred design), it runs LAPACK's divide and
-conquer: ``scipy.linalg.lapack.dstevd`` on the diagonal and the lower
+CSR matrix or a dense array: the lens optimizer hands it a centred
+design's even operator as a dense ceil(N/2)-row array, its hopping part
+folded once per call (``lattice._HoppingFold``). Up to ``_EVR_ROWS`` (400)
+rows, every lens operator it decomposes (the full H of at most
+``lens._DENSE_DIM`` = 400 sites, or the ceil(N/2)-row even operator of a
+centred design), it runs LAPACK's divide and conquer:
+``scipy.linalg.lapack.dstevd`` on the diagonal and the lower
 subdiagonal when h is tridiagonal, as every nearest-neighbour lens operator
 and its even fold are, else ``numpy.linalg.eigh``. On a tridiagonal h
 numpy's ``dsyevd`` reduces nothing and runs the same ``dstedc``, so both
@@ -349,16 +351,16 @@ def _stacked_operator(hs, dim, centers, halves, dtype) -> sp.csr_matrix:
     block-diagonally as one CSR of ``dtype`` (float only for real blocks).
 
     Built on the whole stack at once: the blocks' canonical CSR arrays are
-    concatenated, shifted by one ``diags`` of every block's centre, each
-    entry scaled by its row's 1/half and then doubled. An entry takes the
-    same float operations as in a lone block's ``(h - diags(c)) / half``,
-    and the shift drops the entries it leaves zero as that one does, so
-    each block of the stack is bit for bit the lone block's. Canonical
-    form (sorted, summed) fixes the order of each row's sum whatever the
-    order of h's indices; a block with unsorted or duplicate entries is put
-    in it by a sparse sum with an empty matrix, which adds duplicates in
-    storage order and drops zero sums, as the lone block's shift does, and
-    then sorted."""
+    concatenated (a lone block is not copied), shifted by one ``diags`` of
+    every block's centre, each entry scaled by its row's 1/half and then
+    doubled. An entry takes the same float operations as in a lone block's
+    ``(h - diags(c)) / half``, and the shift drops the entries it leaves
+    zero as that one does, so each block of the stack is bit for bit the
+    lone block's. Canonical form (sorted, summed) fixes the order of each
+    row's sum whatever the order of h's indices; a block with unsorted or
+    duplicate entries is put in it by a sparse sum with an empty matrix,
+    which adds duplicates in storage order and drops zero sums, as the lone
+    block's shift does, and then sorted. No h is modified."""
     blocks = []
     for h in hs:
         if dtype is float and np.iscomplexobj(h.data):
@@ -367,13 +369,17 @@ def _stacked_operator(hs, dim, centers, halves, dtype) -> sp.csr_matrix:
             h = h + sp.csr_matrix(h.shape)
             h.sort_indices()
         blocks.append(h)
-    offsets = np.cumsum([0] + [b.nnz for b in blocks])
     m = len(blocks)
-    stack = sp.csr_matrix((
-        np.concatenate([b.data[:b.nnz] for b in blocks], dtype=dtype),
-        np.concatenate([b.indices[:b.nnz] + j * dim for j, b in enumerate(blocks)]),
-        np.concatenate([[0]] + [b.indptr[1:] + off for b, off in zip(blocks, offsets)])),
-        shape=(m * dim, m * dim))
+    if m == 1:
+        # shifted as it is: the difference is a new matrix
+        stack = blocks[0].astype(dtype, copy=False)
+    else:
+        offsets = np.cumsum([0] + [b.nnz for b in blocks])
+        stack = sp.csr_matrix((
+            np.concatenate([b.data[:b.nnz] for b in blocks], dtype=dtype),
+            np.concatenate([b.indices[:b.nnz] + j * dim for j, b in enumerate(blocks)]),
+            np.concatenate([[0]] + [b.indptr[1:] + off for b, off in zip(blocks, offsets)])),
+            shape=(m * dim, m * dim))
     stack = stack - sp.diags(np.repeat(centers, dim))
     stack.data *= np.repeat(1.0 / np.asarray(halves), np.diff(stack.indptr[::dim]))
     stack.data *= 2.0

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlens.lattice import (NearestNeighbor, PowerLaw, build_couplings,
+from spinlens import lens
+from spinlens.lattice import (NearestNeighbor, PowerLaw, _Mirror, build_couplings,
                               build_lattice, displace_sites, punch_holes)
+from spinlens.lens import ThickPolynomial, clipped_thick_terms
 
 
 class TestBuildLattice:
@@ -215,3 +217,83 @@ def test_symmetry_and_hole_decoupling_properties(n, alpha, holes):
     for hole in holes:
         assert dense[hole].max() == 0.0
         assert dense[:, hole].max() == 0.0
+
+
+def _dense_oracle(terms):
+    """The mirror and even operator as measured and folded on the dense H,
+    as every design was before the hopping fold was shared."""
+    h = terms.matrix().toarray()
+    mirror = _Mirror.of(h, np.arange(terms.n_sites - 1, -1, -1))
+    return mirror, mirror.fold(h)
+
+
+def _same_bits(a, b):
+    """Equal entries with equal signs, zeros included."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+_MODELS = {"nn": NearestNeighbor(1.0), "alpha3": PowerLaw(1.0, 3.0),
+           "alpha6": PowerLaw(1.0, 6.0)}
+
+
+@st.composite
+def _thick_coefficients(draw):
+    """Thick designs of order 2-8: a leading strength from far below the
+    clip to far above it, and corrections of either sign, whose negative
+    ones send the far sites to the -200 clip."""
+    order = draw(st.sampled_from([2, 4, 6, 8]))
+    lead = 10.0 ** draw(st.floats(-4.0, 1.0))
+    rest = [draw(st.floats(-1.0, 1.0)) * 10.0 ** draw(st.floats(-8.0, 0.0))
+            for _ in range(order // 2 - 1)]
+    return (lead, *rest)
+
+
+class TestEvenFoldOracle:
+    """A design's mirror gate and even operator, set up from the hopping's
+    shared fold and the design's diagonal, are bit for bit those measured
+    and folded on its dense H."""
+
+    @pytest.mark.parametrize("model", sorted(_MODELS))
+    @pytest.mark.parametrize("extents", [(20,), (21,), (200,), (201,), (6, 5), (7, 7)])
+    @settings(max_examples=20, deadline=None)
+    @given(coefficients=_thick_coefficients())
+    def test_centred_thick_designs(self, extents, model, coefficients):
+        table = build_lattice(extents)
+        base = build_couplings(table, _MODELS[model])
+        assert base._hopping_fold.even is not None
+        for terms in (base, clipped_thick_terms(
+                base, ThickPolynomial(coefficients, tuple(table.center())), table, 1.0)):
+            mirror, even = _dense_oracle(terms)
+            got = terms._even_mirror()
+            assert got.asymmetry == mirror.asymmetry == 0.0
+            for name in ("refl", "reps", "orbit", "weights"):
+                assert np.array_equal(getattr(got, name), getattr(mirror, name))
+            assert _same_bits(terms._even_operator(), even)
+
+    @pytest.mark.parametrize("kind", ["displaced", "hole", "off-centre"])
+    @pytest.mark.parametrize("model", sorted(_MODELS))
+    def test_asymmetric_designs_keep_the_gate(self, rng, kind, model):
+        n = 80
+        table, focus = build_lattice((n,)), ((n - 1) / 2.0,)
+        if kind == "displaced":
+            table = displace_sites(table, rng.normal(scale=0.01, size=(n, 1)))
+        elif kind == "hole":
+            table = punch_holes(table, [(5,)])
+        else:
+            focus = (n / 2.0,)
+        base = build_couplings(table, _MODELS[model])
+        # nearest-neighbour hopping and the lens potential go by labels, so
+        # displacements leave a nearest-neighbour design mirror-symmetric
+        unmoved = kind == "displaced" and model == "nn"
+        assert (base._hopping_fold.even is not None) == (kind == "off-centre" or unmoved)
+        terms = clipped_thick_terms(base, ThickPolynomial((1e-3, -1e-7), focus),
+                                    table, 1.0)
+        mirror, even = _dense_oracle(terms)
+        got = terms._even_mirror()
+        assert got.asymmetry == mirror.asymmetry
+        assert (mirror.asymmetry == 0.0) == unmoved
+        assert _same_bits(terms._even_operator(), even)
+        packet = np.exp(-((np.arange(n) - (n - 1) / 2.0) / 6.0) ** 2)
+        for t in (0.0, 1e-15, 10.0):
+            assert (got.drift(packet, t) <= lens._EVEN_GATE) == \
+                (mirror.drift(packet, t) <= lens._EVEN_GATE)

@@ -1,10 +1,12 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from spinlens import lens, propagator
+from spinlens import lattice, lens, propagator
 from spinlens.lattice import (NearestNeighbor, PowerLaw, build_couplings,
                               build_lattice, displace_sites, punch_holes)
 from spinlens.propagator import trajectory, window_batch
@@ -759,3 +761,63 @@ class TestPathCounts:
                             focus=focus, n_time=40)
         assert res.paths == {p: len(res.scan) if p == path else 0
                              for p in ("even", "dense", "window")}
+
+
+class TestSharedHoppingFold:
+    """A centred design's even operator is set up from the hopping's fold,
+    made once per base terms, and its own diagonal."""
+
+    @pytest.fixture
+    def dense_calls(self, monkeypatch):
+        """Names of the dense-H set-up calls made: ``matrix`` (the CSR H)
+        and ``of`` (the mirror gate measured on an operator)."""
+        calls = []
+        matrix, of = lattice.HamiltonianTerms.matrix, lattice._Mirror.of.__func__
+        monkeypatch.setattr(lattice.HamiltonianTerms, "matrix",
+                            lambda self: calls.append("matrix") or matrix(self))
+        monkeypatch.setattr(lattice._Mirror, "of", classmethod(
+            lambda cls, h, refl: calls.append("of") or of(cls, h, refl)))
+        return calls
+
+    @pytest.mark.parametrize("focus, path", [(None, "even"), ((100.5,), "dense")])
+    def test_even_designs_never_build_the_dense_h(self, dense_calls, focus, path):
+        res = optimize_lens(build_lattice((200,)), NearestNeighbor(1.0), 12.5,
+                            focus=focus, n_time=40)
+        assert res.paths[path] == len(res.scan)
+        # an off-centre design's gate comes from its diagonal too; the full
+        # H it then decomposes is the CSR's
+        assert set(dense_calls) == (set() if path == "even" else {"matrix"})
+
+    def test_fold_is_shared_and_freed_with_its_terms(self):
+        table = build_lattice((60,))
+        base = build_couplings(table, NearestNeighbor(1.0))
+        designs = [lens.clipped_thick_terms(base, ThickPolynomial((g,), (29.5,)),
+                                            table, 1.0) for g in (1e-3, 2e-3)]
+        designs[0]._even_eigen()
+        fold = designs[0]._hopping_fold.even[1]
+        assert all(d._hopping_fold is base._hopping_fold for d in designs)
+        assert base._hopping_fold.even[1] is fold
+        freed = weakref.ref(fold)
+        del fold
+        designs.pop()
+        assert freed() is not None   # base and the other design keep it
+        del base, designs
+        gc.collect()
+        assert freed() is None
+
+    def test_no_fold_outlives_an_optimizer_call(self, monkeypatch):
+        """Each call folds its own hopping; nothing carries one to the next
+        call, as a module-level cache would."""
+        made = []
+        init = lattice._HoppingFold.__init__
+
+        def spy(self, hopping):
+            made.append(weakref.ref(self))
+            init(self, hopping)
+
+        monkeypatch.setattr(lattice._HoppingFold, "__init__", spy)
+        for _ in range(2):
+            res = optimize_lens(build_lattice((80,)), NearestNeighbor(1.0), 5.0, n_time=40)
+            assert res.paths["even"] == len(res.scan)
+        gc.collect()
+        assert len(made) == 2 and all(ref() is None for ref in made)

@@ -508,6 +508,20 @@ class TestStackedOperator:
         blocks = [chain(30, rng.normal(size=30)), h, chain(30, np.zeros(30))]
         self.assert_blocks_built_alone(blocks, [None] * 3, complex)
 
+    @pytest.mark.parametrize("kind, dtype", [("real", float), ("real", complex),
+                                             ("zero-imaginary", float),
+                                             ("complex", complex), ("holed", float)])
+    def test_lone_block_is_shifted_as_it_is(self, rng, kind, dtype):
+        """A one-block stack shifts h itself, not a copy of its arrays, and
+        leaves h as it was."""
+        h = {"real": lambda: chain(30, rng.normal(size=30)),
+             "zero-imaginary": lambda: chain(30, rng.normal(size=30)).astype(complex),
+             "complex": lambda: random_hermitian(30, rng),
+             "holed": lambda: hole_ensemble(1)[0][0]}[kind]()
+        kept = [a.copy() for a in (h.data, h.indices, h.indptr)]
+        self.assert_blocks_built_alone([h], [None], dtype)
+        assert all(np.array_equal(a, b) for a, b in zip((h.data, h.indices, h.indptr), kept))
+
 
 class TestRealPath:
     """A stack whose operator and states are real runs its terms in float64
