@@ -174,8 +174,10 @@ class PowerLaw:
     def amplitude(self, positions: np.ndarray, i: np.ndarray,
                   j: np.ndarray) -> np.ndarray:
         """Hopping strength / r^alpha of the pairs (i, j), i < j, with r the
-        distance of their ``positions``: the one statement of the rule."""
-        r = np.linalg.norm(positions[j] - positions[i], axis=1)
+        distance of their ``positions``: the one statement of the rule.
+        ``positions`` is (N, dim), or a stack of tables (..., N, dim) that
+        gives a stack of amplitudes, each bit for bit its table's."""
+        r = np.linalg.norm(positions[..., j, :] - positions[..., i, :], axis=-1)
         return self.strength / r**self.alpha
 
 

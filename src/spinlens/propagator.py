@@ -40,9 +40,9 @@ Within a stack the blocks are ordered by coefficient count,
 longest first, the coefficients are padded with zeros to the longest, and
 term k of the three-term recurrence runs the matvec only on the row prefix
 of the blocks still active, through a CSR view on the same arrays. Stacks
-are cut so their nonzeros stay under ``_STACK_NNZ`` (about 3.3e4, a CSR of
-about 0.39 MB real or 0.66 MB complex, well inside one L2 with its state
-vectors); a block larger than that is a stack of its own. The padding
+are cut so their nonzeros stay under ``_STACK_NNZ`` (2**16, a CSR of about
+0.75 MiB real or 1.3 MiB complex; a real stack and its state vectors fit
+one 2 MiB L2); a block larger than that is a stack of its own. The padding
 bounds what a batch may mix: a stack's coefficients take about (largest
 phase x blocks) complex values, and a plan's Bessel table (largest phase x
 distinct phases) floats, so one huge phase batched with many short blocks
@@ -77,11 +77,12 @@ is added into the samples still expanding by one real matrix product
 expansion has already ended; the centre phase is applied at the end. A
 window is cut into segments, each restarting the recurrence from the last
 state of the one before. A block's segment holds as many samples as fit,
-with the buffered terms, its share of ``_WINDOW_BYTES`` (its share of the
-``_STACK_NNZ`` budget, so a full stack's segment takes about that many
-bytes whatever the batch), and its last phase stays under
-``_WINDOW_PHASE``, which bounds the Bessel table. Each sample keeps every
-term with |J_k(z_j)| >= tol/4, as a step plan does.
+with the buffered terms, ``_WINDOW_ENTRY_BYTES`` per entry of its operator
+(nonzeros plus rows), at most ``_WINDOW_BYTES`` (reached at 2**15 entries;
+a full stack of smaller blocks holds 64 B x 2**16 = 4 MiB of segments),
+and its last phase stays under ``_WINDOW_PHASE``, which bounds the Bessel
+table. Each sample keeps every term with |J_k(z_j)| >= tol/4, as a step
+plan does.
 
 A complex window's table holds c_k / (-i)^k, and the buffered terms are
 turned by (-i)^k as they are added, so a real table multiplies complex
@@ -98,9 +99,10 @@ imaginary part; the parts become the complex state at the end. Folding
 product's arithmetic (complex x complex) and change their bits. A real
 block's window is one segment over all its samples, since a second
 segment would restart from a complex state, and is taken only while its
-samples and tables fit its share of ``_REAL_WINDOW_BYTES``; a real block
-over it is sampled as a complex one. Real and complex blocks never share
-a window, so each keeps the bits it gives alone.
+samples and tables fit ``_REAL_WINDOW_ENTRY_BYTES`` per entry of its
+operator, at most ``_REAL_WINDOW_BYTES``; a real block over it is sampled
+as a complex one. Real and complex blocks never share a window, so each
+keeps the bits it gives alone.
 
 All Bessel values come from one routine, Miller's downward recurrence
 (:func:`_bessel_table`), vectorised over every phase of a plan or of a
@@ -148,32 +150,37 @@ from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dormqr, dstevd, dsytrd, dsytrd_lwork
 
 # Nonzeros of one stacked operator. A CSR entry with its column index takes
-# 12 B real or 20 B complex, so 2**15 of them are about 0.39 or 0.66 MB, and
-# the operator and the recurrence's state vectors stay inside one 2 MiB L2.
-# In one benchmark disorder run each, 2**15, 2**16 and 2**17 took the same
-# time within noise and raised the peak memory over one block at a time by
-# 1.4, 3.2 and 7.0 MiB.
-_STACK_NNZ = 2**15
+# 12 B real or 20 B complex, so 2**16 of them are about 0.75 or 1.3 MiB, and a
+# real ensemble stack with its state vectors stays inside one 2 MiB L2. In-
+# process disorder tasks (displacement / holes2d / holes1d, median of 9-11
+# interleaved repeats) took 391 / 214 / 86 ms at 2**15, 354 / 186 / 79 at
+# 54 613, 323 / 178 / 83 at 2**16 and 321 / 176 / 80 at 98 304: 2**16 is the
+# knee. In one benchmark disorder run each, 2**15, 2**16 and 2**17 raised the
+# peak memory over one block at a time by 1.4, 3.2 and 7.0 MiB.
+_STACK_NNZ = 2**16
 
 # Window segments (module docstring): bytes of sampled states plus buffered
-# terms of one full stack, the number of buffered terms, and the largest
-# phase half * t of a segment's last sample. In ten untraced benchmark
-# lens_design runs, 2 MiB and a cap of 100 kept the peak memory within
-# 0.83 MiB (median 0.53) of sample-by-sample stepping; in shorter runs a
-# cap of 200 took the same time but added about 0.6 MiB more, and 4 MiB
-# about 0.8 MiB more.
+# terms per entry of a block's operator (its nonzeros plus its rows), capped
+# at _WINDOW_BYTES for a block of 2**15 entries or more; the number of
+# buffered terms; and the largest phase half * t of a segment's last sample.
+# In ten untraced benchmark lens_design runs, 2 MiB and a cap of 100 kept the
+# peak memory within 0.83 MiB (median 0.53) of sample-by-sample stepping; in
+# shorter runs a cap of 200 took the same time but added about 0.6 MiB more,
+# and 4 MiB about 0.8 MiB more.
+_WINDOW_ENTRY_BYTES = 64
 _WINDOW_BYTES = 2**21
 _WINDOW_TERMS = 8
 _WINDOW_PHASE = 100.0
 
-# Bytes of a real window's one segment (module docstring) per full stack:
-# its samples, 2 n dim floats, and its Bessel and coefficient tables, about
-# 3 n^2 floats per unit of phase per sample. 16 MiB is what manybody's dense
-# path holds (the reflectors and T's eigenvectors, 2 x 1000^2 doubles at
-# _DENSE_ROWS, 3 x 1000^2 while dstevd runs). The 18 010-row nu = 3
-# even sector of the nonlinear scenario at J_z = 20 takes 2.5 MB for its 8
-# samples of 122 rad; it fits up to 41 samples at that phase per sample and
-# 54 at 15 rad.
+# Bytes of a real window's one segment (module docstring) per operator entry,
+# and its cap: its samples, 2 n dim floats, and its Bessel and coefficient
+# tables, about 3 n^2 floats per unit of phase per sample. 16 MiB is what
+# manybody's dense path holds (the reflectors and T's eigenvectors, 2 x
+# 1000^2 doubles at _DENSE_ROWS, 3 x 1000^2 while dstevd runs). The 18 010-row
+# nu = 3 even sector of the nonlinear scenario at J_z = 20 takes 2.5 MB for
+# its 8 samples of 122 rad; it fits up to 41 samples at that phase per sample
+# and 54 at 15 rad.
+_REAL_WINDOW_ENTRY_BYTES = 8 * _WINDOW_ENTRY_BYTES
 _REAL_WINDOW_BYTES = 8 * _WINDOW_BYTES
 
 TOL_RANGE = (1e-14, 1e-6)
@@ -346,21 +353,31 @@ def _row_prefix(h: sp.csr_matrix, n: int) -> sp.csr_matrix:
     return h if n == h.shape[0] else _csr_view(h.data, h.indices, h.indptr[:n + 1])
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions start, ..., start + length - 1 of every range, in order."""
+    stops = np.cumsum(lengths)
+    return np.arange(stops[-1] if len(stops) else 0) + np.repeat(starts - stops + lengths, lengths)
+
+
 def _stacked_operator(hs, dim, centers, halves, dtype) -> sp.csr_matrix:
     """2 h~ of every block, h~ = (h - centre) / half, stacked
     block-diagonally as one CSR of ``dtype`` (float only for real blocks).
 
-    Built on the whole stack at once: the blocks' canonical CSR arrays are
-    concatenated (a lone block is not copied), shifted by one ``diags`` of
-    every block's centre, each entry scaled by its row's 1/half and then
-    doubled. An entry takes the same float operations as in a lone block's
-    ``(h - diags(c)) / half``, and the shift drops the entries it leaves
-    zero as that one does, so each block of the stack is bit for bit the
-    lone block's. Canonical form (sorted, summed) fixes the order of each
-    row's sum whatever the order of h's indices; a block with unsorted or
-    duplicate entries is put in it by a sparse sum with an empty matrix,
-    which adds duplicates in storage order and drops zero sums, as the lone
-    block's shift does, and then sorted. No h is modified."""
+    Built in one pass over the whole stack: the blocks' canonical CSR
+    arrays are concatenated (a lone block keeps its index arrays, which
+    are never written, and gets a new data array), each diagonal entry
+    less its block's centre, -c inserted in its sorted place where a row has no
+    diagonal entry, every entry that is then 0.0 dropped (stored zeros
+    included), each entry scaled by its row's 1/half and then doubled.
+    These are the float operations and the drops of scipy's canonical
+    ``h - diags(c)``, which computes a - c, a - 0 and 0 - c and keeps the
+    nonzero results, then ``/ half``, so each block of the stack is bit for
+    bit the lone block's. Canonical form (sorted, summed) fixes the order
+    of each row's sum whatever the order of h's indices; a block with
+    unsorted or duplicate entries is put in it by a sparse sum with an
+    empty matrix, which adds duplicates in storage order and drops zero
+    sums, as the lone block's shift does, and then sorted. No h is
+    modified."""
     blocks = []
     for h in hs:
         if dtype is float and np.iscomplexobj(h.data):
@@ -369,21 +386,52 @@ def _stacked_operator(hs, dim, centers, halves, dtype) -> sp.csr_matrix:
             h = h + sp.csr_matrix(h.shape)
             h.sort_indices()
         blocks.append(h)
-    m = len(blocks)
+    m, n = len(blocks), len(blocks) * dim
+    nnz = [b.nnz for b in blocks]
+    ends = np.cumsum([0] + nnz)
     if m == 1:
-        # shifted as it is: the difference is a new matrix
-        stack = blocks[0].astype(dtype, copy=False)
+        # a new data array on h's index arrays, which are never written
+        (b,) = blocks
+        data, indices, indptr = b.data[:b.nnz].astype(dtype), b.indices[:b.nnz], b.indptr
     else:
-        offsets = np.cumsum([0] + [b.nnz for b in blocks])
-        stack = sp.csr_matrix((
-            np.concatenate([b.data[:b.nnz] for b in blocks], dtype=dtype),
-            np.concatenate([b.indices[:b.nnz] + j * dim for j, b in enumerate(blocks)]),
-            np.concatenate([[0]] + [b.indptr[1:] + off for b, off in zip(blocks, offsets)])),
-            shape=(m * dim, m * dim))
-    stack = stack - sp.diags(np.repeat(centers, dim))
-    stack.data *= np.repeat(1.0 / np.asarray(halves), np.diff(stack.indptr[::dim]))
-    stack.data *= 2.0
-    return stack
+        idx = np.int32 if int(ends[-1]) + n < 2**31 else np.int64
+        data = np.concatenate([b.data[:k] for b, k in zip(blocks, nnz)], dtype=dtype)
+        indices = np.concatenate([b.indices[:k] + j * dim
+                                  for j, (b, k) in enumerate(zip(blocks, nnz))], dtype=idx)
+        indptr = np.concatenate([np.zeros(1, idx)] + [
+            b.indptr[1:] + off for b, off in zip(blocks, ends[:-1])], dtype=idx)
+    idx = indices.dtype
+    c = np.repeat(np.asarray(centers, dtype=float), dim)
+    rows = np.repeat(np.arange(n, dtype=idx), np.diff(indptr))
+    diag = np.flatnonzero(indices == rows)
+    on = indices[diag]
+    data[diag] -= c[on]
+    if on.size < n:
+        missing = c != 0.0
+        missing[on] = False
+        if missing.any():
+            # 0 - c, after the row's entries left of the diagonal
+            miss = np.flatnonzero(missing)
+            lengths = indptr[miss + 1] - indptr[miss]
+            left = np.concatenate([np.zeros(1, idx), np.cumsum(
+                indices[_ranges(indptr[miss], lengths)] < np.repeat(miss, lengths), dtype=idx)])
+            stops = np.cumsum(lengths)
+            at = indptr[miss] + left[stops] - left[stops - lengths] + np.arange(miss.size)
+            old = np.ones(data.size + miss.size, bool)
+            old[at] = False
+            grown = np.empty(old.size, data.dtype), np.empty(old.size, idx)
+            grown[0][old], grown[0][at] = data, -c[miss]
+            grown[1][old], grown[1][at] = indices, miss
+            data, indices = grown
+            indptr = indptr + np.cumsum(np.concatenate([np.zeros(1, idx), missing]), dtype=idx)
+    kept = data != 0.0
+    if not kept.all():
+        data, indices = data[kept], indices[kept]
+        indptr = np.concatenate([np.zeros(1, idx), np.cumsum(kept, dtype=idx)])[indptr]
+    scale = 1.0 / np.asarray(halves)
+    data *= scale[0] if m == 1 else np.repeat(scale, np.diff(indptr[::dim]))
+    data *= 2.0
+    return _csr_view(data, indices, indptr)
 
 
 class _Stack:
@@ -651,12 +699,18 @@ def _real_window_fits(h: sp.csr_matrix, bounds, dt: float, n_samples: int) -> bo
     """Whether a real block (h, psi, dt, bounds) fits one real window of
     ``n_samples`` (module docstring): its samples and its Bessel and
     coefficient tables, n (2 dim + 3 n step) floats at the phase
-    step = half |dt| of a sample, within its share of ``_STACK_NNZ`` times
-    ``_REAL_WINDOW_BYTES``."""
+    step = half |dt| of a sample, within ``_REAL_WINDOW_ENTRY_BYTES`` per
+    entry of h once shifted, at most ``_REAL_WINDOW_BYTES``."""
     dim = h.shape[0]
     step = abs(_enclosure(h, bounds)[1] * dt)
-    share = min(h.nnz + dim, _STACK_NNZ) / _STACK_NNZ
-    return 8 * n_samples * (2 * dim + 3 * n_samples * step) <= _REAL_WINDOW_BYTES * share
+    return 8 * n_samples * (2 * dim + 3 * n_samples * step) <= _window_bytes(
+        h, _REAL_WINDOW_ENTRY_BYTES, _REAL_WINDOW_BYTES)
+
+
+def _window_bytes(h: sp.csr_matrix, per_entry: int, cap: int) -> int:
+    """A window block's byte budget: ``per_entry`` bytes per entry of its
+    operator once shifted (nonzeros plus rows), at most ``cap``."""
+    return min(per_entry * (h.nnz + h.shape[0]), cap)
 
 
 def _check_tol(tol: float):
@@ -856,11 +910,11 @@ def window_batch(blocks: Iterable[tuple], n_samples: int, tol: float = 1e-10
     docstring), and every sample keeps the terms above tol/4, so it stays
     within about 10 tol of exact per segment it depends on. A block whose
     h and psi are both real is one segment of all n_samples, from one
-    float64 recurrence, while its states and tables fit its share of
-    ``_REAL_WINDOW_BYTES``; over it, the block is sampled as a complex one.
-    Each block's states are bit for bit what it gives alone. The blocks are
-    drawn lazily and sampled about one stack at a time, so memory holds
-    about one stacked operator and its segment.
+    float64 recurrence, while its states and tables fit its real byte
+    budget (``_real_window_fits``); over it, the block is sampled as a
+    complex one. Each block's states are bit for bit what it gives alone.
+    The blocks are drawn lazily and sampled about one stack at a time, so
+    memory holds about one stacked operator and its segment.
 
     A sample's phase half * |dt| must be positive; it has no upper bound,
     and a complex block's sample step past ``_WINDOW_PHASE`` is a segment
@@ -887,12 +941,12 @@ def window_batch(blocks: Iterable[tuple], n_samples: int, tol: float = 1e-10
             if real:
                 psi, n_seg = phi, n_samples
             else:
-                # samples and buffered terms within the block's share of the
-                # byte budget, the segment's last phase within the phase cap
+                # samples and buffered terms within the block's byte budget,
+                # the segment's last phase within the phase cap
                 psi = np.asarray(psi, dtype=complex)
-                share = min(h.nnz + dim, _STACK_NNZ) / _STACK_NNZ
+                budget = _window_bytes(h, _WINDOW_ENTRY_BYTES, _WINDOW_BYTES)
                 n_seg = min(n_samples,
-                            max(1, int(_WINDOW_BYTES * share / (16 * dim)) - _WINDOW_TERMS),
+                            max(1, int(budget / (16 * dim)) - _WINDOW_TERMS),
                             max(1, int(_WINDOW_PHASE / step)))
             groups.setdefault((dim, n_seg, real), []).append((i, h, psi, dt, center, half))
         del cut

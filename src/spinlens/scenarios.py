@@ -16,9 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io_utils
-from .disorder import (Displacement, EnsembleJob, Holes, _CleanPattern,
-                       _realization_table, breakdown_scan,
-                       plane_wave_broadening, run_ensemble, run_protocol)
+from .disorder import (Displacement, EnsembleJob, Holes, _broadening, _chunks,
+                       _CleanPattern, breakdown_scan, run_ensemble, run_protocol)
 from .lattice import NearestNeighbor, PowerLaw, build_couplings, build_lattice
 from .lens import (Multifocal, ThickPolynomial, ThinPulse, _parabola_vertex,
                    clipped_thick_terms, continuum_thick, continuum_thin,
@@ -640,10 +639,12 @@ def run_displacement(cfg, out: Path):
     ks = [2.0 * math.pi * round(float(k) * length / (2.0 * math.pi)) / length
           for k in cfg["broadening"]["ks"]]
     vals = [[] for _ in ks]
-    for r in range(n_b):   # each realization built once, for every k
-        h, _ = pattern.cut(_realization_table(job, r))
-        for k, v in zip(ks, vals):
-            v.append(plane_wave_broadening(h, clean, k, table))
+    # each realization cut once, and its difference taken once, for every k
+    for _, _, cuts in _chunks(job, pattern, n_b):
+        for h, _ in cuts:
+            dh = h - clean
+            for k, v in zip(ks, vals):
+                v.append(_broadening(dh, k, table))
     rows = [(k, float(np.mean(v)), float(np.std(v, ddof=1)) if n_b > 1 else 0.0)
             for k, v in zip(ks, vals)]
     outputs.append(io_utils.write_csv(out / "broadening.csv",

@@ -59,6 +59,15 @@ class SpinWaveState:
         return float(np.linalg.norm(self.amplitudes))
 
 
+def _check_sigma0(sigma0: float):
+    if sigma0 <= 0:
+        raise ValueError("sigma0 must be positive")
+    if sigma0 < _MIN_CLEAN_SIGMA:
+        warnings.warn(
+            f"sigma0={sigma0} below {_MIN_CLEAN_SIGMA}a: lattice discretization "
+            "distorts the packet at the 1e-6 level or worse", stacklevel=3)
+
+
 def gaussian_packet(table: SiteTable, sigma0: float, center=None,
                     k0=None) -> SpinWaveState:
     """Normalized Gaussian excitation packet of width parameter ``sigma0``.
@@ -68,12 +77,7 @@ def gaussian_packet(table: SiteTable, sigma0: float, center=None,
     center of the lattice and may be fractional; it must lie inside the
     lattice. ``k0`` is a scalar (1D) or a dim-vector in units of 1/a.
     """
-    if sigma0 <= 0:
-        raise ValueError("sigma0 must be positive")
-    if sigma0 < _MIN_CLEAN_SIGMA:
-        warnings.warn(
-            f"sigma0={sigma0} below {_MIN_CLEAN_SIGMA}a: lattice discretization "
-            "distorts the packet at the 1e-6 level or worse", stacklevel=2)
+    _check_sigma0(sigma0)
     center = table.center() if center is None else np.atleast_1d(np.asarray(center, float))
     if center.shape != (table.dim,):
         raise ValueError("center has wrong dimension")
@@ -92,6 +96,26 @@ def gaussian_packet(table: SiteTable, sigma0: float, center=None,
         raise ValueError("packet has zero weight on active sites")
     amp /= n
     return SpinWaveState(amplitudes=amp, time=0.0)
+
+
+def _gaussian_rows(positions: np.ndarray, active: np.ndarray, center: np.ndarray,
+                   sigma0: float) -> np.ndarray:
+    """The amplitudes of ``gaussian_packet`` (no kick) on a stack of site
+    tables, one row each, (m, n_sites), each bit for bit that packet's:
+    ``positions`` is (n_sites, dim) or (m, n_sites, dim), ``active`` (n_sites,)
+    or (m, n_sites). Each row's norm is summed as ``numpy.linalg.norm``
+    sums one complex vector, from its real and imaginary parts."""
+    _check_sigma0(sigma0)
+    dx = positions - center
+    amp = np.exp(-0.5 * (dx * dx).sum(axis=-1) / sigma0**2).astype(complex)
+    shape = np.broadcast_shapes(amp.shape, active.shape)
+    amp = np.array(np.broadcast_to(amp, shape), ndmin=2)
+    amp[~np.broadcast_to(active, amp.shape)] = 0.0
+    norms = np.sqrt([row.real.dot(row.real) + row.imag.dot(row.imag) for row in amp])
+    if not norms.all():
+        raise ValueError("packet has zero weight on active sites")
+    amp /= norms[:, None]
+    return amp
 
 
 def evolve(terms: HamiltonianTerms, state: SpinWaveState, dt: float,
@@ -155,12 +179,18 @@ def gaussian_widths(amps: np.ndarray, table: SiteTable) -> np.ndarray:
     """:func:`gaussian_width` of every state in ``amps`` (..., n_sites),
     one numpy pass over the same two-pass formula (centroid, then the rms
     about it)."""
-    p = np.abs(amps) ** 2
+    return _density_widths(np.abs(amps) ** 2, table.positions)
+
+
+def _density_widths(p: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """:func:`gaussian_width` of every density in ``p`` (..., n_sites) at
+    ``positions``, (n_sites, dim) or one table per density (..., n_sites,
+    dim)."""
     w = p.sum(axis=-1)
-    c = (p[..., None] * table.positions).sum(axis=-2) / w[..., None]
-    dx = table.positions - c[..., None, :]
+    c = (p[..., None] * positions).sum(axis=-2) / w[..., None]
+    dx = positions - c[..., None, :]
     rms = np.sqrt((p * (dx * dx).sum(axis=-1)).sum(axis=-1) / w)
-    return np.sqrt(2.0 / table.dim) * rms
+    return np.sqrt(2.0 / positions.shape[-1]) * rms
 
 
 def focus_probability(state: SpinWaveState, table: SiteTable, focus,
@@ -174,6 +204,23 @@ def focus_probability(state: SpinWaveState, table: SiteTable, focus,
     dx = table.positions - focus
     inside = (dx * dx).sum(axis=1) <= radius * radius
     return float(excitation_probability(state)[inside].sum())
+
+
+def _focus_probabilities(p: np.ndarray, positions: np.ndarray, focus,
+                         radius: float = FOCUS_RADIUS) -> np.ndarray:
+    """:func:`focus_probability` of every density row of ``p`` (m, n_sites)
+    at ``positions``, (n_sites, dim) or one table per row (m, n_sites, dim).
+    Each row sums its sites inside the radius in site order, as one array,
+    so rows with equal counts are summed together."""
+    focus = np.atleast_1d(np.asarray(focus, dtype=float))
+    dx = positions - focus
+    inside = np.broadcast_to((dx * dx).sum(axis=-1) <= radius * radius, p.shape)
+    counts = inside.sum(axis=-1)
+    out = np.empty(len(p))
+    for k in np.unique(counts):
+        rows = counts == k
+        out[rows] = p[rows][inside[rows]].reshape(np.count_nonzero(rows), k).sum(axis=-1)
+    return out
 
 
 # --- lattice Wigner function (1D) ------------------------------------------

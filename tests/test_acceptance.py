@@ -2,9 +2,10 @@
 
 Each test computes its figures of merit, records a ``criterion NN PASS/FAIL``
 line (printed as a section after the run, see conftest), and then asserts the
-gates. Tests marked ``slow`` take more than 10 s each with their fixtures
-(optimizer scans at N = 800, the large few-excitation sectors, the disorder
-ensembles) and dominate the runtime; ``-m "not slow"`` keeps the quick ones.
+gates. Tests marked ``slow`` run whole scenarios in their fixtures (optimizer
+scans at N = 800, the large few-excitation sectors, the disorder ensembles):
+4 to 48 s each and 70 to 90 s together, the largest part of the runtime;
+``-m "not slow"`` keeps the quick ones.
 
 The strong-kick thin-lens check (criterion 4) fails by design: its kick
 strength sits far above the aberration optimum, where no simulation of the

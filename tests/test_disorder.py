@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from spinlens.disorder import (BreakdownResult, BreakdownRow, Displacement,
-                               EnsembleJob, Holes, _CleanPattern,
-                               _protocol_start, _realization_table,
+                               EnsembleJob, Holes, _chunks, _CleanPattern,
+                               _protocol_start, _realization_table, _Streams,
                                breakdown_scan, plane_wave_broadening,
                                run_ensemble, run_protocol)
 from spinlens.lattice import (NearestNeighbor, PowerLaw, build_couplings,
@@ -110,6 +110,18 @@ class TestRealizationTable:
         b = _realization_table(job, 4)
         assert np.array_equal(a.positions, b.positions)
         assert not np.array_equal(_realization_table(job, 5).positions, a.positions)
+
+    @pytest.mark.parametrize("kind", [Displacement(0.03), Holes(7)])
+    def test_a_shared_stream_draws_as_a_fresh_one(self, thick_job, kind):
+        """One bit generator re-keyed per realization gives each the stream
+        a new Philox keyed by (master_seed, r) gives, in any order."""
+        job = replace(thick_job, kind=kind)
+        streams = _Streams(job.master_seed)
+        for r in (4, 0, 4, 11, 2**40):
+            a = _realization_table(job, r, streams)
+            b = _realization_table(job, r)
+            assert np.array_equal(a.positions, b.positions)
+            assert np.array_equal(a.active, b.active)
 
     def test_zero_displacement_is_identity(self, chain, thick_job):
         job = replace(thick_job, kind=Displacement(0.0))
@@ -244,9 +256,13 @@ ENSEMBLE_CASES = ["chain", "plane", "displacement", "thin", "powerlaw_holes",
                   "displacement_plane", "multifocal_holes"]
 
 
+THICK_CASES = [name for name in ENSEMBLE_CASES if name != "thin"]
+
+
 def _ensemble_case(name):
     """EnsembleJob with different bounds per realization; the thick cases
-    fill more than one stacked operator (``propagator._STACK_NNZ``)."""
+    fill more than one stacked operator (``propagator._STACK_NNZ``) and
+    more than one chunk of realizations (``disorder._chunks``)."""
     if name in ("plane", "displacement_plane"):
         table = build_lattice((21, 21))
         design = ThickPolynomial((4.0 ** (-8.0 / 3.0),), (10.0, 10.0))
@@ -254,7 +270,7 @@ def _ensemble_case(name):
         if name == "plane":
             return EnsembleJob(table=table, model=NearestNeighbor(1.0),
                                design=design, sigma0=4.0, duration=duration,
-                               kind=Holes(6), realizations=24, master_seed=5)
+                               kind=Holes(6), realizations=30, master_seed=5)
         return EnsembleJob(table=table, model=PowerLaw(1.0, 6.0, cutoff_range=3.0),
                            design=design, sigma0=4.0, duration=duration,
                            kind=Displacement(0.02), realizations=6, master_seed=13)
@@ -269,20 +285,20 @@ def _ensemble_case(name):
     if name == "chain":
         return EnsembleJob(table=table, model=NearestNeighbor(1.0), design=design,
                            sigma0=8.0, duration=duration, kind=Holes(4),
-                           realizations=90, master_seed=7)
+                           realizations=180, master_seed=7)
     if name == "powerlaw_holes":
         return EnsembleJob(table=table, model=PowerLaw(1.0, 6.0), design=design,
                            sigma0=8.0, duration=duration, kind=Holes(5),
-                           realizations=12, master_seed=3)
+                           realizations=20, master_seed=3)
     if name == "multifocal_holes":
         design = Multifocal((ThickPolynomial((V0,), (30.0,)),
                              ThickPolynomial((4.0 * V0,), (70.0,))))
         return EnsembleJob(table=table, model=NearestNeighbor(1.0), design=design,
                            sigma0=8.0, duration=duration, kind=Holes(6),
-                           realizations=12, master_seed=21)
+                           realizations=180, master_seed=21)
     return EnsembleJob(table=table, model=PowerLaw(1.0, 6.0), design=design,
                        sigma0=8.0, duration=duration, kind=Displacement(0.01),
-                       realizations=12, master_seed=11)
+                       realizations=20, master_seed=11)
 
 
 class TestBatchedEnsemble:
@@ -294,18 +310,61 @@ class TestBatchedEnsemble:
                  for r in range(job.realizations)]
         assert [tuple(rec) for rec in zip(stats.p_foc, stats.sigma_f)] == alone
 
+    @pytest.mark.parametrize("name", THICK_CASES)
+    def test_thick_cases_fill_more_than_one_stack(self, monkeypatch, name):
+        from spinlens import propagator
+
+        job, sizes = _ensemble_case(name), []
+        stacked = propagator._stacked_operator
+
+        def counted(hs, *args):
+            sizes.append(len(hs))
+            return stacked(hs, *args)
+
+        monkeypatch.setattr(propagator, "_stacked_operator", counted)
+        run_ensemble(job)
+        assert len(sizes) >= 2 and sum(sizes) == job.realizations
+
     @pytest.mark.parametrize("name", ENSEMBLE_CASES)
     def test_pattern_cut_equals_assembled_terms(self, name):
+        """Each realization's H and bounds, cut alone and in its chunk."""
         job = _ensemble_case(name)
         pattern = _CleanPattern(job)
-        for r in range(job.realizations):
+        chunks = list(_chunks(job, pattern, job.realizations))
+        assert len(chunks) >= (2 if name in THICK_CASES else 1)
+        cuts = [cut for *_, chunk in chunks for cut in chunk]
+        assert len(cuts) == job.realizations
+        for r, chunked in enumerate(cuts):
             table = _realization_table(job, r)
-            h, bounds = pattern.cut(table)
             terms, _ = _protocol_start(table, job)
             want = terms.matrix()
-            for attr in ("indptr", "indices", "data"):
-                assert getattr(h, attr).tobytes() == getattr(want, attr).tobytes()
-            assert bounds == terms.bounds()
+            for h, bounds in (pattern.cut(table), chunked):
+                for attr in ("indptr", "indices", "data"):
+                    assert getattr(h, attr).tobytes() == getattr(want, attr).tobytes()
+                assert h.has_canonical_format and bounds == terms.bounds()
+
+    def test_vanishing_couplings_are_dropped_from_displaced_cuts(self):
+        """Power-law couplings that underflow to zero (alpha = 700: the
+        r ~ 3 pairs) are dropped from a displaced realization as assembly
+        drops them, through the masked form of the chunked cut."""
+        job = EnsembleJob(table=build_lattice((40,)),
+                          model=PowerLaw(1.0, 700.0, cutoff_range=3.0),
+                          design=ThickPolynomial((0.01,), (19.5,)), sigma0=4.0,
+                          duration=3.0, kind=Displacement(1e-4), realizations=5,
+                          master_seed=3)
+        with np.errstate(over="ignore"):
+            pattern = _CleanPattern(job)
+            cuts = [cut for *_, chunk in _chunks(job, pattern, 5) for cut in chunk]
+            for r, (h, bounds) in enumerate(cuts):
+                terms, _ = _protocol_start(_realization_table(job, r), job)
+                want = terms.matrix()
+                assert h.nnz < pattern.data.size
+                for attr in ("indptr", "indices", "data"):
+                    assert getattr(h, attr).tobytes() == getattr(want, attr).tobytes()
+                assert bounds == terms.bounds()
+            stats = run_ensemble(job)
+            assert list(zip(stats.p_foc, stats.sigma_f)) == [
+                run_protocol(_realization_table(job, r), job) for r in range(5)]
 
     def test_a_hole_leaves_the_bounds(self):
         """A hole's on-site energy is no part of its realization's H: with

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from spinlens.disorder import EnsembleJob, Holes, _CleanPattern, _initial_state, _realization_table
 from spinlens.lattice import NearestNeighbor, PowerLaw, build_couplings, build_lattice
-from spinlens.lens import ThickPolynomial, ThinPulse, potential_profile, thin_phase_profile
+from spinlens.lens import (ThickPolynomial, ThinPulse, continuum_thick, potential_profile,
+                           thin_phase_profile)
 from spinlens.manybody import (build_mb_hamiltonian, enumerate_basis, even_path,
                                evolution_path, evolve_mb, mb_trajectory,
                                symmetric_initial_state)
 from spinlens import propagator
-from spinlens.propagator import (_STACK_NNZ, _WINDOW_BYTES, _WINDOW_PHASE, _WINDOW_TERMS,
+from spinlens.propagator import (_STACK_NNZ, _WINDOW_BYTES, _WINDOW_ENTRY_BYTES,
+                                 _WINDOW_PHASE, _WINDOW_TERMS,
                                  TOL_RANGE, EigenPropagator, _real_window_fits, _StepPlan,
                                  _bessel_table, _enclosure, _stacked_operator,
                                  expimv, expimv_batch, spectral_bounds, trajectory,
@@ -523,6 +525,131 @@ class TestStackedOperator:
         assert all(np.array_equal(a, b) for a, b in zip((h.data, h.indices, h.indptr), kept))
 
 
+def sparse_stacked(hs, dim, centers, halves, dtype):
+    """2 h~ of a stack by scipy's sparse difference, as the stack was built
+    before its one-pass form: the canonical blocks concatenated by the
+    validating constructor, ``- diags(c)``, each entry times its block's
+    1/half and then 2."""
+    blocks = []
+    for h in hs:
+        if dtype is float and np.iscomplexobj(h.data):
+            h = h.real
+        if not h.has_canonical_format:
+            h = h + sp.csr_matrix(h.shape)
+            h.sort_indices()
+        blocks.append(h)
+    offsets = np.cumsum([0] + [b.nnz for b in blocks])
+    stack = sp.csr_matrix((
+        np.concatenate([b.data[:b.nnz] for b in blocks], dtype=dtype),
+        np.concatenate([b.indices[:b.nnz] + j * dim for j, b in enumerate(blocks)]),
+        np.concatenate([[0]] + [b.indptr[1:] + off for b, off in zip(blocks, offsets)])),
+        shape=(len(blocks) * dim, len(blocks) * dim))
+    stack = stack - sp.diags(np.repeat(centers, dim))
+    stack.data *= np.repeat(1.0 / np.asarray(halves), np.diff(stack.indptr[::dim]))
+    stack.data *= 2.0
+    return stack
+
+
+class TestOnePassOperator:
+    """``_stacked_operator`` shifts and scales the concatenated arrays in
+    one pass; the whole stack is bit for bit scipy's sparse difference."""
+
+    @staticmethod
+    def assert_stack_is_the_sparse_difference(hs, bounds, dtype):
+        dim = hs[0].shape[0]
+        kept = [[a.copy() for a in (h.data, h.indices, h.indptr)] for h in hs]
+        centers, halves = zip(*(_enclosure(h, b) for h, b in zip(hs, bounds)))
+        got = _stacked_operator(hs, dim, centers, halves, dtype)
+        want = sparse_stacked(hs, dim, centers, halves, dtype)
+        for attr in ("indptr", "indices", "data"):
+            g, w = getattr(got, attr), getattr(want, attr)
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), attr
+        # no h is modified
+        for h, arrays in zip(hs, kept):
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip((h.data, h.indices, h.indptr), arrays))
+        return got
+
+    @staticmethod
+    def with_entries(h, extra):
+        """h with (row, col, value) entries appended, in canonical form when
+        each (row, col) is new: stored zeros stay stored."""
+        rows = np.r_[np.repeat(np.arange(h.shape[0]), np.diff(h.indptr)), [e[0] for e in extra]]
+        cols = np.r_[h.indices, [e[1] for e in extra]]
+        vals = np.r_[h.data, [e[2] for e in extra]]
+        order = np.lexsort((cols, rows))
+        out = sp.csr_matrix((vals[order], cols[order].astype(np.int32),
+                             np.searchsorted(rows[order], np.arange(h.shape[0] + 1))),
+                            shape=h.shape)
+        assert out.nnz == len(vals)
+        return out
+
+    def test_rows_without_a_diagonal_entry(self, rng):
+        """Hole rows (empty) and a lens focus (a zero on-site energy, so no
+        diagonal entry): 0 - c is inserted in its sorted place."""
+        hs, _, bounds = zip(*hole_ensemble(5))
+        assert any(np.diff(h.indptr).min() == 0 for h in hs)
+        got = self.assert_stack_is_the_sparse_difference(hs, bounds, float)
+        assert np.all(got.diagonal() != 0.0)
+        thin = chain(40, np.zeros(40))
+        centred = chain(40, np.r_[np.zeros(20), rng.normal(size=20)])
+        self.assert_stack_is_the_sparse_difference([thin, centred, thin], [None] * 3, float)
+        self.assert_stack_is_the_sparse_difference(
+            [thin, centred], [(-2.0, 3.0), (-1.0, 5.5)], float)
+
+    def test_diagonals_that_the_shift_makes_zero(self, rng):
+        """An on-site energy equal to its block's centre is dropped, as the
+        sparse difference drops it."""
+        x = rng.normal(size=30)
+        bounds = (-4.0, 6.0)                      # centre 1.0
+        x[[0, 7, 29]] = 1.0
+        h = chain(30, x)
+        got = self.assert_stack_is_the_sparse_difference([h, chain(30, x + 1.0), h],
+                                                         [bounds] * 3, float)
+        assert got.nnz < sum(3 * [h.nnz]) + 3
+
+    def test_stored_zeros(self, rng):
+        """Explicit zeros, off and on the diagonal, are dropped; a stored
+        zero on the diagonal becomes 0 - c."""
+        h = chain(25, rng.normal(size=25))
+        h = self.with_entries(h, [(3, 10, 0.0), (10, 3, 0.0), (12, 20, -0.0)])
+        h.data[h.indptr[5]:h.indptr[6]][h.indices[h.indptr[5]:h.indptr[6]] == 5] = 0.0
+        assert h.has_canonical_format and (h.data == 0.0).sum() == 4
+        self.assert_stack_is_the_sparse_difference([h, chain(25, np.zeros(25)), h],
+                                                   [None] * 3, float)
+        self.assert_stack_is_the_sparse_difference([h], [None], float)
+
+    def test_unsorted_and_duplicate_entries(self, rng):
+        h = chain(40, rng.normal(size=40))
+        rows = np.r_[np.repeat(np.arange(40), np.diff(h.indptr)), 5, 5, 5, 7, 7, 9, 11]
+        cols = np.r_[h.indices, 6, 6, 6, 20, 20, 9, 30]
+        vals = np.r_[h.data, 1.0, 2.0 ** -60, -1.0, 0.25, -0.25, 0.1, 0.0]
+        order = rng.permutation(len(rows))
+        order = order[np.argsort(rows[order], kind="stable")]
+        h_dup = sp.csr_matrix((vals[order], cols[order], np.searchsorted(rows[order], np.arange(41))),
+                              shape=(40, 40))
+        assert not h_dup.has_canonical_format
+        self.assert_stack_is_the_sparse_difference([h_dup, h, h_dup], [None] * 3, float)
+        self.assert_stack_is_the_sparse_difference([h_dup], [None], float)
+        assert not h_dup.has_canonical_format
+
+    def test_complex_blocks(self, rng):
+        h = random_hermitian(30, rng)
+        blocks = [chain(30, np.r_[np.zeros(10), rng.normal(size=20)]), h,
+                  chain(30, rng.normal(size=30)).astype(complex)]
+        self.assert_stack_is_the_sparse_difference(blocks, [None] * 3, complex)
+        self.assert_stack_is_the_sparse_difference([h], [None], complex)
+        # a complex dtype with no imaginary part, stacked as float64
+        self.assert_stack_is_the_sparse_difference(blocks[2:] + blocks[:1], [None] * 2, float)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_one_block_stack(self, rng, dtype):
+        """A lone block keeps h's index arrays and gets a new data array."""
+        h = chain(50, np.r_[rng.normal(size=25), np.zeros(25)])
+        got = self.assert_stack_is_the_sparse_difference([h], [None], dtype)
+        assert got.data is not h.data and got.dtype == np.dtype(dtype)
+
+
 class TestRealPath:
     """A stack whose operator and states are real runs its terms in float64
     (module docstring of ``propagator``), bit for bit the complex path."""
@@ -656,6 +783,25 @@ class TestRealPath:
         assert out.dtype == np.complex128 and np.array_equal(out, rest)
 
 
+@pytest.fixture(scope="module")
+def nu3_sectors():
+    """{name: (even operator, sector bounds, dt)} of the nu = 3 blockade
+    benchmark slots: chains of 51 and 61 sites at J_z = 40 and 20, a
+    centred lens of v0 = 0.01, dt an eighth of its focal time at sigma0 = 8."""
+    out = {}
+    for n, jz in ((51, 40.0), (61, 20.0)):
+        table = build_lattice((n,))
+        design = ThickPolynomial((0.01,), tuple(table.center()))
+        terms = build_couplings(table, NearestNeighbor(1.0)).with_diagonal(
+            potential_profile(design, table))
+        sector = build_mb_hamiltonian(terms, enumerate_basis(table, 3), jz=jz,
+                                      interaction_power=6.0, table=table)
+        out[f"nu3_n{n}"] = (sector.mirror.matrix, sector.bounds(),
+                            continuum_thick(0.01, 8.0).focal_time / 8)
+    assert [h.shape[0] for h, _, _ in out.values()] == [10425, 18010]
+    return out
+
+
 def windowed(blocks, n_samples, tol=1e-10):
     """{block index: (n_samples, dim) states} and {block index: segment
     lengths} from one ``window_batch`` call."""
@@ -743,20 +889,52 @@ class TestWindow:
             [12 % per_segment] if 12 % per_segment else [])
 
     def test_segments_are_cut_by_the_byte_budget(self, blocks, monkeypatch):
-        """A block's samples and buffered terms fit its share of the budget,
-        its share of the stack's nonzeros; a smaller budget gives shorter
-        segments and the same states within tol."""
+        """A block's samples and buffered terms fit its byte budget,
+        ``_WINDOW_ENTRY_BYTES`` per entry of its operator (nonzeros plus
+        rows); a smaller budget gives shorter segments and the same states
+        within tol."""
         tol, chains = 1e-10, blocks[:2]     # two chains of equal nonzeros
         full, segments = windowed(chains, 30, tol)
-        h = chains[0][0]
-        share = (h.nnz + 40) / _STACK_NNZ
-        assert segments[0][0] == int(_WINDOW_BYTES * share / (16 * 40)) - _WINDOW_TERMS
-        budget = int(16 * 40 * (_WINDOW_TERMS + 3.5) / share)
-        monkeypatch.setattr(propagator, "_WINDOW_BYTES", budget)
+        entries = chains[0][0].nnz + 40
+        budget = _WINDOW_ENTRY_BYTES * entries
+        assert budget < _WINDOW_BYTES
+        assert segments[0][0] == int(budget / (16 * 40)) - _WINDOW_TERMS
+        monkeypatch.setattr(propagator, "_WINDOW_ENTRY_BYTES",
+                            16 * 40 * (_WINDOW_TERMS + 3.5) / entries)
         small, segments = windowed(chains, 30, tol)
         for i in range(2):
             assert segments[i] == [3] * 10
             assert np.linalg.norm(small[i] - full[i], axis=1).max() <= 10 * tol
+
+    def test_an_800_site_design_keeps_7_samples_per_segment(self):
+        """The byte budget of a nearest-neighbour thick design on 800 sites
+        (3 198 operator entries, a sixth of ``_WINDOW_BYTES``) holds 7
+        complex samples besides the buffered terms, below the phase cap."""
+        table = build_lattice((800,))
+        design = ThickPolynomial((20.0 ** (-8.0 / 3.0),), (399.5,))
+        h = build_couplings(table, NearestNeighbor(1.0)).with_diagonal(
+            potential_profile(design, table)).matrix()
+        psi = gaussian_packet(table, 20.0, k0=0.2).amplitudes
+        assert h.nnz + 800 == 3198 and 7 * _enclosure(h, None)[1] * 0.2 < _WINDOW_PHASE
+        _, segments = windowed([(h, psi, 0.2, None)], 20)
+        assert segments[0] == [7, 7, 6]
+
+    @pytest.mark.parametrize("case, fits", [("small", 19), ("small_long", 8),
+                                            ("nu3_n51", 46), ("nu3_n61", 43)])
+    def test_real_window_budgets(self, nu3_sectors, case, fits):
+        """A real block fits 8 samples, and at most ``fits``: a 40-site chain
+        (158 operator entries) at two steps, and the 10 425- and 18 010-row
+        nu = 3 even sectors of the blockade benchmark at J_z = 40 and 20 over
+        the eighth of a focal time (170 and 95 rad per sample), each at the
+        16 MiB cap."""
+        if case.startswith("small"):
+            h = chain(40, 0.1 * (np.arange(40) - 19.5) ** 2)
+            bounds, dt = spectral_bounds(h), 2.0 if case == "small_long" else 0.37
+        else:
+            h, bounds, dt = nu3_sectors[case]
+        assert _real_window_fits(h, bounds, dt, 8)
+        assert _real_window_fits(h, bounds, dt, fits)
+        assert not _real_window_fits(h, bounds, dt, fits + 1)
 
     def test_sample_steps_past_3e4_match_dense(self, rng):
         """A sample step has no upper bound: each long one is a segment of

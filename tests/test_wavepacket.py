@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlens.lattice import (NearestNeighbor, build_couplings, build_lattice,
+from spinlens.lattice import (NearestNeighbor, SiteTable, build_couplings, build_lattice,
                               displace_sites, punch_holes)
 from spinlens.lens import ThinPulse, continuum_thin, thin_phase_profile
-from spinlens.wavepacket import (SpinWaveState, centroid, evolve,
+from spinlens.wavepacket import (SpinWaveState, _density_widths, _focus_probabilities,
+                                 _gaussian_rows, centroid, evolve,
                                  excitation_probability, focus_probability,
                                  gaussian_packet, gaussian_width, gaussian_widths,
                                  phase_imprint, rms_width, wigner_lattice)
@@ -278,3 +279,66 @@ def test_batched_widths_equal_state_by_state(rng, extents):
     want = [[gaussian_width(SpinWaveState(a), table) for a in row] for row in amps]
     assert np.array_equal(gaussian_widths(amps, table), want)
     assert gaussian_widths(amps[1, 3], table) == want[1][3]
+
+
+@pytest.fixture(params=[(70,), (41, 41), (9, 8, 7)])
+def realizations(request, rng):
+    """Six realizations of a table: each with its own displaced positions
+    and its own holes, as a list and as stacked (m, n, dim) and (m, n)."""
+    table = build_lattice(request.param)
+    n, dim = table.n_sites, table.dim
+    tables = []
+    for _ in range(6):
+        moved = displace_sites(table, rng.normal(0.0, 0.3, (n, dim)))
+        active = moved.active.copy()
+        active[rng.choice(n, 3, replace=False)] = False
+        tables.append(SiteTable(table.extents, table.labels, moved.positions, active))
+    return (tables, np.stack([t.positions for t in tables]),
+            np.stack([t.active for t in tables]))
+
+
+def test_packet_rows_equal_gaussian_packet(realizations):
+    tables, positions, active = realizations
+    clean = build_lattice(tables[0].extents)
+    sigma0 = 0.2 * min(clean.extents) + 1.5
+    want = [gaussian_packet(t, sigma0).amplitudes for t in tables]
+    assert np.array_equal(_gaussian_rows(positions, active, clean.center(), sigma0), want)
+    # holes alone, on the clean positions
+    want = [gaussian_packet(SiteTable(clean.extents, clean.labels, clean.positions, a),
+                            sigma0).amplitudes for a in active]
+    assert np.array_equal(_gaussian_rows(clean.positions, active, clean.center(), sigma0), want)
+
+
+def test_packet_rows_check_as_gaussian_packet():
+    table = build_lattice((30,))
+    active = np.zeros((2, 30), bool)
+    active[0, 3] = True
+    with pytest.raises(ValueError, match="zero weight"):
+        _gaussian_rows(table.positions, active, table.center(), 4.0)
+    with pytest.raises(ValueError, match="positive"):
+        _gaussian_rows(table.positions, table.active, table.center(), 0.0)
+    with pytest.warns(UserWarning, match="discretization"):
+        _gaussian_rows(table.positions, table.active, table.center(), 1.0)
+
+
+def test_density_rows_score_as_state_by_state(realizations, rng):
+    """Focus probabilities and widths of a stack of densities, each on its
+    own positions, bit for bit those of the lone states; the capture disk
+    holds a different number of sites per row, none in one."""
+    tables, positions, _ = realizations
+    amps = rng.normal(size=(6, tables[0].n_sites)) + 1j * rng.normal(size=(6, tables[0].n_sites))
+    p = np.abs(amps) ** 2
+    states = [SpinWaveState(a) for a in amps]
+    focus = tables[0].positions[tables[0].n_sites // 3]
+    for radius in (0.1, 1.3, 3.0):
+        got = _focus_probabilities(p, positions, focus, radius)
+        want = [focus_probability(s, t, focus, radius) for s, t in zip(states, tables)]
+        assert np.array_equal(got, want)
+    counts = (((positions - focus) ** 2).sum(axis=-1) <= 1.3**2).sum(axis=1)
+    assert len(set(counts)) > 1 or tables[0].dim == 1
+    assert np.array_equal(_focus_probabilities(p, positions, focus + 100.0), np.zeros(6))
+    assert np.array_equal(_density_widths(p, positions),
+                          [gaussian_width(s, t) for s, t in zip(states, tables)])
+    # one position table for every row
+    assert np.array_equal(_focus_probabilities(p, tables[2].positions, focus),
+                          [focus_probability(s, tables[2], focus) for s in states])
