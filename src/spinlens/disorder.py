@@ -30,7 +30,6 @@ others are run.
 from __future__ import annotations
 
 import copy
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -333,36 +332,29 @@ def run_ensemble(job: EnsembleJob) -> EnsembleStats:
     Each record equals ``run_protocol(_realization_table(job, r), job)``
     bit for bit. The realizations are drawn, cut from the job's clean
     pattern and started about one stacked operator's worth at a time, as
-    whole arrays (``_chunks``), and each chunk's final states are scored
-    together (``wavepacket._density_widths``, ``_focus_probabilities``),
-    so only about one stack of them is held at a time.
+    whole arrays (``_chunks``); each chunk is propagated and its final
+    states scored together (``wavepacket._density_widths``,
+    ``_focus_probabilities``) before the next is drawn, so only one chunk
+    of operators and states is held at a time.
     """
     pattern = _CleanPattern(job)
     table = job.table
     imprint = (np.exp(-1j * thin_phase_profile(job.design, table))
                if job.design.thin else None)
-    chunks = deque()
-
-    def blocks():
-        for active, positions, cuts in _chunks(job, pattern, job.realizations):
-            packets = _gaussian_rows(positions, active, table.center(), job.sigma0)
-            if imprint is None:
-                packets = packets.real      # no imaginary part, as expimv takes it
-            else:
-                packets = packets * imprint
-            chunks.append((positions, len(cuts)))
-            for (h, bounds), psi in zip(cuts, packets):
-                yield h, psi, job.duration, bounds
-
-    p_foc, sigma_f, finals = [], [], []
-    for amp in expimv_batch(blocks(), tol=job.tol):
-        finals.append(amp)
-        if len(finals) == chunks[0][1]:
-            positions, _ = chunks.popleft()
-            p = np.abs(np.array(finals)) ** 2
-            p_foc.append(_focus_probabilities(p, positions, job.design.foci[0]))
-            sigma_f.append(_density_widths(p, positions))
-            finals.clear()
+    p_foc, sigma_f = [], []
+    for active, positions, cuts in _chunks(job, pattern, job.realizations):
+        packets = _gaussian_rows(positions, active, table.center(), job.sigma0)
+        if imprint is None:
+            packets = packets.real      # no imaginary part, as expimv takes it
+        else:
+            packets = packets * imprint
+        finals = list(expimv_batch([(h, psi, job.duration, bounds)
+                                    for (h, bounds), psi in zip(cuts, packets)], tol=job.tol))
+        del cuts, packets               # free the operators before the next chunk
+        p = np.abs(np.array(finals)) ** 2
+        del finals
+        p_foc.append(_focus_probabilities(p, positions, job.design.foci[0]))
+        sigma_f.append(_density_widths(p, positions))
     return EnsembleStats(p_foc=np.concatenate(p_foc), sigma_f=np.concatenate(sigma_f))
 
 

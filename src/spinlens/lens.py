@@ -415,6 +415,99 @@ def _isochrone_coefficients(g: float, hopping: float) -> tuple[float, ...]:
                  for q, f in enumerate(_ISOCHRONE_FRACTIONS, start=1))
 
 
+# Stage 2's bounded search (_bounded_brent): the convergence width in log10
+# strength and the most objective evaluations, the first included.
+_BRENT_XATOL = 5e-3
+_BRENT_EVALS = 20
+# numpy scalars, as in SciPy, so that every iterate has SciPy's type
+_SQRT_EPS = np.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - np.sqrt(5.0))
+
+
+def _bounded_brent(func, lo: float, hi: float, xatol: float, maxiter: int) -> None:
+    """Search [lo, hi] for the minimum of ``func`` by golden-section and
+    parabolic steps (R. P. Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 5; Forsythe, Malcolm and Moler's ``fmin``). The
+    caller keeps what it needs of each evaluation, so nothing is returned.
+
+    A port of SciPy 1.17's ``optimize._optimize._minimize_scalar_bounded``
+    (BSD-3-Clause; Copyright (c) 2001-2002 Enthought, Inc., 2003 SciPy
+    Developers), with its operations in the same order on the same
+    numpy scalars, so it asks ``func`` for exactly the points that
+    ``minimize_scalar(func, bounds=(lo, hi), method="bounded",
+    options={"xatol": xatol, "maxiter": maxiter})`` asks for, in the same
+    order. ``func`` is called at most max(2, ``maxiter``) times, the first
+    included.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("search bounds must be finite")
+    if lo > hi:
+        raise ValueError("the lower search bound exceeds the upper one")
+    a, b = lo, hi
+    fulc = a + _GOLDEN * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if np.abs(e) > tol1:
+            # a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+
+
 def _parabola_vertex(y, i):
     """Vertex of the parabola through the equally spaced samples y[i-1],
     y[i], y[i+1]: (offset from sample i in steps, value), or None unless the
@@ -591,9 +684,11 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
 
     Strengths are scanned on a log grid of 8 points per decade spanning
     [0.1, 10] x (the scaling estimate from :func:`thresholds`), extended one
-    decade if the narrowest point sits on a grid end, then refined by bounded
-    scalar minimization; the time minimum within each evolution is found by
-    an ``n_time``-point scan plus parabolic refinement at the vertex time.
+    decade if the narrowest point sits on a grid end, then refined between
+    the narrowest point's grid neighbours by a bounded Brent search, SciPy's
+    iterates (:func:`_bounded_brent`); the time minimum within each
+    evolution is found by an ``n_time``-point scan plus parabolic refinement
+    at the vertex time.
     On a lattice of at most ``_DENSE_DIM`` (400) sites every sample and the
     vertex are exact states from one dense eigendecomposition
     (:class:`spinlens.propagator.EigenPropagator`): of the design's
@@ -698,11 +793,8 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
     # scanned neighbours of the narrowest point
     g_lo, g_hi = gs[max(j - 1, 0)], gs[min(j + 1, len(gs) - 1)]
     if g_hi > g_lo:
-        # imported here, not at the top: about 180 ms and 19 MiB at start-up
-        from scipy.optimize import minimize_scalar
-        minimize_scalar(lambda lg: run([make_design(10.0**lg)])[0],
-                        bounds=(math.log10(g_lo), math.log10(g_hi)),
-                        method="bounded", options={"xatol": 5e-3, "maxiter": 20})
+        _bounded_brent(lambda lg: run([make_design(10.0**lg)])[0],
+                       math.log10(g_lo), math.log10(g_hi), _BRENT_XATOL, _BRENT_EVALS)
 
     # stage 3: coordinate descent on the higher polynomial coefficients
     if kind == "thick" and order > 2:

@@ -505,17 +505,23 @@ class _Stack:
             t_cur = h @ t_prev[:a * d]
             t_cur *= 0.5
             sums[1][:a] += tables[1][1, :a] * t_cur.reshape(a, d)
+            # c_k T_k is formed in scratch; the term buffers and scratch are
+            # viewed as (a, d) once per run, not once per term
+            scratch = np.empty(t_cur.shape, t_cur.dtype)
             p = 0                            # the parity of term k, from k = 2
             for a, h, cs in self.runs:
                 n, one = a * d, a == 1
                 t_prev, t_cur = t_prev[:n], t_cur[:n]
+                shape = (d,) if one else (a, d)
+                v_prev, v_cur = t_prev.reshape(shape), t_cur.reshape(shape)
+                v_out = scratch[:n].reshape(shape)
                 accs = [sm[0] if one else sm[:a] for sm in sums]
                 run = (cs.real, cs.imag) if real else (cs, cs)
                 for j in range(len(cs)):
                     y = h @ t_cur
                     t_prev, t_cur = t_cur, np.subtract(y, t_prev, out=t_prev)
-                    accs[p] += np.multiply(run[p][j], t_cur if one else t_cur.reshape(a, d),
-                                           out=y if one else y.reshape(a, d))
+                    v_prev, v_cur = v_cur, v_prev
+                    accs[p] += np.multiply(run[p][j], v_cur, out=v_out)
                     p ^= 1
         if real:
             acc = np.empty(psi.shape, dtype=complex)

@@ -292,7 +292,8 @@ class TestThreadSelection:
 
 
 class TestStartUp:
-    """scipy.optimize and yaml load on first use, not with the CLI.
+    """yaml loads on first use, not with the CLI, and scipy.optimize not at
+    all: the optimizer's bounded search is the package's own.
 
     This process has imported both already, so each check runs in a fresh
     interpreter.
@@ -320,6 +321,18 @@ class TestStartUp:
         cfg.write_text(json.dumps(HOLES_SMALL), encoding="utf-8")
         assert "scipy.optimize" not in self.loaded_after(
             self.MAIN, "run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+
+    def test_optimizer_run_needs_no_scipy_optimize(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "scenario": "longrange_alpha", "lattice": {"extents": [60]},
+            "packet": {"sigma0": 4.0}, "scan": {"alphas": [6.0]},
+            "evolution": {"n_time": 20}}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert "scipy.optimize" not in self.loaded_after(
+            self.MAIN, "run", "--config", str(cfg), "--out", str(out))
+        derived = json.loads((out / "manifest.json").read_text())["derived"]
+        assert all(sum(c.values()) > 0 for c in derived["optimizer_paths"].values())
 
     def test_yaml_config_loads_yaml(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml", THICK_SMALL)

@@ -446,6 +446,87 @@ class TestOptimizerContract:
         assert res.boundary
 
 
+def _asked(search, func):
+    """The points that ``search(objective)`` asks its objective for, in
+    order, answered by ``func``."""
+    xs = []
+
+    def objective(x):
+        xs.append(x)
+        return func(x)
+
+    search(objective)
+    return xs
+
+
+def _scipy_bounded(lo, hi, xatol, maxiter):
+    """SciPy's bounded scalar minimization as a ``search`` for _asked. The
+    tests may import scipy.optimize; the package does not."""
+    from scipy.optimize import minimize_scalar
+    return lambda f: minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                                     options={"xatol": xatol, "maxiter": maxiter})
+
+
+def _same_points(ours, theirs):
+    assert [type(x) for x in ours] == [type(x) for x in theirs]
+    assert np.array(ours).tobytes() == np.array(theirs).tobytes()
+
+
+class TestBoundedSearch:
+    """Stage 2's bounded Brent search asks for exactly the points that
+    ``scipy.optimize.minimize_scalar(method="bounded")`` asks for."""
+
+    FAMILIES = (lambda c, w: lambda x: (x - c) ** 2 + 0.1 * np.sin(w * x),
+                lambda c, w: lambda x: np.abs(x - c) ** 1.5 + 0.01 * w * x,
+                lambda c, w: lambda x: -np.exp(-w * (x - c) ** 2),
+                # steps, so that equal values exercise each tie rule
+                lambda c, w: lambda x: np.floor(w * np.abs(x - c)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_points_as_scipy(self, seed):
+        """Seeded objectives of four families on random brackets, at
+        stage 2's options and at random ones; maxiter counts evaluations,
+        the first included, and the loop makes at least one."""
+        rng = np.random.default_rng(seed)
+        for k in range(400):
+            lo = rng.uniform(-3.0, 2.0)
+            hi = lo + rng.uniform(1e-3, 3.0)
+            func = self.FAMILIES[k % 4](rng.uniform(lo - 0.5, hi + 0.5), rng.uniform(0.5, 20.0))
+            xatol, maxiter = ((lens._BRENT_XATOL, lens._BRENT_EVALS) if k % 2 else
+                              (rng.uniform(1e-6, 1e-2), int(rng.integers(1, 60))))
+            ours = _asked(lambda f: lens._bounded_brent(f, lo, hi, xatol, maxiter), func)
+            _same_points(ours, _asked(_scipy_bounded(lo, hi, xatol, maxiter), func))
+            assert 1 <= len(ours) <= max(2, maxiter)
+
+    def test_same_points_on_a_real_stage_two(self, monkeypatch):
+        """The stage-2 objective of an N = 200 thick optimize_lens call,
+        recorded, asks SciPy for the same points: every answer is a design
+        already in ``scan``, so replaying it evaluates nothing new."""
+        recorded, search = [], lens._bounded_brent
+
+        def spy(func, lo, hi, xatol, maxiter):
+            xs = _asked(lambda f: search(f, lo, hi, xatol, maxiter), func)
+            recorded.append((func, lo, hi, xatol, maxiter, xs))
+
+        monkeypatch.setattr(lens, "_bounded_brent", spy)
+        res = optimize_lens(build_lattice((200,)), NearestNeighbor(1.0), 10.0,
+                            kind="thick", n_time=40)
+        (func, lo, hi, xatol, maxiter, xs), = recorded
+        assert (xatol, maxiter) == (5e-3, 20) and len(xs) >= 4
+        n_scan = len(res.scan)
+        _same_points(xs, _asked(_scipy_bounded(lo, hi, xatol, maxiter), func))
+        assert len(res.scan) == n_scan
+        assert {float(10.0 ** x) for x in xs} <= {s["strength"] for s in res.scan}
+
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.inf),
+                                        (-math.inf, 0.0), (1.0, 0.5)])
+    def test_bad_bounds_raise(self, lo, hi):
+        calls = []
+        with pytest.raises(ValueError):
+            lens._bounded_brent(calls.append, lo, hi, 5e-3, 20)
+        assert calls == []
+
+
 def _stepwise_minimum(terms, state, window, table, n_time, tol):
     """A window scanned step by step with ``evolve`` and ``trajectory`` and
     refined from the initial state: the evaluation the window recurrence

@@ -766,6 +766,25 @@ class TestDenseEvenPath:
             ref = dense_evolution(sector.matrix, amps, t)
             assert np.abs(amp - ref).max() <= 1e-10
 
+    def test_every_sample_from_one_projection(self, monkeypatch):
+        """A dense trajectory takes all its samples from one call on the
+        start state, each within 1e-10 of the full sector's exact state at
+        its time (420 rows: the Householder path)."""
+        sector, state = _centred((41,), 2, jz=1500.0)
+        amps, dt, n_steps, tol = state.amplitudes, 0.5, 10, 1e-10
+        assert evolution_path(sector, amps, n_steps * dt, tol).dense
+        eigen, calls = sector.eigen(), []
+        states = eigen.states
+        monkeypatch.setattr(eigen, "states",
+                            lambda psi, times: calls.append(len(times)) or states(psi, times))
+        got = list(mb_trajectory(sector, amps, dt, n_steps, tol=tol))
+        assert calls == [n_steps] and len(got) == n_steps
+        t_ref = 0.0
+        for t, amp in got:
+            t_ref = t_ref + dt
+            assert t == t_ref
+            assert np.abs(amp - dense_evolution(sector.matrix, amps, t)).max() <= 1e-10
+
     def test_span_goes_dense_where_its_steps_alone_do_not(self):
         """The rule reads each call's own span: at J_z = 1500 six steps go
         dense while one step alone stays on Chebyshev, even with the

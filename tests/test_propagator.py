@@ -205,7 +205,10 @@ class TestTrajectory:
             assert np.linalg.norm(amp - state.amplitudes) <= 10 * tol * k
 
     def test_matches_repeated_evolve_mb_on_the_dense_path(self, lens_terms):
-        # at J_z = 5e3 every step alone and the whole span go dense
+        """At J_z = 5e3 every step alone and the whole span go dense. The
+        trajectory takes every sample from one projection of the start,
+        each evolve_mb one step from the last state, so the two agree to
+        rounding, not bit for bit."""
         table, terms = lens_terms
         basis = enumerate_basis(table, 2)
         sector = build_mb_hamiltonian(terms, basis, jz=5.0e3, table=table)
@@ -217,7 +220,10 @@ class TestTrajectory:
         steps = list(mb_trajectory(sector, state.amplitudes, dt, 4, tol=tol,
                                    t0=state.time_stamp))
         assert len(steps) == 4
-        self.repeated_evolve_mb(sector, state, dt, tol, steps)
+        for t, amp in steps:
+            state = evolve_mb(sector, state, dt, tol=tol)
+            assert t == state.time_stamp
+            assert np.abs(amp - state.amplitudes).max() <= 1e-11   # 3.5e-13 seen
 
     def test_off_centre_evolve_mb_matches_raw_trajectory(self, lens_terms):
         table, terms = lens_terms
@@ -343,6 +349,23 @@ class TestBatchedPlan:
             alone = next(expimv_batch([(h, psi, t, bounds)], tol=tol))
             assert np.array_equal(got, alone)
             assert np.array_equal(got, expimv(h, psi, t, tol=tol, bounds=bounds))
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_multi_block_stack_equals_lone_blocks(self, rng, real):
+        """One stack whose active blocks fall away run by run, several at a
+        time and then one, gives each block the bits of its lone-block
+        plan, with float64 terms from a real start and complex ones else."""
+        n, x, tol = 24, np.arange(24) - 11.5, 1e-10
+        hs = [chain(n, scale * x**2) for scale in (0.01, 0.3, 2.0, 8.0, 20.0)]
+        psis = [rng.normal(size=n) if real else normalized(rng, n) for _ in hs]
+        plan = _StepPlan(hs, [1.7] * len(hs), tol, [None] * len(hs))
+        stack, = plan.stacks
+        actives = [a for a, _, _ in stack.runs]
+        assert len(stack.order) == len(hs) and actives[0] > 1 and actives[-1] == 1
+        for h, psi, got in zip(hs, psis, plan.apply(psis)):
+            lone = _StepPlan([h], [1.7], tol, [None])
+            assert len(lone.stacks[0].order) == 1
+            assert np.array_equal(got, lone.apply([psi])[0])
 
     def test_t0_block_is_a_copy(self, blocks):
         i = [t for _, _, t, _ in blocks].index(0.0)
