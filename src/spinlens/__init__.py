@@ -42,7 +42,7 @@ from .manybody import (
     pair_distance_distribution,
     symmetric_initial_state,
 )
-from .propagator import expimv_batch, split_stacks, window_batch
+from .propagator import expimv_batch, real_window, split_stacks
 from .rydberg import (
     ChannelC6,
     DressingParams,
@@ -108,6 +108,7 @@ __all__ = [
     "phase_imprint",
     "potential_profile",
     "punch_holes",
+    "real_window",
     "rms_width",
     "split_stacks",
     "symmetric_initial_state",
@@ -115,6 +116,5 @@ __all__ = [
     "thresholds",
     "vdw_iso_aniso",
     "wigner_lattice",
-    "window_batch",
     "__version__",
 ]

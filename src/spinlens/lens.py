@@ -10,26 +10,31 @@ of the reference hopping J, times in 1/J. ``sigma0`` always means the Gaussian
 width parameter of the excitation density (see :mod:`spinlens.wavepacket`).
 
 The optimizer samples each design's focal window on one of three paths
-(:func:`_width_minima`). On a lattice of at most ``_DENSE_DIM`` sites the
-samples are exact states of a dense eigendecomposition. A centred lens
-acting on a packet at rest at the focus, as the paper's lenses are, keeps
-the excitation in the even subspace of the mirror n -> N-1-n of the flat
-site index (chain reversal; point inversion of a 2D or 3D table). Such a
-design is decomposed on that subspace ("even"): the ceil(N/2)-row operator
-W M W^-1 that ``manybody.SectorMirror.symmetric`` forms for blockade
-sectors, a single-excitation H being the nu = 1 sector, about a quarter of
-the full decomposition's time at N = 200. When the hopping is exactly
+(:func:`_width_minimum`) by one rule: a design is decomposed where the
+decomposition has at most ``_DENSE_DIM`` rows, and stepped elsewhere. A
+centred lens acting on a packet at rest at the focus, as the paper's lenses
+are, keeps the excitation in the even subspace of the mirror n -> N-1-n of
+the flat site index (chain reversal; point inversion of a 2D or 3D table).
+On at most 2 ``_DENSE_DIM`` sites such a design is decomposed on that
+subspace ("even"): the ceil(N/2)-row operator W M W^-1 that
+``manybody.SectorMirror.symmetric`` forms for blockade sectors, a
+single-excitation H being the nu = 1 sector, about a quarter of the full
+decomposition's time at N = 200. When the hopping is exactly
 mirror-symmetric, its part of that operator is folded once per optimizer
 call, on the bare couplings, and each design only sets the diagonal and
 takes its mirror gate from its on-site energies (``lattice._HoppingFold``),
-bit for bit the fold and gate of its dense H (``lattice._Mirror``). Each sample is lifted back to the sites by
-``phi[orbit]`` and agrees with the full decomposition's to rounding (1e-14
-on the test cases). A design or state the mirror gate (``_EVEN_GATE``)
-refuses, such as an off-centre focus, a hole without a mirror partner,
-displaced sites or a start state with an odd part, decomposes the full H
-("dense"), bit for bit as before the even path. Larger lattices scan by
-Chebyshev windows ("window"). ``OptimizeResult.paths`` counts the designs
-on each path.
+bit for bit the fold and gate of its dense H (``lattice._Mirror``). Each
+sample is lifted back to the sites by ``phi[orbit]`` and agrees with the
+full decomposition's to rounding (1e-14 on the test cases). A design or
+state the mirror gate (``_EVEN_GATE``) refuses, such as an off-centre
+focus, a hole without a mirror partner, displaced sites or a start state
+with an odd part, decomposes the full H ("dense") on at most
+``_DENSE_DIM`` sites. Any other design steps by Chebyshev ("chebyshev"):
+one step to its window's start, :func:`spinlens.propagator.trajectory`
+over the other samples, and one step from the narrowest by the parabola
+vertex's offset, in O(nnz) memory. Above 2 ``_DENSE_DIM`` sites the mirror,
+which is measured on dense N x N arrays, is never formed.
+``OptimizeResult.paths`` counts the designs on each path.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import CouplingModel, SiteTable, build_couplings
-from .propagator import expimv_batch, split_stacks, window_batch
+from .propagator import expimv, trajectory
 from .wavepacket import (SpinWaveState, gaussian_packet, gaussian_width, gaussian_widths,
                          phase_imprint)
 
@@ -322,8 +327,8 @@ def thresholds(sigma0: float | None = None, v0: float | None = None,
 class OptimizeResult:
     """Outcome of a strength/time scan for one lens family. ``paths``
     counts the designs of ``scan`` sampled on each path of
-    :func:`_width_minima` ("even", "dense", "window"), by the evaluation
-    that gave each its result."""
+    :func:`_width_minimum` ("even", "dense", "chebyshev"), by the
+    evaluation that gave each its result."""
 
     design: LensDesign
     focal_time: float
@@ -333,11 +338,15 @@ class OptimizeResult:
     paths: dict = field(default_factory=dict)
 
 
-# Lattices of at most this many sites scan each design's focal window from a
-# dense eigendecomposition instead of the Chebyshev window (_width_minima).
-# One whole thick order-2 optimize_lens call, sigma0 = N/20, window path /
-# full dense path in seconds (best of 2, one CPU, one BLAS thread), the
-# table that set this limit before the even path:
+# The most rows a design's dense eigendecomposition may have
+# (_width_minimum): a centred design's even operator, ceil(N/2) rows, on at
+# most 2 _DENSE_DIM sites, and any other design's full H on at most
+# _DENSE_DIM. Every other design steps by Chebyshev. The tables below set
+# it; their "window path" sampled each focal window from one Chebyshev
+# recurrence, which stepping has since replaced. One whole thick order-2
+# optimize_lens call, sigma0 = N/20, window path / full dense path in
+# seconds (best of 2, one CPU, one BLAS thread), the table that set this
+# limit before the even path:
 #
 #   N     NN, n_time 40   NN, n_time 200  alpha 6, 40    alpha 6, 200
 #   200   0.145 / 0.135   0.250 / 0.207   0.572 / 0.162  0.627 / 0.221
@@ -369,11 +378,15 @@ class OptimizeResult:
 #
 # The even path wins in every column up to 400; nearest-neighbour chains
 # cross over near 500, power-law ones beyond 800, and summed over the four
-# columns it still wins at 800 (2.9 against 4.6 s). The limit stays at 400:
-# it also bounds the full decompositions of the designs the mirror gate
-# refuses, which lose from 400 on, and moving it would move the N >= 800
-# outputs. A limit on the rows each path decomposes would let centred
-# designs go further.
+# columns it still wins at 800 (2.9 against 4.6 s). So the limit counts
+# rows, not sites: centred designs take the even path up to N = 800, and
+# the full decompositions of the designs the mirror gate refuses, which
+# lose from 400 sites on, stop at 400. Every other design steps, which is
+# slower than the window path was but needs no second sampler: one
+# off-centre thick order-2 call at N = 800 (sigma0 = 40, n_time 40, best of
+# 2 in each of three alternating runs) took 0.81 against 0.54 s on a
+# nearest-neighbour chain and 2.72 against 2.44 s at alpha 6, where the
+# full dense path took 3.25 and 4.81 s in the first table.
 _DENSE_DIM = 400
 
 # A dense-path case is sampled in the even subspace of the mirror n -> N-1-n
@@ -520,94 +533,77 @@ def _parabola_vertex(y, i):
     return shift, y1 - 0.25 * (y0 - y2) * shift
 
 
-def _dense_minimum(terms, psi0, window, table, n_time):
-    """:func:`_width_minima` of one case from a dense eigendecomposition:
-    every sample, and the parabola's vertex, is the exact state at its time.
-    A case whose H and state pass the mirror gate (``_EVEN_GATE``) over the
-    window is sampled in the even subspace, from ``terms._even_eigen()``,
-    and lifted; any other from ``terms.eigen()``."""
+def _refined_minimum(ts, w, width_at):
+    """The narrowest of the widths ``w`` sampled at the equally spaced times
+    ``ts``, the first of equals, refined at the vertex of the parabola
+    through it and its neighbours when that is narrower: (t_min, w_min,
+    at_edge). ``width_at(i, shift)`` is the width at ts[i] + shift."""
+    i = int(np.argmin(w))
+    at_edge = i == 0 or i == len(ts) - 1
+    t_min, w_min = ts[i], w[i]
+    vertex = None if at_edge else _parabola_vertex(w, i)
+    if vertex is not None:
+        shift = vertex[0] * (ts[1] - ts[0])
+        w_ref = width_at(i, shift)
+        if w_ref < w_min:
+            t_min, w_min = ts[i] + shift, w_ref
+    return t_min, w_min, at_edge
+
+
+def _width_minimum(terms, psi0, window, table, n_time, tol):
+    """Minimum packet width over a time ``window`` for one case (terms,
+    initial state, window), by an ``n_time``-point scan plus parabolic
+    refine (:func:`_refined_minimum`): (t_min, w_min, at_edge, path).
+
+    Where the rule of the module docstring decomposes the case, every
+    sample, and the parabola's vertex, is the exact state at its time,
+    whatever ``tol``: of its even operator, ``terms._even_eigen()``, when
+    its H and state pass the mirror gate (``_EVEN_GATE``) over the window
+    ("even"), else of its full H, ``terms.eigen()`` ("dense"); the
+    decomposition stays cached on ``terms``. Elsewhere the case steps
+    (:func:`_stepped_minimum`).
+    """
     ts = np.linspace(*window, n_time)
     psi = psi0.amplitudes
-    mirror = terms._even_mirror()
-    if mirror.drift(psi, window[1]) <= _EVEN_GATE:
+    # the mirror takes dense N x N arrays, so it is measured only where an
+    # even operator may be decomposed
+    mirror = terms._even_mirror() if table.n_sites <= 2 * _DENSE_DIM else None
+    if mirror is not None and mirror.drift(psi, window[1]) <= _EVEN_GATE:
         path, eigen, weights = "even", terms._even_eigen(), mirror.weights
         phi = weights * psi[mirror.reps]
 
         def states(times):
             return (eigen.states(phi, times) / weights)[:, mirror.orbit]
-    else:
+    elif table.n_sites <= _DENSE_DIM:
         path, eigen = "dense", terms.eigen()
 
         def states(times):
             return eigen.states(psi, times)
+    else:
+        return _stepped_minimum(terms, psi, ts, table, tol)
     w = gaussian_widths(states(ts), table)
-    i = int(np.argmin(w))   # the first of equal widths
-    at_edge = i == 0 or i == n_time - 1
-    t_min, w_min = ts[i], w[i]
-    vertex = None if at_edge else _parabola_vertex(w, i)
-    if vertex is not None:
-        t_ref = ts[i] + vertex[0] * (ts[1] - ts[0])
-        w_ref = gaussian_widths(states([t_ref]), table)[0]
-        if w_ref < w_min:
-            t_min, w_min = t_ref, w_ref
-    return t_min, w_min, at_edge, path
+    return *_refined_minimum(ts, w, lambda i, shift: gaussian_widths(
+        states([ts[i] + shift]), table)[0]), path
 
 
-def _width_minima(cases, table, n_time, tol):
-    """Minimum packet width over a time window, by scan plus parabolic
-    refine, for each case (terms, initial state, window).
-
-    On a lattice of at most ``_DENSE_DIM`` sites each case is sampled from
-    a dense eigendecomposition, exact to rounding whatever ``tol``: of its
-    even operator, ``terms._even_eigen()``, when its H and state pass the
-    mirror gate over the window (module docstring), else of its full H,
-    ``terms.eigen()``; the decomposition stays cached on ``terms``.
-    On a larger one the cases are propagated together: one batch steps each
-    to its window's start, :func:`spinlens.propagator.window_batch` samples
-    the remaining ``n_time - 1`` times segment by segment, whose widths are
-    taken at once, and one batch refines each from its narrowest sample by
-    the parabola's offset within a grid step. Only the narrowest state of
-    each case is kept. On every path each result equals bit for bit what
-    the case gives alone. Returns one (t_min, w_min, at_edge, path) per
-    case, path "even", "dense" or "window".
-    """
-    if table.n_sites <= _DENSE_DIM:
-        return [_dense_minimum(terms, psi0, window, table, n_time)
-                for terms, psi0, window in cases]
-    times = [np.linspace(t0, t1, n_time) for _, _, (t0, t1) in cases]
+def _stepped_minimum(terms, psi, ts, table, tol):
+    """:func:`_width_minimum` of one case by Chebyshev steps: one step to
+    the first time of ``ts``, :func:`spinlens.propagator.trajectory` over
+    the others, keeping only the narrowest state, and one step from it by
+    the parabola vertex's offset, a fraction of a grid step."""
+    h, bounds = terms.matrix(), terms.bounds()
     # a window starting at 0 starts from the initial state itself
-    starts = expimv_batch(
-        ((terms.matrix(), psi0.amplitudes, ts[0] if ts[0] > 0 else 0.0, terms.bounds())
-         for (terms, psi0, _), ts in zip(cases, times)), tol=tol)
-    widths, best, samples = [], [], []
-    for (terms, _, _), ts, amp in zip(cases, times, starts):
-        w = np.empty(n_time)
-        w[0] = gaussian_width(SpinWaveState(amp), table)
-        widths.append(w)
-        best.append((0, amp))
-        samples.append((terms.matrix(), amp, ts[1] - ts[0], terms.bounds()))
-    for c, j, states in window_batch(samples, n_time - 1, tol=tol):
-        w = widths[c]
-        w[j:j + len(states)] = gaussian_widths(states, table)
-        i = j + int(np.argmin(w[j:j + len(states)]))
-        if w[i] < w[best[c][0]]:   # the first of equal widths stays
-            best[c] = (i, states[i - j].copy())
-        del states   # a view on the window's buffer, which the next segment reuses
-    found, refine = [], []
-    for (terms, _, _), ts, w, (i, amp) in zip(cases, times, widths, best):
-        at_edge = i == 0 or i == n_time - 1
-        found.append([ts[i], w[i], at_edge, "window"])
-        vertex = None if at_edge else _parabola_vertex(w, i)
-        if vertex is not None:
-            shift = vertex[0] * (ts[1] - ts[0])
-            refine.append((len(found) - 1, ts[i] + shift,
-                           (terms.matrix(), amp, shift, terms.bounds())))
-    refined = expimv_batch((r[2] for r in refine), tol=tol)
-    for (j, t_ref, _), amp in zip(refine, refined):
-        w_ref = gaussian_width(SpinWaveState(amp), table)
-        if w_ref < found[j][1]:
-            found[j][:2] = t_ref, w_ref
-    return [tuple(f) for f in found]
+    best = expimv(h, psi, ts[0], tol, bounds)
+    w = np.empty(ts.size)
+    w[0] = gaussian_width(SpinWaveState(best), table)
+    i = 0
+    for j, (_, amp) in enumerate(trajectory(h, best, ts[1] - ts[0], ts.size - 1,
+                                            tol, bounds), start=1):
+        w[j] = gaussian_width(SpinWaveState(amp), table)
+        if w[j] < w[i]:   # the first of equal widths stays, as in argmin
+            i, best = j, amp
+    return *_refined_minimum(ts, w, lambda i, shift: gaussian_width(
+        SpinWaveState(expimv(h, best, shift, tol, bounds)), table)), "chebyshev"
 
 
 def clipped_thick_terms(base_terms, design: ThickPolynomial, table: SiteTable,
@@ -627,52 +623,35 @@ def clipped_thick_terms(base_terms, design: ThickPolynomial, table: SiteTable,
 
 
 def _eval_designs(designs, table, base_terms, psi0, hopping, n_time, tol):
-    """Focal time and width of each candidate design, evaluated together,
-    as many at a time as fit one stacked operator; a design whose minimum
-    lands on its time-window edge has the window extended, up to twice, in
-    a batch with the others that need it.
+    """Focal time and width of each candidate design, one at a time; a
+    design whose minimum lands on its time-window edge has the window
+    extended, up to twice.
 
     Returns one (t_f, w_f, at_edge, path) per design, the path of its last
-    evaluation.
+    evaluation. A thick design's terms, with any decomposition cached on
+    them, are dropped before the next design's are built; thin designs all
+    evolve under ``base_terms`` and share its decomposition.
     """
-    def terms(design):
-        if isinstance(design, ThickPolynomial):
-            return clipped_thick_terms(base_terms, design, table, hopping)
-        return base_terms
-
-    states, windows = [], []
+    results = []
     for design in designs:
         if isinstance(design, ThickPolynomial):
+            terms = clipped_thick_terms(base_terms, design, table, hopping)
             t_est = math.pi / (4.0 * math.sqrt(design.coefficients[0] * hopping))
-            states.append(psi0)
+            state = psi0
         else:
+            terms = base_terms
             t_est = continuum_thin(design.phi0, max(gaussian_width(psi0, table), 1.0),
                                    hopping).focal_time
-            states.append(phase_imprint(psi0, thin_phase_profile(design, table)))
-        windows.append((0.5 * t_est, 1.5 * t_est))
-    results = [None] * len(designs)
-    todo = list(range(len(designs)))
-    dense = table.n_sites <= _DENSE_DIM
-    for _ in range(3):
-        # One stacked operator's worth of designs at a time, each with terms
-        # built for it and dropped after, bounds the memory. Every design's
-        # operator holds the nonzeros of base_terms plus at most a diagonal.
-        # A dense decomposition is n^2 floats, so there a thick design's
-        # terms, with the decomposition cached on them, go before the next
-        # design's are built; thin designs share that of base_terms.
-        cuts = ([i] for i in todo) if dense else split_stacks(
-            todo, lambda i: base_terms.matrix())
-        found = [f for cut in cuts
-                 for f in _width_minima([(terms(designs[i]), states[i], windows[i])
-                                         for i in cut], table, n_time, tol)]
-        retry = []
-        for i, (t_f, w_f, at_edge, path) in zip(todo, found):
-            results[i] = (t_f, w_f, at_edge, path)
-            if at_edge:
-                lo, hi = windows[i]
-                windows[i] = (0.25 * lo, hi) if t_f <= lo * 1.01 else (lo, 2.0 * hi)
-                retry.append(i)
-        todo = retry
+            state = phase_imprint(psi0, thin_phase_profile(design, table))
+        window = (0.5 * t_est, 1.5 * t_est)
+        for _ in range(3):
+            t_f, w_f, at_edge, path = _width_minimum(terms, state, window, table,
+                                                     n_time, tol)
+            if not at_edge:
+                break
+            lo, hi = window
+            window = (0.25 * lo, hi) if t_f <= lo * 1.01 else (lo, 2.0 * hi)
+        results.append((t_f, w_f, at_edge, path))
     return results
 
 
@@ -689,33 +668,25 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
     iterates (:func:`_bounded_brent`); the time minimum within each
     evolution is found by an ``n_time``-point scan plus parabolic refinement
     at the vertex time.
-    On a lattice of at most ``_DENSE_DIM`` (400) sites every sample and the
-    vertex are exact states from one dense eigendecomposition
-    (:class:`spinlens.propagator.EigenPropagator`): of the design's
-    ceil(N/2)-row even operator when the lens, the table and the state are
-    mirror-symmetric about the table's centre (the default focus and
-    packet), else of its full H (module docstring); thin designs all evolve
-    under the bare couplings and share one decomposition per call, and each
-    thick design's is dropped before the next is built. On a larger
-    lattice: one step to the window's start, the other
-    ``n_time - 1`` samples from one Chebyshev recurrence per window segment
-    (:func:`spinlens.propagator.window_batch`), and one step from the
-    narrowest sample by the parabola vertex's offset, a fraction of a
-    sample. For thick lenses of order > 2 the higher coefficients are
-    optimized by coordinate descent in two sweeps: each one in turn is
-    scanned over multiples
+    Each design's window is sampled on one path (module docstring): from
+    one dense eigendecomposition
+    (:class:`spinlens.propagator.EigenPropagator`), whose samples and
+    vertex are exact states, of the design's ceil(N/2)-row even operator
+    when the lens, the table and the state are mirror-symmetric about the
+    table's centre (the default focus and packet) and N <= 2 ``_DENSE_DIM``
+    (800), or of its full H when N <= ``_DENSE_DIM`` (400); thin designs
+    all evolve under the bare couplings and share one decomposition per
+    call, and each thick design's is dropped before the next is built.
+    Any other design steps by Chebyshev: one step to the window's start,
+    :func:`spinlens.propagator.trajectory` over the other ``n_time - 1``
+    samples, and one step from the narrowest sample by the parabola
+    vertex's offset, a fraction of a sample. Designs are evaluated one at
+    a time, window-extension retries included. For thick lenses of order
+    > 2 the higher coefficients are optimized by coordinate descent in two
+    sweeps: each one in turn is scanned over multiples
     ``_CORRECTION_GRID`` = (0, 0.5, 1, 1.5, 2) of its value on the classical
     isochrone of the band (see ``_isochrone_coefficients``), then the leading
     strength is retried at x0.8 and x1.25. Thin pulses are parabolic.
-
-    On the larger lattices the designs of a stage are evaluated together,
-    as one batch of independent evolutions for the start step, the window
-    scan and the refine step (as many designs at a time as fit one stacked
-    operator, see :func:`spinlens.propagator.split_stacks`):
-    the stage-1 grid, its extension, each stage-3 correction grid and the
-    x0.8/x1.25 retries; window-extension retries are batched among the
-    designs that need them, and stage 2 asks for one design at a time. On
-    either path each design's result is bit for bit what it gives alone.
 
     Every evaluated design is recorded once in ``scan`` (design, strength,
     focal time and width, and whether the time minimum stayed on a window
@@ -726,7 +697,7 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
     order-2 optimum it starts from. ``boundary`` reports a winning design
     whose minimum still sat on a strength-grid or time-window edge after
     automatic extension, never silently. ``paths`` counts the ``scan``
-    entries sampled on each path: "even", "dense" or "window".
+    entries sampled on each path: "even", "dense" or "chebyshev".
 
     ``initial_state`` (default: a Gaussian of width ``sigma0`` at rest at
     ``focus``) lets a second lens stage start from the output of a first.
@@ -746,7 +717,7 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
         "v_opt_scale" if kind == "thick" else "phi_opt_scale"]
 
     scan: list = []
-    paths = {"even": 0, "dense": 0, "window": 0}
+    paths = {"even": 0, "dense": 0, "chebyshev": 0}
 
     def make_design(main, extra=()):
         if kind == "thick":
@@ -756,7 +727,7 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
 
     def run(designs):
         """Focal widths of ``designs``; those not yet in ``scan`` are
-        evaluated together and recorded in the order asked."""
+        evaluated and recorded in the order asked."""
         known = [s["design"] for s in scan]
         fresh = []
         for d in designs:

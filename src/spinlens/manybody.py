@@ -40,8 +40,8 @@ sector's, and it is evolved with the full sector's bounds: the same
 coefficients and matvec count on about D/2 rows.
 
 On Chebyshev, a real start state (every product state of a real packet)
-has all its samples taken from one float64 recurrence, a real window of
-:func:`propagator.window_batch`: exp(-i H t) phi = cos(H t) phi - i sin(H t)
+has all its samples taken from one float64 recurrence,
+:func:`propagator.real_window`: exp(-i H t) phi = cos(H t) phi - i sin(H t)
 phi, whose terms serve every sample time. The window holds every sample and
 its tables at once, so it is taken only while they fit
 ``propagator._REAL_WINDOW_BYTES`` (16 MiB: about 40-55 samples of the
@@ -99,8 +99,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lattice import HamiltonianTerms, SiteTable, _Mirror
-from .propagator import (EigenPropagator, _real_window_fits, spectral_bounds, trajectory,
-                         window_batch)
+from .propagator import (EigenPropagator, _real_window_fits, real_window, spectral_bounds,
+                         trajectory)
 from .wavepacket import SpinWaveState
 
 MAX_EXCITATIONS = 3
@@ -404,11 +404,9 @@ class EvolutionPath:
             return
         # a real start: every sample from one float64 recurrence
         t = t0
-        for _, _, states in window_batch([(mirror.matrix, phi, dt, bounds)],
-                                         n_steps, tol=self.tol):
-            for row in states:
-                t = t + dt
-                yield t, row[mirror.orbit]
+        for row in real_window(mirror.matrix, phi, dt, n_steps, tol=self.tol, bounds=bounds):
+            t = t + dt
+            yield t, row[mirror.orbit]
 
 
 def evolution_path(sector: ManyBodySector, amplitudes, t: float,

@@ -35,7 +35,7 @@ so this gives the bits of a complex accumulator. At the first complex
 state the stack replaces its operator by a complex copy and sums c_k T_k
 in one complex accumulator; a real row sum is the real part of the complex
 one, so either path gives the same bits, and the real one costs about
-half per matvec and per term. A window has its own real mode (below).
+half per matvec and per term.
 Within a stack the blocks are ordered by coefficient count,
 longest first, the coefficients are padded with zeros to the longest, and
 term k of the three-term recurrence runs the matvec only on the row prefix
@@ -47,13 +47,7 @@ bounds what a batch may mix: a stack's coefficients take about (largest
 phase x blocks) complex values, and a plan's Bessel table (largest phase x
 distinct phases) floats, so one huge phase batched with many short blocks
 would allocate far more than its own expansion. No batch here does: an
-ensemble's blocks share one duration, and a window's start steps stay
-below about 1e3. A real window (below) is one segment however long: its n
-samples hold n x dim complex values (16 B each; 2.3 MB for 8 samples of
-the 18 010-row nu = 3 even sector) and its coefficient and Bessel tables
-about 3 n x (n x phase per sample) floats, so it is taken only while both
-fit ``_REAL_WINDOW_BYTES``: a few samples of a large operator, as a
-blockade trajectory takes, not hundreds.
+ensemble's blocks share one duration.
 
 :func:`expimv` is a batch of one built and applied once, :func:`expimv_batch`
 the same for many blocks; :func:`trajectory` builds one single-block plan
@@ -63,50 +57,33 @@ by itself (over its entries in sorted order), a per-block scale multiplies
 each entry by the same float as a lone block's scale, and a coefficient or
 phase broadcast over a block's row rounds as the scalar product does.
 
-A *window* (:func:`window_batch`) samples each block at dt, 2 dt, ..., n dt
-from one recurrence instead of n steps: the terms T_k(h~) psi do not depend
-on the time, only the coefficients 2 (-i)^k J_k(z_j) do, z_j = half * j dt
-(Tal-Ezer & Kosloff; Weisse et al., Rev. Mod. Phys. 78, 275 (2006)). A
-step of phase z needs about z + 14 terms at z ~ 6, so sampling through one
-expansion saves the fixed part of every step. The blocks are stacked by
-the same code as a step plan's, largest phase per sample first, with the
-operator stored as 2 h~ as a step plan's is. The recurrence runs in a ring of ``_WINDOW_TERMS``
-buffered terms, one matvec and one subtraction a term, and each full ring
-is added into the samples still expanding by one real matrix product
-(coefficient table x buffered terms), skipping the samples whose
-expansion has already ended; the centre phase is applied at the end. A
-window is cut into segments, each restarting the recurrence from the last
-state of the one before. A block's segment holds as many samples as fit,
-with the buffered terms, ``_WINDOW_ENTRY_BYTES`` per entry of its operator
-(nonzeros plus rows), at most ``_WINDOW_BYTES`` (reached at 2**15 entries;
-a full stack of smaller blocks holds 64 B x 2**16 = 4 MiB of segments),
-and its last phase stays under ``_WINDOW_PHASE``, which bounds the Bessel
-table. Each sample keeps every term with |J_k(z_j)| >= tol/4, as a step
-plan does.
-
-A complex window's table holds c_k / (-i)^k, and the buffered terms are
-turned by (-i)^k as they are added, so a real table multiplies complex
-terms. A window whose blocks' h and start states are all real (the test of
-a step plan's stack) runs the same recurrence in float64. For a real
-symmetric h~ and a real psi, exp(-i z h~) psi = cos(z h~) psi - i sin(z
-h~) psi: the even terms T_k(h~) psi give the real part and the odd ones
-the imaginary part (Tal-Ezer & Kosloff). (-i)^k is folded into its table
-instead, with two rows per sample, c_k Re (-i)^k (zero at odd k) and c_k
-Im (-i)^k (zero at even k), so one product, accumulated in place by BLAS,
-adds the even terms into the sample's real part and the odd ones into its
-imaginary part; the parts become the complex state at the end. Folding
-(-i)^k into a complex table for complex windows too would double their
-product's arithmetic (complex x complex) and change their bits. A real
-block's window is one segment over all its samples, since a second
-segment would restart from a complex state, and is taken only while its
-samples and tables fit ``_REAL_WINDOW_ENTRY_BYTES`` per entry of its
-operator, at most ``_REAL_WINDOW_BYTES``; a real block over it is sampled
-as a complex one. Real and complex blocks never share a window, so each
-keeps the bits it gives alone.
+A *real window* (:func:`real_window`) samples one real block at dt, 2 dt,
+..., n dt from one recurrence instead of n steps: the terms T_k(h~) psi do
+not depend on the time, only the coefficients 2 (-i)^k J_k(z_j) do, z_j =
+half * j dt (Tal-Ezer & Kosloff; Weisse et al., Rev. Mod. Phys. 78, 275
+(2006)). For a real symmetric h~ and a real psi, exp(-i z h~) psi =
+cos(z h~) psi - i sin(z h~) psi, so the terms stay float64: the even ones
+give the real part and the odd ones the imaginary part. The recurrence
+runs on 2 h~, shifted and scaled as a step plan's lone block is, in a ring
+of ``_WINDOW_TERMS`` buffered terms, one matvec and one subtraction a term.
+Its table folds (-i)^k into two rows per sample, c_k Re (-i)^k (zero at odd
+k) and c_k Im (-i)^k (zero at even k), so each full ring is added into the
+samples still expanding by one real matrix product, accumulated in place by
+BLAS, the even terms into each sample's real part and the odd ones into its
+imaginary part; the parts become the complex state at the end, times the
+centre phase. Each sample keeps every term with |J_k(z_j)| >= tol/4, as a
+step plan does. The window holds all its samples and tables at once: n
+samples hold n x dim complex values (16 B each; 2.3 MB for 8 samples of
+the 18 010-row nu = 3 even sector) and the coefficient and Bessel tables
+about 3 n x (n x phase per sample) floats, so it is taken only while both
+fit ``_REAL_WINDOW_ENTRY_BYTES`` per entry of its operator, at most
+``_REAL_WINDOW_BYTES``: a few samples of a large operator, as a blockade
+trajectory takes, not hundreds. A complex block or start, or a span over
+that budget, is stepped by :func:`trajectory` instead.
 
 All Bessel values come from one routine, Miller's downward recurrence
 (:func:`_bessel_table`), vectorised over every phase of a plan or of a
-window's blocks and samples; each phase starts at its own order, so its
+window's samples; each phase starts at its own order, so its
 values do not depend on the others it is computed with.
 
 An operator of a few hundred rows is cheaper to diagonalise once than to
@@ -121,7 +98,7 @@ design's even operator as a dense ceil(N/2)-row array, its hopping part
 folded once per call (``lattice._HoppingFold``). Up to ``_EVR_ROWS`` (400)
 rows, every lens operator it decomposes (the full H of at most
 ``lens._DENSE_DIM`` = 400 sites, or the ceil(N/2)-row even operator of a
-centred design), it runs LAPACK's divide and conquer:
+centred design of at most 800), it runs LAPACK's divide and conquer:
 ``scipy.linalg.lapack.dstevd`` on the diagonal and the lower
 subdiagonal when h is tridiagonal, as every nearest-neighbour lens operator
 and its even fold are, else ``numpy.linalg.eigh``. On a tridiagonal h
@@ -159,18 +136,9 @@ from scipy.linalg.lapack import dormqr, dstevd, dsytrd, dsytrd_lwork
 # peak memory over one block at a time by 1.4, 3.2 and 7.0 MiB.
 _STACK_NNZ = 2**16
 
-# Window segments (module docstring): bytes of sampled states plus buffered
-# terms per entry of a block's operator (its nonzeros plus its rows), capped
-# at _WINDOW_BYTES for a block of 2**15 entries or more; the number of
-# buffered terms; and the largest phase half * t of a segment's last sample.
-# In ten untraced benchmark lens_design runs, 2 MiB and a cap of 100 kept the
-# peak memory within 0.83 MiB (median 0.53) of sample-by-sample stepping; in
-# shorter runs a cap of 200 took the same time but added about 0.6 MiB more,
-# and 4 MiB about 0.8 MiB more.
-_WINDOW_ENTRY_BYTES = 64
-_WINDOW_BYTES = 2**21
+# Terms a real window (module docstring) buffers before it adds them into
+# its samples by one matrix product.
 _WINDOW_TERMS = 8
-_WINDOW_PHASE = 100.0
 
 # Bytes of a real window's one segment (module docstring) per operator entry,
 # and its cap: its samples, 2 n dim floats, and its Bessel and coefficient
@@ -180,8 +148,8 @@ _WINDOW_PHASE = 100.0
 # nu = 3 even sector of the nonlinear scenario at J_z = 20 takes 2.5 MB for
 # its 8 samples of 122 rad; it fits up to 41 samples at that phase per sample
 # and 54 at 15 rad.
-_REAL_WINDOW_ENTRY_BYTES = 8 * _WINDOW_ENTRY_BYTES
-_REAL_WINDOW_BYTES = 8 * _WINDOW_BYTES
+_REAL_WINDOW_ENTRY_BYTES = 512
+_REAL_WINDOW_BYTES = 2**24
 
 TOL_RANGE = (1e-14, 1e-6)
 
@@ -190,10 +158,10 @@ TOL_RANGE = (1e-14, 1e-6)
 # other), so every lens operator the optimizer decomposes keeps
 # its bits and its speed: the full H of a design the mirror gate refuses,
 # at most lens._DENSE_DIM = 400 rows, and the even operator of a centred
-# one, ceil(N/2) <= 200 rows. On nearest-neighbour lens operators the MRRR
-# driver took 8.5 against 4.7 ms at N = 200 and 54 against 22 ms at 400,
-# and dstevd 1.7 and 5.2 ms against 3.4 and 15.8 ms for numpy's eigh
-# (mean of 5, one BLAS thread).
+# one, ceil(N/2) <= lens._DENSE_DIM rows. On nearest-neighbour lens
+# operators MRRR took 8.5 against 4.7 ms at N = 200 and 54
+# against 22 ms at 400, and dstevd 1.7 and 5.2 ms against 3.4 and 15.8 ms
+# for numpy's eigh (mean of 5, one BLAS thread).
 # Above it, h is reduced to tridiagonal form in place by dsytrd and T is
 # decomposed by dstevd; the states apply Q's reflectors (module docstring).
 # On the 930-row nu = 2 blockade operator, numpy's eigh, scipy's
@@ -586,137 +554,17 @@ def _state(psi) -> np.ndarray:
     return psi.real.astype(float, copy=False)
 
 
-class _Window:
-    """Blocks of one dimension and segment length, stacked as a step plan's
-    are and sampled at every multiple of their own dt (module docstring).
-
-    ``order`` lists the block indices in stack order, largest phase per
-    sample first, so the blocks that need term k of a segment are about a
-    prefix of the stack; term k runs on the prefix up to the last of them.
-    The recurrence runs on 2 h~ in a ring of buffered terms, float64 in a
-    ``real`` window (every h and start state real) and complex otherwise;
-    only how the buffered terms are added into the samples differs.
-    """
-
-    def __init__(self, hs, order, dim, n_seg, centers, halves, dts, tol, real):
-        self.order, self.dim, self.real = order, dim, real
-        self.prefixes: dict = {}
-        j = np.arange(1, n_seg + 1)
-        steps = [half * dt for half, dt in zip(halves, dts)]
-        table, counts = _bessel_table(np.concatenate([abs(s) * j for s in steps]),
-                                      tol / 4.0)
-        # per block: (n_seg, terms) table of c_k / (-i)^k, zero past each
-        # sample's count, and each sample's count; a real window's table is
-        # (2 n_seg, terms), c_k Re (-i)^k and c_k Im (-i)^k per sample
-        self.coef, self.counts = [], []
-        for p, step in enumerate(steps):
-            cols = slice(p * n_seg, (p + 1) * n_seg)
-            cnt = counts[cols]
-            c = table[:cnt.max(), cols].T.copy()
-            c[np.arange(c.shape[1]) >= cnt[:, None]] = 0.0
-            c[:, 1:] *= 2.0
-            if step < 0:
-                c[:, 1::2] *= -1.0       # J_k(-z) = (-1)^k J_k(z)
-            if real:
-                minus_i_pow = _MINUS_I_POW[np.arange(c.shape[1]) & 3]
-                c = np.stack([c * minus_i_pow.real, c * minus_i_pow.imag], axis=1)
-                c = c.reshape(2 * n_seg, -1)
-            self.coef.append(c)
-            self.counts.append(cnt)
-        del table
-        self.phase = np.array([np.exp(-1j * c * (dt * j)) for c, dt in zip(centers, dts)])
-        m = len(order)
-        dtype = float if real else complex
-        # 2 h~, exactly twice h~, so a term is one matvec and one subtraction
-        # and rounds as 2 (h~ T_k) does
-        self.h_scaled = _stacked_operator(hs, dim, centers, halves, dtype)
-        # the recurrence runs in this ring of terms, term k in row k mod
-        # width, each row the stacked state of the blocks still active
-        self.buf = np.empty((_WINDOW_TERMS, m, dim), dtype)
-        # one segment's samples, reused by every segment; a real window's
-        # as two rows each, its real and imaginary parts
-        self.acc = np.empty((m, n_seg, 2, dim)) if real else np.empty((m, n_seg, dim), dtype)
-
-    def _prefix(self, a: int) -> sp.csr_matrix:
-        if a not in self.prefixes:
-            self.prefixes[a] = _row_prefix(self.h_scaled, a * self.dim)
-        return self.prefixes[a]
-
-    def apply(self, psi: np.ndarray, n: int) -> np.ndarray:
-        """States at dt, ..., n dt of every block, (m, n, dim), from ``psi``,
-        (m, dim) in stack order, float64 in a real window; n is at most the
-        segment length. The states are a view on the window's buffer,
-        overwritten by the next call."""
-        d, m, width = self.dim, len(self.order), _WINDOW_TERMS
-        counts = np.array([c[:n] for c in self.counts])
-        ends = counts.max(axis=1)                 # terms per block
-        # term k runs on the prefix up to the last block that needs it
-        reach = np.maximum.accumulate(ends[::-1])[::-1]
-        n_terms = int(reach[0])
-        active = (reach[:, None] > np.arange(n_terms)).sum(axis=0).tolist()
-        # per chunk of buffered terms and block: the first sample that takes them
-        firsts = (counts[:, None, :] > np.arange(0, n_terms, width)[:, None]).argmax(axis=2)
-        acc, buf = self.acc[:, :n], self.buf
-        acc.fill(0.0)
-        accr = acc.view(float)
-        t_cur = psi.reshape(-1)
-        for k, a in enumerate(active):
-            rows, r = a * d, k % width
-            row = buf[r, :a].reshape(-1)
-            if k == 0:
-                row[:] = t_cur
-            elif k == 1:
-                np.multiply(self._prefix(a) @ t_cur[:rows], 0.5, out=row)
-            else:
-                np.subtract(self._prefix(a) @ t_cur[:rows], t_prev[:rows], out=row)
-            t_prev, t_cur = t_cur, row
-            if r == width - 1 or k == n_terms - 1:
-                # fold the buffered terms into the samples still expanding
-                k0 = k - r
-                for p in range(active[k0]):
-                    used = min(int(ends[p]), k + 1) - k0
-                    if used <= 0:
-                        continue
-                    lo = firsts[p, k0 // width]
-                    terms = buf[:used, p]
-                    if self.real:
-                        # the rows of samples lo..n += table x terms, in place:
-                        # BLAS on the transposes, which are Fortran-ordered
-                        parts = acc[p, lo:n].reshape(-1, d)
-                        assert parts.flags.c_contiguous   # else dgemm writes a copy
-                        dgemm(1.0, terms.T, self.coef[p][2 * lo:2 * n, k0:k0 + used].T,
-                              1.0, parts.T, overwrite_c=True)
-                    else:
-                        # (-i)^k T_k, as real rows: the real table x complex
-                        # terms is one real product
-                        turned = terms * _MINUS_I_POW[np.arange(k0, k0 + used) & 3, None]
-                        accr[p, lo:n] += self.coef[p][lo:n, k0:k0 + used] @ turned.view(float)
-        if not self.real:
-            acc *= self.phase[:, :n, None]
-            return acc
-        # sample by sample into the same memory, so a temporary holds one
-        states = self.acc.reshape(m, -1, 2 * d).view(complex)[:, :n]
-        for j in range(n):
-            states[:, j] = (acc[:, j, 0] + 1j * acc[:, j, 1]) * self.phase[:, j, None]
-        return states
-
-
 def _real_window_fits(h: sp.csr_matrix, bounds, dt: float, n_samples: int) -> bool:
     """Whether a real block (h, psi, dt, bounds) fits one real window of
     ``n_samples`` (module docstring): its samples and its Bessel and
     coefficient tables, n (2 dim + 3 n step) floats at the phase
     step = half |dt| of a sample, within ``_REAL_WINDOW_ENTRY_BYTES`` per
-    entry of h once shifted, at most ``_REAL_WINDOW_BYTES``."""
+    entry of h once shifted (nonzeros plus rows), at most
+    ``_REAL_WINDOW_BYTES``."""
     dim = h.shape[0]
     step = abs(_enclosure(h, bounds)[1] * dt)
-    return 8 * n_samples * (2 * dim + 3 * n_samples * step) <= _window_bytes(
-        h, _REAL_WINDOW_ENTRY_BYTES, _REAL_WINDOW_BYTES)
-
-
-def _window_bytes(h: sp.csr_matrix, per_entry: int, cap: int) -> int:
-    """A window block's byte budget: ``per_entry`` bytes per entry of its
-    operator once shifted (nonzeros plus rows), at most ``cap``."""
-    return min(per_entry * (h.nnz + h.shape[0]), cap)
+    return 8 * n_samples * (2 * dim + 3 * n_samples * step) <= min(
+        _REAL_WINDOW_ENTRY_BYTES * (h.nnz + dim), _REAL_WINDOW_BYTES)
 
 
 def _check_tol(tol: float):
@@ -904,70 +752,83 @@ class EigenPropagator:
         return y.view(complex).T
 
 
-def window_batch(blocks: Iterable[tuple], n_samples: int, tol: float = 1e-10
-                 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Sample each block (h, psi, dt, bounds) at dt, 2 dt, ..., n_samples dt.
+def real_window(h: sp.csr_matrix, psi: np.ndarray, dt: float, n_samples: int,
+                tol: float = 1e-10, bounds: tuple[float, float] | None = None
+                ) -> np.ndarray:
+    """exp(-i h dt j) psi for j = 1, ..., ``n_samples``, one state per row,
+    (n_samples, dim), all from one float64 Chebyshev recurrence on 2 h~ in
+    a ring of ``_WINDOW_TERMS`` buffered terms, each full ring added into
+    the samples still expanding by one matrix product (module docstring).
 
-    Yields (i, j, states), segment by segment: block i (its position in
-    ``blocks``) at dt * j, ..., dt * (j + len(states) - 1), one state per
-    row; every block's segments come in order of j. ``states`` is a view
-    that the next segment overwrites: copy what is kept. Each segment is
-    one Chebyshev recurrence from the last state of the one before (module
-    docstring), and every sample keeps the terms above tol/4, so it stays
-    within about 10 tol of exact per segment it depends on. A block whose
-    h and psi are both real is one segment of all n_samples, from one
-    float64 recurrence, while its states and tables fit its real byte
-    budget (``_real_window_fits``); over it, the block is sampled as a
-    complex one. Each block's states are bit for bit what it gives alone.
-    The blocks are drawn lazily and sampled about one stack at a time, so
-    memory holds about one stacked operator and its segment.
-
-    A sample's phase half * |dt| must be positive; it has no upper bound,
-    and a complex block's sample step past ``_WINDOW_PHASE`` is a segment
-    of its own, one expansion as a step plan's.
+    ``h`` and ``psi`` must be real (a complex dtype whose imaginary parts
+    are all zero counts as real), the sample step half * |dt| positive,
+    and the samples and their tables must fit ``_real_window_fits``; any
+    other input raises ValueError. Every sample keeps the terms above
+    tol/4, so it stays within about 10 tol of exact.
     """
     _check_tol(tol)
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    for cut in split_stacks(enumerate(blocks), lambda ib: ib[1][0]):
-        groups: dict = {}
-        for i, (h, psi, dt, bnd) in cut:
-            dim = h.shape[0]
-            phi = _state(psi)
-            if phi.shape != (dim,):
-                raise ValueError("state length does not match Hamiltonian")
-            bnd = spectral_bounds(h) if bnd is None else bnd
-            center, half = _enclosure(h, bnd)
-            step = abs(half * dt)
-            if not step > 0.0:
-                raise ValueError(f"a sample step of phase {step:.3g} is not positive")
-            # a real block over its budget is sampled as a complex one
-            real = (phi.dtype == float and not _imaginary(h)
-                    and _real_window_fits(h, bnd, dt, n_samples))
-            if real:
-                psi, n_seg = phi, n_samples
-            else:
-                # samples and buffered terms within the block's byte budget,
-                # the segment's last phase within the phase cap
-                psi = np.asarray(psi, dtype=complex)
-                budget = _window_bytes(h, _WINDOW_ENTRY_BYTES, _WINDOW_BYTES)
-                n_seg = min(n_samples,
-                            max(1, int(budget / (16 * dim)) - _WINDOW_TERMS),
-                            max(1, int(_WINDOW_PHASE / step)))
-            groups.setdefault((dim, n_seg, real), []).append((i, h, psi, dt, center, half))
-        del cut
-        for (dim, n_seg, real), members in groups.items():
-            members.sort(key=lambda b: -abs(b[5] * b[3]))
-            for stack in split_stacks(members, lambda b: b[1]):
-                order, hs, psis, dts, centers, halves = zip(*stack)
-                window = _Window(hs, order, dim, n_seg, centers, halves, dts, tol, real)
-                del stack, hs
-                state = np.stack(psis)
-                j = 1
-                while j <= n_samples:
-                    states = window.apply(state, min(n_seg, n_samples - j + 1))
-                    for i, rows in zip(order, states):
-                        yield i, j, rows
-                    state = states[:, -1].copy()
-                    j += states.shape[1]
-                del window, states   # before the next stack's window is built
+    if _imaginary(h):
+        raise ValueError("real_window needs a real h")
+    psi = _state(psi)
+    if psi.dtype != float:
+        raise ValueError("real_window needs a real start state")
+    d = h.shape[0]
+    if psi.shape != (d,):
+        raise ValueError("state length does not match Hamiltonian")
+    bounds = spectral_bounds(h) if bounds is None else bounds
+    center, half = _enclosure(h, bounds)
+    z = half * dt
+    if not abs(z) > 0.0:
+        raise ValueError(f"a sample step of phase {abs(z):.3g} is not positive")
+    if not _real_window_fits(h, bounds, dt, n_samples):
+        raise ValueError(f"{n_samples} samples of phase {abs(z):.3g} do not fit "
+                         "the real window's byte budget")
+    j = np.arange(1, n_samples + 1)
+    table, counts = _bessel_table(abs(z) * j, tol / 4.0)
+    # (2 n, terms): c_k Re (-i)^k and c_k Im (-i)^k per sample, zero past
+    # each sample's count
+    c = table[:counts.max()].T.copy()
+    del table
+    c[np.arange(c.shape[1]) >= counts[:, None]] = 0.0
+    c[:, 1:] *= 2.0
+    if z < 0:
+        c[:, 1::2] *= -1.0       # J_k(-z) = (-1)^k J_k(z)
+    minus_i_pow = _MINUS_I_POW[np.arange(c.shape[1]) & 3]
+    coef = np.stack([c * minus_i_pow.real, c * minus_i_pow.imag],
+                    axis=1).reshape(2 * n_samples, -1)
+    del c
+    # 2 h~, exactly twice h~, so a term is one matvec and one subtraction
+    # and rounds as 2 (h~ T_k) does
+    h = _stacked_operator([h], d, [center], [half], float)
+    width, n_terms = _WINDOW_TERMS, int(counts.max())
+    # per ring of buffered terms: the first sample that takes them
+    firsts = (counts > np.arange(0, n_terms, width)[:, None]).argmax(axis=1)
+    # each sample as two rows, its real and imaginary parts
+    acc = np.zeros((n_samples, 2, d))
+    buf = np.empty((width, d))
+    t_cur = psi
+    for k in range(n_terms):
+        r = k % width
+        row = buf[r]
+        if k == 0:
+            row[:] = t_cur
+        elif k == 1:
+            np.multiply(h @ t_cur, 0.5, out=row)
+        else:
+            np.subtract(h @ t_cur, t_prev, out=row)
+        t_prev, t_cur = t_cur, row
+        if r == width - 1 or k == n_terms - 1:
+            # the rows of the samples still expanding += table x terms, in
+            # place: BLAS on the transposes, which are Fortran-ordered
+            k0, lo = k - r, firsts[k // width]
+            parts = acc[lo:].reshape(-1, d)
+            dgemm(1.0, buf[:r + 1].T, coef[2 * lo:, k0:k + 1].T, 1.0, parts.T,
+                  overwrite_c=True)
+    # sample by sample into the same memory, so a temporary holds one
+    states = acc.reshape(n_samples, 2 * d).view(complex)
+    phase = np.exp(-1j * center * (dt * j))
+    for i in range(n_samples):
+        states[i] = (acc[i, 0] + 1j * acc[i, 1]) * phase[i]
+    return states

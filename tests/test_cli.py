@@ -560,5 +560,5 @@ def test_manifest_counts_optimizer_paths(tmp_path, scenario):
     counts = list(read(json.loads((out / "manifest.json").read_text())["derived"]))
     assert counts
     for c in counts:
-        assert set(c) == {"even", "dense", "window"}
-        assert c["even"] > 0 and c["dense"] == c["window"] == 0
+        assert set(c) == {"even", "dense", "chebyshev"}
+        assert c["even"] > 0 and c["dense"] == c["chebyshev"] == 0

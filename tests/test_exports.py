@@ -52,7 +52,7 @@ def test_every_exported_name_resolves():
 def test_batched_propagation_is_exported():
     from spinlens import propagator
 
-    for name in ("expimv_batch", "split_stacks", "window_batch"):
+    for name in ("expimv_batch", "real_window", "split_stacks"):
         assert name in spinlens.__all__
         assert getattr(spinlens, name) is getattr(propagator, name)
 

@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 from spinlens import lattice, lens, propagator
 from spinlens.lattice import (NearestNeighbor, PowerLaw, build_couplings,
                               build_lattice, displace_sites, punch_holes)
-from spinlens.propagator import trajectory, window_batch
+from spinlens.propagator import trajectory
 from spinlens.wavepacket import (SpinWaveState, evolve, gaussian_packet,
                                  gaussian_width, gaussian_widths, phase_imprint)
 from spinlens.lens import (Multifocal, ThickPolynomial, ThinPulse,
@@ -529,9 +529,9 @@ class TestBoundedSearch:
 
 def _stepwise_minimum(terms, state, window, table, n_time, tol):
     """A window scanned step by step with ``evolve`` and ``trajectory`` and
-    refined from the initial state: the evaluation the window recurrence
-    replaced, kept as an independent check. Returns (t_f, w_f, at_edge,
-    "stepwise"), shaped as ``lens._width_minima``'s results."""
+    refined from the initial state, kept as an independent check. Returns
+    (t_f, w_f, at_edge, "stepwise"), shaped as ``lens._width_minimum``'s
+    results."""
     times = np.linspace(*window, n_time)
     start = evolve(terms, state, times[0], tol=tol) if times[0] > 0 else state
     dt = times[1] - times[0]
@@ -554,7 +554,7 @@ def _stepwise_minimum(terms, state, window, table, n_time, tol):
 
 def _alone_minimum(terms, state, window, table, n_time, tol):
     """A window scanned for one design alone, through the optimizer's path."""
-    return lens._width_minima([(terms, state, window)], table, n_time, tol)[0]
+    return lens._width_minimum(terms, state, window, table, n_time, tol)
 
 
 def _reference_eval_design(design, table, base_terms, psi0, hopping, n_time, tol,
@@ -636,9 +636,8 @@ class TestBatchedEvaluation:
     @pytest.mark.parametrize("n, sigma0, kw, retries", _CASES, ids=_CASE_IDS)
     def test_window_path_equals_per_design_evaluation(self, monkeypatch, n, sigma0,
                                                       kw, retries):
-        """The same contract on the Chebyshev window path, which lattices
-        above ``_DENSE_DIM`` sites take: designs batched into stacks give
-        what each gives alone."""
+        """The same contract on the stepped Chebyshev path, which designs
+        that would decompose more than ``_DENSE_DIM`` rows take."""
         monkeypatch.setattr(lens, "_DENSE_DIM", 0)
         _assert_batched_equals_alone(monkeypatch, n, sigma0, kw, retries)
 
@@ -673,59 +672,95 @@ def _scan_cases(name, n=80, sigma0=6.0, table=None, focus=None):
     return table, cases
 
 
+def _assert_agree(found, want):
+    """Two scans of the same cases report the same edge flags; each focal
+    width agrees to 1e-7 and each focal time to 1e-6, relative (the
+    documented tolerance, as for stepwise scans)."""
+    assert [f[2] for f in found] == [f[2] for f in want]
+    for (t_f, w_f, *_), (t_w, w_w, *_) in zip(found, want, strict=True):
+        assert abs(w_f - w_w) <= 1e-7 * w_w
+        assert abs(t_f - t_w) <= 1e-6 * t_w
+
+
 class TestDenseScan:
-    """Lattices of at most ``lens._DENSE_DIM`` sites scan each window from a
-    dense eigendecomposition; larger ones through ``window_batch``."""
+    """A case whose decomposition has at most ``lens._DENSE_DIM`` rows scans
+    its window from a dense eigendecomposition; any other steps by
+    Chebyshev."""
 
     @pytest.mark.parametrize("name", ["nn-thick", "nn-thin", "alpha6-thick"])
     def test_agrees_with_window_path(self, monkeypatch, name):
-        """Both paths land on the same window sample and report the same
-        edge flag; the focal width agrees to 1e-7 and the focal time to
-        1e-6, relative (the documented tolerance, as for stepwise scans)."""
+        """The decomposed scan and the stepped one land on the same window
+        sample, within the documented tolerance."""
         table, cases = _scan_cases(name)
         assert table.n_sites <= lens._DENSE_DIM
-        dense = lens._width_minima(cases, table, 40, 1e-8)
+        dense = [lens._width_minimum(*c, table, 40, 1e-8) for c in cases]
         monkeypatch.setattr(lens, "_DENSE_DIM", 0)
-        window = lens._width_minima(cases, table, 40, 1e-8)
-        assert [f[2] for f in dense] == [f[2] for f in window]
+        stepped = [lens._width_minimum(*c, table, 40, 1e-8) for c in cases]
         assert dense[-1][2]          # the early window ends on its edge
         assert {f[3] for f in dense} == {"even"}
-        for (t_d, w_d, *_), (t_w, w_w, *_) in zip(dense, window):
-            assert abs(w_d - w_w) <= 1e-7 * w_w
-            assert abs(t_d - t_w) <= 1e-6 * t_w
+        assert {f[3] for f in stepped} == {"chebyshev"}
+        _assert_agree(dense, stepped)
+
+    @pytest.mark.parametrize("name", ["nn-thick", "nn-thin", "alpha6-thick"])
+    def test_stepped_path_matches_the_full_decomposition(self, decomposed, name):
+        """Off-centre designs above ``_DENSE_DIM`` sites step; the full
+        decomposition of their H is the oracle."""
+        n = lens._DENSE_DIM + 2
+        table, cases = _scan_cases(name, n=n, sigma0=n / 16.0, focus=(n / 2.0,))
+        found = [lens._width_minimum(*c, table, 40, 1e-8) for c in cases]
+        assert {f[3] for f in found} == {"chebyshev"} and decomposed == []
+        assert found[-1][2]          # the early window ends on its edge
+        _assert_agree(found, [_full_minimum(*c, table, 40) for c in cases])
 
     def test_dense_designs_decompose_with_numpy_eigh(self, decomposed):
         """EigenPropagator switches solver above _EVR_ROWS rows. The most
-        rows a lens design decomposes are the full H of ``_DENSE_DIM`` sites,
-        for a design the mirror gate refuses; a centred one decomposes its
-        even operator, ceil(N/2) rows. Both must stay at or below
-        _EVR_ROWS to keep their bits and speed."""
+        rows a lens design decomposes are ``_DENSE_DIM``: the full H of
+        ``_DENSE_DIM`` sites, for a design the mirror gate refuses, or the
+        even operator, ceil(N/2) rows, of a centred one on 2 ``_DENSE_DIM``
+        sites. Both must stay at or below _EVR_ROWS to keep their bits and
+        speed."""
         n = lens._DENSE_DIM
-        for focus in (None, (n / 2.0,)):
-            table, cases = _scan_cases("nn-thick", n=n, sigma0=n / 16.0, focus=focus)
-            lens._width_minima(cases[:1], table, 10, 1e-8)
-        assert decomposed == [(n + 1) // 2, n]
+        for size, focus in ((n, None), (n, (n / 2.0,)), (2 * n, None)):
+            table, cases = _scan_cases("nn-thick", n=size, sigma0=size / 16.0, focus=focus)
+            lens._width_minimum(*cases[0], table, 10, 1e-8)
+        assert decomposed == [(n + 1) // 2, n, n]
         assert max(decomposed) <= propagator._EVR_ROWS
 
     def test_each_case_gives_what_it_gives_alone(self):
+        """Thin cases share one terms object, and so its cached
+        decomposition; each gives what it gives on terms of its own."""
         table, cases = _scan_cases("nn-thin")
-        together = lens._width_minima(cases, table, 40, 1e-8)
-        assert together == [lens._width_minima([c], table, 40, 1e-8)[0] for c in cases]
+        shared = [lens._width_minimum(*c, table, 40, 1e-8) for c in cases]
+        assert len({id(terms) for terms, _, _ in cases}) == 1
+        assert shared == [lens._width_minimum(
+            lattice.HamiltonianTerms(terms.hopping, terms.diagonal, terms.active),
+            psi0, window, table, 40, 1e-8) for terms, psi0, window in cases]
 
-    @pytest.mark.parametrize("above", [False, True])
-    def test_window_batch_runs_only_above_dense_dim(self, monkeypatch, above):
-        calls = []
-
-        def counted(*args, **kw):
-            calls.append(args)
-            yield from window_batch(*args, **kw)
-
-        monkeypatch.setattr(lens, "window_batch", counted)
-        n = lens._DENSE_DIM + above
-        table, cases = _scan_cases("nn-thick", n=n, sigma0=n / 16.0)
-        found = lens._width_minima(cases[:1], table, 10, 1e-8)
-        assert len(found) == 1
-        assert len(calls) == (1 if above else 0)
+    @pytest.mark.parametrize("n, focus, path", [(400, "centre", "even"),
+                                                (400, "off", "dense"),
+                                                (800, "centre", "even"),
+                                                (800, "off", "chebyshev"),
+                                                (802, "centre", "chebyshev")])
+    def test_each_size_and_focus_takes_its_path(self, monkeypatch, decomposed,
+                                                n, focus, path):
+        """Centred designs decompose ceil(N/2) rows up to 2 ``_DENSE_DIM``
+        sites, other designs N rows up to ``_DENSE_DIM``; larger ones step.
+        Above 2 ``_DENSE_DIM`` sites no mirror and no hopping fold, which
+        take dense N x N arrays, is made."""
+        assert lens._DENSE_DIM == 400
+        mirrors, folds = [], []
+        even_mirror = lattice.HamiltonianTerms._even_mirror
+        fold = lattice._HoppingFold.even.func
+        monkeypatch.setattr(lattice.HamiltonianTerms, "_even_mirror",
+                            lambda self: mirrors.append(n) or even_mirror(self))
+        monkeypatch.setattr(lattice._HoppingFold, "even",
+                            property(lambda self: folds.append(n) or fold(self)))
+        table, cases = _scan_cases("nn-thick", n=n, sigma0=n / 16.0,
+                                   focus=None if focus == "centre" else (n / 2.0,))
+        assert lens._width_minimum(*cases[0], table, 10, 1e-8)[3] == path
+        rows = {"even": [(n + 1) // 2], "dense": [n], "chebyshev": []}[path]
+        assert decomposed == rows
+        assert (mirrors == folds == []) == (n > 2 * lens._DENSE_DIM)
 
 
 @pytest.fixture
@@ -798,8 +833,8 @@ class TestEvenScan:
         rows = []   # of the decompositions the lens path makes
         for terms, psi0, window in cases:
             del times[:], lifted[:], decomposed[:]
-            found = lens._width_minima([(terms, psi0, window)], table, 40, 1e-8)
-            assert found[0][3] == "even" and lifted
+            found = lens._width_minimum(terms, psi0, window, table, 40, 1e-8)
+            assert found[3] == "even" and lifted
             rows += decomposed
             full = propagator.EigenPropagator(terms.matrix())
             for ts, got in zip(times, lifted, strict=True):
@@ -825,7 +860,7 @@ class TestEvenScan:
             odd[[30, n - 31]] = 1e-9, -1e-9
             cases = [(terms, SpinWaveState(psi0.amplitudes + odd), window)
                      for terms, psi0, window in cases]
-        found = lens._width_minima(cases, table, 40, 1e-8)
+        found = [lens._width_minimum(*c, table, 40, 1e-8) for c in cases]
         assert {f[3] for f in found} == {"dense"}
         assert set(decomposed) == {n}
         assert [f[:3] for f in found] == [_full_minimum(*c, table, 40) for c in cases]
@@ -834,14 +869,14 @@ class TestEvenScan:
 class TestPathCounts:
     @pytest.mark.parametrize("n, focus, path", [(200, None, "even"),
                                                 (200, (100.5,), "dense"),
-                                                (60, None, "window")])
+                                                (60, None, "chebyshev")])
     def test_result_counts_the_designs_on_each_path(self, monkeypatch, n, focus, path):
-        if path == "window":
+        if path == "chebyshev":
             monkeypatch.setattr(lens, "_DENSE_DIM", 0)
         res = optimize_lens(build_lattice((n,)), NearestNeighbor(1.0), n / 16.0,
                             focus=focus, n_time=40)
         assert res.paths == {p: len(res.scan) if p == path else 0
-                             for p in ("even", "dense", "window")}
+                             for p in ("even", "dense", "chebyshev")}
 
 
 class TestSharedHoppingFold:

@@ -17,8 +17,8 @@ from spinlens.manybody import (ManyBodySector, ManyBodyState, blockade_radius,
                                evolve_mb, mb_trajectory,
                                pair_distance_distribution,
                                symmetric_initial_state)
-from spinlens.propagator import (EigenPropagator, _real_window_fits, expimv, trajectory,
-                                 window_batch)
+from spinlens.propagator import (EigenPropagator, _real_window_fits, expimv, real_window,
+                                 trajectory)
 from spinlens.scenarios import prepare_config, run_scenario
 from spinlens.wavepacket import SpinWaveState, gaussian_packet
 
@@ -382,7 +382,7 @@ class TestFreeFermionOracle:
         """At J_z = 0 and T = 6 (phase ~200) the decomposition would cost
         more than the expansion: the even path stays on Chebyshev. Its start
         is real, so it samples the span from one float64 recurrence, as raw
-        ``window_batch`` on the even operator lifted back."""
+        ``real_window`` on the even operator lifted back."""
         table, terms = _chain(self.N)
         basis = enumerate_basis(table, 2)
         sector = build_mb_hamiltonian(terms, basis, jz=0.0, table=table)
@@ -395,9 +395,8 @@ class TestFreeFermionOracle:
         assert path.mirror is m and not path.dense
         assert path.method == "chebyshev"
         got = list(mb_trajectory(sector, amps, dt, n_steps, tol=tol))
-        (_, j, phis), = window_batch([(m.matrix, amps[m.reps], dt, sector.bounds())],
-                                     n_steps, tol=tol)
-        assert j == 1
+        phis = real_window(m.matrix, amps[m.reps], dt, n_steps, tol=tol,
+                           bounds=sector.bounds())
         t_ref = 0.0
         for (t, amp), phi in zip(got, phis, strict=True):
             t_ref = t_ref + dt
@@ -689,7 +688,7 @@ class TestMirrorReduction:
 
 class TestRealStartWindow:
     """A real start on the even Chebyshev path samples its whole span from
-    one float64 recurrence (``propagator.window_batch``); a complex start
+    one float64 recurrence (``propagator.real_window``); a complex start
     steps by ``trajectory`` as before."""
 
     @pytest.mark.parametrize("extents, nu", [((41,), 2), ((17,), 3)], ids=["nu2", "nu3"])
@@ -804,8 +803,8 @@ class TestDenseEvenPath:
             phi = step.amplitudes[m.reps]
             assert phi.imag.any() == (k > 0)
             if k == 0:
-                (_, _, (phi,)), = window_batch([(m.matrix, phi, dt, sector.bounds())],
-                                               1, tol=tol)
+                (phi,) = real_window(m.matrix, phi, dt, 1, tol=tol,
+                                     bounds=sector.bounds())
             else:
                 (_, phi), = trajectory(m.matrix, phi, dt, 1, tol=tol,
                                        bounds=sector.bounds())

@@ -14,12 +14,10 @@ from spinlens.manybody import (build_mb_hamiltonian, enumerate_basis, even_path,
                                evolution_path, evolve_mb, mb_trajectory,
                                symmetric_initial_state)
 from spinlens import propagator
-from spinlens.propagator import (_STACK_NNZ, _WINDOW_BYTES, _WINDOW_ENTRY_BYTES,
-                                 _WINDOW_PHASE, _WINDOW_TERMS,
-                                 TOL_RANGE, EigenPropagator, _real_window_fits, _StepPlan,
-                                 _bessel_table, _enclosure, _stacked_operator,
-                                 expimv, expimv_batch, spectral_bounds, trajectory,
-                                 window_batch)
+from spinlens.propagator import (_STACK_NNZ, TOL_RANGE, EigenPropagator, _real_window_fits,
+                                 _StepPlan, _bessel_table, _enclosure, _stacked_operator,
+                                 expimv, expimv_batch, real_window, spectral_bounds,
+                                 trajectory)
 from spinlens.wavepacket import evolve, gaussian_packet, phase_imprint
 
 from conftest import dense_evolution, random_hermitian
@@ -27,6 +25,11 @@ from conftest import dense_evolution, random_hermitian
 
 def normalized(rng, n):
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return psi / np.linalg.norm(psi)
+
+
+def real_state(rng, n):
+    psi = np.abs(rng.normal(size=n))
     return psi / np.linalg.norm(psi)
 
 
@@ -130,10 +133,11 @@ class TestLongPhase:
 
     def test_real_window_sample_matches_its_eigendecomposition(self):
         """A real start's window samples one step of phase 3.5e4 from one
-        float64 recurrence, within 10 tol of the decomposition."""
-        table = build_lattice((21,))
+        float64 recurrence, within 10 tol of the decomposition: the 420-row
+        even nu = 2 sector of a 41-site chain, whose budget holds it."""
+        table = build_lattice((41,))
         terms = build_couplings(table, NearestNeighbor(1.0)).with_diagonal(
-            potential_profile(ThickPolynomial((0.02,), (10.0,)), table))
+            potential_profile(ThickPolynomial((0.02,), (20.0,)), table))
         basis = enumerate_basis(table, 2)
         sector = build_mb_hamiltonian(terms, basis, jz=5.0e3, table=table)
         psi = symmetric_initial_state(gaussian_packet(table, 3.0), 2, basis).amplitudes
@@ -141,7 +145,7 @@ class TestLongPhase:
         phi, w = psi[mirror.reps].real, mirror.weights
         half, tol = 0.5 * (bounds[1] - bounds[0]), 1e-9
         dt = 3.5e4 / half
-        (_, _, (got,)), = window_batch([(mirror.matrix, phi, dt, bounds)], 1, tol)
+        (got,) = real_window(mirror.matrix, phi, dt, 1, tol, bounds)
         want = sector.eigen().states(w * phi, [dt])[0] / w
         assert np.linalg.norm((got - want)[mirror.orbit]) < 10 * tol
 
@@ -286,7 +290,7 @@ class TestTrajectory:
 
 @pytest.fixture
 def matvec_dtypes(monkeypatch):
-    """(operator dtype, vector dtype) of every stacked or windowed matvec,
+    """(operator dtype, vector dtype) of every stacked matvec,
     in order, recorded through a spy on ``propagator._row_prefix``."""
     seen = []
     prefix = propagator._row_prefix
@@ -825,122 +829,44 @@ def nu3_sectors():
     return out
 
 
-def windowed(blocks, n_samples, tol=1e-10):
-    """{block index: (n_samples, dim) states} and {block index: segment
-    lengths} from one ``window_batch`` call."""
-    states, segments = {}, {}
-    for i, j, rows in window_batch(blocks, n_samples, tol):
-        assert j == 1 + sum(segments.get(i, []))   # in order, no gap
-        segments.setdefault(i, []).append(len(rows))
-        states.setdefault(i, []).extend(rows.copy())   # the next segment overwrites rows
-    return {i: np.array(v) for i, v in states.items()}, segments
-
-
 class TestWindow:
-    """Samples at dt, ..., n dt of each block from one recurrence per
-    segment (module docstring of ``propagator``)."""
+    """Samples at dt, ..., n dt of one real block from one float64
+    recurrence (module docstring of ``propagator``)."""
 
     @pytest.fixture
     def blocks(self, rng):
-        """(h, psi, dt, bounds): chains with different diagonals, so
-        different phases per sample and segment lengths; a negative dt; a
-        block whose phase per sample passes ``_WINDOW_PHASE``; a dense block
-        (a larger share of the byte budget); one of another dimension."""
+        """(h, psi, dt, bounds), all real: chains with different diagonals,
+        so different phases per sample; a negative dt; a block of phase 30
+        per sample; one of another dimension."""
         n, x = 40, np.arange(40) - 19.5
         out = []
         for scale in (0.01, 0.3, 2.0):
             h = chain(n, scale * x**2 + rng.normal(size=n))
-            out.append((h, normalized(rng, n), 0.37, None))
+            out.append((h, real_state(rng, n), 0.37, None))
         h = chain(n, 0.1 * x**2)
-        out.append((h, normalized(rng, n), -0.21, spectral_bounds(h)))
+        out.append((h, real_state(rng, n), -0.21, spectral_bounds(h)))
         big = chain(n, np.linspace(-2000.0, 2000.0, n))
-        out.append((big, normalized(rng, n), 0.015, None))
-        out.append((random_hermitian(n, rng, density=0.6), normalized(rng, n), 0.8, None))
-        out.append((chain(9, rng.normal(size=9)), normalized(rng, 9), 0.5, None))
-        return out
-
-    @pytest.fixture
-    def real_blocks(self, blocks):
-        """The real chains of ``blocks`` with real start states, each at
-        the same h, dt and bounds: a float64 window of one segment over all
-        its samples while they fit its budget (a few samples here)."""
-        out = []
-        for h, psi, dt, bounds in blocks[:5] + blocks[6:]:
-            phi = np.abs(psi)
-            out.append((h, phi / np.linalg.norm(phi), dt, bounds))
+        out.append((big, real_state(rng, n), 0.015, None))
+        out.append((chain(9, rng.normal(size=9)), real_state(rng, 9), 0.5, None))
         return out
 
     def test_matches_dense_expm(self, blocks):
-        tol, n_samples = 1e-10, 30
-        states, _ = windowed(blocks, n_samples, tol)
-        for i, (h, psi, dt, _) in enumerate(blocks):
-            for j, got in enumerate(states[i], start=1):
+        tol, n_samples = 1e-10, 4
+        for h, psi, dt, bounds in blocks:
+            states = real_window(h, psi, dt, n_samples, tol, bounds)
+            assert states.shape == (n_samples, h.shape[0])
+            for j, got in enumerate(states, start=1):
                 want = scipy.linalg.expm(-1j * dt * j * h.toarray()) @ psi
                 assert np.linalg.norm(got - want) <= 10 * tol
 
     def test_matches_trajectory(self, blocks):
         """Within 10 tol per step the trajectory takes to the sample."""
-        tol, n_samples = 1e-10, 30
-        states, _ = windowed(blocks, n_samples, tol)
-        for i, (h, psi, dt, bounds) in enumerate(blocks):
+        tol, n_samples = 1e-10, 4
+        for h, psi, dt, bounds in blocks:
+            states = real_window(h, psi, dt, n_samples, tol, bounds)
             steps = [amp for _, amp in trajectory(h, psi, dt, n_samples, tol, bounds)]
-            gaps = np.linalg.norm(states[i] - steps, axis=1)
+            gaps = np.linalg.norm(states - steps, axis=1)
             assert np.all(gaps <= 10 * tol * np.arange(1, n_samples + 1))
-
-    def test_block_in_a_mixed_batch_equals_block_alone(self, blocks, real_blocks):
-        # real and complex blocks of one dimension go to separate windows;
-        # at 4 samples every real block is one real window, at 25 most are
-        # over their budget and sampled as complex ones
-        blocks = blocks + real_blocks
-        for n_samples in (4, 25):
-            states, segments = windowed(blocks, n_samples)
-            # the batch really mixes segment lengths and dimensions
-            assert len({tuple(v) for v in segments.values()}) > 2
-            for i, block in enumerate(blocks):
-                alone, alone_segments = windowed([block], n_samples)
-                assert alone_segments[0] == segments[i]
-                assert np.array_equal(alone[0], states[i])
-
-    def test_segments_are_cut_by_the_phase_cap(self, blocks):
-        h, psi, dt, _ = blocks[4]
-        lo, hi = spectral_bounds(h)
-        step = 0.5 * (hi - lo) * dt
-        _, segments = windowed([blocks[4]], 12)
-        per_segment = int(_WINDOW_PHASE / (step * (1.0 + 1e-12)))
-        assert 1 < per_segment < 12
-        assert segments[0] == [per_segment] * (12 // per_segment) + (
-            [12 % per_segment] if 12 % per_segment else [])
-
-    def test_segments_are_cut_by_the_byte_budget(self, blocks, monkeypatch):
-        """A block's samples and buffered terms fit its byte budget,
-        ``_WINDOW_ENTRY_BYTES`` per entry of its operator (nonzeros plus
-        rows); a smaller budget gives shorter segments and the same states
-        within tol."""
-        tol, chains = 1e-10, blocks[:2]     # two chains of equal nonzeros
-        full, segments = windowed(chains, 30, tol)
-        entries = chains[0][0].nnz + 40
-        budget = _WINDOW_ENTRY_BYTES * entries
-        assert budget < _WINDOW_BYTES
-        assert segments[0][0] == int(budget / (16 * 40)) - _WINDOW_TERMS
-        monkeypatch.setattr(propagator, "_WINDOW_ENTRY_BYTES",
-                            16 * 40 * (_WINDOW_TERMS + 3.5) / entries)
-        small, segments = windowed(chains, 30, tol)
-        for i in range(2):
-            assert segments[i] == [3] * 10
-            assert np.linalg.norm(small[i] - full[i], axis=1).max() <= 10 * tol
-
-    def test_an_800_site_design_keeps_7_samples_per_segment(self):
-        """The byte budget of a nearest-neighbour thick design on 800 sites
-        (3 198 operator entries, a sixth of ``_WINDOW_BYTES``) holds 7
-        complex samples besides the buffered terms, below the phase cap."""
-        table = build_lattice((800,))
-        design = ThickPolynomial((20.0 ** (-8.0 / 3.0),), (399.5,))
-        h = build_couplings(table, NearestNeighbor(1.0)).with_diagonal(
-            potential_profile(design, table)).matrix()
-        psi = gaussian_packet(table, 20.0, k0=0.2).amplitudes
-        assert h.nnz + 800 == 3198 and 7 * _enclosure(h, None)[1] * 0.2 < _WINDOW_PHASE
-        _, segments = windowed([(h, psi, 0.2, None)], 20)
-        assert segments[0] == [7, 7, 6]
 
     @pytest.mark.parametrize("case, fits", [("small", 19), ("small_long", 8),
                                             ("nu3_n51", 46), ("nu3_n61", 43)])
@@ -960,66 +886,80 @@ class TestWindow:
         assert not _real_window_fits(h, bounds, dt, fits + 1)
 
     def test_sample_steps_past_3e4_match_dense(self, rng):
-        """A sample step has no upper bound: each long one is a segment of
-        its own, one expansion from the sample before."""
-        n = 24
+        """A sample step has no upper bound: one sample of phase 3.2e4, which
+        a 600-site chain's budget holds, is one expansion."""
+        n = 600
         h = chain(n, np.linspace(-1000.0, 1000.0, n))
-        psi = normalized(rng, n)
+        psi = real_state(rng, n)
         lo, hi = spectral_bounds(h)
         dt, tol = 3.2e4 / (0.5 * (hi - lo)), 1e-10
-        states, segments = windowed([(h, psi, dt, None)], 2, tol)
-        assert segments[0] == [1, 1]
-        for j, got in enumerate(states[0], start=1):
-            assert np.linalg.norm(got - dense_evolution(h, psi, j * dt)) <= 10 * tol
+        assert not _real_window_fits(h, (lo, hi), dt, 2)
+        (got,) = real_window(h, psi, dt, 1, tol)
+        assert np.linalg.norm(got - dense_evolution(h, psi, dt)) <= 10 * tol
 
-    def test_real_start_is_one_segment_within_tol_of_dense(self, real_blocks):
-        tol, n_samples = 1e-10, 4
-        states, segments = windowed(real_blocks, n_samples, tol)
-        for i, (h, phi, dt, bounds) in enumerate(real_blocks):
-            assert _real_window_fits(h, bounds or spectral_bounds(h), dt, n_samples)
-            assert segments[i] == [n_samples]
-            for j, got in enumerate(states[i], start=1):
-                assert np.linalg.norm(got - dense_evolution(h, phi, j * dt)) <= 10 * tol
+    def test_real_start_is_one_segment_within_tol_of_dense(self, blocks):
+        """Each block's window holds as many samples as its budget allows
+        (at most 40), every one within 10 tol of the exact state."""
+        tol = 1e-10
+        for h, psi, dt, bounds in blocks:
+            bounds = bounds or spectral_bounds(h)
+            n_samples = max(n for n in range(1, 41) if _real_window_fits(h, bounds, dt, n))
+            states = real_window(h, psi, dt, n_samples, tol, bounds)
+            for j, got in enumerate(states, start=1):
+                assert np.linalg.norm(got - dense_evolution(h, psi, j * dt)) <= 10 * tol
 
-    def test_real_start_over_its_budget_is_sampled_as_complex(self, real_blocks, blocks,
-                                                              matvec_dtypes):
-        """A real window holds all its samples and tables at once, so a
-        real block whose span does not fit its share of
-        ``_REAL_WINDOW_BYTES`` is cut into segments as a complex start is,
-        with complex matvecs, and keeps its accuracy."""
-        tol, n_samples = 1e-10, 200
-        seen = matvec_dtypes
-        complex_blocks = blocks[:5] + blocks[6:]
-        for (h, phi, dt, bounds), twin in zip(real_blocks, complex_blocks):
-            assert twin[0] is h and twin[2] == dt
-            assert not _real_window_fits(h, bounds or spectral_bounds(h), dt, n_samples)
-            seen.clear()
-            states, segments = windowed([(h, phi, dt, bounds)], n_samples, tol)
-            assert seen == [(np.complex128, np.complex128)] * len(seen) != []
-            _, twin_segments = windowed([twin], n_samples, tol)
-            assert segments[0] == twin_segments[0] and len(segments[0]) > 1
-            for j in (1, n_samples // 2, n_samples):
-                want = dense_evolution(h, phi, j * dt)
-                assert np.linalg.norm(states[0][j - 1] - want) <= 10 * tol * len(segments[0])
+    def test_real_start_runs_every_matvec_in_float64(self, blocks, monkeypatch):
+        seen = []
+        stacked = propagator._stacked_operator
 
-    def test_real_start_runs_every_matvec_in_float64(self, real_blocks, blocks,
-                                                     matvec_dtypes):
-        seen = matvec_dtypes
-        windowed(real_blocks[:1], 12)
+        class Spy:
+            def __init__(self, h):
+                self.h = h
+
+            def __matmul__(self, x):
+                seen.append((self.h.dtype, x.dtype))
+                return self.h @ x
+
+        monkeypatch.setattr(propagator, "_stacked_operator",
+                            lambda *args: Spy(stacked(*args)))
+        h, psi, dt, bounds = blocks[0]
+        real_window(h, psi.astype(complex), dt, 12, bounds=bounds)
         assert len(seen) > 12
         assert seen == [(np.float64, np.float64)] * len(seen)
-        seen.clear()
-        windowed(blocks[:1], 12)      # a complex start stays complex
-        assert seen == [(np.complex128, np.complex128)] * len(seen) != []
+
+    def test_complex_hamiltonian_raises(self, blocks):
+        h, psi, dt, bounds = blocks[0]
+        h = h.astype(complex)
+        real_window(h, psi, dt, 3, bounds=bounds)   # a zero imaginary part is real
+        h[0, 1] += 1e-3j
+        h[1, 0] -= 1e-3j
+        with pytest.raises(ValueError, match="real h"):
+            real_window(h, psi, dt, 3, bounds=bounds)
+
+    def test_complex_start_raises(self, blocks):
+        h, psi, dt, bounds = blocks[0]
+        with pytest.raises(ValueError, match="real start"):
+            real_window(h, psi * np.exp(0.1j * np.arange(psi.size)), dt, 3, bounds=bounds)
+
+    def test_span_over_its_budget_raises(self, blocks):
+        h, psi, dt, bounds = blocks[1]
+        bounds = spectral_bounds(h)
+        fits = max(n for n in range(1, 41) if _real_window_fits(h, bounds, dt, n))
+        assert fits < 40
+        real_window(h, psi, dt, fits, bounds=bounds)
+        with pytest.raises(ValueError, match="budget"):
+            real_window(h, psi, dt, fits + 1, bounds=bounds)
 
     def test_validation(self, blocks):
         h, psi, dt, bounds = blocks[0]
         with pytest.raises(ValueError):
-            list(window_batch([(h, psi[:-1], dt, bounds)], 3))
+            real_window(h, psi[:-1], dt, 3, bounds=bounds)
         with pytest.raises(ValueError):
-            list(window_batch([(h, psi, 0.0, bounds)], 3))
+            real_window(h, psi, 0.0, 3, bounds=bounds)
         with pytest.raises(ValueError):
-            list(window_batch([blocks[0]], 3, tol=1e-3))
+            real_window(h, psi, dt, 0, bounds=bounds)
+        with pytest.raises(ValueError):
+            real_window(h, psi, dt, 3, tol=1e-3, bounds=bounds)
 
 
 def lens_case(name, n=32):
