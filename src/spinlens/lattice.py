@@ -184,6 +184,19 @@ class PowerLaw:
 CouplingModel = NearestNeighbor | PowerLaw
 
 
+def _dense_row_sum_max(a: sp.csr_matrix) -> float:
+    """The largest row sum of a nonnegative CSR ``a``, as the float its
+    dense array's row sums give: numpy sums each row pairwise over all its
+    columns, zeros included, so the rows holding a nonzero are summed
+    densely, 2**16 entries at a time, and the others are 0. Drops ``a``'s
+    stored zeros in place."""
+    a.eliminate_zeros()
+    rows = np.flatnonzero(np.diff(a.indptr))
+    step = max(1, 2**16 // a.shape[1])
+    return max((float(a[rows[i:i + step]].toarray().sum(axis=1).max())
+                for i in range(0, rows.size, step)), default=0.0)
+
+
 @dataclass
 class _Mirror:
     """The mirror of an operator's rows, ``refl`` (the row of each row's
@@ -365,12 +378,15 @@ class HamiltonianTerms:
         asymmetry is max |eps - eps[refl]|, from the diagonal alone: every
         off-diagonal entry of H - H[refl][:, refl] is then an exact zero,
         so this is the float the row sums of the dense H give. Otherwise it
-        is measured on the dense H."""
+        is measured on the CSR H, with no dense N x N copy: only the rows
+        where H and its mirror image differ are summed densely, to the
+        same float."""
         if self._mirror is None:
             even = self._hopping_fold.even
             if even is None:
-                self._mirror = _Mirror.of(self.matrix().toarray(),
-                                          np.arange(self.n_sites - 1, -1, -1))
+                h, refl = self.matrix(), np.arange(self.n_sites - 1, -1, -1)
+                self._mirror = _Mirror.orbits(
+                    refl, _dense_row_sum_max(abs(h - h[refl][:, refl])))
             else:
                 mirror, eps = even[0], self.diagonal
                 self._mirror = replace(mirror, asymmetry=float(

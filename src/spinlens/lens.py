@@ -565,8 +565,8 @@ def _width_minimum(terms, psi0, window, table, n_time, tol):
     """
     ts = np.linspace(*window, n_time)
     psi = psi0.amplitudes
-    # the mirror takes dense N x N arrays, so it is measured only where an
-    # even operator may be decomposed
+    # the mirror is measured only where an even operator, a dense array,
+    # may be decomposed
     mirror = terms._even_mirror() if table.n_sites <= 2 * _DENSE_DIM else None
     if mirror is not None and mirror.drift(psi, window[1]) <= _EVEN_GATE:
         path, eigen, weights = "even", terms._even_eigen(), mirror.weights

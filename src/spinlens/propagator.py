@@ -114,6 +114,11 @@ V = Q Z is never formed: the states apply Q^T and Q by their reflectors
 doubles (the reflectors and Z, 16 MB at the many-body dense path's 1000
 rows) and 3 n^2 while dstevd runs (24 MB). No product casts Z or V to
 complex, which would cost 2 n^2 more.
+
+LAPACK and BLAS (``scipy.linalg``) load on the first decomposition or real
+window: each routine is imported inside the function that calls it. A run
+that only steps, as every disorder ensemble does, never loads them, and
+saves their start-up time and about 8 MiB.
 """
 
 from __future__ import annotations
@@ -123,8 +128,6 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dormqr, dstevd, dsytrd, dsytrd_lwork
 
 # Nonzeros of one stacked operator. A CSR entry with its column index takes
 # 12 B real or 20 B complex, so 2**16 of them are about 0.75 or 1.3 MiB, and a
@@ -673,6 +676,8 @@ class EigenPropagator:
     """
 
     def __init__(self, h: sp.csr_matrix | np.ndarray):
+        from scipy.linalg.lapack import dstevd, dsytrd, dsytrd_lwork
+
         if np.iscomplexobj(h):
             raise ValueError("EigenPropagator needs a real symmetric matrix")
         n = h.shape[0]
@@ -718,6 +723,8 @@ class EigenPropagator:
         new C-ordered array. Q = diag(1, Q') leaves row 0 as it is; dormqr
         applies Q' to rows 1..n-1 unblocked, which at k = 2 took 0.5 against
         1.1 ms for its blocked form at 930 rows."""
+        from scipy.linalg.lapack import dormqr
+
         rows, _, info = dormqr("L", trans, self._reflectors, self._tau, x[1:],
                                max(1, x.shape[1]))
         if info:
@@ -766,6 +773,8 @@ def real_window(h: sp.csr_matrix, psi: np.ndarray, dt: float, n_samples: int,
     other input raises ValueError. Every sample keeps the terms above
     tol/4, so it stays within about 10 tol of exact.
     """
+    from scipy.linalg.blas import dgemm
+
     _check_tol(tol)
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")

@@ -292,14 +292,17 @@ class TestThreadSelection:
 
 
 class TestStartUp:
-    """yaml loads on first use, not with the CLI, and scipy.optimize not at
-    all: the optimizer's bounded search is the package's own.
+    """yaml and LAPACK load on first use, not with the CLI, and
+    scipy.optimize not at all: the optimizer's bounded search is the
+    package's own. An ensemble run (holes or displacement) never decomposes
+    or windows a matrix, so it never loads scipy.linalg; an optimizer run
+    does, which shows the check can see it.
 
-    This process has imported both already, so each check runs in a fresh
-    interpreter.
+    This process has imported all three already, so each check runs in a
+    fresh interpreter.
     """
 
-    LAZY = ("scipy.optimize", "yaml")
+    LAZY = ("scipy.linalg", "scipy.optimize", "yaml")
     MAIN = "import sys\nfrom spinlens.cli import main\nassert main(sys.argv[1:]) == 0"
 
     def loaded_after(self, code: str, *args: str) -> list:
@@ -313,25 +316,36 @@ class TestStartUp:
         assert done.returncode == 0, done.stderr
         return done.stdout.splitlines()[-1].split()[1:]
 
+    def run_loads(self, tmp_path, config: dict) -> list:
+        """Which of LAZY a fresh interpreter holds after running a JSON
+        config."""
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        return self.loaded_after(self.MAIN, "run", "--config", str(cfg),
+                                 "--out", str(tmp_path / "out"))
+
     def test_import_loads_neither(self):
         assert self.loaded_after("import spinlens.cli") == []
 
     def test_json_ensemble_run_needs_no_optimizer(self, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(HOLES_SMALL), encoding="utf-8")
-        assert "scipy.optimize" not in self.loaded_after(
-            self.MAIN, "run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert self.run_loads(tmp_path, HOLES_SMALL) == []
+
+    def test_displacement_run_needs_no_lapack(self, tmp_path):
+        assert self.run_loads(tmp_path, {
+            "scenario": "displacement", "lattice": {"extents": [40]},
+            "packet": {"sigma0": 4.0}, "coupling": {"model": "powerlaw", "alpha": 6.0},
+            "disorder": {"delta": 0.01, "realizations": 3},
+            "broadening": {"ks": [0.5, 1.0], "realizations": 4}}) == []
 
     def test_optimizer_run_needs_no_scipy_optimize(self, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({
+        loaded = self.run_loads(tmp_path, {
             "scenario": "longrange_alpha", "lattice": {"extents": [60]},
             "packet": {"sigma0": 4.0}, "scan": {"alphas": [6.0]},
-            "evolution": {"n_time": 20}}), encoding="utf-8")
-        out = tmp_path / "out"
-        assert "scipy.optimize" not in self.loaded_after(
-            self.MAIN, "run", "--config", str(cfg), "--out", str(out))
-        derived = json.loads((out / "manifest.json").read_text())["derived"]
+            "evolution": {"n_time": 20}})
+        assert "scipy.optimize" not in loaded
+        # the optimizer decomposes its designs, so LAPACK is loaded
+        assert "scipy.linalg" in loaded
+        derived = json.loads((tmp_path / "out" / "manifest.json").read_text())["derived"]
         assert all(sum(c.values()) > 0 for c in derived["optimizer_paths"].values())
 
     def test_yaml_config_loads_yaml(self, tmp_path):

@@ -762,6 +762,44 @@ class TestDenseScan:
         assert decomposed == rows
         assert (mirrors == folds == []) == (n > 2 * lens._DENSE_DIM)
 
+    def test_unpaired_hole_measures_its_mirror_on_the_csr(self, monkeypatch):
+        """A hole without a mirror partner leaves the hopping without an
+        even fold, so each design's mirror asymmetry is measured on its H:
+        on the CSR, with no dense N x N copy, even at 2 ``_DENSE_DIM``
+        sites: only the rows beside the hole and its image are densified.
+        Every case takes the path, and gives the bits, it takes with the
+        asymmetry measured on the dense H."""
+        n = 2 * lens._DENSE_DIM
+
+        def scan_cases():
+            table, cases = _scan_cases("nn-thick", n=n, sigma0=n / 20.0,
+                                       table=punch_holes(build_lattice((n,)), [(5,)]))
+            # the hopping's fold is made once per base terms, not per design
+            assert cases[0][0]._hopping_fold.even is None
+            return table, cases
+
+        table, cases = scan_cases()
+        dense = []
+        csr = type(cases[0][0].matrix())
+        toarray = csr.toarray
+        with monkeypatch.context() as m:
+            m.setattr(csr, "toarray", lambda self, *args, **kwargs:
+                      dense.append(self.shape) or toarray(self, *args, **kwargs))
+            found = [lens._width_minimum(*c, table, 40, 1e-8) for c in cases]
+        # rows 4-6 and their images, once per design
+        assert dense == [(6, n)] * 3
+        assert {f[3] for f in found} == {"chebyshev"}
+
+        def dense_mirror(self):
+            if self._mirror is None:
+                self._mirror = lattice._Mirror.of(self.matrix().toarray(),
+                                                  np.arange(self.n_sites - 1, -1, -1))
+            return self._mirror
+
+        monkeypatch.setattr(lattice.HamiltonianTerms, "_even_mirror", dense_mirror)
+        table, cases = scan_cases()
+        assert found == [lens._width_minimum(*c, table, 40, 1e-8) for c in cases]
+
 
 @pytest.fixture
 def decomposed(monkeypatch):

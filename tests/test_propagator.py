@@ -1022,10 +1022,11 @@ class TestEigenPropagator:
     def test_tridiagonal_chains_decompose_as_numpy_eigh(self, n, monkeypatch):
         """A nearest-neighbour lens operator and its even fold are
         tridiagonal; LAPACK's dstevd gives numpy.linalg.eigh's energies and
-        vectors bit for bit, in numpy's layout."""
+        vectors bit for bit, in numpy's layout. EigenPropagator imports
+        LAPACK's routines when it runs, so the spy sits on scipy's module."""
         calls = []
-        dstevd = propagator.dstevd
-        monkeypatch.setattr(propagator, "dstevd",
+        dstevd = scipy.linalg.lapack.dstevd
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd",
                             lambda d, e: calls.append(len(d)) or dstevd(d, e))
         table = build_lattice((n,))
         terms = build_couplings(table, NearestNeighbor(1.0)).with_diagonal(
@@ -1061,7 +1062,7 @@ class TestEigenPropagator:
         decomposes T, at an odd and an even n; no eigh runs. The kept
         reflectors give Q (Q^T x) = x and carry T back to h."""
         calls = []
-        dsytrd, dstevd = propagator.dsytrd, propagator.dstevd
+        dsytrd, dstevd = scipy.linalg.lapack.dsytrd, scipy.linalg.lapack.dstevd
 
         def spy_dsytrd(*args, **kwargs):
             out = dsytrd(*args, **kwargs)
@@ -1071,8 +1072,8 @@ class TestEigenPropagator:
         def refuse(*args, **kwargs):
             raise AssertionError("eigh ran above _EVR_ROWS")
 
-        monkeypatch.setattr(propagator, "dsytrd", spy_dsytrd)
-        monkeypatch.setattr(propagator, "dstevd",
+        monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", spy_dsytrd)
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd",
                             lambda d, e: calls.append(("dstevd",)) or dstevd(d, e))
         monkeypatch.setattr(scipy.linalg, "eigh", refuse)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
