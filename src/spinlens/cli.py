@@ -8,7 +8,9 @@ A run writes a manifest before touching any physics (status "running")
 and finalizes it afterwards with derived parameters, wall time, and a
 sha256 for every data file, so a run can be reproduced from the manifest
 alone: the resolved config is embedded and a manifest file is itself
-accepted as ``--config``. Exit codes: 0 success, 1 mid-run failure,
+accepted as ``--config``. Dense BLAS products round differently with the
+thread count, so the manifest also records the BLAS thread variables as
+the process saw them and the CPU count (``threads``). Exit codes: 0 success, 1 mid-run failure,
 2 invalid config.
 """
 
@@ -16,12 +18,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 from . import __version__, io_utils
 from .scenarios import ConfigError, lint_config, prepare_config, run_scenario
+
+
+# the variables that set the BLAS thread count of numpy's and scipy's
+# OpenBLAS, OpenMP or MKL builds
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _load_raw(path: str) -> dict:
@@ -93,6 +101,8 @@ def cmd_run(args) -> int:
         "code_version": __version__,
         "master_seed": cfg["master_seed"],
         "warnings": warnings,
+        "threads": {**{var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
+                    "cpu_count": os.cpu_count()},
         "outputs": [],
     }
     io_utils.write_json(manifest_path, manifest)

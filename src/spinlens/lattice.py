@@ -184,34 +184,19 @@ class PowerLaw:
 CouplingModel = NearestNeighbor | PowerLaw
 
 
-def _dense_row_sum_max(a: sp.csr_matrix) -> float:
-    """The largest row sum of a nonnegative CSR ``a``, as the float its
-    dense array's row sums give: numpy sums each row pairwise over all its
-    columns, zeros included, so the rows holding a nonzero are summed
-    densely, 2**16 entries at a time, and the others are 0. Drops ``a``'s
-    stored zeros in place."""
-    a.eliminate_zeros()
-    rows = np.flatnonzero(np.diff(a.indptr))
-    step = max(1, 2**16 // a.shape[1])
-    return max((float(a[rows[i:i + step]].toarray().sum(axis=1).max())
-                for i in range(0, rows.size, step)), default=0.0)
-
-
 @dataclass
 class _Mirror:
     """The mirror of an operator's rows, ``refl`` (the row of each row's
-    image), in the form its even subspace takes: one place for the blockade
-    sectors (``manybody.SectorMirror``) and the single-excitation lens
-    operators (``HamiltonianTerms``), whose rows are a nu = 1 sector.
+    image), in the form its even subspace takes: one place for the
+    single-excitation lens operators and the blockade sectors, whose
+    nu = 1 case is a lens operator.
 
     One row per orbit, fixed points included, carries the amplitude of its
     orbit: ``reps`` are the rows with row <= refl, ``orbit`` is the position
     in ``reps`` of each row's orbit, and ``weights`` the square root of each
     orbit's size (1 or sqrt 2). Projecting is ``psi[reps]`` and lifting
-    ``phi[orbit]``. ``asymmetry`` is the max row sum of |H - H[refl][:, refl]|:
-    measured on H by :meth:`of`, or given to :meth:`orbits` by a caller that
-    knows it, as ``HamiltonianTerms`` does from its diagonal alone when its
-    hopping is exactly mirror-symmetric.
+    ``phi[orbit]``. ``asymmetry`` is the max row sum of |H - H[refl][:, refl]|
+    on the CSR H (:meth:`skew`).
     """
 
     refl: np.ndarray
@@ -220,10 +205,16 @@ class _Mirror:
     weights: np.ndarray
     asymmetry: float
 
+    @staticmethod
+    def skew(h, refl: np.ndarray) -> float:
+        """The max row sum of |h - h[refl][:, refl]|, of a CSR ``h`` (or a
+        dense array, as the tests' oracles pass)."""
+        return float(abs(h - h[refl][:, refl]).sum(axis=1).max())
+
     @classmethod
     def of(cls, h, refl: np.ndarray) -> "_Mirror":
-        """The mirror ``refl`` of ``h``, a sparse or a dense array."""
-        return cls.orbits(refl, float(abs(h - h[refl][:, refl]).sum(axis=1).max()))
+        """The mirror ``refl`` of ``h``, its asymmetry measured (:meth:`skew`)."""
+        return cls.orbits(refl, cls.skew(h, refl))
 
     @classmethod
     def orbits(cls, refl: np.ndarray, asymmetry: float) -> "_Mirror":
@@ -266,13 +257,56 @@ class _Mirror:
         return (w[:, None] * self.orbit_sums(a)) * (1.0 / w)
 
 
+class _Operator:
+    """What ``propagator.EvolutionPath`` asks of the owner of an operator
+    H: ``csr()``, the cached ``bounds()``, the cached ``mirror`` of its rows
+    (a ``_Mirror``, or None when the mirror leaves the rows), the even
+    operator M = H[reps] @ L on orbit amplitudes (``even_matrix``), and the
+    cached decompositions of H and of W M W^-1 (``eigen``).
+    ``HamiltonianTerms`` and ``manybody.ManyBodySector`` are its two kinds;
+    each gives ``csr``, ``bounds`` and ``mirror``.
+    """
+
+    @cached_property
+    def even_matrix(self) -> sp.csr_matrix:
+        """M = H[reps] @ L (L[s, orbit(s)] = 1): not symmetric, since a pair
+        orbit's entry sums two of H's."""
+        m, h = self.mirror, self.csr()
+        n = h.shape[0]
+        lift = sp.csr_matrix((np.ones(n), (np.arange(n), m.orbit)), shape=(n, m.dim))
+        return (h[m.reps] @ lift).tocsr()
+
+    def _even_operator(self):
+        """W M W^-1 with W = diag(``mirror.weights``): the even operator in
+        the orthonormal basis of normalised orbits, symmetric within the
+        mirror's asymmetry."""
+        w = self.mirror.weights
+        return (sp.diags(w) @ self.even_matrix @ sp.diags(1.0 / w)).tocsr()
+
+    @cached_property
+    def _eigens(self) -> dict:
+        return {}
+
+    def eigen(self, even: bool = False) -> EigenPropagator:
+        """The dense eigendecomposition of H, or with ``even`` of W M W^-1
+        (cached): about 2 rows^2 floats, so for small operators only."""
+        if even not in self._eigens:
+            from .propagator import EigenPropagator
+
+            if even and self.mirror is None:
+                raise ValueError("the operator has no mirror reduction")
+            self._eigens[even] = EigenPropagator(self._even_operator() if even else self.csr())
+        return self._eigens[even]
+
+
 class _HoppingFold:
-    """The part of the lens operators' even fold that every design on one
-    hopping matrix J shares, computed on first use: the mirror n -> N-1-n
-    of the sites and, when -J is exactly mirror-symmetric with an empty
-    diagonal, W M W^-1 of the dense -J + 0.0 (``_Mirror.fold``) and the
-    diagonal of its M before the weights scale it. The ``+ 0.0`` makes
-    every empty entry +0.0, as in H's ``toarray``.
+    """The part of the lens operators' mirror and even fold that every
+    design on one hopping matrix J shares, computed on first use. When J
+    has an empty diagonal and -J is exactly mirror-symmetric under
+    n -> N-1-n (measured on the CSR), ``mirror`` is that mirror with
+    asymmetry 0, and ``even`` is W M W^-1 of the dense -J + 0.0
+    (``_Mirror.fold``) with the diagonal of its M before the weights scale
+    it. The ``+ 0.0`` makes every empty entry +0.0, as in H's ``toarray``.
 
     A ``HamiltonianTerms`` makes one and hands it to each ``with_diagonal``
     child, so it lives as long as the last of them and no longer.
@@ -282,29 +316,30 @@ class _HoppingFold:
         self.hopping = hopping
 
     @cached_property
-    def even(self) -> tuple[_Mirror, np.ndarray, np.ndarray] | None:
-        """(mirror with asymmetry 0, W M W^-1, diagonal of M) of -J, or
-        None when -J has a diagonal or is not exactly mirror-symmetric (a
-        hole without a mirror partner, displaced sites)."""
-        refl = np.arange(self.hopping.shape[0] - 1, -1, -1)
-        a = -self.hopping.toarray() + 0.0
-        if a.diagonal().any() or not np.array_equal(a, a[refl][:, refl]):
+    def mirror(self) -> _Mirror | None:
+        j = self.hopping
+        refl = np.arange(j.shape[0] - 1, -1, -1)
+        if j.diagonal().any() or _Mirror.skew(j, refl) != 0.0:
             return None
-        mirror = _Mirror.orbits(refl, 0.0)
-        return mirror, mirror.fold(a), mirror.orbit_sums(a).diagonal().copy()
+        return _Mirror.orbits(refl, 0.0)
+
+    @cached_property
+    def even(self) -> tuple[np.ndarray, np.ndarray]:
+        a = -self.hopping.toarray() + 0.0
+        return self.mirror.fold(a), self.mirror.orbit_sums(a).diagonal().copy()
 
 
 @dataclass
-class HamiltonianTerms:
+class HamiltonianTerms(_Operator):
     """Single-excitation Hamiltonian pieces H = diag(eps) - J.
 
     ``hopping`` is symmetric CSR with zero rows/columns at inactive sites;
     ``diagonal`` holds eps_n (zero at inactive sites); ``active`` is the site
-    table's mask. Spectral bounds, the dense eigendecomposition for the
-    propagator, the mirror n -> N-1-n of the sites and the decomposition of
-    its even operator are cached after first use; the even fold of the
-    hopping (``_HoppingFold``) is made once and shared with every
-    ``with_diagonal`` child.
+    table's mask. The assembled H, its spectral bounds, its mirror
+    n -> N-1-n of the flat site index (chain reversal, point inversion of a
+    2D or 3D table) and the decompositions are cached after first use
+    (``_Operator``); the hopping's even fold (``_HoppingFold``) is made
+    once and shared with every ``with_diagonal`` child.
     """
 
     hopping: sp.csr_matrix
@@ -313,9 +348,6 @@ class HamiltonianTerms:
     _hopping_fold: _HoppingFold | None = field(default=None, repr=False)
     _bounds: tuple[float, float] | None = field(default=None, repr=False)
     _matrix: sp.csr_matrix | None = field(default=None, repr=False)
-    _eigen: EigenPropagator | None = field(default=None, repr=False)
-    _mirror: _Mirror | None = field(default=None, repr=False)
-    _even: EigenPropagator | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self._hopping_fold is None:
@@ -353,72 +385,37 @@ class HamiltonianTerms:
             self._bounds = spectral_bounds(self.matrix())
         return self._bounds
 
-    def eigen(self) -> EigenPropagator:
-        """Dense eigendecomposition of the assembled H as a
-        :class:`spinlens.propagator.EigenPropagator` (cached): n^2 floats,
-        so for small lattices only. A state that is mirror-symmetric under
-        a mirror-symmetric H evolves in the even subspace, from the
-        decomposition of ceil(n/2) rows that ``_even_eigen`` caches beside
-        this one; the lens optimizer takes that path when ``_even_mirror``
-        admits it."""
-        if self._eigen is None:
-            from .propagator import EigenPropagator
+    def csr(self) -> sp.csr_matrix:
+        return self.matrix()
 
-            self._eigen = EigenPropagator(self.matrix())
-        return self._eigen
-
-    def _even_mirror(self) -> _Mirror:
-        """The mirror n -> N-1-n of the flat site index (chain reversal,
-        point inversion of a 2D or 3D table) with its ``asymmetry``
-        (cached). A centred design on an undamaged or symmetrically damaged
-        table has asymmetry 0; an off-centre one, a hole without a mirror
-        partner or displaced sites do not.
-
-        When -J is exactly mirror-symmetric (``_HoppingFold``), the
-        asymmetry is max |eps - eps[refl]|, from the diagonal alone: every
-        off-diagonal entry of H - H[refl][:, refl] is then an exact zero,
-        so this is the float the row sums of the dense H give. Otherwise it
-        is measured on the CSR H, with no dense N x N copy: only the rows
-        where H and its mirror image differ are summed densely, to the
-        same float."""
-        if self._mirror is None:
-            even = self._hopping_fold.even
-            if even is None:
-                h, refl = self.matrix(), np.arange(self.n_sites - 1, -1, -1)
-                self._mirror = _Mirror.orbits(
-                    refl, _dense_row_sum_max(abs(h - h[refl][:, refl])))
-            else:
-                mirror, eps = even[0], self.diagonal
-                self._mirror = replace(mirror, asymmetry=float(
-                    np.abs(eps - eps[mirror.refl]).max()))
-        return self._mirror
+    @cached_property
+    def mirror(self) -> _Mirror:
+        """The mirror n -> N-1-n with the asymmetry of H. When the hopping
+        has a shared mirror (``_HoppingFold``), H - H[refl][:, refl] is
+        diagonal, and its max row sum, the float ``_Mirror.skew`` gives on
+        the CSR, is max |eps - eps[refl]|: read off the diagonal without
+        assembling H."""
+        base = self._hopping_fold.mirror
+        if base is None:
+            return _Mirror.of(self.matrix(), np.arange(self.n_sites - 1, -1, -1))
+        eps = self.diagonal
+        return replace(base, asymmetry=float(np.abs(eps - eps[base.refl]).max()))
 
     def _even_operator(self) -> np.ndarray:
-        """The even operator W M W^-1 of ``_even_mirror()`` as a dense
-        array of ceil(n/2) rows, the states' orbit amplitudes times the
-        mirror's weights.
-
-        When -J is exactly mirror-symmetric, it is a copy of the shared
-        fold of -J with its diagonal set to (w (eps[reps] + f)) (1/w), f
-        the diagonal of -J's M: the operands and the rounding of
+        """W M W^-1 as a dense array of ceil(n/2) rows. With a shared
+        mirror it is a copy of the hopping's fold with its diagonal set to
+        (w (eps[reps] + f)) (1/w), f the diagonal of -J's M: J has no
+        diagonal, so every other entry of M is -J's, and this is bit for bit
         ``_Mirror.fold`` of the dense H, fixed points included. Otherwise
         the dense H is folded."""
-        even = self._hopping_fold.even
-        if even is None:
-            return self._even_mirror().fold(self.matrix().toarray())
-        mirror, fold, f = even
-        w = mirror.weights
-        a = fold.copy()
-        np.fill_diagonal(a, (w * (self.diagonal[mirror.reps] + f)) * (1.0 / w))
+        m, fold = self.mirror, self._hopping_fold
+        if fold.mirror is None:
+            return m.fold(self.matrix().toarray())
+        a, f = fold.even
+        w = m.weights
+        a = a.copy()
+        np.fill_diagonal(a, (w * (self.diagonal[m.reps] + f)) * (1.0 / w))
         return a
-
-    def _even_eigen(self) -> EigenPropagator:
-        """Dense eigendecomposition of ``_even_operator()`` (cached)."""
-        if self._even is None:
-            from .propagator import EigenPropagator
-
-            self._even = EigenPropagator(self._even_operator())
-        return self._even
 
 
 def _neighbor_offsets(dim: int, cutoff: float) -> np.ndarray:

@@ -9,32 +9,15 @@ Unit conventions: lengths in units of the lattice spacing a, energies in units
 of the reference hopping J, times in 1/J. ``sigma0`` always means the Gaussian
 width parameter of the excitation density (see :mod:`spinlens.wavepacket`).
 
-The optimizer samples each design's focal window on one of three paths
-(:func:`_width_minimum`) by one rule: a design is decomposed where the
-decomposition has at most ``_DENSE_DIM`` rows, and stepped elsewhere. A
-centred lens acting on a packet at rest at the focus, as the paper's lenses
-are, keeps the excitation in the even subspace of the mirror n -> N-1-n of
-the flat site index (chain reversal; point inversion of a 2D or 3D table).
-On at most 2 ``_DENSE_DIM`` sites such a design is decomposed on that
-subspace ("even"): the ceil(N/2)-row operator W M W^-1 that
-``manybody.SectorMirror.symmetric`` forms for blockade sectors, a
-single-excitation H being the nu = 1 sector, about a quarter of the full
-decomposition's time at N = 200. When the hopping is exactly
-mirror-symmetric, its part of that operator is folded once per optimizer
-call, on the bare couplings, and each design only sets the diagonal and
-takes its mirror gate from its on-site energies (``lattice._HoppingFold``),
-bit for bit the fold and gate of its dense H (``lattice._Mirror``). Each
-sample is lifted back to the sites by ``phi[orbit]`` and agrees with the
-full decomposition's to rounding (1e-14 on the test cases). A design or
-state the mirror gate (``_EVEN_GATE``) refuses, such as an off-centre
-focus, a hole without a mirror partner, displaced sites or a start state
-with an odd part, decomposes the full H ("dense") on at most
-``_DENSE_DIM`` sites. Any other design steps by Chebyshev ("chebyshev"):
-one step to its window's start, :func:`spinlens.propagator.trajectory`
-over the other samples, and one step from the narrowest by the parabola
-vertex's offset, in O(nnz) memory. Above 2 ``_DENSE_DIM`` sites the mirror,
-which is measured on dense N x N arrays, is never formed.
-``OptimizeResult.paths`` counts the designs on each path.
+The optimizer samples each design's focal window along
+:func:`spinlens.propagator.evolution_path`, the path every sampled evolution
+takes. A centred lens acting on a packet at rest at the focus, as the
+paper's lenses are, keeps the excitation in the even subspace of the mirror
+n -> N-1-n of the flat site index, and the design's even operator is set up
+from the hopping's fold, made once per optimizer call, and its own diagonal
+(``lattice._HoppingFold``). ``OptimizeResult.paths`` counts the designs
+decomposed on the even operator ("even") or the full H ("dense"), and those
+stepped by Chebyshev ("chebyshev").
 """
 
 from __future__ import annotations
@@ -45,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import CouplingModel, SiteTable, build_couplings
-from .propagator import expimv, trajectory
+from .propagator import evolution_path
 from .wavepacket import (SpinWaveState, gaussian_packet, gaussian_width, gaussian_widths,
                          phase_imprint)
 
@@ -326,9 +309,9 @@ def thresholds(sigma0: float | None = None, v0: float | None = None,
 @dataclass
 class OptimizeResult:
     """Outcome of a strength/time scan for one lens family. ``paths``
-    counts the designs of ``scan`` sampled on each path of
-    :func:`_width_minimum` ("even", "dense", "chebyshev"), by the
-    evaluation that gave each its result."""
+    counts the designs of ``scan`` sampled on each path ("even", "dense",
+    "chebyshev": module docstring), by the evaluation that gave each its
+    result."""
 
     design: LensDesign
     focal_time: float
@@ -337,67 +320,6 @@ class OptimizeResult:
     boundary: bool = False
     paths: dict = field(default_factory=dict)
 
-
-# The most rows a design's dense eigendecomposition may have
-# (_width_minimum): a centred design's even operator, ceil(N/2) rows, on at
-# most 2 _DENSE_DIM sites, and any other design's full H on at most
-# _DENSE_DIM. Every other design steps by Chebyshev. The tables below set
-# it; their "window path" sampled each focal window from one Chebyshev
-# recurrence, which stepping has since replaced. One whole thick order-2
-# optimize_lens call, sigma0 = N/20, window path / full dense path in
-# seconds (best of 2, one CPU, one BLAS thread), the table that set this
-# limit before the even path:
-#
-#   N     NN, n_time 40   NN, n_time 200  alpha 6, 40    alpha 6, 200
-#   200   0.145 / 0.135   0.250 / 0.207   0.572 / 0.162  0.627 / 0.221
-#   400   0.290 / 0.547   0.356 / 0.714   1.429 / 0.606  1.200 / 0.581
-#   600   0.684 / 1.463   0.647 / 2.097   2.552 / 1.784  1.905 / 1.863
-#   800   1.035 / 3.247   1.021 / 3.658   3.053 / 4.813  3.804 / 5.428
-#
-# The O(N^3) decomposition (5 ms at N = 200, 23 ms at 400) is paid by every
-# thick design; thin designs share one. Nearest-neighbour operators are
-# cheap to expand, so they cross over near N = 250, power-law ones near 600;
-# summed over the two families the dense path still wins at 400 and no
-# longer at 600. These decompositions, and so these timings and the bits of
-# every lens output, are numpy.linalg.eigh's only while _DENSE_DIM stays at
-# or below propagator._EVR_ROWS (TestDenseScan pins it).
-#
-# The same calls with the even path (centred designs: ceil(N/2)-row
-# decompositions), window path / even path. The N = 600 and 800 rows were
-# measured with the other CPU busy, each design folding its dense H. The
-# N = 200 and 400 rows are re-measured with the hopping folded once per
-# call (lattice._HoppingFold), the other CPU idle, the best of 3 in each of
-# two runs; the per-design dense fold read 0.064, 0.101, 0.073, 0.147 and
-# 0.185, 0.279, 0.238, 0.331 s on the even path in the same runs:
-#
-#   N     NN, n_time 40   NN, n_time 200  alpha 6, 40    alpha 6, 200
-#   200   0.107 / 0.025   0.169 / 0.070   0.310 / 0.059  0.329 / 0.082
-#   400   0.183 / 0.062   0.291 / 0.214   0.763 / 0.171  0.742 / 0.223
-#   600   0.296 / 0.333   0.387 / 0.472   1.095 / 0.375  1.248 / 0.511
-#   800   0.432 / 0.640   0.556 / 0.751   1.684 / 0.698  1.937 / 0.801
-#
-# The even path wins in every column up to 400; nearest-neighbour chains
-# cross over near 500, power-law ones beyond 800, and summed over the four
-# columns it still wins at 800 (2.9 against 4.6 s). So the limit counts
-# rows, not sites: centred designs take the even path up to N = 800, and
-# the full decompositions of the designs the mirror gate refuses, which
-# lose from 400 sites on, stop at 400. Every other design steps, which is
-# slower than the window path was but needs no second sampler: one
-# off-centre thick order-2 call at N = 800 (sigma0 = 40, n_time 40, best of
-# 2 in each of three alternating runs) took 0.81 against 0.54 s on a
-# nearest-neighbour chain and 2.72 against 2.44 s at alpha 6, where the
-# full dense path took 3.25 and 4.81 s in the first table.
-_DENSE_DIM = 400
-
-# A dense-path case is sampled in the even subspace of the mirror n -> N-1-n
-# when its state's odd part and its H's mirror skew over the window, the
-# gate ||psi - psi[refl]|| + t_end max_row_sum|H - H[refl][:, refl]|
-# (lattice._Mirror.drift), stay within this: to first order that bounds
-# the even samples' distance from the full decomposition's. Centred
-# designs and packets are mirror-symmetric exactly, and a packet evolved
-# by Chebyshev from one, as a cascade's second stage starts, only to
-# rounding, so the gate admits rounding and nothing above it.
-_EVEN_GATE = 1e-12
 
 # In optimizer evolutions, and replays of their designs, on-site energies are
 # clipped to +- this value (units of the reference hopping; see
@@ -555,55 +477,25 @@ def _width_minimum(terms, psi0, window, table, n_time, tol):
     initial state, window), by an ``n_time``-point scan plus parabolic
     refine (:func:`_refined_minimum`): (t_min, w_min, at_edge, path).
 
-    Where the rule of the module docstring decomposes the case, every
-    sample, and the parabola's vertex, is the exact state at its time,
-    whatever ``tol``: of its even operator, ``terms._even_eigen()``, when
-    its H and state pass the mirror gate (``_EVEN_GATE``) over the window
-    ("even"), else of its full H, ``terms.eigen()`` ("dense"); the
-    decomposition stays cached on ``terms``. Elsewhere the case steps
-    (:func:`_stepped_minimum`).
+    The samples come from one :func:`spinlens.propagator.evolution_path`.
+    Decomposed, every sample and the parabola's vertex is the exact state
+    at its time, whatever ``tol``, and the decomposition stays cached on
+    ``terms``. Stepped, only the narrowest state is kept, and the vertex is
+    one step from it, a fraction of a grid step.
     """
     ts = np.linspace(*window, n_time)
-    psi = psi0.amplitudes
-    # the mirror is measured only where an even operator, a dense array,
-    # may be decomposed
-    mirror = terms._even_mirror() if table.n_sites <= 2 * _DENSE_DIM else None
-    if mirror is not None and mirror.drift(psi, window[1]) <= _EVEN_GATE:
-        path, eigen, weights = "even", terms._even_eigen(), mirror.weights
-        phi = weights * psi[mirror.reps]
-
-        def states(times):
-            return (eigen.states(phi, times) / weights)[:, mirror.orbit]
-    elif table.n_sites <= _DENSE_DIM:
-        path, eigen = "dense", terms.eigen()
-
-        def states(times):
-            return eigen.states(psi, times)
-    else:
-        return _stepped_minimum(terms, psi, ts, table, tol)
-    w = gaussian_widths(states(ts), table)
+    path = evolution_path(terms, psi0.amplitudes, ts, tol)
+    w = np.empty(n_time)
+    k = i = 0
+    for block in path.samples():
+        w[k:k + len(block)] = gaussian_widths(block, table)
+        j = k + int(np.argmin(w[k:k + len(block)]))
+        if k == 0 or w[j] < w[i]:   # the first of equal widths stays, as in argmin
+            i, best = j, block[j - k]
+        k += len(block)
+    label = ("even" if path.even else "dense") if path.dense else "chebyshev"
     return *_refined_minimum(ts, w, lambda i, shift: gaussian_widths(
-        states([ts[i] + shift]), table)[0]), path
-
-
-def _stepped_minimum(terms, psi, ts, table, tol):
-    """:func:`_width_minimum` of one case by Chebyshev steps: one step to
-    the first time of ``ts``, :func:`spinlens.propagator.trajectory` over
-    the others, keeping only the narrowest state, and one step from it by
-    the parabola vertex's offset, a fraction of a grid step."""
-    h, bounds = terms.matrix(), terms.bounds()
-    # a window starting at 0 starts from the initial state itself
-    best = expimv(h, psi, ts[0], tol, bounds)
-    w = np.empty(ts.size)
-    w[0] = gaussian_width(SpinWaveState(best), table)
-    i = 0
-    for j, (_, amp) in enumerate(trajectory(h, best, ts[1] - ts[0], ts.size - 1,
-                                            tol, bounds), start=1):
-        w[j] = gaussian_width(SpinWaveState(amp), table)
-        if w[j] < w[i]:   # the first of equal widths stays, as in argmin
-            i, best = j, amp
-    return *_refined_minimum(ts, w, lambda i, shift: gaussian_width(
-        SpinWaveState(expimv(h, best, shift, tol, bounds)), table)), "chebyshev"
+        path.later(best, ts[i], shift), table)[0]), label
 
 
 def clipped_thick_terms(base_terms, design: ThickPolynomial, table: SiteTable,
@@ -668,20 +560,14 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
     iterates (:func:`_bounded_brent`); the time minimum within each
     evolution is found by an ``n_time``-point scan plus parabolic refinement
     at the vertex time.
-    Each design's window is sampled on one path (module docstring): from
-    one dense eigendecomposition
-    (:class:`spinlens.propagator.EigenPropagator`), whose samples and
-    vertex are exact states, of the design's ceil(N/2)-row even operator
+    Each design's window is sampled along one evolution path (module
+    docstring): decomposed, on the design's ceil(N/2)-row even operator
     when the lens, the table and the state are mirror-symmetric about the
-    table's centre (the default focus and packet) and N <= 2 ``_DENSE_DIM``
-    (800), or of its full H when N <= ``_DENSE_DIM`` (400); thin designs
-    all evolve under the bare couplings and share one decomposition per
-    call, and each thick design's is dropped before the next is built.
-    Any other design steps by Chebyshev: one step to the window's start,
-    :func:`spinlens.propagator.trajectory` over the other ``n_time - 1``
-    samples, and one step from the narrowest sample by the parabola
-    vertex's offset, a fraction of a sample. Designs are evaluated one at
-    a time, window-extension retries included. For thick lenses of order
+    table's centre (the default focus and packet), or stepped by
+    Chebyshev. Thin designs all evolve under the bare couplings and share
+    one decomposition per call, and each thick design's is dropped before
+    the next is built. Designs are evaluated one at a time,
+    window-extension retries included. For thick lenses of order
     > 2 the higher coefficients are optimized by coordinate descent in two
     sweeps: each one in turn is scanned over multiples
     ``_CORRECTION_GRID`` = (0, 0.5, 1, 1.5, 2) of its value on the classical

@@ -1,124 +1,48 @@
-"""Sparse time evolution by Chebyshev expansion of exp(-iHt).
+"""Time evolution under a Hermitian operator, and the one path that picks
+how every sampled evolution runs.
 
-Works on any Hermitian CSR matrix (single excitation or a fixed many-body
-sector). The spectrum is enclosed by Gershgorin disks, which never
-underestimates the span, so the expansion is convergent by construction; the
-cost of the slack over the true spectral width is a few percent more matrix
-applications.
+Three propagators, each with its promise:
 
-One time step is a *step plan* over m independent blocks, each with its own
-(h_i, t_i, bounds_i) and all sharing ``tol``. Per block the plan holds the
-coefficients of one Chebyshev expansion of the whole step, whatever its
-phase half-width x t, and the phase of the spectral centre; blocks of equal
-phase share one coefficient set, and the plan's distinct phases one Bessel
-table. Long steps are not split: the recurrence's round-off does not grow
-with the order (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), and
-one expansion stayed within 3e-9 of a dense eigendecomposition at phases
-up to 3e5 and tol 1e-8, from real and complex states alike. Blocks of equal
-dimension are stacked into one block-diagonal operator, each block shifted
-by its own centre and scaled by its own 1/half-width, and built by array
-operations on the whole stack (:func:`_stacked_operator`). The operator is
-stored as 2 h~, exactly twice h~, so a term T_k+1 = 2 h~ T_k - T_k-1 is
-one matvec and one subtraction in place, and rounds as 2 (h~ T_k) does;
-T_1 is 0.5 (2 h~ psi). The stacked
-operator is a float64 CSR when every block is real (a real dtype, or a
-complex one whose imaginary parts are all zero), else a complex CSR, so no
-matvec upcasts it. While the operator and the stacked states are real, as
-in a real packet's step, the terms T_k(h~) psi are float64 vectors for the
-whole step, and the sum is kept in the cos/sin form of exp(-i z h~) psi
-(Tal-Ezer & Kosloff): c_k = 2 (-i)^k J_k is real at even k and imaginary
-at odd k, so the even terms times Re c_k go into a float64 real part and
-the odd ones times Im c_k into a float64 imaginary part, which become the
-complex state at the end. A complex c times a real t rounds to exactly
-(Re c t, Im c t), and the zero half of each c_k only adds a signed zero,
-so this gives the bits of a complex accumulator. At the first complex
-state the stack replaces its operator by a complex copy and sums c_k T_k
-in one complex accumulator; a real row sum is the real part of the complex
-one, so either path gives the same bits, and the real one costs about
-half per matvec and per term.
-Within a stack the blocks are ordered by coefficient count,
-longest first, the coefficients are padded with zeros to the longest, and
-term k of the three-term recurrence runs the matvec only on the row prefix
-of the blocks still active, through a CSR view on the same arrays. Stacks
-are cut so their nonzeros stay under ``_STACK_NNZ`` (2**16, a CSR of about
-0.75 MiB real or 1.3 MiB complex; a real stack and its state vectors fit
-one 2 MiB L2); a block larger than that is a stack of its own. The padding
-bounds what a batch may mix: a stack's coefficients take about (largest
-phase x blocks) complex values, and a plan's Bessel table (largest phase x
-distinct phases) floats, so one huge phase batched with many short blocks
-would allocate far more than its own expansion. No batch here does: an
-ensemble's blocks share one duration.
+- Chebyshev expansion of exp(-i h t) (Tal-Ezer & Kosloff, J. Chem. Phys.
+  81, 3967 (1984)): :func:`expimv` applies one step, :func:`expimv_batch`
+  many independent blocks, :func:`trajectory` one step repeatedly. The
+  spectrum is enclosed by Gershgorin disks, and each call keeps the terms
+  above tol/4 at any phase, so the 2-norm drift of a result stays below
+  about 10 tol per application. A batched block's result is bit for bit
+  its lone ``expimv`` call, and a trajectory's states are repeated
+  ``expimv`` calls.
+- A real window, :func:`real_window`: the states of a real start under a
+  real h at dt, 2 dt, ..., n dt from one float64 recurrence, whose terms
+  serve every sample (Weisse et al., Rev. Mod. Phys. 78, 275 (2006)), each
+  within 10 tol, while its samples and tables fit a byte budget.
+- A dense eigendecomposition, :class:`EigenPropagator`: the states at any
+  list of times, exact to rounding (the eigenvector method of Moler & Van
+  Loan, SIAM Rev. 45, 3 (2003)), for O(n^3) once.
 
-:func:`expimv` is a batch of one built and applied once, :func:`expimv_batch`
-the same for many blocks; :func:`trajectory` builds one single-block plan
-and applies it at every step. All run the one recurrence, and
-a block's result is bit for bit what it gives alone: CSR computes each row
-by itself (over its entries in sorted order), a per-block scale multiplies
-each entry by the same float as a lone block's scale, and a coefficient or
-phase broadcast over a block's row rounds as the scalar product does.
+The evolution path (:class:`EvolutionPath`, picked by
+:func:`evolution_path`) takes a start state to a list of sample times under
+the operator of an owner, ``lattice.HamiltonianTerms`` or
+``manybody.ManyBodySector`` (the methods of ``lattice._Operator``). The
+lens optimizer's focal windows, the breathing runs and the blockade
+trajectories all run on it, and keep only their observables:
 
-A *real window* (:func:`real_window`) samples one real block at dt, 2 dt,
-..., n dt from one recurrence instead of n steps: the terms T_k(h~) psi do
-not depend on the time, only the coefficients 2 (-i)^k J_k(z_j) do, z_j =
-half * j dt (Tal-Ezer & Kosloff; Weisse et al., Rev. Mod. Phys. 78, 275
-(2006)). For a real symmetric h~ and a real psi, exp(-i z h~) psi =
-cos(z h~) psi - i sin(z h~) psi, so the terms stay float64: the even ones
-give the real part and the odd ones the imaginary part. The recurrence
-runs on 2 h~, shifted and scaled as a step plan's lone block is, in a ring
-of ``_WINDOW_TERMS`` buffered terms, one matvec and one subtraction a term.
-Its table folds (-i)^k into two rows per sample, c_k Re (-i)^k (zero at odd
-k) and c_k Im (-i)^k (zero at even k), so each full ring is added into the
-samples still expanding by one real matrix product, accumulated in place by
-BLAS, the even terms into each sample's real part and the odd ones into its
-imaginary part; the parts become the complex state at the end, times the
-centre phase. Each sample keeps every term with |J_k(z_j)| >= tol/4, as a
-step plan does. The window holds all its samples and tables at once: n
-samples hold n x dim complex values (16 B each; 2.3 MB for 8 samples of
-the 18 010-row nu = 3 even sector) and the coefficient and Bessel tables
-about 3 n x (n x phase per sample) floats, so it is taken only while both
-fit ``_REAL_WINDOW_ENTRY_BYTES`` per entry of its operator, at most
-``_REAL_WINDOW_BYTES``: a few samples of a large operator, as a blockade
-trajectory takes, not hundreds. A complex block or start, or a span over
-that budget, is stepped by :func:`trajectory` instead.
-
-All Bessel values come from one routine, Miller's downward recurrence
-(:func:`_bessel_table`), vectorised over every phase of a plan or of a
-window's samples; each phase starts at its own order, so its
-values do not depend on the others it is computed with.
-
-An operator of a few hundred rows is cheaper to diagonalise once than to
-expand term by term, where each term's fixed cost outweighs its arithmetic.
-:class:`EigenPropagator` holds one dense eigendecomposition H = V diag(E) V^T
-of a real symmetric h and gives V (e^{-iEt} * V^T psi) at any list of times,
-exact to rounding at any t, as two real matrix products (the eigenvector
-method of Moler & Van Loan, SIAM Rev. 45, 3 (2003)). Its cost is the
-O(n^3) decomposition, so it pays only on small operators. It takes a
-CSR matrix or a dense array: the lens optimizer hands it a centred
-design's even operator as a dense ceil(N/2)-row array, its hopping part
-folded once per call (``lattice._HoppingFold``). Up to ``_EVR_ROWS`` (400)
-rows, every lens operator it decomposes (the full H of at most
-``lens._DENSE_DIM`` = 400 sites, or the ceil(N/2)-row even operator of a
-centred design of at most 800), it runs LAPACK's divide and conquer:
-``scipy.linalg.lapack.dstevd`` on the diagonal and the lower
-subdiagonal when h is tridiagonal, as every nearest-neighbour lens operator
-and its even fold are, else ``numpy.linalg.eigh``. On a tridiagonal h
-numpy's ``dsyevd`` reduces nothing and runs the same ``dstedc``, so both
-give the same energies and vectors, and dstevd takes about half the time.
-Above, it keeps h in tridiagonal form: LAPACK's Householder reduction
-``dsytrd`` overwrites one Fortran-ordered copy of h with T's diagonals and
-the reflectors of Q, h = Q T Q^T (Golub & Van Loan, Matrix Computations,
-section 8.3), and ``dstevd`` decomposes T = Z diag(E) Z^T by divide and
-conquer (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)).
-V = Q Z is never formed: the states apply Q^T and Q by their reflectors
-(``dormqr``, O(n^2) per state) around the products with Z. It holds 2 n^2
-doubles (the reflectors and Z, 16 MB at the many-body dense path's 1000
-rows) and 3 n^2 while dstevd runs (24 MB). No product casts Z or V to
-complex, which would cost 2 n^2 more.
+- *Gate.* The state runs in the even subspace of the owner's mirror when
+  the mirror exists and ``mirror.drift(psi, t_end) <= tol``: the state's
+  odd part plus |t_end| times the operator's mirror asymmetry, which bounds
+  to first order how far the even result lands from the full one. There
+  one row per orbit carries its amplitude, and every sample is lifted back
+  by ``phi[orbit]``.
+- *Rule.* The gated operator, even or full, is decomposed when it has at
+  most ``_DECOMPOSE_ROWS`` rows, or at most ``_DENSE_ROWS`` and the span's
+  phase half |t_end| exceeds ``_DENSE_COST`` rows^2; the decomposition is
+  cached on the owner, and every sample is exact from the start.
+- *Otherwise Chebyshev.* An even real start whose samples are dt, ...,
+  n dt is one real window while it fits its budget; anything else steps:
+  one step to the first sample, then equal steps.
 
 LAPACK and BLAS (``scipy.linalg``) load on the first decomposition or real
-window: each routine is imported inside the function that calls it. A run
-that only steps, as every disorder ensemble does, never loads them, and
-saves their start-up time and about 8 MiB.
+window, so a run that only steps, as every disorder ensemble does, never
+loads them.
 """
 
 from __future__ import annotations
@@ -139,15 +63,15 @@ import scipy.sparse as sp
 # peak memory over one block at a time by 1.4, 3.2 and 7.0 MiB.
 _STACK_NNZ = 2**16
 
-# Terms a real window (module docstring) buffers before it adds them into
-# its samples by one matrix product.
+# Terms a real window buffers before it adds them into its samples by one
+# matrix product.
 _WINDOW_TERMS = 8
 
-# Bytes of a real window's one segment (module docstring) per operator entry,
-# and its cap: its samples, 2 n dim floats, and its Bessel and coefficient
-# tables, about 3 n^2 floats per unit of phase per sample. 16 MiB is what
-# manybody's dense path holds (the reflectors and T's eigenvectors, 2 x
-# 1000^2 doubles at _DENSE_ROWS, 3 x 1000^2 while dstevd runs). The 18 010-row
+# Bytes of a real window (real_window) per operator entry, and its cap: its
+# samples, 2 n dim floats, and its Bessel and coefficient tables, about
+# 3 n^2 floats per unit of phase per sample. 16 MiB is what the largest
+# decomposition holds (the reflectors and T's eigenvectors, 2 x 1000^2
+# doubles at _DENSE_ROWS, 3 x 1000^2 while dstevd runs). The 18 010-row
 # nu = 3 even sector of the nonlinear scenario at J_z = 20 takes 2.5 MB for
 # its 8 samples of 122 rad; it fits up to 41 samples at that phase per sample
 # and 54 at 15 rad.
@@ -156,23 +80,21 @@ _REAL_WINDOW_BYTES = 2**24
 
 TOL_RANGE = (1e-14, 1e-6)
 
-# EigenPropagator (module docstring) decomposes up to this many rows by
-# divide and conquer (dstevd on a tridiagonal h, numpy.linalg.eigh on any
-# other), so every lens operator the optimizer decomposes keeps
-# its bits and its speed: the full H of a design the mirror gate refuses,
-# at most lens._DENSE_DIM = 400 rows, and the even operator of a centred
-# one, ceil(N/2) <= lens._DENSE_DIM rows. On nearest-neighbour lens
-# operators MRRR took 8.5 against 4.7 ms at N = 200 and 54
-# against 22 ms at 400, and dstevd 1.7 and 5.2 ms against 3.4 and 15.8 ms
-# for numpy's eigh (mean of 5, one BLAS thread).
+# EigenPropagator decomposes up to this many rows by divide and conquer
+# (dstevd on a tridiagonal h, numpy.linalg.eigh on any other), so every lens
+# operator the optimizer decomposes keeps its bits and its speed: the full H
+# of at most _DECOMPOSE_ROWS sites, or the even operator of a centred design
+# on twice that. On nearest-neighbour lens operators MRRR took 8.5 against
+# 4.7 ms at N = 200 and 54 against 22 ms at 400, and dstevd 1.7 and 5.2 ms
+# against 3.4 and 15.8 ms for numpy's eigh (mean of 5, one BLAS thread).
 # Above it, h is reduced to tridiagonal form in place by dsytrd and T is
-# decomposed by dstevd; the states apply Q's reflectors (module docstring).
-# On the 930-row nu = 2 blockade operator, numpy's eigh, scipy's
-# driver="evr" and "evd" and this path took 219, 236, 158 and 112 ms (best
-# of 5, one CPU, one BLAS thread); the decomposition and eight stepped
-# states took 155 against 270 ms for "evr" (median of 11 interleaved
-# runs). The peak memory of one round of blockade tasks in one process was
-# 106.8 MiB, against 99.2-101.4 MiB with "evr": one n^2 dstevd workspace.
+# decomposed by dstevd; the states apply Q's reflectors. On the 930-row
+# nu = 2 blockade operator, numpy's eigh, scipy's driver="evr" and "evd" and
+# this path took 219, 236, 158 and 112 ms (best of 5, one CPU, one BLAS
+# thread); the decomposition and eight stepped states took 155 against 270
+# ms for "evr" (median of 11 interleaved runs). The peak memory of one round
+# of blockade tasks in one process was 106.8 MiB, against 99.2-101.4 MiB
+# with "evr": one n^2 dstevd workspace.
 _EVR_ROWS = 400
 
 # EigenPropagator's test of symmetry, |h_ij - h_ji| <= this x max |h|: far
@@ -406,7 +328,7 @@ def _stacked_operator(hs, dim, centers, halves, dtype) -> sp.csr_matrix:
 
 
 class _Stack:
-    """Blocks of one dimension, stacked (module docstring).
+    """Blocks of one dimension of a step plan, stacked (:class:`_StepPlan`).
 
     ``order`` lists the plan's block indices in stack order, longest
     coefficient set first. The operator is stored as 2 h~, float64 when
@@ -455,7 +377,7 @@ class _Stack:
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """exp(-i h t) of every block; ``psi`` is (m, dim) in stack order,
         real or complex. The terms are float64 while the operator and the
-        state are real (class and module docstrings)."""
+        state are real (class docstring)."""
         coef, d = self.coef, self.dim
         if np.iscomplexobj(psi) and not np.iscomplexobj(self.h_scaled.data):
             h = self.h_scaled
@@ -501,10 +423,28 @@ class _Stack:
 
 
 class _StepPlan:
-    """The step plan of exp(-i h_i t_i) over independent blocks (see the
-    module docstring), applied to one list of states per call, as often as
-    wanted. The scaled operators are new arrays, so no ``h_i`` is modified.
-    A t = 0 block joins no stack, and applying the plan copies its state.
+    """The step plan of exp(-i h_i t_i) over independent blocks, each with
+    its own (h_i, t_i, bounds_i) and all sharing ``tol``, applied to one
+    list of states per call, as often as wanted.
+
+    Per block the plan holds one Chebyshev expansion of the whole step,
+    whatever its phase half-width x t: the recurrence's round-off does not
+    grow with the order, and one expansion stayed within 3e-9 of a dense
+    eigendecomposition at phases up to 3e5 and tol 1e-8. Blocks of equal
+    phase share one coefficient set, and the plan's distinct phases one
+    Bessel table. Blocks of equal dimension are stacked into one
+    block-diagonal operator (:func:`_stacked_operator`), longest
+    coefficient set first, padded with zeros, and term k runs the matvec
+    only on the row prefix of the blocks still active. Stacks are cut so
+    their nonzeros stay under ``_STACK_NNZ``. The padding bounds what a
+    batch may mix: one huge phase batched with many short blocks would
+    allocate far more than its own expansion; an ensemble's blocks share
+    one duration. A CSR computes each row by itself, and a per-block scale,
+    coefficient or phase rounds as a lone block's does, so each block's
+    result is bit for bit its lone plan's.
+
+    The scaled operators are new arrays, so no ``h_i`` is modified. A
+    t = 0 block joins no stack, and applying the plan copies its state.
     """
 
     def __init__(self, hs: Sequence[sp.csr_matrix], ts: Sequence[float],
@@ -559,7 +499,7 @@ def _state(psi) -> np.ndarray:
 
 def _real_window_fits(h: sp.csr_matrix, bounds, dt: float, n_samples: int) -> bool:
     """Whether a real block (h, psi, dt, bounds) fits one real window of
-    ``n_samples`` (module docstring): its samples and its Bessel and
+    ``n_samples``: its samples and its Bessel and
     coefficient tables, n (2 dim + 3 n step) floats at the phase
     step = half |dt| of a sample, within ``_REAL_WINDOW_ENTRY_BYTES`` per
     entry of h once shifted (nonzeros plus rows), at most
@@ -600,7 +540,7 @@ def expimv_batch(blocks: Iterable[tuple], tol: float = 1e-10) -> Iterator[np.nda
 
     Each result equals ``expimv(h, psi, t, tol, bounds)`` bit for bit
     (``bounds`` may be None). The blocks are drawn lazily and propagated
-    together about one stack at a time (module docstring), so a long
+    together about one stack at a time (:class:`_StepPlan`), so a long
     ensemble assembled realization by realization holds the operators of
     about one stack, not all of them.
     """
@@ -662,7 +602,8 @@ def _tridiagonal(a: np.ndarray) -> bool:
 
 class EigenPropagator:
     """exp(-i h t) psi at any times from one dense eigendecomposition of a
-    real symmetric ``h``, a CSR matrix or a dense array (module docstring).
+    real symmetric ``h``, a CSR matrix or a dense array: V (e^{-iEt} *
+    V^T psi), as two real matrix products, exact to rounding at any t.
 
     The decomposition runs once, on construction, by LAPACK's divide and
     conquer, on a copy of a dense ``h``: up to ``_EVR_ROWS`` rows
@@ -765,7 +706,11 @@ def real_window(h: sp.csr_matrix, psi: np.ndarray, dt: float, n_samples: int,
     """exp(-i h dt j) psi for j = 1, ..., ``n_samples``, one state per row,
     (n_samples, dim), all from one float64 Chebyshev recurrence on 2 h~ in
     a ring of ``_WINDOW_TERMS`` buffered terms, each full ring added into
-    the samples still expanding by one matrix product (module docstring).
+    the samples still expanding by one matrix product. The terms
+    T_k(h~) psi do not depend on the time, only the coefficients
+    2 (-i)^k J_k(z_j) do, and for a real h~ and psi, exp(-i z h~) psi =
+    cos(z h~) psi - i sin(z h~) psi: the even terms give each sample's real
+    part and the odd ones its imaginary part.
 
     ``h`` and ``psi`` must be real (a complex dtype whose imaginary parts
     are all zero counts as real), the sample step half * |dt| positive,
@@ -841,3 +786,154 @@ def real_window(h: sp.csr_matrix, psi: np.ndarray, dt: float, n_samples: int,
     for i in range(n_samples):
         states[i] = (acc[i, 0] + 1j * acc[i, 1]) * phase[i]
     return states
+
+
+# The evolution path's decomposition rule (module docstring): the gated
+# operator is decomposed up to _DECOMPOSE_ROWS rows, and up to _DENSE_ROWS
+# when the span's phase half |t_end| exceeds _DENSE_COST rows^2. Timings
+# are on one CPU with one BLAS thread.
+#
+# _DECOMPOSE_ROWS keeps the lens optimizer's paths: every design whose
+# decomposition has at most 400 rows (a centred design's even operator on at
+# most 800 sites, any other design's full H on at most 400) is decomposed,
+# and thin designs share one decomposition per call. Whole thick order-2
+# optimize_lens calls, sigma0 = N/20, centred, Chebyshev / decomposed on
+# the even operator, in seconds (best of 2-3):
+#
+#   N     NN, n_time 40   NN, n_time 200  alpha 6, 40    alpha 6, 200
+#   200   0.107 / 0.025   0.169 / 0.070   0.310 / 0.059  0.329 / 0.082
+#   400   0.183 / 0.062   0.291 / 0.214   0.763 / 0.171  0.742 / 0.223
+#   600   0.296 / 0.333   0.387 / 0.472   1.095 / 0.375  1.248 / 0.511
+#   800   0.432 / 0.640   0.556 / 0.751   1.684 / 0.698  1.937 / 0.801
+#
+# Off-centre calls (focus N/2 + 0.5, n_time 40) on the full H at N = 200
+# and 400, NN and alpha 6, thick and thin, took 0.024-0.540 s decomposed
+# against 0.170-1.097 s stepped (best of 2), 1.6-9.9 times faster in every
+# case, with focal widths within 2.1e-8 relative. The rule's price: a small
+# sector at low phase, which Chebyshev samples faster, is decomposed too.
+# Eight samples of a centred nu = 2 or 3 chain sector at phase 97-185 took
+# 3.2-3.8 ms by one real window and 5.3-31 ms decomposed, the most at 400
+# even rows; the sample count does not separate the two, since a real
+# window took 2.0-6.2 ms at every count from 8 to 64.
+#
+# _DENSE_ROWS and _DENSE_COST: eight trajectory samples of a centred nu = 2
+# chain sector (J_z = 1500, real start), Chebyshev (one real window) / dense
+# on the Householder path from 420 rows, decomposition included, in seconds
+# (best of 1-3):
+#
+#   rows  phase 1e2      1e3            1e4            1e5
+#    210  0.0023/0.0065  0.012/0.0066   0.11/0.0063    1.4/0.0083
+#    420  0.0043/0.021   0.022/0.021    0.18/0.021     1.5/0.021
+#    650  0.0050/0.054   0.023/0.054    0.20/0.057     1.5/0.056
+#    812  0.0028/0.098   0.016/0.10     0.22/0.10      2.2/0.097
+#    992  0.0047/0.18    0.027/0.18     0.23/0.17      2.3/0.21
+#
+# The crossovers from 420 rows up fall near phases of 950, 2 600, 4 700 and
+# 7 800, rows^2 / 185 to rows^2 / 125. Off-centre nu = 2 sectors, whose full
+# H is decomposed: 820 rows at phase 11 400 took 86-108 ms decomposed
+# against 157-250 ms stepped, and 990 rows at phase 12 100 142-182 against
+# 265-297 ms. Sectors with more hops per row (nu = 3, 2D, long-range
+# hopping) pay more per term, so the rule keeps them on Chebyshev where
+# dense would already win.
+_DECOMPOSE_ROWS = 400
+_DENSE_ROWS = 1000
+_DENSE_COST = 1.0 / 125.0
+
+
+class EvolutionPath:
+    """How the start state ``psi`` reaches the sample ``times`` (relative to
+    the start, equally spaced) under the operator H of ``owner`` (module
+    docstring): in the even subspace of ``owner.mirror`` when ``even``, else
+    with H; from the owner's cached decomposition when ``dense``, else by
+    Chebyshev. :func:`evolution_path` picks the path; building one directly
+    forces it.
+    """
+
+    def __init__(self, owner, psi, times, tol: float, even: bool, dense: bool):
+        self.owner, self.tol, self.even, self.dense = owner, tol, even, dense
+        self.times = np.asarray(times, dtype=float)
+        self.mirror = owner.mirror if even else None
+        psi = np.asarray(psi)
+        self._start = psi[self.mirror.reps] if even else psi
+
+    @property
+    def dim(self) -> int:
+        """Rows of the operator the state is evolved with."""
+        return self._start.size
+
+    @property
+    def method(self) -> str:
+        return "dense" if self.dense else "chebyshev"
+
+    def _lift(self, phi: np.ndarray) -> np.ndarray:
+        return phi[..., self.mirror.orbit] if self.even else phi
+
+    def _operator(self) -> sp.csr_matrix:
+        return self.owner.even_matrix if self.even else self.owner.csr()
+
+    def _exact(self, times) -> np.ndarray:
+        """The unlifted states at ``times`` from the decomposition."""
+        if not self.even:
+            return self.owner.eigen().states(self._start, times)
+        w = self.mirror.weights
+        return self.owner.eigen(even=True).states(w * self._start, times) / w
+
+    def samples(self) -> Iterator[np.ndarray]:
+        """The lifted states at ``times``, in order, in blocks of rows: one
+        block from the decomposition or a real window, one row a block from
+        Chebyshev steps, so that stepping holds one state at a time."""
+        ts, n = self.times, self.times.size
+        if n == 0:
+            return
+        if self.dense:
+            yield self._lift(self._exact(ts))
+            return
+        h, bounds, phi, tol = self._operator(), self.owner.bounds(), self._start, self.tol
+        step = ts[1] - ts[0] if n > 1 else ts[0]
+        if ts[0] != step:
+            phi = expimv(h, phi, ts[0], tol, bounds)
+            yield self._lift(phi)[None]
+            n -= 1
+        elif (self.even and step != 0.0 and _state(phi).dtype == float
+              and _real_window_fits(h, bounds, step, n)):
+            yield self._lift(real_window(h, phi, step, n, tol, bounds))
+            return
+        for _, phi in trajectory(h, phi, step, n, tol, bounds):
+            yield self._lift(phi)[None]
+
+    def states(self) -> Iterator[np.ndarray]:
+        """The lifted states at ``times``, one at a time."""
+        for block in self.samples():
+            yield from block
+
+    def later(self, state: np.ndarray, t: float, shift: float) -> np.ndarray:
+        """The lifted state at t + ``shift``, as a block of one row, where
+        ``state`` is the lifted sample at time t: exact from the start when
+        decomposed, else one Chebyshev step of ``shift`` from ``state``."""
+        if self.dense:
+            return self._lift(self._exact([t + shift]))
+        if self.even:
+            state = state[self.mirror.reps]
+        return self._lift(expimv(self._operator(), state, shift, self.tol,
+                                 self.owner.bounds()))[None]
+
+
+def evolution_path(owner, psi, times, tol: float) -> EvolutionPath:
+    """The path of ``psi`` to the sample ``times`` under the operator of
+    ``owner`` (module docstring): the even subspace when the owner's mirror
+    exists and passes its gate over t_end = max |times|, and a decomposition
+    by the rule of ``_DECOMPOSE_ROWS``, ``_DENSE_ROWS`` and ``_DENSE_COST``.
+    """
+    times = np.asarray(times, dtype=float)
+    psi = np.asarray(psi)
+    t_end = float(np.abs(times).max(initial=0.0))
+    mirror = owner.mirror
+    if mirror is not None and psi.shape != mirror.refl.shape:
+        raise ValueError("state length does not match the operator")
+    even = mirror is not None and mirror.drift(psi, t_end) <= tol
+    rows = mirror.dim if even else psi.size
+    dense = rows <= _DECOMPOSE_ROWS
+    if not dense and rows <= _DENSE_ROWS:
+        lo, hi = owner.bounds()
+        dense = 0.5 * (hi - lo) * t_end > _DENSE_COST * rows**2
+    return EvolutionPath(owner, psi, times, tol, even, dense)

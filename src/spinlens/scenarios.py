@@ -24,13 +24,13 @@ from .lens import (Multifocal, ThickPolynomial, ThinPulse, _parabola_vertex,
                    corrected_focal_time, optimize_lens, potential_profile,
                    thin_phase_profile, thresholds)
 from .manybody import (MAX_EXCITATIONS, blockade_radius, build_mb_hamiltonian,
-                       density_profile, enumerate_basis, evolution_path,
-                       pair_distance_distribution, symmetric_initial_state)
-from .propagator import TOL_RANGE, trajectory
+                       density_profile, enumerate_basis, pair_distance_distribution,
+                       symmetric_initial_state)
+from .propagator import TOL_RANGE, evolution_path
 from .rydberg import (ChannelC6, DressingParams, dressed_couplings,
                       effective_potentials, exchange_peak, vdw_iso_aniso)
-from .wavepacket import (SpinWaveState, evolve, focus_probability,
-                         gaussian_packet, gaussian_width, phase_imprint)
+from .wavepacket import (evolve, focus_probability, gaussian_packet, gaussian_width,
+                         gaussian_widths, phase_imprint)
 
 
 class ConfigError(ValueError):
@@ -306,18 +306,22 @@ def _lens_packet(cfg, table, focus):
 
 
 def _write_breathing(out, terms, psi0, table, pred, t_max, ev):
-    """Sample the width of psi0 in n_samples equal steps up to t_max.
+    """Sample the width of psi0 in n_samples equal steps up to t_max, along
+    one evolution path (``propagator.evolution_path``): a centred real or
+    complex start runs in the even subspace, so the widths agree with
+    stepping the full H within the propagator's 10 tol per step.
 
     Writes widths.csv (against the continuum curve of ``pred``) and the state
     at the predicted focal time; returns (outputs, width minima).
     """
     n_samples, tol = int(ev["n_samples"]), float(ev["tol"])
+    dt = t_max / n_samples
+    path = evolution_path(terms, psi0.amplitudes, dt * np.arange(1, n_samples + 1), tol)
     times, widths = [psi0.time], [gaussian_width(psi0, table)]
-    for t, amp in trajectory(terms.matrix(), psi0.amplitudes, t_max / n_samples,
-                             n_samples, tol=tol, bounds=terms.bounds(),
-                             t0=psi0.time):
-        times.append(t)
-        widths.append(gaussian_width(SpinWaveState(amp, t), table))
+    for block in path.samples():
+        widths.extend(gaussian_widths(block, table))
+        for _ in block:
+            times.append(times[-1] + dt)
     times, widths = np.array(times), np.array(widths)
     outputs = [io_utils.write_csv(out / "widths.csv",
                                   ["t [1/J]", "sigma [a]", "sigma_continuum [a]"],
@@ -545,10 +549,10 @@ def run_nonlinear(cfg, out: Path):
 
     n_samples = int(cfg["evolution"]["n_samples"])
     dt = t_f / n_samples
-    amps = state.amplitudes
-    path = evolution_path(sector, amps, n_samples * dt, tol)
-    density_rows = []
-    for t, amps in path.trajectory(amps, dt, n_samples, t0=state.time_stamp):
+    path = evolution_path(sector, state.amplitudes, dt * np.arange(1, n_samples + 1), tol)
+    t, amps, density_rows = state.time_stamp, state.amplitudes, []
+    for amps in path.states():
+        t = t + dt
         p = density_profile(amps, basis)
         density_rows.extend((t, n, p[n], nu) for n in range(table.n_sites))
     outputs = [io_utils.write_csv(out / "density.csv",

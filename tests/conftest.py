@@ -37,6 +37,24 @@ def dense_evolution(matrix, psi, t):
     return (v * np.exp(-1j * t * w)) @ (v.conj().T @ psi)
 
 
+def dst_evolution(psi, extents, times, hopping=1.0):
+    """exp(-i H t) psi for each t of ``times``, one state per row, where H =
+    -J is the nearest-neighbour hopping of a hole-free chain or rectangular
+    table of ``extents`` with no potential. The orthonormal DST-I along each
+    axis diagonalises it, E = -2 J sum_d cos(pi k_d / (N_d + 1)) (G. Strang,
+    SIAM Rev. 41, 135 (1999)), so this is a closed form in O(N log N) that
+    uses no Chebyshev term, Bessel table or LAPACK call."""
+    from scipy.fft import dstn
+
+    extents = tuple(extents)
+    ks = np.meshgrid(*[np.pi * np.arange(1, n + 1) / (n + 1) for n in extents],
+                     indexing="ij")
+    energies = -2.0 * hopping * sum(np.cos(k) for k in ks)
+    coef = dstn(np.asarray(psi, dtype=complex).reshape(extents), type=1, norm="ortho")
+    return np.array([dstn(np.exp(-1j * energies * t) * coef, type=1, norm="ortho").ravel()
+                     for t in times])
+
+
 def random_hermitian(n, rng, density=0.3, diag_scale=1.0):
     """Random sparse Hermitian matrix with a controlled fill."""
     mask = rng.random((n, n)) < density

@@ -199,6 +199,16 @@ class TestRunCommand:
         assert manifest["wall_time_s"] > 0
         assert manifest["warnings"] == []
 
+    def test_manifest_records_the_blas_threads(self, thick_run):
+        """Outside ``derived``, so the golden table's blocks do not see it."""
+        _, _, manifest, _ = thick_run
+        assert manifest["threads"] == {
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "MKL_NUM_THREADS": os.environ.get("MKL_NUM_THREADS"),
+            "cpu_count": os.cpu_count()}
+        assert "threads" not in manifest["derived"]
+
     def test_embedded_config_hash_is_reproducible(self, thick_run):
         _, _, manifest, _ = thick_run
         assert manifest["config_hash"] == io_utils.canonical_hash(manifest["config"])

@@ -6,11 +6,21 @@ file a run writes and the manifest's ``derived`` block, as the manifest's
 scipy versions it names. The configs that run in under 0.3 s are rerun
 here and must reproduce every byte; a change that moves any output, fast
 config or slow, records the table anew and says why.
+
+Run as a script, ``python tests/test_golden.py`` (with ``src`` on the
+path), it reruns every config with one BLAS thread and rewrites the table.
 """
+
+import os
+
+if __name__ == "__main__":
+    # one BLAS thread, as the table is recorded, set before numpy loads BLAS
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 import hashlib
 import json
-import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +33,16 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = json.loads((CONFIGS / "GOLDEN.json").read_text(encoding="utf-8"))
 FAST = ("holes_1d", "multifocal2d", "nonlinear_blockade", "quickstart",
         "rydberg_tables", "thick1d", "thin1d")
+
+
+def _record(name: str, out: Path) -> dict:
+    """Run one shipped config into ``out``: its data files' sha256 and its
+    manifest's ``derived`` block, as the table holds them."""
+    assert main(["run", "--config", str(CONFIGS / f"{name}.yaml"), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    return {"derived": manifest["derived"],
+            "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                      for p in out.iterdir() if p.name != "manifest.json"}}
 
 
 def test_table_covers_every_shipped_config():
@@ -38,11 +58,16 @@ def test_fast_config_reproduces_its_outputs(tmp_path, name):
     if threads != str(GOLDEN["blas_threads"]):
         pytest.skip(f"outputs recorded with {GOLDEN['blas_threads']} BLAS thread, "
                     f"running with OPENBLAS_NUM_THREADS={threads}")
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(CONFIGS / f"{name}.yaml"), "--out", str(out)]) == 0
-    want = GOLDEN["configs"][name]
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in out.iterdir() if p.name != "manifest.json"}
-    assert got == want["files"]
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["derived"] == want["derived"]
+    got, want = _record(name, tmp_path / "out"), GOLDEN["configs"][name]
+    assert got["files"] == want["files"]
+    assert got["derived"] == want["derived"]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        table = {"blas_threads": 1,
+                 "configs": {p.stem: _record(p.stem, Path(scratch) / p.stem)
+                             for p in sorted(CONFIGS.glob("*.yaml"))},
+                 "versions": {"numpy": np.__version__, "scipy": scipy.__version__}}
+    (CONFIGS / "GOLDEN.json").write_text(json.dumps(table, indent=2, sort_keys=True) + "\n",
+                                         encoding="utf-8")

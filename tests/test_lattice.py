@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlens import lens
 from spinlens.lattice import (NearestNeighbor, PowerLaw, _Mirror, build_couplings,
                               build_lattice, displace_sites, punch_holes)
 from spinlens.lens import ThickPolynomial, clipped_thick_terms
@@ -260,11 +259,11 @@ class TestEvenFoldOracle:
     def test_centred_thick_designs(self, extents, model, coefficients):
         table = build_lattice(extents)
         base = build_couplings(table, _MODELS[model])
-        assert base._hopping_fold.even is not None
+        assert base._hopping_fold.mirror is not None
         for terms in (base, clipped_thick_terms(
                 base, ThickPolynomial(coefficients, tuple(table.center())), table, 1.0)):
             mirror, even = _dense_oracle(terms)
-            got = terms._even_mirror()
+            got = terms.mirror
             assert got.asymmetry == mirror.asymmetry == 0.0
             for name in ("refl", "reps", "orbit", "weights"):
                 assert np.array_equal(getattr(got, name), getattr(mirror, name))
@@ -285,15 +284,16 @@ class TestEvenFoldOracle:
         # nearest-neighbour hopping and the lens potential go by labels, so
         # displacements leave a nearest-neighbour design mirror-symmetric
         unmoved = kind == "displaced" and model == "nn"
-        assert (base._hopping_fold.even is not None) == (kind == "off-centre" or unmoved)
+        assert (base._hopping_fold.mirror is not None) == (kind == "off-centre" or unmoved)
         terms = clipped_thick_terms(base, ThickPolynomial((1e-3, -1e-7), focus),
                                     table, 1.0)
         mirror, even = _dense_oracle(terms)
-        got = terms._even_mirror()
-        assert got.asymmetry == mirror.asymmetry
+        got = terms.mirror
+        # the asymmetry is the CSR's; the dense H's row sums may round apart
+        assert got.asymmetry == _Mirror.of(terms.matrix(), mirror.refl).asymmetry
+        assert got.asymmetry == pytest.approx(mirror.asymmetry, rel=1e-12, abs=0.0)
         assert (mirror.asymmetry == 0.0) == unmoved
         assert _same_bits(terms._even_operator(), even)
         packet = np.exp(-((np.arange(n) - (n - 1) / 2.0) / 6.0) ** 2)
         for t in (0.0, 1e-15, 10.0):
-            assert (got.drift(packet, t) <= lens._EVEN_GATE) == \
-                (mirror.drift(packet, t) <= lens._EVEN_GATE)
+            assert (got.drift(packet, t) <= 1e-8) == (mirror.drift(packet, t) <= 1e-8)

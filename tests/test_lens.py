@@ -19,6 +19,8 @@ from spinlens.lens import (Multifocal, ThickPolynomial, ThinPulse,
                            thin_phase_profile, thresholds,
                            _isochrone_coefficients)
 
+from conftest import dst_evolution
+
 
 class TestDesignTypes:
     def test_thick_polynomial_fields(self):
@@ -637,9 +639,15 @@ class TestBatchedEvaluation:
     def test_window_path_equals_per_design_evaluation(self, monkeypatch, n, sigma0,
                                                       kw, retries):
         """The same contract on the stepped Chebyshev path, which designs
-        that would decompose more than ``_DENSE_DIM`` rows take."""
-        monkeypatch.setattr(lens, "_DENSE_DIM", 0)
+        the decomposition rule refuses take."""
+        _step_every_design(monkeypatch)
         _assert_batched_equals_alone(monkeypatch, n, sigma0, kw, retries)
+
+
+def _step_every_design(monkeypatch):
+    """Make the evolution path's rule refuse every decomposition."""
+    monkeypatch.setattr(propagator, "_DECOMPOSE_ROWS", 0)
+    monkeypatch.setattr(propagator, "_DENSE_ROWS", 0)
 
 
 def _scan_cases(name, n=80, sigma0=6.0, table=None, focus=None):
@@ -683,18 +691,18 @@ def _assert_agree(found, want):
 
 
 class TestDenseScan:
-    """A case whose decomposition has at most ``lens._DENSE_DIM`` rows scans
-    its window from a dense eigendecomposition; any other steps by
-    Chebyshev."""
+    """A case whose decomposition has at most ``propagator._DECOMPOSE_ROWS``
+    rows scans its window from a dense eigendecomposition; a larger one
+    steps by Chebyshev at the lens windows' phases."""
 
     @pytest.mark.parametrize("name", ["nn-thick", "nn-thin", "alpha6-thick"])
     def test_agrees_with_window_path(self, monkeypatch, name):
         """The decomposed scan and the stepped one land on the same window
         sample, within the documented tolerance."""
         table, cases = _scan_cases(name)
-        assert table.n_sites <= lens._DENSE_DIM
+        assert table.n_sites <= propagator._DECOMPOSE_ROWS
         dense = [lens._width_minimum(*c, table, 40, 1e-8) for c in cases]
-        monkeypatch.setattr(lens, "_DENSE_DIM", 0)
+        _step_every_design(monkeypatch)
         stepped = [lens._width_minimum(*c, table, 40, 1e-8) for c in cases]
         assert dense[-1][2]          # the early window ends on its edge
         assert {f[3] for f in dense} == {"even"}
@@ -703,9 +711,9 @@ class TestDenseScan:
 
     @pytest.mark.parametrize("name", ["nn-thick", "nn-thin", "alpha6-thick"])
     def test_stepped_path_matches_the_full_decomposition(self, decomposed, name):
-        """Off-centre designs above ``_DENSE_DIM`` sites step; the full
+        """Off-centre designs above ``_DECOMPOSE_ROWS`` sites step; the full
         decomposition of their H is the oracle."""
-        n = lens._DENSE_DIM + 2
+        n = propagator._DECOMPOSE_ROWS + 2
         table, cases = _scan_cases(name, n=n, sigma0=n / 16.0, focus=(n / 2.0,))
         found = [lens._width_minimum(*c, table, 40, 1e-8) for c in cases]
         assert {f[3] for f in found} == {"chebyshev"} and decomposed == []
@@ -714,12 +722,12 @@ class TestDenseScan:
 
     def test_dense_designs_decompose_with_numpy_eigh(self, decomposed):
         """EigenPropagator switches solver above _EVR_ROWS rows. The most
-        rows a lens design decomposes are ``_DENSE_DIM``: the full H of
-        ``_DENSE_DIM`` sites, for a design the mirror gate refuses, or the
-        even operator, ceil(N/2) rows, of a centred one on 2 ``_DENSE_DIM``
-        sites. Both must stay at or below _EVR_ROWS to keep their bits and
-        speed."""
-        n = lens._DENSE_DIM
+        rows a lens design of up to 800 sites decomposes are
+        ``_DECOMPOSE_ROWS``: the full H of that many sites, for a design the
+        mirror gate refuses, or the even operator, ceil(N/2) rows, of a
+        centred one on twice that. Both must stay at or below _EVR_ROWS to
+        keep their bits and speed."""
+        n = propagator._DECOMPOSE_ROWS
         for size, focus in ((n, None), (n, (n / 2.0,)), (2 * n, None)):
             table, cases = _scan_cases("nn-thick", n=size, sigma0=size / 16.0, focus=focus)
             lens._width_minimum(*cases[0], table, 10, 1e-8)
@@ -743,16 +751,14 @@ class TestDenseScan:
                                                 (802, "centre", "chebyshev")])
     def test_each_size_and_focus_takes_its_path(self, monkeypatch, decomposed,
                                                 n, focus, path):
-        """Centred designs decompose ceil(N/2) rows up to 2 ``_DENSE_DIM``
-        sites, other designs N rows up to ``_DENSE_DIM``; larger ones step.
-        Above 2 ``_DENSE_DIM`` sites no mirror and no hopping fold, which
-        take dense N x N arrays, is made."""
-        assert lens._DENSE_DIM == 400
-        mirrors, folds = [], []
-        even_mirror = lattice.HamiltonianTerms._even_mirror
+        """Centred designs decompose ceil(N/2) rows up to 2
+        ``_DECOMPOSE_ROWS`` sites, other designs N rows up to
+        ``_DECOMPOSE_ROWS``; larger ones step at these phases. Only an even
+        decomposition folds the hopping, the one dense N x N array a design
+        may need besides its decomposition."""
+        assert propagator._DECOMPOSE_ROWS == 400
+        folds = []
         fold = lattice._HoppingFold.even.func
-        monkeypatch.setattr(lattice.HamiltonianTerms, "_even_mirror",
-                            lambda self: mirrors.append(n) or even_mirror(self))
         monkeypatch.setattr(lattice._HoppingFold, "even",
                             property(lambda self: folds.append(n) or fold(self)))
         table, cases = _scan_cases("nn-thick", n=n, sigma0=n / 16.0,
@@ -760,22 +766,21 @@ class TestDenseScan:
         assert lens._width_minimum(*cases[0], table, 10, 1e-8)[3] == path
         rows = {"even": [(n + 1) // 2], "dense": [n], "chebyshev": []}[path]
         assert decomposed == rows
-        assert (mirrors == folds == []) == (n > 2 * lens._DENSE_DIM)
+        assert (folds == []) == (path != "even")
 
     def test_unpaired_hole_measures_its_mirror_on_the_csr(self, monkeypatch):
-        """A hole without a mirror partner leaves the hopping without an
-        even fold, so each design's mirror asymmetry is measured on its H:
-        on the CSR, with no dense N x N copy, even at 2 ``_DENSE_DIM``
-        sites: only the rows beside the hole and its image are densified.
-        Every case takes the path, and gives the bits, it takes with the
-        asymmetry measured on the dense H."""
-        n = 2 * lens._DENSE_DIM
+        """A hole without a mirror partner leaves the hopping without a
+        shared mirror, so each design's mirror asymmetry is measured on its
+        H: on the CSR, with no dense N x N copy, at 800 sites. Every case
+        takes the path, and gives the bits, it takes with the asymmetry
+        measured on the dense H."""
+        n = 2 * propagator._DECOMPOSE_ROWS
 
         def scan_cases():
             table, cases = _scan_cases("nn-thick", n=n, sigma0=n / 20.0,
                                        table=punch_holes(build_lattice((n,)), [(5,)]))
-            # the hopping's fold is made once per base terms, not per design
-            assert cases[0][0]._hopping_fold.even is None
+            # the hopping's mirror is measured once per base terms
+            assert cases[0][0]._hopping_fold.mirror is None
             return table, cases
 
         table, cases = scan_cases()
@@ -786,17 +791,14 @@ class TestDenseScan:
             m.setattr(csr, "toarray", lambda self, *args, **kwargs:
                       dense.append(self.shape) or toarray(self, *args, **kwargs))
             found = [lens._width_minimum(*c, table, 40, 1e-8) for c in cases]
-        # rows 4-6 and their images, once per design
-        assert dense == [(6, n)] * 3
+        assert dense == []
         assert {f[3] for f in found} == {"chebyshev"}
 
         def dense_mirror(self):
-            if self._mirror is None:
-                self._mirror = lattice._Mirror.of(self.matrix().toarray(),
-                                                  np.arange(self.n_sites - 1, -1, -1))
-            return self._mirror
+            return lattice._Mirror.of(self.matrix().toarray(),
+                                      np.arange(self.n_sites - 1, -1, -1))
 
-        monkeypatch.setattr(lattice.HamiltonianTerms, "_even_mirror", dense_mirror)
+        monkeypatch.setattr(lattice.HamiltonianTerms, "mirror", property(dense_mirror))
         table, cases = scan_cases()
         assert found == [lens._width_minimum(*c, table, 40, 1e-8) for c in cases]
 
@@ -816,22 +818,46 @@ def decomposed(monkeypatch):
 
 
 def _full_minimum(terms, psi0, window, table, n_time):
-    """One window scanned from the dense decomposition of the full H, as
-    every dense-path case was before the even path: the bits a case the
-    mirror gate refuses must keep."""
-    eigen = propagator.EigenPropagator(terms.matrix())
+    """One window scanned from the dense decomposition of the full H: the
+    bits a case the mirror gate refuses must keep."""
+    return _exact_minimum(propagator.EigenPropagator(terms.matrix()).states,
+                          psi0, window, table, n_time)
+
+
+def _exact_minimum(states, psi0, window, table, n_time):
+    """One window scanned from ``states(psi, times)``, exact states at any
+    times, its parabola vertex refined from the start."""
     ts = np.linspace(*window, n_time)
-    w = gaussian_widths(eigen.states(psi0.amplitudes, ts), table)
+    w = gaussian_widths(states(psi0.amplitudes, ts), table)
     i = int(np.argmin(w))
     at_edge = i == 0 or i == n_time - 1
     t_min, w_min = ts[i], w[i]
     vertex = None if at_edge else lens._parabola_vertex(w, i)
     if vertex is not None:
         t_ref = ts[i] + vertex[0] * (ts[1] - ts[0])
-        w_ref = gaussian_widths(eigen.states(psi0.amplitudes, [t_ref]), table)[0]
+        w_ref = gaussian_widths(states(psi0.amplitudes, [t_ref]), table)[0]
         if w_ref < w_min:
             t_min, w_min = t_ref, w_ref
     return t_min, w_min, at_edge
+
+
+class TestClosedFormScan:
+    """Thin designs evolve under the bare couplings, which the DST-I
+    diagonalises on a hole-free chain (``conftest.dst_evolution``): a
+    centred design at 800 sites decomposes its even operator, an
+    off-centre one at 1 200 steps, and both land on the closed form's
+    window sample within the documented tolerance."""
+
+    @pytest.mark.parametrize("n, focus, path", [(800, None, "even"),
+                                                (1200, (600.0,), "chebyshev")])
+    def test_thin_designs_match_the_closed_form(self, n, focus, path):
+        table, cases = _scan_cases("nn-thin", n=n, sigma0=n / 16.0, focus=focus)
+        found = [lens._width_minimum(*c, table, 40, 1e-8) for c in cases]
+        assert {f[3] for f in found} == {path}
+        assert found[-1][2]          # the early window ends on its edge
+        _assert_agree(found, [_exact_minimum(
+            lambda psi, ts: dst_evolution(psi, table.extents, ts), psi0, window, table, 40)
+            for _, psi0, window in cases])
 
 
 # (n or extents, sigma0, holes) of the tables the even path is checked on:
@@ -894,8 +920,9 @@ class TestEvenScan:
                 table, rng.normal(scale=0.01, size=(n, 1))))
         else:
             table, cases = _scan_cases("nn-thin", n=n)
+            # an odd part the gate at tol = 1e-8 refuses
             odd = np.zeros(n)
-            odd[[30, n - 31]] = 1e-9, -1e-9
+            odd[[30, n - 31]] = 1e-7, -1e-7
             cases = [(terms, SpinWaveState(psi0.amplitudes + odd), window)
                      for terms, psi0, window in cases]
         found = [lens._width_minimum(*c, table, 40, 1e-8) for c in cases]
@@ -910,7 +937,7 @@ class TestPathCounts:
                                                 (60, None, "chebyshev")])
     def test_result_counts_the_designs_on_each_path(self, monkeypatch, n, focus, path):
         if path == "chebyshev":
-            monkeypatch.setattr(lens, "_DENSE_DIM", 0)
+            _step_every_design(monkeypatch)
         res = optimize_lens(build_lattice((n,)), NearestNeighbor(1.0), n / 16.0,
                             focus=focus, n_time=40)
         assert res.paths == {p: len(res.scan) if p == path else 0
@@ -947,10 +974,10 @@ class TestSharedHoppingFold:
         base = build_couplings(table, NearestNeighbor(1.0))
         designs = [lens.clipped_thick_terms(base, ThickPolynomial((g,), (29.5,)),
                                             table, 1.0) for g in (1e-3, 2e-3)]
-        designs[0]._even_eigen()
-        fold = designs[0]._hopping_fold.even[1]
+        designs[0].eigen(even=True)
+        fold = designs[0]._hopping_fold.even[0]
         assert all(d._hopping_fold is base._hopping_fold for d in designs)
-        assert base._hopping_fold.even[1] is fold
+        assert base._hopping_fold.even[0] is fold
         freed = weakref.ref(fold)
         del fold
         designs.pop()

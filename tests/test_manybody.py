@@ -13,12 +13,11 @@ from spinlens.lattice import (NearestNeighbor, PowerLaw, build_couplings,
 from spinlens.lens import ThickPolynomial, potential_profile
 from spinlens.manybody import (ManyBodySector, ManyBodyState, blockade_radius,
                                build_mb_hamiltonian, density_profile,
-                               enumerate_basis, even_path, evolution_path,
-                               evolve_mb, mb_trajectory,
+                               enumerate_basis, evolve_mb, mb_trajectory,
                                pair_distance_distribution,
                                symmetric_initial_state)
-from spinlens.propagator import (EigenPropagator, _real_window_fits, expimv, real_window,
-                                 trajectory)
+from spinlens.propagator import (EigenPropagator, EvolutionPath, _real_window_fits,
+                                 evolution_path, expimv, real_window, trajectory)
 from spinlens.scenarios import prepare_config, run_scenario
 from spinlens.wavepacket import SpinWaveState, gaussian_packet
 
@@ -342,8 +341,8 @@ class TestFreeFermionOracle:
         basis = enumerate_basis(table, nu)
         sector = build_mb_hamiltonian(terms, basis, jz=0.0, table=table)
         amps = amps_of_basis(table, basis)
-        path = evolution_path(sector, amps, t, 1e-12)
-        assert (path.mirror is not None) == even
+        path = evolution_path(sector, amps, [t], 1e-12)
+        assert path.even == even
         assert path.dense == dense
         out = evolve_mb(sector, ManyBodyState(amps), t, tol=1e-12).amplitudes
 
@@ -390,19 +389,19 @@ class TestFreeFermionOracle:
                                        basis).amplitudes
         assert not amps.imag.any()
         dt, n_steps, tol = self.T / 4, 4, 1e-10
-        path = evolution_path(sector, amps, self.T, tol)
+        path = evolution_path(sector, amps, dt * np.arange(1, n_steps + 1), tol)
         m = sector.mirror
-        assert path.mirror is m and not path.dense
+        assert path.even and not path.dense
         assert path.method == "chebyshev"
         got = list(mb_trajectory(sector, amps, dt, n_steps, tol=tol))
-        phis = real_window(m.matrix, amps[m.reps], dt, n_steps, tol=tol,
+        phis = real_window(sector.even_matrix, amps[m.reps], dt, n_steps, tol=tol,
                            bounds=sector.bounds())
         t_ref = 0.0
         for (t, amp), phi in zip(got, phis, strict=True):
             t_ref = t_ref + dt
             assert t == t_ref
             assert np.array_equal(amp, phi[m.orbit])
-        assert sector._eigen is None
+        assert sector._eigens == {}
 
 
 class TestSymmetricState:
@@ -599,9 +598,9 @@ class TestMirrorReduction:
         extents, nu, kw = self.EVEN_CASES[case]
         sector, state = _centred(extents, nu, **kw)
         dt, n_steps, tol = 0.9, 4, 1e-12
-        mirror = even_path(sector, state.amplitudes, n_steps * dt, tol)
-        assert mirror is not None
-        assert sector.basis.dim / 2 <= mirror.dim < sector.basis.dim
+        path = evolution_path(sector, state.amplitudes, dt * np.arange(1, n_steps + 1), tol)
+        assert path.even
+        assert sector.basis.dim / 2 <= path.dim < sector.basis.dim
         got = list(mb_trajectory(sector, state.amplitudes, dt, n_steps, tol=tol))
         ref = _full_sector_steps(sector, state.amplitudes, dt, n_steps, tol)
         for (t, amp), (t_ref, amp_ref) in zip(got, ref, strict=True):
@@ -611,7 +610,7 @@ class TestMirrorReduction:
     def test_even_path_matches_dense_expm(self):
         sector, state = _centred((12,), 2, jz=8.0)
         t = 7.3
-        assert even_path(sector, state.amplitudes, t, 1e-12) is not None
+        assert evolution_path(sector, state.amplitudes, [t], 1e-12).even
         out = evolve_mb(sector, state, t, tol=1e-12).amplitudes
         ref = scipy.linalg.expm(-1j * t * sector.matrix.toarray()) @ state.amplitudes
         assert np.abs(out - ref).max() <= 1e-9
@@ -629,22 +628,27 @@ class TestMirrorReduction:
     def test_nu1_sector_mirror_is_the_lens_operators(self, extents):
         """A single-excitation lens H is the nu = 1 sector: the one mirror
         reduction gives both the same orbits and weights, and the lens
-        path's dense fold is the sector's symmetric even operator, bit for
-        bit."""
+        operators' dense fold is the sector's symmetric even operator, bit
+        for bit."""
         table = build_lattice(extents)
         design = ThickPolynomial((0.01,), tuple(table.center()))
         terms = build_couplings(table, PowerLaw(1.0, 6.0),
                                 lens_diagonal=potential_profile(design, table))
         sector = build_mb_hamiltonian(terms, enumerate_basis(table, 1), table=table)
-        lens_mirror, sector_mirror = terms._even_mirror(), sector.mirror
+        lens_mirror, sector_mirror = terms.mirror, sector.mirror
         for name in ("refl", "reps", "orbit", "weights"):
             assert np.array_equal(getattr(lens_mirror, name), getattr(sector_mirror, name))
         assert lens_mirror.asymmetry == sector_mirror.asymmetry == 0.0
+        assert np.array_equal(terms._even_operator(), sector._even_operator().toarray())
         assert np.array_equal(lens_mirror.fold(terms.matrix().toarray()),
-                              sector_mirror.symmetric().toarray())
+                              sector._even_operator().toarray())
 
     @pytest.mark.parametrize("kind", ["off-centre", "hole", "random"])
     def test_asymmetric_input_takes_the_full_path_bit_for_bit(self, rng, kind):
+        """A state the gate refuses runs on the full sector: here, at 210
+        rows, from its decomposition, every sample bit for bit the exact
+        state from the start; forced onto Chebyshev, bit for bit the raw
+        trajectory."""
         if kind == "off-centre":
             sector, state = _centred((21,), 2, focus_shift=1.0)
             amps = state.amplitudes
@@ -658,55 +662,69 @@ class TestMirrorReduction:
             amps = rng.normal(size=sector.basis.dim) + 0j
             amps /= np.linalg.norm(amps)
         dt, n_steps, tol = 0.9, 3, 1e-10
-        assert even_path(sector, amps, n_steps * dt, tol) is None
+        times = dt * np.arange(1, n_steps + 1)
+        path = evolution_path(sector, amps, times, tol)
+        assert not path.even and path.dense
+        exact = EigenPropagator(sector.matrix).states(amps, times)
         got = list(mb_trajectory(sector, amps, dt, n_steps, tol=tol))
         ref = _full_sector_steps(sector, amps, dt, n_steps, tol)
-        for (t, amp), (t_ref, amp_ref) in zip(got, ref, strict=True):
+        for (t, amp), want, (t_ref, _) in zip(got, exact, ref, strict=True):
             assert t == t_ref
-            assert np.array_equal(amp, amp_ref)
+            assert np.array_equal(amp, want)
         one = evolve_mb(sector, ManyBodyState(amps), dt, tol=tol).amplitudes
-        assert np.array_equal(one, ref[0][1])
+        assert np.array_equal(one, EigenPropagator(sector.matrix).states(amps, [dt])[0])
+        stepped = EvolutionPath(sector, amps, times, tol, even=False, dense=False)
+        for amp, (_, amp_ref) in zip(stepped.states(), ref, strict=True):
+            assert np.array_equal(amp, amp_ref)
 
     def test_gate_adds_state_and_operator_asymmetry(self):
         sector, state = _centred((17,), 3)
         amps = state.amplitudes.copy()
         amps[0] += 1e-9
-        assert even_path(sector, amps, 1.0, 1e-8) is not None
-        assert even_path(sector, amps, 1.0, 1e-10) is None
+        assert evolution_path(sector, amps, [1.0], 1e-8).even
+        assert not evolution_path(sector, amps, [1.0], 1e-10).even
         # a 1e-9 diagonal skew on one row counts |t| times
         kick = sp.diags(np.eye(1, sector.basis.dim).ravel() * 1e-9)
         skewed = ManyBodySector(sector.basis, (sector.matrix + kick).tocsr())
         assert skewed.mirror.asymmetry == pytest.approx(1e-9)
-        assert even_path(skewed, state.amplitudes, 1.0, 1e-8) is skewed.mirror
-        assert even_path(skewed, state.amplitudes, 100.0, 1e-8) is None
+        assert evolution_path(skewed, state.amplitudes, [1.0], 1e-8).even
+        assert not evolution_path(skewed, state.amplitudes, [100.0], 1e-8).even
 
     def test_state_length_checked(self):
         sector, state = _centred((11,), 2)
         with pytest.raises(ValueError):
-            even_path(sector, state.amplitudes[:-1], 1.0, 1e-10)
+            evolution_path(sector, state.amplitudes[:-1], [1.0], 1e-10)
 
 
 class TestRealStartWindow:
     """A real start on the even Chebyshev path samples its whole span from
     one float64 recurrence (``propagator.real_window``); a complex start
-    steps by ``trajectory`` as before."""
+    steps by ``trajectory``."""
 
     @pytest.mark.parametrize("extents, nu", [((41,), 2), ((17,), 3)], ids=["nu2", "nu3"])
     def test_every_sample_matches_the_dense_full_sector(self, extents, nu):
+        """The nu = 2 even sector (420 rows) takes the window by the rule;
+        the nu = 3 one (344 rows) would be decomposed, so its window is
+        forced."""
         sector, state = _centred(extents, nu, jz=30.0)
         amps, dt, n_steps, tol = state.amplitudes, 0.5, 8, 1e-10
         assert not amps.imag.any()
-        path = evolution_path(sector, amps, n_steps * dt, tol)
-        assert path.mirror is not None and not path.dense
-        got = list(mb_trajectory(sector, amps, dt, n_steps, tol=tol))
-        assert len(got) == n_steps
-        for t, amp in got:
+        times = dt * np.arange(1, n_steps + 1)
+        path = evolution_path(sector, amps, times, tol)
+        assert path.even and path.dense == (nu == 3)
+        window = EvolutionPath(sector, amps, times, tol, even=True, dense=False)
+        (block,) = window.samples()
+        assert block.shape == (n_steps, sector.basis.dim)
+        for t, amp in zip(times, block, strict=True):
             ref = dense_evolution(sector.matrix, amps, t)
             assert np.linalg.norm(amp - ref) <= 10 * tol
+        if nu == 2:
+            got = list(mb_trajectory(sector, amps, dt, n_steps, tol=tol))
+            assert np.array_equal(np.array([amp for _, amp in got]), block)
 
     def test_zero_step_and_no_step(self):
         sector, state = _centred((41,), 2, jz=30.0)
-        assert even_path(sector, state.amplitudes, 0.0, 1e-10) is not None
+        assert evolution_path(sector, state.amplitudes, [0.0], 1e-10).even
         out = evolve_mb(sector, state, 0.0, tol=1e-10)
         assert out.amplitudes.dtype == np.complex128
         assert np.array_equal(out.amplitudes, state.amplitudes)
@@ -718,13 +736,13 @@ class TestRealStartWindow:
         ``trajectory`` from the real start, as a complex start does."""
         sector, state = _centred((41,), 2, jz=30.0)
         amps, dt, n_steps, tol = state.amplitudes, 0.5, 40, 1e-10
-        path = evolution_path(sector, amps, n_steps * dt, tol)
-        m, bounds = path.mirror, sector.bounds()
-        assert m is not None and not path.dense
-        assert _real_window_fits(m.matrix, bounds, dt, 8)
-        assert not _real_window_fits(m.matrix, bounds, dt, n_steps)
+        path = evolution_path(sector, amps, dt * np.arange(1, n_steps + 1), tol)
+        m, h, bounds = sector.mirror, sector.even_matrix, sector.bounds()
+        assert path.even and not path.dense
+        assert _real_window_fits(h, bounds, dt, 8)
+        assert not _real_window_fits(h, bounds, dt, n_steps)
         got = list(mb_trajectory(sector, amps, dt, n_steps, tol=tol))
-        ref = list(trajectory(m.matrix, amps[m.reps], dt, n_steps, tol=tol, bounds=bounds))
+        ref = list(trajectory(h, amps[m.reps], dt, n_steps, tol=tol, bounds=bounds))
         for (t, amp), (t_ref, phi) in zip(got, ref, strict=True):
             assert t == t_ref
             assert np.array_equal(amp, phi[m.orbit])
@@ -735,11 +753,11 @@ class TestRealStartWindow:
         chirp = np.exp(0.05j * x**2)[sector.basis.states].prod(axis=1)
         amps = state.amplitudes * chirp
         dt, n_steps, tol = 0.5, 4, 1e-10
-        path = evolution_path(sector, amps, n_steps * dt, tol)
-        m = path.mirror
-        assert m is not None and not path.dense and amps[m.reps].imag.any()
+        path = evolution_path(sector, amps, dt * np.arange(1, n_steps + 1), tol)
+        m = sector.mirror
+        assert path.even and not path.dense and amps[m.reps].imag.any()
         got = list(mb_trajectory(sector, amps, dt, n_steps, tol=tol))
-        ref = list(trajectory(m.matrix, amps[m.reps], dt, n_steps, tol=tol,
+        ref = list(trajectory(sector.even_matrix, amps[m.reps], dt, n_steps, tol=tol,
                               bounds=sector.bounds()))
         for (t, amp), (t_ref, phi) in zip(got, ref, strict=True):
             assert t == t_ref
@@ -753,7 +771,7 @@ class TestDenseEvenPath:
     def test_matches_dense_full_sector_at_every_step(self):
         sector, state = _centred((41,), 2, jz=1500.0)
         amps, dt, n_steps, tol = state.amplitudes, 0.5, 6, 1e-10
-        path = evolution_path(sector, amps, n_steps * dt, tol)
+        path = evolution_path(sector, amps, dt * np.arange(1, n_steps + 1), tol)
         assert path.dense and path.method == "dense"
         assert path.dim == sector.mirror.dim < sector.basis.dim
         got = list(mb_trajectory(sector, amps, dt, n_steps, tol=tol))
@@ -771,8 +789,8 @@ class TestDenseEvenPath:
         its time (420 rows: the Householder path)."""
         sector, state = _centred((41,), 2, jz=1500.0)
         amps, dt, n_steps, tol = state.amplitudes, 0.5, 10, 1e-10
-        assert evolution_path(sector, amps, n_steps * dt, tol).dense
-        eigen, calls = sector.eigen(), []
+        assert evolution_path(sector, amps, dt * np.arange(1, n_steps + 1), tol).dense
+        eigen, calls = sector.eigen(even=True), []
         states = eigen.states
         monkeypatch.setattr(eigen, "states",
                             lambda psi, times: calls.append(len(times)) or states(psi, times))
@@ -792,22 +810,20 @@ class TestDenseEvenPath:
         is bit for bit its raw Chebyshev call on the even operator: a
         one-sample float64 window from the real start, then steps."""
         sector, state = _centred((41,), 2, jz=1500.0)
-        amps, dt, n_steps, tol = state.amplitudes, 0.5, 6, 1e-10
-        assert evolution_path(sector, amps, n_steps * dt, tol).dense
+        amps, dt, n_steps, tol = state.amplitudes, 0.25, 6, 1e-10
+        assert evolution_path(sector, amps, dt * np.arange(1, n_steps + 1), tol).dense
         got = list(mb_trajectory(sector, amps, dt, n_steps, tol=tol))
-        assert sector._eigen is not None
-        m, step = sector.mirror, ManyBodyState(amps)
+        assert True in sector._eigens
+        m, h, step = sector.mirror, sector.even_matrix, ManyBodyState(amps)
         for k, (t, amp) in enumerate(got):
-            path = evolution_path(sector, step.amplitudes, dt, tol)
-            assert path.mirror is m and not path.dense
+            path = evolution_path(sector, step.amplitudes, [dt], tol)
+            assert path.even and not path.dense
             phi = step.amplitudes[m.reps]
             assert phi.imag.any() == (k > 0)
             if k == 0:
-                (phi,) = real_window(m.matrix, phi, dt, 1, tol=tol,
-                                     bounds=sector.bounds())
+                (phi,) = real_window(h, phi, dt, 1, tol=tol, bounds=sector.bounds())
             else:
-                (_, phi), = trajectory(m.matrix, phi, dt, 1, tol=tol,
-                                       bounds=sector.bounds())
+                (_, phi), = trajectory(h, phi, dt, 1, tol=tol, bounds=sector.bounds())
             step = evolve_mb(sector, step, dt, tol=tol)
             assert step.time_stamp == t
             assert np.array_equal(step.amplitudes, phi[m.orbit])
@@ -819,7 +835,7 @@ class TestDenseEvenPath:
         the sector's even ones: a subset of H's, one per orbit."""
         sector, _ = _centred(extents, nu, jz=40.0)
         m = sector.mirror
-        s = m.symmetric()
+        s = sector._even_operator()
         assert abs(s - s.T).max() <= 1e-14 * abs(s).max()
         sizes = np.bincount(m.orbit)
         assert np.array_equal(m.weights, np.sqrt(sizes))
@@ -827,8 +843,8 @@ class TestDenseEvenPath:
         full = np.linalg.eigvalsh(sector.matrix.toarray())
         gap = np.abs(even[:, None] - full[None, :]).min(axis=1)
         assert gap.max() <= 1e-10 * np.abs(full).max()
-        assert sector.eigen() is sector.eigen()
-        assert np.array_equal(sector.eigen().energies,
+        assert sector.eigen(even=True) is sector.eigen(even=True)
+        assert np.array_equal(sector.eigen(even=True).energies,
                               EigenPropagator(s).energies)
 
     def test_mirror_matrix_is_rejected_as_not_symmetric(self):
@@ -836,12 +852,12 @@ class TestDenseEvenPath:
         itself would give wrong states, so it fails loudly."""
         sector, _ = _centred((21,), 2)
         with pytest.raises(ValueError, match="symmetric"):
-            EigenPropagator(sector.mirror.matrix)
+            EigenPropagator(sector.even_matrix)
 
     def test_sector_without_mirror_has_no_decomposition(self):
         sector, _ = _centred((21,), 2, holes=[(4,)])
         with pytest.raises(ValueError, match="mirror"):
-            sector.eigen()
+            sector.eigen(even=True)
 
 
 class TestEvenPathAtUlpAsymmetry:
@@ -854,7 +870,7 @@ class TestEvenPathAtUlpAsymmetry:
         amps = state.amplitudes
         m = sector.mirror
         assert not (m.asymmetry == 0.0 and np.array_equal(amps, amps[m.refl]))
-        assert even_path(sector, amps, 10.7, 1e-8) is m
+        assert evolution_path(sector, amps, [10.7], 1e-8).even
 
     def test_shipped_blockade_config(self, tmp_path):
         path = CONFIGS / "nonlinear_blockade.yaml"

@@ -7,20 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinlens.disorder import EnsembleJob, Holes, _CleanPattern, _initial_state, _realization_table
-from spinlens.lattice import NearestNeighbor, PowerLaw, build_couplings, build_lattice
+from spinlens.lattice import (NearestNeighbor, PowerLaw, build_couplings, build_lattice,
+                              punch_holes)
 from spinlens.lens import (ThickPolynomial, ThinPulse, continuum_thick, potential_profile,
                            thin_phase_profile)
-from spinlens.manybody import (build_mb_hamiltonian, enumerate_basis, even_path,
-                               evolution_path, evolve_mb, mb_trajectory,
-                               symmetric_initial_state)
+from spinlens.manybody import (build_mb_hamiltonian, enumerate_basis, evolve_mb,
+                               mb_trajectory, symmetric_initial_state)
 from spinlens import propagator
 from spinlens.propagator import (_STACK_NNZ, TOL_RANGE, EigenPropagator, _real_window_fits,
-                                 _StepPlan, _bessel_table, _enclosure, _stacked_operator,
-                                 expimv, expimv_batch, real_window, spectral_bounds,
-                                 trajectory)
+                                 EvolutionPath, _StepPlan, _bessel_table, _enclosure,
+                                 _stacked_operator, evolution_path, expimv, expimv_batch,
+                                 real_window, spectral_bounds, trajectory)
 from spinlens.wavepacket import evolve, gaussian_packet, phase_imprint
 
-from conftest import dense_evolution, random_hermitian
+from conftest import dense_evolution, dst_evolution, random_hermitian
 
 
 def normalized(rng, n):
@@ -105,7 +105,7 @@ class TestExpimv:
 
 class TestLongPhase:
     """One expansion at phases past 3e4, against the dense eigendecomposition
-    of a centred nu = 2 even sector (``sector.eigen()``)."""
+    of a centred nu = 2 even sector (``sector.eigen(even=True)``)."""
 
     @pytest.mark.parametrize("n, chirp", [(21, 0.0), (21, 0.05), (41, 0.0), (41, 0.05)],
                              ids=["real", "complex", "real-420rows", "complex-420rows"])
@@ -127,8 +127,8 @@ class TestLongPhase:
         phi, w = psi[mirror.reps], mirror.weights
         half, tol = 0.5 * (bounds[1] - bounds[0]), 1e-9
         for z in (3.5e4, 7.0e4):
-            got = expimv(mirror.matrix, phi, z / half, tol=tol, bounds=bounds)
-            want = sector.eigen().states(w * phi, [z / half])[0] / w
+            got = expimv(sector.even_matrix, phi, z / half, tol=tol, bounds=bounds)
+            want = sector.eigen(even=True).states(w * phi, [z / half])[0] / w
             assert np.linalg.norm((got - want)[mirror.orbit]) < 10 * tol
 
     def test_real_window_sample_matches_its_eigendecomposition(self):
@@ -145,8 +145,8 @@ class TestLongPhase:
         phi, w = psi[mirror.reps].real, mirror.weights
         half, tol = 0.5 * (bounds[1] - bounds[0]), 1e-9
         dt = 3.5e4 / half
-        (got,) = real_window(mirror.matrix, phi, dt, 1, tol, bounds)
-        want = sector.eigen().states(w * phi, [dt])[0] / w
+        (got,) = real_window(sector.even_matrix, phi, dt, 1, tol, bounds)
+        want = sector.eigen(even=True).states(w * phi, [dt])[0] / w
         assert np.linalg.norm((got - want)[mirror.orbit]) < 10 * tol
 
 
@@ -195,8 +195,8 @@ class TestTrajectory:
         assert bool(state.amplitudes.imag.any()) == (chirp != 0.0)
         state.time_stamp = 0.1
         dt, tol = 0.45, 1e-9
-        path = evolution_path(sector, state.amplitudes, 4 * dt, tol)
-        assert path.mirror is not None and not path.dense
+        path = evolution_path(sector, state.amplitudes, dt * np.arange(1, 5), tol)
+        assert path.even and not path.dense
         steps = list(mb_trajectory(sector, state.amplitudes, dt, 4, tol=tol,
                                    t0=state.time_stamp))
         assert len(steps) == 4
@@ -219,8 +219,8 @@ class TestTrajectory:
         state = symmetric_initial_state(gaussian_packet(table, 4.0), 2, basis)
         state.time_stamp = 0.1
         dt, tol = 0.45, 1e-9
-        assert evolution_path(sector, state.amplitudes, dt, tol).dense
-        assert evolution_path(sector, state.amplitudes, 4 * dt, tol).dense
+        assert evolution_path(sector, state.amplitudes, [dt], tol).dense
+        assert evolution_path(sector, state.amplitudes, dt * np.arange(1, 5), tol).dense
         steps = list(mb_trajectory(sector, state.amplitudes, dt, 4, tol=tol,
                                    t0=state.time_stamp))
         assert len(steps) == 4
@@ -237,7 +237,7 @@ class TestTrajectory:
             gaussian_packet(table, 4.0, center=(17.0,)), 2, basis)
         state.time_stamp = 0.1
         dt, tol = 0.45, 1e-9
-        assert even_path(sector, state.amplitudes, dt, tol) is None
+        assert not evolution_path(sector, state.amplitudes, [dt], tol).even
         steps = list(trajectory(sector.matrix, state.amplitudes, dt, 4, tol=tol,
                                 bounds=sector.bounds(), t0=state.time_stamp))
         assert len(steps) == 4
@@ -823,7 +823,7 @@ def nu3_sectors():
             potential_profile(design, table))
         sector = build_mb_hamiltonian(terms, enumerate_basis(table, 3), jz=jz,
                                       interaction_power=6.0, table=table)
-        out[f"nu3_n{n}"] = (sector.mirror.matrix, sector.bounds(),
+        out[f"nu3_n{n}"] = (sector.even_matrix, sector.bounds(),
                             continuum_thick(0.01, 8.0).focal_time / 8)
     assert [h.shape[0] for h, _, _ in out.values()] == [10425, 18010]
     return out
@@ -1032,9 +1032,9 @@ class TestEigenPropagator:
         terms = build_couplings(table, NearestNeighbor(1.0)).with_diagonal(
             potential_profile(ThickPolynomial((1e-4,), ((n - 1) / 2.0,)), table))
         full = terms.matrix().toarray()
-        even = terms._even_mirror().fold(full)
+        even = terms.mirror.fold(full)
         assert even.shape == ((n + 1) // 2,) * 2
-        for prop, a in ((terms.eigen(), full), (terms._even_eigen(), even)):
+        for prop, a in ((terms.eigen(), full), (terms.eigen(even=True), even)):
             w, v = np.linalg.eigh(a)
             assert np.array_equal(prop.energies, w)
             assert np.array_equal(prop.vectors, v)
@@ -1201,3 +1201,149 @@ def test_unitarity_properties(seed, n, t):
     u2 = expimv(h, p2, t, tol=1e-10)
     assert abs(np.linalg.norm(u1) - 1.0) < 1e-9
     assert abs(np.vdot(u1, u2) - np.vdot(p1, p2)) < 1e-8
+
+
+@st.composite
+def _path_cases(draw):
+    """(owner, start, times, tol) of a small lens operator (nu = 1) or
+    blockade sector (nu = 2, 3): a chain or plane, with a mirrored pair of
+    holes, an unpaired hole or none; nearest-neighbour or power-law
+    hopping; a thick lens centred or half a site off; a real or chirped
+    packet at the centre, sometimes with an odd part below the gate; sample
+    times j dt, as trajectories take them, or a window off the start, as
+    the lens optimizer takes them."""
+    nu = draw(st.sampled_from([1, 2, 3]))
+    most = {1: 60, 2: 20, 3: 12}[nu]
+    if draw(st.booleans()):
+        a = draw(st.integers(3, min(5, most // 3)))
+        extents = (a, draw(st.integers(3, most // a)))
+    else:
+        extents = (draw(st.integers(nu + 5, most)),)
+    table = build_lattice(extents)
+    n = table.n_sites
+    holes = draw(st.sampled_from(["none", "none", "paired", "unpaired"]))
+    if holes != "none":
+        i = draw(st.integers(0, n // 2 - 2))
+        sites = [i, n - 1 - i] if holes == "paired" else [i]
+        table = punch_holes(table, [tuple(table.labels[k]) for k in sites])
+    model = draw(st.sampled_from([NearestNeighbor(1.0), PowerLaw(1.0, 3.0, cutoff_range=3.0)]))
+    focus = table.center()
+    focus[0] += draw(st.sampled_from([0.0, 0.0, 0.0, 0.5]))
+    design = ThickPolynomial((10.0 ** draw(st.floats(-3.0, -1.0)),), tuple(focus))
+    terms = build_couplings(table, model, lens_diagonal=potential_profile(design, table))
+    x = table.positions - table.center()
+    psi = gaussian_packet(table, draw(st.floats(1.5, 3.0))).amplitudes
+    psi = psi * np.exp(1j * draw(st.sampled_from([0.0, 0.05])) * (x * x).sum(axis=1))
+    tol = draw(st.sampled_from([1e-10, 1e-8]))
+    odd = draw(st.sampled_from([0.0, 0.1])) * tol
+    if nu == 1:
+        owner, start = terms, psi
+    else:
+        basis = enumerate_basis(table, nu)
+        owner = build_mb_hamiltonian(terms, basis, jz=draw(st.floats(0.0, 30.0)), table=table)
+        start = symmetric_initial_state(psi, nu, basis).amplitudes
+    if owner.mirror is not None and odd:
+        k = int(np.argmax(np.abs(start) * (np.arange(start.size) != owner.mirror.refl)))
+        start = start.copy()
+        start[k] += odd
+        start[owner.mirror.refl[k]] -= odd
+    k = draw(st.integers(1, 4))
+    dt = draw(st.floats(0.05, 1.5))
+    if draw(st.sampled_from([True, True, False])):
+        times = dt * np.arange(1, k + 1)
+    else:
+        times = np.linspace(dt, dt + draw(st.floats(0.1, 2.0)), k + 1)
+    return owner, start, times, tol
+
+
+class TestEvolutionPathContract:
+    """Every path a case admits, forced by building the path directly,
+    against dense expm within that path's promise: rounding when
+    decomposed, 10 tol per sample from a real window and 10 tol per step
+    when stepped, plus the gate's drift in the even subspace. The path
+    :func:`evolution_path` picks is the forced one with its choices, bit
+    for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_path_cases())
+    def test_every_path_keeps_its_promise(self, case):
+        owner, start, times, tol = case
+        h = owner.csr().toarray()
+        want = np.array([scipy.linalg.expm(-1j * t * h) @ start for t in times])
+        mirror, t_end = owner.mirror, np.abs(times).max()
+        drift = mirror.drift(start, t_end) if mirror is not None else np.inf
+        picked = evolution_path(owner, start, times, tol)
+        assert picked.even == (drift <= tol)
+        steps = np.arange(1, times.size + 1)
+        for even in (False, True) if drift <= tol else (False,):
+            for dense in (True, False):
+                path = EvolutionPath(owner, start, times, tol, even, dense)
+                blocks = list(path.samples())
+                got = np.concatenate(blocks)
+                # a real window is one block of every sample; steps give a
+                # block a sample
+                window = not dense and len(blocks) == 1 and times.size > 1
+                if dense:
+                    promise = np.full(times.size, 1e-9)
+                else:
+                    promise = 10 * tol * (np.ones(times.size) if window else steps)
+                if even:
+                    promise = promise + drift
+                errors = np.linalg.norm(got - want, axis=1)
+                assert np.all(errors <= promise), (even, dense, errors, promise)
+                if (even, dense) == (picked.even, picked.dense):
+                    assert np.array_equal(np.concatenate(list(picked.samples())), got)
+
+
+def _kicked(extents, sigma0, phi0):
+    """The bare nearest-neighbour couplings of a hole-free table, and a
+    packet at its centre under a parabolic thin kick about it."""
+    table = build_lattice(extents)
+    kick = thin_phase_profile(ThinPulse(phi0, tuple(table.center())), table)
+    psi = phase_imprint(gaussian_packet(table, sigma0), kick).amplitudes
+    return build_couplings(table, NearestNeighbor(1.0)), psi
+
+
+class TestClosedFormOracle:
+    """Every Chebyshev entry point above 1 000 sites, against the DST-I
+    closed form of free evolution on a hole-free nearest-neighbour chain or
+    plane (``conftest.dst_evolution``), where no dense oracle reaches."""
+
+    def test_expimv_at_large_phase(self):
+        extents, tol = (4096,), 1e-10
+        terms, psi = _kicked(extents, 200.0, 2e-3)
+        got = expimv(terms.matrix(), psi, 800.0, tol, terms.bounds())   # phase 1 600
+        assert np.linalg.norm(got - dst_evolution(psi, extents, [800.0])[0]) <= 10 * tol
+
+    def test_trajectory_on_a_plane(self):
+        extents, tol = (70, 70), 1e-10
+        terms, psi = _kicked(extents, 10.0, 0.02)
+        steps = [amp for _, amp in trajectory(terms.matrix(), psi, 50.0, 4, tol,
+                                              terms.bounds())]   # phase 200 a step
+        want = dst_evolution(psi, extents, 50.0 * np.arange(1, 5))
+        gaps = np.linalg.norm(np.array(steps) - want, axis=1)
+        assert np.all(gaps <= 10 * tol * np.arange(1, 5))
+
+    def test_real_window_from_a_real_start(self):
+        extents, tol = (2000,), 1e-10
+        terms, psi = _kicked(extents, 60.0, 1e-12)
+        psi = np.abs(psi)
+        h, bounds = terms.matrix(), terms.bounds()
+        assert _real_window_fits(h, bounds, 40.0, 6)
+        states = real_window(h, psi, 40.0, 6, tol, bounds)   # phase 80 a sample
+        gaps = np.linalg.norm(states - dst_evolution(psi, extents, 40.0 * np.arange(1, 7)),
+                              axis=1)
+        assert np.all(gaps <= 10 * tol)
+
+    def test_expimv_batch_stacks(self):
+        """Clean realizations of one 1 500-site chain, several to a stack,
+        from differently kicked packets over one duration."""
+        extents, tol, t = (1500,), 1e-10, 150.0
+        terms, _ = _kicked(extents, 100.0, 1e-3)
+        h, bounds = terms.matrix(), terms.bounds()
+        psis = [_kicked(extents, 100.0, phi0)[1] for phi0 in (1e-4, 5e-4, 1e-3, 2e-3)]
+        assert propagator._StepPlan([h] * 4, [t] * 4, tol, [bounds] * 4).stacks[0].order \
+            == (0, 1, 2, 3)
+        got = list(expimv_batch(((h, psi, t, bounds) for psi in psis), tol))
+        for psi, state in zip(psis, got, strict=True):
+            assert np.linalg.norm(state - dst_evolution(psi, extents, [t])[0]) <= 10 * tol
