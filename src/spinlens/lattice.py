@@ -220,9 +220,11 @@ class _Mirror:
     def orbits(cls, refl: np.ndarray, asymmetry: float) -> "_Mirror":
         """The mirror ``refl`` of an operator whose ``asymmetry`` is known."""
         rows = np.arange(refl.size)
-        reps = np.nonzero(rows <= refl)[0]
+        lead = rows <= refl
+        reps = np.nonzero(lead)[0]
+        # the position of rep r in reps is the number of reps up to r, less 1
         return cls(refl=refl, reps=reps,
-                   orbit=np.searchsorted(reps, np.minimum(rows, refl)),
+                   orbit=(np.cumsum(lead) - 1)[np.minimum(rows, refl)],
                    weights=np.where(refl[reps] == reps, 1.0, np.sqrt(2.0)),
                    asymmetry=asymmetry)
 

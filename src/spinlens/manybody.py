@@ -20,10 +20,16 @@ included). It differs from the default by a state-independent constant
 plus boundary- and hole-dependent single-site offsets; useful for
 convention-sensitivity checks, not for production runs.
 
-Assembly works on whole arrays. Rows are lexicographic, so their base-N keys
-ascend and ``FockBasis.rank`` is a binary search. Per slot, every state takes
-each hop of its site's hopping row that the hard core allows, and the CSR is
-built once: O(nu D z log D) for z hops per site, ~0.08 s at nu = 3, N = 61.
+Assembly works on whole arrays and ranks rows arithmetically. Rows are
+lexicographic, and ``FockBasis.rank`` is the combinatorial number system:
+rank = sum_i F_i[c_i] - F_i[c_{i-1} + 1] over prefix-binomial tables of the
+basis sites, nu lookups a row. Every slot of every state takes each hop of
+its site's hopping row that the hard core allows; the target goes in among
+the other nu - 1 sites by min and max and is ranked, and the entries come
+out state by state, in the order the CSR keeps: O(nu D z) for z hops per
+site, with no search or sort. Enumeration, assembly and the mirror take
+about 9-11 ms at nu = 3, N = 51 (D = 20 825) and 15-20 ms at N = 61
+(D = 35 990), one CPU and one BLAS thread.
 
 A sector is evolved along :class:`propagator.EvolutionPath`, as lens
 operators are: its mirror is n -> N-1-n of the flat site index applied to
@@ -42,12 +48,21 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import HamiltonianTerms, SiteTable, _Mirror, _Operator
+from .lattice import HamiltonianTerms, SiteTable, _HoppingFold, _Mirror, _Operator
 from .propagator import evolution_path, spectral_bounds
 from .wavepacket import SpinWaveState
 
 MAX_EXCITATIONS = 3
 INTERACTION_CUTOFF = 20.0  # Ising pair range, units of a
+
+
+def _binomial(m: np.ndarray, k: int) -> np.ndarray:
+    """C(m, k) of each m >= 0, exact in int64 (0 where m < k)."""
+    out = np.ones_like(m)
+    for t in range(k):
+        out = out * (m - t) // (t + 1)
+    return out
+
 
 @dataclass
 class FockBasis:
@@ -61,6 +76,40 @@ class FockBasis:
     def dim(self) -> int:
         return self.states.shape[0]
 
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sites of the rows (a mask) and the rank tables T, (nu, N).
+
+        With a_after(y) the number of basis sites above y and
+        F_i[s] = sum of C(a_after(y), nu-1-i) over basis sites y < s, the
+        lexicographic rank of the row c_0 < ... < c_{nu-1} counts the rows
+        that leave it behind at each slot (the combinatorial number system):
+        rank = sum_i F_i[c_i] - F_i[c_{i-1} + 1], with c_{-1} + 1 = 0. It
+        is regrouped as sum_i T_i[c_i], T_i[s] = F_i[s] - F_{i+1}[s + 1] and
+        T_{nu-1} = F_{nu-1}, so a rank is nu lookups and adds.
+        """
+        n_sites, nu, states = self.n_sites, self.nu, self.states
+        active = np.zeros(n_sites, dtype=bool)
+        # the first row holds the lowest nu sites, the last column every other
+        active[states[0]] = True
+        active[states[:, -1]] = True
+        after = np.count_nonzero(active) - np.cumsum(active)
+        f = np.zeros((nu, n_sites + 1), dtype=np.int64)
+        for i in range(nu):
+            np.cumsum(np.where(active, _binomial(after, nu - 1 - i), 0), out=f[i, 1:])
+        t = f[:, :-1].copy()
+        t[:-1] -= f[1:, 1:]
+        return active, t
+
+    def _rank_rows(self, columns) -> np.ndarray:
+        """The rank of each row given as nu ascending site columns, which
+        are taken to be rows of the basis."""
+        t = self._tables[1]
+        rank = t[0][columns[0]]
+        for i in range(1, self.nu):
+            rank = rank + t[i][columns[i]]
+        return rank
+
     def rank(self, configs) -> np.ndarray:
         """Row index of each ascending configuration (last axis of length nu).
 
@@ -68,13 +117,13 @@ class FockBasis:
         hole, a repeated or an unsorted site.
         """
         configs = np.asarray(configs, dtype=int)
-        place = self.n_sites ** np.arange(self.nu - 1, -1, -1)
-        keys, row_keys = configs @ place, self.states @ place
-        rows = np.searchsorted(row_keys, keys)
-        in_range = ((configs >= 0) & (configs < self.n_sites)).all(axis=-1)
-        if not (in_range & (row_keys.take(rows, mode="clip") == keys)).all():
+        active = self._tables[0]
+        in_range = (configs.shape[-1:] == (self.nu,)
+                    and ((configs >= 0) & (configs < self.n_sites)).all())
+        if not (in_range and active[configs].all()
+                and (np.diff(configs, axis=-1) > 0).all()):
             raise ValueError("configuration is not a row of the basis")
-        return rows
+        return self._rank_rows(np.moveaxis(configs, -1, 0))
 
 
 @dataclass
@@ -102,19 +151,29 @@ def enumerate_basis(sites: int | SiteTable, nu: int) -> FockBasis:
         avail = np.arange(n_sites)
     if len(avail) < nu:
         raise ValueError("not enough available sites")
-    flat = np.fromiter(itertools.chain.from_iterable(
-        itertools.combinations(avail.tolist(), nu)), dtype=int)
-    return FockBasis(n_sites=n_sites, nu=nu, states=flat.reshape(-1, nu))
+    # the rows with leading site a are a followed by the tail of the
+    # (k-1)-rows whose leading site is above a: C(n-1-a, k-1) of them
+    n = len(avail)
+    rows = np.arange(n)[:, None]
+    for k in range(2, nu + 1):
+        lead = np.arange(n - k + 1)
+        length = _binomial(n - 1 - lead, k - 1)
+        skip = len(rows) - length - (np.cumsum(length) - length)
+        tail = np.arange(length.sum()) + np.repeat(skip, length)
+        rows = np.column_stack((np.repeat(lead, length), rows[tail]))
+    return FockBasis(n_sites=n_sites, nu=nu, states=avail[rows])
 
 
 @dataclass
 class ManyBodySector(_Operator):
     """Assembled sector Hamiltonian with its cached spectral bounds, mirror
-    and decompositions (``lattice._Operator``)."""
+    and decompositions (``lattice._Operator``). ``build_mb_hamiltonian``
+    hands it the hopping's fold (``lattice._HoppingFold``) of its terms."""
 
     basis: FockBasis
     matrix: sp.csr_matrix
     _bounds: tuple[float, float] | None = field(default=None, repr=False)
+    _hopping_fold: _HoppingFold | None = field(default=None, repr=False)
 
     def csr(self) -> sp.csr_matrix:
         return self.matrix
@@ -126,13 +185,33 @@ class ManyBodySector(_Operator):
 
     @cached_property
     def mirror(self) -> _Mirror | None:
-        """The mirror of the rows, or None when it leaves the basis."""
+        """The mirror of the rows, or None when it leaves the basis. Each
+        image N-1-row, its columns reversed, is ascending already. When the
+        hopping is exactly mirror-symmetric, every hop maps onto a hop of
+        the same value, so H - H[refl][:, refl] is diagonal and its max row
+        sum, the float ``_Mirror.skew`` gives on the CSR, is
+        max |d - d[refl]| of H's diagonal d."""
         basis = self.basis
         try:
-            refl = basis.rank(np.sort(basis.n_sites - 1 - basis.states, axis=1))
+            refl = basis.rank((basis.n_sites - 1 - basis.states)[:, ::-1])
         except ValueError:
             return None
-        return _Mirror.of(self.matrix, refl)
+        fold = self._hopping_fold
+        if fold is None or fold.mirror is None:
+            return _Mirror.of(self.matrix, refl)
+        d = self.matrix.diagonal()
+        return _Mirror.orbits(refl, float(np.abs(d - d[refl]).max()))
+
+
+def _insert(columns: list, j: np.ndarray) -> list:
+    """The nu - 1 ascending site ``columns`` with the sites ``j`` put in
+    among them, row by row, as nu ascending columns: by min and max."""
+    if not columns:
+        return [j]
+    return ([np.minimum(columns[0], j)]
+            + [np.maximum(lo, np.minimum(hi, j))
+               for lo, hi in zip(columns[:-1], columns[1:])]
+            + [np.maximum(columns[-1], j)])
 
 
 def build_mb_hamiltonian(terms: HamiltonianTerms, basis: FockBasis,
@@ -182,21 +261,44 @@ def build_mb_hamiltonian(terms: HamiltonianTerms, basis: FockBasis,
                 - 2.0 * jz * col_sums[states].sum(axis=1)
                 + const)
 
-    # per slot, all states at once: row k of `moves` holds the hops out of
-    # state k's slot; drop those onto an occupied site, rank the rest
-    rows, cols, vals = [], [], []
-    for slot in range(nu):
-        moves = hop[states[:, slot]]
-        src = np.repeat(np.arange(dim), np.diff(moves.indptr))
-        new = states[src]
-        free = (new != moves.indices[:, None]).all(axis=1)
-        new[:, slot] = moves.indices
-        rows.append(basis.rank(np.sort(new[free], axis=1)))
-        cols.append(src[free])
-        vals.append(-moves.data[free])
-    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-    h = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim)) + sp.diags(diag)
-    return ManyBodySector(basis=basis, matrix=h.tocsr())
+    # hop q of site i is entry i of row q of a table padded with i itself
+    # and weight 0; a hop must stay on the sites of the basis
+    active = basis._tables[0]
+    degree = np.diff(hop.indptr)
+    site_of = np.repeat(np.arange(basis.n_sites), degree)
+    if not active[hop.indices[active[site_of]]].all():
+        raise ValueError("a hop leaves the sites of the basis")
+    order = np.arange(hop.nnz) - np.repeat(hop.indptr[:-1], degree)
+    width = int(degree.max(initial=0))
+    target = np.repeat(np.arange(basis.n_sites)[None, :], width, axis=0)
+    weight = np.zeros(target.shape)
+    target[order, site_of], weight[order, site_of] = hop.indices, hop.data
+
+    # entry (k, s) of row k = slot * width + q moves that slot of state s
+    # along its hop q, unless that lands on an occupied site: the target j
+    # goes in among the other nu - 1 sites, which stay ascending, and the
+    # new row is ranked. The last row holds the diagonal.
+    columns = list(states.T)
+    rows = np.empty((nu * width + 1, dim), dtype=np.int64)
+    vals = np.empty(rows.shape)
+    keep = np.empty(rows.shape, dtype=bool)
+    for slot, site in enumerate(columns):
+        others = columns[:slot] + columns[slot + 1:]
+        for q in range(width):
+            k = slot * width + q
+            j = target[q][site]
+            np.logical_and.reduce([j != c for c in columns], out=keep[k])
+            rows[k] = basis._rank_rows(_insert(others, j))
+            np.negative(weight[q][site], out=vals[k])
+    rows[-1], vals[-1], keep[-1] = np.arange(dim), diag, True
+    # an entry that is exactly zero is left out, as the sum of the hops' CSR
+    # and diag(d) leaves it out. Read state by state (the transposes), the
+    # entries ascend in column, so every row of the CSR comes out sorted.
+    keep &= vals != 0.0
+    keep, rows, vals = keep.T, rows.T, vals.T
+    cols = np.repeat(np.arange(dim), keep.sum(axis=1))
+    h = sp.csr_matrix((vals[keep], (rows[keep], cols)), shape=(dim, dim))
+    return ManyBodySector(basis=basis, matrix=h, _hopping_fold=terms._hopping_fold)
 
 
 def symmetric_initial_state(psi_single, nu: int, basis: FockBasis) -> ManyBodyState:

@@ -161,12 +161,21 @@ def _is_count(value, low: int) -> bool:
     return _is_number(value) and float(value).is_integer() and value >= low
 
 
+def _as_float(value) -> float:
+    """The float a run reads from ``value``; NaN when there is none."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
+
+
 def prepare_config(raw: dict) -> dict:
     """Merge a raw config over the scenario defaults; reject unknown keys, a
-    lattice spacing other than 1, an excitation number the nonlinear scenario
-    cannot run, a scaling fit over fewer than two packet widths, time
-    grids too short to step through, a propagator tolerance outside
-    ``propagator.TOL_RANGE`` and an end time that is not positive."""
+    lattice spacing other than 1, an excitation number, Ising strength or
+    power the nonlinear scenario cannot run, a scaling fit over fewer than
+    two packet widths, time grids too short to step through, a propagator
+    tolerance outside ``propagator.TOL_RANGE`` and an end time that is not
+    positive."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
     name = raw.get("scenario")
@@ -195,6 +204,14 @@ def prepare_config(raw: dict) -> dict:
     if name == "nonlinear" and cfg["interaction"]["nu"] not in range(2, MAX_EXCITATIONS + 1):
         raise ConfigError(
             f"'nonlinear.interaction.nu' must be an integer 2..{MAX_EXCITATIONS}")
+    # the Ising tail 4 J_z / d^power and the blockade radius (J_z/J)^(1/power);
+    # YAML reads a bare 5.0e3 as a string, which a run converts
+    if name == "nonlinear":
+        inter = cfg["interaction"]
+        if not 0 <= _as_float(inter["jz"]) < math.inf:
+            raise ConfigError("'nonlinear.interaction.jz' must be a finite number >= 0")
+        if not 0 < _as_float(inter["power"]) < math.inf:
+            raise ConfigError("'nonlinear.interaction.power' must be a finite number > 0")
     # n_samples equal steps to t_max; n_time points span each optimizer window
     for key, low in (("n_samples", 1), ("n_time", 2)):
         if key in cfg.get("evolution", {}) and not _is_count(cfg["evolution"][key], low):
@@ -525,7 +542,7 @@ def run_nonlinear(cfg, out: Path):
     focus = _focus_of(cfg, table)
     inter = cfg["interaction"]
     nu = int(inter["nu"])
-    jz = float(inter["jz"])
+    jz, power = float(inter["jz"]), float(inter["power"])
     tol = float(cfg["evolution"]["tol"])
 
     v0 = cfg["lens"]["v0"]
@@ -541,7 +558,7 @@ def run_nonlinear(cfg, out: Path):
 
     basis = enumerate_basis(table, nu)
     sector = build_mb_hamiltonian(terms, basis, jz=jz,
-                                  interaction_power=float(inter["power"]),
+                                  interaction_power=power,
                                   table=table,
                                   literal_sigma_z=bool(inter["literal_sigma_z"]))
     psi_single = gaussian_packet(table, sigma0, center=focus)
@@ -565,7 +582,7 @@ def run_nonlinear(cfg, out: Path):
     derived = {
         "focal_time [1/J]": t_f,
         "coefficients": list(design.coefficients),
-        "blockade_radius [a]": blockade_radius(jz, hopping),
+        "blockade_radius [a]": blockade_radius(jz, hopping, power),
         "basis_dim": basis.dim,
         "evolved_dim": path.dim,
         "evolution": path.method,

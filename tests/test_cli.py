@@ -425,6 +425,44 @@ def test_nonlinear_rejects_unusable_nu_before_running(tmp_path, capsys, nu):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("jz", -1.0), ("jz", math.inf), ("jz", math.nan),
+    ("power", 0.0), ("power", -6.0), ("power", math.inf),
+])
+def test_nonlinear_rejects_unusable_interaction_before_running(tmp_path, capsys,
+                                                               key, value):
+    """A negative or infinite J_z, or a power that is not positive and
+    finite, fails validation rather than after the basis is built."""
+    cfg = write_config(tmp_path / "c.yaml", {
+        "scenario": "nonlinear",
+        "lattice": {"extents": [31]},
+        "packet": {"sigma0": 3.0},
+        "interaction": {key: value},
+    })
+    assert main(["validate", "--config", cfg]) == 2
+    assert f"interaction.{key}" in capsys.readouterr().err
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert f"interaction.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nonlinear_blockade_radius_uses_the_configured_power(tmp_path):
+    jz, power = 50.0, 3.0
+    cfg = write_config(tmp_path / "c.yaml", {
+        "scenario": "nonlinear",
+        "lattice": {"extents": [21]},
+        "packet": {"sigma0": 3.0},
+        "lens": {"v0": 3.0 ** (-8.0 / 3.0)},
+        "interaction": {"nu": 2, "jz": jz, "power": power},
+        "evolution": {"n_samples": 2},
+    })
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    derived = json.loads((out / "manifest.json").read_text())["derived"]
+    assert derived["blockade_radius [a]"] == pytest.approx(jz ** (1.0 / power))
+
+
 @pytest.mark.parametrize("scenario, key, value", [
     ("thick1d", "n_samples", 0), ("thin1d", "n_samples", 2.5),
     ("nonlinear", "n_samples", "8"), ("scaling_fit", "n_time", 1),

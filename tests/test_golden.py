@@ -7,8 +7,11 @@ scipy versions it names. The configs that run in under 0.3 s are rerun
 here and must reproduce every byte; a change that moves any output, fast
 config or slow, records the table anew and says why.
 
-Run as a script, ``python tests/test_golden.py`` (with ``src`` on the
-path), it reruns every config with one BLAS thread and rewrites the table.
+Run as a script (with ``src`` on the path), it reruns every config with
+one BLAS thread. ``python tests/test_golden.py`` rewrites the table;
+``python tests/test_golden.py --check`` leaves it as it is, prints each data
+file and ``derived`` block as identical or moved against it, and exits 1 if
+any moved.
 """
 
 import os
@@ -18,8 +21,11 @@ if __name__ == "__main__":
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[_var] = "1"
 
+import contextlib
 import hashlib
+import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -38,7 +44,9 @@ FAST = ("holes_1d", "multifocal2d", "nonlinear_blockade", "quickstart",
 def _record(name: str, out: Path) -> dict:
     """Run one shipped config into ``out``: its data files' sha256 and its
     manifest's ``derived`` block, as the table holds them."""
-    assert main(["run", "--config", str(CONFIGS / f"{name}.yaml"), "--out", str(out)]) == 0
+    config = str(CONFIGS / f"{name}.yaml")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     return {"derived": manifest["derived"],
             "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -63,11 +71,36 @@ def test_fast_config_reproduces_its_outputs(tmp_path, name):
     assert got["derived"] == want["derived"]
 
 
+def _report(configs: dict) -> int:
+    """Print each data file and ``derived`` block of ``configs`` as
+    identical or moved against the table; 1 if any moved, else 0."""
+    running = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if running != GOLDEN["versions"]:
+        print(f"note: table recorded under {GOLDEN['versions']}, running {running}")
+    counts = {"identical": 0, "moved": 0}
+    for name in sorted(set(configs) | set(GOLDEN["configs"])):
+        got = configs.get(name, {"derived": None, "files": {}})
+        want = GOLDEN["configs"].get(name, {"derived": None, "files": {}})
+        entries = [(f"{name}/{file}", got["files"].get(file), want["files"].get(file))
+                   for file in sorted(set(got["files"]) | set(want["files"]))]
+        entries.append((f"{name} derived", got["derived"], want["derived"]))
+        for label, a, b in entries:
+            verdict = "identical" if a == b and a is not None else "moved"
+            counts[verdict] += 1
+            print(f"{verdict:9s} {label}")
+    print(f"{counts['identical']} identical, {counts['moved']} moved")
+    return 1 if counts["moved"] else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--check"]):
+        raise SystemExit("usage: python tests/test_golden.py [--check]")
     with tempfile.TemporaryDirectory() as scratch:
-        table = {"blas_threads": 1,
-                 "configs": {p.stem: _record(p.stem, Path(scratch) / p.stem)
-                             for p in sorted(CONFIGS.glob("*.yaml"))},
-                 "versions": {"numpy": np.__version__, "scipy": scipy.__version__}}
+        recorded = {p.stem: _record(p.stem, Path(scratch) / p.stem)
+                    for p in sorted(CONFIGS.glob("*.yaml"))}
+    if sys.argv[1:] == ["--check"]:
+        raise SystemExit(_report(recorded))
+    table = {"blas_threads": 1, "configs": recorded,
+             "versions": {"numpy": np.__version__, "scipy": scipy.__version__}}
     (CONFIGS / "GOLDEN.json").write_text(json.dumps(table, indent=2, sort_keys=True) + "\n",
                                          encoding="utf-8")

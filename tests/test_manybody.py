@@ -7,9 +7,11 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinlens.lattice import (NearestNeighbor, PowerLaw, build_couplings,
-                              build_lattice, punch_holes)
+from spinlens.lattice import (NearestNeighbor, PowerLaw, _Mirror, build_couplings,
+                              build_lattice, displace_sites, punch_holes)
 from spinlens.lens import ThickPolynomial, potential_profile
 from spinlens.manybody import (ManyBodySector, ManyBodyState, blockade_radius,
                                build_mb_hamiltonian, density_profile,
@@ -54,10 +56,10 @@ class TestBasis:
                       enumerate_basis(punch_holes(build_lattice((7,)), [(3,)]), 2)):
             assert np.array_equal(basis.rank(basis.states), np.arange(basis.dim))
 
-    @pytest.mark.parametrize("config", [(0, 8), (1, -4), (2, 3), (4, 2), (1, 1)])
+    @pytest.mark.parametrize("config", [(0, 8), (1, -4), (2, 3), (4, 2), (1, 1), (0, 1, 2)])
     def test_rank_rejects_configurations_outside_the_basis(self, config):
         # out of range above and below (their keys alias the rows (1, 2) and
-        # (0, 2)), a hole, unsorted, repeated
+        # (0, 2)), a hole, unsorted, repeated, one site too many
         basis = enumerate_basis(punch_holes(build_lattice((6,)), [(3,)]), 2)
         with pytest.raises(ValueError):
             basis.rank(config)
@@ -71,6 +73,62 @@ class TestBasis:
             enumerate_basis(5, 4)
         with pytest.raises(ValueError):
             enumerate_basis(2, 3)
+
+
+@st.composite
+def _tables_with_holes(draw):
+    """A 1D or 2D table with holes (mirror-paired or not), a coupling model,
+    scattered sites or not, an excitation number and a diagonal seed."""
+    extents = draw(st.one_of(st.tuples(st.integers(3, 14)),
+                             st.tuples(st.integers(2, 4), st.integers(2, 4))))
+    n = int(np.prod(extents))
+    holes = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    if draw(st.booleans()):
+        holes |= {n - 1 - h for h in holes}
+    nu = draw(st.integers(1, 3))
+    if n - len(holes) < nu + 1:
+        holes = set()
+    table = build_lattice(extents)
+    table = punch_holes(table, [tuple(table.labels[h]) for h in sorted(holes)])
+    if draw(st.booleans()):
+        table = displace_sites(table, np.random.default_rng(n).normal(
+            0.0, 0.01, table.positions.shape))
+    model = draw(st.sampled_from([NearestNeighbor(1.0), PowerLaw(1.0, 3.0)]))
+    return table, model, sorted(holes), nu, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_tables_with_holes())
+def test_rank_and_mirror_properties(case):
+    table, model, holes, nu, seed = case
+    rng = np.random.default_rng(seed)
+    eps = rng.normal(size=table.n_sites)
+    if seed % 2:
+        eps = eps + eps[::-1]
+    terms = build_couplings(table, model, lens_diagonal=eps)
+    basis = enumerate_basis(table, nu)
+    states, n = basis.states, table.n_sites
+    assert np.array_equal(basis.rank(states), np.arange(basis.dim))
+
+    bad = [np.append(states[-1][:-1], n), np.insert(states[0][1:], 0, -1)]
+    if holes:
+        others = np.nonzero(table.active)[0][:nu - 1]
+        bad.append(np.sort(np.append(others, holes[0])))
+    if nu >= 2:
+        bad += [states[0][::-1], np.full(nu, states[0][0])]
+    for config in bad:
+        with pytest.raises(ValueError):
+            basis.rank(config)
+
+    sector = build_mb_hamiltonian(terms, basis, jz=2.0, table=table)
+    index = {tuple(s): i for i, s in enumerate(states.tolist())}
+    images = [index.get(tuple(sorted(s))) for s in (n - 1 - states).tolist()]
+    mirror = sector.mirror
+    if None in images:
+        assert mirror is None
+        return
+    assert np.array_equal(mirror.refl, images)
+    assert mirror.asymmetry == _Mirror.skew(sector.matrix, mirror.refl)
 
 
 def kron_site_operator(op, site, n):
@@ -278,6 +336,21 @@ def _square(n):
                                   lens_diagonal=0.1 * np.arange(float(n * n)))
 
 
+def _paired_holes(n):
+    """An n x n square with two holes that are each other's mirror image."""
+    table = punch_holes(build_lattice((n, n)), [(1, 2), (n - 2, n - 3)])
+    return table, build_couplings(table, NearestNeighbor(1.0),
+                                  lens_diagonal=0.1 * np.arange(float(n * n)))
+
+
+def _displaced(n):
+    """A power-law chain whose scattered sites break the hopping's mirror."""
+    table = displace_sites(build_lattice((n,)),
+                           np.random.default_rng(7).normal(0.0, 0.02, (n, 1)))
+    lens = potential_profile(ThickPolynomial((0.03,), ((n - 1) / 2.0,)), table)
+    return table, build_couplings(table, PowerLaw(1.0, 3.0), lens_diagonal=lens)
+
+
 ASSEMBLY_CASES = {
     "chain-nu1": (lambda: _chain(12), 1, {}),
     "chain-nu2": (lambda: _chain(12), 2, {}),
@@ -292,6 +365,8 @@ ASSEMBLY_CASES = {
     "literal-chain-nu3": (lambda: _chain(12), 3, {"literal_sigma_z": True}),
     "literal-holes-nu2": (lambda: _holes(12), 2, {"literal_sigma_z": True}),
     "literal-square-nu2": (lambda: _square(4), 2, {"literal_sigma_z": True}),
+    "paired-holes-square-nu3": (lambda: _paired_holes(5), 3, {}),
+    "displaced-powerlaw-nu3": (lambda: _displaced(11), 3, {}),
 }
 
 
@@ -308,6 +383,23 @@ class TestAssemblyMatchesPerStateLoop:
         for name in ("indptr", "indices", "data"):
             assert getattr(got, name).dtype == getattr(ref, name).dtype
             assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("case", sorted(ASSEMBLY_CASES))
+    def test_mirror_asymmetry_is_the_oracles_skew(self, case):
+        """Read off the diagonal when the hopping is exactly mirror-symmetric
+        (paired holes), measured on the CSR when not (displaced sites): the
+        float of ``_Mirror.skew`` on the oracle's CSR either way."""
+        make, nu, extra = ASSEMBLY_CASES[case]
+        table, terms = make()
+        basis = enumerate_basis(table, nu)
+        kwargs = dict(jz=3.0, interaction_power=6.0, table=table, **extra)
+        mirror = build_mb_hamiltonian(terms, basis, **kwargs).mirror
+        assert (mirror is None) == (table.active != table.active[::-1]).any()
+        if mirror is None:
+            return
+        assert (terms._hopping_fold.mirror is None) == case.startswith("displaced")
+        ref = reference_assembly(terms, basis, **kwargs)
+        assert mirror.asymmetry == _Mirror.skew(ref, mirror.refl)
 
     def test_hop_onto_a_site_outside_the_basis_raises(self):
         # a basis without site 3 but couplings that still reach it
