@@ -40,6 +40,20 @@ trajectories all run on it, and keep only their observables:
   n dt is one real window while it fits its budget; anything else steps:
   one step to the first sample, then equal steps.
 
+The Chebyshev terms multiply by 2 h~, h~ = (h - centre) / half, built once
+per step plan or window (``_stacked_operator``). It is stored by diagonals
+(scipy's DIA; Saad, *Iterative Methods for Sparse Linear Systems*, 2nd
+ed., SIAM 2003, section 3.4), with ascending offsets and the main diagonal
+always stored, when that takes no more bytes than CSR would, 8 x diagonals
+x rows <= 12 x entries + 4 x rows, and as CSR otherwise. The rule reads
+only the operator: every disorder stack is banded and runs on diagonals,
+and the blockade sectors stay CSR. The bits do not depend on the storage.
+scipy's CSR product sums each row from zero in column order; its DIA
+product adds diagonal after diagonal, in stored order, into a zeroed
+result. With ascending offsets each row therefore sees the same additions
+in the same order. A slot that holds no entry adds 0 x = +-0, which leaves
+the sum as it was: a sum that starts at +0 never becomes -0.
+
 LAPACK and BLAS (``scipy.linalg``) load on the first decomposition or real
 window, so a run that only steps, as every disorder ensemble does, never
 loads them.
@@ -60,7 +74,12 @@ import scipy.sparse as sp
 # interleaved repeats) took 391 / 214 / 86 ms at 2**15, 354 / 186 / 79 at
 # 54 613, 323 / 178 / 83 at 2**16 and 321 / 176 / 80 at 98 304: 2**16 is the
 # knee. In one benchmark disorder run each, 2**15, 2**16 and 2**17 raised the
-# peak memory over one block at a time by 1.4, 3.2 and 7.0 MiB.
+# peak memory over one block at a time by 1.4, 3.2 and 7.0 MiB. With the
+# stacks stored by diagonals (no more bytes than CSR), the same tasks took
+# 179 / 113 / 23 ms at 2**15, 156 / 98 / 23 at 54 613, 156 / 88 / 23 at
+# 2**16, 158 / 97 / 20 at 98 304 and 165 / 98 / 20 at 2**17 (median of 9
+# interleaved repeats; a second set of 9 put displacement at 174 ms for 2**17
+# against 184 for 2**16): the knee stays at 2**16.
 _STACK_NNZ = 2**16
 
 # Terms a real window buffers before it adds them into its samples by one
@@ -79,6 +98,13 @@ _REAL_WINDOW_ENTRY_BYTES = 512
 _REAL_WINDOW_BYTES = 2**24
 
 TOL_RANGE = (1e-14, 1e-6)
+
+# Entries of a stack's pattern whose diagonals and slots are found at a
+# time, so the index temporaries of a stack stay small: built whole as
+# int64, they made glibc grow and trim the heap around every holes2d stack
+# (300-430 page faults a stack), and as int32 they index two to three times
+# slower than int64.
+_CHUNK = 8192
 
 # EigenPropagator decomposes up to this many rows by divide and conquer
 # (dstevd on a tridiagonal h, numpy.linalg.eigh on any other), so every lens
@@ -231,19 +257,25 @@ def _enclosure(h: sp.csr_matrix, bounds) -> tuple[float, float]:
     return 0.5 * (hi + lo), half * (1.0 + 1e-12)
 
 
-def _csr_view(data, indices, indptr) -> sp.csr_matrix:
-    """The square CSR on these arrays, without the constructor's checks or
-    copies (it would copy a short prefix of indptr)."""
-    n = len(indptr) - 1
-    view = sp.csr_matrix((n, n), dtype=data.dtype)
-    view.data, view.indices, view.indptr = data, indices, indptr
+def _view(h, data: np.ndarray, n: int):
+    """The leading n x n block of the block-diagonal stack ``h``, CSR or DIA,
+    on ``data`` for its values and on h's index arrays, without the
+    constructor's checks or copies (it would copy a short prefix of indptr).
+    A DIA view keeps h's full rows of diagonals, of which a product reads the
+    first n columns."""
+    if h.format == "dia":
+        view = sp.dia_matrix((n, n), dtype=data.dtype)
+        view.data, view.offsets = data, h.offsets
+    else:
+        view = sp.csr_matrix((n, n), dtype=data.dtype)
+        view.data, view.indices, view.indptr = data, h.indices, h.indptr[:n + 1]
     return view
 
 
-def _row_prefix(h: sp.csr_matrix, n: int) -> sp.csr_matrix:
-    """The leading n x n block of block-diagonal CSR ``h`` as a view on its
-    arrays."""
-    return h if n == h.shape[0] else _csr_view(h.data, h.indices, h.indptr[:n + 1])
+def _row_prefix(h, n: int):
+    """The leading n x n block of the block-diagonal stack ``h`` as a view on
+    its arrays."""
+    return h if n == h.shape[0] else _view(h, h.data, n)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -252,25 +284,68 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(stops[-1] if len(stops) else 0) + np.repeat(starts - stops + lengths, lengths)
 
 
-def _stacked_operator(hs, dim, centers, halves, dtype) -> sp.csr_matrix:
-    """2 h~ of every block, h~ = (h - centre) / half, stacked
-    block-diagonally as one CSR of ``dtype`` (float only for real blocks).
+def _diagonals(key: np.ndarray, dim: int, most: int) -> np.ndarray | None:
+    """Which of the 2 dim - 1 diagonals hold an entry of the pattern ``key``
+    (col - row + dim - 1 of each entry) or are the main one, as a mask; None
+    once more than ``most`` do, which the first entries of a widely spread
+    pattern (a blockade sector) already show."""
+    present = np.zeros(2 * dim - 1, bool)
+    present[dim - 1] = True
+    for part in _chunks(key.size):
+        present[key[part].astype(np.intp)] = True
+        if np.count_nonzero(present) > most:
+            return None
+    return present
 
-    Built in one pass over the whole stack: the blocks' canonical CSR
-    arrays are concatenated (a lone block keeps its index arrays, which
-    are never written, and gets a new data array), each diagonal entry
-    less its block's centre, -c inserted in its sorted place where a row has no
-    diagonal entry, every entry that is then 0.0 dropped (stored zeros
-    included), each entry scaled by its row's 1/half and then doubled.
-    These are the float operations and the drops of scipy's canonical
-    ``h - diags(c)``, which computes a - c, a - 0 and 0 - c and keeps the
-    nonzero results, then ``/ half``, so each block of the stack is bit for
-    bit the lone block's. Canonical form (sorted, summed) fixes the order
-    of each row's sum whatever the order of h's indices; a block with
-    unsorted or duplicate entries is put in it by a sparse sum with an
-    empty matrix, which adds duplicates in storage order and drops zero
-    sums, as the lone block's shift does, and then sorted. No h is
-    modified."""
+
+def _chunks(size: int) -> Iterator[slice]:
+    """Slices of ``_CHUNK`` positions that cover 0, ..., size - 1."""
+    for lo in range(0, size, _CHUNK):
+        yield slice(lo, lo + _CHUNK)
+
+
+# The storage rule of _stacked_operator on the stacks of one disorder
+# benchmark task per slot (one CPU; a product is the median of 30 x 100,
+# interleaved with the other storage):
+#
+#   slot          rows    diagonals  CSR entries  product, CSR / DIA (us)
+#   displacement   1 600  41         62 240       41.0 / 28.9
+#   holes2d       10 086   5         49 164       45.4 / 31.9
+#   holes1d       14 000   3         40 812       45.0 / 26.9
+#
+# The blockade sectors spread their entries over far more diagonals than
+# their rows' worth of bytes holds (the nu = 2 even sector of 61 sites: 4 470
+# entries on 61 diagonals of 930 rows; the nu = 3 even sector of 61 sites:
+# 120 670 on 2 203 of 18 010), so they stay CSR.
+def _stacked_operator(hs, dim, centers, halves, dtype) -> sp.csr_matrix | sp.dia_matrix:
+    """2 h~ of every block, h~ = (h - centre) / half, stacked
+    block-diagonally as one operator of ``dtype`` (float only for real
+    blocks): by diagonals (DIA, ascending offsets, the main one always
+    stored) when 8 x diagonals x rows <= 12 x entries + 4 x rows, else as
+    CSR (module docstring). The entries are those the CSR stores, and the
+    diagonals the distinct offsets col - row of the canonical blocks'
+    stored entries (stored zeros included) and the main one.
+
+    Each block's entries are those of scipy's canonical ``h - diags(c)``,
+    which computes a - c, a - 0 and 0 - c and keeps the nonzero results,
+    then ``/ half``, so each block of the stack is bit for bit the lone
+    block's: each diagonal entry less its block's centre (0 - c where a row
+    has none), each entry scaled by its row's 1/half and then doubled. The
+    CSR inserts 0 - c in its sorted place where it is not 0.0 and drops
+    every entry that is then 0.0 (stored zeros included); the DIA holds the
+    blocks' entries in their slots and 0.0 in every other. Canonical form
+    (sorted, summed) fixes the order of each row's sum whatever the order
+    of h's indices; a block with unsorted or duplicate entries is put in it
+    by a sparse sum with an empty matrix, which adds duplicates in storage
+    order and drops zero sums, as the lone block's shift does, and then
+    sorted.
+
+    Built by array operations over the whole stack, one form only. When
+    every block has the same index arrays (the cuts of a displacement
+    ensemble), the diagonals and slots are found on one block's pattern;
+    otherwise on the stack's, a chunk of entries at a time. A lone CSR
+    block keeps its index arrays, which are never written, and gets a new
+    data array. No h is modified."""
     blocks = []
     for h in hs:
         if dtype is float and np.iscomplexobj(h.data):
@@ -281,26 +356,67 @@ def _stacked_operator(hs, dim, centers, halves, dtype) -> sp.csr_matrix:
         blocks.append(h)
     m, n = len(blocks), len(blocks) * dim
     nnz = [b.nnz for b in blocks]
-    ends = np.cumsum([0] + nnz)
-    if m == 1:
-        # a new data array on h's index arrays, which are never written
-        (b,) = blocks
-        data, indices, indptr = b.data[:b.nnz].astype(dtype), b.indices[:b.nnz], b.indptr
+    first = blocks[0]
+    data = np.concatenate([b.data[:k] for b, k in zip(blocks, nnz)], dtype=dtype)
+    # wide enough for every position of the DIA or CSR
+    idx = np.int32 if 2 * (sum(nnz) + n) < 2**31 else np.int64
+    shared = all(b.indices is first.indices and b.indptr is first.indptr for b in blocks)
+    if shared:
+        # one block's pattern
+        cols, lengths = first.indices[:nnz[0]], np.diff(first.indptr)
     else:
-        idx = np.int32 if int(ends[-1]) + n < 2**31 else np.int64
-        data = np.concatenate([b.data[:k] for b, k in zip(blocks, nnz)], dtype=dtype)
-        indices = np.concatenate([b.indices[:k] + j * dim
-                                  for j, (b, k) in enumerate(zip(blocks, nnz))], dtype=idx)
-        indptr = np.concatenate([np.zeros(1, idx)] + [
-            b.indptr[1:] + off for b, off in zip(blocks, ends[:-1])], dtype=idx)
+        # the stack's pattern: its columns and row lengths
+        cols = np.concatenate([b.indices[:k] for b, k in zip(blocks, nnz)], dtype=idx)
+        cols += np.repeat(np.arange(0, n, dim, dtype=idx), nnz)
+        lengths = np.diff(np.concatenate([b.indptr for b in blocks]).reshape(m, dim + 1),
+                          axis=1).reshape(-1)
+    # col - row + dim - 1 of each entry of the pattern, in [0, 2 dim - 1)
+    key = np.repeat(np.arange(lengths.size, dtype=cols.dtype), lengths)
+    np.subtract(cols, key, out=key)
+    key += dim - 1
+    diag = np.flatnonzero(key == dim - 1)
+    on = cols[diag]
+    if shared and m > 1:
+        diag = (diag + nnz[0] * np.arange(m)[:, None]).reshape(-1)
+        on = (on + np.arange(0, n, dim)[:, None]).reshape(-1)
+    # the shifted main diagonal: a - c, or 0 - c on a row without a diagonal
+    # entry
+    shifted = np.zeros(n, dtype)
+    shifted[on] = data[diag]
+    shifted -= np.repeat(np.asarray(centers, dtype=float), dim)
+    scale = 1.0 / np.asarray(halves)
+    present = _diagonals(key, dim, (12 * (data.size + n) + 4 * n) // (8 * n))
+    if present is not None and 8 * np.count_nonzero(present) * n <= 4 * n + 12 * (
+            np.count_nonzero(data) - np.count_nonzero(data[diag]) + np.count_nonzero(shifted)):
+        offsets = np.flatnonzero(present) - (dim - 1)
+        slots = np.cumsum(present) - 1
+        diagonals = np.zeros((offsets.size, m, dim), dtype)
+        if shared:
+            diagonals[slots[key], :, cols] = data.reshape(m, -1).T
+        else:
+            starts, out = slots * n, diagonals.reshape(-1)
+            for part in _chunks(key.size):
+                flat = starts.take(key[part])
+                flat += cols[part]
+                out[flat] = data[part]
+        diagonals[slots[dim - 1]] = shifted.reshape(m, dim)
+        diagonals *= scale[:, None]
+        diagonals *= 2.0
+        return sp.dia_matrix((diagonals.reshape(offsets.size, n), offsets.astype(np.int32)),
+                             shape=(n, n))
+    if m == 1:
+        # h's index arrays, which are never written
+        indices, indptr = cols, first.indptr
+    else:
+        if shared:
+            cols = (cols + np.arange(0, n, dim, dtype=idx)[:, None]).reshape(-1)
+            lengths = np.tile(lengths, m)
+        indices = cols
+        indptr = np.concatenate([np.zeros(1, idx), np.cumsum(lengths, dtype=idx)])
     idx = indices.dtype
-    c = np.repeat(np.asarray(centers, dtype=float), dim)
-    rows = np.repeat(np.arange(n, dtype=idx), np.diff(indptr))
-    diag = np.flatnonzero(indices == rows)
-    on = indices[diag]
-    data[diag] -= c[on]
+    data[diag] = shifted[on]
     if on.size < n:
-        missing = c != 0.0
+        missing = shifted != 0.0
         missing[on] = False
         if missing.any():
             # 0 - c, after the row's entries left of the diagonal
@@ -313,7 +429,7 @@ def _stacked_operator(hs, dim, centers, halves, dtype) -> sp.csr_matrix:
             old = np.ones(data.size + miss.size, bool)
             old[at] = False
             grown = np.empty(old.size, data.dtype), np.empty(old.size, idx)
-            grown[0][old], grown[0][at] = data, -c[miss]
+            grown[0][old], grown[0][at] = data, shifted[miss]
             grown[1][old], grown[1][at] = indices, miss
             data, indices = grown
             indptr = indptr + np.cumsum(np.concatenate([np.zeros(1, idx), missing]), dtype=idx)
@@ -321,20 +437,23 @@ def _stacked_operator(hs, dim, centers, halves, dtype) -> sp.csr_matrix:
     if not kept.all():
         data, indices = data[kept], indices[kept]
         indptr = np.concatenate([np.zeros(1, idx), np.cumsum(kept, dtype=idx)])[indptr]
-    scale = 1.0 / np.asarray(halves)
     data *= scale[0] if m == 1 else np.repeat(scale, np.diff(indptr[::dim]))
     data *= 2.0
-    return _csr_view(data, indices, indptr)
+    csr = sp.csr_matrix((n, n), dtype=data.dtype)
+    csr.data, csr.indices, csr.indptr = data, indices, indptr
+    return csr
 
 
 class _Stack:
     """Blocks of one dimension of a step plan, stacked (:class:`_StepPlan`).
 
     ``order`` lists the plan's block indices in stack order, longest
-    coefficient set first. The operator is stored as 2 h~, float64 when
-    every block is real, until the first complex state, and complex
-    otherwise; the stack holds one at a time. Each term is one matvec and
-    one subtraction in place, T_k+1 = 2 h~ T_k - T_k-1 over T_k-1. While
+    coefficient set first. The operator is stored as 2 h~, by diagonals or
+    as CSR (``_stacked_operator``), float64 when every block is real, until
+    the first complex state, and complex otherwise; the stack holds one at a
+    time, and its row-prefix views and complex copy keep its storage. Each
+    term is one matvec and one subtraction in place, T_k+1 = 2 h~ T_k -
+    T_k-1 over T_k-1. While
     the operator and the state are real, the terms are added into two
     float64 accumulators, the even ones times Re c_k into the real part
     and the odd ones times Im c_k into the imaginary part, which become
@@ -367,7 +486,7 @@ class _Stack:
         self._set_operator(_stacked_operator(hs, dim, centers, halves,
                                              complex if any(map(_imaginary, hs)) else float))
 
-    def _set_operator(self, h: sp.csr_matrix):
+    def _set_operator(self, h):
         """Make ``h`` the operator 2 h~, with the prefix views of the runs."""
         d = self.dim
         self.h_scaled = h
@@ -381,7 +500,7 @@ class _Stack:
         coef, d = self.coef, self.dim
         if np.iscomplexobj(psi) and not np.iscomplexobj(self.h_scaled.data):
             h = self.h_scaled
-            self._set_operator(_csr_view(h.data.astype(complex), h.indices, h.indptr))
+            self._set_operator(_view(h, h.data.astype(complex), h.shape[0]))
         real = not np.iscomplexobj(self.h_scaled.data)
         if real:
             # the even terms' sum of Re c_k T_k, the odd terms' of Im c_k T_k
@@ -439,9 +558,10 @@ class _StepPlan:
     their nonzeros stay under ``_STACK_NNZ``. The padding bounds what a
     batch may mix: one huge phase batched with many short blocks would
     allocate far more than its own expansion; an ensemble's blocks share
-    one duration. A CSR computes each row by itself, and a per-block scale,
-    coefficient or phase rounds as a lone block's does, so each block's
-    result is bit for bit its lone plan's.
+    one duration. The operator, by diagonals or CSR, computes each row by
+    itself in column order, and a per-block scale, coefficient or phase
+    rounds as a lone block's does, so each block's result is bit for bit
+    its lone plan's.
 
     The scaled operators are new arrays, so no ``h_i`` is modified. A
     t = 0 block joins no stack, and applying the plan copies its state.

@@ -174,8 +174,11 @@ def prepare_config(raw: dict) -> dict:
     lattice spacing other than 1, an excitation number, Ising strength or
     power the nonlinear scenario cannot run, a scaling fit over fewer than
     two packet widths, time grids too short to step through, a propagator
-    tolerance outside ``propagator.TOL_RANGE`` and an end time that is not
-    positive."""
+    tolerance outside ``propagator.TOL_RANGE``, an end time that is not
+    positive, a packet width that is not a positive finite number, and
+    every value the run's first constructors reject (``_run_inputs``):
+    lattice extents, coupling strengths, a thick lens's strength, an
+    ensemble's realizations, hole count or displacement."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
     name = raw.get("scenario")
@@ -227,7 +230,38 @@ def prepare_config(raw: dict) -> dict:
     if t_max is not None and not (_is_number(t_max) and 0 < t_max < math.inf):
         raise ConfigError(f"'{name}.evolution.t_max' must be null or a positive number "
                           "(YAML reads 1.0e3 as a string: write 1000.0 or 1.0e+3)")
+    # the packet width sets every prediction, profile and physics lint
+    if "packet" in cfg and not 0 < _as_float(cfg["packet"]["sigma0"]) < math.inf:
+        raise ConfigError(f"'{name}.packet.sigma0' must be a positive finite number")
+    try:
+        _run_inputs(cfg)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
     return cfg
+
+
+def _run_inputs(cfg: dict):
+    """Build what a run of ``cfg`` builds before it computes anything, with
+    the run's own constructors: the lattice and coupling model, each
+    power law of a scan, a thick lens's continuum prediction, an ensemble
+    job. Whatever they reject, the run would fail on."""
+    name = cfg["scenario"]
+    if "lattice" not in cfg:
+        return
+    _, model = _build_setup(cfg)
+    if name == "longrange_alpha":
+        c = cfg["coupling"]
+        for alpha in cfg["scan"]["alphas"]:
+            PowerLaw(float(c["hopping"]), float(alpha), cutoff_range=float(c["cutoff_range"]))
+    elif name == "thick1d":
+        continuum_thick(float(cfg["lens"]["v0"]), float(cfg["packet"]["sigma0"]),
+                        model.reference_hopping())
+    elif name == "holes":
+        _ensemble_job(cfg, Holes(int(cfg["disorder"]["count"])))
+    elif name == "displacement":
+        _ensemble_job(cfg, Displacement(float(cfg["disorder"]["delta"])))
 
 
 def lint_config(cfg: dict) -> list:

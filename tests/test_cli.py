@@ -269,7 +269,9 @@ class TestRunCommand:
         assert not out.exists()
 
     def test_midrun_failure_is_recorded(self, tmp_path, capsys):
-        bad = dict(THICK_SMALL, lens={"v0": -1.0})
+        # a packet centre with one coordinate too many fails only when the
+        # packet is built
+        bad = dict(THICK_SMALL, packet={"sigma0": 12.0, "center": [1.0, 2.0]})
         cfg = write_config(tmp_path / "c.yaml", bad)
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 1
@@ -445,6 +447,61 @@ def test_nonlinear_rejects_unusable_interaction_before_running(tmp_path, capsys,
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert f"interaction.{key}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma0", [0.0, -3.0, math.nan, math.inf])
+def test_packet_width_must_be_positive_and_finite(tmp_path, capsys, sigma0):
+    cfg = write_config(tmp_path / "c.yaml", dict(THICK_SMALL, packet={"sigma0": sigma0}))
+    assert main(["validate", "--config", cfg]) == 2
+    assert "packet.sigma0" in capsys.readouterr().err
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "packet.sigma0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_DISPLACEMENT_SMALL = {"scenario": "displacement", "lattice": {"extents": [40]},
+                       "packet": {"sigma0": 4.0}, "disorder": {"realizations": 2},
+                       "broadening": {"realizations": 2}}
+
+
+@pytest.mark.parametrize("config, message", [
+    (dict(THICK_SMALL, lattice={"extents": [0]}), "extents must be positive"),
+    (dict(HOLES_SMALL, disorder={"realizations": 0}), "need at least one realization"),
+    (dict(_DISPLACEMENT_SMALL, disorder={"delta": -0.01, "realizations": 2}),
+     "delta must be non-negative"),
+    (dict(HOLES_SMALL, lattice={"extents": [40]}, disorder={"count": 500, "realizations": 2}),
+     "hole count must be below the active-site count"),
+    (dict(HOLES_SMALL, lattice={"extents": [40]}, disorder={"count": 40, "realizations": 2}),
+     "hole count must be below the active-site count"),
+    (dict(_DISPLACEMENT_SMALL, coupling={"alpha": -1.0}), "alpha and cutoff_range must be positive"),
+    (dict(_DISPLACEMENT_SMALL, coupling={"cutoff_range": 0.0}),
+     "alpha and cutoff_range must be positive"),
+    (dict(_DISPLACEMENT_SMALL, coupling={"cutoff_range": -2.0}),
+     "alpha and cutoff_range must be positive"),
+    ({"scenario": "longrange_alpha", "lattice": {"extents": [40]}, "packet": {"sigma0": 4.0},
+      "coupling": {"cutoff_range": 0.0}}, "alpha and cutoff_range must be positive"),
+    (dict(THICK_SMALL, lens={"v0": 0.0}), "v0, sigma0, hopping must be positive"),
+])
+def test_what_a_run_rejects_fails_validation(tmp_path, capsys, config, message):
+    """Each of these passed ``validate`` and then failed the run at its
+    first constructor; both now exit 2 with the run's message, and the run
+    makes no output directory."""
+    cfg = write_config(tmp_path / "c.yaml", config)
+    assert main(["validate", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [0, 38])
+def test_hole_counts_below_the_free_sites_stay_valid(tmp_path, capsys, count):
+    cfg = write_config(tmp_path / "c.yaml", dict(HOLES_SMALL, lattice={"extents": [40]},
+                                                 packet={"sigma0": 4.0},
+                                                 disorder={"count": count, "realizations": 2}))
+    assert main(["validate", "--config", cfg]) == 0
 
 
 def test_nonlinear_blockade_radius_uses_the_configured_power(tmp_path):

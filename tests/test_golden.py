@@ -11,7 +11,13 @@ Run as a script (with ``src`` on the path), it reruns every config with
 one BLAS thread. ``python tests/test_golden.py`` rewrites the table;
 ``python tests/test_golden.py --check`` leaves it as it is, prints each data
 file and ``derived`` block as identical or moved against it, and exits 1 if
-any moved.
+any moved. ``--keep DIR`` writes the rerun outputs to DIR/<config>/ instead
+of a temporary directory. ``--against DIR``, given the outputs a parent tree
+kept with ``--keep``, prints for each moved CSV the largest relative change
+of each column, |new - old| / |old| over the rows:
+
+    git stash; python tests/test_golden.py --check --keep /tmp/parent
+    git stash pop; python tests/test_golden.py --check --against /tmp/parent
 """
 
 import os
@@ -21,11 +27,13 @@ if __name__ == "__main__":
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[_var] = "1"
 
+import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
-import sys
+import math
 import tempfile
 from pathlib import Path
 
@@ -71,9 +79,38 @@ def test_fast_config_reproduces_its_outputs(tmp_path, name):
     assert got["derived"] == want["derived"]
 
 
-def _report(configs: dict) -> int:
+def _relative_changes(new: Path, old: Path) -> list:
+    """(column, largest |new - old| / |old| over its rows) for each column
+    of the CSV ``new`` against the CSV ``old``: 0 where they agree, inf
+    where an old 0 or a text cell changed; the whole file as one entry
+    when the header or the row count differs."""
+    rows = [list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+            for path in (new, old)]
+    (head, *a), (old_head, *b) = rows
+    if head != old_head or len(a) != len(b):
+        return [("(header or rows)", math.inf)]
+    out = []
+    for j, name in enumerate(head):
+        worst = 0.0
+        for x, y in zip((r[j] for r in a), (r[j] for r in b)):
+            if x == y:
+                continue
+            try:
+                x, y = float(x), float(y)
+            except ValueError:
+                worst = math.inf
+                continue
+            worst = max(worst, abs(x - y) / abs(y) if y else math.inf)
+        out.append((name, worst))
+    return out
+
+
+def _report(configs: dict, root: Path, against: Path | None = None) -> int:
     """Print each data file and ``derived`` block of ``configs`` as
-    identical or moved against the table; 1 if any moved, else 0."""
+    identical or moved against the table, and with ``against`` (the
+    outputs a parent tree kept) each moved CSV's largest relative change
+    per column, from the rerun outputs under ``root``; 1 if any moved,
+    else 0."""
     running = {"numpy": np.__version__, "scipy": scipy.__version__}
     if running != GOLDEN["versions"]:
         print(f"note: table recorded under {GOLDEN['versions']}, running {running}")
@@ -88,18 +125,40 @@ def _report(configs: dict) -> int:
             verdict = "identical" if a == b and a is not None else "moved"
             counts[verdict] += 1
             print(f"{verdict:9s} {label}")
+            file = label.partition("/")[2]
+            if (verdict == "moved" and against is not None and file.endswith(".csv")
+                    and name in configs):
+                new, old = root / name / file, against / name / file
+                if not (new.exists() and old.exists()):
+                    print(f"          (no {new if not new.exists() else old})")
+                    continue
+                for column, change in _relative_changes(new, old):
+                    print(f"          {change:10.3g}  {column}")
     print(f"{counts['identical']} identical, {counts['moved']} moved")
     return 1 if counts["moved"] else 0
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] not in ([], ["--check"]):
-        raise SystemExit("usage: python tests/test_golden.py [--check]")
-    with tempfile.TemporaryDirectory() as scratch:
-        recorded = {p.stem: _record(p.stem, Path(scratch) / p.stem)
+    parser = argparse.ArgumentParser(description="Rerun the shipped configs and record "
+                                     "or check their outputs against configs/GOLDEN.json.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the table instead of rewriting it")
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="write the rerun outputs to DIR/<config>/")
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="with --check: per-column changes of each moved CSV "
+                             "against the outputs a parent tree kept in DIR")
+    args = parser.parse_args()
+    if args.against is not None and not args.check:
+        parser.error("--against needs --check")
+    if args.keep is not None and args.keep.exists() and any(args.keep.iterdir()):
+        parser.error(f"--keep {args.keep}: not empty")
+    with contextlib.ExitStack() as stack:
+        root = args.keep or Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        recorded = {p.stem: _record(p.stem, root / p.stem)
                     for p in sorted(CONFIGS.glob("*.yaml"))}
-    if sys.argv[1:] == ["--check"]:
-        raise SystemExit(_report(recorded))
+        if args.check:
+            raise SystemExit(_report(recorded, root, args.against))
     table = {"blas_threads": 1, "configs": recorded,
              "versions": {"numpy": np.__version__, "scipy": scipy.__version__}}
     (CONFIGS / "GOLDEN.json").write_text(json.dumps(table, indent=2, sort_keys=True) + "\n",

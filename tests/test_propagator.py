@@ -1,3 +1,5 @@
+import copy
+
 import mpmath
 import numpy as np
 import pytest
@@ -479,8 +481,37 @@ def lone_scaled(h, center, half, dtype):
     return b.data.astype(dtype), b.indices, b.indptr
 
 
+def entries(stack):
+    """A stacked operator's entries as canonical CSR, whichever storage
+    ``_stacked_operator`` chose: a DIA stack's slots that hold 0.0 are left
+    out, and every other slot is kept bit for bit."""
+    return stack if stack.format == "csr" else stack.tocsr()
+
+
+def storage_rule(hs, dim, csr) -> str:
+    """The storage the byte rule picks for the blocks ``hs`` whose stack,
+    shifted and scaled, has the canonical CSR ``csr``: DIA when 8 x
+    diagonals x rows <= 12 x entries + 4 x rows, with the diagonals the
+    distinct offsets col - row of the canonical blocks' stored entries and
+    the main one."""
+    offsets = {0}
+    for h in hs:
+        h = (h + sp.csr_matrix(h.shape)).tocsr() if not h.has_canonical_format else h
+        offsets |= set((h.indices[:h.nnz] - np.repeat(np.arange(dim), np.diff(h.indptr))).tolist())
+    n = csr.shape[0]
+    return "dia" if 8 * len(offsets) * n <= 12 * csr.nnz + 4 * n else "csr"
+
+
+def assert_storage(stack, hs, dim, csr):
+    """``stack`` follows the byte rule, a DIA one with ascending offsets."""
+    assert stack.format == storage_rule(hs, dim, csr)
+    if stack.format == "dia":
+        assert np.all(np.diff(stack.offsets) > 0) and 0 in stack.offsets
+        assert stack.data.shape == (stack.offsets.size, stack.shape[0])
+
+
 def stacked_block(stack, j, dim):
-    """(data, indices, indptr) of the j-th diagonal block of a stack."""
+    """(data, indices, indptr) of the j-th diagonal block of a CSR stack."""
     lo, hi = stack.indptr[j * dim], stack.indptr[(j + 1) * dim]
     return (stack.data[lo:hi], stack.indices[lo:hi] - j * dim,
             stack.indptr[j * dim:(j + 1) * dim + 1] - lo)
@@ -488,14 +519,17 @@ def stacked_block(stack, j, dim):
 
 class TestStackedOperator:
     """The stack is built by array operations on all its blocks at once,
-    and each block is bit for bit the one built alone."""
+    and each block is bit for bit the one built alone, whichever storage
+    the byte rule picked."""
 
     @staticmethod
     def assert_blocks_built_alone(hs, bounds, dtype):
         dim = hs[0].shape[0]
         centers, halves = zip(*(_enclosure(h, b) for h, b in zip(hs, bounds)))
-        stack = _stacked_operator(hs, dim, centers, halves, dtype)
-        assert stack.dtype == np.dtype(dtype) and stack.has_canonical_format
+        got = _stacked_operator(hs, dim, centers, halves, dtype)
+        stack = entries(got)
+        assert got.dtype == np.dtype(dtype) and stack.has_canonical_format
+        assert_storage(got, hs, dim, stack)
         for j, (h, c, half) in enumerate(zip(hs, centers, halves)):
             got, want = stacked_block(stack, j, dim), lone_scaled(h, c, half, dtype)
             assert got[0].dtype == want[0].dtype
@@ -578,19 +612,22 @@ def sparse_stacked(hs, dim, centers, halves, dtype):
 
 
 class TestOnePassOperator:
-    """``_stacked_operator`` shifts and scales the concatenated arrays in
-    one pass; the whole stack is bit for bit scipy's sparse difference."""
+    """``_stacked_operator`` shifts and scales the whole stack in one pass;
+    every entry is bit for bit scipy's sparse difference, whichever storage
+    the byte rule picked."""
 
     @staticmethod
     def assert_stack_is_the_sparse_difference(hs, bounds, dtype):
         dim = hs[0].shape[0]
         kept = [[a.copy() for a in (h.data, h.indices, h.indptr)] for h in hs]
         centers, halves = zip(*(_enclosure(h, b) for h, b in zip(hs, bounds)))
-        got = _stacked_operator(hs, dim, centers, halves, dtype)
+        stack = _stacked_operator(hs, dim, centers, halves, dtype)
+        got = entries(stack)
         want = sparse_stacked(hs, dim, centers, halves, dtype)
         for attr in ("indptr", "indices", "data"):
             g, w = getattr(got, attr), getattr(want, attr)
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), attr
+        assert_storage(stack, hs, dim, want)
         # no h is modified
         for h, arrays in zip(hs, kept):
             assert all(a.tobytes() == b.tobytes()
@@ -671,10 +708,138 @@ class TestOnePassOperator:
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_one_block_stack(self, rng, dtype):
-        """A lone block keeps h's index arrays and gets a new data array."""
+        """A lone block gets new values, in a dtype of their own."""
         h = chain(50, np.r_[rng.normal(size=25), np.zeros(25)])
         got = self.assert_stack_is_the_sparse_difference([h], [None], dtype)
         assert got.data is not h.data and got.dtype == np.dtype(dtype)
+
+    def test_lone_csr_block_keeps_its_index_arrays(self, rng):
+        """A block too spread for diagonals is a CSR on h's index arrays."""
+        h = random_hermitian(30, rng).real.tocsr()
+        center, half = _enclosure(h, None)
+        got = _stacked_operator([h], 30, [center], [half], float)
+        assert got.format == "csr" and got.indptr is h.indptr
+        assert np.shares_memory(got.indices, h.indices)
+
+
+def _scrambled(h, rng):
+    """h with some entries stored twice, as 3/4 and 1/4 of their value, and
+    every row's entries in a shuffled order: not canonical."""
+    rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+    cols, vals = h.indices.copy(), h.data.copy()
+    twice = rng.choice(h.nnz, size=min(3, h.nnz), replace=False)
+    vals[twice] *= 0.75
+    rows, cols = np.r_[rows, rows[twice]], np.r_[cols, cols[twice]]
+    vals = np.r_[vals, h.data[twice] * 0.25]
+    order = np.lexsort((rng.random(rows.size), rows))
+    out = sp.csr_matrix((vals[order], cols[order], np.searchsorted(rows[order], np.arange(
+        h.shape[0] + 1))), shape=h.shape)
+    assert not out.has_canonical_format
+    return out
+
+
+@st.composite
+def _stack_cases(draw):
+    """(blocks, dim, centres, halves, dtype, start states) of one stack: a
+    chain or a plane with nearest-neighbour or cut-off power-law hopping,
+    holes that leave rows empty, on-site energies of 0 (no diagonal slot)
+    or of the block's centre (0.0 after the shift), blocks that share the
+    first one's index arrays with values of their own (zeros among them),
+    blocks with unsorted and duplicate entries, widely spread random
+    blocks, a block with an imaginary part; real or complex states."""
+    extents = draw(st.sampled_from([(draw(st.integers(2, 40)),),
+                                    (draw(st.integers(2, 7)), draw(st.integers(2, 7)))]))
+    table = build_lattice(extents)
+    n = table.n_sites
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 4))
+    blocks, centers, halves = [], [], []
+    for j in range(m):
+        center = draw(st.sampled_from([0.0, 0.5, -1.25]))
+        half = draw(st.sampled_from([1.0, 0.37, 3.0]))
+        kind = draw(st.sampled_from(["lattice"] * 6 + ["shared", "shared", "random"]))
+        if kind == "shared" and j:
+            h = copy.copy(blocks[0])
+            h.data = np.where(rng.random(h.nnz) < 0.1, 0.0, rng.normal(size=h.nnz))
+        elif kind == "random":
+            h = random_hermitian(n, rng, density=0.2).real.tocsr()
+        else:
+            holes = rng.choice(n, size=draw(st.integers(0, min(3, n - 1))), replace=False)
+            t = punch_holes(table, [tuple(table.labels[i]) for i in holes])
+            model = draw(st.sampled_from([NearestNeighbor(1.0), NearestNeighbor(1.0),
+                                          PowerLaw(1.0, 3.0, 2.0), PowerLaw(1.0, 6.0, 3.0)]))
+            onsite = rng.choice([0.0, center, rng.normal()], size=n)
+            h = build_couplings(t, model, lens_diagonal=onsite).matrix()
+            if draw(st.sampled_from([False, False, False, True])) and h.nnz:
+                h = _scrambled(h, rng)
+        blocks.append(h)
+        centers.append(center)
+        halves.append(half)
+    dtype = float
+    if draw(st.sampled_from([False, False, False, True])) and n > 1:
+        # an imaginary hopping between neighbouring rows
+        v = rng.normal(size=n - 1)
+        j = draw(st.integers(0, m - 1))
+        blocks[j] = (blocks[j] + 1j * (sp.diags(v, 1) - sp.diags(v, -1))).tocsr()
+        dtype = complex
+    x = rng.normal(size=m * n)
+    if draw(st.booleans()):
+        x = x + 1j * rng.normal(size=m * n)
+    return blocks, n, centers, halves, dtype, x
+
+
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestTwoStorages:
+    """The operator is stored by diagonals when that takes no more bytes
+    than CSR, and every product of it, and of each row prefix the Chebyshev
+    terms multiply by, is bit for bit the CSR product."""
+
+    @staticmethod
+    def assert_products_are_the_csr_ones(hs, dim, centers, halves, dtype, x):
+        op = _stacked_operator(hs, dim, centers, halves, dtype)
+        want = sparse_stacked(hs, dim, centers, halves, dtype)
+        assert_storage(op, hs, dim, want)
+        if np.iscomplexobj(x) and op.dtype == np.float64:
+            # as _Stack.apply meets its first complex state
+            op, want = propagator._view(op, op.data.astype(complex), op.shape[0]), \
+                want.astype(complex)
+        for a in range(1, len(hs) + 1):
+            k = a * dim
+            got = propagator._row_prefix(op, k) @ x[:k]
+            assert _bits(got) == _bits(want[:k, :k] @ x[:k])
+        return op
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_stack_cases())
+    def test_every_prefix_product_is_the_csr_one(self, case):
+        self.assert_products_are_the_csr_ones(*case)
+
+    def test_diagonals_are_added_in_ascending_order(self):
+        """Row 0 holds 1e16, -1e16 and 1 on the diagonals 0, 1 and 2: in
+        column order its sum is 2 (2e16 - 2e16 + 2 after the doubling), in
+        any other it is 0."""
+        h = sp.csr_matrix(np.array([[1e16, -1e16, 1.0],
+                                    [0.0, 1.0, 1.0],
+                                    [0.0, 0.0, 1.0]]))
+        op = self.assert_products_are_the_csr_ones([h], 3, [0.0], [1.0], float, np.ones(3))
+        assert op.format == "dia" and list(op.offsets) == [0, 1, 2]
+        assert (op @ np.ones(3))[0] == 2.0
+
+    def test_blockade_sectors_stay_csr(self, nu3_sectors):
+        """The benchmark's nu = 2 (61 sites, J_z = 1500) and nu = 3 sectors,
+        full and even: their entries spread over far more diagonals than
+        rows' worth of bytes allows."""
+        table = build_lattice((61,))
+        terms = build_couplings(table, NearestNeighbor(1.0)).with_diagonal(
+            potential_profile(ThickPolynomial((0.01,), tuple(table.center())), table))
+        sector = build_mb_hamiltonian(terms, enumerate_basis(table, 2), jz=1500.0, table=table)
+        ops = [sector.csr(), sector.even_matrix] + [h for h, _, _ in nu3_sectors.values()]
+        for h in ops:
+            center, half = _enclosure(h, None)
+            assert _stacked_operator([h], h.shape[0], [center], [half], float).format == "csr"
 
 
 class TestRealPath:
@@ -759,6 +924,7 @@ class TestRealPath:
         tol, t = 1e-10, 3.2e4 / (0.5 * (hi - lo))
         seen = matvec_dtypes
         plan = _StepPlan([h], [t], tol, [None])
+        assert plan.stacks[0].h_scaled.format == "dia"      # a banded chain
         (got,) = plan.apply([rest])
         # (operator, term) dtypes: one matvec per term past T_0
         n_terms = len(plan.stacks[0].coef) - 1
