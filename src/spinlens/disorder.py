@@ -5,26 +5,31 @@ for a fixed duration (the clean focal time, supplied by the caller), and
 records the focal probability and the final width. Couplings are built
 through the lattice module once per job, on the clean lattice: its H pattern
 (:class:`_CleanPattern`) holds the hopping entries and the nonzero on-site
-energies in canonical CSR order. The realizations are drawn in chunks of
-about one stacked operator's worth (``propagator._STACK_NNZ`` entries), and
-each chunk is cut, started and scored as whole arrays. Holes drop the
-entries of each hole's row and column, and only the rows that lose one are
-summed again for their Gershgorin radii; displacement recomputes the
-power-law values at the pattern's pairs, one ``PowerLaw.amplitude`` over
-the chunk's positions. Zero values are dropped, as scipy's assembly drops
-them, so the H and bounds of a realization are bit for bit the ones
-:func:`run_protocol` assembles. The start packets are the rows of one
+energies in canonical CSR order, and the propagator lays that pattern out
+once per job (``propagator._PatternPlan``), its storage rule read on the
+clean pattern. The realizations are drawn in chunks of about one stacked
+operator's worth (``propagator._STACK_NNZ`` entries). Each chunk's values
+are written as one table in the pattern's order, 0.0 where a hole removed
+an entry or a coupling underflowed: holes zero the entries of each hole's
+row and column, and displacement recomputes the power-law values at the
+pattern's pairs, one ``PowerLaw.coupling`` over the chunk's separations.
+The table goes straight into the chunk's diagonals, and a zero slot adds
++-0 to a product, so each realization evolves bit for bit as the H that
+:func:`run_protocol` assembles, which leaves the zeros out. Its Gershgorin
+bounds are that H's too: a row that holds a zero is summed again over its
+other entries. The arrays of a chunk's size are kept for the job and
+overwritten chunk after chunk. The start packets are the rows of one
 array, each normalized as ``numpy.linalg.norm`` normalizes one state, and
 the final states are scored together by the two-pass width formula and
-the focus probability of ``wavepacket``, each row as its state alone. The
-realizations are propagated together, as one batch of independent
-evolutions (:func:`spinlens.propagator.expimv_batch`), each bit for bit
-what it gives alone: their operators are stacked by array operations on
-the whole stack, and since every H and start packet is real, the stack runs
-its Chebyshev terms in float64 and adds them into a real and an imaginary
-float64 accumulator (the even and the odd terms). Streams are counter-based
-per realization, so a realization's record does not depend on how many
-others are run.
+the focus probability of ``wavepacket``, each row as its state alone. Each
+chunk is one stack of independent evolutions, each bit for bit its lone
+``expimv``: since every H and start packet is real, the stack runs its
+Chebyshev terms in float64 and adds them into a real and an imaginary
+float64 accumulator (the even and the odd terms), and a phase met in an
+earlier chunk reuses its coefficients. :meth:`_CleanPattern.cuts` still
+gives each realization's H as CSR, for the tests and the broadening loop.
+Streams are counter-based per realization, so a realization's record does
+not depend on how many others are run.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import scipy.sparse as sp
 
 from .lattice import PowerLaw, SiteTable, build_couplings, displace_sites
 from .lens import potential_profile, thin_phase_profile
-from .propagator import _STACK_NNZ, _ranges, expimv_batch
+from .propagator import _STACK_NNZ, _PatternPlan, _ranges
 from .wavepacket import (SpinWaveState, _density_widths, _focus_probabilities,
                          _gaussian_rows, evolve, focus_probability, gaussian_packet,
                          gaussian_width, phase_imprint)
@@ -181,8 +186,9 @@ def _realization_table(job: EnsembleJob, r: int, streams: _Streams | None = None
 
 class _CleanPattern:
     """The clean lattice's H = diag(V) - J of a job as canonical CSR arrays,
-    its zero on-site energies left out, from which each realization's H and
-    Gershgorin bounds are cut (module docstring).
+    its zero on-site energies left out, from which each realization's
+    values and Gershgorin bounds are written (:meth:`table`) and its H is
+    cut (module docstring).
     """
 
     def __init__(self, job: EnsembleJob):
@@ -209,11 +215,13 @@ class _CleanPattern:
         assert canonical
         self.holes = isinstance(job.kind, Holes)
         self.model = job.model
+        self.radii = self._radii(np.abs(self.data), self.indptr[None])[0]
+        # the arrays of a chunk's size that no value or cut is written to
+        self.scratch = _Kept()
         self.pairs = None
         if self.holes:
             # the entry (j, i) of each entry (i, j): the pattern is symmetric
             self.transpose = np.lexsort((self.rows, self.cols))
-            self.radii = self._radii(np.abs(self.data), self.indptr[None])[0]
         elif isinstance(job.model, PowerLaw):
             # each off-diagonal entry takes the value of its pair (i, j), i < j,
             # and each diagonal one its on-site energy, after the pairs
@@ -234,6 +242,65 @@ class _CleanPattern:
         radii[filled] = np.add.reduceat(absdata, starts[:, :-1][filled])
         return radii
 
+    def table(self, active: np.ndarray, positions: np.ndarray, kept=None) -> tuple:
+        """The values of a stack of realizations, (m, entries) in the
+        pattern's order with 0.0 (or -0.0) where a hole removed an entry or
+        a coupling underflowed, and their Gershgorin bounds (lows, highs),
+        each bit for bit what ``propagator.spectral_bounds`` gives on the
+        realization's H. ``active`` is (m, n) for holes, ``positions`` (m,
+        n, dim) for displacement, and the other may be the clean table's.
+        The values are a new array, or with ``kept`` (a :class:`_Kept`) its
+        own, overwritten by the next call; the other arrays of the chunk's
+        size are the pattern's ``scratch``.
+
+        Holes zero the entries of each hole's row and column; a power-law
+        displacement computes one ``PowerLaw.coupling`` over all the stack's
+        separations and sums every row. A row that holds a 0.0 is summed
+        again over its other entries alone, as the summation of its H
+        (without the zeros) may group them otherwise."""
+        n, size = len(self.diagonal), self.data.size
+        m = np.broadcast_shapes(active.shape, positions.shape[:-1])[0]
+        values = np.empty((m, size)) if kept is None else kept("values", (m, size))
+        radii, diagonal = np.broadcast_to(self.radii, (m, n)).copy(), self.diagonal
+        if self.pairs is None:
+            values[:] = self.data
+        else:
+            (i, j), scratch = self.pairs, self.scratch
+            shape = (m, i.size, positions.shape[-1])
+            d, ends = scratch("d", shape), scratch("ends", shape)
+            np.take(positions, j, axis=-2, out=d, mode="clip")
+            d -= np.take(positions, i, axis=-2, out=ends, mode="clip")
+            # the magnitudes |-amplitude| and |V| first, for the radii, then
+            # the values, in the same array
+            extended = scratch("extended", (m, i.size + self.on_site.size))
+            amplitudes = self.model.coupling(d, out=extended[:, :i.size])
+            extended[:, i.size:] = np.abs(self.on_site)
+            np.take(extended, self.source, axis=1, out=values, mode="clip")
+            radii = self._radii(values.reshape(-1), np.arange(m)[:, None] * size + self.indptr)
+            np.negative(amplitudes, out=amplitudes)
+            extended[:, i.size:] = self.on_site
+            np.take(extended, self.source, axis=1, out=values, mode="clip")
+        if self.holes:
+            real, hole = np.nonzero(~active & (self.lengths > 0))
+            at = _ranges(self.indptr[hole], self.lengths[hole])
+            real = np.repeat(real, self.lengths[hole])
+            values[real, at] = values[real, self.transpose[at]] = 0.0
+            diagonal = np.where(active, self.diagonal, 0.0)
+        real, entry = np.nonzero(values == 0.0)
+        if real.size:
+            real, row = np.divmod(np.unique(real * n + self.rows[entry]), n)
+            lengths = self.lengths[row]
+            row_values = np.abs(values[np.repeat(real, lengths),
+                                       _ranges(self.indptr[row], lengths)])
+            held = row_values != 0.0
+            counts = np.add.reduceat(held.astype(np.intp), np.cumsum(lengths) - lengths)
+            sums = np.zeros(len(real))
+            filled = counts > 0
+            sums[filled] = np.add.reduceat(row_values[held], (np.cumsum(counts) - counts)[filled])
+            radii[real, row] = sums
+        radii -= np.abs(diagonal)
+        return values, (diagonal - radii).min(axis=1), (diagonal + radii).max(axis=1)
+
     def cut(self, table: SiteTable):
         """H of the realization ``table`` as CSR, and its Gershgorin bounds,
         each equal bit for bit to ``_protocol_start(table, job)``'s
@@ -242,61 +309,22 @@ class _CleanPattern:
 
     def cuts(self, active: np.ndarray, positions: np.ndarray) -> list:
         """[(H, bounds)] of a stack of realizations, as :meth:`cut` gives
-        them, by array operations over the whole stack: ``active`` is (m,
-        n) for holes, ``positions`` (m, n, dim) for displacement, and the
-        other may be the clean table's.
-
-        Holes drop the entries of each hole's row and column from the
-        clean arrays, and only the rows that lose an entry are summed again
-        for their radii. Displacement computes one ``PowerLaw.amplitude``
-        over all the stack's positions and sums every row. Each
-        realization's arrays are a slice of the stack's; while it keeps
-        every entry (a power law has no zero), its index arrays are the
-        pattern's."""
-        n, size = len(self.diagonal), self.data.size
-        m = np.broadcast_shapes(active.shape, positions.shape[:-1])[0]
-        values = np.broadcast_to(self.data, (m, size))
-        if self.holes:
-            real, hole = np.nonzero(~active & (self.lengths > 0))
-            at = _ranges(self.indptr[hole], self.lengths[hole])
-            real = np.repeat(real, self.lengths[hole])
-            keep = np.ones((m, size), bool)
-            keep[real, at] = keep[real, self.transpose[at]] = False
-        else:
-            if self.pairs is not None:
-                amp = self.model.amplitude(positions, *self.pairs)
-                values = np.concatenate(
-                    [-amp, np.broadcast_to(self.on_site, (m, self.on_site.size))], axis=1)
-                values = values[:, self.source]
-            keep = values != 0.0
+        them: the :meth:`table` with its zeros dropped, on arrays of its
+        own. While a realization keeps every entry, its index arrays are
+        the pattern's."""
+        values, lows, highs = self.table(active, positions)
+        m, n = values.shape[0], len(self.diagonal)
+        keep = values != 0.0
         if keep.all():
             data, cols = values.reshape(-1), self.cols
-            starts = np.arange(m)[:, None] * size + self.indptr
-            lost = np.zeros((2, 0), int)
+            starts = np.arange(m)[:, None] * self.data.size + self.indptr
         else:
             data, cols = values[keep], np.broadcast_to(self.cols, keep.shape)[keep]
-            real, entry = np.nonzero(~keep)
-            lost = real * n + self.rows[entry]
             counts = np.broadcast_to(self.lengths, (m, n)).copy()
-            np.subtract.at(counts.reshape(-1), lost, 1)
-            lost = np.divmod(np.unique(lost), n)
+            real, entry = np.nonzero(~keep)
+            np.subtract.at(counts.reshape(-1), real * n + self.rows[entry], 1)
             starts = np.concatenate([np.zeros(1, np.int32), np.cumsum(counts, dtype=np.int32)])
             starts = starts[np.arange(m)[:, None] * n + np.arange(n + 1)]
-        if self.holes:
-            # the clean rows' radii, but for the rows that lost an entry
-            radii = np.broadcast_to(self.radii, (m, n)).copy()
-            real, row = lost
-            lengths = starts[real, row + 1] - starts[real, row]
-            sums = np.zeros(len(real))
-            filled = lengths > 0
-            sums[filled] = np.add.reduceat(np.abs(data[_ranges(starts[real, row], lengths)]),
-                                           (np.cumsum(lengths) - lengths)[filled])
-            radii[real, row] = sums
-            diagonal = np.where(active, self.diagonal, 0.0)
-        else:
-            radii, diagonal = self._radii(np.abs(data), starts), self.diagonal
-        radii -= np.abs(diagonal)
-        lows, highs = (diagonal - radii).min(axis=1), (diagonal + radii).max(axis=1)
         out = []
         for row_starts, low, high in zip(starts, lows, highs):
             lo, hi = row_starts[0], row_starts[-1]
@@ -308,21 +336,41 @@ class _CleanPattern:
         return out
 
 
-def _chunks(job: EnsembleJob, pattern: _CleanPattern, count: int):
+class _Kept:
+    """Float arrays of a chunk's size by name, made on first use and handed
+    out again, as views of the size asked for, at every later call."""
+
+    def __init__(self):
+        self.arrays: dict = {}
+
+    def __call__(self, name: str, shape: tuple) -> np.ndarray:
+        array = self.arrays.get(name)
+        if array is None or array.shape[0] < shape[0] or array.shape[1:] != shape[1:]:
+            array = self.arrays[name] = np.empty(shape)
+        return array[:shape[0]]
+
+
+def _draws(job: EnsembleJob, pattern: _CleanPattern, count: int):
     """The realizations 0, ..., count - 1 of ``job`` in chunks of about one
     stacked operator's worth (the clean pattern's entries plus its rows
     against ``propagator._STACK_NNZ``): per chunk, the active masks and
-    positions (stacked where they vary, the clean table's where they do
-    not) and each realization's (H, bounds). Each realization draws its
-    own counter-based stream (``_realization_table``)."""
+    positions, stacked where they vary, the clean table's where they do
+    not. Each realization draws its own counter-based stream
+    (``_realization_table``)."""
     table, n, streams = job.table, job.table.n_sites, _Streams(job.master_seed)
     size = max(1, _STACK_NNZ // (pattern.data.size + n))
     for lo in range(0, count, size):
         tables = [_realization_table(job, r, streams) for r in range(lo, min(lo + size, count))]
         if pattern.holes:
-            active, positions = np.stack([t.active for t in tables]), table.positions
+            yield np.stack([t.active for t in tables]), table.positions
         else:
-            active, positions = table.active, np.stack([t.positions for t in tables])
+            yield table.active, np.stack([t.positions for t in tables])
+
+
+def _chunks(job: EnsembleJob, pattern: _CleanPattern, count: int):
+    """Per chunk of ``_draws``, the active masks, the positions and each
+    realization's (H, bounds), cut on arrays of its own."""
+    for active, positions in _draws(job, pattern, count):
         yield active, positions, pattern.cuts(active, positions)
 
 
@@ -330,29 +378,29 @@ def run_ensemble(job: EnsembleJob) -> EnsembleStats:
     """Focusing statistics over disorder realizations, in index order.
 
     Each record equals ``run_protocol(_realization_table(job, r), job)``
-    bit for bit. The realizations are drawn, cut from the job's clean
-    pattern and started about one stacked operator's worth at a time, as
-    whole arrays (``_chunks``); each chunk is propagated and its final
-    states scored together (``wavepacket._density_widths``,
-    ``_focus_probabilities``) before the next is drawn, so only one chunk
-    of operators and states is held at a time.
+    bit for bit. The realizations are drawn about one stacked operator's
+    worth at a time (``_draws``); each chunk's values and bounds are
+    written from the job's clean pattern into arrays kept for the job
+    (``_CleanPattern.table``), propagated as one stack on the pattern's
+    layout (``propagator._PatternPlan``), and its final states scored
+    together (``wavepacket._density_widths``, ``_focus_probabilities``)
+    before the next is drawn. No realization's H is built.
     """
-    pattern = _CleanPattern(job)
+    pattern, kept = _CleanPattern(job), _Kept()
+    plan = _PatternPlan(pattern.cols, pattern.indptr, job.duration, job.tol)
     table = job.table
     imprint = (np.exp(-1j * thin_phase_profile(job.design, table))
                if job.design.thin else None)
     p_foc, sigma_f = [], []
-    for active, positions, cuts in _chunks(job, pattern, job.realizations):
+    for active, positions in _draws(job, pattern, job.realizations):
+        values, lows, highs = pattern.table(active, positions, kept)
         packets = _gaussian_rows(positions, active, table.center(), job.sigma0)
         if imprint is None:
             packets = packets.real      # no imaginary part, as expimv takes it
         else:
             packets = packets * imprint
-        finals = list(expimv_batch([(h, psi, job.duration, bounds)
-                                    for (h, bounds), psi in zip(cuts, packets)], tol=job.tol))
-        del cuts, packets               # free the operators before the next chunk
-        p = np.abs(np.array(finals)) ** 2
-        del finals
+        finals = plan.apply(values, list(zip(lows.tolist(), highs.tolist())), packets)
+        p = np.abs(finals) ** 2
         p_foc.append(_focus_probabilities(p, positions, job.design.foci[0]))
         sigma_f.append(_density_widths(p, positions))
     return EnsembleStats(p_foc=np.concatenate(p_foc), sigma_f=np.concatenate(sigma_f))

@@ -21,6 +21,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.sparse as sp
 
+from .propagator import _ranges
+
 if TYPE_CHECKING:
     from .propagator import EigenPropagator
 
@@ -174,11 +176,21 @@ class PowerLaw:
     def amplitude(self, positions: np.ndarray, i: np.ndarray,
                   j: np.ndarray) -> np.ndarray:
         """Hopping strength / r^alpha of the pairs (i, j), i < j, with r the
-        distance of their ``positions``: the one statement of the rule.
-        ``positions`` is (N, dim), or a stack of tables (..., N, dim) that
-        gives a stack of amplitudes, each bit for bit its table's."""
-        r = np.linalg.norm(positions[..., j, :] - positions[..., i, :], axis=-1)
-        return self.strength / r**self.alpha
+        distance of their ``positions`` (:meth:`coupling`). ``positions``
+        is (N, dim), or a stack of tables (..., N, dim) that gives a stack
+        of amplitudes, each bit for bit its table's."""
+        return self.coupling(positions[..., j, :] - positions[..., i, :])
+
+    def coupling(self, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """strength / r^alpha of the separations ``d`` (..., dim), r their
+        ``numpy.linalg.norm``, the root of the summed squares: the one
+        statement of the rule. Every step is taken in place: ``d`` is
+        overwritten, and the result is written to ``out`` when given."""
+        d *= d
+        r = np.add.reduce(d, axis=-1, out=out)
+        np.sqrt(r, out=r)
+        r **= self.alpha
+        return np.divide(self.strength, r, out=r)
 
 
 CouplingModel = NearestNeighbor | PowerLaw
@@ -271,12 +283,21 @@ class _Operator:
 
     @cached_property
     def even_matrix(self) -> sp.csr_matrix:
-        """M = H[reps] @ L (L[s, orbit(s)] = 1): not symmetric, since a pair
-        orbit's entry sums two of H's."""
+        """M = H[reps] @ L (L[s, orbit(s)] = 1) as canonical CSR, read off
+        the canonical CSR H: each entry sums the entries of a rep's row in
+        the columns of one orbit, at most two, so in any order, and a sum of
+        0.0 is left out, as the sparse product leaves it out. Not
+        symmetric, since a pair orbit's entry sums two of H's."""
         m, h = self.mirror, self.csr()
-        n = h.shape[0]
-        lift = sp.csr_matrix((np.ones(n), (np.arange(n), m.orbit)), shape=(n, m.dim))
-        return (h[m.reps] @ lift).tocsr()
+        lengths = np.diff(h.indptr)[m.reps]
+        at = _ranges(h.indptr[m.reps], lengths)
+        out = sp.csr_matrix((m.dim, m.dim), dtype=h.dtype)
+        out.data, out.indices = h.data[at], m.orbit.astype(h.indices.dtype)[h.indices[at]]
+        out.indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(h.indptr.dtype)
+        # each row sorted, an orbit's two entries added, zero sums dropped
+        out.sum_duplicates()
+        out.eliminate_zeros()
+        return out
 
     def _even_operator(self):
         """W M W^-1 with W = diag(``mirror.weights``): the even operator in

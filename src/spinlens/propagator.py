@@ -40,19 +40,25 @@ trajectories all run on it, and keep only their observables:
   n dt is one real window while it fits its budget; anything else steps:
   one step to the first sample, then equal steps.
 
-The Chebyshev terms multiply by 2 h~, h~ = (h - centre) / half, built once
-per step plan or window (``_stacked_operator``). It is stored by diagonals
-(scipy's DIA; Saad, *Iterative Methods for Sparse Linear Systems*, 2nd
-ed., SIAM 2003, section 3.4), with ascending offsets and the main diagonal
-always stored, when that takes no more bytes than CSR would, 8 x diagonals
-x rows <= 12 x entries + 4 x rows, and as CSR otherwise. The rule reads
-only the operator: every disorder stack is banded and runs on diagonals,
-and the blockade sectors stay CSR. The bits do not depend on the storage.
-scipy's CSR product sums each row from zero in column order; its DIA
-product adds diagonal after diagonal, in stored order, into a zeroed
-result. With ascending offsets each row therefore sees the same additions
-in the same order. A slot that holds no entry adds 0 x = +-0, which leaves
-the sum as it was: a sum that starts at +0 never becomes -0.
+The Chebyshev terms multiply by 2 h~, h~ = (h - centre) / half, built in
+two halves: a layout (``_Layout``), which reads only the pattern and places
+each entry, and a write of the values into it. A step plan or window lays
+out its own stack (``_stacked_operator``); a disorder job lays out its
+clean pattern once and writes every stack of realizations into the same
+memory (``_PatternPlan``). The stack is stored by diagonals (scipy's DIA;
+Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed., SIAM 2003,
+section 3.4), with ascending offsets and the main diagonal always stored,
+when that takes no more bytes than CSR would, 8 x diagonals x rows <= 12 x
+entries + 4 x rows, and as CSR otherwise. The rule counts the entries of
+the stack itself, or, for a disorder job, those of the clean pattern with
+a diagonal entry in every row: every disorder stack is banded and runs on
+diagonals, and the blockade sectors stay CSR. The bits do not depend on
+the storage. scipy's CSR product sums each row from zero in column order;
+its DIA product adds diagonal after diagonal, in stored order, into a
+zeroed result. With ascending offsets each row therefore sees the same
+additions in the same order. A slot that holds 0.0, because no entry
+fills it or a realization lost the entry, adds 0 x = +-0, which leaves the
+sum as it was: a sum that starts at +0 never becomes -0.
 
 LAPACK and BLAS (``scipy.linalg``) load on the first decomposition or real
 window, so a run that only steps, as every disorder ensemble does, never
@@ -98,13 +104,6 @@ _REAL_WINDOW_ENTRY_BYTES = 512
 _REAL_WINDOW_BYTES = 2**24
 
 TOL_RANGE = (1e-14, 1e-6)
-
-# Entries of a stack's pattern whose diagonals and slots are found at a
-# time, so the index temporaries of a stack stay small: built whole as
-# int64, they made glibc grow and trim the heap around every holes2d stack
-# (300-430 page faults a stack), and as int32 they index two to three times
-# slower than int64.
-_CHUNK = 8192
 
 # EigenPropagator decomposes up to this many rows by divide and conquer
 # (dstevd on a tridiagonal h, numpy.linalg.eigh on any other), so every lens
@@ -284,29 +283,9 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(stops[-1] if len(stops) else 0) + np.repeat(starts - stops + lengths, lengths)
 
 
-def _diagonals(key: np.ndarray, dim: int, most: int) -> np.ndarray | None:
-    """Which of the 2 dim - 1 diagonals hold an entry of the pattern ``key``
-    (col - row + dim - 1 of each entry) or are the main one, as a mask; None
-    once more than ``most`` do, which the first entries of a widely spread
-    pattern (a blockade sector) already show."""
-    present = np.zeros(2 * dim - 1, bool)
-    present[dim - 1] = True
-    for part in _chunks(key.size):
-        present[key[part].astype(np.intp)] = True
-        if np.count_nonzero(present) > most:
-            return None
-    return present
-
-
-def _chunks(size: int) -> Iterator[slice]:
-    """Slices of ``_CHUNK`` positions that cover 0, ..., size - 1."""
-    for lo in range(0, size, _CHUNK):
-        yield slice(lo, lo + _CHUNK)
-
-
-# The storage rule of _stacked_operator on the stacks of one disorder
-# benchmark task per slot (one CPU; a product is the median of 30 x 100,
-# interleaved with the other storage):
+# The storage rule of _Layout on the stacks of one disorder benchmark task
+# per slot (one CPU; a product is the median of 30 x 100, interleaved with
+# the other storage):
 #
 #   slot          rows    diagonals  CSR entries  product, CSR / DIA (us)
 #   displacement   1 600  41         62 240       41.0 / 28.9
@@ -317,6 +296,131 @@ def _chunks(size: int) -> Iterator[slice]:
 # their rows' worth of bytes holds (the nu = 2 even sector of 61 sites: 4 470
 # entries on 61 diagonals of 930 rows; the nu = 3 even sector of 61 sites:
 # 120 670 on 2 203 of 18 010), so they stay CSR.
+class _Layout:
+    """Where the entries of a canonical pattern go in 2 h~, h~ = (h -
+    centre) / half, of a stack of blocks (module docstring): the half of
+    ``_stacked_operator`` that reads only the pattern, made once and
+    written (:meth:`write`) for every stack of blocks that share it. The
+    storage is picked by :meth:`weigh`.
+
+    The pattern is ``cols`` and ``indptr`` over R rows, either one block's,
+    which a stack repeats once per block, or a whole stack's, its columns
+    counted across the stack; ``dim`` is the rows of one block. After
+    :meth:`weigh`, ``offsets`` holds the diagonals in ascending order, the
+    main one always among them, and ``slots`` each entry's diagonal; or, when
+    the storage rule says CSR, ``offsets`` is None and ``indices`` and
+    ``indptr`` hold the pattern with a main-diagonal entry in every row, at
+    which ``at`` places each entry of the pattern and ``main`` each row's
+    diagonal.
+    """
+
+    def __init__(self, cols: np.ndarray, indptr: np.ndarray, dim: int):
+        self.cols, self.dim, self.rows = cols, dim, indptr.size - 1
+        # col - row + dim - 1 of each entry, in [0, 2 dim - 1)
+        key = np.repeat(np.arange(self.rows, dtype=cols.dtype), np.diff(indptr))
+        np.subtract(cols, key, out=key)
+        key += dim - 1
+        self._key, self._indptr = key, indptr
+        # the entries on the main diagonal, and their rows
+        self.diag = np.flatnonzero(key == dim - 1)
+        self.on = cols[self.diag]
+
+    def weigh(self, entries: int, rows: int) -> "_Layout":
+        """Pick the storage of a stack of ``rows`` rows and ``entries`` CSR
+        entries: by diagonals when 8 x diagonals x rows <= 12 x entries +
+        4 x rows, else CSR."""
+        dim, key = self.dim, self._key
+        # the diagonals that hold an entry, and the main one
+        present = np.zeros(2 * dim - 1, bool)
+        present[key] = present[dim - 1] = True
+        self.offsets = None
+        if 8 * np.count_nonzero(present) * rows <= 12 * entries + 4 * rows:
+            slot = np.cumsum(present) - 1
+            self.offsets = (np.flatnonzero(present) - (dim - 1)).astype(np.int32)
+            self.slots, self.main = slot[key], slot[dim - 1]
+        else:
+            indptr = self._indptr
+            missing = np.ones(self.rows, bool)
+            missing[self.on] = False
+            if not missing.any():
+                self.at, self.main = None, self.diag
+                self.indices, self.indptr = self.cols, indptr
+            else:
+                # every entry moves past the diagonals put in before it: one
+                # per earlier row without one, and its own row's when the
+                # entry lies right of it
+                before = np.cumsum(missing) - missing
+                row = np.repeat(np.arange(self.rows), np.diff(indptr))
+                self.at = np.arange(self.cols.size) + before[row] + (missing[row] & (key > dim - 1))
+                taken = np.zeros(self.cols.size + before[-1] + missing[-1], bool)
+                taken[self.at] = True
+                self.main = np.empty(self.rows, np.intp)
+                self.main[self.on], self.main[missing] = self.at[self.diag], np.flatnonzero(~taken)
+                self.indices = np.empty(taken.size, self.cols.dtype)
+                self.indices[self.at] = self.cols
+                self.indices[self.main] = np.arange(self.rows)
+                self.indptr = indptr + np.concatenate([np.zeros(1, indptr.dtype),
+                                                       np.cumsum(missing, dtype=indptr.dtype)])
+        del self._key, self._indptr
+        return self
+
+    def shifted(self, values: np.ndarray, centers, dtype) -> np.ndarray:
+        """The shifted main diagonals (B, R) of the blocks whose values are
+        the rows of ``values`` (B, entries): a - c, or 0 - c on a row
+        without a diagonal entry."""
+        out = np.zeros((len(values), self.rows), dtype)
+        out[:, self.on] = values[:, self.diag]
+        out -= np.repeat(np.asarray(centers, dtype=float), self.dim).reshape(out.shape)
+        return out
+
+    def write(self, values: np.ndarray, shifted: np.ndarray, halves, dtype,
+              out: np.ndarray | None = None) -> sp.csr_matrix | sp.dia_matrix:
+        """2 h~ of the stack of B copies of the pattern whose values are the
+        rows of ``values`` (B, entries), with its :meth:`shifted` main
+        diagonals and each block's ``halves``, as ``dtype``: each entry
+        scaled by its block's 1/half and then doubled. A CSR drops every
+        entry that is then 0.0; a DIA holds 0.0 in every slot no entry
+        fills. ``out`` (DIA only) holds the diagonals, (diagonals, at least
+        B, R) and 0.0 wherever no stack written into it put an entry, and is
+        overwritten."""
+        b, rows, dim = len(values), self.rows, self.dim
+        n, scale = b * rows, 1.0 / np.asarray(halves)
+        if self.offsets is not None:
+            full = np.zeros((self.offsets.size, b, rows), dtype) if out is None else out
+            diagonals = full[:, :b]
+            diagonals[self.slots, :, self.cols] = values.T
+            diagonals[self.main] = shifted
+            blocks = diagonals.reshape(self.offsets.size, -1, dim)
+            blocks *= scale[:, None]
+            blocks *= 2.0
+            dia = sp.dia_matrix((n, n), dtype=full.dtype)
+            dia.data, dia.offsets = full.reshape(self.offsets.size, -1), self.offsets
+            return dia
+        size = self.indices.size
+        data = np.empty((b, size), dtype)
+        if self.at is None:
+            data[:] = values
+        else:
+            data[:, self.at] = values
+        data[:, self.main] = shifted
+        data = data.reshape(-1)
+        indices, indptr = self.indices, self.indptr
+        idx = indptr.dtype
+        if b > 1:
+            indices = (indices + np.arange(0, n, rows, dtype=idx)[:, None]).reshape(-1)
+            indptr = np.concatenate([np.zeros(1, idx), (
+                indptr[1:] + np.arange(0, b * size, size, dtype=idx)[:, None]).reshape(-1)])
+        kept = data != 0.0
+        if not kept.all():
+            data, indices = data[kept], indices[kept]
+            indptr = np.concatenate([np.zeros(1, idx), np.cumsum(kept, dtype=idx)])[indptr]
+        data *= scale[0] if scale.size == 1 else np.repeat(scale, np.diff(indptr[::dim]))
+        data *= 2.0
+        csr = sp.csr_matrix((n, n), dtype=data.dtype)
+        csr.data, csr.indices, csr.indptr = data, indices, indptr
+        return csr
+
+
 def _stacked_operator(hs, dim, centers, halves, dtype) -> sp.csr_matrix | sp.dia_matrix:
     """2 h~ of every block, h~ = (h - centre) / half, stacked
     block-diagonally as one operator of ``dtype`` (float only for real
@@ -340,12 +444,11 @@ def _stacked_operator(hs, dim, centers, halves, dtype) -> sp.csr_matrix | sp.dia
     order and drops zero sums, as the lone block's shift does, and then
     sorted.
 
-    Built by array operations over the whole stack, one form only. When
-    every block has the same index arrays (the cuts of a displacement
-    ensemble), the diagonals and slots are found on one block's pattern;
-    otherwise on the stack's, a chunk of entries at a time. A lone CSR
-    block keeps its index arrays, which are never written, and gets a new
-    data array. No h is modified."""
+    The stack's :class:`_Layout` is laid on one block's pattern when every
+    block has the same index arrays (the cuts of a displacement ensemble),
+    otherwise on the stack's, and written once. A lone CSR block keeps its
+    index arrays, which are never written, and gets a new data array. No h
+    is modified."""
     blocks = []
     for h in hs:
         if dtype is float and np.iscomplexobj(h.data):
@@ -357,99 +460,48 @@ def _stacked_operator(hs, dim, centers, halves, dtype) -> sp.csr_matrix | sp.dia
     m, n = len(blocks), len(blocks) * dim
     nnz = [b.nnz for b in blocks]
     first = blocks[0]
-    data = np.concatenate([b.data[:k] for b, k in zip(blocks, nnz)], dtype=dtype)
-    # wide enough for every position of the DIA or CSR
-    idx = np.int32 if 2 * (sum(nnz) + n) < 2**31 else np.int64
-    shared = all(b.indices is first.indices and b.indptr is first.indptr for b in blocks)
-    if shared:
-        # one block's pattern
-        cols, lengths = first.indices[:nnz[0]], np.diff(first.indptr)
+    if all(b.indices is first.indices and b.indptr is first.indptr for b in blocks):
+        # one block's pattern, once per block
+        layout = _Layout(first.indices[:nnz[0]], first.indptr, dim)
+        values = np.stack([b.data[:nnz[0]] for b in blocks], dtype=dtype)
     else:
-        # the stack's pattern: its columns and row lengths
+        # the stack's pattern, wide enough for every position of the DIA or CSR
+        idx = np.int32 if 2 * (sum(nnz) + n) < 2**31 else np.int64
         cols = np.concatenate([b.indices[:k] for b, k in zip(blocks, nnz)], dtype=idx)
         cols += np.repeat(np.arange(0, n, dim, dtype=idx), nnz)
-        lengths = np.diff(np.concatenate([b.indptr for b in blocks]).reshape(m, dim + 1),
-                          axis=1).reshape(-1)
-    # col - row + dim - 1 of each entry of the pattern, in [0, 2 dim - 1)
-    key = np.repeat(np.arange(lengths.size, dtype=cols.dtype), lengths)
-    np.subtract(cols, key, out=key)
-    key += dim - 1
-    diag = np.flatnonzero(key == dim - 1)
-    on = cols[diag]
-    if shared and m > 1:
-        diag = (diag + nnz[0] * np.arange(m)[:, None]).reshape(-1)
-        on = (on + np.arange(0, n, dim)[:, None]).reshape(-1)
-    # the shifted main diagonal: a - c, or 0 - c on a row without a diagonal
-    # entry
-    shifted = np.zeros(n, dtype)
-    shifted[on] = data[diag]
-    shifted -= np.repeat(np.asarray(centers, dtype=float), dim)
-    scale = 1.0 / np.asarray(halves)
-    present = _diagonals(key, dim, (12 * (data.size + n) + 4 * n) // (8 * n))
-    if present is not None and 8 * np.count_nonzero(present) * n <= 4 * n + 12 * (
-            np.count_nonzero(data) - np.count_nonzero(data[diag]) + np.count_nonzero(shifted)):
-        offsets = np.flatnonzero(present) - (dim - 1)
-        slots = np.cumsum(present) - 1
-        diagonals = np.zeros((offsets.size, m, dim), dtype)
-        if shared:
-            diagonals[slots[key], :, cols] = data.reshape(m, -1).T
-        else:
-            starts, out = slots * n, diagonals.reshape(-1)
-            for part in _chunks(key.size):
-                flat = starts.take(key[part])
-                flat += cols[part]
-                out[flat] = data[part]
-        diagonals[slots[dim - 1]] = shifted.reshape(m, dim)
-        diagonals *= scale[:, None]
-        diagonals *= 2.0
-        return sp.dia_matrix((diagonals.reshape(offsets.size, n), offsets.astype(np.int32)),
-                             shape=(n, n))
-    if m == 1:
-        # h's index arrays, which are never written
-        indices, indptr = cols, first.indptr
-    else:
-        if shared:
-            cols = (cols + np.arange(0, n, dim, dtype=idx)[:, None]).reshape(-1)
-            lengths = np.tile(lengths, m)
-        indices = cols
+        lengths = np.diff(np.concatenate([b.indptr for b in blocks]).reshape(m, dim + 1), axis=1)
         indptr = np.concatenate([np.zeros(1, idx), np.cumsum(lengths, dtype=idx)])
-    idx = indices.dtype
-    data[diag] = shifted[on]
-    if on.size < n:
-        missing = shifted != 0.0
-        missing[on] = False
-        if missing.any():
-            # 0 - c, after the row's entries left of the diagonal
-            miss = np.flatnonzero(missing)
-            lengths = indptr[miss + 1] - indptr[miss]
-            left = np.concatenate([np.zeros(1, idx), np.cumsum(
-                indices[_ranges(indptr[miss], lengths)] < np.repeat(miss, lengths), dtype=idx)])
-            stops = np.cumsum(lengths)
-            at = indptr[miss] + left[stops] - left[stops - lengths] + np.arange(miss.size)
-            old = np.ones(data.size + miss.size, bool)
-            old[at] = False
-            grown = np.empty(old.size, data.dtype), np.empty(old.size, idx)
-            grown[0][old], grown[0][at] = data, shifted[miss]
-            grown[1][old], grown[1][at] = indices, miss
-            data, indices = grown
-            indptr = indptr + np.cumsum(np.concatenate([np.zeros(1, idx), missing]), dtype=idx)
-    kept = data != 0.0
-    if not kept.all():
-        data, indices = data[kept], indices[kept]
-        indptr = np.concatenate([np.zeros(1, idx), np.cumsum(kept, dtype=idx)])[indptr]
-    data *= scale[0] if m == 1 else np.repeat(scale, np.diff(indptr[::dim]))
-    data *= 2.0
-    csr = sp.csr_matrix((n, n), dtype=data.dtype)
-    csr.data, csr.indices, csr.indptr = data, indices, indptr
-    return csr
+        layout = _Layout(cols, indptr, dim)
+        values = np.concatenate([b.data[:k] for b, k in zip(blocks, nnz)], dtype=dtype)[None]
+    shifted = layout.shifted(values, centers, dtype)
+    layout.weigh(np.count_nonzero(values) - np.count_nonzero(values[:, layout.diag])
+                 + np.count_nonzero(shifted), n)
+    return layout.write(values, shifted, halves, dtype)
+
+
+def _step(h, t: float, bounds) -> tuple:
+    """(centre, half-width, phase half-width x t, exp(-i centre t)) of the
+    step exp(-i h t), its enclosure read from ``bounds`` when given."""
+    center, half = _enclosure(h, bounds)
+    return center, half, half * t, np.exp(-1j * center * t)
+
+
+def _coefficient_sets(zs, tol: float, known: dict) -> dict:
+    """``known``, the coefficient sets of exp(-i z x) by phase z, with a set
+    for each phase of ``zs`` it lacks, all from one Bessel table; a set does
+    not depend on the table it came from (:func:`_bessel_table`)."""
+    new = [z for z in dict.fromkeys(zs) if z not in known]
+    if new:
+        known.update(zip(new, _chebyshev_coeffs(new, tol / 4.0)))
+    return known
 
 
 class _Stack:
     """Blocks of one dimension of a step plan, stacked (:class:`_StepPlan`).
 
     ``order`` lists the plan's block indices in stack order, longest
-    coefficient set first. The operator is stored as 2 h~, by diagonals or
-    as CSR (``_stacked_operator``), float64 when every block is real, until
+    coefficient set first. The operator ``h`` is 2 h~, by diagonals or as
+    CSR (``_Layout``), float64 when every block is real, until
     the first complex state, and complex otherwise; the stack holds one at a
     time, and its row-prefix views and complex copy keep its storage. Each
     term is one matvec and one subtraction in place, T_k+1 = 2 h~ T_k -
@@ -461,7 +513,7 @@ class _Stack:
     accumulator.
     """
 
-    def __init__(self, hs, order, dim, centers, halves, coefs, phases):
+    def __init__(self, h, order, dim, coefs, phases):
         self.order, self.dim = order, dim
         m = len(order)
         counts = [len(c) for c in coefs]
@@ -483,8 +535,7 @@ class _Stack:
                 cs = self.coef[k:end, 0, 0] if a == 1 else self.coef[k:end, :a]
                 self.run_coefs.append((a, cs))
                 k = end
-        self._set_operator(_stacked_operator(hs, dim, centers, halves,
-                                             complex if any(map(_imaginary, hs)) else float))
+        self._set_operator(h)
 
     def _set_operator(self, h):
         """Make ``h`` the operator 2 h~, with the prefix views of the runs."""
@@ -571,14 +622,9 @@ class _StepPlan:
                  tol: float, bounds: Sequence):
         _check_tol(tol)
         self.dims = [h.shape[0] for h in hs]
-        steps = []
-        for i, (h, t, bnd) in enumerate(zip(hs, ts, bounds)):
-            if t != 0.0:
-                center, half = _enclosure(h, bnd)
-                steps.append((i, center, half, half * t, np.exp(-1j * center * t)))
-        # the distinct phases share one Bessel table
-        zs = list(dict.fromkeys(s[3] for s in steps))
-        coef_sets = dict(zip(zs, _chebyshev_coeffs(zs, tol / 4.0))) if zs else {}
+        steps = [(i,) + _step(h, t, bnd)
+                 for i, (h, t, bnd) in enumerate(zip(hs, ts, bounds)) if t != 0.0]
+        coef_sets = _coefficient_sets([s[3] for s in steps], tol, {})
         groups: dict = {}
         for i, center, half, z, phase in steps:
             groups.setdefault(hs[i].shape[0], []).append(
@@ -588,8 +634,10 @@ class _StepPlan:
             blocks.sort(key=lambda b: -len(b[3]))
             for cut in split_stacks(blocks, lambda b: hs[b[0]]):
                 order, centers, halves, coefs, phases = zip(*cut)
-                self.stacks.append(_Stack([hs[i] for i in order], order,
-                                          dim, centers, halves, coefs, phases))
+                stacked = [hs[i] for i in order]
+                dtype = complex if any(map(_imaginary, stacked)) else float
+                self.stacks.append(_Stack(_stacked_operator(stacked, dim, centers, halves, dtype),
+                                          order, dim, coefs, phases))
 
     def apply(self, psis: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Return [exp(-i h_i t_i) psi_i]."""
@@ -602,6 +650,52 @@ class _StepPlan:
             for i, row in zip(stack.order, rows):
                 out[i] = row
         return [psi.astype(complex) if o is None else o for psi, o in zip(psis, out)]
+
+
+class _PatternPlan:
+    """exp(-i h_j t) psi_j, stack after stack, for real blocks that share one
+    canonical pattern (``cols``, ``indptr``) and one time ``t``: the
+    realizations of a disorder job. Each result is bit for bit
+    ``expimv_batch`` of the block as CSR (the pattern's entries less those
+    whose value is 0.0), since a slot that holds 0.0 adds +-0 (module
+    docstring). What every stack shares is made once: the pattern's
+    :class:`_Layout`, its storage weighed on the pattern with a diagonal
+    entry in every row; the coefficient sets of every phase met so far, so
+    a repeated phase builds no Bessel table; and a DIA stack's diagonals,
+    written in place stack after stack.
+    """
+
+    def __init__(self, cols: np.ndarray, indptr: np.ndarray, t: float, tol: float):
+        _check_tol(tol)
+        dim = indptr.size - 1
+        self.layout = _Layout(cols, indptr, dim)
+        self.layout.weigh(cols.size - self.layout.diag.size + dim, dim)
+        self.t, self.tol, self.coef_sets, self._diagonals = t, tol, {}, None
+
+    def apply(self, values: np.ndarray, bounds, psis: np.ndarray) -> np.ndarray:
+        """exp(-i h_j t) psi_j of the blocks whose values, in the pattern's
+        order, are the rows of ``values`` (m, entries), whose Gershgorin
+        ``bounds`` are [(lo, hi)] and whose start states are the rows of
+        ``psis`` (m, dim), real or complex; complex, (m, dim). The blocks
+        form one stack, longest coefficient set first."""
+        if self.t == 0.0:
+            return psis.astype(complex, order="C")
+        layout, m = self.layout, len(values)
+        steps = [_step(None, self.t, b) for b in bounds]
+        sets = _coefficient_sets([z for _, _, z, _ in steps], self.tol, self.coef_sets)
+        order = np.argsort([-len(sets[z]) for _, _, z, _ in steps], kind="stable")
+        if np.any(order != np.arange(m)):
+            values, psis = values[order], psis[order]
+        centers, halves, zs, phases = zip(*(steps[j] for j in order))
+        if layout.offsets is not None and (self._diagonals is None
+                                           or self._diagonals.shape[1] < m):
+            self._diagonals = np.zeros((layout.offsets.size, m, layout.rows))
+        h = layout.write(values, layout.shifted(values, centers, float), halves, float,
+                         out=self._diagonals)
+        rows = _Stack(h, order, layout.dim, [sets[z] for z in zs], phases).apply(_state(psis))
+        out = np.empty_like(rows)
+        out[order] = rows
+        return out
 
 
 def _imaginary(h: sp.csr_matrix) -> bool:
@@ -675,9 +769,10 @@ def expimv(h: sp.csr_matrix, psi: np.ndarray, t: float,
            tol: float = 1e-10, bounds: tuple[float, float] | None = None) -> np.ndarray:
     """Return exp(-i h t) psi.
 
-    Builds the step plan for ``t`` (one Chebyshev expansion of the whole
-    step at any phase, its coefficients and scaled operator) and applies it
-    once; :func:`trajectory` repeats one step with a single plan.
+    A batch of one block (:func:`expimv_batch`): builds the step plan for
+    ``t`` (one Chebyshev expansion of the whole step at any phase, its
+    coefficients and scaled operator) and applies it once;
+    :func:`trajectory` repeats one step with a single plan.
 
     Parameters
     ----------
@@ -690,7 +785,7 @@ def expimv(h: sp.csr_matrix, psi: np.ndarray, t: float,
         :func:`spectral_bounds`; pass it when evolving many states under the
         same Hamiltonian.
     """
-    return _StepPlan([h], [t], tol, [bounds]).apply([psi])[0]
+    return next(expimv_batch([(h, psi, t, bounds)], tol))
 
 
 def trajectory(h: sp.csr_matrix, psi: np.ndarray, dt: float, n_steps: int,

@@ -175,10 +175,11 @@ def prepare_config(raw: dict) -> dict:
     power the nonlinear scenario cannot run, a scaling fit over fewer than
     two packet widths, time grids too short to step through, a propagator
     tolerance outside ``propagator.TOL_RANGE``, an end time that is not
-    positive, a packet width that is not a positive finite number, and
-    every value the run's first constructors reject (``_run_inputs``):
-    lattice extents, coupling strengths, a thick lens's strength, an
-    ensemble's realizations, hole count or displacement."""
+    positive, a packet width that is not a positive finite number, every
+    value the run's first constructors reject (``_run_inputs``): lattice
+    extents, coupling strengths, a thick lens's strength, an ensemble's
+    realizations, hole count or displacement; and a packet centre that is
+    not one number per lattice axis inside the lattice."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
     name = raw.get("scenario")
@@ -239,6 +240,16 @@ def prepare_config(raw: dict) -> dict:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
+    # the packet centre, one lattice coordinate per axis (the lint and the
+    # packet read it); null takes the lattice's centre
+    center = cfg.get("packet", {}).get("center")
+    if center is not None:
+        extents = cfg["lattice"]["extents"]
+        coords = center if isinstance(center, list) else [center]
+        if not (len(coords) == len(extents) and all(map(_is_number, coords))
+                and all(0 <= c <= int(n) - 1 for c, n in zip(coords, extents))):
+            raise ConfigError(f"'{name}.packet.center' must be null or one number per "
+                              f"lattice axis ({len(extents)}), inside the lattice")
     return cfg
 
 

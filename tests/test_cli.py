@@ -268,11 +268,16 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_midrun_failure_is_recorded(self, tmp_path, capsys):
-        # a packet centre with one coordinate too many fails only when the
-        # packet is built
-        bad = dict(THICK_SMALL, packet={"sigma0": 12.0, "center": [1.0, 2.0]})
-        cfg = write_config(tmp_path / "c.yaml", bad)
+    def test_midrun_failure_is_recorded(self, tmp_path, capsys, monkeypatch):
+        # a scenario runner that raises once the run is under way, past
+        # everything validation checks
+        from spinlens import scenarios
+
+        def failing(cfg, out):
+            raise ValueError("the physics broke")
+
+        monkeypatch.setitem(scenarios.SCENARIOS, "thick1d", failing)
+        cfg = write_config(tmp_path / "c.yaml", THICK_SMALL)
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 1
         manifest = json.loads((out / "manifest.json").read_text())
@@ -458,6 +463,33 @@ def test_packet_width_must_be_positive_and_finite(tmp_path, capsys, sigma0):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert "packet.sigma0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    dict(THICK_SMALL, packet={"sigma0": 12.0, "center": "left"}),
+    dict(THICK_SMALL, packet={"sigma0": 12.0, "center": [1.0, 2.0]}),
+    dict(THICK_SMALL, packet={"sigma0": 12.0, "center": [300.0]}),
+    {"scenario": "multifocal2d", "packet": {"center": [30.0]}},
+    {"scenario": "multifocal2d", "packet": {"center": [30.0, "middle"]}},
+], ids=["text", "two-on-a-chain", "outside", "one-on-a-plane", "text-on-a-plane"])
+def test_packet_center_must_be_one_number_per_axis(tmp_path, capsys, config):
+    """A centre that is text, has the wrong number of coordinates or lies
+    outside the lattice crashed ``validate`` in the lint, or passed it and
+    failed the run once the packet was built; both now exit 2."""
+    cfg = write_config(tmp_path / "c.yaml", config)
+    assert main(["validate", "--config", cfg]) == 2
+    assert "packet.center" in capsys.readouterr().err
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "packet.center" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("center", [[128.0], 128, [0.0], [256.0]])
+def test_packet_center_on_the_chain_stays_valid(tmp_path, center):
+    cfg = write_config(tmp_path / "c.yaml",
+                       dict(THICK_SMALL, packet={"sigma0": 12.0, "center": center}))
+    assert main(["validate", "--config", cfg]) == 0
 
 
 _DISPLACEMENT_SMALL = {"scenario": "displacement", "lattice": {"extents": [40]},

@@ -4,14 +4,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spinlens import propagator
 from spinlens.disorder import (BreakdownResult, BreakdownRow, Displacement,
-                               EnsembleJob, Holes, _chunks, _CleanPattern,
-                               _protocol_start, _realization_table, _Streams,
+                               EnsembleJob, Holes, _chunks, _CleanPattern, _draws,
+                               _Kept, _protocol_start, _realization_table, _Streams,
                                breakdown_scan, plane_wave_broadening,
                                run_ensemble, run_protocol)
 from spinlens.lattice import (NearestNeighbor, PowerLaw, build_couplings,
                               build_lattice, displace_sites, punch_holes)
-from spinlens.propagator import spectral_bounds
+from spinlens.propagator import (_enclosure, _PatternPlan, _row_prefix,
+                                 _stacked_operator, spectral_bounds)
 from spinlens.lens import (Multifocal, ThickPolynomial, ThinPulse,
                            continuum_thick, potential_profile,
                            thin_phase_profile)
@@ -301,6 +303,33 @@ def _ensemble_case(name):
                        realizations=20, master_seed=11)
 
 
+def _underflow_job():
+    """Power-law couplings that underflow to zero (alpha = 700: the r ~ 3
+    pairs) in displaced realizations."""
+    return EnsembleJob(table=build_lattice((40,)),
+                       model=PowerLaw(1.0, 700.0, cutoff_range=3.0),
+                       design=ThickPolynomial((0.01,), (19.5,)), sigma0=4.0,
+                       duration=3.0, kind=Displacement(1e-4), realizations=5,
+                       master_seed=3)
+
+
+def _edge_hole_job():
+    """Two holes in a plane whose lens potential peaks at its far corner: a
+    hole there, or beside it, moves the Gershgorin enclosure, so the
+    realizations carry two phases (84 and 6 of 90), over two chunks."""
+    return EnsembleJob(table=build_lattice((15, 15)), model=NearestNeighbor(1.0),
+                       design=ThickPolynomial((0.05,), (4.0, 4.0)), sigma0=2.0,
+                       duration=1.5, kind=Holes(2), realizations=90, master_seed=4)
+
+
+LAYOUT_CASES = ENSEMBLE_CASES + ["underflow", "edge_hole"]
+
+
+def _layout_case(name):
+    return {"underflow": _underflow_job, "edge_hole": _edge_hole_job}.get(
+        name, lambda: _ensemble_case(name))()
+
+
 class TestBatchedEnsemble:
     @pytest.mark.parametrize("name", ENSEMBLE_CASES)
     def test_equals_one_protocol_per_realization(self, name):
@@ -310,18 +339,27 @@ class TestBatchedEnsemble:
                  for r in range(job.realizations)]
         assert [tuple(rec) for rec in zip(stats.p_foc, stats.sigma_f)] == alone
 
+    @pytest.mark.parametrize("name", ["chain", "thin", "displacement"])
+    def test_zero_duration_records_the_start_packets(self, name):
+        """At t = 0 every record is its start packet's, as the protocol's
+        copy of it gives it (C-ordered, so the widths sum row by row)."""
+        job = replace(_ensemble_case(name), duration=0.0, realizations=5)
+        stats = run_ensemble(job)
+        assert [tuple(rec) for rec in zip(stats.p_foc, stats.sigma_f)] == [
+            run_protocol(_realization_table(job, r), job) for r in range(5)]
+
     @pytest.mark.parametrize("name", THICK_CASES)
     def test_thick_cases_fill_more_than_one_stack(self, monkeypatch, name):
         from spinlens import propagator
 
         job, sizes = _ensemble_case(name), []
-        stacked = propagator._stacked_operator
+        write = propagator._Layout.write
 
-        def counted(hs, *args):
-            sizes.append(len(hs))
-            return stacked(hs, *args)
+        def counted(layout, values, *args, **kwargs):
+            sizes.append(len(values))
+            return write(layout, values, *args, **kwargs)
 
-        monkeypatch.setattr(propagator, "_stacked_operator", counted)
+        monkeypatch.setattr(propagator._Layout, "write", counted)
         run_ensemble(job)
         assert len(sizes) >= 2 and sum(sizes) == job.realizations
 
@@ -347,11 +385,7 @@ class TestBatchedEnsemble:
         """Power-law couplings that underflow to zero (alpha = 700: the
         r ~ 3 pairs) are dropped from a displaced realization as assembly
         drops them, through the masked form of the chunked cut."""
-        job = EnsembleJob(table=build_lattice((40,)),
-                          model=PowerLaw(1.0, 700.0, cutoff_range=3.0),
-                          design=ThickPolynomial((0.01,), (19.5,)), sigma0=4.0,
-                          duration=3.0, kind=Displacement(1e-4), realizations=5,
-                          master_seed=3)
+        job = _underflow_job()
         with np.errstate(over="ignore"):
             pattern = _CleanPattern(job)
             cuts = [cut for *_, chunk in _chunks(job, pattern, 5) for cut in chunk]
@@ -365,6 +399,79 @@ class TestBatchedEnsemble:
             stats = run_ensemble(job)
             assert list(zip(stats.p_foc, stats.sigma_f)) == [
                 run_protocol(_realization_table(job, r), job) for r in range(5)]
+
+    @pytest.mark.parametrize("name", LAYOUT_CASES)
+    def test_written_stack_multiplies_as_the_cuts_stack(self, name, rng):
+        """Each chunk's values, written on the job's layout into the kept
+        diagonals, multiply bit for bit as ``_stacked_operator`` of the
+        chunk's cuts, in every row prefix, and the written bounds are the
+        cuts' bounds."""
+        job = _layout_case(name)
+        with np.errstate(over="ignore"):
+            pattern, kept = _CleanPattern(job), _Kept()
+            plan = _PatternPlan(pattern.cols, pattern.indptr, job.duration, job.tol)
+            layout, dim, diagonals = plan.layout, job.table.n_sites, None
+            for active, positions in _draws(job, pattern, job.realizations):
+                cuts = pattern.cuts(active, positions)
+                values, lows, highs = pattern.table(active, positions, kept)
+                assert [b for _, b in cuts] == list(zip(lows.tolist(), highs.tolist()))
+                centers, halves = zip(*(_enclosure(h, b) for h, b in cuts))
+                if layout.offsets is not None and diagonals is None:
+                    diagonals = np.zeros((layout.offsets.size, len(values), dim))
+                got = layout.write(values, layout.shifted(values, centers, float), halves,
+                                   float, out=diagonals)
+                want = _stacked_operator([h for h, _ in cuts], dim, centers, halves, float)
+                x = rng.normal(size=want.shape[0])
+                for a in range(1, len(cuts) + 1):
+                    k = a * dim
+                    assert (_row_prefix(got, k) @ x[:k]).tobytes() == \
+                        (_row_prefix(want, k) @ x[:k]).tobytes()
+
+    @pytest.mark.parametrize("name", LAYOUT_CASES)
+    def test_chunked_cuts_alias_no_kept_array(self, name):
+        """``_chunks`` cuts every chunk on arrays of its own: a run of the
+        ensemble and a kept table of the same pattern after it leave every
+        cut as it was, and no cut shares memory with a kept array."""
+        job = _layout_case(name)
+        with np.errstate(over="ignore"):
+            pattern = _CleanPattern(job)
+            cuts = [cut for *_, chunk in _chunks(job, pattern, job.realizations)
+                    for cut in chunk]
+            before = [(h.data.tobytes(), h.indices.tobytes(), h.indptr.tobytes(), b)
+                      for h, b in cuts]
+            kept = _Kept()
+            for active, positions in _draws(job, pattern, job.realizations):
+                pattern.table(active, positions, kept)
+            run_ensemble(job)
+        assert [(h.data.tobytes(), h.indices.tobytes(), h.indptr.tobytes(), b)
+                for h, b in cuts] == before
+        arrays = list(kept.arrays.values()) + list(pattern.scratch.arrays.values())
+        assert not any(np.shares_memory(h.data, a) for h, _ in cuts for a in arrays)
+
+    def test_a_repeated_phase_builds_no_bessel_table(self, monkeypatch):
+        """The edge-hole job's records are the protocol's, and each of its
+        two phases gets one column of a Bessel table for the whole job,
+        however many stacks share it."""
+        job = _edge_hole_job()
+        pattern = _CleanPattern(job)
+        phases = {_enclosure(None, b)[1] * job.duration
+                  for r in range(job.realizations)
+                  for _, b in [pattern.cut(_realization_table(job, r))]}
+        assert len(phases) == 2
+        columns = []
+        table = propagator._bessel_table
+
+        def counted(z, tol):
+            columns.extend(np.atleast_1d(z).tolist())
+            return table(z, tol)
+
+        monkeypatch.setattr(propagator, "_bessel_table", counted)
+        stats = run_ensemble(job)
+        assert len(list(_draws(job, pattern, job.realizations))) >= 2
+        assert sorted(columns) == sorted(phases)
+        monkeypatch.undo()
+        assert [tuple(rec) for rec in zip(stats.p_foc, stats.sigma_f)] == [
+            run_protocol(_realization_table(job, r), job) for r in range(job.realizations)]
 
     def test_a_hole_leaves_the_bounds(self):
         """A hole's on-site energy is no part of its realization's H: with

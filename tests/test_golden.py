@@ -10,11 +10,13 @@ config or slow, records the table anew and says why.
 Run as a script (with ``src`` on the path), it reruns every config with
 one BLAS thread. ``python tests/test_golden.py`` rewrites the table;
 ``python tests/test_golden.py --check`` leaves it as it is, prints each data
-file and ``derived`` block as identical or moved against it, and exits 1 if
-any moved. ``--keep DIR`` writes the rerun outputs to DIR/<config>/ instead
-of a temporary directory. ``--against DIR``, given the outputs a parent tree
-kept with ``--keep``, prints for each moved CSV the largest relative change
-of each column, |new - old| / |old| over the rows:
+file and ``derived`` block as identical or moved against it, each config's
+manifest ``wall_time_s`` beside its ``derived`` line, and exits 1 if any
+moved. ``--keep DIR`` writes the rerun outputs to DIR/<config>/ instead of a
+temporary directory. ``--against DIR``, given the outputs a parent tree kept
+with ``--keep``, adds the parent's wall time to each ``derived`` line and
+prints for each moved CSV the largest relative change of each column,
+|new - old| / |old| over the rows:
 
     git stash; python tests/test_golden.py --check --keep /tmp/parent
     git stash pop; python tests/test_golden.py --check --against /tmp/parent
@@ -59,6 +61,16 @@ def _record(name: str, out: Path) -> dict:
     return {"derived": manifest["derived"],
             "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                       for p in out.iterdir() if p.name != "manifest.json"}}
+
+
+def _wall_time(out: Path) -> str:
+    """The ``wall_time_s`` of the manifest in ``out``, as printed, or why
+    there is none."""
+    try:
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        return f"{manifest['wall_time_s']:.3f} s"
+    except (OSError, ValueError, KeyError):
+        return "(no wall_time_s)"
 
 
 def test_table_covers_every_shipped_config():
@@ -107,10 +119,11 @@ def _relative_changes(new: Path, old: Path) -> list:
 
 def _report(configs: dict, root: Path, against: Path | None = None) -> int:
     """Print each data file and ``derived`` block of ``configs`` as
-    identical or moved against the table, and with ``against`` (the
-    outputs a parent tree kept) each moved CSV's largest relative change
-    per column, from the rerun outputs under ``root``; 1 if any moved,
-    else 0."""
+    identical or moved against the table, with the config's manifest
+    ``wall_time_s`` beside its ``derived`` verdict; with ``against`` (the
+    outputs a parent tree kept) also the parent's wall time and each moved
+    CSV's largest relative change per column, from the rerun outputs under
+    ``root``. Returns 1 if any moved, else 0."""
     running = {"numpy": np.__version__, "scipy": scipy.__version__}
     if running != GOLDEN["versions"]:
         print(f"note: table recorded under {GOLDEN['versions']}, running {running}")
@@ -124,7 +137,13 @@ def _report(configs: dict, root: Path, against: Path | None = None) -> int:
         for label, a, b in entries:
             verdict = "identical" if a == b and a is not None else "moved"
             counts[verdict] += 1
-            print(f"{verdict:9s} {label}")
+            if label.endswith(" derived"):
+                wall = f"wall_time_s {_wall_time(root / name)}"
+                if against is not None:
+                    wall += f", parent {_wall_time(against / name)}"
+                print(f"{verdict:9s} {label:40s} {wall}")
+            else:
+                print(f"{verdict:9s} {label}")
             file = label.partition("/")[2]
             if (verdict == "moved" and against is not None and file.endswith(".csv")
                     and name in configs):
@@ -146,8 +165,9 @@ if __name__ == "__main__":
     parser.add_argument("--keep", type=Path, metavar="DIR",
                         help="write the rerun outputs to DIR/<config>/")
     parser.add_argument("--against", type=Path, metavar="DIR",
-                        help="with --check: per-column changes of each moved CSV "
-                             "against the outputs a parent tree kept in DIR")
+                        help="with --check: the wall times of, and per-column changes "
+                             "of each moved CSV against, the outputs a parent tree "
+                             "kept in DIR")
     args = parser.parse_args()
     if args.against is not None and not args.check:
         parser.error("--against needs --check")

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlens.lattice import (NearestNeighbor, PowerLaw, _Mirror, build_couplings,
-                              build_lattice, displace_sites, punch_holes)
+from spinlens.lattice import (HamiltonianTerms, NearestNeighbor, PowerLaw, _Mirror,
+                              build_couplings, build_lattice, displace_sites, punch_holes)
 from spinlens.lens import ThickPolynomial, clipped_thick_terms
 
 
@@ -297,3 +298,37 @@ class TestEvenFoldOracle:
         packet = np.exp(-((np.arange(n) - (n - 1) / 2.0) / 6.0) ** 2)
         for t in (0.0, 1e-15, 10.0):
             assert (got.drift(packet, t) <= 1e-8) == (mirror.drift(packet, t) <= 1e-8)
+
+
+def _lift_product(terms):
+    """M = H[reps] @ L as the sparse product with the 0/1 lift, put in
+    canonical form: the reference ``_Operator.even_matrix`` is summed
+    against."""
+    m, h = terms.mirror, terms.csr()
+    n = h.shape[0]
+    lift = sp.csr_matrix((np.ones(n), (np.arange(n), m.orbit)), shape=(n, m.dim))
+    out = (h[m.reps] @ lift).tocsr()
+    out = out + sp.csr_matrix(out.shape)
+    out.sort_indices()
+    return out
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_even_matrix_is_the_lift_product(rng, n):
+    """The even operator summed from the canonical CSR is bit for bit the
+    canonical lift product, on a chain with random hops and energies whose
+    centre row's two hops cancel, and on a hole-free 2D design."""
+    hops = rng.normal(size=n - 1)
+    hops[n // 2] = -hops[n // 2 - 1]
+    chain = HamiltonianTerms(sp.diags([hops, hops], [-1, 1]).tocsr(), rng.normal(size=n),
+                             np.ones(n, bool))
+    table = build_lattice((6, 5))
+    plane = build_couplings(table, PowerLaw(1.0, 3.0, 2.0)).with_diagonal(rng.normal(size=30))
+    for terms in (chain, plane):
+        got, want = terms.even_matrix, _lift_product(terms)
+        assert got.has_canonical_format
+        for attr in ("data", "indices", "indptr"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes(), attr
+    if n % 2:
+        # the centre row keeps its diagonal alone: its hops' orbit sums to 0
+        assert np.diff(chain.even_matrix.indptr)[n // 2] == 1
