@@ -42,7 +42,7 @@ from .manybody import (
     pair_distance_distribution,
     symmetric_initial_state,
 )
-from .propagator import expimv_batch, real_window, split_stacks
+from .propagator import real_window
 from .rydberg import (
     ChannelC6,
     DressingParams,
@@ -98,7 +98,6 @@ __all__ = [
     "evolve_mb",
     "exchange_peak",
     "excitation_probability",
-    "expimv_batch",
     "focus_probability",
     "gaussian_packet",
     "gaussian_width",
@@ -110,7 +109,6 @@ __all__ = [
     "punch_holes",
     "real_window",
     "rms_width",
-    "split_stacks",
     "symmetric_initial_state",
     "thin_phase_profile",
     "thresholds",

@@ -26,15 +26,14 @@ chunk is one stack of independent evolutions, each bit for bit its lone
 ``expimv``: since every H and start packet is real, the stack runs its
 Chebyshev terms in float64 and adds them into a real and an imaginary
 float64 accumulator (the even and the odd terms), and a phase met in an
-earlier chunk reuses its coefficients. :meth:`_CleanPattern.cuts` still
-gives each realization's H as CSR, for the tests and the broadening loop.
-Streams are counter-based per realization, so a realization's record does
-not depend on how many others are run.
+earlier chunk reuses its coefficients. The plane-wave broadening reads the
+same value tables (:func:`_perturbations`). Streams are counter-based per
+realization, so a realization's record does not depend on how many others
+are run.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,7 +42,7 @@ import scipy.sparse as sp
 from .lattice import PowerLaw, SiteTable, build_couplings, displace_sites
 from .lens import potential_profile, thin_phase_profile
 from .propagator import _STACK_NNZ, _PatternPlan, _ranges
-from .wavepacket import (SpinWaveState, _density_widths, _focus_probabilities,
+from .wavepacket import (_density_widths, _focus_probabilities,
                          _gaussian_rows, evolve, focus_probability, gaussian_packet,
                          gaussian_width, phase_imprint)
 
@@ -117,24 +116,16 @@ class EnsembleStats:
         return out
 
 
-def _initial_state(table: SiteTable, job: EnsembleJob) -> SpinWaveState:
-    psi = gaussian_packet(table, job.sigma0)
+def _protocol_start(table: SiteTable, job: EnsembleJob) -> tuple:
+    """Hamiltonian terms and initial state of the protocol on ``table``: the
+    packet at the lattice centre, imprinted by a thin design, under the
+    potential of a thick one."""
+    terms, psi = build_couplings(table, job.model), gaussian_packet(table, job.sigma0)
     if job.design.thin:
         psi = phase_imprint(psi, thin_phase_profile(job.design, table))
-    return psi
-
-
-def _protocol_start(table: SiteTable, job: EnsembleJob):
-    """Hamiltonian terms and initial state of the protocol on ``table``."""
-    terms = build_couplings(table, job.model)
-    if not job.design.thin:
+    else:
         terms = terms.with_diagonal(potential_profile(job.design, table))
-    return terms, _initial_state(table, job)
-
-
-def _protocol_record(psi: SpinWaveState, table: SiteTable, job: EnsembleJob):
-    return (focus_probability(psi, table, job.design.foci[0]),
-            gaussian_width(psi, table))
+    return terms, psi
 
 
 def run_protocol(table: SiteTable, job: EnsembleJob):
@@ -146,8 +137,8 @@ def run_protocol(table: SiteTable, job: EnsembleJob):
     fabrication disorder moves the atoms, not the imposed light pattern.
     """
     terms, psi = _protocol_start(table, job)
-    return _protocol_record(evolve(terms, psi, job.duration, tol=job.tol),
-                            table, job)
+    psi = evolve(terms, psi, job.duration, tol=job.tol)
+    return focus_probability(psi, table, job.design.foci[0]), gaussian_width(psi, table)
 
 
 class _Streams:
@@ -187,8 +178,8 @@ def _realization_table(job: EnsembleJob, r: int, streams: _Streams | None = None
 class _CleanPattern:
     """The clean lattice's H = diag(V) - J of a job as canonical CSR arrays,
     its zero on-site energies left out, from which each realization's
-    values and Gershgorin bounds are written (:meth:`table`) and its H is
-    cut (module docstring).
+    values and Gershgorin bounds are written (:meth:`table`; module
+    docstring).
     """
 
     def __init__(self, job: EnsembleJob):
@@ -208,15 +199,11 @@ class _CleanPattern:
         self.indptr = np.searchsorted(self.rows, np.arange(n + 1)).astype(np.int32)
         self.lengths = np.diff(self.indptr)
         self.data = np.concatenate([-hop.data, self.diagonal[on]])[order]
-        # every cut is a copy of this matrix on arrays of its own, canonical
-        # as the pattern's are, and carries the format flag checked here
-        self.template = sp.csr_matrix((self.data, self.cols, self.indptr), shape=(n, n))
-        canonical = self.template.has_canonical_format
-        assert canonical
         self.holes = isinstance(job.kind, Holes)
         self.model = job.model
         self.radii = self._radii(np.abs(self.data), self.indptr[None])[0]
-        # the arrays of a chunk's size that no value or cut is written to
+        # the arrays of a chunk's size, kept for every table written from
+        # the pattern: the values a caller keeps here, and scratch
         self.scratch = _Kept()
         self.pairs = None
         if self.holes:
@@ -301,40 +288,6 @@ class _CleanPattern:
         radii -= np.abs(diagonal)
         return values, (diagonal - radii).min(axis=1), (diagonal + radii).max(axis=1)
 
-    def cut(self, table: SiteTable):
-        """H of the realization ``table`` as CSR, and its Gershgorin bounds,
-        each equal bit for bit to ``_protocol_start(table, job)``'s
-        ``matrix()`` and ``bounds()``."""
-        return self.cuts(table.active[None], table.positions[None])[0]
-
-    def cuts(self, active: np.ndarray, positions: np.ndarray) -> list:
-        """[(H, bounds)] of a stack of realizations, as :meth:`cut` gives
-        them: the :meth:`table` with its zeros dropped, on arrays of its
-        own. While a realization keeps every entry, its index arrays are
-        the pattern's."""
-        values, lows, highs = self.table(active, positions)
-        m, n = values.shape[0], len(self.diagonal)
-        keep = values != 0.0
-        if keep.all():
-            data, cols = values.reshape(-1), self.cols
-            starts = np.arange(m)[:, None] * self.data.size + self.indptr
-        else:
-            data, cols = values[keep], np.broadcast_to(self.cols, keep.shape)[keep]
-            counts = np.broadcast_to(self.lengths, (m, n)).copy()
-            real, entry = np.nonzero(~keep)
-            np.subtract.at(counts.reshape(-1), real * n + self.rows[entry], 1)
-            starts = np.concatenate([np.zeros(1, np.int32), np.cumsum(counts, dtype=np.int32)])
-            starts = starts[np.arange(m)[:, None] * n + np.arange(n + 1)]
-        out = []
-        for row_starts, low, high in zip(starts, lows, highs):
-            lo, hi = row_starts[0], row_starts[-1]
-            h = copy.copy(self.template)
-            h.data = data[lo:hi]
-            if cols is not self.cols:
-                h.indices, h.indptr = cols[lo:hi], row_starts - lo
-            out.append((h, (float(low), float(high))))
-        return out
-
 
 class _Kept:
     """Float arrays of a chunk's size by name, made on first use and handed
@@ -367,33 +320,27 @@ def _draws(job: EnsembleJob, pattern: _CleanPattern, count: int):
             yield table.active, np.stack([t.positions for t in tables])
 
 
-def _chunks(job: EnsembleJob, pattern: _CleanPattern, count: int):
-    """Per chunk of ``_draws``, the active masks, the positions and each
-    realization's (H, bounds), cut on arrays of its own."""
-    for active, positions in _draws(job, pattern, count):
-        yield active, positions, pattern.cuts(active, positions)
-
-
-def run_ensemble(job: EnsembleJob) -> EnsembleStats:
+def run_ensemble(job: EnsembleJob, pattern: _CleanPattern | None = None) -> EnsembleStats:
     """Focusing statistics over disorder realizations, in index order.
 
     Each record equals ``run_protocol(_realization_table(job, r), job)``
     bit for bit. The realizations are drawn about one stacked operator's
     worth at a time (``_draws``); each chunk's values and bounds are
-    written from the job's clean pattern into arrays kept for the job
-    (``_CleanPattern.table``), propagated as one stack on the pattern's
+    written from the job's clean pattern (``pattern``, made here when not
+    given) into the arrays the pattern keeps (``_CleanPattern.table``,
+    ``scratch``), propagated as one stack on the pattern's
     layout (``propagator._PatternPlan``), and its final states scored
     together (``wavepacket._density_widths``, ``_focus_probabilities``)
     before the next is drawn. No realization's H is built.
     """
-    pattern, kept = _CleanPattern(job), _Kept()
+    pattern = _CleanPattern(job) if pattern is None else pattern
     plan = _PatternPlan(pattern.cols, pattern.indptr, job.duration, job.tol)
     table = job.table
     imprint = (np.exp(-1j * thin_phase_profile(job.design, table))
                if job.design.thin else None)
     p_foc, sigma_f = [], []
     for active, positions in _draws(job, pattern, job.realizations):
-        values, lows, highs = pattern.table(active, positions, kept)
+        values, lows, highs = pattern.table(active, positions, pattern.scratch)
         packets = _gaussian_rows(positions, active, table.center(), job.sigma0)
         if imprint is None:
             packets = packets.real      # no imaginary part, as expimv takes it
@@ -404,6 +351,23 @@ def run_ensemble(job: EnsembleJob) -> EnsembleStats:
         p_foc.append(_focus_probabilities(p, positions, job.design.foci[0]))
         sigma_f.append(_density_widths(p, positions))
     return EnsembleStats(p_foc=np.concatenate(p_foc), sigma_f=np.concatenate(sigma_f))
+
+
+def _perturbations(pattern: _CleanPattern, job: EnsembleJob, count: int):
+    """dH = H - H_clean of the realizations 0, ..., count - 1 of ``job``, in
+    order, as CSR on the index arrays of the job's clean ``pattern``: each
+    chunk's value table (:meth:`_CleanPattern.table`), kept in the
+    pattern's arrays, less the clean values, so an entry a realization lost
+    holds 0.0 - v and one it kept unchanged holds 0.0. A 0.0 entry adds +-0
+    to ``dh @ psi``, so each product is bit for bit that of scipy's
+    ``h - clean``, which leaves it out. Each dH is a view on the kept
+    table, overwritten by the next chunk."""
+    n = job.table.n_sites
+    for active, positions in _draws(job, pattern, count):
+        values, _, _ = pattern.table(active, positions, pattern.scratch)
+        values -= pattern.data
+        for row in values:
+            yield sp.csr_matrix((row, pattern.cols, pattern.indptr), shape=(n, n))
 
 
 def plane_wave_broadening(h_disordered: sp.csr_matrix, h_clean: sp.csr_matrix,

@@ -55,7 +55,7 @@ class ThickPolynomial:
         object.__setattr__(self, "focus", tuple(float(f) for f in np.atleast_1d(self.focus)))
         if not 1 <= len(self.coefficients) <= 4:
             raise ValueError("polynomial order Q must be even and <= 8")
-        if self.coefficients[0] <= 0:
+        if not self.coefficients[0] > 0:
             raise ValueError("quadratic coefficient must be positive")
 
     @property
@@ -86,7 +86,7 @@ class ThinPulse:
 
     def __post_init__(self):
         object.__setattr__(self, "focus", tuple(float(f) for f in np.atleast_1d(self.focus)))
-        if self.phi0 <= 0:
+        if not self.phi0 > 0:
             raise ValueError("phi0 must be positive")
         if self.profile not in ("parabolic", "corrected"):
             raise ValueError(f"unknown thin profile {self.profile!r}")

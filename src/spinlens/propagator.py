@@ -1,74 +1,21 @@
-"""Time evolution under a Hermitian operator, and the one path that picks
-how every sampled evolution runs.
+"""Time evolution under a sparse Hermitian operator.
 
-Three propagators, each with its promise:
-
-- Chebyshev expansion of exp(-i h t) (Tal-Ezer & Kosloff, J. Chem. Phys.
-  81, 3967 (1984)): :func:`expimv` applies one step, :func:`expimv_batch`
-  many independent blocks, :func:`trajectory` one step repeatedly. The
-  spectrum is enclosed by Gershgorin disks, and each call keeps the terms
-  above tol/4 at any phase, so the 2-norm drift of a result stays below
-  about 10 tol per application. A batched block's result is bit for bit
-  its lone ``expimv`` call, and a trajectory's states are repeated
-  ``expimv`` calls.
-- A real window, :func:`real_window`: the states of a real start under a
-  real h at dt, 2 dt, ..., n dt from one float64 recurrence, whose terms
-  serve every sample (Weisse et al., Rev. Mod. Phys. 78, 275 (2006)), each
-  within 10 tol, while its samples and tables fit a byte budget.
-- A dense eigendecomposition, :class:`EigenPropagator`: the states at any
-  list of times, exact to rounding (the eigenvector method of Moler & Van
-  Loan, SIAM Rev. 45, 3 (2003)), for O(n^3) once.
-
-The evolution path (:class:`EvolutionPath`, picked by
-:func:`evolution_path`) takes a start state to a list of sample times under
-the operator of an owner, ``lattice.HamiltonianTerms`` or
-``manybody.ManyBodySector`` (the methods of ``lattice._Operator``). The
-lens optimizer's focal windows, the breathing runs and the blockade
-trajectories all run on it, and keep only their observables:
-
-- *Gate.* The state runs in the even subspace of the owner's mirror when
-  the mirror exists and ``mirror.drift(psi, t_end) <= tol``: the state's
-  odd part plus |t_end| times the operator's mirror asymmetry, which bounds
-  to first order how far the even result lands from the full one. There
-  one row per orbit carries its amplitude, and every sample is lifted back
-  by ``phi[orbit]``.
-- *Rule.* The gated operator, even or full, is decomposed when it has at
-  most ``_DECOMPOSE_ROWS`` rows, or at most ``_DENSE_ROWS`` and the span's
-  phase half |t_end| exceeds ``_DENSE_COST`` rows^2; the decomposition is
-  cached on the owner, and every sample is exact from the start.
-- *Otherwise Chebyshev.* An even real start whose samples are dt, ...,
-  n dt is one real window while it fits its budget; anything else steps:
-  one step to the first sample, then equal steps.
-
-The Chebyshev terms multiply by 2 h~, h~ = (h - centre) / half, built in
-two halves: a layout (``_Layout``), which reads only the pattern and places
-each entry, and a write of the values into it. A step plan or window lays
-out its own stack (``_stacked_operator``); a disorder job lays out its
-clean pattern once and writes every stack of realizations into the same
-memory (``_PatternPlan``). The stack is stored by diagonals (scipy's DIA;
-Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed., SIAM 2003,
-section 3.4), with ascending offsets and the main diagonal always stored,
-when that takes no more bytes than CSR would, 8 x diagonals x rows <= 12 x
-entries + 4 x rows, and as CSR otherwise. The rule counts the entries of
-the stack itself, or, for a disorder job, those of the clean pattern with
-a diagonal entry in every row: every disorder stack is banded and runs on
-diagonals, and the blockade sectors stay CSR. The bits do not depend on
-the storage. scipy's CSR product sums each row from zero in column order;
-its DIA product adds diagonal after diagonal, in stored order, into a
-zeroed result. With ascending offsets each row therefore sees the same
-additions in the same order. A slot that holds 0.0, because no entry
-fills it or a realization lost the entry, adds 0 x = +-0, which leaves the
-sum as it was: a sum that starts at +0 never becomes -0.
-
-LAPACK and BLAS (``scipy.linalg``) load on the first decomposition or real
-window, so a run that only steps, as every disorder ensemble does, never
-loads them.
+:func:`expimv` applies exp(-i h t) by one Chebyshev expansion of the whole
+step (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), within about
+10 tol of exact at any phase, and :func:`trajectory` repeats that step bit
+for bit; :func:`real_window` samples a real start at dt, ..., n dt from one
+float64 recurrence, and :class:`EigenPropagator` gives exact states at any
+times from one dense decomposition. :func:`evolution_path` picks which of
+these runs each sampled evolution of the lens, breathing and blockade
+scenarios, and :class:`_PatternPlan` steps a disorder job's realizations as
+one stacked operator, each bit for bit its lone :func:`expimv`. LAPACK and
+BLAS load only on a decomposition or a real window.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -297,102 +244,95 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 # entries on 61 diagonals of 930 rows; the nu = 3 even sector of 61 sites:
 # 120 670 on 2 203 of 18 010), so they stay CSR.
 class _Layout:
-    """Where the entries of a canonical pattern go in 2 h~, h~ = (h -
-    centre) / half, of a stack of blocks (module docstring): the half of
-    ``_stacked_operator`` that reads only the pattern, made once and
-    written (:meth:`write`) for every stack of blocks that share it. The
-    storage is picked by :meth:`weigh`.
+    """Where the entries of a canonical pattern (``cols``, ``indptr``) go in
+    2 h~, h~ = (h - centre) / half, of a stack of blocks that share it:
+    read from the pattern once and written (:meth:`write`) for every stack.
 
-    The pattern is ``cols`` and ``indptr`` over R rows, either one block's,
-    which a stack repeats once per block, or a whole stack's, its columns
-    counted across the stack; ``dim`` is the rows of one block. After
-    :meth:`weigh`, ``offsets`` holds the diagonals in ascending order, the
-    main one always among them, and ``slots`` each entry's diagonal; or, when
-    the storage rule says CSR, ``offsets`` is None and ``indices`` and
+    The storage is by diagonals (scipy's DIA; Saad, *Iterative Methods for
+    Sparse Linear Systems*, 2nd ed., SIAM 2003, section 3.4), with ascending
+    offsets and the main diagonal always stored, when that takes no more
+    bytes than CSR would, 8 x diagonals x rows <= 12 x entries + 4 x rows,
+    counting the entries of the pattern with a diagonal entry in every row;
+    CSR otherwise. The bits do not depend on the storage. scipy's CSR
+    product sums each row from zero in column order; its DIA product adds
+    diagonal after diagonal, in stored order, into a zeroed result, so with
+    ascending offsets each row sees the same additions in the same order. A
+    slot that holds 0.0, because no entry fills it or a block lacks the
+    entry, adds 0 x = +-0, which leaves the sum as it was: a sum that starts
+    at +0 never becomes -0.
+
+    ``offsets`` holds the diagonals in ascending order and ``slots`` each
+    entry's diagonal; or, for CSR, ``offsets`` is None and ``indices`` and
     ``indptr`` hold the pattern with a main-diagonal entry in every row, at
     which ``at`` places each entry of the pattern and ``main`` each row's
     diagonal.
     """
 
-    def __init__(self, cols: np.ndarray, indptr: np.ndarray, dim: int):
-        self.cols, self.dim, self.rows = cols, dim, indptr.size - 1
+    def __init__(self, cols: np.ndarray, indptr: np.ndarray):
+        dim = indptr.size - 1
+        self.cols, self.rows = cols, dim
         # col - row + dim - 1 of each entry, in [0, 2 dim - 1)
-        key = np.repeat(np.arange(self.rows, dtype=cols.dtype), np.diff(indptr))
+        key = np.repeat(np.arange(dim, dtype=cols.dtype), np.diff(indptr))
         np.subtract(cols, key, out=key)
         key += dim - 1
-        self._key, self._indptr = key, indptr
         # the entries on the main diagonal, and their rows
         self.diag = np.flatnonzero(key == dim - 1)
         self.on = cols[self.diag]
-
-    def weigh(self, entries: int, rows: int) -> "_Layout":
-        """Pick the storage of a stack of ``rows`` rows and ``entries`` CSR
-        entries: by diagonals when 8 x diagonals x rows <= 12 x entries +
-        4 x rows, else CSR."""
-        dim, key = self.dim, self._key
         # the diagonals that hold an entry, and the main one
         present = np.zeros(2 * dim - 1, bool)
         present[key] = present[dim - 1] = True
+        entries = cols.size - self.diag.size + dim
         self.offsets = None
-        if 8 * np.count_nonzero(present) * rows <= 12 * entries + 4 * rows:
+        if 8 * np.count_nonzero(present) * dim <= 12 * entries + 4 * dim:
             slot = np.cumsum(present) - 1
             self.offsets = (np.flatnonzero(present) - (dim - 1)).astype(np.int32)
             self.slots, self.main = slot[key], slot[dim - 1]
-        else:
-            indptr = self._indptr
-            missing = np.ones(self.rows, bool)
-            missing[self.on] = False
-            if not missing.any():
-                self.at, self.main = None, self.diag
-                self.indices, self.indptr = self.cols, indptr
-            else:
-                # every entry moves past the diagonals put in before it: one
-                # per earlier row without one, and its own row's when the
-                # entry lies right of it
-                before = np.cumsum(missing) - missing
-                row = np.repeat(np.arange(self.rows), np.diff(indptr))
-                self.at = np.arange(self.cols.size) + before[row] + (missing[row] & (key > dim - 1))
-                taken = np.zeros(self.cols.size + before[-1] + missing[-1], bool)
-                taken[self.at] = True
-                self.main = np.empty(self.rows, np.intp)
-                self.main[self.on], self.main[missing] = self.at[self.diag], np.flatnonzero(~taken)
-                self.indices = np.empty(taken.size, self.cols.dtype)
-                self.indices[self.at] = self.cols
-                self.indices[self.main] = np.arange(self.rows)
-                self.indptr = indptr + np.concatenate([np.zeros(1, indptr.dtype),
-                                                       np.cumsum(missing, dtype=indptr.dtype)])
-        del self._key, self._indptr
-        return self
+            return
+        missing = np.ones(dim, bool)
+        missing[self.on] = False
+        if not missing.any():
+            self.at, self.main = None, self.diag
+            self.indices, self.indptr = cols, indptr
+            return
+        # every entry moves past the diagonals put in before it: one per
+        # earlier row without one, and its own row's when the entry lies
+        # right of it
+        before = np.cumsum(missing) - missing
+        row = np.repeat(np.arange(dim), np.diff(indptr))
+        self.at = np.arange(cols.size) + before[row] + (missing[row] & (key > dim - 1))
+        taken = np.zeros(cols.size + before[-1] + missing[-1], bool)
+        taken[self.at] = True
+        self.main = np.empty(dim, np.intp)
+        self.main[self.on], self.main[missing] = self.at[self.diag], np.flatnonzero(~taken)
+        self.indices = np.empty(taken.size, cols.dtype)
+        self.indices[self.at] = cols
+        self.indices[self.main] = np.arange(dim)
+        self.indptr = indptr + np.concatenate([np.zeros(1, indptr.dtype),
+                                               np.cumsum(missing, dtype=indptr.dtype)])
 
-    def shifted(self, values: np.ndarray, centers, dtype) -> np.ndarray:
-        """The shifted main diagonals (B, R) of the blocks whose values are
-        the rows of ``values`` (B, entries): a - c, or 0 - c on a row
-        without a diagonal entry."""
-        out = np.zeros((len(values), self.rows), dtype)
-        out[:, self.on] = values[:, self.diag]
-        out -= np.repeat(np.asarray(centers, dtype=float), self.dim).reshape(out.shape)
-        return out
-
-    def write(self, values: np.ndarray, shifted: np.ndarray, halves, dtype,
+    def write(self, values: np.ndarray, centers, halves, dtype,
               out: np.ndarray | None = None) -> sp.csr_matrix | sp.dia_matrix:
         """2 h~ of the stack of B copies of the pattern whose values are the
-        rows of ``values`` (B, entries), with its :meth:`shifted` main
-        diagonals and each block's ``halves``, as ``dtype``: each entry
-        scaled by its block's 1/half and then doubled. A CSR drops every
-        entry that is then 0.0; a DIA holds 0.0 in every slot no entry
-        fills. ``out`` (DIA only) holds the diagonals, (diagonals, at least
-        B, R) and 0.0 wherever no stack written into it put an entry, and is
+        rows of ``values`` (B, entries), with each block's ``centers`` and
+        ``halves``, as ``dtype``: each diagonal entry less its block's
+        centre (0 - c on a row without one), each entry scaled by its
+        block's 1/half and then doubled. A CSR drops every entry that is
+        then 0.0; a DIA holds 0.0 in every slot no entry fills. ``out``
+        (DIA only) holds the diagonals, (diagonals, at least B, rows) and
+        0.0 wherever no stack written into it put an entry, and is
         overwritten."""
-        b, rows, dim = len(values), self.rows, self.dim
+        b, rows = len(values), self.rows
         n, scale = b * rows, 1.0 / np.asarray(halves)
+        shifted = np.zeros((b, rows), dtype)
+        shifted[:, self.on] = values[:, self.diag]
+        shifted -= np.asarray(centers, dtype=float)[:, None]
         if self.offsets is not None:
             full = np.zeros((self.offsets.size, b, rows), dtype) if out is None else out
             diagonals = full[:, :b]
             diagonals[self.slots, :, self.cols] = values.T
             diagonals[self.main] = shifted
-            blocks = diagonals.reshape(self.offsets.size, -1, dim)
-            blocks *= scale[:, None]
-            blocks *= 2.0
+            diagonals *= scale[:, None]
+            diagonals *= 2.0
             dia = sp.dia_matrix((n, n), dtype=full.dtype)
             dia.data, dia.offsets = full.reshape(self.offsets.size, -1), self.offsets
             return dia
@@ -414,69 +354,38 @@ class _Layout:
         if not kept.all():
             data, indices = data[kept], indices[kept]
             indptr = np.concatenate([np.zeros(1, idx), np.cumsum(kept, dtype=idx)])[indptr]
-        data *= scale[0] if scale.size == 1 else np.repeat(scale, np.diff(indptr[::dim]))
+        data *= scale[0] if scale.size == 1 else np.repeat(scale, np.diff(indptr[::rows]))
         data *= 2.0
         csr = sp.csr_matrix((n, n), dtype=data.dtype)
         csr.data, csr.indices, csr.indptr = data, indices, indptr
         return csr
 
 
-def _stacked_operator(hs, dim, centers, halves, dtype) -> sp.csr_matrix | sp.dia_matrix:
-    """2 h~ of every block, h~ = (h - centre) / half, stacked
-    block-diagonally as one operator of ``dtype`` (float only for real
-    blocks): by diagonals (DIA, ascending offsets, the main one always
-    stored) when 8 x diagonals x rows <= 12 x entries + 4 x rows, else as
-    CSR (module docstring). The entries are those the CSR stores, and the
-    diagonals the distinct offsets col - row of the canonical blocks'
-    stored entries (stored zeros included) and the main one.
+def _stacked_operator(h, center: float, half: float, dtype) -> sp.csr_matrix | sp.dia_matrix:
+    """2 h~ = 2 (h - centre) / half of one block as ``dtype`` (float only
+    for a real h), laid out on h's canonical pattern (:class:`_Layout`) and
+    written in one pass, by diagonals or as CSR; h is not modified.
 
-    Each block's entries are those of scipy's canonical ``h - diags(c)``,
-    which computes a - c, a - 0 and 0 - c and keeps the nonzero results,
-    then ``/ half``, so each block of the stack is bit for bit the lone
-    block's: each diagonal entry less its block's centre (0 - c where a row
-    has none), each entry scaled by its row's 1/half and then doubled. The
-    CSR inserts 0 - c in its sorted place where it is not 0.0 and drops
-    every entry that is then 0.0 (stored zeros included); the DIA holds the
-    blocks' entries in their slots and 0.0 in every other. Canonical form
-    (sorted, summed) fixes the order of each row's sum whatever the order
-    of h's indices; a block with unsorted or duplicate entries is put in it
-    by a sparse sum with an empty matrix, which adds duplicates in storage
-    order and drops zero sums, as the lone block's shift does, and then
-    sorted.
-
-    The stack's :class:`_Layout` is laid on one block's pattern when every
-    block has the same index arrays (the cuts of a displacement ensemble),
-    otherwise on the stack's, and written once. A lone CSR block keeps its
-    index arrays, which are never written, and gets a new data array. No h
-    is modified."""
-    blocks = []
-    for h in hs:
-        if dtype is float and np.iscomplexobj(h.data):
-            h = h.real
-        if not h.has_canonical_format:
-            h = h + sp.csr_matrix(h.shape)
-            h.sort_indices()
-        blocks.append(h)
-    m, n = len(blocks), len(blocks) * dim
-    nnz = [b.nnz for b in blocks]
-    first = blocks[0]
-    if all(b.indices is first.indices and b.indptr is first.indptr for b in blocks):
-        # one block's pattern, once per block
-        layout = _Layout(first.indices[:nnz[0]], first.indptr, dim)
-        values = np.stack([b.data[:nnz[0]] for b in blocks], dtype=dtype)
-    else:
-        # the stack's pattern, wide enough for every position of the DIA or CSR
-        idx = np.int32 if 2 * (sum(nnz) + n) < 2**31 else np.int64
-        cols = np.concatenate([b.indices[:k] for b, k in zip(blocks, nnz)], dtype=idx)
-        cols += np.repeat(np.arange(0, n, dim, dtype=idx), nnz)
-        lengths = np.diff(np.concatenate([b.indptr for b in blocks]).reshape(m, dim + 1), axis=1)
-        indptr = np.concatenate([np.zeros(1, idx), np.cumsum(lengths, dtype=idx)])
-        layout = _Layout(cols, indptr, dim)
-        values = np.concatenate([b.data[:k] for b, k in zip(blocks, nnz)], dtype=dtype)[None]
-    shifted = layout.shifted(values, centers, dtype)
-    layout.weigh(np.count_nonzero(values) - np.count_nonzero(values[:, layout.diag])
-                 + np.count_nonzero(shifted), n)
-    return layout.write(values, shifted, halves, dtype)
+    The entries are those of scipy's canonical ``h - diags(c)``, which
+    computes a - c, a - 0 and 0 - c and keeps the nonzero results, then
+    ``/ half``: each diagonal entry less the centre (0 - c where a row has
+    none), each entry scaled by 1/half and then doubled. The CSR inserts
+    0 - c in its sorted place where it is not 0.0 and drops every entry
+    that is then 0.0 (stored zeros included); the DIA holds the entries in
+    their slots and 0.0 in every other. Canonical form (sorted, summed)
+    fixes the order of each row's sum whatever the order of h's indices; an
+    h with unsorted or duplicate entries is put in it by a sparse sum with
+    an empty matrix, which adds duplicates in storage order and drops zero
+    sums, as the shift does, and then sorted. A CSR result keeps h's index
+    arrays where it drops nothing and every row has its diagonal entry, and
+    gets a new data array."""
+    if dtype is float and np.iscomplexobj(h.data):
+        h = h.real
+    if not h.has_canonical_format:
+        h = h + sp.csr_matrix(h.shape)
+        h.sort_indices()
+    layout = _Layout(h.indices[:h.nnz], h.indptr)
+    return layout.write(h.data[None, :h.nnz].astype(dtype), [center], [half], dtype)
 
 
 def _step(h, t: float, bounds) -> tuple:
@@ -486,36 +395,28 @@ def _step(h, t: float, bounds) -> tuple:
     return center, half, half * t, np.exp(-1j * center * t)
 
 
-def _coefficient_sets(zs, tol: float, known: dict) -> dict:
-    """``known``, the coefficient sets of exp(-i z x) by phase z, with a set
-    for each phase of ``zs`` it lacks, all from one Bessel table; a set does
-    not depend on the table it came from (:func:`_bessel_table`)."""
-    new = [z for z in dict.fromkeys(zs) if z not in known]
-    if new:
-        known.update(zip(new, _chebyshev_coeffs(new, tol / 4.0)))
-    return known
-
-
 class _Stack:
-    """Blocks of one dimension of a step plan, stacked (:class:`_StepPlan`).
+    """Blocks of one dimension stacked into one operator: one step of
+    :class:`_StepPlan`, or the realizations of a chunk of
+    :class:`_PatternPlan`.
 
-    ``order`` lists the plan's block indices in stack order, longest
-    coefficient set first. The operator ``h`` is 2 h~, by diagonals or as
-    CSR (``_Layout``), float64 when every block is real, until
-    the first complex state, and complex otherwise; the stack holds one at a
-    time, and its row-prefix views and complex copy keep its storage. Each
-    term is one matvec and one subtraction in place, T_k+1 = 2 h~ T_k -
-    T_k-1 over T_k-1. While
-    the operator and the state are real, the terms are added into two
-    float64 accumulators, the even ones times Re c_k into the real part
-    and the odd ones times Im c_k into the imaginary part, which become
+    The blocks are in stack order, longest coefficient set first. The
+    operator ``h`` is 2 h~, by diagonals or as CSR (``_Layout``), float64
+    when every block is real, until the first complex state, and complex
+    otherwise; the stack holds one at a time, and its row-prefix views and
+    complex copy keep its storage. Each term is one matvec and one
+    subtraction in place, T_k+1 = 2 h~ T_k - T_k-1 over T_k-1, on the row
+    prefix of the blocks still active, so each block rounds as it would
+    alone. While the operator and the state are real, the terms are added
+    into two float64 accumulators, the even ones times Re c_k into the real
+    part and the odd ones times Im c_k into the imaginary part, which become
     the complex state at the end; otherwise c_k T_k goes into one complex
     accumulator.
     """
 
-    def __init__(self, h, order, dim, coefs, phases):
-        self.order, self.dim = order, dim
-        m = len(order)
+    def __init__(self, h, dim, coefs, phases):
+        self.dim = dim
+        m = len(coefs)
         counts = [len(c) for c in coefs]
         self.coef = np.zeros((max(counts), m, 1), dtype=complex)
         for j, c in enumerate(coefs):
@@ -593,83 +494,53 @@ class _Stack:
 
 
 class _StepPlan:
-    """The step plan of exp(-i h_i t_i) over independent blocks, each with
-    its own (h_i, t_i, bounds_i) and all sharing ``tol``, applied to one
-    list of states per call, as often as wanted.
+    """The step exp(-i h t) of one operator, with the spectral ``bounds`` of
+    h when given, applied to one state per call, as often as wanted.
 
-    Per block the plan holds one Chebyshev expansion of the whole step,
-    whatever its phase half-width x t: the recurrence's round-off does not
-    grow with the order, and one expansion stayed within 3e-9 of a dense
-    eigendecomposition at phases up to 3e5 and tol 1e-8. Blocks of equal
-    phase share one coefficient set, and the plan's distinct phases one
-    Bessel table. Blocks of equal dimension are stacked into one
-    block-diagonal operator (:func:`_stacked_operator`), longest
-    coefficient set first, padded with zeros, and term k runs the matvec
-    only on the row prefix of the blocks still active. Stacks are cut so
-    their nonzeros stay under ``_STACK_NNZ``. The padding bounds what a
-    batch may mix: one huge phase batched with many short blocks would
-    allocate far more than its own expansion; an ensemble's blocks share
-    one duration. The operator, by diagonals or CSR, computes each row by
-    itself in column order, and a per-block scale, coefficient or phase
-    rounds as a lone block's does, so each block's result is bit for bit
-    its lone plan's.
-
-    The scaled operators are new arrays, so no ``h_i`` is modified. A
-    t = 0 block joins no stack, and applying the plan copies its state.
+    The step is one Chebyshev expansion, whatever its phase half-width x t:
+    the recurrence's round-off does not grow with the order, and one
+    expansion stayed within 3e-9 of a dense eigendecomposition at phases up
+    to 3e5 and tol 1e-8. It keeps the terms above tol/4, so the 2-norm drift
+    of a result stays below about 10 tol. The scaled operator
+    (:func:`_stacked_operator`) is a new array, so h is not modified, and
+    runs in float64 while h and the state are real (:class:`_Stack`). At
+    t = 0 applying the step copies the state.
     """
 
-    def __init__(self, hs: Sequence[sp.csr_matrix], ts: Sequence[float],
-                 tol: float, bounds: Sequence):
+    def __init__(self, h: sp.csr_matrix, t: float, tol: float, bounds):
         _check_tol(tol)
-        self.dims = [h.shape[0] for h in hs]
-        steps = [(i,) + _step(h, t, bnd)
-                 for i, (h, t, bnd) in enumerate(zip(hs, ts, bounds)) if t != 0.0]
-        coef_sets = _coefficient_sets([s[3] for s in steps], tol, {})
-        groups: dict = {}
-        for i, center, half, z, phase in steps:
-            groups.setdefault(hs[i].shape[0], []).append(
-                (i, center, half, coef_sets[z], phase))
-        self.stacks = []
-        for dim, blocks in groups.items():
-            blocks.sort(key=lambda b: -len(b[3]))
-            for cut in split_stacks(blocks, lambda b: hs[b[0]]):
-                order, centers, halves, coefs, phases = zip(*cut)
-                stacked = [hs[i] for i in order]
-                dtype = complex if any(map(_imaginary, stacked)) else float
-                self.stacks.append(_Stack(_stacked_operator(stacked, dim, centers, halves, dtype),
-                                          order, dim, coefs, phases))
+        self.dim, self.stack = h.shape[0], None
+        if t != 0.0:
+            center, half, z, phase = _step(h, t, bounds)
+            dtype = complex if _imaginary(h) else float
+            self.stack = _Stack(_stacked_operator(h, center, half, dtype), self.dim,
+                                _chebyshev_coeffs([z], tol / 4.0), [phase])
 
-    def apply(self, psis: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Return [exp(-i h_i t_i) psi_i]."""
-        psis = [_state(psi) for psi in psis]
-        if any(psi.shape != (d,) for psi, d in zip(psis, self.dims)):
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        """Return exp(-i h t) psi, complex."""
+        psi = _state(psi)
+        if psi.shape != (self.dim,):
             raise ValueError("state length does not match Hamiltonian")
-        out = [None] * len(psis)
-        for stack in self.stacks:
-            rows = stack.apply(np.stack([psis[i] for i in stack.order]))
-            for i, row in zip(stack.order, rows):
-                out[i] = row
-        return [psi.astype(complex) if o is None else o for psi, o in zip(psis, out)]
+        if self.stack is None:
+            return psi.astype(complex)
+        return self.stack.apply(psi[None])[0]
 
 
 class _PatternPlan:
     """exp(-i h_j t) psi_j, stack after stack, for real blocks that share one
     canonical pattern (``cols``, ``indptr``) and one time ``t``: the
     realizations of a disorder job. Each result is bit for bit
-    ``expimv_batch`` of the block as CSR (the pattern's entries less those
-    whose value is 0.0), since a slot that holds 0.0 adds +-0 (module
-    docstring). What every stack shares is made once: the pattern's
-    :class:`_Layout`, its storage weighed on the pattern with a diagonal
-    entry in every row; the coefficient sets of every phase met so far, so
-    a repeated phase builds no Bessel table; and a DIA stack's diagonals,
+    :func:`expimv` of the block as CSR (the pattern's entries less those
+    whose value is 0.0), since a slot that holds 0.0 adds +-0
+    (:class:`_Layout`). What every stack shares is made once: the pattern's
+    :class:`_Layout`; the coefficient sets of every phase met so far, so a
+    repeated phase builds no Bessel table; and a DIA stack's diagonals,
     written in place stack after stack.
     """
 
     def __init__(self, cols: np.ndarray, indptr: np.ndarray, t: float, tol: float):
         _check_tol(tol)
-        dim = indptr.size - 1
-        self.layout = _Layout(cols, indptr, dim)
-        self.layout.weigh(cols.size - self.layout.diag.size + dim, dim)
+        self.layout = _Layout(cols, indptr)
         self.t, self.tol, self.coef_sets, self._diagonals = t, tol, {}, None
 
     def apply(self, values: np.ndarray, bounds, psis: np.ndarray) -> np.ndarray:
@@ -680,9 +551,13 @@ class _PatternPlan:
         form one stack, longest coefficient set first."""
         if self.t == 0.0:
             return psis.astype(complex, order="C")
-        layout, m = self.layout, len(values)
+        layout, m, sets = self.layout, len(values), self.coef_sets
         steps = [_step(None, self.t, b) for b in bounds]
-        sets = _coefficient_sets([z for _, _, z, _ in steps], self.tol, self.coef_sets)
+        # one Bessel table for the phases met first here; a coefficient set
+        # does not depend on the table it came from (_bessel_table)
+        new = [z for z in dict.fromkeys(step[2] for step in steps) if z not in sets]
+        if new:
+            sets.update(zip(new, _chebyshev_coeffs(new, self.tol / 4.0)))
         order = np.argsort([-len(sets[z]) for _, _, z, _ in steps], kind="stable")
         if np.any(order != np.arange(m)):
             values, psis = values[order], psis[order]
@@ -690,9 +565,8 @@ class _PatternPlan:
         if layout.offsets is not None and (self._diagonals is None
                                            or self._diagonals.shape[1] < m):
             self._diagonals = np.zeros((layout.offsets.size, m, layout.rows))
-        h = layout.write(values, layout.shifted(values, centers, float), halves, float,
-                         out=self._diagonals)
-        rows = _Stack(h, order, layout.dim, [sets[z] for z in zs], phases).apply(_state(psis))
+        h = layout.write(values, centers, halves, float, out=self._diagonals)
+        rows = _Stack(h, layout.rows, [sets[z] for z in zs], phases).apply(_state(psis))
         out = np.empty_like(rows)
         out[order] = rows
         return out
@@ -729,50 +603,14 @@ def _check_tol(tol: float):
         raise ValueError(f"tol={tol} outside {TOL_RANGE}")
 
 
-def split_stacks(items: Iterable, op) -> Iterator[list]:
-    """Split ``items``, drawn lazily, into consecutive runs whose operators
-    ``op(item)`` fit one stacked operator: at most ``_STACK_NNZ`` nonzeros
-    once shifted. An item over the budget is a run of its own.
-
-    Propagating run by run holds about one stacked operator at a time.
-    """
-    run, nnz = [], 0
-    for item in items:
-        h = op(item)
-        size = h.nnz + h.shape[0]   # the shift adds at most the diagonal
-        if run and nnz + size > _STACK_NNZ:
-            yield run
-            run, nnz = [], 0
-        run.append(item)
-        nnz += size
-    if run:
-        yield run
-
-
-def expimv_batch(blocks: Iterable[tuple], tol: float = 1e-10) -> Iterator[np.ndarray]:
-    """Yield exp(-i h t) psi for each block (h, psi, t, bounds), in order.
-
-    Each result equals ``expimv(h, psi, t, tol, bounds)`` bit for bit
-    (``bounds`` may be None). The blocks are drawn lazily and propagated
-    together about one stack at a time (:class:`_StepPlan`), so a long
-    ensemble assembled realization by realization holds the operators of
-    about one stack, not all of them.
-    """
-    for cut in split_stacks(blocks, lambda b: b[0]):
-        hs, psis, ts, bounds = zip(*cut)
-        finals = _StepPlan(hs, ts, tol, bounds).apply(psis)
-        del cut, hs, psis, ts, bounds   # free the operators before the next cut
-        yield from finals
-
-
 def expimv(h: sp.csr_matrix, psi: np.ndarray, t: float,
            tol: float = 1e-10, bounds: tuple[float, float] | None = None) -> np.ndarray:
     """Return exp(-i h t) psi.
 
-    A batch of one block (:func:`expimv_batch`): builds the step plan for
-    ``t`` (one Chebyshev expansion of the whole step at any phase, its
-    coefficients and scaled operator) and applies it once;
-    :func:`trajectory` repeats one step with a single plan.
+    Builds the step for ``t`` (:class:`_StepPlan`: one Chebyshev expansion
+    of the whole step at any phase, its coefficients and scaled operator)
+    and applies it once; :func:`trajectory` repeats one step with a single
+    plan.
 
     Parameters
     ----------
@@ -785,7 +623,7 @@ def expimv(h: sp.csr_matrix, psi: np.ndarray, t: float,
         :func:`spectral_bounds`; pass it when evolving many states under the
         same Hamiltonian.
     """
-    return next(expimv_batch([(h, psi, t, bounds)], tol))
+    return _StepPlan(h, t, tol, bounds).apply(psi)
 
 
 def trajectory(h: sp.csr_matrix, psi: np.ndarray, dt: float, n_steps: int,
@@ -801,10 +639,10 @@ def trajectory(h: sp.csr_matrix, psi: np.ndarray, dt: float, n_steps: int,
     ``t0`` and advances by ``t = t + dt``, so the times agree bit for bit
     with those of repeated single-step calls.
     """
-    step = _StepPlan([h], [dt], tol, [bounds])
+    step = _StepPlan(h, dt, tol, bounds)
     t = t0
     for _ in range(n_steps):
-        (psi,) = step.apply([psi])
+        psi = step.apply(psi)
         t = t + dt
         yield t, psi
 
@@ -818,7 +656,8 @@ def _tridiagonal(a: np.ndarray) -> bool:
 class EigenPropagator:
     """exp(-i h t) psi at any times from one dense eigendecomposition of a
     real symmetric ``h``, a CSR matrix or a dense array: V (e^{-iEt} *
-    V^T psi), as two real matrix products, exact to rounding at any t.
+    V^T psi), as two real matrix products, exact to rounding at any t (the
+    eigenvector method of Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
 
     The decomposition runs once, on construction, by LAPACK's divide and
     conquer, on a copy of a dense ``h``: up to ``_EVR_ROWS`` rows
@@ -925,7 +764,8 @@ def real_window(h: sp.csr_matrix, psi: np.ndarray, dt: float, n_samples: int,
     T_k(h~) psi do not depend on the time, only the coefficients
     2 (-i)^k J_k(z_j) do, and for a real h~ and psi, exp(-i z h~) psi =
     cos(z h~) psi - i sin(z h~) psi: the even terms give each sample's real
-    part and the odd ones its imaginary part.
+    part and the odd ones its imaginary part (Weisse et al., Rev. Mod. Phys.
+    78, 275 (2006)).
 
     ``h`` and ``psi`` must be real (a complex dtype whose imaginary parts
     are all zero counts as real), the sample step half * |dt| positive,
@@ -970,7 +810,7 @@ def real_window(h: sp.csr_matrix, psi: np.ndarray, dt: float, n_samples: int,
     del c
     # 2 h~, exactly twice h~, so a term is one matvec and one subtraction
     # and rounds as 2 (h~ T_k) does
-    h = _stacked_operator([h], d, [center], [half], float)
+    h = _stacked_operator(h, center, half, float)
     width, n_terms = _WINDOW_TERMS, int(counts.max())
     # per ring of buffered terms: the first sample that takes them
     firsts = (counts > np.arange(0, n_terms, width)[:, None]).argmax(axis=1)
@@ -1003,7 +843,7 @@ def real_window(h: sp.csr_matrix, psi: np.ndarray, dt: float, n_samples: int,
     return states
 
 
-# The evolution path's decomposition rule (module docstring): the gated
+# The evolution path's decomposition rule (evolution_path): the gated
 # operator is decomposed up to _DECOMPOSE_ROWS rows, and up to _DENSE_ROWS
 # when the span's phase half |t_end| exceeds _DENSE_COST rows^2. Timings
 # are on one CPU with one BLAS thread.
@@ -1057,11 +897,11 @@ _DENSE_COST = 1.0 / 125.0
 
 class EvolutionPath:
     """How the start state ``psi`` reaches the sample ``times`` (relative to
-    the start, equally spaced) under the operator H of ``owner`` (module
-    docstring): in the even subspace of ``owner.mirror`` when ``even``, else
-    with H; from the owner's cached decomposition when ``dense``, else by
-    Chebyshev. :func:`evolution_path` picks the path; building one directly
-    forces it.
+    the start, equally spaced) under the operator H of ``owner``
+    (:func:`evolution_path`): in the even subspace of ``owner.mirror`` when
+    ``even``, else with H; from the owner's cached decomposition when
+    ``dense``, else by Chebyshev. :func:`evolution_path` picks the path;
+    building one directly forces it.
     """
 
     def __init__(self, owner, psi, times, tol: float, even: bool, dense: bool):
@@ -1135,9 +975,24 @@ class EvolutionPath:
 
 def evolution_path(owner, psi, times, tol: float) -> EvolutionPath:
     """The path of ``psi`` to the sample ``times`` under the operator of
-    ``owner`` (module docstring): the even subspace when the owner's mirror
-    exists and passes its gate over t_end = max |times|, and a decomposition
-    by the rule of ``_DECOMPOSE_ROWS``, ``_DENSE_ROWS`` and ``_DENSE_COST``.
+    ``owner``, ``lattice.HamiltonianTerms`` or ``manybody.ManyBodySector``
+    (the methods of ``lattice._Operator``); the lens optimizer's focal
+    windows, the breathing runs and the blockade trajectories all run on it.
+
+    - *Gate.* The state runs in the even subspace of the owner's mirror when
+      the mirror exists and ``mirror.drift(psi, t_end) <= tol``, t_end =
+      max |times|: the state's odd part plus t_end times the operator's
+      mirror asymmetry, which bounds to first order how far the even result
+      lands from the full one. There one row per orbit carries its
+      amplitude, and every sample is lifted back by ``phi[orbit]``.
+    - *Rule.* The gated operator, even or full, is decomposed when it has at
+      most ``_DECOMPOSE_ROWS`` rows, or at most ``_DENSE_ROWS`` and the
+      span's phase half t_end exceeds ``_DENSE_COST`` rows^2; the
+      decomposition is cached on the owner, and every sample is exact from
+      the start.
+    - *Otherwise Chebyshev.* An even real start whose samples are dt, ...,
+      n dt is one real window while it fits its budget; anything else
+      steps: one step to the first sample, then equal steps.
     """
     times = np.asarray(times, dtype=float)
     psi = np.asarray(psi)

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io_utils
-from .disorder import (Displacement, EnsembleJob, Holes, _broadening, _chunks,
-                       _CleanPattern, breakdown_scan, run_ensemble, run_protocol)
+from .disorder import (Displacement, EnsembleJob, Holes, _broadening, _CleanPattern,
+                       _perturbations, breakdown_scan, run_ensemble, run_protocol)
 from .lattice import NearestNeighbor, PowerLaw, build_couplings, build_lattice
 from .lens import (Multifocal, ThickPolynomial, ThinPulse, _parabola_vertex,
                    clipped_thick_terms, continuum_thick, continuum_thin,
@@ -235,21 +235,21 @@ def prepare_config(raw: dict) -> dict:
     if "packet" in cfg and not 0 < _as_float(cfg["packet"]["sigma0"]) < math.inf:
         raise ConfigError(f"'{name}.packet.sigma0' must be a positive finite number")
     try:
+        # the packet centre, one lattice coordinate per axis (the lint and
+        # the packet read it); null takes the lattice's centre
+        center = cfg.get("packet", {}).get("center")
+        if center is not None:
+            extents = cfg["lattice"]["extents"]
+            coords = center if isinstance(center, list) else [center]
+            if not (len(coords) == len(extents) and all(map(_is_number, coords))
+                    and all(0 <= c <= int(n) - 1 for c, n in zip(coords, extents))):
+                raise ConfigError(f"'{name}.packet.center' must be null or one number per "
+                                  f"lattice axis ({len(extents)}), inside the lattice")
         _run_inputs(cfg)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
-    # the packet centre, one lattice coordinate per axis (the lint and the
-    # packet read it); null takes the lattice's centre
-    center = cfg.get("packet", {}).get("center")
-    if center is not None:
-        extents = cfg["lattice"]["extents"]
-        coords = center if isinstance(center, list) else [center]
-        if not (len(coords) == len(extents) and all(map(_is_number, coords))
-                and all(0 <= c <= int(n) - 1 for c, n in zip(coords, extents))):
-            raise ConfigError(f"'{name}.packet.center' must be null or one number per "
-                              f"lattice axis ({len(extents)}), inside the lattice")
     return cfg
 
 
@@ -257,11 +257,13 @@ def _run_inputs(cfg: dict):
     """Build what a run of ``cfg`` builds before it computes anything, with
     the run's own constructors: the lattice and coupling model, each
     power law of a scan, a thick lens's continuum prediction, an ensemble
-    job. Whatever they reject, the run would fail on."""
+    job, a lens design with the profile it imposes and the start packet
+    centred on its focus (``_lens``). Whatever they reject, the run would
+    fail on."""
     name = cfg["scenario"]
     if "lattice" not in cfg:
         return
-    _, model = _build_setup(cfg)
+    table, model = _build_setup(cfg)
     if name == "longrange_alpha":
         c = cfg["coupling"]
         for alpha in cfg["scan"]["alphas"]:
@@ -273,6 +275,10 @@ def _run_inputs(cfg: dict):
         _ensemble_job(cfg, Holes(int(cfg["disorder"]["count"])))
     elif name == "displacement":
         _ensemble_job(cfg, Displacement(float(cfg["disorder"]["delta"])))
+    if name in ("thick1d", "thin1d", "multifocal2d", "nonlinear", "cascade"):
+        design, _ = _lens(cfg, table)
+        if design is not None:
+            (thin_phase_profile if design.thin else potential_profile)(design, table)
 
 
 def lint_config(cfg: dict) -> list:
@@ -360,11 +366,27 @@ def _snapshot(path, state, table):
                               io_utils.state_rows(state, table))
 
 
-def _lens_packet(cfg, table, focus):
-    center = cfg["packet"]["center"]
-    return gaussian_packet(table, float(cfg["packet"]["sigma0"]),
-                           center=focus if center is None else center,
-                           k0=cfg["packet"]["k0"])
+def _lens(cfg, table):
+    """The lens design of a thick1d, thin1d, multifocal2d, nonlinear or
+    cascade run of ``cfg`` (None where the run optimizes its own) and the
+    run's start packet before any imprint: at the configured centre, else
+    at the focus (the lattice's centre for multifocal2d)."""
+    name, lens, packet = cfg["scenario"], cfg["lens"], cfg["packet"]
+    if name == "multifocal2d":
+        v0 = float(lens["v0"])
+        design = Multifocal(tuple(ThickPolynomial((v0,), f) for f in lens["foci"]))
+        focus = table.center()
+    else:
+        focus, design = _focus_of(cfg, table), None
+        if name == "thin1d":
+            design = ThinPulse(phi0=float(lens["phi0"]), focus=tuple(focus),
+                               profile=lens["profile"])
+        elif lens.get("v0") is not None:
+            design = ThickPolynomial((float(lens["v0"]),), tuple(focus))
+    center = packet.get("center")
+    return design, gaussian_packet(table, float(packet["sigma0"]),
+                                   center=focus if center is None else center,
+                                   k0=packet.get("k0"))
 
 
 def _write_breathing(out, terms, psi0, table, pred, t_max, ev):
@@ -395,16 +417,13 @@ def _write_breathing(out, terms, psi0, table, pred, t_max, ev):
 
 def run_thick1d(cfg, out: Path):
     table, model = _build_setup(cfg)
-    v0 = float(cfg["lens"]["v0"])
-    focus = _focus_of(cfg, table)
-    pred = continuum_thick(v0, float(cfg["packet"]["sigma0"]),
+    pred = continuum_thick(float(cfg["lens"]["v0"]), float(cfg["packet"]["sigma0"]),
                            model.reference_hopping())
     ev = cfg["evolution"]
     t_max = ev["t_max"] if ev["t_max"] is not None else 4.0 * pred.focal_time
-    terms = build_couplings(table, model).with_diagonal(
-        potential_profile(ThickPolynomial((v0,), tuple(focus)), table))
-    outputs, minima = _write_breathing(out, terms, _lens_packet(cfg, table, focus),
-                                       table, pred, t_max, ev)
+    design, psi0 = _lens(cfg, table)
+    terms = build_couplings(table, model).with_diagonal(potential_profile(design, table))
+    outputs, minima = _write_breathing(out, terms, psi0, table, pred, t_max, ev)
     derived = {
         "omega [J]": pred.omega,
         "ell [a]": pred.ell,
@@ -417,16 +436,12 @@ def run_thick1d(cfg, out: Path):
 
 def run_thin1d(cfg, out: Path):
     table, model = _build_setup(cfg)
-    phi0 = float(cfg["lens"]["phi0"])
-    focus = _focus_of(cfg, table)
-    design = ThinPulse(phi0=phi0, focus=tuple(focus),
-                       profile=cfg["lens"]["profile"])
-    pred = continuum_thin(phi0, float(cfg["packet"]["sigma0"]),
+    design, packet = _lens(cfg, table)
+    pred = continuum_thin(design.phi0, float(cfg["packet"]["sigma0"]),
                           model.reference_hopping())
     ev = cfg["evolution"]
     t_max = ev["t_max"] if ev["t_max"] is not None else 2.0 * pred.focal_time
-    psi0 = phase_imprint(_lens_packet(cfg, table, focus),
-                         thin_phase_profile(design, table))
+    psi0 = phase_imprint(packet, thin_phase_profile(design, table))
     outputs, minima = _write_breathing(out, build_couplings(table, model), psi0,
                                        table, pred, t_max, ev)
     derived = {
@@ -453,7 +468,7 @@ def run_cascade(cfg, out: Path):
     base = build_couplings(table, model)
 
     rows, outputs = [], []
-    state = gaussian_packet(table, sigma0, center=focus)
+    _, state = _lens(cfg, table)
     sigma_in = sigma0
     derived = {}
     for stage in (1, 2):
@@ -525,20 +540,14 @@ def run_scaling_fit(cfg, out: Path):
 def run_multifocal2d(cfg, out: Path):
     table, model = _build_setup(cfg)
     sigma0 = float(cfg["packet"]["sigma0"])
-    v0 = float(cfg["lens"]["v0"])
-    hopping = model.reference_hopping()
-    foci = [tuple(float(x) for x in f) for f in cfg["lens"]["foci"]]
-    design = Multifocal(tuple(ThickPolynomial((v0,), f) for f in foci))
-    pred = continuum_thick(v0, sigma0, hopping)
+    design, psi = _lens(cfg, table)
+    pred = continuum_thick(float(cfg["lens"]["v0"]), sigma0, model.reference_hopping())
     ev = cfg["evolution"]
     t_max = ev["t_max"] if ev["t_max"] is not None else pred.focal_time
     terms = build_couplings(table, model).with_diagonal(
         potential_profile(design, table))
-    center = cfg["packet"]["center"]
-    psi = gaussian_packet(table, sigma0,
-                          center=table.center() if center is None else center)
     psi = evolve(terms, psi, t_max, tol=float(ev["tol"]))
-    rows = [(i, *f, focus_probability(psi, table, f)) for i, f in enumerate(foci)]
+    rows = [(i, *f, focus_probability(psi, table, f)) for i, f in enumerate(design.foci)]
     header = ["focus", "x [a]", "y [a]", "p_foc [1]"]
     outputs = [io_utils.write_csv(out / "foci.csv", header, rows),
                _snapshot(out / "state_final.csv", psi, table)]
@@ -584,20 +593,19 @@ def run_nonlinear(cfg, out: Path):
     table, model = _build_setup(cfg)
     sigma0 = float(cfg["packet"]["sigma0"])
     hopping = model.reference_hopping()
-    focus = _focus_of(cfg, table)
     inter = cfg["interaction"]
     nu = int(inter["nu"])
     jz, power = float(inter["jz"]), float(inter["power"])
     tol = float(cfg["evolution"]["tol"])
 
-    v0 = cfg["lens"]["v0"]
-    if v0 is None:
+    design, psi_single = _lens(cfg, table)
+    optimized = design is None
+    if optimized:
         res = optimize_lens(table, model, sigma0, kind="thick", order=2,
-                            focus=focus, tol=tol)
+                            focus=_focus_of(cfg, table), tol=tol)
         design, t_f = res.design, res.focal_time
     else:
-        design = ThickPolynomial((float(v0),), tuple(focus))
-        t_f = continuum_thick(float(v0), sigma0, hopping).focal_time
+        t_f = continuum_thick(design.coefficients[0], sigma0, hopping).focal_time
     terms = build_couplings(table, model).with_diagonal(
         potential_profile(design, table))
 
@@ -606,7 +614,6 @@ def run_nonlinear(cfg, out: Path):
                                   interaction_power=power,
                                   table=table,
                                   literal_sigma_z=bool(inter["literal_sigma_z"]))
-    psi_single = gaussian_packet(table, sigma0, center=focus)
     state = symmetric_initial_state(psi_single, nu, basis)
 
     n_samples = int(cfg["evolution"]["n_samples"])
@@ -632,7 +639,7 @@ def run_nonlinear(cfg, out: Path):
         "evolved_dim": path.dim,
         "evolution": path.method,
     }
-    if v0 is None:
+    if optimized:
         derived["optimizer_paths"] = res.paths
     return derived, outputs
 
@@ -691,26 +698,24 @@ def run_displacement(cfg, out: Path):
     delta = float(cfg["disorder"]["delta"])
     job, pred = _ensemble_job(cfg, Displacement(delta))
     clean_p, clean_sigma = run_protocol(job.table, job)
-    stats = run_ensemble(job)
+    # one clean pattern, and its kept arrays, for the ensemble and the broadening
+    pattern = _CleanPattern(job)
+    stats = run_ensemble(job, pattern)
     outputs = _write_ensemble(out, job, stats, {
         "clean": {"p_foc": clean_p, "sigma_f": clean_sigma},
         "delta [a]": delta,
     })
 
     table = job.table
-    pattern = _CleanPattern(job)
-    clean, _ = pattern.cut(table)
     n_b = int(cfg["broadening"]["realizations"])
     length = table.extents[0]
     ks = [2.0 * math.pi * round(float(k) * length / (2.0 * math.pi)) / length
           for k in cfg["broadening"]["ks"]]
     vals = [[] for _ in ks]
-    # each realization cut once, and its difference taken once, for every k
-    for _, _, cuts in _chunks(job, pattern, n_b):
-        for h, _ in cuts:
-            dh = h - clean
-            for k, v in zip(ks, vals):
-                v.append(_broadening(dh, k, table))
+    # each realization's difference taken once, for every k
+    for dh in _perturbations(pattern, job, n_b):
+        for k, v in zip(ks, vals):
+            v.append(_broadening(dh, k, table))
     rows = [(k, float(np.mean(v)), float(np.std(v, ddof=1)) if n_b > 1 else 0.0)
             for k, v in zip(ks, vals)]
     outputs.append(io_utils.write_csv(out / "broadening.csv",

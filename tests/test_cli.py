@@ -495,6 +495,11 @@ def test_packet_center_on_the_chain_stays_valid(tmp_path, center):
 _DISPLACEMENT_SMALL = {"scenario": "displacement", "lattice": {"extents": [40]},
                        "packet": {"sigma0": 4.0}, "disorder": {"realizations": 2},
                        "broadening": {"realizations": 2}}
+_THIN_SMALL = {"scenario": "thin1d", "lattice": {"extents": [200]}, "packet": {"sigma0": 10.0}}
+_MULTIFOCAL_SMALL = {"scenario": "multifocal2d", "lattice": {"extents": [21, 21]},
+                     "packet": {"sigma0": 3.0}}
+_NONLINEAR_SMALL = {"scenario": "nonlinear", "lattice": {"extents": [21]},
+                    "packet": {"sigma0": 3.0}, "interaction": {"jz": 50.0}}
 
 
 @pytest.mark.parametrize("config, message", [
@@ -514,6 +519,17 @@ _DISPLACEMENT_SMALL = {"scenario": "displacement", "lattice": {"extents": [40]},
     ({"scenario": "longrange_alpha", "lattice": {"extents": [40]}, "packet": {"sigma0": 4.0},
       "coupling": {"cutoff_range": 0.0}}, "alpha and cutoff_range must be positive"),
     (dict(THICK_SMALL, lens={"v0": 0.0}), "v0, sigma0, hopping must be positive"),
+    (dict(_THIN_SMALL, lens={"phi0": 0.0}), "phi0 must be positive"),
+    (dict(_THIN_SMALL, lens={"phi0": math.nan}), "phi0 must be positive"),
+    (dict(_THIN_SMALL, lens={"focus": [500.0]}), "center [500.] outside the lattice"),
+    (dict(_MULTIFOCAL_SMALL, lens={"foci": [[5], [15]]}), "focus dimension mismatch"),
+    (dict(_MULTIFOCAL_SMALL, lens={"foci": []}), "a multifocal design needs at least two foci"),
+    (dict(_MULTIFOCAL_SMALL, lens={"v0": -0.01}), "quadratic coefficient must be positive"),
+    (dict(_NONLINEAR_SMALL, lens={"focus": [50.0], "v0": 0.01}),
+     "center [50.] outside the lattice"),
+    (dict(_NONLINEAR_SMALL, lens={"v0": -0.01}), "quadratic coefficient must be positive"),
+    ({"scenario": "cascade", "lattice": {"extents": [100]}, "packet": {"sigma0": 5.0},
+      "lens": {"focus": [500.0]}}, "center [500.] outside the lattice"),
 ])
 def test_what_a_run_rejects_fails_validation(tmp_path, capsys, config, message):
     """Each of these passed ``validate`` and then failed the run at its

@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spinlens import propagator
 from spinlens.disorder import (BreakdownResult, BreakdownRow, Displacement,
-                               EnsembleJob, Holes, _chunks, _CleanPattern, _draws,
+                               EnsembleJob, Holes, _CleanPattern, _draws,
                                _Kept, _protocol_start, _realization_table, _Streams,
                                breakdown_scan, plane_wave_broadening,
                                run_ensemble, run_protocol)
@@ -264,7 +265,7 @@ THICK_CASES = [name for name in ENSEMBLE_CASES if name != "thin"]
 def _ensemble_case(name):
     """EnsembleJob with different bounds per realization; the thick cases
     fill more than one stacked operator (``propagator._STACK_NNZ``) and
-    more than one chunk of realizations (``disorder._chunks``)."""
+    more than one chunk of realizations (``disorder._draws``)."""
     if name in ("plane", "displacement_plane"):
         table = build_lattice((21, 21))
         design = ThickPolynomial((4.0 ** (-8.0 / 3.0),), (10.0, 10.0))
@@ -363,39 +364,54 @@ class TestBatchedEnsemble:
         run_ensemble(job)
         assert len(sizes) >= 2 and sum(sizes) == job.realizations
 
+    @staticmethod
+    def assert_table_is_assembled(pattern, values, low, high, table, job):
+        """One realization's row of a value table, with its zeros dropped,
+        is bit for bit the H the protocol assembles on ``table``, and its
+        bounds are that H's; returns the number of zeros dropped."""
+        terms, _ = _protocol_start(table, job)
+        want = terms.matrix()
+        n = table.n_sites
+        h = sp.csr_matrix((values, pattern.cols, pattern.indptr), shape=(n, n), copy=True)
+        h.eliminate_zeros()
+        for attr in ("indptr", "indices", "data"):
+            assert getattr(h, attr).tobytes() == getattr(want, attr).tobytes()
+        assert (float(low), float(high)) == terms.bounds()
+        return values.size - h.nnz
+
     @pytest.mark.parametrize("name", ENSEMBLE_CASES)
     def test_pattern_cut_equals_assembled_terms(self, name):
-        """Each realization's H and bounds, cut alone and in its chunk."""
+        """Each realization's value table and bounds, written alone and in
+        its chunk, are those of the H the protocol assembles."""
         job = _ensemble_case(name)
         pattern = _CleanPattern(job)
-        chunks = list(_chunks(job, pattern, job.realizations))
+        chunks = list(_draws(job, pattern, job.realizations))
         assert len(chunks) >= (2 if name in THICK_CASES else 1)
-        cuts = [cut for *_, chunk in chunks for cut in chunk]
-        assert len(cuts) == job.realizations
-        for r, chunked in enumerate(cuts):
-            table = _realization_table(job, r)
-            terms, _ = _protocol_start(table, job)
-            want = terms.matrix()
-            for h, bounds in (pattern.cut(table), chunked):
-                for attr in ("indptr", "indices", "data"):
-                    assert getattr(h, attr).tobytes() == getattr(want, attr).tobytes()
-                assert h.has_canonical_format and bounds == terms.bounds()
+        r = 0
+        for active, positions in chunks:
+            for row in zip(*pattern.table(active, positions)):
+                table = _realization_table(job, r)
+                alone = pattern.table(table.active[None], table.positions[None])
+                for values, low, high in (row, [a[0] for a in alone]):
+                    self.assert_table_is_assembled(pattern, values, low, high, table, job)
+                r += 1
+        assert r == job.realizations
 
     def test_vanishing_couplings_are_dropped_from_displaced_cuts(self):
         """Power-law couplings that underflow to zero (alpha = 700: the
-        r ~ 3 pairs) are dropped from a displaced realization as assembly
-        drops them, through the masked form of the chunked cut."""
+        r ~ 3 pairs) are 0.0 in a displaced realization's value table, which
+        is the assembled H once they are dropped, as assembly drops them."""
         job = _underflow_job()
         with np.errstate(over="ignore"):
             pattern = _CleanPattern(job)
-            cuts = [cut for *_, chunk in _chunks(job, pattern, 5) for cut in chunk]
-            for r, (h, bounds) in enumerate(cuts):
-                terms, _ = _protocol_start(_realization_table(job, r), job)
-                want = terms.matrix()
-                assert h.nnz < pattern.data.size
-                for attr in ("indptr", "indices", "data"):
-                    assert getattr(h, attr).tobytes() == getattr(want, attr).tobytes()
-                assert bounds == terms.bounds()
+            r = 0
+            for active, positions in _draws(job, pattern, 5):
+                for values, low, high in zip(*pattern.table(active, positions)):
+                    table = _realization_table(job, r)
+                    assert self.assert_table_is_assembled(pattern, values, low, high,
+                                                          table, job) > 0
+                    r += 1
+            assert r == 5
             stats = run_ensemble(job)
             assert list(zip(stats.p_foc, stats.sigma_f)) == [
                 run_protocol(_realization_table(job, r), job) for r in range(5)]
@@ -403,50 +419,75 @@ class TestBatchedEnsemble:
     @pytest.mark.parametrize("name", LAYOUT_CASES)
     def test_written_stack_multiplies_as_the_cuts_stack(self, name, rng):
         """Each chunk's values, written on the job's layout into the kept
-        diagonals, multiply bit for bit as ``_stacked_operator`` of the
-        chunk's cuts, in every row prefix, and the written bounds are the
-        cuts' bounds."""
+        diagonals, multiply in every row prefix bit for bit as the stack of
+        its realizations' assembled H, each built alone by
+        ``_stacked_operator``, and the written bounds are those H's."""
         job = _layout_case(name)
         with np.errstate(over="ignore"):
             pattern, kept = _CleanPattern(job), _Kept()
             plan = _PatternPlan(pattern.cols, pattern.indptr, job.duration, job.tol)
-            layout, dim, diagonals = plan.layout, job.table.n_sites, None
+            layout, dim, diagonals, r = plan.layout, job.table.n_sites, None, 0
             for active, positions in _draws(job, pattern, job.realizations):
-                cuts = pattern.cuts(active, positions)
                 values, lows, highs = pattern.table(active, positions, kept)
-                assert [b for _, b in cuts] == list(zip(lows.tolist(), highs.tolist()))
-                centers, halves = zip(*(_enclosure(h, b) for h, b in cuts))
+                terms = [_protocol_start(_realization_table(job, r + j), job)[0]
+                         for j in range(len(values))]
+                r += len(values)
+                assert [t.bounds() for t in terms] == list(zip(lows.tolist(), highs.tolist()))
+                centers, halves = zip(*(_enclosure(t.matrix(), t.bounds()) for t in terms))
                 if layout.offsets is not None and diagonals is None:
                     diagonals = np.zeros((layout.offsets.size, len(values), dim))
-                got = layout.write(values, layout.shifted(values, centers, float), halves,
-                                   float, out=diagonals)
-                want = _stacked_operator([h for h, _ in cuts], dim, centers, halves, float)
-                x = rng.normal(size=want.shape[0])
-                for a in range(1, len(cuts) + 1):
+                got = layout.write(values, centers, halves, float, out=diagonals)
+                lone = [_stacked_operator(t.matrix(), c, half, float)
+                        for t, c, half in zip(terms, centers, halves)]
+                x = rng.normal(size=got.shape[0])
+                want = np.concatenate([h @ x[j * dim:(j + 1) * dim] for j, h in enumerate(lone)])
+                for a in range(1, len(values) + 1):
                     k = a * dim
-                    assert (_row_prefix(got, k) @ x[:k]).tobytes() == \
-                        (_row_prefix(want, k) @ x[:k]).tobytes()
+                    assert (_row_prefix(got, k) @ x[:k]).tobytes() == want[:k].tobytes()
+            assert r == job.realizations
+
+    @pytest.mark.parametrize("name", LAYOUT_CASES)
+    def test_written_chunks_match_the_dense_propagator(self, name):
+        """Each realization's state after a chunk's stack is within 10 tol
+        of exp(-i H t) psi by a dense eigendecomposition of the H the
+        protocol assembles, from the protocol's start packet."""
+        job = _layout_case(name)
+        with np.errstate(over="ignore"):
+            pattern, kept = _CleanPattern(job), _Kept()
+            plan = _PatternPlan(pattern.cols, pattern.indptr, job.duration, job.tol)
+            r = 0
+            for active, positions in _draws(job, pattern, job.realizations):
+                values, lows, highs = pattern.table(active, positions, kept)
+                tables = [_realization_table(job, r + j) for j in range(len(values))]
+                r += len(values)
+                starts = np.stack([_protocol_start(t, job)[1].amplitudes for t in tables])
+                finals = plan.apply(values, list(zip(lows.tolist(), highs.tolist())), starts)
+                for table, psi, got in zip(tables, starts, finals):
+                    energies, vectors = np.linalg.eigh(
+                        _protocol_start(table, job)[0].matrix().toarray())
+                    want = vectors @ (np.exp(-1j * energies * job.duration)
+                                      * (vectors.T @ psi))
+                    assert np.linalg.norm(got - want) <= 10 * job.tol
+            assert r == job.realizations
 
     @pytest.mark.parametrize("name", LAYOUT_CASES)
     def test_chunked_cuts_alias_no_kept_array(self, name):
-        """``_chunks`` cuts every chunk on arrays of its own: a run of the
-        ensemble and a kept table of the same pattern after it leave every
-        cut as it was, and no cut shares memory with a kept array."""
+        """A value table written without ``kept`` is an array of its own: a
+        run of the ensemble and kept tables of the same pattern after it
+        leave it as it was, and it shares no memory with a kept array."""
         job = _layout_case(name)
         with np.errstate(over="ignore"):
             pattern = _CleanPattern(job)
-            cuts = [cut for *_, chunk in _chunks(job, pattern, job.realizations)
-                    for cut in chunk]
-            before = [(h.data.tobytes(), h.indices.tobytes(), h.indptr.tobytes(), b)
-                      for h, b in cuts]
+            tables = [pattern.table(active, positions)
+                      for active, positions in _draws(job, pattern, job.realizations)]
+            before = [[a.tobytes() for a in t] for t in tables]
             kept = _Kept()
             for active, positions in _draws(job, pattern, job.realizations):
                 pattern.table(active, positions, kept)
             run_ensemble(job)
-        assert [(h.data.tobytes(), h.indices.tobytes(), h.indptr.tobytes(), b)
-                for h, b in cuts] == before
+        assert [[a.tobytes() for a in t] for t in tables] == before
         arrays = list(kept.arrays.values()) + list(pattern.scratch.arrays.values())
-        assert not any(np.shares_memory(h.data, a) for h, _ in cuts for a in arrays)
+        assert not any(np.shares_memory(t[0], a) for t in tables for a in arrays)
 
     def test_a_repeated_phase_builds_no_bessel_table(self, monkeypatch):
         """The edge-hole job's records are the protocol's, and each of its
@@ -454,9 +495,8 @@ class TestBatchedEnsemble:
         however many stacks share it."""
         job = _edge_hole_job()
         pattern = _CleanPattern(job)
-        phases = {_enclosure(None, b)[1] * job.duration
-                  for r in range(job.realizations)
-                  for _, b in [pattern.cut(_realization_table(job, r))]}
+        phases = {_enclosure(None, _protocol_start(_realization_table(job, r), job)[0].bounds())[1]
+                  * job.duration for r in range(job.realizations)}
         assert len(phases) == 2
         columns = []
         table = propagator._bessel_table
@@ -482,9 +522,10 @@ class TestBatchedEnsemble:
                           design=design, sigma0=4.0, duration=1.0, kind=Holes(1),
                           realizations=1, master_seed=1)
         table = punch_holes(job.table, [(40,)])
-        h, bounds = _CleanPattern(job).cut(table)
+        _, lows, highs = _CleanPattern(job).table(table.active[None], table.positions[None])
         terms, _ = _protocol_start(table, job)
-        assert bounds == terms.bounds() == spectral_bounds(h)
+        bounds = (float(lows[0]), float(highs[0]))
+        assert bounds == terms.bounds() == spectral_bounds(terms.matrix())
         peak = potential_profile(design, table)[40]
         assert bounds[1] == pytest.approx(potential_profile(design, table)[39] + 1.0)
         assert bounds[1] < peak
@@ -530,6 +571,38 @@ class TestPlaneWaveBroadening:
 
 
 class TestBroadeningScenario:
+    def test_rows_equal_assembled_differences_where_couplings_vanish(self, tmp_path):
+        """On the alpha = 700 job, whose r ~ 3 couplings underflow, the
+        value tables the broadening reads hold those pairs as 0.0, which
+        scipy's h - clean leaves out; each broadening row is still bit for
+        bit the mean and spread of ``plane_wave_broadening`` of each
+        realization's assembled H."""
+        from spinlens.scenarios import _ensemble_job, prepare_config, run_scenario
+
+        cfg = prepare_config({
+            "scenario": "displacement", "master_seed": 3,
+            "lattice": {"extents": [40]}, "packet": {"sigma0": 4.0},
+            "coupling": {"model": "powerlaw", "alpha": 700.0, "cutoff_range": 3.0},
+            "disorder": {"delta": 1e-4, "realizations": 2},
+            "broadening": {"ks": [0.5, 1.5], "realizations": 5}})
+        with np.errstate(over="ignore"):
+            job, _ = _ensemble_job(cfg, Displacement(1e-4))
+            model, kind = _underflow_job().model, _underflow_job().kind
+            assert (job.table.extents, job.model, job.kind) == ((40,), model, kind)
+            clean = build_couplings(job.table, model).matrix()
+            hs = [build_couplings(_realization_table(job, r), model).matrix()
+                  for r in range(5)]
+            pattern = _CleanPattern(job)
+            assert (pattern.data == 0.0).any()
+            assert all((h - clean).nnz < pattern.data.size for h in hs)
+            want = []
+            for k in cfg["broadening"]["ks"]:
+                k = 2.0 * math.pi * round(k * 40 / (2.0 * math.pi)) / 40
+                vals = [plane_wave_broadening(h, clean, k, job.table) for h in hs]
+                want.append([k, float(np.mean(vals)), float(np.std(vals, ddof=1))])
+            derived, _ = run_scenario(cfg, tmp_path)
+        assert derived["broadening"] == want
+
     def test_each_realization_is_built_once(self, tmp_path, monkeypatch):
         from spinlens import disorder, scenarios
         from spinlens.scenarios import _ensemble_job, prepare_config, run_scenario
@@ -559,9 +632,9 @@ class TestBroadeningScenario:
         monkeypatch.setattr(scenarios, "build_couplings", counted)
         monkeypatch.setattr(disorder, "build_couplings", counted)
         derived, _ = run_scenario(cfg, tmp_path)
-        # the clean protocol, then one clean pattern each for the 3 ensemble
-        # realizations and for the 4 broadening realizations
-        assert len(calls) == 1 + 1 + 1
+        # the clean protocol, then one clean pattern for the 3 ensemble
+        # realizations and the 4 broadening realizations
+        assert len(calls) == 1 + 1
         assert derived["broadening"] == want
 
 

@@ -49,12 +49,16 @@ def test_every_exported_name_resolves():
     assert [n for n in spinlens.__all__ if not hasattr(spinlens, n)] == []
 
 
-def test_batched_propagation_is_exported():
+def test_one_chebyshev_entry_point_per_use():
+    """``real_window`` is exported; the batch entry points are gone, and a
+    caller with many blocks loops over ``propagator.expimv``."""
     from spinlens import propagator
 
-    for name in ("expimv_batch", "real_window", "split_stacks"):
-        assert name in spinlens.__all__
-        assert getattr(spinlens, name) is getattr(propagator, name)
+    assert "real_window" in spinlens.__all__
+    assert spinlens.real_window is propagator.real_window
+    for name in ("expimv_batch", "split_stacks"):
+        assert name not in spinlens.__all__
+        assert not hasattr(spinlens, name) and not hasattr(propagator, name)
 
 
 def test_batched_widths_are_exported():

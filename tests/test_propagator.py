@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinlens.disorder import EnsembleJob, Holes, _CleanPattern, _initial_state, _realization_table
+from spinlens.disorder import EnsembleJob, Holes, _CleanPattern, _draws, _protocol_start, _realization_table
 from spinlens.lattice import (NearestNeighbor, PowerLaw, build_couplings, build_lattice,
                               punch_holes)
 from spinlens.lens import (ThickPolynomial, ThinPulse, continuum_thick, potential_profile,
@@ -17,8 +17,8 @@ from spinlens.manybody import (build_mb_hamiltonian, enumerate_basis, evolve_mb,
                                mb_trajectory, symmetric_initial_state)
 from spinlens import propagator
 from spinlens.propagator import (_STACK_NNZ, TOL_RANGE, EigenPropagator, _real_window_fits,
-                                 EvolutionPath, _StepPlan, _bessel_table, _enclosure,
-                                 _stacked_operator, evolution_path, expimv, expimv_batch,
+                                 EvolutionPath, _PatternPlan, _StepPlan, _bessel_table,
+                                 _enclosure, _stacked_operator, evolution_path, expimv,
                                  real_window, spectral_bounds, trajectory)
 from spinlens.wavepacket import evolve, gaussian_packet, phase_imprint
 
@@ -315,70 +315,131 @@ def chain(n, diagonal):
     return (sp.diags(diagonal) - sp.diags([off, off], [-1, 1])).tocsr()
 
 
+def canonical(h, dtype):
+    """h as ``_stacked_operator`` reads it: its real part for a float
+    ``dtype``, and in canonical form (duplicates summed in storage order,
+    zero sums dropped, sorted)."""
+    if dtype is float and np.iscomplexobj(h.data):
+        h = h.real
+    if not h.has_canonical_format:
+        h = h + sp.csr_matrix(h.shape)
+        h.sort_indices()
+    return h
+
+
+def shared_pattern(hs, dtype):
+    """The union of the canonical patterns of the blocks ``hs`` as (cols,
+    indptr), and each block's values on it, (blocks, entries) of ``dtype``,
+    0.0 where a block has no entry: the blocks as a disorder job writes its
+    realizations on its clean pattern."""
+    blocks = [canonical(h, dtype) for h in hs]
+    n = blocks[0].shape[0]
+    keys = [np.repeat(np.arange(n), np.diff(b.indptr)) * n + b.indices[:b.nnz] for b in blocks]
+    union = np.unique(np.concatenate(keys))
+    values = np.zeros((len(blocks), union.size), dtype)
+    for row, b, k in zip(values, blocks, keys):
+        row[np.searchsorted(union, k)] = b.data[:b.nnz]
+    return ((union % n).astype(np.int32),
+            np.searchsorted(union // n, np.arange(n + 1)).astype(np.int32), values)
+
+
+def written_stack(hs, centers, halves, dtype):
+    """2 h~ of the blocks ``hs`` stacked: one block by
+    ``_stacked_operator``, several written on their shared pattern by
+    ``_Layout.write``."""
+    if len(hs) == 1:
+        return _stacked_operator(hs[0], centers[0], halves[0], dtype)
+    cols, indptr, values = shared_pattern(hs, dtype)
+    return propagator._Layout(cols, indptr).write(values, centers, halves, dtype)
+
+
+def pattern_plan(hs, t, tol):
+    """A ``_PatternPlan`` of the real blocks ``hs`` for time ``t`` on their
+    shared pattern, and the blocks' values to apply it to."""
+    cols, indptr, values = shared_pattern(hs, float)
+    return _PatternPlan(cols, indptr, t, tol), values
+
+
+@pytest.fixture
+def stacks(monkeypatch):
+    """The ``_Stack`` of every chunk a plan applies, in order."""
+    made = []
+    init = propagator._Stack.__init__
+
+    def spy(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(propagator._Stack, "__init__", spy)
+    return made
+
+
 class TestBatchedPlan:
-    """Stacked blocks (module docstring of ``propagator``) give each block
-    exactly what it gives alone, i.e. a batch of one, i.e. ``expimv``."""
+    """Blocks stacked on one shared pattern (``_PatternPlan``, as a disorder
+    job stacks its realizations) give each block exactly what it gives
+    alone, i.e. ``expimv``."""
+
+    T = 1.7
 
     @pytest.fixture
     def blocks(self, rng):
-        """(h, psi, t, bounds): different diagonals, so different bounds and
-        coefficient counts; a block of phase half*t about 4e4 next to short
-        ones; a t = 0 block; three equal blocks, which share one coefficient
-        set; and one block of another dimension."""
+        """(h, psi, bounds) of chains of one pattern: different diagonals,
+        so different bounds and coefficient counts; a block of phase
+        half * T about 4e4 next to short ones; and three equal blocks, which
+        share one coefficient set."""
         n, x = 24, np.arange(24) - 11.5
         out = []
         for scale in (0.01, 0.3, 2.0, 40.0):
             h = chain(n, scale * x**2 + rng.normal(size=n))
-            out.append((h, normalized(rng, n), 1.7, None))
-        big = chain(n, np.linspace(-1000.0, 1000.0, n))   # half * t ~ 4e4
-        out.append((big, normalized(rng, n), 40.0, spectral_bounds(big)))
-        out.append((chain(n, x**2), normalized(rng, n), 0.0, None))
+            out.append((h, normalized(rng, n), spectral_bounds(h)))
+        big = chain(n, np.linspace(-2.4e4, 2.4e4, n))   # half * T ~ 4e4
+        out.append((big, normalized(rng, n), spectral_bounds(big)))
         shared = chain(n, 0.1 * x**2)
         for _ in range(3):
-            out.append((shared, normalized(rng, n), -0.9, spectral_bounds(shared)))
-        out.append((chain(9, rng.normal(size=9)), normalized(rng, 9), 2.2, None))
+            out.append((shared, normalized(rng, n), spectral_bounds(shared)))
         return out
 
-    def test_each_block_equals_expimv(self, blocks):
+    def apply(self, blocks, tol=1e-10, t=T):
+        hs, psis, bounds = zip(*blocks)
+        plan, values = pattern_plan(hs, t, tol)
+        return plan, plan.apply(values, list(bounds), np.stack(psis))
+
+    def test_each_block_equals_expimv(self, blocks, stacks):
         tol = 1e-10
-        hs, _, ts, bounds = zip(*blocks)
-        plan = _StepPlan(hs, ts, tol, bounds)
-        # the cases really share stacks, with different coefficient counts
-        assert any(len(s.order) > 1 for s in plan.stacks)
-        assert len({len(s.coef) for s in plan.stacks}) > 1
-        for s in plan.stacks:   # longest coefficient set first
-            counts = (s.coef[:, :, 0] != 0).sum(axis=0)
-            assert list(counts) == sorted(counts, reverse=True)
-        stacked = list(expimv_batch(blocks, tol=tol))
-        assert len(stacked) == len(blocks)
-        for (h, psi, t, bounds), got in zip(blocks, stacked):
-            alone = next(expimv_batch([(h, psi, t, bounds)], tol=tol))
-            assert np.array_equal(got, alone)
-            assert np.array_equal(got, expimv(h, psi, t, tol=tol, bounds=bounds))
+        plan, got = self.apply(blocks, tol)
+        # the cases really share one stack, with different coefficient counts
+        (stack,) = stacks
+        assert len({len(c) for c in plan.coef_sets.values()}) > 1
+        counts = (stack.coef[:, :, 0] != 0).sum(axis=0)   # longest set first
+        assert list(counts) == sorted(counts, reverse=True) and counts[0] > counts[-1]
+        assert got.shape == (len(blocks), 24)
+        for (h, psi, bounds), row in zip(blocks, got):
+            assert np.array_equal(row, expimv(h, psi, self.T, tol=tol, bounds=bounds))
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
-    def test_multi_block_stack_equals_lone_blocks(self, rng, real):
+    def test_multi_block_stack_equals_lone_blocks(self, rng, stacks, real):
         """One stack whose active blocks fall away run by run, several at a
         time and then one, gives each block the bits of its lone-block
         plan, with float64 terms from a real start and complex ones else."""
         n, x, tol = 24, np.arange(24) - 11.5, 1e-10
         hs = [chain(n, scale * x**2) for scale in (0.01, 0.3, 2.0, 8.0, 20.0)]
-        psis = [rng.normal(size=n) if real else normalized(rng, n) for _ in hs]
-        plan = _StepPlan(hs, [1.7] * len(hs), tol, [None] * len(hs))
-        stack, = plan.stacks
+        blocks = [(h, rng.normal(size=n) if real else normalized(rng, n), spectral_bounds(h))
+                  for h in hs]
+        _, got = self.apply(blocks, tol)
+        (stack,) = stacks
         actives = [a for a, _, _ in stack.runs]
-        assert len(stack.order) == len(hs) and actives[0] > 1 and actives[-1] == 1
-        for h, psi, got in zip(hs, psis, plan.apply(psis)):
-            lone = _StepPlan([h], [1.7], tol, [None])
-            assert len(lone.stacks[0].order) == 1
-            assert np.array_equal(got, lone.apply([psi])[0])
+        assert stack.coef.shape[1] == len(hs) and actives[0] > 1 and actives[-1] == 1
+        for block, row in zip(blocks, got):
+            assert np.array_equal(row, self.apply([block], tol)[1][0])
+            assert np.array_equal(row, expimv(block[0], block[1], self.T, tol, block[2]))
 
     def test_t0_block_is_a_copy(self, blocks):
-        i = [t for _, _, t, _ in blocks].index(0.0)
-        out, psi = list(expimv_batch(blocks))[i], blocks[i][1]
-        assert np.array_equal(out, psi) and out is not psi
+        psis = np.stack([psi for _, psi, _ in blocks])
+        _, out = self.apply(blocks, t=0.0)
+        assert np.array_equal(out, psis) and not np.shares_memory(out, psis)
 
     def test_equal_blocks_share_one_coefficient_set(self, blocks, monkeypatch):
+        """Equal phases share a set, and a plan applied again builds none."""
         calls = []
         real = propagator._chebyshev_coeffs
 
@@ -387,21 +448,29 @@ class TestBatchedPlan:
             return real(zs, tol)
 
         monkeypatch.setattr(propagator, "_chebyshev_coeffs", counted)
-        list(expimv_batch(blocks))
-        assert len(calls) == len(set(calls)) == len(blocks) - 1 - 2
+        plan, first = self.apply(blocks)
+        assert len(calls) == len(set(calls)) == len(blocks) - 2
+        hs, psis, bounds = zip(*blocks)
+        again = plan.apply(shared_pattern(hs, float)[2], list(bounds), np.stack(psis))
+        assert len(calls) == len(blocks) - 2 and np.array_equal(again, first)
 
     def test_each_block_matches_dense_expm(self, blocks):
-        for (h, psi, t, _), got in zip(blocks, expimv_batch(blocks, tol=1e-12)):
-            want = scipy.linalg.expm(-1j * t * h.toarray()) @ psi
+        for (h, psi, _), got in zip(blocks, self.apply(blocks, 1e-12)[1]):
+            want = scipy.linalg.expm(-1j * self.T * h.toarray()) @ psi
             assert np.linalg.norm(got - want) < 1e-8
 
     def test_caller_arrays_are_not_modified(self, blocks):
         before = [(h.data.copy(), h.indices.copy(), h.indptr.copy(), psi.copy())
-                  for h, psi, _, _ in blocks]
-        list(expimv_batch(blocks))
-        for h, psi, dt, bounds in blocks:
-            list(trajectory(h, psi, dt, 2, bounds=bounds))
-        for (h, psi, _, _), (data, indices, indptr, psi0) in zip(blocks, before):
+                  for h, psi, _ in blocks]
+        hs, psis, bounds = zip(*blocks)
+        plan, values = pattern_plan(hs, self.T, 1e-10)
+        stacked, kept = np.stack(psis), values.copy()
+        plan.apply(values, list(bounds), stacked)
+        assert np.array_equal(values, kept) and np.array_equal(stacked, np.stack(psis))
+        for h, psi, bounds in blocks:
+            expimv(h, psi, self.T, bounds=bounds)
+            list(trajectory(h, psi, self.T, 2, bounds=bounds))
+        for (h, psi, _), (data, indices, indptr, psi0) in zip(blocks, before):
             assert h.dtype == np.float64
             assert np.array_equal(h.data, data)
             assert np.array_equal(h.indices, indices)
@@ -412,7 +481,6 @@ class TestBatchedPlan:
         """Each row sums in canonical (sorted) order, so a matrix with
         unsorted indices, such as a sparse product gives, propagates bit for
         bit like its sorted copy."""
-        blocks, shuffled = [], []
         for _ in range(3):
             h = random_hermitian(30, rng, density=0.5).real.tocsr()
             data, indices = h.data.copy(), h.indices.copy()
@@ -424,47 +492,52 @@ class TestBatchedPlan:
             assert not h_rev.has_sorted_indices
             # given bounds: spectral_bounds(h_rev) would sort h_rev in place
             psi, bounds = normalized(rng, 30), spectral_bounds(h)
-            blocks.append((h, psi, 2.5, bounds))
-            shuffled.append((h_rev, psi, 2.5, bounds))
-        for got, want in zip(expimv_batch(shuffled), expimv_batch(blocks)):
-            assert np.array_equal(got, want)
-        assert not any(h.has_sorted_indices for h, *_ in shuffled)
+            assert np.array_equal(expimv(h_rev, psi, 2.5, bounds=bounds),
+                                  expimv(h, psi, 2.5, bounds=bounds))
+            assert not h_rev.has_sorted_indices
 
-    def test_stacks_stay_under_the_nonzero_budget(self, rng):
-        n = 300
-        hs = [chain(n, rng.normal(size=n)) for _ in range(120)]
-        hs.append(chain(_STACK_NNZ // 2, np.zeros(_STACK_NNZ // 2)))  # over alone
-        plan = _StepPlan(hs, [0.5] * len(hs), 1e-10, [None] * len(hs))
-        assert len(plan.stacks) > 2
-        for stack in plan.stacks:
-            assert stack.h_scaled.nnz <= _STACK_NNZ or len(stack.order) == 1
-        assert sorted(i for s in plan.stacks for i in s.order) == list(range(len(hs)))
+    def test_stacks_stay_under_the_nonzero_budget(self):
+        """A disorder job draws its realizations in chunks of at most
+        ``_STACK_NNZ`` entries, the clean pattern's entries plus its rows
+        per realization, and a pattern over the budget alone one at a
+        time."""
+        design = ThickPolynomial((1e-4,), (150.0,))
+        for n, count in ((300, 120), (_STACK_NNZ // 2, 2)):
+            job = EnsembleJob(table=build_lattice((n,)), model=NearestNeighbor(1.0),
+                              design=design, sigma0=20.0, duration=0.5, kind=Holes(3),
+                              realizations=count, master_seed=1)
+            pattern = _CleanPattern(job)
+            sizes = [len(active) for active, _ in _draws(job, pattern, count)]
+            assert sum(sizes) == count and len(sizes) > 1
+            per = pattern.data.size + n
+            assert all(size * per <= _STACK_NNZ or size == 1 for size in sizes)
 
     def test_state_length_checked(self, blocks):
-        h, psi, t, bounds = blocks[0]
+        h, psi, bounds = blocks[0]
         with pytest.raises(ValueError):
-            list(expimv_batch([blocks[1], (h, psi[:-1], t, bounds)]))
+            expimv(h, psi[:-1], self.T, bounds=bounds)
+        with pytest.raises(ValueError):
+            next(trajectory(h, psi[:-1], self.T, 2, bounds=bounds))
 
 
 def hole_ensemble(n_real=4):
-    """Hole realizations of a thick lens chain, cut from the clean pattern
-    as the disorder module cuts them: [(h, real packet, bounds)]. A hole's
+    """Hole realizations of a thick lens chain, assembled as the disorder
+    module's protocol assembles them: [(h, real packet, bounds)]. A hole's
     row has lost its diagonal slot."""
     table = build_lattice((61,))
     design = ThickPolynomial((6.0 ** (-8.0 / 3.0),), (30.0,))
     job = EnsembleJob(table=table, model=NearestNeighbor(1.0), design=design,
                       sigma0=6.0, duration=1.0, kind=Holes(3),
                       realizations=n_real, master_seed=5)
-    pattern = _CleanPattern(job)
     out = []
     for r in range(n_real):
         realization = _realization_table(job, r)
-        h, bounds = pattern.cut(realization)
+        terms, packet = _protocol_start(realization, job)
+        h, psi = terms.matrix(), packet.amplitudes
         holes = np.flatnonzero(~realization.active)
         assert len(holes) == 3 and not np.diff(h.indptr)[holes].any()
-        psi = _initial_state(realization, job).amplitudes
         assert not psi.imag.any()
-        out.append((h, psi.real.copy(), bounds))
+        out.append((h, psi.real.copy(), terms.bounds()))
     return out
 
 
@@ -482,29 +555,29 @@ def lone_scaled(h, center, half, dtype):
 
 
 def entries(stack):
-    """A stacked operator's entries as canonical CSR, whichever storage
-    ``_stacked_operator`` chose: a DIA stack's slots that hold 0.0 are left
-    out, and every other slot is kept bit for bit."""
+    """A stacked operator's entries as canonical CSR, whichever storage the
+    byte rule chose: a DIA stack's slots that hold 0.0 are left out, and
+    every other slot is kept bit for bit."""
     return stack if stack.format == "csr" else stack.tocsr()
 
 
-def storage_rule(hs, dim, csr) -> str:
-    """The storage the byte rule picks for the blocks ``hs`` whose stack,
-    shifted and scaled, has the canonical CSR ``csr``: DIA when 8 x
-    diagonals x rows <= 12 x entries + 4 x rows, with the diagonals the
-    distinct offsets col - row of the canonical blocks' stored entries and
-    the main one."""
-    offsets = {0}
-    for h in hs:
-        h = (h + sp.csr_matrix(h.shape)).tocsr() if not h.has_canonical_format else h
-        offsets |= set((h.indices[:h.nnz] - np.repeat(np.arange(dim), np.diff(h.indptr))).tolist())
-    n = csr.shape[0]
-    return "dia" if 8 * len(offsets) * n <= 12 * csr.nnz + 4 * n else "csr"
+def storage_rule(hs, dtype) -> str:
+    """The storage the byte rule picks for a stack of the blocks ``hs`` as
+    ``dtype``:
+    DIA when 8 x diagonals x rows <= 12 x entries + 4 x rows per block,
+    with the entries and the diagonals (the distinct offsets col - row, and
+    the main one) those of the union of the canonical blocks' patterns,
+    stored zeros included, with a diagonal entry in every row."""
+    cols, indptr, _ = shared_pattern(hs, dtype)
+    n = indptr.size - 1
+    offsets = cols.astype(np.int64) - np.repeat(np.arange(n), np.diff(indptr))
+    entries = cols.size - np.count_nonzero(offsets == 0) + n
+    return "dia" if 8 * len(set(offsets.tolist()) | {0}) * n <= 12 * entries + 4 * n else "csr"
 
 
-def assert_storage(stack, hs, dim, csr):
+def assert_storage(stack, hs):
     """``stack`` follows the byte rule, a DIA one with ascending offsets."""
-    assert stack.format == storage_rule(hs, dim, csr)
+    assert stack.format == storage_rule(hs, float if stack.dtype == np.float64 else complex)
     if stack.format == "dia":
         assert np.all(np.diff(stack.offsets) > 0) and 0 in stack.offsets
         assert stack.data.shape == (stack.offsets.size, stack.shape[0])
@@ -518,23 +591,25 @@ def stacked_block(stack, j, dim):
 
 
 class TestStackedOperator:
-    """The stack is built by array operations on all its blocks at once,
-    and each block is bit for bit the one built alone, whichever storage
-    the byte rule picked."""
+    """A stack is written by array operations on all its blocks at once
+    (``_Layout.write``), and each block is bit for bit the one built alone
+    (``_stacked_operator``), whichever storage the byte rule picked."""
 
     @staticmethod
     def assert_blocks_built_alone(hs, bounds, dtype):
         dim = hs[0].shape[0]
         centers, halves = zip(*(_enclosure(h, b) for h, b in zip(hs, bounds)))
-        got = _stacked_operator(hs, dim, centers, halves, dtype)
+        got = written_stack(hs, centers, halves, dtype)
         stack = entries(got)
         assert got.dtype == np.dtype(dtype) and stack.has_canonical_format
-        assert_storage(got, hs, dim, stack)
+        assert_storage(got, hs)
         for j, (h, c, half) in enumerate(zip(hs, centers, halves)):
-            got, want = stacked_block(stack, j, dim), lone_scaled(h, c, half, dtype)
-            assert got[0].dtype == want[0].dtype
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
+            alone = entries(_stacked_operator(h, c, half, dtype))
+            want = lone_scaled(h, c, half, dtype)
+            for got in (stacked_block(stack, j, dim), (alone.data, alone.indices, alone.indptr)):
+                assert got[0].dtype == want[0].dtype
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
 
     def test_hole_realizations_with_dropped_diagonal_slots(self):
         hs, _, bounds = zip(*hole_ensemble())
@@ -575,8 +650,8 @@ class TestStackedOperator:
                                              ("zero-imaginary", float),
                                              ("complex", complex), ("holed", float)])
     def test_lone_block_is_shifted_as_it_is(self, rng, kind, dtype):
-        """A one-block stack shifts h itself, not a copy of its arrays, and
-        leaves h as it was."""
+        """A lone block is shifted from h itself, not a copy of its arrays,
+        and h is left as it was."""
         h = {"real": lambda: chain(30, rng.normal(size=30)),
              "zero-imaginary": lambda: chain(30, rng.normal(size=30)).astype(complex),
              "complex": lambda: random_hermitian(30, rng),
@@ -612,22 +687,22 @@ def sparse_stacked(hs, dim, centers, halves, dtype):
 
 
 class TestOnePassOperator:
-    """``_stacked_operator`` shifts and scales the whole stack in one pass;
-    every entry is bit for bit scipy's sparse difference, whichever storage
-    the byte rule picked."""
+    """A block or a stack is shifted and scaled in one pass
+    (``_stacked_operator``, ``_Layout.write``); every entry is bit for bit
+    scipy's sparse difference, whichever storage the byte rule picked."""
 
     @staticmethod
     def assert_stack_is_the_sparse_difference(hs, bounds, dtype):
         dim = hs[0].shape[0]
         kept = [[a.copy() for a in (h.data, h.indices, h.indptr)] for h in hs]
         centers, halves = zip(*(_enclosure(h, b) for h, b in zip(hs, bounds)))
-        stack = _stacked_operator(hs, dim, centers, halves, dtype)
+        stack = written_stack(hs, centers, halves, dtype)
         got = entries(stack)
         want = sparse_stacked(hs, dim, centers, halves, dtype)
         for attr in ("indptr", "indices", "data"):
             g, w = getattr(got, attr), getattr(want, attr)
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), attr
-        assert_storage(stack, hs, dim, want)
+        assert_storage(stack, hs)
         # no h is modified
         for h, arrays in zip(hs, kept):
             assert all(a.tobytes() == b.tobytes()
@@ -717,7 +792,7 @@ class TestOnePassOperator:
         """A block too spread for diagonals is a CSR on h's index arrays."""
         h = random_hermitian(30, rng).real.tocsr()
         center, half = _enclosure(h, None)
-        got = _stacked_operator([h], 30, [center], [half], float)
+        got = _stacked_operator(h, center, half, float)
         assert got.format == "csr" and got.indptr is h.indptr
         assert np.shares_memory(got.indices, h.indices)
 
@@ -799,9 +874,9 @@ class TestTwoStorages:
 
     @staticmethod
     def assert_products_are_the_csr_ones(hs, dim, centers, halves, dtype, x):
-        op = _stacked_operator(hs, dim, centers, halves, dtype)
+        op = written_stack(hs, centers, halves, dtype)
         want = sparse_stacked(hs, dim, centers, halves, dtype)
-        assert_storage(op, hs, dim, want)
+        assert_storage(op, hs)
         if np.iscomplexobj(x) and op.dtype == np.float64:
             # as _Stack.apply meets its first complex state
             op, want = propagator._view(op, op.data.astype(complex), op.shape[0]), \
@@ -839,12 +914,12 @@ class TestTwoStorages:
         ops = [sector.csr(), sector.even_matrix] + [h for h, _, _ in nu3_sectors.values()]
         for h in ops:
             center, half = _enclosure(h, None)
-            assert _stacked_operator([h], h.shape[0], [center], [half], float).format == "csr"
+            assert _stacked_operator(h, center, half, float).format == "csr"
 
 
 class TestRealPath:
     """A stack whose operator and states are real runs its terms in float64
-    (module docstring of ``propagator``), bit for bit the complex path."""
+    (``propagator._Stack``), bit for bit the complex path."""
 
     @pytest.fixture
     def lens(self):
@@ -859,60 +934,68 @@ class TestRealPath:
         assert not rest.imag.any() and moving.imag.any()
         return h, rest, moving
 
+    @staticmethod
+    def mixed(hs, bounds, t, tol):
+        """A plan that steps the real blocks ``hs`` beside a complex block, a
+        moving packet on the first of them: one stack, one complex
+        accumulator. Returns apply(states) for the real blocks' states."""
+        plan, values = pattern_plan(list(hs) + [hs[0]], t, tol)
+        bounds = list(bounds) + [bounds[0]]
+
+        def apply(psis, moving):
+            return plan.apply(values, bounds, np.stack(list(psis) + [moving]))
+
+        return apply
+
     # one step, and three: a real first step, then complex ones
     @pytest.mark.parametrize("n_steps", [1, 3])
-    def test_real_block_equals_it_next_to_a_complex_one(self, lens, n_steps):
+    def test_real_block_equals_it_next_to_a_complex_one(self, lens, stacks, n_steps):
         h, rest, moving = lens
-        tol, t = 1e-10, 2.5
-        alone = _StepPlan([h], [t], tol, [None])
-        assert alone.stacks[0].h_scaled.dtype == np.float64
-        mixed = _StepPlan([h, h], [t, t], tol, [None, None])
-        assert len(mixed.stacks) == 1            # one stack for both
+        tol, t, bounds = 1e-10, 2.5, spectral_bounds(h)
+        alone = _StepPlan(h, t, tol, None)
+        assert alone.stack.h_scaled.dtype == np.float64
+        mixed = self.mixed([h], [bounds], t, tol)
         got, want = rest, [rest, moving]
         for _ in range(n_steps):
-            (got,) = alone.apply([got])
-            want = mixed.apply(want)
-        want = want[0]
-        assert alone.stacks[0].h_scaled.dtype == (
+            got = alone.apply(got)
+            want = mixed(want[:1], want[1])
+        assert stacks[-1].coef.shape[1] == 2             # one stack for both
+        assert alone.stack.h_scaled.dtype == (
             np.float64 if n_steps == 1 else np.complex128)
-        assert mixed.stacks[0].h_scaled.dtype == np.complex128
+        assert stacks[-1].h_scaled.dtype == np.complex128
         assert got.dtype == np.complex128
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, want[0])
         if n_steps == 1:
-            # the same through the public calls, with a float64 state too
-            batched = list(expimv_batch([(h, rest, t, None), (h, moving, t, None)], tol))
-            assert np.array_equal(batched[0], want)
-            assert np.array_equal(expimv(h, rest.real, t, tol), want)
+            # the same through the public call, with a float64 state too
+            assert np.array_equal(expimv(h, rest.real, t, tol), want[0])
 
     @pytest.mark.parametrize("n_steps", [1, 3])
-    def test_real_ensemble_stack_equals_it_next_to_a_complex_block(self, n_steps):
+    def test_real_ensemble_stack_equals_it_next_to_a_complex_block(self, stacks, n_steps):
         """Hole realizations of distinct phases and coefficient counts, one
         float64 stack with two accumulators, equal bit for bit to the same
         blocks stepped in one complex accumulator beside a complex block."""
         hs, psis, bounds = map(list, zip(*hole_ensemble()))
-        ts = [2.5, 4.0, 6.5, 9.0]
-        tol = 1e-10
-        phases = [_enclosure(h, b)[1] * t for h, b, t in zip(hs, bounds, ts)]
-        assert len(set(phases)) == len(hs)
-        alone = _StepPlan(hs, ts, tol, bounds)
-        (stack,) = alone.stacks
+        # widened enclosures, so every block has a phase of its own
+        bounds = [(lo - j, hi + 2 * j) for j, (lo, hi) in enumerate(bounds)]
+        t, tol = 2.5, 1e-10
+        plan, values = pattern_plan(hs, t, tol)
+        got = plan.apply(values, bounds, np.stack(psis))
+        (stack,) = stacks
         assert stack.h_scaled.dtype == np.float64
         counts = [int(np.flatnonzero(stack.coef[:, j, 0])[-1]) + 1 for j in range(len(hs))]
         assert len(set(counts)) == len(hs)
         # a moving packet on the first realization: a complex state
-        moving = hs[0] @ psis[0] * 1j + psis[0]
-        mixed = _StepPlan(hs + [hs[0]], ts + [3.0], tol, bounds + [bounds[0]])
-        assert len(mixed.stacks) == 1
-        got, want = psis, psis + [moving]
-        for _ in range(n_steps):
-            got = alone.apply(got)
-            want = mixed.apply(want)
-        assert mixed.stacks[0].h_scaled.dtype == np.complex128
+        mixed = self.mixed(hs, bounds, t, tol)
+        want = mixed(psis, hs[0] @ psis[0] * 1j + psis[0])
+        for _ in range(n_steps - 1):
+            got = plan.apply(values, bounds, got)
+            want = mixed(want[:-1], want[-1])
+        assert stacks[-1].h_scaled.dtype == np.complex128
         for g, w in zip(got, want):
             assert g.dtype == np.complex128
             assert np.array_equal(g, w)
         if n_steps == 1:
-            for h, psi, t, b, g in zip(hs, psis, ts, bounds, got):
+            for h, psi, b, g in zip(hs, psis, bounds, got):
                 assert np.array_equal(expimv(h, psi, t, tol, b), g)
 
     def test_terms_are_float64_until_the_first_complex_state(self, lens, matvec_dtypes):
@@ -923,29 +1006,29 @@ class TestRealPath:
         lo, hi = spectral_bounds(h)
         tol, t = 1e-10, 3.2e4 / (0.5 * (hi - lo))
         seen = matvec_dtypes
-        plan = _StepPlan([h], [t], tol, [None])
-        assert plan.stacks[0].h_scaled.format == "dia"      # a banded chain
-        (got,) = plan.apply([rest])
+        plan = _StepPlan(h, t, tol, None)
+        assert plan.stack.h_scaled.format == "dia"      # a banded chain
+        got = plan.apply(rest)
         # (operator, term) dtypes: one matvec per term past T_0
-        n_terms = len(plan.stacks[0].coef) - 1
+        n_terms = len(plan.stack.coef) - 1
         assert len(seen) == n_terms > 3.2e4
         assert seen == [(np.float64, np.float64)] * n_terms
-        want = _StepPlan([h, h], [t, t], tol, [None, None]).apply([rest, moving])[0]
+        want = self.mixed([h], [(lo, hi)], t, tol)([rest], moving)[0]
         assert np.array_equal(got, want)
         seen.clear()
-        plan.apply([got])
+        plan.apply(got)
         assert seen == [(np.complex128, np.complex128)] * n_terms
 
     def test_a_reused_plan_switches_its_operator_once(self, lens):
         """As :func:`trajectory` reuses its plan: a real first step, then
         complex ones, each what ``expimv`` gives."""
         h, rest, _ = lens
-        step = _StepPlan([h], [0.7], 1e-10, [None])
-        (psi,) = step.apply([rest])
-        assert step.stacks[0].h_scaled.dtype == np.float64
+        step = _StepPlan(h, 0.7, 1e-10, None)
+        psi = step.apply(rest)
+        assert step.stack.h_scaled.dtype == np.float64
         for _ in range(2):
-            (psi,) = step.apply([psi])
-            assert step.stacks[0].h_scaled.dtype == np.complex128
+            psi = step.apply(psi)
+            assert step.stack.h_scaled.dtype == np.complex128
         want = rest
         for _ in range(3):
             want = expimv(h, want, 0.7, 1e-10)
@@ -958,17 +1041,17 @@ class TestRealPath:
         psi /= np.linalg.norm(psi)
         tol = 1e-10
         for t in (0.8, -3.1):
-            plan = _StepPlan([h], [t], tol, [None])
-            assert plan.stacks[0].h_scaled.dtype == np.complex128
-            got = plan.apply([psi])[0]
+            plan = _StepPlan(h, t, tol, None)
+            assert plan.stack.h_scaled.dtype == np.complex128
+            got = plan.apply(psi)
             assert np.linalg.norm(got - dense_evolution(h, psi, t)) < 10 * tol
 
     def test_complex_dtype_with_zero_imaginary_part_is_real(self, lens):
         h, rest, _ = lens
         hc = h.astype(complex)
-        plan = _StepPlan([hc], [2.5], 1e-10, [None])
-        assert plan.stacks[0].h_scaled.dtype == np.float64
-        assert np.array_equal(plan.apply([rest])[0], expimv(h, rest, 2.5))
+        plan = _StepPlan(hc, 2.5, 1e-10, None)
+        assert plan.stack.h_scaled.dtype == np.float64
+        assert np.array_equal(plan.apply(rest), expimv(h, rest, 2.5))
 
     def test_zero_time_gives_a_complex_copy(self, lens):
         h, rest, _ = lens
@@ -997,7 +1080,7 @@ def nu3_sectors():
 
 class TestWindow:
     """Samples at dt, ..., n dt of one real block from one float64
-    recurrence (module docstring of ``propagator``)."""
+    recurrence (``propagator.real_window``)."""
 
     @pytest.fixture
     def blocks(self, rng):
@@ -1501,15 +1584,15 @@ class TestClosedFormOracle:
                               axis=1)
         assert np.all(gaps <= 10 * tol)
 
-    def test_expimv_batch_stacks(self):
-        """Clean realizations of one 1 500-site chain, several to a stack,
-        from differently kicked packets over one duration."""
+    def test_pattern_plan_stacks(self, stacks):
+        """Clean realizations of one 1 500-site chain, four to a stack, from
+        differently kicked packets over one duration."""
         extents, tol, t = (1500,), 1e-10, 150.0
         terms, _ = _kicked(extents, 100.0, 1e-3)
         h, bounds = terms.matrix(), terms.bounds()
         psis = [_kicked(extents, 100.0, phi0)[1] for phi0 in (1e-4, 5e-4, 1e-3, 2e-3)]
-        assert propagator._StepPlan([h] * 4, [t] * 4, tol, [bounds] * 4).stacks[0].order \
-            == (0, 1, 2, 3)
-        got = list(expimv_batch(((h, psi, t, bounds) for psi in psis), tol))
+        plan, values = pattern_plan([h] * 4, t, tol)
+        got = plan.apply(values, [bounds] * 4, np.stack(psis))
+        assert [s.coef.shape[1] for s in stacks] == [4]
         for psi, state in zip(psis, got, strict=True):
             assert np.linalg.norm(state - dst_evolution(psi, extents, [t])[0]) <= 10 * tol
