@@ -22,7 +22,8 @@ overwritten chunk after chunk. The start packets are the rows of one
 array, each normalized as ``numpy.linalg.norm`` normalizes one state, and
 the final states are scored together by the two-pass width formula and
 the focus probability of ``wavepacket``, each row as its state alone. Each
-chunk is one stack of independent evolutions, each bit for bit its lone
+chunk is one stack of independent evolutions in draw order, every one run
+to the chunk's longest coefficient set and still bit for bit its lone
 ``expimv``: since every H and start packet is real, the stack runs its
 Chebyshev terms in float64 and adds them into a real and an imaginary
 float64 accumulator (the even and the odd terms), and a phase met in an
@@ -57,8 +58,8 @@ class Displacement:
     delta: float                       # per-component std, units of a
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
+        if not 0 <= self.delta < np.inf:
+            raise ValueError("delta must be non-negative and finite")
 
 
 @dataclass
@@ -423,11 +424,19 @@ class BreakdownResult:
         return float("nan")
 
 
-def breakdown_scan(job: EnsembleJob, deltas) -> BreakdownResult:
-    """Width-ratio table sigma_f(delta)/sigma_f(0) over a displacement grid."""
-    deltas = [float(d) for d in deltas]
+def _delta_grid(deltas) -> list:
+    """The displacements of a breakdown scan as floats; ValueError unless
+    they ascend and each is a valid :class:`Displacement`."""
+    deltas = [Displacement(float(d)).delta for d in deltas]
     if deltas != sorted(deltas):
         raise ValueError("delta grid must be ascending")
+    return deltas
+
+
+def breakdown_scan(job: EnsembleJob, deltas) -> BreakdownResult:
+    """Width-ratio table sigma_f(delta)/sigma_f(0) over a displacement grid
+    (:func:`_delta_grid`)."""
+    deltas = _delta_grid(deltas)
     _, sigma_clean = run_protocol(job.table, job)
     result = BreakdownResult(sigma0=job.sigma0, sigma_f_clean=sigma_clean,
                              duration=job.duration)

@@ -547,6 +547,16 @@ def _eval_designs(designs, table, base_terms, psi0, hopping, n_time, tol):
     return results
 
 
+def _check_design(kind: str, order: int):
+    """Raise ValueError unless :func:`optimize_lens` can optimize a lens of
+    ``kind``, "thick" or "thin", and polynomial ``order``: even, 2..8, for
+    a thick lens."""
+    if kind not in ("thick", "thin"):
+        raise ValueError("kind must be 'thick' or 'thin'")
+    if kind == "thick" and (order % 2 or not 2 <= order <= 8):
+        raise ValueError("thick order must be even, 2..8")
+
+
 def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
                   kind: str = "thick", order: int = 2, focus=None,
                   initial_state: SpinWaveState | None = None,
@@ -588,10 +598,7 @@ def optimize_lens(table: SiteTable, model: CouplingModel, sigma0: float,
     ``initial_state`` (default: a Gaussian of width ``sigma0`` at rest at
     ``focus``) lets a second lens stage start from the output of a first.
     """
-    if kind not in ("thick", "thin"):
-        raise ValueError("kind must be 'thick' or 'thin'")
-    if kind == "thick" and (order % 2 or not 2 <= order <= 8):
-        raise ValueError("thick order must be even, 2..8")
+    _check_design(kind, order)
     hopping = model.reference_hopping()
     focus = table.center() if focus is None else np.atleast_1d(np.asarray(focus, float))
     base_terms = build_couplings(table, model)

@@ -203,27 +203,6 @@ def _enclosure(h: sp.csr_matrix, bounds) -> tuple[float, float]:
     return 0.5 * (hi + lo), half * (1.0 + 1e-12)
 
 
-def _view(h, data: np.ndarray, n: int):
-    """The leading n x n block of the block-diagonal stack ``h``, CSR or DIA,
-    on ``data`` for its values and on h's index arrays, without the
-    constructor's checks or copies (it would copy a short prefix of indptr).
-    A DIA view keeps h's full rows of diagonals, of which a product reads the
-    first n columns."""
-    if h.format == "dia":
-        view = sp.dia_matrix((n, n), dtype=data.dtype)
-        view.data, view.offsets = data, h.offsets
-    else:
-        view = sp.csr_matrix((n, n), dtype=data.dtype)
-        view.data, view.indices, view.indptr = data, h.indices, h.indptr[:n + 1]
-    return view
-
-
-def _row_prefix(h, n: int):
-    """The leading n x n block of the block-diagonal stack ``h`` as a view on
-    its arrays."""
-    return h if n == h.shape[0] else _view(h, h.data, n)
-
-
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The positions start, ..., start + length - 1 of every range, in order."""
     stops = np.cumsum(lengths)
@@ -398,95 +377,68 @@ def _step(h, t: float, bounds) -> tuple:
 class _Stack:
     """Blocks of one dimension stacked into one operator: one step of
     :class:`_StepPlan`, or the realizations of a chunk of
-    :class:`_PatternPlan`.
+    :class:`_PatternPlan`, in the order they come.
 
-    The blocks are in stack order, longest coefficient set first. The
-    operator ``h`` is 2 h~, by diagonals or as CSR (``_Layout``), float64
-    when every block is real, until the first complex state, and complex
-    otherwise; the stack holds one at a time, and its row-prefix views and
-    complex copy keep its storage. Each term is one matvec and one
-    subtraction in place, T_k+1 = 2 h~ T_k - T_k-1 over T_k-1, on the row
-    prefix of the blocks still active, so each block rounds as it would
-    alone. While the operator and the state are real, the terms are added
-    into two float64 accumulators, the even ones times Re c_k into the real
-    part and the odd ones times Im c_k into the imaginary part, which become
-    the complex state at the end; otherwise c_k T_k goes into one complex
-    accumulator.
+    The operator ``h`` is 2 h~, by diagonals or as CSR (``_Layout``),
+    float64 when every block is real, until the first complex state, and
+    complex otherwise; the stack holds one at a time. ``coef`` holds each
+    block's coefficients, zero past its own count, and every block runs to
+    the longest count: each term is one matvec and one subtraction in
+    place, T_k+1 = 2 h~ T_k - T_k-1 over T_k-1, on the whole stack. Past its
+    own count a block adds c_k T_k with c_k = 0, and its T_k stay bounded
+    (|T_k| <= 1 on the enclosure), so it adds +-0 to accumulators that
+    already hold its lone sum, which leaves every nonzero value as it is:
+    each block is bit for bit its lone expansion, except that an exact
+    zero could turn from -0 to +0. While the operator and the state are
+    real, the terms are added into two float64 accumulators, the even
+    ones times Re c_k into the real part and the odd ones times Im c_k into
+    the imaginary part, which become the complex state at the end;
+    otherwise c_k T_k goes into one complex accumulator.
     """
 
-    def __init__(self, h, dim, coefs, phases):
-        self.dim = dim
-        m = len(coefs)
-        counts = [len(c) for c in coefs]
-        self.coef = np.zeros((max(counts), m, 1), dtype=complex)
+    def __init__(self, h, coefs, phases):
+        self.h_scaled = h
+        self.coef = np.zeros((max(len(c) for c in coefs), len(coefs), 1), dtype=complex)
         for j, c in enumerate(coefs):
             self.coef[:len(c), j, 0] = c
         self.phase = np.array(phases)[:, None]
-        # term 1 runs on the first a blocks, then runs of terms k >= 2 during
-        # which the first a blocks are active: (a, the coefficients of the
-        # run), each with its prefix operator once one is set
-        # (one active block: scalar coefficients, which multiply a 1-D state
-        # without the cost of broadcasting)
-        self.first_active = sum(c > 1 for c in counts)
-        self.run_coefs = []
-        k = 2
-        for a in range(m, 0, -1):
-            end = counts[a - 1]
-            if end > k:
-                cs = self.coef[k:end, 0, 0] if a == 1 else self.coef[k:end, :a]
-                self.run_coefs.append((a, cs))
-                k = end
-        self._set_operator(h)
-
-    def _set_operator(self, h):
-        """Make ``h`` the operator 2 h~, with the prefix views of the runs."""
-        d = self.dim
-        self.h_scaled = h
-        self.first = (self.first_active, _row_prefix(h, self.first_active * d))
-        self.runs = [(a, _row_prefix(h, a * d), cs) for a, cs in self.run_coefs]
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """exp(-i h t) of every block; ``psi`` is (m, dim) in stack order,
         real or complex. The terms are float64 while the operator and the
         state are real (class docstring)."""
-        coef, d = self.coef, self.dim
         if np.iscomplexobj(psi) and not np.iscomplexobj(self.h_scaled.data):
-            h = self.h_scaled
-            self._set_operator(_view(h, h.data.astype(complex), h.shape[0]))
-        real = not np.iscomplexobj(self.h_scaled.data)
+            self.h_scaled = self.h_scaled.astype(complex)
+        h = self.h_scaled
+        # one block: scalar coefficients, which multiply a 1-D state without
+        # the cost of broadcasting
+        coef, shape = ((self.coef[:, 0, 0], psi.shape[1:]) if len(psi) == 1
+                       else (self.coef, psi.shape))
+        real = not np.iscomplexobj(h.data)
         if real:
             # the even terms' sum of Re c_k T_k, the odd terms' of Im c_k T_k
             acc = np.zeros((2,) + psi.shape)
-            sums, tables = acc, (coef.real, coef.imag)
+            sums, tables = list(acc.reshape((2,) + shape)), (coef.real, coef.imag)
         else:
             acc = np.empty(psi.shape, dtype=complex)
-            sums, tables = (acc, acc), (coef, coef)
-        np.multiply(tables[0][0], psi, out=sums[0])
+            sums, tables = [acc.reshape(shape)] * 2, (coef, coef)
+        np.multiply(tables[0][0], psi.reshape(shape), out=sums[0])
         if len(coef) > 1:
             # T_0, as a copy that T_2 overwrites
-            t_prev = psi.astype(self.h_scaled.dtype).reshape(-1)
-            a, h = self.first
-            t_cur = h @ t_prev[:a * d]
+            t_prev = psi.astype(h.dtype).reshape(-1)
+            t_cur = h @ t_prev
             t_cur *= 0.5
-            sums[1][:a] += tables[1][1, :a] * t_cur.reshape(a, d)
-            # c_k T_k is formed in scratch; the term buffers and scratch are
-            # viewed as (a, d) once per run, not once per term
-            scratch = np.empty(t_cur.shape, t_cur.dtype)
+            # the term buffers and the scratch that c_k T_k is formed in,
+            # viewed per block once
+            v_prev, v_cur = t_prev.reshape(shape), t_cur.reshape(shape)
+            scratch = np.empty(shape, t_cur.dtype)
+            sums[1] += np.multiply(tables[1][1], v_cur, out=scratch)
             p = 0                            # the parity of term k, from k = 2
-            for a, h, cs in self.runs:
-                n, one = a * d, a == 1
-                t_prev, t_cur = t_prev[:n], t_cur[:n]
-                shape = (d,) if one else (a, d)
-                v_prev, v_cur = t_prev.reshape(shape), t_cur.reshape(shape)
-                v_out = scratch[:n].reshape(shape)
-                accs = [sm[0] if one else sm[:a] for sm in sums]
-                run = (cs.real, cs.imag) if real else (cs, cs)
-                for j in range(len(cs)):
-                    y = h @ t_cur
-                    t_prev, t_cur = t_cur, np.subtract(y, t_prev, out=t_prev)
-                    v_prev, v_cur = v_cur, v_prev
-                    accs[p] += np.multiply(run[p][j], v_cur, out=v_out)
-                    p ^= 1
+            for k in range(2, len(coef)):
+                t_prev, t_cur = t_cur, np.subtract(h @ t_cur, t_prev, out=t_prev)
+                v_prev, v_cur = v_cur, v_prev
+                sums[p] += np.multiply(tables[p][k], v_cur, out=scratch)
+                p ^= 1
         if real:
             acc = np.empty(psi.shape, dtype=complex)
             acc.real, acc.imag = sums
@@ -513,7 +465,7 @@ class _StepPlan:
         if t != 0.0:
             center, half, z, phase = _step(h, t, bounds)
             dtype = complex if _imaginary(h) else float
-            self.stack = _Stack(_stacked_operator(h, center, half, dtype), self.dim,
+            self.stack = _Stack(_stacked_operator(h, center, half, dtype),
                                 _chebyshev_coeffs([z], tol / 4.0), [phase])
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
@@ -548,7 +500,7 @@ class _PatternPlan:
         order, are the rows of ``values`` (m, entries), whose Gershgorin
         ``bounds`` are [(lo, hi)] and whose start states are the rows of
         ``psis`` (m, dim), real or complex; complex, (m, dim). The blocks
-        form one stack, longest coefficient set first."""
+        form one stack, in the order of the rows."""
         if self.t == 0.0:
             return psis.astype(complex, order="C")
         layout, m, sets = self.layout, len(values), self.coef_sets
@@ -558,18 +510,12 @@ class _PatternPlan:
         new = [z for z in dict.fromkeys(step[2] for step in steps) if z not in sets]
         if new:
             sets.update(zip(new, _chebyshev_coeffs(new, self.tol / 4.0)))
-        order = np.argsort([-len(sets[z]) for _, _, z, _ in steps], kind="stable")
-        if np.any(order != np.arange(m)):
-            values, psis = values[order], psis[order]
-        centers, halves, zs, phases = zip(*(steps[j] for j in order))
+        centers, halves, zs, phases = zip(*steps)
         if layout.offsets is not None and (self._diagonals is None
                                            or self._diagonals.shape[1] < m):
             self._diagonals = np.zeros((layout.offsets.size, m, layout.rows))
         h = layout.write(values, centers, halves, float, out=self._diagonals)
-        rows = _Stack(h, layout.rows, [sets[z] for z in zs], phases).apply(_state(psis))
-        out = np.empty_like(rows)
-        out[order] = rows
-        return out
+        return _Stack(h, [sets[z] for z in zs], phases).apply(_state(psis))
 
 
 def _imaginary(h: sp.csr_matrix) -> bool:

@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import io_utils
-from .disorder import (Displacement, EnsembleJob, Holes, _broadening, _CleanPattern,
+from .disorder import (Displacement, EnsembleJob, Holes, _broadening, _CleanPattern, _delta_grid,
                        _perturbations, breakdown_scan, run_ensemble, run_protocol)
 from .lattice import NearestNeighbor, PowerLaw, build_couplings, build_lattice
-from .lens import (Multifocal, ThickPolynomial, ThinPulse, _parabola_vertex,
+from .lens import (Multifocal, ThickPolynomial, ThinPulse, _check_design, _parabola_vertex,
                    clipped_thick_terms, continuum_thick, continuum_thin,
                    corrected_focal_time, optimize_lens, potential_profile,
                    thin_phase_profile, thresholds)
@@ -172,8 +172,9 @@ def _as_float(value) -> float:
 def prepare_config(raw: dict) -> dict:
     """Merge a raw config over the scenario defaults; reject unknown keys, a
     lattice spacing other than 1, an excitation number, Ising strength or
-    power the nonlinear scenario cannot run, a scaling fit over fewer than
-    two packet widths, time grids too short to step through, a propagator
+    power the nonlinear scenario cannot run, a scan packet width that is not
+    a positive finite number or a scaling fit over fewer than two of them,
+    time grids too short to step through, a propagator
     tolerance outside ``propagator.TOL_RANGE``, an end time that is not
     positive, a packet width that is not a positive finite number, every
     value the run's first constructors reject (``_run_inputs``): lattice
@@ -197,13 +198,14 @@ def prepare_config(raw: dict) -> dict:
     spacing = cfg.get("lattice", {}).get("spacing", 1.0)
     if not (_is_number(spacing) and spacing == 1):
         raise ConfigError(f"'{name}.lattice.spacing' is fixed at 1")
-    # the log-log fit of a scaling run needs at least two packet widths
-    if name == "scaling_fit":
-        widths = cfg["scan"]["sigma0"]
-        if not (isinstance(widths, list) and len(widths) >= 2
-                and all(map(_is_number, widths))):
-            raise ConfigError(
-                f"'{name}.scan.sigma0' must list at least two widths")
+    # each packet width of a scan sets its lens, and the log-log fit of a
+    # scaling run needs at least two
+    if name in ("scaling_fit", "breakdown"):
+        widths, least = cfg["scan"]["sigma0"], 2 if name == "scaling_fit" else 1
+        if not (isinstance(widths, list) and len(widths) >= least
+                and all(_is_number(w) and 0 < w < math.inf for w in widths)):
+            raise ConfigError(f"'{name}.scan.sigma0' must list {least} or more widths, "
+                              "each a positive finite number")
     # the pair-distance output of a nonlinear run needs at least two excitations
     if name == "nonlinear" and cfg["interaction"]["nu"] not in range(2, MAX_EXCITATIONS + 1):
         raise ConfigError(
@@ -248,18 +250,20 @@ def prepare_config(raw: dict) -> dict:
         _run_inputs(cfg)
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (ArithmeticError, TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
     return cfg
 
 
 def _run_inputs(cfg: dict):
     """Build what a run of ``cfg`` builds before it computes anything, with
-    the run's own constructors: the lattice and coupling model, each
-    power law of a scan, a thick lens's continuum prediction, an ensemble
-    job, a lens design with the profile it imposes and the start packet
-    centred on its focus (``_lens``). Whatever they reject, the run would
-    fail on."""
+    the run's own constructors and checks: the lattice and coupling model,
+    each power law of a scan, a thick lens's continuum prediction, an
+    ensemble job and a displacement run's broadening grid, a breakdown
+    scan's jobs and displacement grid, the kind and order of each lens an
+    optimizer run designs, a lens design with the profile it imposes and
+    the start packet centred on its focus (``_lens``). Whatever they
+    reject, the run would fail on."""
     name = cfg["scenario"]
     if "lattice" not in cfg:
         return
@@ -275,6 +279,15 @@ def _run_inputs(cfg: dict):
         _ensemble_job(cfg, Holes(int(cfg["disorder"]["count"])))
     elif name == "displacement":
         _ensemble_job(cfg, Displacement(float(cfg["disorder"]["delta"])))
+        _broadening_grid(cfg, table.extents[0])
+    elif name == "breakdown":
+        _breakdown_jobs(cfg, table, model)
+        _delta_grid(cfg["scan"]["deltas"])
+    elif name == "cascade":
+        _check_design("thick", int(cfg["lens"]["order"]))
+    elif name == "scaling_fit":
+        for kind, order in _scan_designs(cfg["scan"]):
+            _check_design(kind, order)
     if name in ("thick1d", "thin1d", "multifocal2d", "nonlinear", "cascade"):
         design, _ = _lens(cfg, table)
         if design is not None:
@@ -507,34 +520,41 @@ def run_scaling_fit(cfg, out: Path):
     rows = []
     fits = []
     paths = {}
-    for kind in scan["kinds"]:
-        for order in (scan["orders"] if kind == "thick" else [2]):
-            sig_list, wid_list = [], []
-            for sigma0 in scan["sigma0"]:
-                res = optimize_lens(table, model, float(sigma0), kind=kind,
-                                    order=int(order), n_time=n_time, tol=tol)
-                paths[f"{kind} order {int(order)} sigma0 {float(sigma0):g}"] = res.paths
-                strength = (res.design.coefficients[0]
-                            if kind == "thick" else res.design.phi0)
-                rows.append((kind, int(order), sigma0, strength,
-                             res.focal_time, res.focal_width,
-                             res.focal_width / sigma0**(1.0 / 3.0),
-                             res.boundary))
-                sig_list.append(sigma0)
-                wid_list.append(res.focal_width)
-            slope, intercept = np.polyfit(np.log(sig_list), np.log(wid_list), 1)
-            fits.append({
-                "kind": kind, "order": int(order),
-                "slope": float(slope),
-                "kappa_fit": float(np.exp(intercept)),
-                "kappa_mean": float(np.mean(
-                    np.array(wid_list) / np.array(sig_list)**(1.0 / 3.0))),
-            })
+    for kind, order in _scan_designs(scan):
+        sig_list, wid_list = [], []
+        for sigma0 in scan["sigma0"]:
+            res = optimize_lens(table, model, float(sigma0), kind=kind,
+                                order=order, n_time=n_time, tol=tol)
+            paths[f"{kind} order {order} sigma0 {float(sigma0):g}"] = res.paths
+            strength = (res.design.coefficients[0]
+                        if kind == "thick" else res.design.phi0)
+            rows.append((kind, order, sigma0, strength,
+                         res.focal_time, res.focal_width,
+                         res.focal_width / sigma0**(1.0 / 3.0),
+                         res.boundary))
+            sig_list.append(sigma0)
+            wid_list.append(res.focal_width)
+        slope, intercept = np.polyfit(np.log(sig_list), np.log(wid_list), 1)
+        fits.append({
+            "kind": kind, "order": order,
+            "slope": float(slope),
+            "kappa_fit": float(np.exp(intercept)),
+            "kappa_mean": float(np.mean(
+                np.array(wid_list) / np.array(sig_list)**(1.0 / 3.0))),
+        })
     header = ["kind", "order", "sigma0 [a]", "strength [J/a^order or rad/a^2]",
               "t_f [1/J]", "sigma_f [a]", "kappa [a^(2/3)]", "grid_boundary"]
     outputs = [io_utils.write_csv(out / "scaling.csv", header, rows),
                io_utils.write_json(out / "scaling_fit.json", fits)]
     return {"fits": fits, "optimizer_paths": paths}, outputs
+
+
+def _scan_designs(scan):
+    """The (kind, order) of each lens family a scaling fit optimizes, in
+    order: every order of ``scan.orders`` for a thick lens, 2 for a thin
+    one."""
+    return [(kind, int(order)) for kind in scan["kinds"]
+            for order in (scan["orders"] if kind == "thick" else [2])]
 
 
 def run_multifocal2d(cfg, out: Path):
@@ -694,6 +714,19 @@ def run_holes(cfg, out: Path):
     return derived, outputs
 
 
+def _broadening_grid(cfg, length: int):
+    """The realization count of a displacement run's broadening and its
+    wavenumbers, each rounded to the nearest one a ring of ``length``
+    sites holds; ValueError for no realization or a wavenumber that is not
+    finite."""
+    n_b, ks = int(cfg["broadening"]["realizations"]), [float(k) for k in cfg["broadening"]["ks"]]
+    if n_b < 1:
+        raise ValueError("need at least one broadening realization")
+    if not all(map(math.isfinite, ks)):
+        raise ValueError("broadening wavenumbers must be finite")
+    return n_b, [2.0 * math.pi * round(k * length / (2.0 * math.pi)) / length for k in ks]
+
+
 def run_displacement(cfg, out: Path):
     delta = float(cfg["disorder"]["delta"])
     job, pred = _ensemble_job(cfg, Displacement(delta))
@@ -707,10 +740,7 @@ def run_displacement(cfg, out: Path):
     })
 
     table = job.table
-    n_b = int(cfg["broadening"]["realizations"])
-    length = table.extents[0]
-    ks = [2.0 * math.pi * round(float(k) * length / (2.0 * math.pi)) / length
-          for k in cfg["broadening"]["ks"]]
+    n_b, ks = _broadening_grid(cfg, table.extents[0])
     vals = [[] for _ in ks]
     # each realization's difference taken once, for every k
     for dh in _perturbations(pattern, job, n_b):
@@ -730,28 +760,32 @@ def run_displacement(cfg, out: Path):
     return derived, outputs
 
 
+def _breakdown_jobs(cfg, table, model):
+    """The clean ensemble job of each packet width of a breakdown scan,
+    the lens at its scaling strength, focused at the lattice's centre."""
+    hopping, scan, jobs = model.reference_hopping(), cfg["scan"], []
+    for sigma0 in map(float, scan["sigma0"]):
+        v0 = thresholds(sigma0=sigma0, hopping=hopping)["v_opt_scale"]
+        jobs.append(EnsembleJob(table=table, model=model,
+                                design=ThickPolynomial((v0,), tuple(table.center())),
+                                sigma0=sigma0,
+                                duration=continuum_thick(v0, sigma0, hopping).focal_time,
+                                kind=Displacement(0.0), realizations=int(scan["realizations"]),
+                                master_seed=int(cfg["master_seed"]),
+                                tol=float(cfg["evolution"]["tol"])))
+    return jobs
+
+
 def run_breakdown(cfg, out: Path):
     table, model = _build_setup(cfg)
-    hopping = model.reference_hopping()
-    scan = cfg["scan"]
-    tol = float(cfg["evolution"]["tol"])
     rows = []
     crossovers = []
-    for sigma0 in scan["sigma0"]:
-        sigma0 = float(sigma0)
-        v0 = thresholds(sigma0=sigma0, hopping=hopping)["v_opt_scale"]
-        pred = continuum_thick(v0, sigma0, hopping)
-        design = ThickPolynomial((v0,), tuple(table.center()))
-        job = EnsembleJob(table=table, model=model, design=design,
-                          sigma0=sigma0, duration=pred.focal_time,
-                          kind=Displacement(0.0),
-                          realizations=int(scan["realizations"]),
-                          master_seed=int(cfg["master_seed"]), tol=tol)
-        result = breakdown_scan(job, [float(d) for d in scan["deltas"]])
+    for job in _breakdown_jobs(cfg, table, model):
+        result = breakdown_scan(job, cfg["scan"]["deltas"])
         for row in result.rows:
-            rows.append((sigma0, row.delta, row.ratio_mean, row.ratio_stderr))
+            rows.append((job.sigma0, row.delta, row.ratio_mean, row.ratio_stderr))
         crossovers.append({
-            "sigma0 [a]": sigma0,
+            "sigma0 [a]": job.sigma0,
             "t_foc [1/J]": result.duration,
             "delta_c [a]": result.delta_c,
             "delta_c_times_t_foc": result.delta_c * result.duration,

@@ -75,7 +75,7 @@ def gaussian_packet(table: SiteTable, sigma0: float, center=None,
     Amplitudes are proportional to exp(-|x - c|^2 / (2 sigma0^2) + i k0 . x)
     on active sites, zero at holes. ``center`` defaults to the geometric
     center of the lattice and may be fractional; it must lie inside the
-    lattice. ``k0`` is a scalar (1D) or a dim-vector in units of 1/a.
+    lattice. ``k0`` is a finite scalar (1D) or dim-vector in units of 1/a.
     """
     _check_sigma0(sigma0)
     center = table.center() if center is None else np.atleast_1d(np.asarray(center, float))
@@ -89,6 +89,8 @@ def gaussian_packet(table: SiteTable, sigma0: float, center=None,
         k0 = np.atleast_1d(np.asarray(k0, dtype=float))
         if k0.shape != (table.dim,):
             raise ValueError("k0 has wrong dimension")
+        if not np.isfinite(k0).all():
+            raise ValueError("k0 must be finite")
         amp *= np.exp(1j * (table.positions @ k0))
     amp[~table.active] = 0.0
     n = np.linalg.norm(amp)

@@ -500,6 +500,12 @@ _MULTIFOCAL_SMALL = {"scenario": "multifocal2d", "lattice": {"extents": [21, 21]
                      "packet": {"sigma0": 3.0}}
 _NONLINEAR_SMALL = {"scenario": "nonlinear", "lattice": {"extents": [21]},
                     "packet": {"sigma0": 3.0}, "interaction": {"jz": 50.0}}
+_BREAKDOWN_SMALL = {"scenario": "breakdown", "lattice": {"extents": [40]},
+                    "scan": {"sigma0": [4.0], "deltas": [0.0, 0.001], "realizations": 2}}
+_CASCADE_SMALL = {"scenario": "cascade", "lattice": {"extents": [100]},
+                  "packet": {"sigma0": 5.0}}
+_SCALING_SMALL = {"scenario": "scaling_fit", "lattice": {"extents": [100]},
+                  "scan": {"sigma0": [4.0, 8.0]}}
 
 
 @pytest.mark.parametrize("config, message", [
@@ -528,8 +534,35 @@ _NONLINEAR_SMALL = {"scenario": "nonlinear", "lattice": {"extents": [21]},
     (dict(_NONLINEAR_SMALL, lens={"focus": [50.0], "v0": 0.01}),
      "center [50.] outside the lattice"),
     (dict(_NONLINEAR_SMALL, lens={"v0": -0.01}), "quadratic coefficient must be positive"),
-    ({"scenario": "cascade", "lattice": {"extents": [100]}, "packet": {"sigma0": 5.0},
-      "lens": {"focus": [500.0]}}, "center [500.] outside the lattice"),
+    (dict(_CASCADE_SMALL, lens={"focus": [500.0]}), "center [500.] outside the lattice"),
+    (dict(_CASCADE_SMALL, lens={"order": 3}), "thick order must be even, 2..8"),
+    (dict(_SCALING_SMALL, scan={"sigma0": [4.0, 8.0], "orders": [3]}),
+     "thick order must be even, 2..8"),
+    (dict(_SCALING_SMALL, scan={"sigma0": [4.0, 8.0], "kinds": ["thin", "wide"]}),
+     "kind must be 'thick' or 'thin'"),
+    (dict(_BREAKDOWN_SMALL, scan={"sigma0": [4.0], "deltas": [0.01, 0.001]}),
+     "delta grid must be ascending"),
+    (dict(_BREAKDOWN_SMALL, scan={"sigma0": [4.0], "deltas": [-0.01, 0.001]}),
+     "delta must be non-negative"),
+    (dict(_BREAKDOWN_SMALL, scan={"sigma0": [4.0], "deltas": [0.0, math.nan]}),
+     "delta must be non-negative and finite"),
+    (dict(_BREAKDOWN_SMALL, scan={"sigma0": [4.0], "realizations": 0}),
+     "need at least one realization"),
+    (dict(_DISPLACEMENT_SMALL, disorder={"delta": math.inf, "realizations": 2}),
+     "delta must be non-negative and finite"),
+    (dict(_DISPLACEMENT_SMALL, broadening={"ks": [math.nan], "realizations": 2}),
+     "broadening wavenumbers must be finite"),
+    (dict(_DISPLACEMENT_SMALL, broadening={"ks": [0.5, math.inf], "realizations": 2}),
+     "broadening wavenumbers must be finite"),
+    (dict(_DISPLACEMENT_SMALL, broadening={"realizations": 0}),
+     "need at least one broadening realization"),
+    (dict(_DISPLACEMENT_SMALL, disorder={"realizations": math.inf}),
+     "cannot convert float infinity to integer"),
+    (dict(_BREAKDOWN_SMALL, scan={"sigma0": [4.0], "realizations": math.inf}),
+     "cannot convert float infinity to integer"),
+    (dict(_CASCADE_SMALL, lens={"order": math.inf}), "cannot convert float infinity to integer"),
+    (dict(THICK_SMALL, packet={"sigma0": 12.0, "k0": math.nan}), "k0 must be finite"),
+    (dict(_THIN_SMALL, packet={"sigma0": 10.0, "k0": [math.inf]}), "k0 must be finite"),
 ])
 def test_what_a_run_rejects_fails_validation(tmp_path, capsys, config, message):
     """Each of these passed ``validate`` and then failed the run at its
@@ -591,7 +624,11 @@ def test_unusable_time_grid_rejected_before_running(tmp_path, capsys, scenario,
     ({"scenario": "scaling_fit", "scan": {"sigma0": []}}, "scan.sigma0"),
     ({"scenario": "multifocal2d", "evolution": {"n_samples": 8}},
      "evolution.n_samples"),
-], ids=["spacing-2", "one-width", "no-width", "multifocal-n-samples"])
+    ({"scenario": "scaling_fit", "scan": {"sigma0": [-4.0, 8.0]}}, "scan.sigma0"),
+    ({"scenario": "breakdown", "scan": {"sigma0": [0.0]}}, "scan.sigma0"),
+    ({"scenario": "breakdown", "scan": {"sigma0": []}}, "scan.sigma0"),
+], ids=["spacing-2", "one-width", "no-width", "multifocal-n-samples", "negative-width",
+        "zero-breakdown-width", "no-breakdown-width"])
 def test_unusable_setup_rejected_before_running(tmp_path, capsys, raw, key):
     cfg = write_config(tmp_path / "c.yaml", raw)
     assert main(["validate", "--config", cfg]) == 2

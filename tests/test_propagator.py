@@ -292,20 +292,28 @@ class TestTrajectory:
 
 @pytest.fixture
 def matvec_dtypes(monkeypatch):
-    """(operator dtype, vector dtype) of every stacked matvec,
-    in order, recorded through a spy on ``propagator._row_prefix``."""
+    """(operator dtype, vector dtype) of every stacked matvec, in order,
+    recorded through a spy on the operator each ``_Stack`` is built with
+    and on its complex copy."""
     seen = []
-    prefix = propagator._row_prefix
+    init = propagator._Stack.__init__
 
     class Spy:
         def __init__(self, h):
             self.h = h
 
+        def __getattr__(self, name):
+            return getattr(self.h, name)
+
+        def astype(self, dtype):
+            return Spy(self.h.astype(dtype))
+
         def __matmul__(self, x):
             seen.append((self.h.dtype, x.dtype))
             return self.h @ x
 
-    monkeypatch.setattr(propagator, "_row_prefix", lambda h, n: Spy(prefix(h, n)))
+    monkeypatch.setattr(propagator._Stack, "__init__",
+                        lambda self, h, *args: init(self, Spy(h), *args))
     return seen
 
 
@@ -360,6 +368,13 @@ def pattern_plan(hs, t, tol):
     return _PatternPlan(cols, indptr, t, tol), values
 
 
+def coefficient_counts(stack):
+    """The coefficient count of each block of ``stack``: its table is zero
+    past each block's own count."""
+    return [int(np.flatnonzero(stack.coef[:, j, 0])[-1]) + 1
+            for j in range(stack.coef.shape[1])]
+
+
 @pytest.fixture
 def stacks(monkeypatch):
     """The ``_Stack`` of every chunk a plan applies, in order."""
@@ -410,28 +425,53 @@ class TestBatchedPlan:
         # the cases really share one stack, with different coefficient counts
         (stack,) = stacks
         assert len({len(c) for c in plan.coef_sets.values()}) > 1
-        counts = (stack.coef[:, :, 0] != 0).sum(axis=0)   # longest set first
-        assert list(counts) == sorted(counts, reverse=True) and counts[0] > counts[-1]
+        assert stack.coef.shape[1] == len(blocks)
         assert got.shape == (len(blocks), 24)
         for (h, psi, bounds), row in zip(blocks, got):
             assert np.array_equal(row, expimv(h, psi, self.T, tol=tol, bounds=bounds))
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     def test_multi_block_stack_equals_lone_blocks(self, rng, stacks, real):
-        """One stack whose active blocks fall away run by run, several at a
-        time and then one, gives each block the bits of its lone-block
-        plan, with float64 terms from a real start and complex ones else."""
+        """One stack of blocks whose coefficient counts all differ, every
+        block run to the longest, gives each block the bits of its
+        lone-block plan, with float64 terms from a real start and complex
+        ones else."""
         n, x, tol = 24, np.arange(24) - 11.5, 1e-10
         hs = [chain(n, scale * x**2) for scale in (0.01, 0.3, 2.0, 8.0, 20.0)]
         blocks = [(h, rng.normal(size=n) if real else normalized(rng, n), spectral_bounds(h))
                   for h in hs]
         _, got = self.apply(blocks, tol)
         (stack,) = stacks
-        actives = [a for a, _, _ in stack.runs]
-        assert stack.coef.shape[1] == len(hs) and actives[0] > 1 and actives[-1] == 1
+        counts = coefficient_counts(stack)
+        assert len(set(counts)) == len(hs) and max(counts) == len(stack.coef)
+        assert stack.h_scaled.dtype == (np.float64 if real else np.complex128)
         for block, row in zip(blocks, got):
             assert np.array_equal(row, self.apply([block], tol)[1][0])
             assert np.array_equal(row, expimv(block[0], block[1], self.T, tol, block[2]))
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_draw_order_stack_equals_lone_blocks(self, stacks, real):
+        """Hole realizations in draw order, each with three hole rows of
+        zero amplitude, whose coefficient counts lie far apart with the
+        longest last: each row is bit for bit its lone ``expimv``, and the
+        hole rows stay zero."""
+        hs, psis, bounds = map(list, zip(*hole_ensemble()))
+        # widened enclosures: phases of about 14, 89, 16 and 7 500
+        bounds = [(lo - w, hi + w) for w, (lo, hi) in zip((0.0, 30.0, 1.0, 3e3), bounds)]
+        if not real:
+            psis = [psi * np.exp(0.3j * np.arange(psi.size)) for psi in psis]
+        t, tol = 2.5, 1e-10
+        plan, values = pattern_plan(hs, t, tol)
+        got = plan.apply(values, bounds, np.stack(psis))
+        (stack,) = stacks
+        counts = coefficient_counts(stack)
+        assert counts[-1] == len(stack.coef) > 10 * max(counts[:-1])
+        assert len(set(counts)) == len(hs)
+        assert stack.h_scaled.dtype == (np.float64 if real else np.complex128)
+        for h, psi, b, row in zip(hs, psis, bounds, got):
+            holes = np.flatnonzero(psi == 0.0)
+            assert holes.size == 3 and not row[holes].any()
+            assert _bits(row) == _bits(expimv(h, psi, t, tol, b))
 
     def test_t0_block_is_a_copy(self, blocks):
         psis = np.stack([psi for _, psi, _ in blocks])
@@ -869,8 +909,8 @@ def _bits(a: np.ndarray) -> bytes:
 
 class TestTwoStorages:
     """The operator is stored by diagonals when that takes no more bytes
-    than CSR, and every product of it, and of each row prefix the Chebyshev
-    terms multiply by, is bit for bit the CSR product."""
+    than CSR, and every product of the whole stack, which each Chebyshev
+    term multiplies by, is bit for bit the CSR product."""
 
     @staticmethod
     def assert_products_are_the_csr_ones(hs, dim, centers, halves, dtype, x):
@@ -879,17 +919,13 @@ class TestTwoStorages:
         assert_storage(op, hs)
         if np.iscomplexobj(x) and op.dtype == np.float64:
             # as _Stack.apply meets its first complex state
-            op, want = propagator._view(op, op.data.astype(complex), op.shape[0]), \
-                want.astype(complex)
-        for a in range(1, len(hs) + 1):
-            k = a * dim
-            got = propagator._row_prefix(op, k) @ x[:k]
-            assert _bits(got) == _bits(want[:k, :k] @ x[:k])
+            op, want = op.astype(complex), want.astype(complex)
+        assert _bits(op @ x) == _bits(want @ x)
         return op
 
     @settings(max_examples=150, deadline=None)
     @given(case=_stack_cases())
-    def test_every_prefix_product_is_the_csr_one(self, case):
+    def test_every_stack_product_is_the_csr_one(self, case):
         self.assert_products_are_the_csr_ones(*case)
 
     def test_diagonals_are_added_in_ascending_order(self):
@@ -982,8 +1018,7 @@ class TestRealPath:
         got = plan.apply(values, bounds, np.stack(psis))
         (stack,) = stacks
         assert stack.h_scaled.dtype == np.float64
-        counts = [int(np.flatnonzero(stack.coef[:, j, 0])[-1]) + 1 for j in range(len(hs))]
-        assert len(set(counts)) == len(hs)
+        assert len(set(coefficient_counts(stack))) == len(hs)
         # a moving packet on the first realization: a complex state
         mixed = self.mixed(hs, bounds, t, tol)
         want = mixed(psis, hs[0] @ psis[0] * 1j + psis[0])
