@@ -146,8 +146,8 @@ class NearestNeighbor:
     strength: float = 1.0
 
     def __post_init__(self):
-        if self.strength <= 0:
-            raise ValueError("hopping strength must be positive")
+        if not 0 < self.strength < np.inf:
+            raise ValueError("hopping strength must be positive and finite")
 
     def reference_hopping(self) -> float:
         return self.strength
@@ -167,8 +167,8 @@ class PowerLaw:
     cutoff_range: float = 20.0
 
     def __post_init__(self):
-        if self.strength <= 0 or self.alpha <= 0 or self.cutoff_range <= 0:
-            raise ValueError("strength, alpha and cutoff_range must be positive")
+        if not all(0 < x < np.inf for x in (self.strength, self.alpha, self.cutoff_range)):
+            raise ValueError("strength, alpha and cutoff_range must be positive and finite")
 
     def reference_hopping(self) -> float:
         return self.strength

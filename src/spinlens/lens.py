@@ -55,8 +55,8 @@ class ThickPolynomial:
         object.__setattr__(self, "focus", tuple(float(f) for f in np.atleast_1d(self.focus)))
         if not 1 <= len(self.coefficients) <= 4:
             raise ValueError("polynomial order Q must be even and <= 8")
-        if not self.coefficients[0] > 0:
-            raise ValueError("quadratic coefficient must be positive")
+        if not 0 < self.coefficients[0] < np.inf:
+            raise ValueError("quadratic coefficient must be positive and finite")
 
     @property
     def order(self) -> int:
@@ -86,8 +86,8 @@ class ThinPulse:
 
     def __post_init__(self):
         object.__setattr__(self, "focus", tuple(float(f) for f in np.atleast_1d(self.focus)))
-        if not self.phi0 > 0:
-            raise ValueError("phi0 must be positive")
+        if not 0 < self.phi0 < np.inf:
+            raise ValueError("phi0 must be positive and finite")
         if self.profile not in ("parabolic", "corrected"):
             raise ValueError(f"unknown thin profile {self.profile!r}")
 

@@ -228,28 +228,27 @@ class _Layout:
     read from the pattern once and written (:meth:`write`) for every stack.
 
     The storage is by diagonals (scipy's DIA; Saad, *Iterative Methods for
-    Sparse Linear Systems*, 2nd ed., SIAM 2003, section 3.4), with ascending
-    offsets and the main diagonal always stored, when that takes no more
-    bytes than CSR would, 8 x diagonals x rows <= 12 x entries + 4 x rows,
-    counting the entries of the pattern with a diagonal entry in every row;
-    CSR otherwise. The bits do not depend on the storage. scipy's CSR
-    product sums each row from zero in column order; its DIA product adds
-    diagonal after diagonal, in stored order, into a zeroed result, so with
-    ascending offsets each row sees the same additions in the same order. A
-    slot that holds 0.0, because no entry fills it or a block lacks the
-    entry, adds 0 x = +-0, which leaves the sum as it was: a sum that starts
-    at +0 never becomes -0.
+    Sparse Linear Systems*, 2nd ed., SIAM 2003, section 3.4), laid out here
+    with ascending offsets and the main diagonal always stored, when that
+    takes no more bytes than CSR would, 8 x diagonals x rows <= 12 x
+    entries + 4 x rows, counting the entries of the pattern with a diagonal
+    entry in every row; otherwise it is scipy's CSR difference. The bits do
+    not depend on the storage. scipy's CSR product sums each row from zero
+    in column order; its DIA product adds diagonal after diagonal, in
+    stored order, into a zeroed result, so with ascending offsets each row
+    sees the same additions in the same order. A slot that holds 0.0,
+    because no entry fills it or a block lacks the entry, adds 0 x = +-0,
+    which leaves the sum as it was: a sum that starts at +0 never becomes
+    -0.
 
-    ``offsets`` holds the diagonals in ascending order and ``slots`` each
-    entry's diagonal; or, for CSR, ``offsets`` is None and ``indices`` and
-    ``indptr`` hold the pattern with a main-diagonal entry in every row, at
-    which ``at`` places each entry of the pattern and ``main`` each row's
-    diagonal.
+    ``offsets`` holds the diagonals in ascending order, ``slots`` each
+    entry's diagonal and ``main`` the main one's; ``offsets`` is None for
+    CSR.
     """
 
     def __init__(self, cols: np.ndarray, indptr: np.ndarray):
         dim = indptr.size - 1
-        self.cols, self.rows = cols, dim
+        self.cols, self.indptr, self.rows = cols, indptr, dim
         # col - row + dim - 1 of each entry, in [0, 2 dim - 1)
         key = np.repeat(np.arange(dim, dtype=cols.dtype), np.diff(indptr))
         np.subtract(cols, key, out=key)
@@ -266,28 +265,6 @@ class _Layout:
             slot = np.cumsum(present) - 1
             self.offsets = (np.flatnonzero(present) - (dim - 1)).astype(np.int32)
             self.slots, self.main = slot[key], slot[dim - 1]
-            return
-        missing = np.ones(dim, bool)
-        missing[self.on] = False
-        if not missing.any():
-            self.at, self.main = None, self.diag
-            self.indices, self.indptr = cols, indptr
-            return
-        # every entry moves past the diagonals put in before it: one per
-        # earlier row without one, and its own row's when the entry lies
-        # right of it
-        before = np.cumsum(missing) - missing
-        row = np.repeat(np.arange(dim), np.diff(indptr))
-        self.at = np.arange(cols.size) + before[row] + (missing[row] & (key > dim - 1))
-        taken = np.zeros(cols.size + before[-1] + missing[-1], bool)
-        taken[self.at] = True
-        self.main = np.empty(dim, np.intp)
-        self.main[self.on], self.main[missing] = self.at[self.diag], np.flatnonzero(~taken)
-        self.indices = np.empty(taken.size, cols.dtype)
-        self.indices[self.at] = cols
-        self.indices[self.main] = np.arange(dim)
-        self.indptr = indptr + np.concatenate([np.zeros(1, indptr.dtype),
-                                               np.cumsum(missing, dtype=indptr.dtype)])
 
     def write(self, values: np.ndarray, centers, halves, dtype,
               out: np.ndarray | None = None) -> sp.csr_matrix | sp.dia_matrix:
@@ -295,76 +272,58 @@ class _Layout:
         rows of ``values`` (B, entries), with each block's ``centers`` and
         ``halves``, as ``dtype``: each diagonal entry less its block's
         centre (0 - c on a row without one), each entry scaled by its
-        block's 1/half and then doubled. A CSR drops every entry that is
-        then 0.0; a DIA holds 0.0 in every slot no entry fills. ``out``
-        (DIA only) holds the diagonals, (diagonals, at least B, rows) and
-        0.0 wherever no stack written into it put an entry, and is
-        overwritten."""
+        block's 1/half and then doubled. A CSR is scipy's canonical
+        ``stack - diags(c)``, which drops every result that is 0.0, stored
+        zeros included; a DIA holds 0.0 in every slot no entry fills.
+        ``out`` (DIA only) holds the diagonals, (diagonals, at least B,
+        rows) and 0.0 wherever no stack written into it put an entry, and
+        is overwritten."""
         b, rows = len(values), self.rows
         n, scale = b * rows, 1.0 / np.asarray(halves)
+        if self.offsets is None:
+            blocks = [sp.csr_matrix((v, self.cols, self.indptr), shape=(rows, rows))
+                      for v in values.astype(dtype, copy=False)]
+            stack = blocks[0] if b == 1 else sp.block_diag(blocks, format="csr")
+            stack = stack - sp.diags(np.repeat(centers, rows))
+            stack.data *= scale[0] if b == 1 else np.repeat(scale, np.diff(stack.indptr[::rows]))
+            stack.data *= 2.0
+            return stack
         shifted = np.zeros((b, rows), dtype)
         shifted[:, self.on] = values[:, self.diag]
         shifted -= np.asarray(centers, dtype=float)[:, None]
-        if self.offsets is not None:
-            full = np.zeros((self.offsets.size, b, rows), dtype) if out is None else out
-            diagonals = full[:, :b]
-            diagonals[self.slots, :, self.cols] = values.T
-            diagonals[self.main] = shifted
-            diagonals *= scale[:, None]
-            diagonals *= 2.0
-            dia = sp.dia_matrix((n, n), dtype=full.dtype)
-            dia.data, dia.offsets = full.reshape(self.offsets.size, -1), self.offsets
-            return dia
-        size = self.indices.size
-        data = np.empty((b, size), dtype)
-        if self.at is None:
-            data[:] = values
-        else:
-            data[:, self.at] = values
-        data[:, self.main] = shifted
-        data = data.reshape(-1)
-        indices, indptr = self.indices, self.indptr
-        idx = indptr.dtype
-        if b > 1:
-            indices = (indices + np.arange(0, n, rows, dtype=idx)[:, None]).reshape(-1)
-            indptr = np.concatenate([np.zeros(1, idx), (
-                indptr[1:] + np.arange(0, b * size, size, dtype=idx)[:, None]).reshape(-1)])
-        kept = data != 0.0
-        if not kept.all():
-            data, indices = data[kept], indices[kept]
-            indptr = np.concatenate([np.zeros(1, idx), np.cumsum(kept, dtype=idx)])[indptr]
-        data *= scale[0] if scale.size == 1 else np.repeat(scale, np.diff(indptr[::rows]))
-        data *= 2.0
-        csr = sp.csr_matrix((n, n), dtype=data.dtype)
-        csr.data, csr.indices, csr.indptr = data, indices, indptr
-        return csr
+        full = np.zeros((self.offsets.size, b, rows), dtype) if out is None else out
+        diagonals = full[:, :b]
+        diagonals[self.slots, :, self.cols] = values.T
+        diagonals[self.main] = shifted
+        diagonals *= scale[:, None]
+        diagonals *= 2.0
+        dia = sp.dia_matrix((n, n), dtype=full.dtype)
+        dia.data, dia.offsets = full.reshape(self.offsets.size, -1), self.offsets
+        return dia
 
 
 def _stacked_operator(h, center: float, half: float, dtype) -> sp.csr_matrix | sp.dia_matrix:
     """2 h~ = 2 (h - centre) / half of one block as ``dtype`` (float only
-    for a real h), laid out on h's canonical pattern (:class:`_Layout`) and
-    written in one pass, by diagonals or as CSR; h is not modified.
+    for a real h), on h's canonical pattern (:class:`_Layout`); h is not
+    modified.
 
     The entries are those of scipy's canonical ``h - diags(c)``, which
-    computes a - c, a - 0 and 0 - c and keeps the nonzero results, then
-    ``/ half``: each diagonal entry less the centre (0 - c where a row has
-    none), each entry scaled by 1/half and then doubled. The CSR inserts
-    0 - c in its sorted place where it is not 0.0 and drops every entry
-    that is then 0.0 (stored zeros included); the DIA holds the entries in
-    their slots and 0.0 in every other. Canonical form (sorted, summed)
-    fixes the order of each row's sum whatever the order of h's indices; an
-    h with unsorted or duplicate entries is put in it by a sparse sum with
-    an empty matrix, which adds duplicates in storage order and drops zero
-    sums, as the shift does, and then sorted. A CSR result keeps h's index
-    arrays where it drops nothing and every row has its diagonal entry, and
-    gets a new data array."""
+    computes a - c, a - 0 and 0 - c and drops every result that is 0.0,
+    each then scaled by 1/half and doubled: as CSR, that difference
+    itself; by diagonals, the same values laid out by hand, 0.0 in every
+    slot no entry fills. The bits do not depend on the storage. Canonical
+    form (sorted, summed) fixes the order of each row's sum whatever the
+    order of h's indices; an h with unsorted or duplicate entries is put
+    in it by a sparse sum with an empty matrix, which adds duplicates in
+    storage order and drops zero sums, as the shift does, and then
+    sorted."""
     if dtype is float and np.iscomplexobj(h.data):
         h = h.real
     if not h.has_canonical_format:
         h = h + sp.csr_matrix(h.shape)
         h.sort_indices()
     layout = _Layout(h.indices[:h.nnz], h.indptr)
-    return layout.write(h.data[None, :h.nnz].astype(dtype), [center], [half], dtype)
+    return layout.write(h.data[None, :h.nnz], [center], [half], dtype)
 
 
 def _step(h, t: float, bounds) -> tuple:
@@ -741,23 +700,18 @@ def real_window(h: sp.csr_matrix, psi: np.ndarray, dt: float, n_samples: int,
         raise ValueError(f"{n_samples} samples of phase {abs(z):.3g} do not fit "
                          "the real window's byte budget")
     j = np.arange(1, n_samples + 1)
-    table, counts = _bessel_table(abs(z) * j, tol / 4.0)
-    # (2 n, terms): c_k Re (-i)^k and c_k Im (-i)^k per sample, zero past
-    # each sample's count
-    c = table[:counts.max()].T.copy()
-    del table
-    c[np.arange(c.shape[1]) >= counts[:, None]] = 0.0
-    c[:, 1:] *= 2.0
-    if z < 0:
-        c[:, 1::2] *= -1.0       # J_k(-z) = (-1)^k J_k(z)
-    minus_i_pow = _MINUS_I_POW[np.arange(c.shape[1]) & 3]
-    coef = np.stack([c * minus_i_pow.real, c * minus_i_pow.imag],
-                    axis=1).reshape(2 * n_samples, -1)
-    del c
+    sets = _chebyshev_coeffs(z * j, tol / 4.0)
+    counts = np.array([len(c) for c in sets])
+    width, n_terms = _WINDOW_TERMS, int(counts.max())
+    # (2 n, terms): Re c_k and Im c_k per sample, zero past each sample's count
+    coef = np.zeros((n_samples, 2, n_terms))
+    for row, c in zip(coef, sets):
+        row[:, :c.size] = c.real, c.imag
+    coef = coef.reshape(2 * n_samples, n_terms)
+    del sets
     # 2 h~, exactly twice h~, so a term is one matvec and one subtraction
     # and rounds as 2 (h~ T_k) does
     h = _stacked_operator(h, center, half, float)
-    width, n_terms = _WINDOW_TERMS, int(counts.max())
     # per ring of buffered terms: the first sample that takes them
     firsts = (counts > np.arange(0, n_terms, width)[:, None]).argmax(axis=1)
     # each sample as two rows, its real and imaginary parts

@@ -259,13 +259,19 @@ def _run_inputs(cfg: dict):
     """Build what a run of ``cfg`` builds before it computes anything, with
     the run's own constructors and checks: the lattice and coupling model,
     each power law of a scan, a thick lens's continuum prediction, an
-    ensemble job and a displacement run's broadening grid, a breakdown
-    scan's jobs and displacement grid, the kind and order of each lens an
-    optimizer run designs, a lens design with the profile it imposes and
-    the start packet centred on its focus (``_lens``). Whatever they
-    reject, the run would fail on."""
+    ensemble job and a displacement run's broadening grid (on a chain), a
+    breakdown scan's jobs and displacement grid, the kind and order of each
+    lens an optimizer run designs, a lens design with the profile it
+    imposes and the start packet centred on its focus (``_lens``), or the
+    start packet of each width at the lattice's centre, a nonlinear run's
+    blockade radius and a rydberg_tables run's whole computation
+    (``_dressing``). It also rejects what would fail mid-run: holes that
+    could take every site of the packet, a nonlinear packet on fewer sites
+    than excitations, and a cascade on one site, whose focused width is 0.
+    Whatever they reject, the run would fail on."""
     name = cfg["scenario"]
     if "lattice" not in cfg:
+        _dressing(cfg)              # rydberg_tables, the one run without a lattice
         return
     table, model = _build_setup(cfg)
     if name == "longrange_alpha":
@@ -276,22 +282,36 @@ def _run_inputs(cfg: dict):
         continuum_thick(float(cfg["lens"]["v0"]), float(cfg["packet"]["sigma0"]),
                         model.reference_hopping())
     elif name == "holes":
-        _ensemble_job(cfg, Holes(int(cfg["disorder"]["count"])))
+        job, _ = _ensemble_job(cfg, Holes(int(cfg["disorder"]["count"])))
+        on = np.flatnonzero(gaussian_packet(table, job.sigma0).amplitudes)
+        if np.isin(on, job.candidates).all() and on.size <= job.kind.count:
+            raise ValueError("the holes of a realization can take every site the packet is on")
     elif name == "displacement":
         _ensemble_job(cfg, Displacement(float(cfg["disorder"]["delta"])))
-        _broadening_grid(cfg, table.extents[0])
+        _broadening_grid(cfg, table.extents)
     elif name == "breakdown":
         _breakdown_jobs(cfg, table, model)
         _delta_grid(cfg["scan"]["deltas"])
     elif name == "cascade":
         _check_design("thick", int(cfg["lens"]["order"]))
+        if table.n_sites < 2:
+            raise ValueError("a cascade needs 2 or more sites: its focused width sets stage 2")
     elif name == "scaling_fit":
         for kind, order in _scan_designs(cfg["scan"]):
             _check_design(kind, order)
-    if name in ("thick1d", "thin1d", "multifocal2d", "nonlinear", "cascade"):
-        design, _ = _lens(cfg, table)
+    if name in ("holes", "displacement", "breakdown", "longrange_alpha", "scaling_fit"):
+        # the start packet of each width, at the lattice's centre
+        for sigma0 in cfg.get("scan", {}).get("sigma0") or [cfg["packet"]["sigma0"]]:
+            gaussian_packet(table, float(sigma0))
+    else:
+        design, packet = _lens(cfg, table)
         if design is not None:
             (thin_phase_profile if design.thin else potential_profile)(design, table)
+    if name == "nonlinear":
+        inter = cfg["interaction"]
+        blockade_radius(float(inter["jz"]), model.reference_hopping(), float(inter["power"]))
+        if np.count_nonzero(packet.amplitudes) < int(inter["nu"]):
+            raise ValueError(f"need at least {int(inter['nu'])} sites with nonzero amplitude")
 
 
 def lint_config(cfg: dict) -> list:
@@ -300,10 +320,10 @@ def lint_config(cfg: dict) -> list:
     name = cfg["scenario"]
     if name == "rydberg_tables":
         d = cfg["dressing"]
-        if abs(d["omega"] / d["delta"]) > 0.5:
-            warnings.append(
-                "dressing ratio omega/|delta| = %.3g exceeds 0.5; perturbative "
-                "couplings are unreliable" % abs(d["omega"] / d["delta"]))
+        ratio = abs(float(d["omega"]) / float(d["delta"]))
+        if ratio > 0.5:
+            warnings.append("dressing ratio omega/|delta| = %.3g exceeds 0.5; perturbative "
+                            "couplings are unreliable" % ratio)
         return warnings
 
     packet = cfg.get("packet")
@@ -314,13 +334,13 @@ def lint_config(cfg: dict) -> list:
     hopping = float(cfg.get("coupling", {}).get("hopping", 1.0))
     if lens is not None:
         scales = thresholds(sigma0=sigma0, hopping=hopping)
-        v0 = lens.get("v0")
-        if v0 is not None and v0 > scales["v_bo"]:
+        # a run reads a strength written as text (YAML's 1e-3) as its number
+        v0, phi0 = _as_float(lens.get("v0")), _as_float(lens.get("phi0"))
+        if v0 > scales["v_bo"]:
             warnings.append(
                 "v0 = %.3g exceeds the band-limited scale v_BO = %.3g; the "
                 "lens will clamp at the band edge" % (v0, scales["v_bo"]))
-        phi0 = lens.get("phi0")
-        if phi0 is not None and phi0 > scales["phi_bo"]:
+        if phi0 > scales["phi_bo"]:
             warnings.append(
                 "phi0 = %.3g exceeds phi_BO = %.3g; imprinted momenta leave "
                 "the quadratic band" % (phi0, scales["phi_bo"]))
@@ -714,17 +734,20 @@ def run_holes(cfg, out: Path):
     return derived, outputs
 
 
-def _broadening_grid(cfg, length: int):
+def _broadening_grid(cfg, extents):
     """The realization count of a displacement run's broadening and its
-    wavenumbers, each rounded to the nearest one a ring of ``length``
-    sites holds; ValueError for no realization or a wavenumber that is not
-    finite."""
+    wavenumbers, each rounded to the nearest one a ring of the chain's
+    sites holds; ValueError for a lattice of more than one axis, no
+    realization or a wavenumber that is not finite."""
     n_b, ks = int(cfg["broadening"]["realizations"]), [float(k) for k in cfg["broadening"]["ks"]]
+    if len(extents) != 1:
+        raise ValueError("the broadening runs on a chain: lattice.extents must have one axis")
     if n_b < 1:
         raise ValueError("need at least one broadening realization")
     if not all(map(math.isfinite, ks)):
         raise ValueError("broadening wavenumbers must be finite")
-    return n_b, [2.0 * math.pi * round(k * length / (2.0 * math.pi)) / length for k in ks]
+    (n,) = extents
+    return n_b, [2.0 * math.pi * round(k * n / (2.0 * math.pi)) / n for k in ks]
 
 
 def run_displacement(cfg, out: Path):
@@ -740,7 +763,7 @@ def run_displacement(cfg, out: Path):
     })
 
     table = job.table
-    n_b, ks = _broadening_grid(cfg, table.extents[0])
+    n_b, ks = _broadening_grid(cfg, table.extents)
     vals = [[] for _ in ks]
     # each realization's difference taken once, for every k
     for dh in _perturbations(pattern, job, n_b):
@@ -798,31 +821,33 @@ def run_breakdown(cfg, out: Path):
     return {"crossovers": crossovers}, outputs
 
 
-def run_rydberg_tables(cfg, out: Path):
-    d = cfg["dressing"]
+def _dressing(cfg):
+    """What a rydberg_tables run computes before it writes anything: the
+    dressed shapes and couplings on the r_tilde grid, the lattice
+    couplings per separation m and the derived summary, from the run's
+    ``DressingParams``. ValueError or ArithmeticError where the run would
+    fail: a dressing ``DressingParams`` rejects, |xi| outside (0, 1) (no
+    exchange peak), a negative grid, no separation, a lattice spacing that
+    is not positive and finite, or a focal estimate or lifetime ratio that
+    divides by zero."""
+    d, tbl = cfg["dressing"], cfg["table"]
     c12 = d["c12"] if d["c12"] is not None else abs(float(d["delta"]))
     params = DressingParams(omega=float(d["omega"]), delta=float(d["delta"]),
                             xi=float(d["xi"]), c12=float(c12))
-    tbl = cfg["table"]
     scale = params.length_scale()
     r_tilde = np.linspace(1e-3, float(tbl["r_tilde_max"]), int(tbl["n_points"]))
-    v_t, w_t = effective_potentials(r_tilde, params.xi)
-    v_sg, w_sg = dressed_couplings(params, r_tilde / scale)
-    outputs = [io_utils.write_csv(
-        out / "dressed.csv",
-        ["r_tilde [1]", "v_tilde [1]", "w_tilde [1]", "v_sg [E]", "w_sg [E]"],
-        zip(r_tilde, v_t, w_t, v_sg, w_sg))]
+    dressed = (r_tilde, *effective_potentials(r_tilde, params.xi),
+               *dressed_couplings(params, r_tilde / scale))
 
     r_peak, w_peak = exchange_peak(params.xi)
     spacing = tbl["spacing_r_tilde"]
     spacing = float(spacing) if spacing is not None else r_peak
     ms = np.arange(1, int(tbl["max_separation"]) + 1)
+    if not (ms.size and 0.0 < spacing < math.inf):
+        raise ValueError("need table.max_separation >= 1 and a positive finite "
+                         "table.spacing_r_tilde")
     v_m, w_m = dressed_couplings(params, ms * spacing / scale)
     j_m = -w_m / 2.0
-    outputs.append(io_utils.write_csv(
-        out / "lattice_couplings.csv",
-        ["m [sites]", "r_tilde [1]", "j_m [E]", "v_m [E]"],
-        zip(ms, ms * spacing, j_m, v_m)))
 
     derived = {
         "xi": params.xi,
@@ -847,7 +872,17 @@ def run_rydberg_tables(cfg, out: Path):
         a, b = vdw_iso_aniso(ChannelC6(*[float(x) for x in c6]))
         derived["vdw_a"] = a
         derived["vdw_b"] = b
-    outputs.append(io_utils.write_json(out / "dressing_summary.json", derived))
+    return dressed, (ms, ms * spacing, j_m, v_m), derived
+
+
+def run_rydberg_tables(cfg, out: Path):
+    dressed, couplings, derived = _dressing(cfg)
+    outputs = [
+        io_utils.write_csv(out / "dressed.csv", ["r_tilde [1]", "v_tilde [1]", "w_tilde [1]",
+                                                 "v_sg [E]", "w_sg [E]"], zip(*dressed)),
+        io_utils.write_csv(out / "lattice_couplings.csv",
+                           ["m [sites]", "r_tilde [1]", "j_m [E]", "v_m [E]"], zip(*couplings)),
+        io_utils.write_json(out / "dressing_summary.json", derived)]
     return derived, outputs
 
 

@@ -81,7 +81,7 @@ def gaussian_packet(table: SiteTable, sigma0: float, center=None,
     center = table.center() if center is None else np.atleast_1d(np.asarray(center, float))
     if center.shape != (table.dim,):
         raise ValueError("center has wrong dimension")
-    if np.any(center < 0) or np.any(center > np.asarray(table.extents) - 1):
+    if not np.all((center >= 0) & (center <= np.asarray(table.extents) - 1)):
         raise ValueError(f"center {center} outside the lattice")
     dx = table.positions - center
     amp = np.exp(-0.5 * (dx * dx).sum(axis=1) / sigma0**2).astype(complex)

@@ -1,20 +1,27 @@
+import contextlib
+import copy
 import hashlib
+import importlib.util
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinlens import io_utils
 from spinlens.cli import main
 from spinlens.lens import continuum_thick, continuum_thin
 from spinlens.propagator import TOL_RANGE
-from spinlens.scenarios import (ConfigError, SCENARIO_NAMES, lint_config,
+from spinlens.scenarios import (DEFAULTS, ConfigError, SCENARIO_NAMES, lint_config,
                                 prepare_config, run_scenario)
 
 THICK_SMALL = {
@@ -563,11 +570,45 @@ _SCALING_SMALL = {"scenario": "scaling_fit", "lattice": {"extents": [100]},
     (dict(_CASCADE_SMALL, lens={"order": math.inf}), "cannot convert float infinity to integer"),
     (dict(THICK_SMALL, packet={"sigma0": 12.0, "k0": math.nan}), "k0 must be finite"),
     (dict(_THIN_SMALL, packet={"sigma0": 10.0, "k0": [math.inf]}), "k0 must be finite"),
+    ({"scenario": "rydberg_tables", "dressing": {"xi": 1.0}}, "need |xi| < 1"),
+    ({"scenario": "rydberg_tables", "dressing": {"c12": -1.0}}, "c12 positive"),
+    ({"scenario": "rydberg_tables", "dressing": {"delta": 0.0}}, "delta must be nonzero"),
+    ({"scenario": "rydberg_tables", "table": {"max_separation": 0}},
+     "need table.max_separation >= 1"),
+    ({"scenario": "rydberg_tables", "table": {"spacing_r_tilde": 0.0}},
+     "a positive finite table.spacing_r_tilde"),
+    ({"scenario": "rydberg_tables", "focus": {"lifetime": 0.0}}, "division by zero"),
+    (dict(_DISPLACEMENT_SMALL, lattice={"extents": [15, 15]}),
+     "lattice.extents must have one axis"),
+    (dict(_DISPLACEMENT_SMALL, coupling={"alpha": math.inf}), "must be positive and finite"),
+    (dict(_BREAKDOWN_SMALL, coupling={"cutoff_range": math.nan}),
+     "must be positive and finite"),
+    (dict(_CASCADE_SMALL, coupling={"hopping": math.inf}), "must be positive and finite"),
+    (dict(_NONLINEAR_SMALL, packet={"sigma0": 0.001}, lens={"v0": 0.05}),
+     "need at least 2 sites with nonzero amplitude"),
+    (dict(_NONLINEAR_SMALL, lens={"v0": 0.05}, interaction={"jz": 20.0, "power": 1e-3}),
+     "Numerical result out of range"),
+    (dict(THICK_SMALL, lens={"focus": math.nan}), "outside the lattice"),
+    (dict(_DISPLACEMENT_SMALL, lens={"focus": -math.inf}), "outside extents"),
+    (dict(HOLES_SMALL, packet={"sigma0": 0.001}), "zero weight on active sites"),
+    (dict(HOLES_SMALL, lattice={"extents": [21]}, packet={"sigma0": 0.001},
+          lens={"focus": [3.0]}), "the holes of a realization can take every site"),
+    ({"scenario": "longrange_alpha", "lattice": {"extents": [24]},
+      "packet": {"sigma0": 0.001}}, "zero weight on active sites"),
+    (dict(_CASCADE_SMALL, lattice={"extents": [1]}), "a cascade needs 2 or more sites"),
+    (dict(_THIN_SMALL, lens={"phi0": math.inf}), "phi0 must be positive and finite"),
+    (dict(_MULTIFOCAL_SMALL, lens={"v0": math.inf}), "must be positive and finite"),
+    (dict(_BREAKDOWN_SMALL, scan={"sigma0": [4.0], "deltas": [0.0, 1.0]}),
+     "at most 0.1 a"),
+    (dict(_DISPLACEMENT_SMALL, disorder={"delta": 2.0, "realizations": 2}),
+     "at most 0.1 a"),
 ])
 def test_what_a_run_rejects_fails_validation(tmp_path, capsys, config, message):
     """Each of these passed ``validate`` and then failed the run at its
-    first constructor; both now exit 2 with the run's message, and the run
-    makes no output directory."""
+    first constructor, or ran without end (a displacement scatter of 1 or
+    2 a), or crashed ``validate`` itself (a rydberg_tables detuning of 0);
+    both now exit 2 with the run's message, and the run makes no output
+    directory."""
     cfg = write_config(tmp_path / "c.yaml", config)
     assert main(["validate", "--config", cfg]) == 2
     assert message in capsys.readouterr().err
@@ -575,6 +616,130 @@ def test_what_a_run_rejects_fails_validation(tmp_path, capsys, config, message):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+# A tiny, fast run of each scenario, which the property below overrides.
+_TINY = {
+    "thick1d": {"lattice": {"extents": [31]}, "packet": {"sigma0": 3.0},
+                "evolution": {"n_samples": 2}},
+    "thin1d": {"lattice": {"extents": [31]}, "packet": {"sigma0": 3.0},
+               "evolution": {"n_samples": 2}},
+    "cascade": {"lattice": {"extents": [24]}, "packet": {"sigma0": 3.0}, "lens": {"order": 2},
+                "evolution": {"n_time": 4}},
+    "scaling_fit": {"lattice": {"extents": [24]}, "scan": {"sigma0": [2.0, 3.0], "kinds": ["thick"]},
+                    "evolution": {"n_time": 4}},
+    "multifocal2d": {"lattice": {"extents": [9, 9]}, "packet": {"sigma0": 1.5},
+                     "lens": {"foci": [[2, 4], [6, 4]]}},
+    "longrange_alpha": {"lattice": {"extents": [24]}, "packet": {"sigma0": 3.0},
+                        "scan": {"alphas": [6.0], "include_nn": False}, "evolution": {"n_time": 4}},
+    "nonlinear": {"lattice": {"extents": [13]}, "packet": {"sigma0": 2.0}, "lens": {"v0": 0.05},
+                  "interaction": {"jz": 20.0}, "evolution": {"n_samples": 2}},
+    "holes": {"lattice": {"extents": [20]}, "packet": {"sigma0": 3.0},
+              "disorder": {"realizations": 2}},
+    "displacement": {"lattice": {"extents": [20]}, "packet": {"sigma0": 3.0},
+                     "disorder": {"realizations": 2}, "broadening": {"realizations": 2}},
+    "breakdown": {"lattice": {"extents": [20]},
+                  "scan": {"sigma0": [3.0], "deltas": [0.0, 0.01], "realizations": 2}},
+    "rydberg_tables": {"table": {"n_points": 20}},
+}
+# Values at and past the edges of the schema, for any key ...
+_EDGES = [0, 1, 2, -1, 0.5, -0.5, 1e-3, math.nan, math.inf, -math.inf, "x", "1.0e-3", None,
+          True, [], [1.0], [1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]], {"a": 1}]
+# ... and for the keys whose values have a shape of their own (lattices of 1-3
+# axes, and a fourth), each kept tiny.
+_KEYED = {
+    "extents": [[1], [2], [5], [12], [3, 3], [7, 7], [2, 2, 2], [0], [4, 0], [-3], [2.5],
+                [3, 3, 3, 3]],
+    "center": [[0.0], [30.0], [2.0, 2.0], [1.0, 1.0, 1.0]],
+    "focus": [[0.0], [30.0], [2.0, 2.0], [5.0], [1.5]],
+    "foci": [[[1, 1], [3, 3]], [[1, 1]], [[1, 1, 1], [2, 2, 2]], [[50, 50], [1, 1]]],
+    "model": ["nn", "powerlaw", "x"], "profile": ["parabolic", "corrected", "x"],
+    "kinds": [["thick", "thin"], ["x"], ["thin"]], "orders": [[2], [4], [3], [0]],
+    "alphas": [[2.0], [0.5], [-1.0], [6.0, 3.0]], "deltas": [[0.0, 0.01], [0.01], [0.5], [0.0]],
+    "c6": [[1, 2, 3, 4], [1, 2]], "nu": [2, 3], "literal_sigma_z": [True, False],
+    "sigma0": [[2.0, 3.0], [3.0], [0.0, 2.0], 2.0, 1e-3, 1e3],
+    "k0": [[0.5], [0.5, 0.5], 0.3, [math.nan]],
+}
+_SCHEMA = (CONFIGS / "SCHEMA.md").read_text(encoding="utf-8")
+
+
+@st.composite
+def _edge_configs(draw):
+    """One tiny config of a scenario with one to three keys that
+    configs/SCHEMA.md documents set to values at or past their edges."""
+    name = draw(st.sampled_from(SCENARIO_NAMES))
+    cfg = copy.deepcopy(_TINY[name])
+    keys = [(section, key) for section, keys in DEFAULTS[name].items() for key in keys
+            if key in _SCHEMA]
+    for section, key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3)):
+        cfg.setdefault(section, {})[key] = draw(st.sampled_from(_KEYED.get(key, []) + _EDGES))
+    return dict(cfg, scenario=name)
+
+
+def _cli(*argv) -> tuple:
+    """(exit code, stderr) of one command, run in this process: an uncaught
+    exception, which the console would print as a traceback, fails the
+    test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(config=_edge_configs())
+@example(config={"scenario": "rydberg_tables", "dressing": {"xi": 1.0}})
+@example(config={"scenario": "rydberg_tables", "dressing": {"c12": -1.0}})
+@example(config={"scenario": "rydberg_tables", "dressing": {"delta": 0.0}})
+@example(config={"scenario": "rydberg_tables", "table": {"max_separation": 0}})
+@example(config={"scenario": "rydberg_tables", "table": {"spacing_r_tilde": 0.0}})
+@example(config={"scenario": "rydberg_tables", "focus": {"lifetime": 0.0}})
+@example(config=dict(_TINY["displacement"], scenario="displacement", lattice={"extents": [7, 7]}))
+@example(config=dict(_TINY["thin1d"], scenario="thin1d", lens={"phi0": "1.0e-3"}))
+@example(config=dict(_TINY["thick1d"], scenario="thick1d", lens={"v0": "1.0e-3"}))
+@example(config=dict(_TINY["holes"], scenario="holes", lattice={"extents": [21]},
+                     packet={"sigma0": 1e-3}, lens={"focus": [3.0]}))
+def test_what_validate_accepts_runs(config):
+    """``validate`` exit 0 means ``run`` exits 0 and writes every file its
+    manifest lists; exit 2 means ``run`` exits 2 and makes no output
+    directory; neither raises (prints a traceback)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp) / "c.yaml", config)
+        code, err = _cli("validate", "--config", path)
+        assert code in (0, 2), err
+        out = Path(tmp) / "out"
+        ran, err = _cli("run", "--config", path, "--out", str(out))
+        assert ran == code, err
+        if code == 0:
+            listed = json.loads((out / "manifest.json").read_text())["outputs"]
+            assert listed and all(Path(entry["path"]).is_file() for entry in listed)
+        else:
+            assert not out.exists()
+        assert "Traceback" not in err
+
+
+def test_every_benchmark_task_config_validates():
+    """Every distinct task config of the benchmark's workloads (all three,
+    full and tiny, seeds 0-39 at 30 s) passes ``prepare_config``, so a
+    stricter validation cannot quietly fail benchmark tasks. The task
+    generator is loaded from its file; nothing else under perfbench/ is
+    imported or run."""
+    spec = importlib.util.spec_from_file_location(
+        "_bench_workloads", CONFIGS.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads         # dataclasses resolve their module
+    try:
+        spec.loader.exec_module(workloads)
+        configs = {json.dumps(task.config, sort_keys=True): task.config
+                   for workload in workloads.WORKLOADS for size in workloads.SIZES
+                   for seed in range(40)
+                   for task in workloads.make_tasks(workload, seed, 30.0, size)}
+    finally:
+        del sys.modules[spec.name]
+    assert len(configs) > 100
+    for config in configs.values():
+        prepare_config(config)
 
 
 @pytest.mark.parametrize("count", [0, 38])

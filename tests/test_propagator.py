@@ -828,14 +828,6 @@ class TestOnePassOperator:
         got = self.assert_stack_is_the_sparse_difference([h], [None], dtype)
         assert got.data is not h.data and got.dtype == np.dtype(dtype)
 
-    def test_lone_csr_block_keeps_its_index_arrays(self, rng):
-        """A block too spread for diagonals is a CSR on h's index arrays."""
-        h = random_hermitian(30, rng).real.tocsr()
-        center, half = _enclosure(h, None)
-        got = _stacked_operator(h, center, half, float)
-        assert got.format == "csr" and got.indptr is h.indptr
-        assert np.shares_memory(got.indices, h.indices)
-
 
 def _scrambled(h, rng):
     """h with some entries stored twice, as 3/4 and 1/4 of their value, and
