@@ -27,14 +27,20 @@ to the chunk's longest coefficient set and still bit for bit its lone
 ``expimv``: since every H and start packet is real, the stack runs its
 Chebyshev terms in float64 and adds them into a real and an imaginary
 float64 accumulator (the even and the odd terms), and a phase met in an
-earlier chunk reuses its coefficients. The plane-wave broadening reads the
-same value tables (:func:`_perturbations`). Streams are counter-based per
-realization, so a realization's record does not depend on how many others
-are run.
+earlier chunk reuses its coefficients. A chunk whose blocks share one
+phase, as holes that leave the enclosure as it is do, multiplies each term
+by scalars (``propagator._Stack``). The clean lattice rides as row 0 of the
+first chunk, in place of a realization, and its record, bit for bit
+:func:`run_protocol`'s on the clean table, comes back with the ensemble's
+(:class:`EnsembleStats`), so no run evolves it apart. The plane-wave
+broadening reads the same value tables (:func:`_perturbations`) and draws
+no clean row. Streams are counter-based per realization, so a
+realization's record does not depend on how many others are run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -105,8 +111,14 @@ class EnsembleJob:
 
 @dataclass
 class EnsembleStats:
+    """Per-realization records in index order, and the clean lattice's
+    record, ``run_protocol(job.table, job)`` bit for bit, where the
+    ensemble ran it (:func:`run_ensemble`); the summary covers the
+    realizations alone."""
     p_foc: np.ndarray                  # per realization, index order
     sigma_f: np.ndarray
+    p_clean: float = math.nan          # the clean lattice's record
+    sigma_clean: float = math.nan
 
     def summary(self) -> dict:
         out = {}
@@ -308,17 +320,20 @@ class _Kept:
         return array[:shape[0]]
 
 
-def _draws(job: EnsembleJob, pattern: _CleanPattern, count: int):
+def _draws(job: EnsembleJob, pattern: _CleanPattern, count: int, clean: bool = False):
     """The realizations 0, ..., count - 1 of ``job`` in chunks of about one
     stacked operator's worth (the clean pattern's entries plus its rows
     against ``propagator._STACK_NNZ``): per chunk, the active masks and
     positions, stacked where they vary, the clean table's where they do
     not. Each realization draws its own counter-based stream
-    (``_realization_table``)."""
+    (``_realization_table``). With ``clean``, the clean lattice comes
+    first, as row 0 of the first chunk in place of a realization, so no
+    chunk grows; a chunk of one block then holds it alone."""
     table, n, streams = job.table, job.table.n_sites, _Streams(job.master_seed)
     size = max(1, _STACK_NNZ // (pattern.data.size + n))
-    for lo in range(0, count, size):
-        tables = [_realization_table(job, r, streams) for r in range(lo, min(lo + size, count))]
+    for lo in range(-1 if clean else 0, count, size):
+        tables = [table if r < 0 else _realization_table(job, r, streams)
+                  for r in range(lo, min(lo + size, count))]
         if pattern.holes:
             yield np.stack([t.active for t in tables]), table.positions
         else:
@@ -326,11 +341,14 @@ def _draws(job: EnsembleJob, pattern: _CleanPattern, count: int):
 
 
 def run_ensemble(job: EnsembleJob, pattern: _CleanPattern | None = None) -> EnsembleStats:
-    """Focusing statistics over disorder realizations, in index order.
+    """Focusing statistics over disorder realizations, in index order,
+    and the clean lattice's record.
 
     Each record equals ``run_protocol(_realization_table(job, r), job)``
-    bit for bit. The realizations are drawn about one stacked operator's
-    worth at a time (``_draws``); each chunk's values and bounds are
+    bit for bit, and the clean one ``run_protocol(job.table, job)``: the
+    clean lattice rides as row 0 of the first chunk. The realizations are
+    drawn about one stacked operator's worth at a time (``_draws``); each
+    chunk's values and bounds are
     written from the job's clean pattern (``pattern``, made here when not
     given) into the arrays the pattern keeps (``_CleanPattern.table``,
     ``scratch``), propagated as one stack on the pattern's
@@ -344,7 +362,7 @@ def run_ensemble(job: EnsembleJob, pattern: _CleanPattern | None = None) -> Ense
     imprint = (np.exp(-1j * thin_phase_profile(job.design, table))
                if job.design.thin else None)
     p_foc, sigma_f = [], []
-    for active, positions in _draws(job, pattern, job.realizations):
+    for active, positions in _draws(job, pattern, job.realizations, clean=True):
         values, lows, highs = pattern.table(active, positions, pattern.scratch)
         packets = _gaussian_rows(positions, active, table.center(), job.sigma0)
         if imprint is None:
@@ -355,7 +373,8 @@ def run_ensemble(job: EnsembleJob, pattern: _CleanPattern | None = None) -> Ense
         p = np.abs(finals) ** 2
         p_foc.append(_focus_probabilities(p, positions, job.design.foci[0]))
         sigma_f.append(_density_widths(p, positions))
-    return EnsembleStats(p_foc=np.concatenate(p_foc), sigma_f=np.concatenate(sigma_f))
+    p_foc, sigma_f = np.concatenate(p_foc), np.concatenate(sigma_f)
+    return EnsembleStats(p_foc[1:], sigma_f[1:], float(p_foc[0]), float(sigma_f[0]))
 
 
 def _perturbations(pattern: _CleanPattern, job: EnsembleJob, count: int):
@@ -439,17 +458,20 @@ def _delta_grid(deltas) -> list:
 
 def breakdown_scan(job: EnsembleJob, deltas) -> BreakdownResult:
     """Width-ratio table sigma_f(delta)/sigma_f(0) over a displacement grid
-    (:func:`_delta_grid`)."""
-    deltas = _delta_grid(deltas)
-    _, sigma_clean = run_protocol(job.table, job)
-    result = BreakdownResult(sigma0=job.sigma0, sigma_f_clean=sigma_clean,
+    (:func:`_delta_grid`). sigma_f(0) is the clean record of the first
+    nonzero delta's ensemble, or :func:`run_protocol`'s on a grid of zeros."""
+    result = BreakdownResult(sigma0=job.sigma0, sigma_f_clean=math.nan,
                              duration=job.duration)
-    for delta in deltas:
+    for delta in _delta_grid(deltas):
         if delta == 0.0:
             result.rows.append(BreakdownRow(0.0, 1.0, 0.0))
             continue
         stats = run_ensemble(replace(job, kind=Displacement(delta)))
-        ratio = stats.sigma_f / sigma_clean
+        if math.isnan(result.sigma_f_clean):
+            result.sigma_f_clean = stats.sigma_clean
+        ratio = stats.sigma_f / result.sigma_f_clean
         stderr = (ratio.std(ddof=1) / np.sqrt(len(ratio))) if len(ratio) > 1 else 0.0
         result.rows.append(BreakdownRow(delta, float(ratio.mean()), float(stderr)))
+    if math.isnan(result.sigma_f_clean):
+        result.sigma_f_clean = run_protocol(job.table, job)[1]
     return result

@@ -352,7 +352,11 @@ class _Stack:
     real, the terms are added into two float64 accumulators, the even
     ones times Re c_k into the real part and the odd ones times Im c_k into
     the imaginary part, which become the complex state at the end;
-    otherwise c_k T_k goes into one complex accumulator.
+    otherwise c_k T_k goes into one complex accumulator. A *uniform* stack,
+    whose blocks share one coefficient set (the same object) and one phase,
+    as one block does, runs on the flat state with scalar c_k and a scalar
+    phase; otherwise each term multiplies a column of the blocks' c_k. Each
+    element takes the same product and sum either way.
     """
 
     def __init__(self, h, coefs, phases):
@@ -361,6 +365,7 @@ class _Stack:
         for j, c in enumerate(coefs):
             self.coef[:len(c), j, 0] = c
         self.phase = np.array(phases)[:, None]
+        self.uniform = all(c is coefs[0] for c in coefs) and len(set(phases)) == 1
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """exp(-i h t) of every block; ``psi`` is (m, dim) in stack order,
@@ -369,15 +374,15 @@ class _Stack:
         if np.iscomplexobj(psi) and not np.iscomplexobj(self.h_scaled.data):
             self.h_scaled = self.h_scaled.astype(complex)
         h = self.h_scaled
-        # one block: scalar coefficients, which multiply a 1-D state without
-        # the cost of broadcasting
-        coef, shape = ((self.coef[:, 0, 0], psi.shape[1:]) if len(psi) == 1
-                       else (self.coef, psi.shape))
+        # a uniform stack: scalar coefficients and phase, which multiply the
+        # flat state without the cost of broadcasting a column
+        coef, shape, phase = ((self.coef[:, 0, 0], (psi.size,), self.phase[0, 0])
+                              if self.uniform else (self.coef, psi.shape, self.phase))
         real = not np.iscomplexobj(h.data)
         if real:
             # the even terms' sum of Re c_k T_k, the odd terms' of Im c_k T_k
-            acc = np.zeros((2,) + psi.shape)
-            sums, tables = list(acc.reshape((2,) + shape)), (coef.real, coef.imag)
+            parts = np.zeros((2,) + psi.shape)
+            sums, tables = list(parts.reshape((2,) + shape)), (coef.real, coef.imag)
         else:
             acc = np.empty(psi.shape, dtype=complex)
             sums, tables = [acc.reshape(shape)] * 2, (coef, coef)
@@ -400,8 +405,8 @@ class _Stack:
                 p ^= 1
         if real:
             acc = np.empty(psi.shape, dtype=complex)
-            acc.real, acc.imag = sums
-        return np.multiply(self.phase, acc, out=acc)
+            acc.real, acc.imag = parts
+        return np.multiply(phase, acc, out=acc)
 
 
 class _StepPlan:

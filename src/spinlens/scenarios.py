@@ -17,7 +17,7 @@ import numpy as np
 
 from . import io_utils
 from .disorder import (Displacement, EnsembleJob, Holes, _broadening, _CleanPattern, _delta_grid,
-                       _perturbations, breakdown_scan, run_ensemble, run_protocol)
+                       _perturbations, breakdown_scan, run_ensemble)
 from .lattice import NearestNeighbor, PowerLaw, build_couplings, build_lattice
 from .lens import (Multifocal, ThickPolynomial, ThinPulse, _check_design, _parabola_vertex,
                    clipped_thick_terms, continuum_thick, continuum_thin,
@@ -719,16 +719,15 @@ def _write_ensemble(out, job, stats, extra_summary):
 
 def run_holes(cfg, out: Path):
     job, pred = _ensemble_job(cfg, Holes(int(cfg["disorder"]["count"])))
-    clean_p, clean_sigma = run_protocol(job.table, job)
     stats = run_ensemble(job)
     outputs = _write_ensemble(out, job, stats, {
-        "clean": {"p_foc": clean_p, "sigma_f": clean_sigma},
+        "clean": {"p_foc": stats.p_clean, "sigma_f": stats.sigma_clean},
         "holes": int(cfg["disorder"]["count"]),
     })
     derived = {
-        "clean_p_foc": clean_p,
+        "clean_p_foc": stats.p_clean,
         "mean_p_foc": float(stats.p_foc.mean()),
-        "relative_drop": float(1.0 - stats.p_foc.mean() / clean_p),
+        "relative_drop": float(1.0 - stats.p_foc.mean() / stats.p_clean),
         "focal_time [1/J]": job.duration,
     }
     return derived, outputs
@@ -753,12 +752,11 @@ def _broadening_grid(cfg, extents):
 def run_displacement(cfg, out: Path):
     delta = float(cfg["disorder"]["delta"])
     job, pred = _ensemble_job(cfg, Displacement(delta))
-    clean_p, clean_sigma = run_protocol(job.table, job)
     # one clean pattern, and its kept arrays, for the ensemble and the broadening
     pattern = _CleanPattern(job)
     stats = run_ensemble(job, pattern)
     outputs = _write_ensemble(out, job, stats, {
-        "clean": {"p_foc": clean_p, "sigma_f": clean_sigma},
+        "clean": {"p_foc": stats.p_clean, "sigma_f": stats.sigma_clean},
         "delta [a]": delta,
     })
 
@@ -776,7 +774,7 @@ def run_displacement(cfg, out: Path):
                                        "std_delta_eps [J]"],
                                       rows))
     derived = {
-        "clean_p_foc": clean_p,
+        "clean_p_foc": stats.p_clean,
         "mean_sigma_f": float(stats.sigma_f.mean()),
         "broadening": [list(r) for r in rows],
     }
@@ -828,8 +826,9 @@ def _dressing(cfg):
     ``DressingParams``. ValueError or ArithmeticError where the run would
     fail: a dressing ``DressingParams`` rejects, |xi| outside (0, 1) (no
     exchange peak), a negative grid, no separation, a lattice spacing that
-    is not positive and finite, or a focal estimate or lifetime ratio that
-    divides by zero."""
+    is not positive and finite, or a ``focus.sigma0``, ``focus.lifetime``
+    or hopping (``dressing.omega``) of 0 that the focal estimate divides
+    by."""
     d, tbl = cfg["dressing"], cfg["table"]
     c12 = d["c12"] if d["c12"] is not None else abs(float(d["delta"]))
     params = DressingParams(omega=float(d["omega"]), delta=float(d["delta"]),
@@ -860,12 +859,19 @@ def _dressing(cfg):
     foc = cfg["focus"]
     if foc["sigma0"] is not None:
         sigma0 = float(foc["sigma0"])
+        if sigma0 == 0.0:
+            raise ValueError("focus.sigma0 must be nonzero for the focal estimate")
+        if j_m[0] == 0.0:
+            raise ValueError("dressing.omega gives no hopping to divide the focal "
+                             "estimate by")
         # Fastest useful single pulse: corrected profile at phi0 = 4/sigma0
         # (twice the phase-wrap scale 2a/sigma0), so t_f = sigma0 / (8 J a).
         t_f = corrected_focal_time(4.0 / sigma0, float(j_m[0]))
         derived["sigma0 [a]"] = sigma0
         derived["focal_time_estimate [1/E]"] = t_f
         if foc["lifetime"] is not None:
+            if float(foc["lifetime"]) == 0.0:
+                raise ValueError("focus.lifetime must be nonzero")
             derived["focal_time_over_lifetime"] = t_f / float(foc["lifetime"])
     c6 = cfg["channels"]["c6"]
     if c6 is not None:

@@ -577,7 +577,7 @@ _SCALING_SMALL = {"scenario": "scaling_fit", "lattice": {"extents": [100]},
      "need table.max_separation >= 1"),
     ({"scenario": "rydberg_tables", "table": {"spacing_r_tilde": 0.0}},
      "a positive finite table.spacing_r_tilde"),
-    ({"scenario": "rydberg_tables", "focus": {"lifetime": 0.0}}, "division by zero"),
+    ({"scenario": "rydberg_tables", "focus": {"lifetime": 0.0}}, "focus.lifetime"),
     (dict(_DISPLACEMENT_SMALL, lattice={"extents": [15, 15]}),
      "lattice.extents must have one axis"),
     (dict(_DISPLACEMENT_SMALL, coupling={"alpha": math.inf}), "must be positive and finite"),
@@ -602,6 +602,8 @@ _SCALING_SMALL = {"scenario": "scaling_fit", "lattice": {"extents": [100]},
      "at most 0.1 a"),
     (dict(_DISPLACEMENT_SMALL, disorder={"delta": 2.0, "realizations": 2}),
      "at most 0.1 a"),
+    ({"scenario": "rydberg_tables", "focus": {"sigma0": 0.0}}, "focus.sigma0"),
+    ({"scenario": "rydberg_tables", "dressing": {"omega": 0.0}}, "dressing.omega"),
 ])
 def test_what_a_run_rejects_fails_validation(tmp_path, capsys, config, message):
     """Each of these passed ``validate`` and then failed the run at its

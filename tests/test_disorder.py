@@ -8,12 +8,12 @@ import scipy.sparse as sp
 from spinlens import propagator
 from spinlens.disorder import (BreakdownResult, BreakdownRow, Displacement,
                                EnsembleJob, Holes, _CleanPattern, _draws,
-                               _Kept, _protocol_start, _realization_table, _Streams,
-                               breakdown_scan, plane_wave_broadening,
+                               _Kept, _perturbations, _protocol_start, _realization_table,
+                               _Streams, breakdown_scan, plane_wave_broadening,
                                run_ensemble, run_protocol)
 from spinlens.lattice import (NearestNeighbor, PowerLaw, build_couplings,
                               build_lattice, displace_sites, punch_holes)
-from spinlens.propagator import (_enclosure, _PatternPlan, _stacked_operator,
+from spinlens.propagator import (_STACK_NNZ, _enclosure, _PatternPlan, _stacked_operator,
                                  spectral_bounds)
 from spinlens.lens import (Multifocal, ThickPolynomial, ThinPulse,
                            continuum_thick, potential_profile,
@@ -307,6 +307,20 @@ def _ensemble_case(name):
                        realizations=20, master_seed=11)
 
 
+def _one_block_job():
+    """A chain so long that its pattern fills a stacked operator
+    (``propagator._STACK_NNZ``) alone: each chunk holds one block."""
+    return EnsembleJob(table=build_lattice((_STACK_NNZ // 2,)), model=NearestNeighbor(1.0),
+                       design=ThickPolynomial((1e-8,), (_STACK_NNZ / 4.0,)), sigma0=20.0,
+                       duration=0.5, kind=Holes(3), realizations=2, master_seed=1)
+
+
+def _clean_case(name):
+    if name == "one_realization":
+        return replace(_ensemble_case("displacement"), realizations=1)
+    return _one_block_job() if name == "one_block" else _ensemble_case(name)
+
+
 def _underflow_job():
     """Power-law couplings that underflow to zero (alpha = 700: the r ~ 3
     pairs) in displaced realizations."""
@@ -335,13 +349,23 @@ def _layout_case(name):
 
 
 class TestBatchedEnsemble:
-    @pytest.mark.parametrize("name", ENSEMBLE_CASES + ["wide_displacement"])
+    @pytest.mark.parametrize("name", ENSEMBLE_CASES + ["wide_displacement", "one_realization",
+                                                      "one_block"])
     def test_equals_one_protocol_per_realization(self, name):
-        job = _ensemble_case(name)
+        """Each record, and the clean lattice's, evolved as row 0 of the
+        first chunk, is bit for bit the protocol's on its lattice."""
+        job = _clean_case(name)
         stats = run_ensemble(job)
         alone = [run_protocol(_realization_table(job, r), job)
                  for r in range(job.realizations)]
         assert [tuple(rec) for rec in zip(stats.p_foc, stats.sigma_f)] == alone
+        assert (stats.p_clean, stats.sigma_clean) == run_protocol(job.table, job)
+
+    def test_a_one_block_chunk_holds_the_clean_lattice_alone(self):
+        job = _one_block_job()
+        chunks = list(_draws(job, _CleanPattern(job), job.realizations, clean=True))
+        assert [len(active) for active, _ in chunks] == [1] * (job.realizations + 1)
+        assert np.array_equal(chunks[0][0][0], job.table.active)
 
     @pytest.mark.parametrize("name", ["chain", "thin", "displacement"])
     def test_zero_duration_records_the_start_packets(self, name):
@@ -365,7 +389,8 @@ class TestBatchedEnsemble:
 
         monkeypatch.setattr(propagator._Layout, "write", counted)
         run_ensemble(job)
-        assert len(sizes) >= 2 and sum(sizes) == job.realizations
+        # the realizations, and the clean lattice as row 0 of the first chunk
+        assert len(sizes) >= 2 and sum(sizes) == job.realizations + 1
 
     @staticmethod
     def assert_table_is_assembled(pattern, values, low, high, table, job):
@@ -604,6 +629,20 @@ class TestBroadeningScenario:
             derived, _ = run_scenario(cfg, tmp_path)
         assert derived["broadening"] == want
 
+    @pytest.mark.parametrize("count", [1, 2, 7])
+    def test_perturbations_draw_no_clean_row(self, rng, count):
+        """The broadening yields one difference per realization, from
+        realization 0 on: each multiplies bit for bit as scipy's difference
+        of its assembled H and the clean one."""
+        job = _ensemble_case("displacement")
+        clean = build_couplings(job.table, job.model).matrix()
+        x = rng.normal(size=job.table.n_sites)
+        dhs = [dh @ x for dh in _perturbations(_CleanPattern(job), job, count)]
+        assert len(dhs) == count
+        for r, got in enumerate(dhs):
+            h = build_couplings(_realization_table(job, r), job.model).matrix()
+            assert got.tobytes() == ((h - clean) @ x).tobytes()
+
     def test_each_realization_is_built_once(self, tmp_path, monkeypatch):
         from spinlens import disorder, scenarios
         from spinlens.scenarios import _ensemble_job, prepare_config, run_scenario
@@ -633,9 +672,9 @@ class TestBroadeningScenario:
         monkeypatch.setattr(scenarios, "build_couplings", counted)
         monkeypatch.setattr(disorder, "build_couplings", counted)
         derived, _ = run_scenario(cfg, tmp_path)
-        # the clean protocol, then one clean pattern for the 3 ensemble
+        # one clean pattern for the clean lattice, the 3 ensemble
         # realizations and the 4 broadening realizations
-        assert len(calls) == 1 + 1
+        assert len(calls) == 1
         assert derived["broadening"] == want
 
 
@@ -700,6 +739,19 @@ class TestBreakdownScan:
 
     def test_clean_protocol_focuses(self, scan):
         assert scan.sigma_f_clean < scan.sigma0 / 2
+
+    @pytest.mark.parametrize("deltas", [[0.0, 0.005, 0.02], [0.0]])
+    def test_clean_width_is_the_protocol(self, thick_job, deltas):
+        """The clean width, read from the first nonzero delta's ensemble or,
+        on a grid of zeros, from the protocol, is the protocol's bit for
+        bit, and each ratio divides by it."""
+        job = replace(thick_job, model=PowerLaw(1.0, 6.0), realizations=2)
+        result = breakdown_scan(job, deltas)
+        clean = run_protocol(job.table, job)[1]
+        assert result.sigma_f_clean == clean
+        for row in result.rows[1:]:
+            ratio = run_ensemble(replace(job, kind=Displacement(row.delta))).sigma_f / clean
+            assert row.ratio_mean == float(ratio.mean())
 
     def test_width_ratio_grows_with_disorder(self, scan):
         means = [row.ratio_mean for row in scan.rows]

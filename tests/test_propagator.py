@@ -473,6 +473,44 @@ class TestBatchedPlan:
             assert holes.size == 3 and not row[holes].any()
             assert _bits(row) == _bits(expimv(h, psi, t, tol, b))
 
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_uniform_stack_equals_lone_blocks(self, stacks, real):
+        """Hole realizations given one enclosure share one coefficient set
+        and one phase, so their stack multiplies by scalars on the flat
+        state; each row is still bit for bit its lone ``expimv``, from a
+        real start, or from a thin lens's imprint, which upcasts the
+        operator."""
+        hs, psis, bounds = map(list, zip(*hole_ensemble(5)))
+        enclosure = (min(lo for lo, _ in bounds), max(hi for _, hi in bounds))
+        if not real:
+            psis = [psi * np.exp(-0.02j * (np.arange(psi.size) - 30.0) ** 2) for psi in psis]
+        t, tol = 2.5, 1e-10
+        plan, values = pattern_plan(hs, t, tol)
+        got = plan.apply(values, [enclosure] * len(hs), np.stack(psis))
+        (stack,) = stacks
+        assert stack.uniform and len(plan.coef_sets) == 1
+        assert stack.h_scaled.dtype == (np.float64 if real else np.complex128)
+        for h, psi, row in zip(hs, psis, got):
+            assert _bits(row) == _bits(expimv(h, psi, t, tol, enclosure))
+
+    @pytest.mark.parametrize("shift", ["two_phases", "shared_half"])
+    def test_mixed_stack_takes_the_column_path(self, stacks, shift):
+        """Blocks of two enclosures, or of one half-width about two
+        centres (one coefficient set, two phases), multiply by columns;
+        each row is bit for bit its lone ``expimv``."""
+        hs, psis, bounds = map(list, zip(*hole_ensemble()))
+        lo, hi = min(lo for lo, _ in bounds), max(hi for _, hi in bounds)
+        other = (lo - 3.0, hi + 5.0) if shift == "two_phases" else (lo + 0.5, hi + 0.5)
+        bounds = [(lo, hi), other, (lo, hi), other]
+        t, tol = 2.5, 1e-10
+        plan, values = pattern_plan(hs, t, tol)
+        got = plan.apply(values, bounds, np.stack(psis))
+        (stack,) = stacks
+        assert not stack.uniform
+        assert len(plan.coef_sets) == (2 if shift == "two_phases" else 1)
+        for h, psi, b, row in zip(hs, psis, bounds, got):
+            assert _bits(row) == _bits(expimv(h, psi, t, tol, b))
+
     def test_t0_block_is_a_copy(self, blocks):
         psis = np.stack([psi for _, psi, _ in blocks])
         _, out = self.apply(blocks, t=0.0)
