@@ -17,25 +17,34 @@ The table goes straight into the chunk's diagonals, and a zero slot adds
 +-0 to a product, so each realization evolves bit for bit as the H that
 :func:`run_protocol` assembles, which leaves the zeros out. Its Gershgorin
 bounds are that H's too: a row that holds a zero is summed again over its
-other entries. The arrays of a chunk's size are kept for the job and
+other entries, the rows read from what was written (the holes and their
+neighbours, or the pairs whose coupling underflowed), not from a scan of
+the table. The arrays of a chunk's size are kept for the job and
 overwritten chunk after chunk. The start packets are the rows of one
 array, each normalized as ``numpy.linalg.norm`` normalizes one state, and
 the final states are scored together by the two-pass width formula and
-the focus probability of ``wavepacket``, each row as its state alone. Each
-chunk is one stack of independent evolutions in draw order, every one run
-to the chunk's longest coefficient set and still bit for bit its lone
-``expimv``: since every H and start packet is real, the stack runs its
-Chebyshev terms in float64 and adds them into a real and an imaginary
-float64 accumulator (the even and the odd terms), and a phase met in an
-earlier chunk reuses its coefficients. A chunk whose blocks share one
-phase, as holes that leave the enclosure as it is do, multiplies each term
-by scalars (``propagator._Stack``). The clean lattice rides as row 0 of the
-first chunk, in place of a realization, and its record, bit for bit
-:func:`run_protocol`'s on the clean table, comes back with the ensemble's
-(:class:`EnsembleStats`), so no run evolves it apart. The plane-wave
-broadening reads the same value tables (:func:`_perturbations`) and draws
-no clean row. Streams are counter-based per realization, so a
-realization's record does not depend on how many others are run.
+the focus probability of ``wavepacket``, each row as its state alone. A
+holes job's sites never move, so the packets' Gaussian profile and the
+focus mask are job constants, made once on the clean table: a chunk only
+masks its holes out of the profile, normalizes the rows and sums each
+row's sites inside the mask. Each chunk is one stack of independent
+evolutions in draw order, every one run to the chunk's longest
+coefficient set and still bit for bit its lone ``expimv``: since every H
+and start packet is real, the stack runs its Chebyshev terms in float64
+and adds them into a real and an imaginary float64 accumulator (the even
+and the odd terms), and a phase met in an earlier chunk reuses its
+coefficients. A chunk whose blocks share one phase, as holes that leave
+the enclosure as it is do, multiplies each term by scalars
+(``propagator._Stack``). The clean lattice rides as an extra
+row 0 of the first chunk, so the realizations' chunks end where they would
+without it, and its record, bit for bit :func:`run_protocol`'s on the
+clean table, comes back with the ensemble's (:class:`EnsembleStats`), so
+no run evolves it apart; a breakdown scan evolves it once, in its first
+nonzero delta's ensemble, and writes every delta's tables from one clean
+pattern. The plane-wave broadening reads the same value tables
+(:func:`_perturbations`) and draws no clean row. Streams are
+counter-based per realization, so a realization's record does not depend
+on how many others are run.
 """
 
 from __future__ import annotations
@@ -49,8 +58,8 @@ import scipy.sparse as sp
 from .lattice import PowerLaw, SiteTable, build_couplings, displace_sites
 from .lens import potential_profile, thin_phase_profile
 from .propagator import _STACK_NNZ, _PatternPlan, _ranges
-from .wavepacket import (_density_widths, _focus_probabilities,
-                         _gaussian_rows, evolve, focus_probability, gaussian_packet,
+from .wavepacket import (_density_widths, _focus_mask, _gaussian_profile, _inside_sums,
+                         _packet_rows, evolve, focus_probability, gaussian_packet,
                          gaussian_width, phase_imprint)
 
 
@@ -219,6 +228,8 @@ class _CleanPattern:
         self.holes = isinstance(job.kind, Holes)
         self.model = job.model
         self.radii = self._radii(np.abs(self.data), self.indptr[None])[0]
+        # a clean coupling that underflowed is a stored 0.0 of every table
+        self._resum(self.data[None], self.radii[None], self.rows[self.data == 0.0])
         # the arrays of a chunk's size, kept for every table written from
         # the pattern: the values a caller keeps here, and scratch
         self.scratch = _Kept()
@@ -246,6 +257,24 @@ class _CleanPattern:
         radii[filled] = np.add.reduceat(absdata, starts[:, :-1][filled])
         return radii
 
+    def _resum(self, values: np.ndarray, radii: np.ndarray, zeros: np.ndarray):
+        """Sum again into ``radii`` (m, n) each row ``real * n + row`` in
+        ``zeros`` (repeats allowed) of the table ``values`` (m, entries)
+        over its entries that are not 0.0, as the summation of its H, which
+        leaves the zeros out, may group them otherwise."""
+        if not zeros.size:
+            return
+        real, row = np.divmod(np.unique(zeros), len(self.diagonal))
+        lengths = self.lengths[row]
+        row_values = np.abs(values[np.repeat(real, lengths),
+                                   _ranges(self.indptr[row], lengths)])
+        held = row_values != 0.0
+        counts = np.add.reduceat(held.astype(np.intp), np.cumsum(lengths) - lengths)
+        sums = np.zeros(len(real))
+        filled = counts > 0
+        sums[filled] = np.add.reduceat(row_values[held], (np.cumsum(counts) - counts)[filled])
+        radii[real, row] = sums
+
     def table(self, active: np.ndarray, positions: np.ndarray, kept=None) -> tuple:
         """The values of a stack of realizations, (m, entries) in the
         pattern's order with 0.0 (or -0.0) where a hole removed an entry or
@@ -260,20 +289,24 @@ class _CleanPattern:
         Holes zero the entries of each hole's row and column; a power-law
         displacement computes one ``PowerLaw.coupling`` over all the stack's
         separations and sums every row. A row that holds a 0.0 is summed
-        again over its other entries alone, as the summation of its H
-        (without the zeros) may group them otherwise."""
+        again over its other entries alone (:meth:`_resum`): the rows are
+        read from what was written, each hole's and its neighbours', or
+        the two of each pair whose coupling underflowed, and the table is
+        not scanned for zeros."""
         n, size = len(self.diagonal), self.data.size
         m = np.broadcast_shapes(active.shape, positions.shape[:-1])[0]
         values = np.empty((m, size)) if kept is None else kept("values", (m, size))
         radii, diagonal = np.broadcast_to(self.radii, (m, n)).copy(), self.diagonal
+        zeros = np.empty(0, np.intp)
         if self.pairs is None:
             values[:] = self.data
         else:
             (i, j), scratch = self.pairs, self.scratch
-            shape = (m, i.size, positions.shape[-1])
-            d, ends = scratch("d", shape), scratch("ends", shape)
+            d = scratch("d", (m, i.size, positions.shape[-1]))
+            # the second endpoints are a temporary: a kept array would stay
+            # live through the stack's product, the job's peak
             np.take(positions, j, axis=-2, out=d, mode="clip")
-            d -= np.take(positions, i, axis=-2, out=ends, mode="clip")
+            d -= np.take(positions, i, axis=-2)
             # the magnitudes |-amplitude| and |V| first, for the radii, then
             # the values, in the same array
             extended = scratch("extended", (m, i.size + self.on_site.size))
@@ -281,27 +314,21 @@ class _CleanPattern:
             extended[:, i.size:] = np.abs(self.on_site)
             np.take(extended, self.source, axis=1, out=values, mode="clip")
             radii = self._radii(values.reshape(-1), np.arange(m)[:, None] * size + self.indptr)
+            real, pair = np.nonzero(amplitudes == 0.0)
+            zeros = np.concatenate([real * n + i[pair], real * n + j[pair]])
             np.negative(amplitudes, out=amplitudes)
             extended[:, i.size:] = self.on_site
             np.take(extended, self.source, axis=1, out=values, mode="clip")
         if self.holes:
             real, hole = np.nonzero(~active & (self.lengths > 0))
-            at = _ranges(self.indptr[hole], self.lengths[hole])
-            real = np.repeat(real, self.lengths[hole])
+            lengths = self.lengths[hole]
+            at = _ranges(self.indptr[hole], lengths)
+            # each hole's row, and each row with an entry in its column
+            zeros = np.concatenate([real * n + hole, np.repeat(real * n, lengths) + self.cols[at]])
+            real = np.repeat(real, lengths)
             values[real, at] = values[real, self.transpose[at]] = 0.0
             diagonal = np.where(active, self.diagonal, 0.0)
-        real, entry = np.nonzero(values == 0.0)
-        if real.size:
-            real, row = np.divmod(np.unique(real * n + self.rows[entry]), n)
-            lengths = self.lengths[row]
-            row_values = np.abs(values[np.repeat(real, lengths),
-                                       _ranges(self.indptr[row], lengths)])
-            held = row_values != 0.0
-            counts = np.add.reduceat(held.astype(np.intp), np.cumsum(lengths) - lengths)
-            sums = np.zeros(len(real))
-            filled = counts > 0
-            sums[filled] = np.add.reduceat(row_values[held], (np.cumsum(counts) - counts)[filled])
-            radii[real, row] = sums
+        self._resum(values, radii, zeros)
         radii -= np.abs(diagonal)
         return values, (diagonal - radii).min(axis=1), (diagonal + radii).max(axis=1)
 
@@ -325,55 +352,70 @@ def _draws(job: EnsembleJob, pattern: _CleanPattern, count: int, clean: bool = F
     stacked operator's worth (the clean pattern's entries plus its rows
     against ``propagator._STACK_NNZ``): per chunk, the active masks and
     positions, stacked where they vary, the clean table's where they do
-    not. Each realization draws its own counter-based stream
-    (``_realization_table``). With ``clean``, the clean lattice comes
-    first, as row 0 of the first chunk in place of a realization, so no
-    chunk grows; a chunk of one block then holds it alone."""
+    not: a holes job's positions, and so all that is read from them alone
+    (its start-packet profile and focus mask), are the same in every
+    chunk. Each realization draws its own counter-based stream
+    (``_realization_table``). Every chunk but the last holds the same
+    number of realizations; with ``clean``, the clean lattice rides as an
+    extra row 0 of the first, so the realizations' chunks end where they
+    would without it and no chunk holds it alone."""
     table, n, streams = job.table, job.table.n_sites, _Streams(job.master_seed)
     size = max(1, _STACK_NNZ // (pattern.data.size + n))
-    for lo in range(-1 if clean else 0, count, size):
+    for lo in range(0, count, size):
         tables = [table if r < 0 else _realization_table(job, r, streams)
-                  for r in range(lo, min(lo + size, count))]
+                  for r in range(-1 if clean and lo == 0 else lo, min(lo + size, count))]
         if pattern.holes:
             yield np.stack([t.active for t in tables]), table.positions
         else:
             yield table.active, np.stack([t.positions for t in tables])
 
 
-def run_ensemble(job: EnsembleJob, pattern: _CleanPattern | None = None) -> EnsembleStats:
+def run_ensemble(job: EnsembleJob, pattern: _CleanPattern | None = None,
+                 clean: bool = True) -> EnsembleStats:
     """Focusing statistics over disorder realizations, in index order,
-    and the clean lattice's record.
+    and, with ``clean``, the clean lattice's record.
 
     Each record equals ``run_protocol(_realization_table(job, r), job)``
     bit for bit, and the clean one ``run_protocol(job.table, job)``: the
-    clean lattice rides as row 0 of the first chunk. The realizations are
-    drawn about one stacked operator's worth at a time (``_draws``); each
-    chunk's values and bounds are
-    written from the job's clean pattern (``pattern``, made here when not
-    given) into the arrays the pattern keeps (``_CleanPattern.table``,
-    ``scratch``), propagated as one stack on the pattern's
-    layout (``propagator._PatternPlan``), and its final states scored
-    together (``wavepacket._density_widths``, ``_focus_probabilities``)
-    before the next is drawn. No realization's H is built.
+    clean lattice rides as an extra row 0 of the first chunk. The
+    realizations are drawn about one stacked operator's worth at a time
+    (``_draws``); each chunk's values and bounds are written from the
+    job's clean pattern (``pattern``, made here when not given) into the
+    arrays the pattern keeps (``_CleanPattern.table``, ``scratch``),
+    propagated as one stack on the pattern's layout
+    (``propagator._PatternPlan``), and its final states scored together
+    (``wavepacket._density_widths``, ``_inside_sums``) before the next is
+    drawn. No realization's H is built. A holes job's sites never move, so
+    its start-packet profile and focus mask are made once, on the clean
+    table, and each chunk only masks its holes out of them; a displaced
+    chunk makes its own.
     """
     pattern = _CleanPattern(job) if pattern is None else pattern
     plan = _PatternPlan(pattern.cols, pattern.indptr, job.duration, job.tol)
-    table = job.table
+    table, focus = job.table, job.design.foci[0]
     imprint = (np.exp(-1j * thin_phase_profile(job.design, table))
                if job.design.thin else None)
+
+    def frame(positions):
+        """The start packets' profile and the focus mask at ``positions``."""
+        return (_gaussian_profile(positions, table.center(), job.sigma0),
+                _focus_mask(positions, focus))
+
+    fixed = frame(table.positions) if pattern.holes else None
     p_foc, sigma_f = [], []
-    for active, positions in _draws(job, pattern, job.realizations, clean=True):
+    for active, positions in _draws(job, pattern, job.realizations, clean):
         values, lows, highs = pattern.table(active, positions, pattern.scratch)
-        packets = _gaussian_rows(positions, active, table.center(), job.sigma0)
-        if imprint is None:
-            packets = packets.real      # no imaginary part, as expimv takes it
-        else:
+        profile, inside = fixed or frame(positions)
+        packets = _packet_rows(profile, active)
+        if imprint is not None:
             packets = packets * imprint
         finals = plan.apply(values, list(zip(lows.tolist(), highs.tolist())), packets)
         p = np.abs(finals) ** 2
-        p_foc.append(_focus_probabilities(p, positions, job.design.foci[0]))
+        p_foc.append(_inside_sums(p, inside))
         sigma_f.append(_density_widths(p, positions))
     p_foc, sigma_f = np.concatenate(p_foc), np.concatenate(sigma_f)
+    if not clean:
+        return EnsembleStats(p_foc, sigma_f)
     return EnsembleStats(p_foc[1:], sigma_f[1:], float(p_foc[0]), float(sigma_f[0]))
 
 
@@ -458,16 +500,22 @@ def _delta_grid(deltas) -> list:
 
 def breakdown_scan(job: EnsembleJob, deltas) -> BreakdownResult:
     """Width-ratio table sigma_f(delta)/sigma_f(0) over a displacement grid
-    (:func:`_delta_grid`). sigma_f(0) is the clean record of the first
-    nonzero delta's ensemble, or :func:`run_protocol`'s on a grid of zeros."""
+    (:func:`_delta_grid`). Every delta's ensemble is written from one clean
+    pattern, and sigma_f(0) is the clean record of the first nonzero
+    delta's, the only one that evolves the clean lattice, or
+    :func:`run_protocol`'s on a grid of zeros."""
     result = BreakdownResult(sigma0=job.sigma0, sigma_f_clean=math.nan,
                              duration=job.duration)
+    pattern = None
     for delta in _delta_grid(deltas):
         if delta == 0.0:
             result.rows.append(BreakdownRow(0.0, 1.0, 0.0))
             continue
-        stats = run_ensemble(replace(job, kind=Displacement(delta)))
-        if math.isnan(result.sigma_f_clean):
+        ensemble = replace(job, kind=Displacement(delta))
+        pattern = _CleanPattern(ensemble) if pattern is None else pattern
+        first = math.isnan(result.sigma_f_clean)
+        stats = run_ensemble(ensemble, pattern, clean=first)
+        if first:
             result.sigma_f_clean = stats.sigma_clean
         ratio = stats.sigma_f / result.sigma_f_clean
         stderr = (ratio.std(ddof=1) / np.sqrt(len(ratio))) if len(ratio) > 1 else 0.0

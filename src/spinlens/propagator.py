@@ -243,7 +243,8 @@ class _Layout:
 
     ``offsets`` holds the diagonals in ascending order, ``slots`` each
     entry's diagonal and ``main`` the main one's; ``offsets`` is None for
-    CSR.
+    CSR. ``places`` holds, for the diagonals of the last block count
+    written, each entry's place in the first block, flat.
     """
 
     def __init__(self, cols: np.ndarray, indptr: np.ndarray):
@@ -253,18 +254,16 @@ class _Layout:
         key = np.repeat(np.arange(dim, dtype=cols.dtype), np.diff(indptr))
         np.subtract(cols, key, out=key)
         key += dim - 1
-        # the entries on the main diagonal, and their rows
-        self.diag = np.flatnonzero(key == dim - 1)
-        self.on = cols[self.diag]
         # the diagonals that hold an entry, and the main one
         present = np.zeros(2 * dim - 1, bool)
         present[key] = present[dim - 1] = True
-        entries = cols.size - self.diag.size + dim
+        entries = cols.size - np.count_nonzero(key == dim - 1) + dim
         self.offsets = None
         if 8 * np.count_nonzero(present) * dim <= 12 * entries + 4 * dim:
             slot = np.cumsum(present) - 1
             self.offsets = (np.flatnonzero(present) - (dim - 1)).astype(np.int32)
             self.slots, self.main = slot[key], slot[dim - 1]
+        self.places = (0, None)
 
     def write(self, values: np.ndarray, centers, halves, dtype,
               out: np.ndarray | None = None) -> sp.csr_matrix | sp.dia_matrix:
@@ -277,7 +276,8 @@ class _Layout:
         zeros included; a DIA holds 0.0 in every slot no entry fills.
         ``out`` (DIA only) holds the diagonals, (diagonals, at least B,
         rows) and 0.0 wherever no stack written into it put an entry, and
-        is overwritten."""
+        is overwritten. A block's values go to their places through one
+        flat index, one block's worth, kept for the diagonals' block count."""
         b, rows = len(values), self.rows
         n, scale = b * rows, 1.0 / np.asarray(halves)
         if self.offsets is None:
@@ -288,13 +288,17 @@ class _Layout:
             stack.data *= scale[0] if b == 1 else np.repeat(scale, np.diff(stack.indptr[::rows]))
             stack.data *= 2.0
             return stack
-        shifted = np.zeros((b, rows), dtype)
-        shifted[:, self.on] = values[:, self.diag]
-        shifted -= np.asarray(centers, dtype=float)[:, None]
         full = np.zeros((self.offsets.size, b, rows), dtype) if out is None else out
-        diagonals = full[:, :b]
-        diagonals[self.slots, :, self.cols] = values.T
-        diagonals[self.main] = shifted
+        diagonals, flat = full[:, :b], full.reshape(-1)
+        if self.places[0] != full.shape[1]:
+            self.places = full.shape[1], self.slots * (full.shape[1] * rows) + self.cols
+        # the main diagonal: each entry less its block's centre, 0 - c on a
+        # row without one
+        main = diagonals[self.main]
+        main.fill(0.0)
+        for j, row in enumerate(values):
+            flat[j * rows:][self.places[1]] = row
+        main -= np.asarray(centers, dtype=float)[:, None]
         diagonals *= scale[:, None]
         diagonals *= 2.0
         dia = sp.dia_matrix((n, n), dtype=full.dtype)

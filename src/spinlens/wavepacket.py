@@ -100,24 +100,32 @@ def gaussian_packet(table: SiteTable, sigma0: float, center=None,
     return SpinWaveState(amplitudes=amp, time=0.0)
 
 
-def _gaussian_rows(positions: np.ndarray, active: np.ndarray, center: np.ndarray,
-                   sigma0: float) -> np.ndarray:
-    """The amplitudes of ``gaussian_packet`` (no kick) on a stack of site
-    tables, one row each, (m, n_sites), each bit for bit that packet's:
-    ``positions`` is (n_sites, dim) or (m, n_sites, dim), ``active`` (n_sites,)
-    or (m, n_sites). Each row's norm is summed as ``numpy.linalg.norm``
-    sums one complex vector, from its real and imaginary parts."""
+def _gaussian_profile(positions: np.ndarray, center: np.ndarray, sigma0: float) -> np.ndarray:
+    """exp(-|x - c|^2 / (2 sigma0^2)) at ``positions`` (..., n_sites, dim), as
+    ``gaussian_packet`` (no kick) computes it before the holes and the norm:
+    with :func:`_packet_rows`, that packet on a stack of site tables, each
+    row bit for bit."""
     _check_sigma0(sigma0)
     dx = positions - center
-    amp = np.exp(-0.5 * (dx * dx).sum(axis=-1) / sigma0**2).astype(complex)
-    shape = np.broadcast_shapes(amp.shape, active.shape)
-    amp = np.array(np.broadcast_to(amp, shape), ndmin=2)
-    amp[~np.broadcast_to(active, amp.shape)] = 0.0
-    norms = np.sqrt([row.real.dot(row.real) + row.imag.dot(row.imag) for row in amp])
+    return np.exp(-0.5 * (dx * dx).sum(axis=-1) / sigma0**2)
+
+
+def _packet_rows(profile: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """The start packets of a stack, real, (m, n_sites): ``profile``
+    (n_sites,) or (m, n_sites), 0.0 where ``active``, (n_sites,) or (m,
+    n_sites), has a hole, each row divided by its norm as
+    ``gaussian_packet`` divides its complex state: the norm summed by BLAS
+    at the stride of that state's real part, as ``numpy.linalg.norm`` sums
+    it (its imaginary part adds 0.0), and the row times the norm's
+    reciprocal, as a complex division by a real number takes it."""
+    shape = np.broadcast_shapes(profile.shape, active.shape)
+    shape = (1,) * (2 - len(shape)) + shape
+    rows = np.empty(shape + (2,))[..., 0]
+    np.multiply(profile, active, out=rows)
+    norms = np.sqrt([row.dot(row) for row in rows])
     if not norms.all():
         raise ValueError("packet has zero weight on active sites")
-    amp /= norms[:, None]
-    return amp
+    return rows * (1.0 / norms)[:, None]
 
 
 def evolve(terms: HamiltonianTerms, state: SpinWaveState, dt: float,
@@ -187,12 +195,31 @@ def gaussian_widths(amps: np.ndarray, table: SiteTable) -> np.ndarray:
 def _density_widths(p: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """:func:`gaussian_width` of every density in ``p`` (..., n_sites) at
     ``positions``, (n_sites, dim) or one table per density (..., n_sites,
-    dim)."""
+    dim), each bit for bit that of its lone state.
+
+    The weight and the spread's last sum add each contiguous row of sites
+    by numpy's pairwise summation. The centroid's sums add site by site, in
+    site order, as numpy reduces the products (..., n_sites, dim) over the
+    sites of the lone state's formula. In 1D numpy folds that size-1 axis
+    away and sums the sites pairwise too, so 1D keeps the formula; in 2D
+    and 3D the products are laid out site-contiguous, (..., dim, n_sites),
+    and each centroid sum is the last entry of a cumulative sum, which
+    adds in the same order at a quarter of the cost. Each squared distance
+    adds its axes in order, as both layouts do."""
     w = p.sum(axis=-1)
-    c = (p[..., None] * positions).sum(axis=-2) / w[..., None]
-    dx = positions - c[..., None, :]
-    rms = np.sqrt((p * (dx * dx).sum(axis=-1)).sum(axis=-1) / w)
-    return np.sqrt(2.0 / positions.shape[-1]) * rms
+    dim = positions.shape[-1]
+    if dim == 1:
+        c = (p[..., None] * positions).sum(axis=-2) / w[..., None]
+        dx = positions - c[..., None, :]
+        r2 = (dx * dx).sum(axis=-1)
+    else:
+        x = np.ascontiguousarray(np.swapaxes(positions, -1, -2))
+        products = p[..., None, :] * x
+        c = np.cumsum(products, axis=-1, out=products)[..., -1] / w[..., None]
+        dx = np.subtract(x, c[..., None], out=products)
+        r2 = np.multiply(dx, dx, out=dx).sum(axis=-2)
+    rms = np.sqrt((p * r2).sum(axis=-1) / w)
+    return np.sqrt(2.0 / dim) * rms
 
 
 def focus_probability(state: SpinWaveState, table: SiteTable, focus,
@@ -208,15 +235,23 @@ def focus_probability(state: SpinWaveState, table: SiteTable, focus,
     return float(excitation_probability(state)[inside].sum())
 
 
-def _focus_probabilities(p: np.ndarray, positions: np.ndarray, focus,
-                         radius: float = FOCUS_RADIUS) -> np.ndarray:
-    """:func:`focus_probability` of every density row of ``p`` (m, n_sites)
-    at ``positions``, (n_sites, dim) or one table per row (m, n_sites, dim).
-    Each row sums its sites inside the radius in site order, as one array,
-    so rows with equal counts are summed together."""
+def _focus_mask(positions: np.ndarray, focus, radius: float = FOCUS_RADIUS) -> np.ndarray:
+    """The sites within ``radius`` of ``focus``, (..., n_sites), as
+    :func:`focus_probability` selects them."""
     focus = np.atleast_1d(np.asarray(focus, dtype=float))
     dx = positions - focus
-    inside = np.broadcast_to((dx * dx).sum(axis=-1) <= radius * radius, p.shape)
+    return (dx * dx).sum(axis=-1) <= radius * radius
+
+
+def _inside_sums(p: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """The probability of each density row of ``p`` (m, n_sites) on the
+    sites of ``inside``, one mask (n_sites,) or one per row (m, n_sites):
+    with :func:`_focus_mask`, :func:`focus_probability` of every row, each
+    bit for bit.
+    Each row sums its sites in site order as one C-ordered array, so rows
+    with equal counts are summed together."""
+    if inside.ndim == 1:
+        return np.take(p, np.flatnonzero(inside), axis=-1).sum(axis=-1)
     counts = inside.sum(axis=-1)
     out = np.empty(len(p))
     for k in np.unique(counts):

@@ -340,10 +340,39 @@ def _edge_hole_job():
                        duration=1.5, kind=Holes(2), realizations=90, master_seed=4)
 
 
-LAYOUT_CASES = ENSEMBLE_CASES + ["underflow", "edge_hole"]
+def _cluster_job(extents):
+    """Holes that fill almost half of a small plane or cube, with the lens
+    potential peaking at its far corner: realizations whose holes touch
+    each other and a lattice corner, rows that lose two or more entries,
+    and active sites whose every neighbour is a hole
+    (``TestBatchedEnsemble.test_hole_radii_are_spectral_bounds``)."""
+    table = build_lattice(extents)
+    design = ThickPolynomial((0.05,), (1.0,) * len(extents))
+    return EnsembleJob(table=table, model=NearestNeighbor(1.0), design=design, sigma0=1.5,
+                       duration=1.5, kind=Holes(int(0.45 * table.n_sites)),
+                       realizations=40, master_seed=8)
+
+
+CLUSTER_CASES = {"holes_2d_cluster": (7, 7), "holes_3d_cluster": (4, 4, 4)}
+
+
+LAYOUT_CASES = ENSEMBLE_CASES + ["underflow", "underflow_plane", "underflow_holes",
+                                 "edge_hole", *CLUSTER_CASES]
 
 
 def _layout_case(name):
+    if name in CLUSTER_CASES:
+        return _cluster_job(CLUSTER_CASES[name])
+    if name in ("underflow_holes", "underflow_plane"):
+        # the couplings of the r ~ 3 pairs underflow, clean or displaced:
+        # zeros in rows of more than 8 entries, which change how their sums
+        # group, and some of those rows set the bounds
+        kind, focus = ((Holes(3), 3.0) if name == "underflow_holes"
+                       else (Displacement(1e-4), 1.0))
+        return EnsembleJob(table=build_lattice((7, 7)),
+                           model=PowerLaw(1.0, 700.0, cutoff_range=3.0),
+                           design=ThickPolynomial((0.0137,), (focus, focus)), sigma0=2.0,
+                           duration=1.0, kind=kind, realizations=12, master_seed=3)
     return {"underflow": _underflow_job, "edge_hole": _edge_hole_job}.get(
         name, lambda: _ensemble_case(name))()
 
@@ -361,11 +390,18 @@ class TestBatchedEnsemble:
         assert [tuple(rec) for rec in zip(stats.p_foc, stats.sigma_f)] == alone
         assert (stats.p_clean, stats.sigma_clean) == run_protocol(job.table, job)
 
-    def test_a_one_block_chunk_holds_the_clean_lattice_alone(self):
-        job = _one_block_job()
-        chunks = list(_draws(job, _CleanPattern(job), job.realizations, clean=True))
-        assert [len(active) for active, _ in chunks] == [1] * (job.realizations + 1)
+    @pytest.mark.parametrize("name", ["one_block", "chain"])
+    def test_the_clean_lattice_rides_in_the_first_chunk(self, name):
+        """The clean lattice is an extra row 0 of the first chunk: the
+        realizations' chunks end where they do without it, so no chunk,
+        not even one of a single block, holds it alone."""
+        job = _clean_case(name)
+        pattern = _CleanPattern(job)
+        bare = [len(active) for active, _ in _draws(job, pattern, job.realizations)]
+        chunks = list(_draws(job, pattern, job.realizations, clean=True))
+        assert [len(active) for active, _ in chunks] == [bare[0] + 1] + bare[1:]
         assert np.array_equal(chunks[0][0][0], job.table.active)
+        assert len(bare) > 1 and (name != "one_block" or bare == [1] * job.realizations)
 
     @pytest.mark.parametrize("name", ["chain", "thin", "displacement"])
     def test_zero_duration_records_the_start_packets(self, name):
@@ -538,6 +574,43 @@ class TestBatchedEnsemble:
         monkeypatch.undo()
         assert [tuple(rec) for rec in zip(stats.p_foc, stats.sigma_f)] == [
             run_protocol(_realization_table(job, r), job) for r in range(job.realizations)]
+
+    @pytest.mark.parametrize("name", [*CLUSTER_CASES, "underflow_holes"])
+    def test_hole_radii_are_spectral_bounds(self, name):
+        """The bounds of every realization's value table are
+        ``spectral_bounds`` of the H the protocol assembles, where the
+        holes touch each other and a lattice corner, rows lose two or more
+        entries, an active site keeps none of its neighbours, or (underflow)
+        the clean pattern stores zeros; the clean pattern's row sums are
+        those of the clean H."""
+        job = _layout_case(name)
+        with np.errstate(over="ignore"):
+            pattern = _CleanPattern(job)
+            clean = _protocol_start(job.table, job)[0].matrix()
+            assert pattern.radii.tobytes() == np.asarray(abs(clean).sum(axis=1)).tobytes()
+            adjacent = build_couplings(job.table, job.model).hopping != 0
+            degree = np.diff(adjacent.indptr)
+            corners = [job.table.index_of(np.array(c) * (np.array(job.table.extents) - 1))
+                       for c in np.ndindex(*(2,) * job.table.dim)]
+            seen, r = set(), 0
+            for active, positions in _draws(job, pattern, job.realizations):
+                _, lows, highs = pattern.table(active, positions)
+                for low, high, alive in zip(lows, highs, active):
+                    h = _protocol_start(_realization_table(job, r), job)[0].matrix()
+                    assert (float(low), float(high)) == spectral_bounds(h)
+                    lost = adjacent @ (~alive).astype(int)
+                    seen.update(
+                        shape for shape, found in (
+                            ("holes touch", (~alive & (lost > 0)).any()),
+                            ("corner hole touches a hole",
+                             any(not alive[c] and lost[c] > 0 for c in corners)),
+                            ("row loses two", (alive & (lost >= 2)).any()),
+                            ("every neighbour a hole", (alive & (lost == degree)).any()))
+                        if found)
+                    r += 1
+        assert r == job.realizations
+        if name in CLUSTER_CASES:
+            assert len(seen) == 4
 
     def test_a_hole_leaves_the_bounds(self):
         """A hole's on-site energy is no part of its realization's H: with
@@ -752,6 +825,36 @@ class TestBreakdownScan:
         for row in result.rows[1:]:
             ratio = run_ensemble(replace(job, kind=Displacement(row.delta))).sigma_f / clean
             assert row.ratio_mean == float(ratio.mean())
+
+    def test_one_pattern_and_one_clean_row_per_scan(self, monkeypatch, thick_job):
+        """Every nonzero delta's ensemble is written from one clean pattern,
+        and only the first evolves the clean lattice, as an extra row of
+        its first chunk: the stacks hold the realizations and one clean
+        row, in as many stacks as the realizations alone fill, here one
+        full chunk per delta."""
+        from spinlens import disorder
+
+        job = replace(thick_job, model=PowerLaw(1.0, 6.0))
+        size = _STACK_NNZ // (_CleanPattern(job).data.size + job.table.n_sites)
+        job = replace(job, realizations=size)
+        deltas, blocks, patterns = [0.0, 0.005, 0.02, 0.08], [], []
+        apply, init = _PatternPlan.apply, disorder._CleanPattern.__init__
+
+        def counted_apply(plan, values, *args, **kwargs):
+            blocks.append(len(values))
+            return apply(plan, values, *args, **kwargs)
+
+        def counted_init(pattern, *args, **kwargs):
+            patterns.append(pattern)
+            return init(pattern, *args, **kwargs)
+
+        monkeypatch.setattr(_PatternPlan, "apply", counted_apply)
+        monkeypatch.setattr(disorder._CleanPattern, "__init__", counted_init)
+        result = breakdown_scan(job, deltas)
+        monkeypatch.undo()
+        assert len(patterns) == 1
+        assert blocks == [size + 1, size, size]
+        assert result.sigma_f_clean == run_protocol(job.table, job)[1]
 
     def test_width_ratio_grows_with_disorder(self, scan):
         means = [row.ratio_mean for row in scan.rows]

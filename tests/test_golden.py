@@ -47,7 +47,7 @@ from spinlens.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = json.loads((CONFIGS / "GOLDEN.json").read_text(encoding="utf-8"))
-FAST = ("displacement", "holes_1d", "multifocal2d", "nonlinear_blockade", "quickstart",
+FAST = ("displacement", "holes_1d", "holes_2d", "multifocal2d", "nonlinear_blockade", "quickstart",
         "rydberg_tables", "thick1d", "thin1d")
 
 

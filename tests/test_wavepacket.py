@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from spinlens.lattice import (NearestNeighbor, SiteTable, build_couplings, build_lattice,
                               displace_sites, punch_holes)
 from spinlens.lens import ThinPulse, continuum_thin, thin_phase_profile
-from spinlens.wavepacket import (SpinWaveState, _density_widths, _focus_probabilities,
-                                 _gaussian_rows, centroid, evolve,
+from spinlens.wavepacket import (SpinWaveState, _density_widths, _focus_mask,
+                                 _gaussian_profile, _inside_sums, _packet_rows,
+                                 centroid, evolve,
                                  excitation_probability, focus_probability,
                                  gaussian_packet, gaussian_width, gaussian_widths,
                                  phase_imprint, rms_width, wigner_lattice)
@@ -281,6 +282,12 @@ def test_batched_widths_equal_state_by_state(rng, extents):
     assert gaussian_widths(amps[1, 3], table) == want[1][3]
 
 
+def _gaussian_rows(positions, active, center, sigma0):
+    """The start packets of a disorder chunk: the profile at ``positions``
+    with each row's holes masked out, each row normalized."""
+    return _packet_rows(_gaussian_profile(positions, center, sigma0), active)
+
+
 @pytest.fixture(params=[(70,), (41, 41), (9, 8, 7)])
 def realizations(request, rng):
     """Six realizations of a table: each with its own displaced positions
@@ -331,14 +338,17 @@ def test_density_rows_score_as_state_by_state(realizations, rng):
     states = [SpinWaveState(a) for a in amps]
     focus = tables[0].positions[tables[0].n_sites // 3]
     for radius in (0.1, 1.3, 3.0):
-        got = _focus_probabilities(p, positions, focus, radius)
+        got = _inside_sums(p, _focus_mask(positions, focus, radius))
         want = [focus_probability(s, t, focus, radius) for s, t in zip(states, tables)]
         assert np.array_equal(got, want)
     counts = (((positions - focus) ** 2).sum(axis=-1) <= 1.3**2).sum(axis=1)
     assert len(set(counts)) > 1 or tables[0].dim == 1
-    assert np.array_equal(_focus_probabilities(p, positions, focus + 100.0), np.zeros(6))
+    assert np.array_equal(_inside_sums(p, _focus_mask(positions, focus + 100.0)),
+                          np.zeros(6))
     assert np.array_equal(_density_widths(p, positions),
                           [gaussian_width(s, t) for s, t in zip(states, tables)])
-    # one position table for every row
-    assert np.array_equal(_focus_probabilities(p, tables[2].positions, focus),
+    # one position table, (n_sites, dim), for every row
+    assert np.array_equal(_inside_sums(p, _focus_mask(tables[2].positions, focus)),
                           [focus_probability(s, tables[2], focus) for s in states])
+    assert np.array_equal(_density_widths(p, tables[2].positions),
+                          [gaussian_width(s, tables[2]) for s in states])
