@@ -109,6 +109,9 @@ class EnsembleJob:
         if holes >= self.table.n_active:
             raise ValueError("hole count must be below the active-site count")
         # every focus is a site of the lattice, and never a hole
+        for f in self.design.foci:
+            if not np.isfinite(f).all():
+                raise ValueError(f"focus {f} outside extents {self.table.extents}")
         free = self.table.active.copy()
         free[[self.table.index_of(np.rint(f).astype(int)) for f in self.design.foci]] = False
         if isinstance(self.kind, Holes):

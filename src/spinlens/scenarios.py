@@ -5,6 +5,11 @@ times in 1/J), runs the corresponding experiment, and writes plain CSV
 data plus derived parameters for the manifest. Defaults are desk-scale
 setups that run in seconds to minutes; any key can be overridden from the
 config file, unknown keys are rejected.
+
+Each scenario is two steps (``SCENARIOS``). Its inputs step builds
+everything the run builds before it computes and raises wherever the run
+would; ``prepare_config`` calls it to validate and ``run_scenario`` to
+run. Its compute step takes those inputs and writes the outputs.
 """
 
 from __future__ import annotations
@@ -176,11 +181,13 @@ def prepare_config(raw: dict) -> dict:
     a positive finite number or a scaling fit over fewer than two of them,
     time grids too short to step through, a propagator
     tolerance outside ``propagator.TOL_RANGE``, an end time that is not
-    positive, a packet width that is not a positive finite number, every
-    value the run's first constructors reject (``_run_inputs``): lattice
-    extents, coupling strengths, a thick lens's strength, an ensemble's
-    realizations, hole count or displacement; and a packet centre that is
-    not one number per lattice axis inside the lattice."""
+    positive, a packet width that is not a positive finite number and a
+    packet centre that is not one number per lattice axis inside the
+    lattice. Then it builds the run's own inputs with the scenario's inputs
+    step (``SCENARIOS``), which ``run_scenario`` calls again, so whatever a
+    run would reject before it computes fails here: lattice extents,
+    coupling strengths, a lens design or profile, a start packet, an
+    ensemble's realizations, hole count or displacement, a scan's grid."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
     name = raw.get("scenario")
@@ -247,71 +254,12 @@ def prepare_config(raw: dict) -> dict:
                     and all(0 <= c <= int(n) - 1 for c, n in zip(coords, extents))):
                 raise ConfigError(f"'{name}.packet.center' must be null or one number per "
                                   f"lattice axis ({len(extents)}), inside the lattice")
-        _run_inputs(cfg)
+        SCENARIOS[name][0](cfg)
     except ConfigError:
         raise
     except (ArithmeticError, TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
     return cfg
-
-
-def _run_inputs(cfg: dict):
-    """Build what a run of ``cfg`` builds before it computes anything, with
-    the run's own constructors and checks: the lattice and coupling model,
-    each power law of a scan, a thick lens's continuum prediction, an
-    ensemble job and a displacement run's broadening grid (on a chain), a
-    breakdown scan's jobs and displacement grid, the kind and order of each
-    lens an optimizer run designs, a lens design with the profile it
-    imposes and the start packet centred on its focus (``_lens``), or the
-    start packet of each width at the lattice's centre, a nonlinear run's
-    blockade radius and a rydberg_tables run's whole computation
-    (``_dressing``). It also rejects what would fail mid-run: holes that
-    could take every site of the packet, a nonlinear packet on fewer sites
-    than excitations, and a cascade on one site, whose focused width is 0.
-    Whatever they reject, the run would fail on."""
-    name = cfg["scenario"]
-    if "lattice" not in cfg:
-        _dressing(cfg)              # rydberg_tables, the one run without a lattice
-        return
-    table, model = _build_setup(cfg)
-    if name == "longrange_alpha":
-        c = cfg["coupling"]
-        for alpha in cfg["scan"]["alphas"]:
-            PowerLaw(float(c["hopping"]), float(alpha), cutoff_range=float(c["cutoff_range"]))
-    elif name == "thick1d":
-        continuum_thick(float(cfg["lens"]["v0"]), float(cfg["packet"]["sigma0"]),
-                        model.reference_hopping())
-    elif name == "holes":
-        job, _ = _ensemble_job(cfg, Holes(int(cfg["disorder"]["count"])))
-        on = np.flatnonzero(gaussian_packet(table, job.sigma0).amplitudes)
-        if np.isin(on, job.candidates).all() and on.size <= job.kind.count:
-            raise ValueError("the holes of a realization can take every site the packet is on")
-    elif name == "displacement":
-        _ensemble_job(cfg, Displacement(float(cfg["disorder"]["delta"])))
-        _broadening_grid(cfg, table.extents)
-    elif name == "breakdown":
-        _breakdown_jobs(cfg, table, model)
-        _delta_grid(cfg["scan"]["deltas"])
-    elif name == "cascade":
-        _check_design("thick", int(cfg["lens"]["order"]))
-        if table.n_sites < 2:
-            raise ValueError("a cascade needs 2 or more sites: its focused width sets stage 2")
-    elif name == "scaling_fit":
-        for kind, order in _scan_designs(cfg["scan"]):
-            _check_design(kind, order)
-    if name in ("holes", "displacement", "breakdown", "longrange_alpha", "scaling_fit"):
-        # the start packet of each width, at the lattice's centre
-        for sigma0 in cfg.get("scan", {}).get("sigma0") or [cfg["packet"]["sigma0"]]:
-            gaussian_packet(table, float(sigma0))
-    else:
-        design, packet = _lens(cfg, table)
-        if design is not None:
-            (thin_phase_profile if design.thin else potential_profile)(design, table)
-    if name == "nonlinear":
-        inter = cfg["interaction"]
-        blockade_radius(float(inter["jz"]), model.reference_hopping(), float(inter["power"]))
-        if np.count_nonzero(packet.amplitudes) < int(inter["nu"]):
-            raise ValueError(f"need at least {int(inter['nu'])} sites with nonzero amplitude")
 
 
 def lint_config(cfg: dict) -> list:
@@ -448,14 +396,19 @@ def _write_breathing(out, terms, psi0, table, pred, t_max, ev):
     return outputs, _local_minima(times, widths)
 
 
-def run_thick1d(cfg, out: Path):
+def _thick1d_inputs(cfg):
     table, model = _build_setup(cfg)
     pred = continuum_thick(float(cfg["lens"]["v0"]), float(cfg["packet"]["sigma0"]),
                            model.reference_hopping())
+    design, psi0 = _lens(cfg, table)
+    return table, model, pred, psi0, potential_profile(design, table)
+
+
+def _thick1d(cfg, inputs, out: Path):
+    table, model, pred, psi0, profile = inputs
     ev = cfg["evolution"]
     t_max = ev["t_max"] if ev["t_max"] is not None else 4.0 * pred.focal_time
-    design, psi0 = _lens(cfg, table)
-    terms = build_couplings(table, model).with_diagonal(potential_profile(design, table))
+    terms = build_couplings(table, model).with_diagonal(profile)
     outputs, minima = _write_breathing(out, terms, psi0, table, pred, t_max, ev)
     derived = {
         "omega [J]": pred.omega,
@@ -467,14 +420,19 @@ def run_thick1d(cfg, out: Path):
     return derived, outputs
 
 
-def run_thin1d(cfg, out: Path):
+def _thin1d_inputs(cfg):
     table, model = _build_setup(cfg)
     design, packet = _lens(cfg, table)
+    psi0 = phase_imprint(packet, thin_phase_profile(design, table))
     pred = continuum_thin(design.phi0, float(cfg["packet"]["sigma0"]),
                           model.reference_hopping())
+    return table, model, pred, psi0
+
+
+def _thin1d(cfg, inputs, out: Path):
+    table, model, pred, psi0 = inputs
     ev = cfg["evolution"]
     t_max = ev["t_max"] if ev["t_max"] is not None else 2.0 * pred.focal_time
-    psi0 = phase_imprint(packet, thin_phase_profile(design, table))
     outputs, minima = _write_breathing(out, build_couplings(table, model), psi0,
                                        table, pred, t_max, ev)
     derived = {
@@ -491,18 +449,26 @@ def _coeff_columns(design, order=8):
     return coeffs
 
 
-def run_cascade(cfg, out: Path):
+def _cascade_inputs(cfg):
+    """The setup, lens order, focus and start packet of a cascade; a single
+    site, whose focused width of 0 stage 2 cannot start from, is rejected."""
     table, model = _build_setup(cfg)
-    sigma0 = float(cfg["packet"]["sigma0"])
     order = int(cfg["lens"]["order"])
-    focus = _focus_of(cfg, table)
+    _check_design("thick", order)
+    if table.n_sites < 2:
+        raise ValueError("a cascade needs 2 or more sites: its focused width sets stage 2")
+    _, state = _lens(cfg, table)
+    return table, model, order, _focus_of(cfg, table), state
+
+
+def _cascade(cfg, inputs, out: Path):
+    table, model, order, focus, state = inputs
+    sigma_in = float(cfg["packet"]["sigma0"])
     tol = float(cfg["evolution"]["tol"])
     n_time = int(cfg["evolution"]["n_time"])
     base = build_couplings(table, model)
 
     rows, outputs = [], []
-    _, state = _lens(cfg, table)
-    sigma_in = sigma0
     derived = {}
     for stage in (1, 2):
         res = optimize_lens(table, model, sigma_in, kind="thick", order=order,
@@ -532,15 +498,33 @@ def run_cascade(cfg, out: Path):
     return derived, outputs
 
 
-def run_scaling_fit(cfg, out: Path):
+def _scan_designs(scan):
+    """The (kind, order) of each lens family a scaling fit optimizes, in
+    order: every order of ``scan.orders`` for a thick lens, 2 for a thin
+    one."""
+    return [(kind, int(order)) for kind in scan["kinds"]
+            for order in (scan["orders"] if kind == "thick" else [2])]
+
+
+def _scaling_fit_inputs(cfg):
     table, model = _build_setup(cfg)
+    designs = _scan_designs(cfg["scan"])
+    for kind, order in designs:
+        _check_design(kind, order)
+    for sigma0 in cfg["scan"]["sigma0"]:
+        gaussian_packet(table, float(sigma0))      # the optimizer's start packet
+    return table, model, designs
+
+
+def _scaling_fit(cfg, inputs, out: Path):
+    table, model, designs = inputs
     scan = cfg["scan"]
     tol = float(cfg["evolution"]["tol"])
     n_time = int(cfg["evolution"]["n_time"])
     rows = []
     fits = []
     paths = {}
-    for kind, order in _scan_designs(scan):
+    for kind, order in designs:
         sig_list, wid_list = [], []
         for sigma0 in scan["sigma0"]:
             res = optimize_lens(table, model, float(sigma0), kind=kind,
@@ -569,24 +553,21 @@ def run_scaling_fit(cfg, out: Path):
     return {"fits": fits, "optimizer_paths": paths}, outputs
 
 
-def _scan_designs(scan):
-    """The (kind, order) of each lens family a scaling fit optimizes, in
-    order: every order of ``scan.orders`` for a thick lens, 2 for a thin
-    one."""
-    return [(kind, int(order)) for kind in scan["kinds"]
-            for order in (scan["orders"] if kind == "thick" else [2])]
-
-
-def run_multifocal2d(cfg, out: Path):
+def _multifocal2d_inputs(cfg):
     table, model = _build_setup(cfg)
-    sigma0 = float(cfg["packet"]["sigma0"])
     design, psi = _lens(cfg, table)
-    pred = continuum_thick(float(cfg["lens"]["v0"]), sigma0, model.reference_hopping())
+    profile = potential_profile(design, table)
+    pred = continuum_thick(float(cfg["lens"]["v0"]), float(cfg["packet"]["sigma0"]),
+                           model.reference_hopping())
+    return table, model, design, psi, profile, pred
+
+
+def _multifocal2d(cfg, inputs, out: Path):
+    table, model, design, psi, profile, pred = inputs
     ev = cfg["evolution"]
     t_max = ev["t_max"] if ev["t_max"] is not None else pred.focal_time
-    terms = build_couplings(table, model).with_diagonal(
-        potential_profile(design, table))
-    psi = evolve(terms, psi, t_max, tol=float(ev["tol"]))
+    psi = evolve(build_couplings(table, model).with_diagonal(profile), psi, t_max,
+                 tol=float(ev["tol"]))
     rows = [(i, *f, focus_probability(psi, table, f)) for i, f in enumerate(design.foci)]
     header = ["focus", "x [a]", "y [a]", "p_foc [1]"]
     outputs = [io_utils.write_csv(out / "foci.csv", header, rows),
@@ -598,20 +579,25 @@ def run_multifocal2d(cfg, out: Path):
     return derived, outputs
 
 
-def run_longrange_alpha(cfg, out: Path):
-    extents = tuple(int(n) for n in cfg["lattice"]["extents"])
-    table = build_lattice(extents)
-    hopping = float(cfg["coupling"]["hopping"])
-    cutoff = float(cfg["coupling"]["cutoff_range"])
+def _longrange_alpha_inputs(cfg):
+    """The lattice and the (label, alpha, model) of each scan entry: the
+    nearest-neighbour model if included, then a power law per alpha. The
+    nearest-neighbour model is built, and so checked, either way."""
+    table, nn = _build_setup(cfg)           # longrange_alpha has no coupling.model
+    c = cfg["coupling"]
+    models = [("nn", math.inf, nn)] if cfg["scan"]["include_nn"] else []
+    for alpha in map(float, cfg["scan"]["alphas"]):
+        models.append((f"alpha={alpha:g}", alpha,
+                       PowerLaw(float(c["hopping"]), alpha, cutoff_range=float(c["cutoff_range"]))))
+    gaussian_packet(table, float(cfg["packet"]["sigma0"]))    # the optimizer's start packet
+    return table, models
+
+
+def _longrange_alpha(cfg, inputs, out: Path):
+    table, models = inputs
     sigma0 = float(cfg["packet"]["sigma0"])
     tol = float(cfg["evolution"]["tol"])
     n_time = int(cfg["evolution"]["n_time"])
-    models = []
-    if cfg["scan"]["include_nn"]:
-        models.append(("nn", math.inf, NearestNeighbor(hopping)))
-    for alpha in cfg["scan"]["alphas"]:
-        models.append((f"alpha={alpha:g}", float(alpha),
-                       PowerLaw(hopping, float(alpha), cutoff_range=cutoff)))
     rows, paths = [], {}
     for label, alpha, model in models:
         res = optimize_lens(table, model, sigma0, kind="thick", order=2,
@@ -629,29 +615,42 @@ def run_longrange_alpha(cfg, out: Path):
     return derived, outputs
 
 
-def run_nonlinear(cfg, out: Path):
+def _nonlinear_inputs(cfg):
+    """The setup, the lens design with its profile and focal time (None
+    where the run optimizes its own), the single-excitation start packet
+    and the blockade radius; a packet on fewer sites than excitations is
+    rejected."""
     table, model = _build_setup(cfg)
-    sigma0 = float(cfg["packet"]["sigma0"])
-    hopping = model.reference_hopping()
+    inter, hopping = cfg["interaction"], model.reference_hopping()
+    design, psi_single = _lens(cfg, table)
+    profile = t_f = None
+    if design is not None:
+        profile = potential_profile(design, table)
+        t_f = continuum_thick(design.coefficients[0], float(cfg["packet"]["sigma0"]),
+                              hopping).focal_time
+    r_b = blockade_radius(float(inter["jz"]), hopping, float(inter["power"]))
+    if np.count_nonzero(psi_single.amplitudes) < int(inter["nu"]):
+        raise ValueError(f"need at least {int(inter['nu'])} sites with nonzero amplitude")
+    return table, model, design, profile, t_f, psi_single, r_b
+
+
+def _nonlinear(cfg, inputs, out: Path):
+    table, model, design, profile, t_f, psi_single, r_b = inputs
     inter = cfg["interaction"]
     nu = int(inter["nu"])
-    jz, power = float(inter["jz"]), float(inter["power"])
     tol = float(cfg["evolution"]["tol"])
 
-    design, psi_single = _lens(cfg, table)
     optimized = design is None
     if optimized:
-        res = optimize_lens(table, model, sigma0, kind="thick", order=2,
-                            focus=_focus_of(cfg, table), tol=tol)
+        res = optimize_lens(table, model, float(cfg["packet"]["sigma0"]), kind="thick",
+                            order=2, focus=_focus_of(cfg, table), tol=tol)
         design, t_f = res.design, res.focal_time
-    else:
-        t_f = continuum_thick(design.coefficients[0], sigma0, hopping).focal_time
-    terms = build_couplings(table, model).with_diagonal(
-        potential_profile(design, table))
+        profile = potential_profile(design, table)
+    terms = build_couplings(table, model).with_diagonal(profile)
 
     basis = enumerate_basis(table, nu)
-    sector = build_mb_hamiltonian(terms, basis, jz=jz,
-                                  interaction_power=power,
+    sector = build_mb_hamiltonian(terms, basis, jz=float(inter["jz"]),
+                                  interaction_power=float(inter["power"]),
                                   table=table,
                                   literal_sigma_z=bool(inter["literal_sigma_z"]))
     state = symmetric_initial_state(psi_single, nu, basis)
@@ -674,7 +673,7 @@ def run_nonlinear(cfg, out: Path):
     derived = {
         "focal_time [1/J]": t_f,
         "coefficients": list(design.coefficients),
-        "blockade_radius [a]": blockade_radius(jz, hopping, power),
+        "blockade_radius [a]": r_b,
         "basis_dim": basis.dim,
         "evolved_dim": path.dim,
         "evolution": path.method,
@@ -684,22 +683,18 @@ def run_nonlinear(cfg, out: Path):
     return derived, outputs
 
 
-def _ensemble_job(cfg, kind):
-    table, model = _build_setup(cfg)
-    sigma0 = float(cfg["packet"]["sigma0"])
+def _clean_job(cfg, table, model, kind, sigma0, realizations, v0=None, focus=None):
+    """The ensemble job of ``kind`` on the clean lattice ``table``: a
+    quadratic thick lens of strength v0 (its scaling strength
+    ``v_opt_scale`` where None) focused at ``focus`` (the lattice's centre
+    where None), run for the lens's continuum focal time."""
     hopping = model.reference_hopping()
-    focus = _focus_of(cfg, table)
-    v0 = cfg["lens"]["v0"]
-    if v0 is None:
-        v0 = thresholds(sigma0=sigma0, hopping=hopping)["v_opt_scale"]
-    pred = continuum_thick(float(v0), sigma0, hopping)
-    design = ThickPolynomial((float(v0),), tuple(focus))
-    job = EnsembleJob(table=table, model=model, design=design, sigma0=sigma0,
-                      duration=pred.focal_time, kind=kind,
-                      realizations=int(cfg["disorder"]["realizations"]),
-                      master_seed=int(cfg["master_seed"]),
-                      tol=float(cfg["evolution"]["tol"]))
-    return job, pred
+    v0 = float(thresholds(sigma0=sigma0, hopping=hopping)["v_opt_scale"] if v0 is None else v0)
+    duration = continuum_thick(v0, sigma0, hopping).focal_time
+    design = ThickPolynomial((v0,), tuple(table.center() if focus is None else focus))
+    return EnsembleJob(table=table, model=model, design=design, sigma0=sigma0,
+                       duration=duration, kind=kind, realizations=int(realizations),
+                       master_seed=int(cfg["master_seed"]), tol=float(cfg["evolution"]["tol"]))
 
 
 def _write_ensemble(out, job, stats, extra_summary):
@@ -717,12 +712,24 @@ def _write_ensemble(out, job, stats, extra_summary):
     return outputs
 
 
-def run_holes(cfg, out: Path):
-    job, pred = _ensemble_job(cfg, Holes(int(cfg["disorder"]["count"])))
+def _holes_inputs(cfg):
+    """The job of a holes run; holes that could take every site of the
+    packet, which would leave it nothing to focus, are rejected."""
+    table, model = _build_setup(cfg)
+    d = cfg["disorder"]
+    job = _clean_job(cfg, table, model, Holes(int(d["count"])), float(cfg["packet"]["sigma0"]),
+                     d["realizations"], cfg["lens"]["v0"], _focus_of(cfg, table))
+    on = np.flatnonzero(gaussian_packet(table, job.sigma0).amplitudes)
+    if np.isin(on, job.candidates).all() and on.size <= job.kind.count:
+        raise ValueError("the holes of a realization can take every site the packet is on")
+    return job
+
+
+def _holes(cfg, job, out: Path):
     stats = run_ensemble(job)
     outputs = _write_ensemble(out, job, stats, {
         "clean": {"p_foc": stats.p_clean, "sigma_f": stats.sigma_clean},
-        "holes": int(cfg["disorder"]["count"]),
+        "holes": job.kind.count,
     })
     derived = {
         "clean_p_foc": stats.p_clean,
@@ -749,19 +756,29 @@ def _broadening_grid(cfg, extents):
     return n_b, [2.0 * math.pi * round(k * n / (2.0 * math.pi)) / n for k in ks]
 
 
-def run_displacement(cfg, out: Path):
-    delta = float(cfg["disorder"]["delta"])
-    job, pred = _ensemble_job(cfg, Displacement(delta))
+def _displacement_inputs(cfg):
+    """The job of a displacement run and its broadening grid."""
+    table, model = _build_setup(cfg)
+    d = cfg["disorder"]
+    job = _clean_job(cfg, table, model, Displacement(float(d["delta"])),
+                     float(cfg["packet"]["sigma0"]), d["realizations"], cfg["lens"]["v0"],
+                     _focus_of(cfg, table))
+    grid = _broadening_grid(cfg, table.extents)
+    gaussian_packet(table, job.sigma0)           # the protocol's start packet
+    return job, grid
+
+
+def _displacement(cfg, inputs, out: Path):
+    job, (n_b, ks) = inputs
     # one clean pattern, and its kept arrays, for the ensemble and the broadening
     pattern = _CleanPattern(job)
     stats = run_ensemble(job, pattern)
     outputs = _write_ensemble(out, job, stats, {
         "clean": {"p_foc": stats.p_clean, "sigma_f": stats.sigma_clean},
-        "delta [a]": delta,
+        "delta [a]": job.kind.delta,
     })
 
     table = job.table
-    n_b, ks = _broadening_grid(cfg, table.extents)
     vals = [[] for _ in ks]
     # each realization's difference taken once, for every k
     for dh in _perturbations(pattern, job, n_b):
@@ -781,28 +798,26 @@ def run_displacement(cfg, out: Path):
     return derived, outputs
 
 
-def _breakdown_jobs(cfg, table, model):
+def _breakdown_inputs(cfg):
     """The clean ensemble job of each packet width of a breakdown scan,
-    the lens at its scaling strength, focused at the lattice's centre."""
-    hopping, scan, jobs = model.reference_hopping(), cfg["scan"], []
-    for sigma0 in map(float, scan["sigma0"]):
-        v0 = thresholds(sigma0=sigma0, hopping=hopping)["v_opt_scale"]
-        jobs.append(EnsembleJob(table=table, model=model,
-                                design=ThickPolynomial((v0,), tuple(table.center())),
-                                sigma0=sigma0,
-                                duration=continuum_thick(v0, sigma0, hopping).focal_time,
-                                kind=Displacement(0.0), realizations=int(scan["realizations"]),
-                                master_seed=int(cfg["master_seed"]),
-                                tol=float(cfg["evolution"]["tol"])))
-    return jobs
-
-
-def run_breakdown(cfg, out: Path):
+    the lens at its scaling strength, focused at the lattice's centre, and
+    the displacement grid."""
     table, model = _build_setup(cfg)
+    scan = cfg["scan"]
+    jobs = [_clean_job(cfg, table, model, Displacement(0.0), sigma0, scan["realizations"])
+            for sigma0 in map(float, scan["sigma0"])]
+    deltas = _delta_grid(scan["deltas"])
+    for job in jobs:
+        gaussian_packet(table, job.sigma0)       # the protocol's start packet
+    return jobs, deltas
+
+
+def _breakdown(cfg, inputs, out: Path):
+    jobs, deltas = inputs
     rows = []
     crossovers = []
-    for job in _breakdown_jobs(cfg, table, model):
-        result = breakdown_scan(job, cfg["scan"]["deltas"])
+    for job in jobs:
+        result = breakdown_scan(job, deltas)
         for row in result.rows:
             rows.append((job.sigma0, row.delta, row.ratio_mean, row.ratio_stderr))
         crossovers.append({
@@ -881,8 +896,8 @@ def _dressing(cfg):
     return dressed, (ms, ms * spacing, j_m, v_m), derived
 
 
-def run_rydberg_tables(cfg, out: Path):
-    dressed, couplings, derived = _dressing(cfg)
+def _rydberg_tables(cfg, inputs, out: Path):
+    dressed, couplings, derived = inputs
     outputs = [
         io_utils.write_csv(out / "dressed.csv", ["r_tilde [1]", "v_tilde [1]", "w_tilde [1]",
                                                  "v_sg [E]", "w_sg [E]"], zip(*dressed)),
@@ -892,23 +907,27 @@ def run_rydberg_tables(cfg, out: Path):
     return derived, outputs
 
 
+# name -> (inputs step, compute step)
 SCENARIOS = {
-    "thick1d": run_thick1d,
-    "thin1d": run_thin1d,
-    "cascade": run_cascade,
-    "scaling_fit": run_scaling_fit,
-    "multifocal2d": run_multifocal2d,
-    "longrange_alpha": run_longrange_alpha,
-    "nonlinear": run_nonlinear,
-    "holes": run_holes,
-    "displacement": run_displacement,
-    "breakdown": run_breakdown,
-    "rydberg_tables": run_rydberg_tables,
+    "thick1d": (_thick1d_inputs, _thick1d),
+    "thin1d": (_thin1d_inputs, _thin1d),
+    "cascade": (_cascade_inputs, _cascade),
+    "scaling_fit": (_scaling_fit_inputs, _scaling_fit),
+    "multifocal2d": (_multifocal2d_inputs, _multifocal2d),
+    "longrange_alpha": (_longrange_alpha_inputs, _longrange_alpha),
+    "nonlinear": (_nonlinear_inputs, _nonlinear),
+    "holes": (_holes_inputs, _holes),
+    "displacement": (_displacement_inputs, _displacement),
+    "breakdown": (_breakdown_inputs, _breakdown),
+    "rydberg_tables": (_dressing, _rydberg_tables),
 }
 
 
 def run_scenario(cfg: dict, out: Path):
-    """Dispatch a prepared config; returns (derived parameters, output files)."""
+    """Dispatch a prepared config: build its inputs with the same step
+    ``prepare_config`` validated them with, then compute; returns (derived
+    parameters, output files)."""
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    return SCENARIOS[cfg["scenario"]](cfg, out)
+    inputs, compute = SCENARIOS[cfg["scenario"]]
+    return compute(cfg, inputs(cfg), out)

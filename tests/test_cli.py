@@ -280,10 +280,11 @@ class TestRunCommand:
         # everything validation checks
         from spinlens import scenarios
 
-        def failing(cfg, out):
+        def failing(cfg, inputs, out):
             raise ValueError("the physics broke")
 
-        monkeypatch.setitem(scenarios.SCENARIOS, "thick1d", failing)
+        inputs, _ = scenarios.SCENARIOS["thick1d"]
+        monkeypatch.setitem(scenarios.SCENARIOS, "thick1d", (inputs, failing))
         cfg = write_config(tmp_path / "c.yaml", THICK_SMALL)
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 1
@@ -721,6 +722,27 @@ def test_what_validate_accepts_runs(config):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_validate_and_run_build_inputs_with_one_step(tmp_path, monkeypatch, name):
+    """``prepare_config`` and ``run_scenario`` build a scenario's inputs
+    with the one step ``SCENARIOS`` names for it, once each, so what
+    ``validate`` accepts is what the run computes from."""
+    from spinlens import scenarios
+
+    inputs, compute = scenarios.SCENARIOS[name]
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg["scenario"])
+        return inputs(cfg)
+
+    monkeypatch.setitem(scenarios.SCENARIOS, name, (counted, compute))
+    cfg = prepare_config(dict(copy.deepcopy(_TINY[name]), scenario=name))
+    assert calls == [name]
+    run_scenario(cfg, tmp_path)
+    assert calls == [name, name]
+
+
 def test_every_benchmark_task_config_validates():
     """Every distinct task config of the benchmark's workloads (all three,
     full and tiny, seeds 0-39 at 30 s) passes ``prepare_config``, so a
@@ -766,6 +788,18 @@ def test_nonlinear_blockade_radius_uses_the_configured_power(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     derived = json.loads((out / "manifest.json").read_text())["derived"]
     assert derived["blockade_radius [a]"] == pytest.approx(jz ** (1.0 / power))
+
+
+def test_text_alpha_runs_as_its_number(tmp_path):
+    """A scan power written as text (YAML reads a bare 6e0 as a string)
+    runs as its number, as every strength does, and labels its row by it."""
+    cfg = write_config(tmp_path / "c.yaml", dict(
+        _TINY["longrange_alpha"], scenario="longrange_alpha",
+        scan={"alphas": ["6e0"], "include_nn": False}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    derived = json.loads((out / "manifest.json").read_text())["derived"]
+    assert list(derived["sigma_f"]) == ["alpha=6"]
 
 
 @pytest.mark.parametrize("scenario, key, value", [

@@ -676,7 +676,7 @@ class TestBroadeningScenario:
         scipy's h - clean leaves out; each broadening row is still bit for
         bit the mean and spread of ``plane_wave_broadening`` of each
         realization's assembled H."""
-        from spinlens.scenarios import _ensemble_job, prepare_config, run_scenario
+        from spinlens.scenarios import _displacement_inputs, prepare_config, run_scenario
 
         cfg = prepare_config({
             "scenario": "displacement", "master_seed": 3,
@@ -685,7 +685,7 @@ class TestBroadeningScenario:
             "disorder": {"delta": 1e-4, "realizations": 2},
             "broadening": {"ks": [0.5, 1.5], "realizations": 5}})
         with np.errstate(over="ignore"):
-            job, _ = _ensemble_job(cfg, Displacement(1e-4))
+            job, _ = _displacement_inputs(cfg)
             model, kind = _underflow_job().model, _underflow_job().kind
             assert (job.table.extents, job.model, job.kind) == ((40,), model, kind)
             clean = build_couplings(job.table, model).matrix()
@@ -718,7 +718,7 @@ class TestBroadeningScenario:
 
     def test_each_realization_is_built_once(self, tmp_path, monkeypatch):
         from spinlens import disorder, scenarios
-        from spinlens.scenarios import _ensemble_job, prepare_config, run_scenario
+        from spinlens.scenarios import _displacement_inputs, prepare_config, run_scenario
 
         cfg = prepare_config({
             "scenario": "displacement", "master_seed": 4,
@@ -726,7 +726,7 @@ class TestBroadeningScenario:
             "coupling": {"model": "powerlaw", "alpha": 6.0},
             "disorder": {"delta": 0.01, "realizations": 3},
             "broadening": {"ks": [0.5, 1.0, 1.5], "realizations": 4}})
-        job, _ = _ensemble_job(cfg, Displacement(0.01))
+        job, _ = _displacement_inputs(cfg)
         clean = build_couplings(job.table, job.model).matrix()
         want = []
         for k in cfg["broadening"]["ks"]:
