@@ -24,12 +24,20 @@ def format_value(x) -> str:
     return str(x)
 
 
+_FLOATS = (float, np.float64)
+
+
 def write_csv(path, header, rows) -> Path:
+    """Write ``header`` and ``rows`` to ``path``, each cell as
+    :func:`format_value` formats it; float and int cells, the common ones,
+    are formatted in line."""
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(format_value(x) for x in row) + "\n")
+            fh.write(",".join(["%.17g" % x if type(x) in _FLOATS
+                               else str(x) if type(x) is int
+                               else format_value(x) for x in row]) + "\n")
     return path
 
 

@@ -77,7 +77,10 @@ _EVR_ROWS = 400
 # dense copy it decomposes (np.array_equal(a, a.T), about 40 us at N = 200,
 # 1-2% of the eigh); measuring every h on the sparse form instead (160-270
 # us, 4-6% of the eigh) made lens_design, where decompositions take 60% of
-# the time, slower in 8 of 10 benchmark pairs, by 8.8% in the median.
+# the time, slower in 8 of 10 benchmark pairs, by 8.8% in the median. Above
+# _EVR_ROWS a sparse h is measured on its sparse form only: the even
+# blockade operators, off by rounding, always failed the dense compare, an
+# n^2 pass of about 1 ms at 930 rows before the sparse measure.
 _SYMMETRY_RTOL = 1e-12
 
 # exact (-i)^k via k mod 4, avoiding argument-reduction error at large k
@@ -90,9 +93,17 @@ def spectral_bounds(h: sp.csr_matrix) -> tuple[float, float]:
     ``h`` is left as it is: a matrix with unsorted indices or duplicate
     entries is put in canonical form on a copy.
     """
-    d = h.diagonal().real
-    absh = abs(h if h.has_canonical_format else h.copy())
-    radii = np.asarray(absh.sum(axis=1)).ravel() - np.abs(h.diagonal())
+    diag = h.diagonal()
+    if not h.has_canonical_format:
+        h = h.copy()
+        h.sum_duplicates()
+    # the sums of |h| over each nonempty row, by the reduction, in the order
+    # of abs(h).sum(axis=1)
+    data = np.abs(h.data)
+    rows = np.zeros(h.shape[0], dtype=data.dtype)
+    nonempty = np.flatnonzero(np.diff(h.indptr))
+    rows[nonempty] = np.add.reduceat(data, h.indptr[nonempty])
+    d, radii = diag.real, rows - np.abs(diag)
     return float((d - radii).min()), float((d + radii).max())
 
 
@@ -593,7 +604,7 @@ class EigenPropagator:
         order = "F" if n > _EVR_ROWS else "C"
         sparse = sp.issparse(h)
         a = h.toarray(order=order) if sparse else np.array(h, dtype=float, order=order)
-        if not np.array_equal(a, a.T):
+        if (sparse and n > _EVR_ROWS) or not np.array_equal(a, a.T):
             # measured on h: for a sparse h, a dense a - a.T would add n^2
             # doubles to the peak
             skew = abs(h - h.T).max()
@@ -810,7 +821,9 @@ class EvolutionPath:
     (:func:`evolution_path`): in the even subspace of ``owner.mirror`` when
     ``even``, else with H; from the owner's cached decomposition when
     ``dense``, else by Chebyshev. :func:`evolution_path` picks the path;
-    building one directly forces it.
+    building one directly forces it. :meth:`samples` and :meth:`states`
+    give the lifted states, and :meth:`probabilities` their |state|^2,
+    squared before the lift, for a caller that reads only probabilities.
     """
 
     def __init__(self, owner, psi, times, tol: float, even: bool, dense: bool):
@@ -842,33 +855,46 @@ class EvolutionPath:
         w = self.mirror.weights
         return self.owner.eigen(even=True).states(w * self._start, times) / w
 
-    def samples(self) -> Iterator[np.ndarray]:
-        """The lifted states at ``times``, in order, in blocks of rows: one
+    def _blocks(self) -> Iterator[np.ndarray]:
+        """The unlifted states at ``times``, in order, in blocks of rows: one
         block from the decomposition or a real window, one row a block from
         Chebyshev steps, so that stepping holds one state at a time."""
         ts, n = self.times, self.times.size
         if n == 0:
             return
         if self.dense:
-            yield self._lift(self._exact(ts))
+            yield self._exact(ts)
             return
         h, bounds, phi, tol = self._operator(), self.owner.bounds(), self._start, self.tol
         step = ts[1] - ts[0] if n > 1 else ts[0]
         if ts[0] != step:
             phi = expimv(h, phi, ts[0], tol, bounds)
-            yield self._lift(phi)[None]
+            yield phi[None]
             n -= 1
         elif (self.even and step != 0.0 and _state(phi).dtype == float
               and _real_window_fits(h, bounds, step, n)):
-            yield self._lift(real_window(h, phi, step, n, tol, bounds))
+            yield real_window(h, phi, step, n, tol, bounds)
             return
         for _, phi in trajectory(h, phi, step, n, tol, bounds):
-            yield self._lift(phi)[None]
+            yield phi[None]
+
+    def samples(self) -> Iterator[np.ndarray]:
+        """The lifted states at ``times``, in order, in the blocks of rows
+        that the path computes them in."""
+        for block in self._blocks():
+            yield self._lift(block)
 
     def states(self) -> Iterator[np.ndarray]:
         """The lifted states at ``times``, one at a time."""
         for block in self.samples():
             yield from block
+
+    def probabilities(self) -> Iterator[np.ndarray]:
+        """|state|^2 of the lifted states at ``times``, one at a time: each
+        block is squared before it is lifted, which gives the same values,
+        as |phi[orbit]|^2 = |phi|^2[orbit] entry by entry."""
+        for block in self._blocks():
+            yield from self._lift(np.abs(block) ** 2)
 
     def later(self, state: np.ndarray, t: float, shift: float) -> np.ndarray:
         """The lifted state at t + ``shift``, as a block of one row, where

@@ -507,7 +507,13 @@ def _scan_designs(scan):
 
 
 def _scaling_fit_inputs(cfg):
+    """The setup and the (kind, order) of each lens family of a scaling
+    fit; a single site, whose focused widths of 0 the log-log fit cannot
+    take, is rejected."""
     table, model = _build_setup(cfg)
+    if table.n_sites < 2:
+        raise ValueError("a scaling fit needs 2 or more sites: it fits the log of "
+                         "each focused width")
     designs = _scan_designs(cfg["scan"])
     for kind, order in designs:
         _check_design(kind, order)
@@ -658,15 +664,17 @@ def _nonlinear(cfg, inputs, out: Path):
     n_samples = int(cfg["evolution"]["n_samples"])
     dt = t_f / n_samples
     path = evolution_path(sector, state.amplitudes, dt * np.arange(1, n_samples + 1), tol)
-    t, amps, density_rows = state.time_stamp, state.amplitudes, []
-    for amps in path.states():
+    # the observables read only |amplitude|^2, so they take the path's
+    # probabilities, squared before the even subspace's lift
+    t, prob, density_rows = state.time_stamp, np.abs(state.amplitudes) ** 2, []
+    for prob in path.probabilities():
         t = t + dt
-        p = density_profile(amps, basis)
-        density_rows.extend((t, n, p[n], nu) for n in range(table.n_sites))
+        p = density_profile(prob, basis, squared=True)
+        density_rows.extend((t, n, x, nu) for n, x in enumerate(p.tolist()))
     outputs = [io_utils.write_csv(out / "density.csv",
                                   ["t [1/J]", "site", "p [1]", "nu"],
                                   density_rows)]
-    dists, weights = pair_distance_distribution(amps, basis, table)
+    dists, weights = pair_distance_distribution(prob, basis, table, squared=True)
     outputs.append(io_utils.write_csv(out / "pair_distances.csv",
                                       ["distance [a]", "weight [1]"],
                                       zip(dists, weights)))
@@ -801,8 +809,12 @@ def _displacement(cfg, inputs, out: Path):
 def _breakdown_inputs(cfg):
     """The clean ensemble job of each packet width of a breakdown scan,
     the lens at its scaling strength, focused at the lattice's centre, and
-    the displacement grid."""
+    the displacement grid; a single site, whose clean focused width of 0
+    each width ratio would divide by, is rejected."""
     table, model = _build_setup(cfg)
+    if table.n_sites < 2:
+        raise ValueError("a breakdown scan needs 2 or more sites: its width ratios "
+                         "divide by the clean focused width")
     scan = cfg["scan"]
     jobs = [_clean_job(cfg, table, model, Displacement(0.0), sigma0, scan["realizations"])
             for sigma0 in map(float, scan["sigma0"])]
@@ -841,15 +853,25 @@ def _dressing(cfg):
     ``DressingParams``. ValueError or ArithmeticError where the run would
     fail: a dressing ``DressingParams`` rejects, |xi| outside (0, 1) (no
     exchange peak), a negative grid, no separation, a lattice spacing that
-    is not positive and finite, or a ``focus.sigma0``, ``focus.lifetime``
-    or hopping (``dressing.omega``) of 0 that the focal estimate divides
-    by."""
+    is not positive and finite, a length scale (|delta|/c12)^(1/6) that is
+    not positive and finite (a c12 of inf), which the grids are divided
+    by, an ``omega`` or ``table.r_tilde_max`` that is not finite, or a
+    ``focus.sigma0``, ``focus.lifetime`` or hopping (``dressing.omega``) of
+    0 that the focal estimate divides by."""
     d, tbl = cfg["dressing"], cfg["table"]
     c12 = d["c12"] if d["c12"] is not None else abs(float(d["delta"]))
+    if not math.isfinite(float(d["omega"])):
+        raise ValueError("dressing.omega must be finite")
     params = DressingParams(omega=float(d["omega"]), delta=float(d["delta"]),
                             xi=float(d["xi"]), c12=float(c12))
     scale = params.length_scale()
-    r_tilde = np.linspace(1e-3, float(tbl["r_tilde_max"]), int(tbl["n_points"]))
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"dressing.c12 gives a length scale (|delta|/c12)^(1/6) of "
+                         f"{scale:g}; it must be positive and finite")
+    r_tilde_max = float(tbl["r_tilde_max"])
+    if not math.isfinite(r_tilde_max):
+        raise ValueError("table.r_tilde_max must be finite")
+    r_tilde = np.linspace(1e-3, r_tilde_max, int(tbl["n_points"]))
     dressed = (r_tilde, *effective_potentials(r_tilde, params.xi),
                *dressed_couplings(params, r_tilde / scale))
 

@@ -69,6 +69,20 @@ class TestIoUtils:
         assert lines[1] == "1,0.5"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("value", [
+        True, False, np.bool_(True), np.bool_(False), 0, -7, 2**70, np.int64(-5),
+        np.int32(9), 0.1, 1.0 / 3.0, np.float32(0.1), np.float64(2.0 / 3.0), np.float64(1e-310),
+        "label", math.nan, np.float64(math.nan), math.inf, -math.inf, np.float64(-math.inf),
+        -0.0, np.float64(-0.0)], ids=repr)
+    def test_write_csv_cells_are_format_value(self, tmp_path, value):
+        """Each cell as ``format_value`` formats it, the inline float and int
+        paths included, alone and in a row among other types."""
+        row = (value, 1, 0.5, "x", value)
+        path = io_utils.write_csv(tmp_path / "t.csv", ["v"], [(value,), row])
+        want = ["v", io_utils.format_value(value),
+                ",".join(io_utils.format_value(x) for x in row)]
+        assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
+
     def test_canonical_hash_is_order_invariant(self):
         a = io_utils.canonical_hash({"x": 1, "y": [2, 3]})
         b = io_utils.canonical_hash({"y": [2, 3], "x": 1})
@@ -605,12 +619,22 @@ _SCALING_SMALL = {"scenario": "scaling_fit", "lattice": {"extents": [100]},
      "at most 0.1 a"),
     ({"scenario": "rydberg_tables", "focus": {"sigma0": 0.0}}, "focus.sigma0"),
     ({"scenario": "rydberg_tables", "dressing": {"omega": 0.0}}, "dressing.omega"),
+    (dict(_BREAKDOWN_SMALL, lattice={"extents": [1]}), "a breakdown scan needs 2 or more sites"),
+    (dict(_SCALING_SMALL, lattice={"extents": [1]}), "a scaling fit needs 2 or more sites"),
+    ({"scenario": "rydberg_tables", "dressing": {"c12": math.inf}},
+     "it must be positive and finite"),
+    ({"scenario": "rydberg_tables", "dressing": {"omega": math.inf}},
+     "dressing.omega must be finite"),
+    ({"scenario": "rydberg_tables", "table": {"r_tilde_max": math.inf}},
+     "table.r_tilde_max must be finite"),
 ])
 def test_what_a_run_rejects_fails_validation(tmp_path, capsys, config, message):
     """Each of these passed ``validate`` and then failed the run at its
     first constructor, or ran without end (a displacement scatter of 1 or
-    2 a), or crashed ``validate`` itself (a rydberg_tables detuning of 0);
-    both now exit 2 with the run's message, and the run makes no output
+    2 a), or crashed ``validate`` itself (a rydberg_tables detuning of 0),
+    or ran to exit 0 with non-finite outputs (a breakdown or scaling fit on
+    one site, a rydberg_tables c12, omega or r_tilde_max of inf); all now
+    exit 2 with the run's message, and the run makes no output
     directory."""
     cfg = write_config(tmp_path / "c.yaml", config)
     assert main(["validate", "--config", cfg]) == 2
@@ -689,7 +713,7 @@ def _cli(*argv) -> tuple:
     return code, err.getvalue()
 
 
-@pytest.mark.filterwarnings("ignore")
+@pytest.mark.filterwarnings("ignore::UserWarning")
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(config=_edge_configs())
 @example(config={"scenario": "rydberg_tables", "dressing": {"xi": 1.0}})

@@ -47,8 +47,8 @@ from spinlens.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = json.loads((CONFIGS / "GOLDEN.json").read_text(encoding="utf-8"))
-FAST = ("displacement", "holes_1d", "holes_2d", "multifocal2d", "nonlinear_blockade", "quickstart",
-        "rydberg_tables", "thick1d", "thin1d")
+FAST = ("displacement", "holes_1d", "holes_2d", "multifocal2d", "nonlinear_blockade",
+        "nonlinear_nu3", "quickstart", "rydberg_tables", "thick1d", "thin1d")
 
 
 def _record(name: str, out: Path) -> dict:

@@ -252,12 +252,11 @@ class TestHamiltonian:
             build_mb_hamiltonian(terms, enumerate_basis(4, 2), jz=-1.0)
 
 
-def reference_assembly(terms, basis, jz=0.0, interaction_power=6.0,
+def reference_diagonal(terms, basis, jz=0.0, interaction_power=6.0,
                        table=None, literal_sigma_z=False, cutoff_range=20.0):
-    """Per-state loop assembly with a dict of tuples: the former
-    ``build_mb_hamiltonian``, kept as the bit-identity oracle."""
-    index = {tuple(s): i for i, s in enumerate(basis.states)}
-    hop = terms.hopping.tocsr()
+    """The sector's diagonal by the per-row formulas: each row's site
+    energies summed along the row, and a norm and a power per row and
+    pair of slots."""
     eps = terms.diagonal
     if table is not None:
         pos = table.positions
@@ -293,7 +292,19 @@ def reference_assembly(terms, basis, jz=0.0, interaction_power=6.0,
                 + 4.0 * jz * pair_int
                 - 2.0 * jz * col_sums[states].sum(axis=1)
                 + const)
+    return diag
 
+
+def reference_assembly(terms, basis, jz=0.0, interaction_power=6.0,
+                       table=None, literal_sigma_z=False, cutoff_range=20.0):
+    """Per-state loop assembly with a dict of tuples: the former
+    ``build_mb_hamiltonian``, kept as the bit-identity oracle."""
+    diag = reference_diagonal(terms, basis, jz, interaction_power, table,
+                              literal_sigma_z, cutoff_range)
+    index = {tuple(s): i for i, s in enumerate(basis.states)}
+    hop = terms.hopping.tocsr()
+    states = basis.states
+    dim, nu = states.shape
     rows, cols, vals = [], [], []
     indptr, indices, data = hop.indptr, hop.indices, hop.data
     occupied = [set(map(int, s)) for s in states]
@@ -652,6 +663,88 @@ class TestObservables:
         assert np.isclose(blockade_radius(5e3), 5e3 ** (1.0 / 6.0))
         assert np.isclose(blockade_radius(5e3, hopping=2.0),
                           2.5e3 ** (1.0 / 6.0))
+
+
+def _density_per_column(p, basis):
+    """Per-site density by one ``np.add.at`` per column of the rows."""
+    out = np.zeros(basis.n_sites)
+    for col in range(basis.nu):
+        np.add.at(out, basis.states[:, col], p)
+    return out
+
+
+def _pair_distances_per_row(p, basis, pos):
+    """Every row's pair distances, a norm per row and pair of slots,
+    sorted by ``np.unique`` and added by one ``np.add.at``."""
+    pairs = list(itertools.combinations(range(basis.nu), 2))
+    d = np.round(np.concatenate(
+        [np.linalg.norm(pos[basis.states[:, i]] - pos[basis.states[:, j]], axis=1)
+         for i, j in pairs]), 9)
+    uniq, inv = np.unique(d, return_inverse=True)
+    agg = np.zeros(len(uniq))
+    np.add.at(agg, inv, np.tile(p, len(pairs)))
+    return uniq, agg
+
+
+def _refl_by_rank(basis):
+    """The mirror's rows ranked with ``rank``'s checks, None where an
+    image is not a row."""
+    try:
+        return basis.rank((basis.n_sites - 1 - basis.states)[:, ::-1])
+    except ValueError:
+        return None
+
+
+PAIR_TABLE_CASES = {
+    "chain-hole": lambda: punch_holes(build_lattice((13,)), [(4,)]),
+    "chain-centre-hole": lambda: punch_holes(build_lattice((13,)), [(6,)]),
+    "square-paired-holes": lambda: punch_holes(build_lattice((5, 4)), [(1, 1), (3, 2)]),
+    "square-holes": lambda: punch_holes(build_lattice((4, 4)), [(0, 1), (2, 2)]),
+}
+
+
+@pytest.mark.parametrize("nu", [2, 3])
+@pytest.mark.parametrize("case", sorted(PAIR_TABLE_CASES))
+def test_site_pair_tables_add_as_the_per_row_formulas(case, nu):
+    """The sector diagonal (``literal_sigma_z`` off and on), the densities,
+    the pair distances, the mirror and the symmetric start state, read from
+    site-pair tables and column by column, against the per-row formulas
+    they replaced, bit for bit: a changed order of additions or products
+    fails here. The squares have holes and distances of sqrt(2), sqrt(5),
+    ...; one chain and one square are mirror-symmetric."""
+    table = PAIR_TABLE_CASES[case]()
+    rng = np.random.default_rng(nu)
+    terms = build_couplings(table, PowerLaw(1.0, 3.0),
+                            lens_diagonal=rng.normal(size=table.n_sites))
+    basis = enumerate_basis(table, nu)
+    for literal in (False, True):
+        kwargs = dict(jz=3.0, interaction_power=6.0, table=table, literal_sigma_z=literal)
+        sector = build_mb_hamiltonian(terms, basis, **kwargs)
+        assert np.array_equal(sector.matrix.diagonal(), reference_diagonal(terms, basis, **kwargs))
+
+    refl = _refl_by_rank(basis)
+    assert (refl is None) == (case in ("chain-hole", "square-holes"))
+    mirror = sector.mirror
+    assert (mirror is None) == (refl is None)
+    assert mirror is None or np.array_equal(mirror.refl, refl)
+
+    amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    amps[::7] = 0.0
+    p = np.abs(amps) ** 2
+    for got in (density_profile(amps, basis), density_profile(p, basis, squared=True)):
+        assert np.array_equal(got, _density_per_column(p, basis))
+    for where, pos in ((table, table.positions),
+                       (None, np.arange(table.n_sites, dtype=float)[:, None])):
+        want = _pair_distances_per_row(p, basis, pos)
+        for got in (pair_distance_distribution(amps, basis, where),
+                    pair_distance_distribution(p, basis, where, squared=True)):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+    psi = rng.normal(size=table.n_sites) + 1j * rng.normal(size=table.n_sites)
+    psi[~table.active] = 0.0
+    prod = np.prod(psi[basis.states], axis=1)
+    assert np.array_equal(symmetric_initial_state(psi, nu, basis).amplitudes,
+                          prod / np.linalg.norm(prod))
 
 
 def _centred(extents, nu, jz=30.0, focus_shift=0.0, holes=(), literal=False):

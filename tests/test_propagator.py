@@ -1495,6 +1495,60 @@ def test_spectral_bounds_leave_the_matrix_alone(rng):
     assert np.array_equal(dup.indices, dup_indices)
 
 
+def _bounds_by_abs_sum(h):
+    """The Gershgorin interval from abs(h).sum(axis=1), |h| built as a
+    sparse matrix (on a copy where h is not canonical, which abs would
+    put in canonical form in place)."""
+    d = h.diagonal().real
+    absh = abs(h if h.has_canonical_format else h.copy())
+    radii = np.asarray(absh.sum(axis=1)).ravel() - np.abs(h.diagonal())
+    return float((d - radii).min()), float((d + radii).max())
+
+
+def _csr_of_kind(kind, rng):
+    """A 40-row CSR with entries over many scales: real and canonical,
+    complex, with each row's entries permuted, with entries split into
+    duplicates (three of them at some places), or with empty rows (no
+    diagonal either)."""
+    n = 40
+    a = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-6, 6, (n, n))
+    a = np.where(rng.random((n, n)) < 0.3, a, 0.0)
+    if kind == "complex":
+        a = a + 1j * np.where(a != 0.0, rng.normal(size=(n, n)), 0.0)
+    if kind == "empty rows":
+        a[::3] = 0.0
+    h = sp.csr_matrix(a)
+    if kind == "unsorted":
+        order = np.concatenate([h.indptr[r] + rng.permutation(h.indptr[r + 1] - h.indptr[r])
+                                for r in range(n)])
+        h = sp.csr_matrix((h.data[order], h.indices[order], h.indptr), shape=h.shape)
+    if kind == "duplicates":
+        # every entry in three parts, stored in a mixed order
+        rows = np.repeat(np.arange(n), np.diff(h.indptr))
+        parts = rng.random((3, h.nnz))
+        data = np.concatenate([h.data * (w / parts.sum(axis=0)) for w in parts])
+        r, c = np.tile(rows, 3), np.tile(h.indices, 3)
+        order = rng.permutation(r.size)
+        order = order[np.argsort(r[order], kind="stable")]
+        h = sp.csr_matrix((data[order], c[order], h.indptr * 3), shape=h.shape)
+    return h
+
+
+@pytest.mark.parametrize("kind", ["canonical", "complex", "unsorted", "duplicates",
+                                  "empty rows"])
+def test_spectral_bounds_add_as_abs_sum(rng, kind):
+    """The row sums of |h|, by one reduction over the canonical data, equal
+    abs(h).sum(axis=1) bit for bit, and h is left as it was stored."""
+    h = _csr_of_kind(kind, rng)
+    stored = (h.data.copy(), h.indices.copy(), h.indptr.copy())
+    assert kind != "canonical" or h.has_canonical_format
+    assert kind not in ("unsorted", "duplicates") or not h.has_canonical_format
+    assert kind != "empty rows" or (np.diff(h.indptr) == 0).any()
+    assert spectral_bounds(h) == _bounds_by_abs_sum(h)
+    for got, want in zip((h.data, h.indices, h.indptr), stored):
+        assert np.array_equal(got, want)
+
+
 def test_spectral_bounds_enclose_eigenvalues(rng):
     for n in (5, 17, 40):
         h = random_hermitian(n, rng, density=0.5)
@@ -1605,6 +1659,8 @@ class TestEvolutionPathContract:
                     promise = promise + drift
                 errors = np.linalg.norm(got - want, axis=1)
                 assert np.all(errors <= promise), (even, dense, errors, promise)
+                # squared before the lift: |phi|^2[orbit] = |phi[orbit]|^2
+                assert np.array_equal(np.array(list(path.probabilities())), np.abs(got) ** 2)
                 if (even, dense) == (picked.even, picked.dense):
                     assert np.array_equal(np.concatenate(list(picked.samples())), got)
 
